@@ -6,7 +6,8 @@ class GorhomError(Exception):
 
 
 class InputShapeError(GorhomError):
-    """Matrix dimensions do not match the operation's requirements."""
+    """Input data is malformed: matrix dimensions do not match the
+    operation's requirements, or a scalar is not an element of the field."""
 
 
 class InfiniteDimensional(GorhomError):

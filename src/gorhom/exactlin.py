@@ -9,6 +9,14 @@ to call from concurrent tasks without coordination.
 Everything is dense: the matrices in this project stay well below 1000
 rows, so clarity wins over asymptotics.  Row reduction picks the first
 nonzero entry as pivot, deterministically.
+
+Canonical form is an invariant of every `Mat`: entries are ints in
+[0, p) over F_p and `Fraction`s over Q.  The public constructor `Mat(...)`
+is the boundary where outside data comes in, so it coerces and checks
+every entry.  The routines of this module build their results with the
+private `Mat._from_canonical`, which skips that work: their entries are
+canonical by construction.  It is for internal arithmetic only; code
+outside this module builds matrices with `Mat(...)`.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import InputShapeError
@@ -62,17 +71,26 @@ class FieldSpec:
         return 1 if self.characteristic else Fraction(1)
 
     def coerce(self, x) -> Scalar:
-        """Bring an int/Fraction/str into canonical form for this field."""
+        """Bring an int/Fraction/str into canonical form for this field.
+
+        Anything else (floats, bools, other number types) and any value
+        that is not a field element raises InputShapeError.
+        """
+        p = self.characteristic
+        if type(x) is int:
+            return x % p if p else Fraction(x)
+        if type(x) is Fraction and not p:
+            return x
         if isinstance(x, str):
             return self.parse(x)
-        p = self.characteristic
-        if p:
-            if isinstance(x, Fraction):
-                if x.denominator % p == 0:
-                    raise ZeroDivisionError(f"denominator of {x} vanishes mod {p}")
-                return x.numerator * pow(x.denominator, -1, p) % p
-            return int(x) % p
-        return Fraction(x)
+        if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+            raise InputShapeError(f"not a scalar: {x!r}")
+        x = Fraction(x)
+        if not p:
+            return x
+        if x.denominator % p == 0:
+            raise InputShapeError(f"denominator of {x} vanishes mod {p}")
+        return x.numerator * pow(x.denominator, -1, p) % p
 
     def add(self, a: Scalar, b: Scalar) -> Scalar:
         p = self.characteristic
@@ -100,12 +118,11 @@ class FieldSpec:
 
     def parse(self, text: str) -> Scalar:
         """Parse the scalar text encoding: "num/den" or "num"."""
-        text = text.strip()
-        if "/" in text:
-            num, den = text.split("/")
-            value = Fraction(int(num), int(den))
-        else:
-            value = Fraction(int(text))
+        try:
+            num, slash, den = text.strip().partition("/")
+            value = Fraction(int(num), int(den) if slash else 1)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputShapeError(f"not a scalar: {text!r}") from exc
         return self.coerce(value)
 
     def format(self, x: Scalar) -> str:
@@ -125,6 +142,10 @@ class Mat:
     Entries live in canonical form: residues in [0, p) for F_p, Fractions
     in lowest terms for the rationals (Fraction normalizes on
     construction, so lowest terms hold by construction).
+
+    `Mat(field, data)` coerces and checks every entry and rejects ragged
+    rows; use it for any data from outside.  `Mat._from_canonical` trusts
+    its input and is for this module's arithmetic only.
     """
 
     __slots__ = ("field", "rows", "cols", "data")
@@ -135,15 +156,27 @@ class Mat:
             cols = len(data[0])
         elif cols is None:
             cols = 0
+        coerce = field.coerce
         canon = []
         for row in data:
             if len(row) != cols:
                 raise InputShapeError("ragged rows")
-            canon.append(tuple(field.coerce(x) for x in row))
+            canon.append(tuple(map(coerce, row)))
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "data", tuple(canon))
+
+    @classmethod
+    def _from_canonical(cls, field: FieldSpec, rows: tuple, cols: int) -> "Mat":
+        """Wrap `rows`, a tuple of `cols`-long tuples of canonical entries,
+        without coercing or checking them."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "field", field)
+        object.__setattr__(m, "rows", len(rows))
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "data", rows)
+        return m
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Mat is immutable")
@@ -152,13 +185,13 @@ class Mat:
 
     @staticmethod
     def zeros(field: FieldSpec, rows: int, cols: int) -> "Mat":
-        z = field.zero()
-        return Mat(field, [[z] * cols for _ in range(rows)], cols=cols)
+        return Mat._from_canonical(field, ((field.zero(),) * cols,) * rows, cols)
 
     @staticmethod
     def identity(field: FieldSpec, n: int) -> "Mat":
         one, zero = field.one(), field.zero()
-        return Mat(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        return Mat._from_canonical(
+            field, tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)), n)
 
     @staticmethod
     def from_cols(field: FieldSpec, cols: Sequence[Sequence]) -> "Mat":
@@ -208,36 +241,38 @@ class Mat:
         self._same_shape(other)
         p = self.field.characteristic
         if p:
-            rows = [[(a + b) % p for a, b in zip(r, s)] for r, s in zip(self.data, other.data)]
+            rows = tuple(tuple([(a + b) % p for a, b in zip(r, s)])
+                         for r, s in zip(self.data, other.data))
         else:
-            rows = [[a + b for a, b in zip(r, s)] for r, s in zip(self.data, other.data)]
-        return Mat(self.field, rows, cols=self.cols)
+            rows = tuple(tuple([a + b for a, b in zip(r, s)]) for r, s in zip(self.data, other.data))
+        return Mat._from_canonical(self.field, rows, self.cols)
 
     def __sub__(self, other: "Mat") -> "Mat":
         self._same_shape(other)
         p = self.field.characteristic
         if p:
-            rows = [[(a - b) % p for a, b in zip(r, s)] for r, s in zip(self.data, other.data)]
+            rows = tuple(tuple([(a - b) % p for a, b in zip(r, s)])
+                         for r, s in zip(self.data, other.data))
         else:
-            rows = [[a - b for a, b in zip(r, s)] for r, s in zip(self.data, other.data)]
-        return Mat(self.field, rows, cols=self.cols)
+            rows = tuple(tuple([a - b for a, b in zip(r, s)]) for r, s in zip(self.data, other.data))
+        return Mat._from_canonical(self.field, rows, self.cols)
 
     def __neg__(self) -> "Mat":
         p = self.field.characteristic
         if p:
-            rows = [[(-a) % p for a in r] for r in self.data]
+            rows = tuple(tuple([(-a) % p for a in r]) for r in self.data)
         else:
-            rows = [[-a for a in r] for r in self.data]
-        return Mat(self.field, rows, cols=self.cols)
+            rows = tuple(tuple([-a for a in r]) for r in self.data)
+        return Mat._from_canonical(self.field, rows, self.cols)
 
     def scale(self, c) -> "Mat":
         c = self.field.coerce(c)
         p = self.field.characteristic
         if p:
-            rows = [[(c * a) % p for a in r] for r in self.data]
+            rows = tuple(tuple([(c * a) % p for a in r]) for r in self.data)
         else:
-            rows = [[c * a for a in r] for r in self.data]
-        return Mat(self.field, rows, cols=self.cols)
+            rows = tuple(tuple([c * a for a in r]) for r in self.data)
+        return Mat._from_canonical(self.field, rows, self.cols)
 
     def __mul__(self, other: "Mat") -> "Mat":
         if not isinstance(other, Mat):
@@ -248,36 +283,33 @@ class Mat:
             return Mat.zeros(self.field, self.rows, other.cols)
         p = self.field.characteristic
         bt = list(zip(*other.data))  # columns of other
-        out = []
-        for row in self.data:
-            if p:
-                out.append([sum(a * b for a, b in zip(row, bc)) % p for bc in bt])
-            else:
-                out.append([sum((a * b for a, b in zip(row, bc)), Fraction(0)) for bc in bt])
-        return Mat(self.field, out)
+        if p:
+            out = tuple(tuple([sum(map(mul, row, bc)) % p for bc in bt]) for row in self.data)
+        else:
+            zero = Fraction(0)
+            out = tuple(tuple([sum(map(mul, row, bc), zero) for bc in bt]) for row in self.data)
+        return Mat._from_canonical(self.field, out, other.cols)
 
     def transpose(self) -> "Mat":
         if self.rows == 0 or self.cols == 0:
             return Mat.zeros(self.field, self.cols, self.rows)
-        return Mat(self.field, list(zip(*self.data)))
+        return Mat._from_canonical(self.field, tuple(zip(*self.data)), self.rows)
 
     def hstack(self, other: "Mat") -> "Mat":
         if self.rows != other.rows:
             raise InputShapeError("hstack: row counts differ")
-        if self.rows == 0:
-            return Mat.zeros(self.field, 0, self.cols + other.cols)
-        return Mat(self.field, [r + s for r, s in zip(self.data, other.data)])
+        rows = tuple([r + s for r, s in zip(self.data, other.data)])
+        return Mat._from_canonical(self.field, rows, self.cols + other.cols)
 
     def vstack(self, other: "Mat") -> "Mat":
         if self.cols != other.cols:
             raise InputShapeError("vstack: column counts differ")
-        return Mat(self.field, list(self.data) + list(other.data), cols=self.cols)
+        return Mat._from_canonical(self.field, self.data + other.data, self.cols)
 
     def select_cols(self, idx: Iterable[int]) -> "Mat":
         idx = list(idx)
-        if self.rows == 0 or not idx:
-            return Mat.zeros(self.field, self.rows, len(idx))
-        return Mat(self.field, [[row[j] for j in idx] for row in self.data])
+        rows = tuple([tuple([row[j] for j in idx]) for row in self.data])
+        return Mat._from_canonical(self.field, rows, len(idx))
 
     def _same_shape(self, other: "Mat"):
         if self.rows != other.rows or self.cols != other.cols:
@@ -346,7 +378,7 @@ def rref(m: Mat) -> RrefResult:
         r += 1
         if r == nrows:
             break
-    out = Mat(m.field, rows) if nrows else m
+    out = Mat._from_canonical(m.field, tuple(map(tuple, rows)), ncols) if nrows else m
     return RrefResult(out, tuple(pivots), len(pivots))
 
 
@@ -376,8 +408,8 @@ def _rref_gf2(m: Mat) -> RrefResult:
         r += 1
         if r == nrows:
             break
-    data = [[(acc >> j) & 1 for j in range(ncols)] for acc in packed]
-    out = Mat(m.field, data) if nrows else m
+    data = tuple(tuple([(acc >> j) & 1 for j in range(ncols)]) for acc in packed)
+    out = Mat._from_canonical(m.field, data, ncols) if nrows else m
     return RrefResult(out, tuple(pivots), len(pivots))
 
 
@@ -417,7 +449,7 @@ def solve(a: Mat, b: Mat) -> SolveResult:
         for r_i, c in enumerate(pivots):
             v[c] = field.neg(R.entry(r_i, f))
         kcols.append(v)
-    kernel = Mat.from_cols(field, kcols) if kcols else Mat.zeros(field, n, 0)
+    kernel = _canonical_from_cols(field, kcols, n)
 
     # Per-column consistency: column k of b is consistent unless some row
     # with zero in the first n columns has a nonzero entry at position n+k.
@@ -437,8 +469,15 @@ def solve(a: Mat, b: Mat) -> SolveResult:
             for r_i, c in enumerate(pivots):
                 v[c] = R.entry(r_i, n + k)
             pcols.append(v)
-        particular = Mat.from_cols(field, pcols) if pcols else Mat.zeros(field, n, 0)
+        particular = _canonical_from_cols(field, pcols, n)
     return SolveResult(particular, kernel, column_consistent)
+
+
+def _canonical_from_cols(field: FieldSpec, cols: list, n: int) -> Mat:
+    """The n-row matrix with the given columns of canonical entries."""
+    if not cols:
+        return Mat.zeros(field, n, 0)
+    return Mat._from_canonical(field, tuple(zip(*cols)), len(cols))
 
 
 def fraction_free_rank(m: Mat) -> int:
@@ -512,20 +551,17 @@ def kron(a: Mat, b: Mat) -> Mat:
                     row.extend((x * y) % p for y in br)
                 else:
                     row.extend(x * y for y in br)
-            out.append(row)
-    if not out:
-        return Mat.zeros(field, a.rows * b.rows, a.cols * b.cols)
-    return Mat(field, out)
+            out.append(tuple(row))
+    return Mat._from_canonical(field, tuple(out), a.cols * b.cols)
 
 
 def vec(m: Mat) -> Mat:
     """Column-stacking vectorization: vec(m) lists columns top to bottom."""
-    entries = [m.entry(i, j) for j in range(m.cols) for i in range(m.rows)]
-    return Mat.col_vector(m.field, entries) if entries else Mat.zeros(m.field, 0, 1)
+    return Mat._from_canonical(m.field, tuple((x,) for col in zip(*m.data) for x in col), 1)
 
 
 def unvec(field: FieldSpec, v: Sequence, rows: int, cols: int) -> Mat:
-    """Inverse of vec for a flat column-major sequence."""
-    if rows * cols == 0:
-        return Mat.zeros(field, rows, cols)
-    return Mat(field, [[v[j * rows + i] for j in range(cols)] for i in range(rows)])
+    """Inverse of vec for a flat column-major sequence of canonical entries,
+    such as a column of another matrix."""
+    return Mat._from_canonical(
+        field, tuple(tuple(v[j * rows + i] for j in range(cols)) for i in range(rows)), cols)

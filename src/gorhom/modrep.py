@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .algebra import Algebra, algebra_from_json, algebra_to_json, load_algebra
 from .errors import AlgebraMismatch, InputShapeError, PropertyViolation, UnsupportedAlgebra
-from .exactlin import Mat, kron, rref, solve, unvec
+from .exactlin import Mat, kron, rref, solve, unvec, vec
 
 
 class Module:
@@ -194,16 +194,11 @@ def solve_hom_with_left_constraint(src: Module, tgt: Module, m: Mat, rhs: Mat) -
     zero_rhs = Mat.zeros(field, blocks.rows, 1)
     rows2 = kron(eye_s, m)
     blocks = blocks.vstack(rows2)
-    b = zero_rhs.vstack(_vec_col(rhs))
+    b = zero_rhs.vstack(vec(rhs))
     res = solve(blocks, b)
     if res.particular is None:
         return None
     return ModHom(src, tgt, unvec(field, res.particular.col(0), tgt.dim, src.dim))
-
-
-def _vec_col(m: Mat) -> Mat:
-    entries = [m.entry(i, j) for j in range(m.cols) for i in range(m.rows)]
-    return Mat.col_vector(m.field, entries) if entries else Mat.zeros(m.field, 0, 1)
 
 
 def coefficients_in_hom_basis(f: Mat, basis: Sequence[ModHom]) -> Optional[tuple]:
@@ -211,8 +206,8 @@ def coefficients_in_hom_basis(f: Mat, basis: Sequence[ModHom]) -> Optional[tuple
     if not basis:
         return () if f.is_zero() else None
     field = basis[0].source.algebra.field
-    cols = Mat.from_cols(field, [tuple(_vec_col(h.matrix).col(0)) for h in basis])
-    res = solve(cols, _vec_col(f))
+    cols = Mat.from_cols(field, [tuple(vec(h.matrix).col(0)) for h in basis])
+    res = solve(cols, vec(f))
     if res.particular is None:
         return None
     return res.particular.col(0)
@@ -587,7 +582,7 @@ def stable_hom_dim(m: Module, n: Module) -> int:
     if not lifts:
         return len(homs)
     field = m.algebra.field
-    composed = [tuple(_vec_col(cov.matrix * h.matrix).col(0)) for h in lifts]
+    composed = [tuple(vec(cov.matrix * h.matrix).col(0)) for h in lifts]
     factral = Mat.from_cols(field, composed)
     return len(homs) - rref(factral).rank
 

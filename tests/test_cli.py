@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import gorhom
 from gorhom.cli import main
 
 
@@ -24,6 +26,19 @@ def test_malformed_file_exits_2(runner, tmp_path):
     bad.write_text('{"nonsense": 1}')
     result = runner.invoke(main, ["algebra-info", str(bad)])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("scalar", ["x", "1/0", "1/3", 1.5, True, None])
+def test_bad_scalar_exits_2(runner, tmp_path, scalar):
+    # f3.alg is the field F_3, whose one structure constant is "1"; "1/3"
+    # has a denominator that vanishes mod 3.
+    doc = json.loads((Path(gorhom.__file__).parent / "data" / "f3.alg").read_text())
+    doc["table"][0][0][0] = scalar
+    bad = tmp_path / "bad.alg"
+    bad.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["algebra-info", str(bad)])
+    assert result.exit_code == 2
+    assert "input error" in result.output
 
 
 def test_missing_file_exits_2(runner):

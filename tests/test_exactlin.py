@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gorhom.errors import InputShapeError
-from gorhom.exactlin import FieldSpec, Mat, fraction_free_rank, rref, solve
+from gorhom.exactlin import FieldSpec, Mat, fraction_free_rank, kron, rref, solve
 
 F2 = FieldSpec(2)
+F3 = FieldSpec(3)
 F101 = FieldSpec(101)
 QQ = FieldSpec(0)
 
@@ -26,6 +27,33 @@ def test_scalar_text_roundtrip():
     assert QQ.format(Fraction(-4, 8)) == "-1/2"
     assert F101.parse("205") == 3
     assert F101.format(F101.coerce(-1)) == "100"
+
+
+def test_coerce_canonical_forms():
+    assert F101.coerce(-1) == 100 and type(F101.coerce(-1)) is int
+    assert F3.coerce(Fraction(1, 2)) == 2
+    assert F3.coerce("-1/2") == 1
+    assert QQ.coerce(3) == Fraction(3) and type(QQ.coerce(3)) is Fraction
+    assert QQ.coerce(Fraction(2, 4)) == Fraction(1, 2)
+    assert Mat(F3, [[Fraction(1, 2)]]) == Mat(F3, [[2]])
+
+
+@pytest.mark.parametrize("field", [F3, QQ], ids=str)
+@pytest.mark.parametrize("bad", ["x", "1/0", "1/", "1/2/3", "", 0.5, 1.5, True, None, [1]],
+                         ids=repr)
+def test_bad_scalars_raise_input_shape_error(field, bad):
+    with pytest.raises(InputShapeError):
+        field.coerce(bad)
+    with pytest.raises(InputShapeError):
+        Mat(field, [[bad]])
+
+
+def test_denominator_vanishing_mod_p_is_an_input_error():
+    with pytest.raises(InputShapeError):
+        F3.parse("1/3")
+    with pytest.raises(InputShapeError):
+        F3.coerce(Fraction(2, 3))
+    assert QQ.parse("1/3") == Fraction(1, 3)
 
 
 def test_rref_identity_over_f2():
@@ -155,3 +183,108 @@ def test_rationals_stay_in_lowest_terms(m):
     for row in r.data:
         for x in row:
             assert gcd(x.numerator, x.denominator) == 1
+
+
+# -- canonical form and trusted construction ----------------------------------
+
+FIELDS = [F2, F3, F101, QQ]
+
+
+def _raw_entry(field):
+    # Raw entries, not yet canonical: Mat(...) must bring them into form.
+    if field.characteristic:
+        return st.integers(-2 * field.characteristic, 2 * field.characteristic)
+    return _small_fraction() | st.integers(-5, 5)
+
+
+def _raw_matrix(draw, field, rows, cols):
+    entry = _raw_entry(field)
+    data = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    return Mat(field, data, cols=cols)
+
+
+@st.composite
+def operands(draw):
+    """A field, a and b of one shape r x k, c of shape k x s, and a square m."""
+    field = draw(st.sampled_from(FIELDS))
+    r, k, s, n = (draw(st.integers(0, 4)) for _ in range(4))
+    a, b = _raw_matrix(draw, field, r, k), _raw_matrix(draw, field, r, k)
+    c = _raw_matrix(draw, field, k, s)
+    m = _raw_matrix(draw, field, n, n)
+    return field, a, b, c, m
+
+
+def _assert_canonical(r: Mat):
+    assert r == Mat(r.field, r.data, cols=r.cols)
+    assert type(r.data) is tuple and len(r.data) == r.rows
+    p = r.field.characteristic
+    for row in r.data:
+        assert type(row) is tuple and len(row) == r.cols
+        for x in row:
+            if p:
+                assert type(x) is int and 0 <= x < p
+            else:
+                assert type(x) is Fraction
+
+
+def _naive_product(a: Mat, b: Mat) -> Mat:
+    f = a.field
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc = f.zero()
+            for k in range(a.cols):
+                acc = f.add(acc, f.mul(a.entry(i, k), b.entry(k, j)))
+            row.append(acc)
+        out.append(row)
+    return Mat(f, out, cols=b.cols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(operands(), st.integers(-7, 7))
+def test_every_result_is_canonical(ops, c0):
+    field, a, b, c, m = ops
+    res = solve(a, b)
+    results = [
+        a + b, a - b, -a, a.scale(c0), a * c,
+        a.transpose(), a.hstack(b), a.vstack(b), a.select_cols([j for j in range(a.cols) if j % 2]),
+        kron(a, c), kron(c, m), rref(a).matrix, res.kernel,
+    ]
+    if res.particular is not None:
+        results.append(res.particular)
+    if m.is_invertible():
+        results.append(m.inverse())
+    for r in results:
+        _assert_canonical(r)
+    assert a * c == _naive_product(a, c)
+    assert (a - b) + b == a
+
+
+def test_exact_arithmetic_never_enters_the_coercing_constructor(monkeypatch):
+    operands_by_field = [
+        (f, Mat(f, [[1, 0, 2, 3], [2, 0, 4, 6], [0, 1, 1, 5]]), Mat(f, [[1, 2], [0, 1], [5, 0], [1, 1]]))
+        for f in FIELDS
+    ]
+    calls = []
+    coercing_init = Mat.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(args)
+        coercing_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Mat, "__init__", counting_init)
+    for field, a, b in operands_by_field:
+        prod = a * b
+        total = prod + prod
+        at = a.transpose()
+        a.hstack(a)
+        a.vstack(a)
+        kron(at, b)
+        rref(a)
+        solve(a, total.hstack(prod))
+        solve(at, at)
+        Mat.identity(field, 3).inverse()
+    assert calls == []
+    Mat(F2, [[1]])  # the count does see the public constructor
+    assert len(calls) == 1
