@@ -958,17 +958,6 @@ def tensor_algebra(a: Algebra, b: Algebra) -> Algebra:
     )
 
 
-def derived_algebras(a: Algebra, kind: str, *, n: int = None, other: Algebra = None) -> Algebra:
-    """Dispatcher over the derived constructions: opposite, matrix(n), product(b)."""
-    if kind == "opposite":
-        return a.opposite()
-    if kind == "matrix":
-        return matrix_algebra(a, n)
-    if kind == "product":
-        return product_algebra(a, other)
-    raise InputShapeError(f"unknown derived kind {kind!r}")
-
-
 def quotient_by_ideal(a: Algebra, ideal: Mat) -> Algebra:
     """The quotient algebra A/I for a two-sided ideal spanned by ideal's columns.
 
@@ -1035,22 +1024,51 @@ def algebra_to_json(a: Algebra) -> dict:
     return doc
 
 
+def json_int(value, what: str) -> int:
+    """A document field that must be a JSON integer (not a bool or a float)."""
+    if type(value) is not int:
+        raise InputShapeError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_list(value, what: str, depth: int = 1) -> list:
+    """A document field that must be a list of lists, `depth` levels deep."""
+    if not isinstance(value, list):
+        raise InputShapeError(f"{what} must be a list nested {depth} deep")
+    if depth > 1:
+        for v in value:
+            _json_list(v, what, depth - 1)
+    return value
+
+
 def algebra_from_json(doc: dict) -> Algebra:
     try:
-        field = FieldSpec(int(doc["field"]["char"]))
-        basis = doc["basis"]
-        table = doc["table"]
-        unit = doc["unit"]
+        field = FieldSpec(json_int(doc["field"]["char"], "field char"))
+        basis = _json_list(doc["basis"], "basis")
+        table = _json_list(doc["table"], "table", 3)
+        unit = _json_list(doc["unit"], "unit")
+        idempotents = doc.get("idempotents")
+        provenance = doc.get("provenance")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputShapeError(f"malformed algebra document: {exc}") from exc
-    return Algebra(
-        field,
-        basis,
-        table,
-        unit,
-        idempotents=doc.get("idempotents"),
-        provenance=doc.get("provenance"),
-    )
+    if not all(isinstance(label, str) for label in basis):
+        raise InputShapeError("basis labels must be strings")
+    if idempotents is not None:
+        _json_list(idempotents, "idempotents", 2)
+    if provenance is not None and not isinstance(provenance, dict):
+        raise InputShapeError("provenance must be an object")
+    return Algebra(field, basis, table, unit, idempotents=idempotents, provenance=provenance)
+
+
+def resolve_algebra_ref(ref, base_dir: Optional[Path] = None) -> Algebra:
+    """The algebra a document names: an inline algebra document, or the
+    path of an .alg file, relative paths taken from base_dir."""
+    if isinstance(ref, str):
+        path = Path(ref)
+        if base_dir is not None and not path.is_absolute():
+            path = base_dir / path
+        return load_algebra(path)
+    return algebra_from_json(ref)
 
 
 def save_algebra(a: Algebra, path) -> None:

@@ -556,22 +556,13 @@ def graded_to_json(g: GradedModule, algebra_ref=None) -> dict:
 
 def graded_from_json(doc: dict, algebra: Optional[Algebra] = None,
                      base_dir: Optional[Path] = None) -> GradedModule:
-    from .algebra import algebra_from_json
+    from .algebra import json_int, resolve_algebra_ref
     from .modrep import module_from_json
 
     try:
         if algebra is None:
-            ref = doc["algebra"]
-            if isinstance(ref, str):
-                from .algebra import load_algebra
-
-                ref_path = Path(ref)
-                if base_dir is not None and not ref_path.is_absolute():
-                    ref_path = base_dir / ref_path
-                algebra = load_algebra(ref_path)
-            else:
-                algebra = algebra_from_json(ref)
-        lo, _hi = (int(v) for v in doc["support"])
+            algebra = resolve_algebra_ref(doc["algebra"], base_dir)
+        lo, _hi = (json_int(v, "support") for v in doc["support"])
         comps = {}
         for offset, comp_doc in enumerate(doc["components"]):
             comps[lo + offset] = module_from_json(

@@ -1,12 +1,13 @@
 """Concrete Frobenius pairs: ring extensions, bimodules, product projections.
 
 Functors are realized as explicit matrix constructions, never as abstract
-functor objects:
+functor objects.  There is one tensor construction: for an (S, R)-bimodule
+M and an R-module x, M ⊗_R x is the quotient of M ⊗_k x by the balancing
+relations.
 
-* for a ring extension R -> S, induction is the quotient of S ⊗_k x by the
-  balancing relations, restriction pulls the action back along the
-  embedding, and coinduction is Hom_R(S, -) with S acting by
-  precomposition;
+* for a ring extension R -> S, induction is tensoring with the bimodule
+  _S S_R, restriction pulls the action back along the embedding, and
+  coinduction is Hom_R(S, -) with S acting by precomposition;
 * for an (S, R)-bimodule M, the pair is (M ⊗_R -, Hom_S(M, S) ⊗_S -),
   with unit and counit assembled from a dual basis witnessing that M is a
   summand of a free S-module;
@@ -27,10 +28,10 @@ from typing import Dict, List, Optional, Sequence
 
 from .algebra import (
     Algebra,
-    algebra_from_json,
     algebra_to_json,
-    load_algebra,
+    json_int,
     product_algebra,
+    resolve_algebra_ref,
     tensor_algebra,
 )
 from .errors import (
@@ -39,7 +40,7 @@ from .errors import (
     PreconditionFailed,
     PropertyViolation,
 )
-from .exactlin import Mat, kron, solve
+from .exactlin import Mat, kron, solve, vec
 from .homology import (
     fin_dimension,
     gorenstein_profile,
@@ -54,8 +55,10 @@ from .modrep import (
     coefficients_in_hom_basis,
     column_space_basis,
     cover_envelope,
+    hom_coordinates,
     hom_space,
     is_isomorphic,
+    memo,
     regular_module,
     stable_hom_dim,
     structural_modules,
@@ -109,73 +112,9 @@ def identity_extension(a: Algebra) -> RingExtension:
 # -- induction / restriction / coinduction ----------------------------------
 
 
-def _tensor_quotient(ambient: Module, relations: Mat):
-    """Quotient of an ambient module by a stable span, plus a section."""
-    rel_basis = column_space_basis(relations) if relations.cols else relations
-    quot, proj = quotient_module(ambient, rel_basis)
-    section = solve(proj.matrix, Mat.identity(ambient.algebra.field, quot.dim)).particular
-    if section is None:
-        raise PropertyViolation("quotient projection has no section")
-    return quot, proj, section
-
-
 def induce(ext: RingExtension, x: Module) -> Module:
-    """S ⊗_R x: the cokernel of the balancing map on S ⊗_k x."""
-    if x.algebra != ext.base:
-        raise AlgebraMismatch("induce expects a module over the base algebra")
-    s, r = ext.total, ext.base
-    field = s.field
-    dx = x.dim
-    ambient_actions = [kron(s.left_mult_matrix(s.basis_vec(i)), Mat.identity(field, dx))
-                       for i in range(s.dim)]
-    ambient = Module(s, ambient_actions, _skip_validation=True)
-    cols = []
-    for i in range(s.dim):
-        si = s.basis_vec(i)
-        for j in range(r.dim):
-            s_theta = s.mul_vec(si, ext.embed(r.basis_vec(j)))
-            for k in range(dx):
-                vec = [field.zero()] * (s.dim * dx)
-                for a, c in enumerate(s_theta):
-                    if c != 0:
-                        vec[a * dx + k] = field.add(vec[a * dx + k], c)
-                col_rv = x.action[j].col(k)
-                for b, c in enumerate(col_rv):
-                    if c != 0:
-                        vec[i * dx + b] = field.sub(vec[i * dx + b], c)
-                if any(e != 0 for e in vec):
-                    cols.append(tuple(vec))
-    relations = Mat.from_cols(field, cols) if cols else Mat.zeros(field, s.dim * dx, 0)
-    quot, proj, section = _tensor_quotient(ambient, relations)
-    quot._cache["ind_data"] = (ext, x, ambient, proj, section)
-    return quot
-
-
-def _pure_tensor_image(ext: RingExtension, ind: Module, s_vec, x_vec) -> Mat:
-    """Class of s ⊗ v in the induced module, as a column."""
-    _ext, x, ambient, proj, _sec = ind._cache["ind_data"]
-    field = ambient.algebra.field
-    dx = x.dim
-    vec = [field.zero()] * ambient.dim
-    for a, cs in enumerate(s_vec):
-        if cs == 0:
-            continue
-        for b, cv in enumerate(x_vec):
-            if cv != 0:
-                vec[a * dx + b] = field.add(vec[a * dx + b], field.mul(cs, cv))
-    return proj.matrix * Mat.col_vector(field, vec)
-
-
-def induce_hom(ext: RingExtension, f: ModHom, ind_src: Module, ind_tgt: Module) -> ModHom:
-    """S ⊗_R f between already-computed induced modules."""
-    _e, x_src, amb_src, proj_src, sec_src = ind_src._cache["ind_data"]
-    _e2, x_tgt, amb_tgt, proj_tgt, _s2 = ind_tgt._cache["ind_data"]
-    field = ext.total.field
-    big = kron(Mat.identity(field, ext.total.dim), f.matrix)
-    mat = proj_tgt.matrix * big * sec_src
-    if proj_tgt.matrix * big != mat * proj_src.matrix:
-        raise PropertyViolation("induced hom is not well defined on classes")
-    return ModHom(ind_src, ind_tgt, mat)
+    """S ⊗_R x: tensoring with the bimodule _S S_R."""
+    return _tensor(extension_bimodule(ext), x)
 
 
 def restrict(ext: RingExtension, y: Module) -> Module:
@@ -186,45 +125,28 @@ def restrict(ext: RingExtension, y: Module) -> Module:
                              for i in range(ext.base.dim)])
 
 
-def restrict_hom(ext: RingExtension, f: ModHom, res_src: Module, res_tgt: Module) -> ModHom:
-    return ModHom(res_src, res_tgt, f.matrix)
-
-
 def coinduce(ext: RingExtension, x: Module) -> Module:
     """Hom_R(S, x) with S acting by precomposition with right multiplication."""
     if x.algebra != ext.base:
         raise AlgebraMismatch("coinduce expects a module over the base algebra")
     s = ext.total
-    res_s = restrict(ext, regular_module(s))
-    basis = hom_space(res_s, x)
-    field = s.field
+    basis = hom_space(restrict(ext, regular_module(s)), x)
     acts = []
     for i in range(s.dim):
         rmul = s.right_mult_matrix(s.basis_vec(i))
-        cols = []
-        for h in basis:
-            coeffs = coefficients_in_hom_basis(h.matrix * rmul, basis)
-            if coeffs is None:
-                raise PropertyViolation("coinduced action left the hom space")
-            cols.append(tuple(coeffs))
-        acts.append(Mat.from_cols(field, cols) if cols else Mat.zeros(field, 0, 0))
+        acts.append(hom_coordinates([h.matrix * rmul for h in basis], basis, s.field,
+                                    "coinduced action left the hom space"))
     out = Module(s, acts)
     out._cache["coind_data"] = (ext, x, basis)
     return out
 
 
 def coinduce_hom(ext: RingExtension, f: ModHom, co_src: Module, co_tgt: Module) -> ModHom:
-    _e, x_src, basis_src = co_src._cache["coind_data"]
-    _e2, x_tgt, basis_tgt = co_tgt._cache["coind_data"]
-    field = ext.total.field
-    cols = []
-    for h in basis_src:
-        coeffs = coefficients_in_hom_basis(f.matrix * h.matrix, basis_tgt)
-        if coeffs is None:
-            raise PropertyViolation("coinduced hom left the hom space")
-        cols.append(tuple(coeffs))
-    mat = Mat.from_cols(field, cols) if cols else Mat.zeros(field, co_tgt.dim, 0)
-    return ModHom(co_src, co_tgt, mat)
+    basis_src = co_src._cache["coind_data"][2]
+    basis_tgt = co_tgt._cache["coind_data"][2]
+    return ModHom(co_src, co_tgt,
+                  hom_coordinates([f.matrix * h.matrix for h in basis_src], basis_tgt,
+                                  ext.total.field, "coinduced hom left the hom space"))
 
 
 def unit_counit(ext: RingExtension, x: Module, y: Module):
@@ -255,23 +177,13 @@ class ExtensionPair:
         self.name = "(Ind, Res)"
 
     def apply_f(self, x: Module) -> Module:
-        key = ("ind", id(self.ext), id(x))
-        cached = x._cache.get(key)
-        if cached is None:
-            cached = induce(self.ext, x)
-            x._cache[key] = cached
-        return cached
+        return induce(self.ext, x)
 
     def apply_g(self, y: Module) -> Module:
-        key = ("res", id(self.ext), id(y))
-        cached = y._cache.get(key)
-        if cached is None:
-            cached = restrict(self.ext, y)
-            y._cache[key] = cached
-        return cached
+        return memo(y, "res", self.ext, lambda: restrict(self.ext, y))
 
     def apply_f_hom(self, f: ModHom) -> ModHom:
-        return induce_hom(self.ext, f, self.apply_f(f.source), self.apply_f(f.target))
+        return _tensor_hom(extension_bimodule(self.ext), f)
 
     def apply_g_hom(self, f: ModHom) -> ModHom:
         return ModHom(self.apply_g(f.source), self.apply_g(f.target), f.matrix)
@@ -282,17 +194,15 @@ class ExtensionPair:
         field = x.algebra.field
         cols = []
         for c in range(x.dim):
-            col = _pure_tensor_image(self.ext, ind, self.ext.total.unit,
-                                     tuple(field.one() if i == c else field.zero()
-                                           for i in range(x.dim)))
-            cols.append(tuple(col.col(0)))
+            e_c = tuple(field.one() if i == c else field.zero() for i in range(x.dim))
+            cols.append(_pure(ind, self.ext.total.unit, e_c))
         mat = Mat.from_cols(field, cols) if cols else Mat.zeros(field, ind.dim, 0)
         return ModHom(x, res_ind, mat)
 
     def counit(self, y: Module) -> ModHom:
         res = self.apply_g(y)
         ind_res = self.apply_f(res)
-        _e, _x, ambient, proj, section = ind_res._cache["ind_data"]
+        _b, _x, _amb, proj, section = ind_res._cache["tensor_data"]
         s = self.ext.total
         field = s.field
         # on the ambient S ⊗ res(y): s_i ⊗ w_j -> rho_y(s_i) w_j
@@ -311,9 +221,8 @@ class ExtensionPair:
         """(eps F)(F eta) = id_{F x} and (G eps)(eta G) = id_{G y}, exactly."""
         eta_x = self.unit(x)
         ind_x = self.apply_f(x)
-        f_eta = induce_hom(self.ext, ModHom(x, eta_x.target, eta_x.matrix),
-                           ind_x, self.apply_f(eta_x.target))
         # eta_x.target is Res(Ind x) whose induced module is Ind Res Ind x
+        f_eta = self.apply_f_hom(eta_x)
         eps_at_ind = self.counit(ind_x)
         left = eps_at_ind.matrix * f_eta.matrix
         if left != Mat.identity(x.algebra.field, ind_x.dim):
@@ -341,30 +250,17 @@ class ResCoindPair:
         return restrict(self.ext, y)
 
     def apply_g(self, x: Module) -> Module:
-        key = ("coind", id(self.ext), id(x))
-        cached = x._cache.get(key)
-        if cached is None:
-            cached = coinduce(self.ext, x)
-            x._cache[key] = cached
-        return cached
+        return memo(x, "coind", self.ext, lambda: coinduce(self.ext, x))
 
     def unit(self, y: Module) -> ModHom:
         """y -> Coind(Res y), w -> (s -> s·w)."""
-        res_y = self.apply_f(y)
-        co = self.apply_g(res_y)
-        _e, _x, basis = co._cache["coind_data"]
+        co = self.apply_g(self.apply_f(y))
         field = y.algebra.field
-        cols = []
-        for c in range(y.dim):
-            # the hom S -> res_y sending s_i to rho_y(s_i)·e_c
-            mat = Mat.from_cols(field, [tuple(y.action[i].col(c))
-                                        for i in range(y.algebra.dim)])
-            coeffs = coefficients_in_hom_basis(mat, basis)
-            if coeffs is None:
-                raise PropertyViolation("unit of (Res, Coind) left the hom space")
-            cols.append(tuple(coeffs))
-        mat = Mat.from_cols(field, cols) if cols else Mat.zeros(field, co.dim, 0)
-        return ModHom(y, co, mat)
+        # the hom S -> res_y sending s_i to rho_y(s_i)·e_c, for each c
+        mats = [Mat.from_cols(field, [tuple(y.action[i].col(c)) for i in range(y.algebra.dim)])
+                for c in range(y.dim)]
+        return ModHom(y, co, hom_coordinates(mats, co._cache["coind_data"][2], field,
+                                             "unit of (Res, Coind) left the hom space"))
 
     def counit(self, x: Module) -> ModHom:
         """Res(Coind x) -> x, f -> f(1)."""
@@ -425,55 +321,138 @@ class Bimodule:
         return self._as_right_op
 
     def as_tensor_module(self) -> Module:
-        """One module over left ⊗ right^op encoding the whole bimodule."""
-        cached = self._cache.get("tensor_module")
-        if cached is not None:
-            return cached
+        """One module over left ⊗ right^op encoding the whole bimodule.
+
+        Built afresh on each call: a copy kept on a long-lived bimodule
+        would pin every module its hom spaces were computed against.
+        """
         t = tensor_algebra(self.left, self.right.opposite())
         acts = []
         for i in range(self.left.dim):
             for j in range(self.right.dim):
                 acts.append(self.left_action[i] * self.right_action[j])
-        out = Module(t, acts)
-        self._cache["tensor_module"] = out
-        return out
+        return Module(t, acts)
 
 
 def extension_bimodule(ext: RingExtension) -> Bimodule:
-    """S as the natural S-R-bimodule of a ring extension."""
+    """S as the natural S-R-bimodule of a ring extension, built once per extension."""
+    cached = ext._cache.get("bimodule")
+    if cached is not None:
+        return cached
     s, r = ext.total, ext.base
     left = [s.left_mult_matrix(s.basis_vec(i)) for i in range(s.dim)]
     right = [s.right_mult_matrix(ext.embed(r.basis_vec(j))) for j in range(r.dim)]
-    return Bimodule(s, r, s.dim, left, right)
+    out = Bimodule(s, r, s.dim, left, right)
+    ext._cache["bimodule"] = out
+    return out
+
+
+def hom_to_regular(m: Bimodule, side: str) -> Bimodule:
+    """Hom into the regular module over one side of an S-R-bimodule M, as an
+    R-S-bimodule, with its hom basis cached under "hom_basis".
+
+    side="left":  Hom_S(M, S),      (r·h·s)(x) = h(x·r)·s;
+    side="right": Hom_{R^op}(M, R), (r·g·s)(x) = r·g(s·x).
+    The other side's action on M is precomposed; the regular module's own
+    algebra acts by right multiplication after h.
+    """
+    over, pre = ((m.as_left_module(), m.right_action) if side == "left"
+                 else (m.as_right_op_module(), m.left_action))
+    a = over.algebra
+    basis = hom_space(over, regular_module(a))
+    law = f"bimodule action left Hom into the regular {side} module"
+    pre_acts = [hom_coordinates([h.matrix * p for h in basis], basis, a.field, law)
+                for p in pre]
+    posts = [a.right_mult_matrix(a.basis_vec(i)) for i in range(a.dim)]
+    post_acts = [hom_coordinates([post * h.matrix for h in basis], basis, a.field, law)
+                 for post in posts]
+    left, right = (pre_acts, post_acts) if side == "left" else (post_acts, pre_acts)
+    out = Bimodule(m.right, m.left, len(basis), left, right)
+    out._cache["hom_basis"] = basis
+    return out
 
 
 def hom_bimodule_to_base(ext: RingExtension) -> Bimodule:
-    """Hom_R(S, R) as an S-R-bimodule: (s·h·r)(x) = h(x·s)·r."""
+    """Hom_R(S, R) as an S-R-bimodule: (s·h·r)(x) = h(x·s)·r.
+
+    This is Hom into the regular module over the left side of _R S_S.
+    """
     s, r = ext.total, ext.base
-    field = s.field
-    res_s = restrict(ext, regular_module(s))
-    basis = hom_space(res_s, regular_module(r))
-    dim = len(basis)
+    left = [s.left_mult_matrix(ext.embed(r.basis_vec(j))) for j in range(r.dim)]
+    right = [s.right_mult_matrix(s.basis_vec(i)) for i in range(s.dim)]
+    return hom_to_regular(Bimodule(r, s, s.dim, left, right), "left")
 
-    def in_basis(mat):
-        coeffs = coefficients_in_hom_basis(mat, basis)
-        if coeffs is None:
-            raise PropertyViolation("bimodule action left Hom_R(S, R)")
-        return coeffs
 
-    left = []
-    for i in range(s.dim):
-        rmul = s.right_mult_matrix(s.basis_vec(i))
-        cols = [tuple(in_basis(h.matrix * rmul)) for h in basis]
-        left.append(Mat.from_cols(field, cols) if cols else Mat.zeros(field, 0, 0))
-    right = []
-    for j in range(r.dim):
-        post = r.right_mult_matrix(r.basis_vec(j))
-        cols = [tuple(in_basis(post * h.matrix)) for h in basis]
-        right.append(Mat.from_cols(field, cols) if cols else Mat.zeros(field, 0, 0))
-    bm = Bimodule(s, r, dim, left, right)
-    bm._cache["hom_basis"] = basis
-    return bm
+# -- the tensor construction -------------------------------------------------
+
+
+def _tensor(bim: Bimodule, x: Module) -> Module:
+    """M ⊗_R x: the quotient of M ⊗_k x by m·r ⊗ v - m ⊗ r·v, built once
+    per (M, x); the ambient, projection and a section are kept in the
+    result's cache under "tensor_data"."""
+
+    def build() -> Module:
+        out_alg = bim.left
+        act_alg = bim.right
+        if x.algebra != act_alg:
+            raise AlgebraMismatch("tensor functor applied to a module over the wrong algebra")
+        field = out_alg.field
+        dm, dx = bim.dim, x.dim
+        ambient_actions = [kron(bim.left_action[i], Mat.identity(field, dx))
+                           for i in range(out_alg.dim)]
+        ambient = Module(out_alg, ambient_actions, _skip_validation=True)
+        cols = []
+        for j in range(act_alg.dim):
+            mr = bim.right_action[j]
+            xr = x.action[j]
+            for a in range(dm):
+                for b in range(dx):
+                    rel = [field.zero()] * (dm * dx)
+                    for a2, c in enumerate(mr.col(a)):
+                        if c != 0:
+                            rel[a2 * dx + b] = field.add(rel[a2 * dx + b], c)
+                    for b2, c in enumerate(xr.col(b)):
+                        if c != 0:
+                            rel[a * dx + b2] = field.sub(rel[a * dx + b2], c)
+                    if any(e != 0 for e in rel):
+                        cols.append(tuple(rel))
+        relations = Mat.from_cols(field, cols) if cols else Mat.zeros(field, dm * dx, 0)
+        rel_basis = column_space_basis(relations) if relations.cols else relations
+        quot, proj = quotient_module(ambient, rel_basis)
+        section = solve(proj.matrix, Mat.identity(field, quot.dim)).particular
+        if section is None:
+            raise PropertyViolation("quotient projection has no section")
+        quot._cache["tensor_data"] = (bim, x, ambient, proj, section)
+        return quot
+
+    return memo(x, "tensor", bim, build)
+
+
+def _tensor_hom(bim: Bimodule, f: ModHom) -> ModHom:
+    """M ⊗_R f between the tensor modules of its source and target."""
+    t_src, t_tgt = _tensor(bim, f.source), _tensor(bim, f.target)
+    field = bim.left.field
+    _b, _x, _amb, proj_src, sec_src = t_src._cache["tensor_data"]
+    _b2, _x2, _amb2, proj_tgt, _s2 = t_tgt._cache["tensor_data"]
+    big = kron(Mat.identity(field, bim.dim), f.matrix)
+    mat = proj_tgt.matrix * big * sec_src
+    if proj_tgt.matrix * big != mat * proj_src.matrix:
+        raise PropertyViolation("tensor hom is not well defined on classes")
+    return ModHom(t_src, t_tgt, mat)
+
+
+def _pure(t_mod: Module, m_vec, x_vec) -> tuple:
+    """The class of m ⊗ v in a tensor module, as a coordinate tuple."""
+    bim, x, ambient, proj, _sec = t_mod._cache["tensor_data"]
+    field = bim.left.field
+    amb_vec = [field.zero()] * ambient.dim
+    for a, cm in enumerate(m_vec):
+        if cm == 0:
+            continue
+        for b, cv in enumerate(x_vec):
+            if cv != 0:
+                amb_vec[a * x.dim + b] = field.add(amb_vec[a * x.dim + b], field.mul(cm, cv))
+    return tuple((proj.matrix * Mat.col_vector(field, amb_vec)).col(0))
 
 
 # ---------------------------------------------------------------------------
@@ -489,47 +468,47 @@ class DualBasis:
     functionals: tuple   # matrices module -> regular
 
 
+def summand_witness(q: Module, gen: Module):
+    """Solve id_q = sum_t c_t·p_t∘h_t over p_t in Hom(gen, q), h_t in Hom(q, gen).
+
+    Returns the pairs (p_t, h_t) and the coefficient column c, or None when
+    q is not a direct summand of a finite direct sum of copies of gen.
+    """
+    field = q.algebra.field
+    if q.dim == 0:
+        return [], Mat.zeros(field, 0, 1)
+    downs = hom_space(q, gen)
+    pairs = [(p, h) for p in hom_space(gen, q) for h in downs]
+    if not pairs:
+        return None
+    span = Mat.from_cols(field, [tuple(vec(p.matrix * h.matrix).col(0)) for p, h in pairs])
+    coeffs = solve(span, vec(Mat.identity(field, q.dim))).particular
+    return None if coeffs is None else (pairs, coeffs)
+
+
 def projective_witness(m: Module) -> Optional[DualBasis]:
     """A dual basis certifying that m is a summand of a free module, or None.
 
-    Solves id_m = sum_t p_t ∘ q_t with p_t: A -> m and q_t: m -> A; the
-    pieces give the dual basis.  When the algebra carries idempotents the
-    verdict is cross-checked against the projective-cover test.
+    The pieces of the summand system id_m = sum_t p_t ∘ q_t with p_t: A -> m
+    and q_t: m -> A give the dual basis.  When the algebra carries
+    idempotents the verdict is cross-checked against the projective-cover
+    test.
     """
     a = m.algebra
     field = a.field
-    if m.dim == 0:
-        return DualBasis((), ())
-    reg = regular_module(a)
-    downs = hom_space(m, reg)
-    ups = hom_space(reg, m)
-    cols = []
-    pairs = []
-    for p in ups:
-        for q in downs:
-            comp = p.matrix * q.matrix
-            cols.append(tuple(comp.entry(i, j) for j in range(m.dim) for i in range(m.dim)))
-            pairs.append((p, q))
-    ident = Mat.col_vector(field, [field.one() if i % (m.dim + 1) == 0 else field.zero()
-                                   for i in range(m.dim * m.dim)])
-    if not cols:
-        witness = None
-    else:
-        span = Mat.from_cols(field, cols)
-        res = solve(span, ident)
-        witness = res.particular
+    found = summand_witness(m, regular_module(a))
     if a.primitive_idempotents() is not None:
-        cover_iso = is_projective(m)
-        if (witness is not None) != cover_iso:
+        if (found is not None) != is_projective(m):
             raise PropertyViolation("summand-of-free and cover tests disagree")
-    if witness is None:
+    if found is None:
         return None
+    pairs, coeffs = found
     elements = []
     functionals = []
     unit_col = Mat.col_vector(field, a.unit)
     acc = Mat.zeros(field, m.dim, m.dim)
     for t, (p, q) in enumerate(pairs):
-        c = witness.entry(t, 0)
+        c = coeffs.entry(t, 0)
         if c == 0:
             continue
         scaled_p = p.matrix.scale(c)
@@ -579,8 +558,8 @@ def is_frobenius_bimodule(m: Bimodule, seed: int = 0) -> FrobeniusVerdict:
         return FrobeniusVerdict("no", obstruction="M is not projective as a left S-module")
     if projective_witness(m.as_right_op_module()) is None:
         return FrobeniusVerdict("no", obstruction="M is not projective as a right R-module")
-    left_dual = _hom_s_m_s(m).as_tensor_module()
-    right_dual = _hom_rop_m_r(m).as_tensor_module()
+    left_dual = hom_to_regular(m, "left").as_tensor_module()
+    right_dual = hom_to_regular(m, "right").as_tensor_module()
     verdict = is_isomorphic(left_dual, right_dual, seed=seed)
     if verdict.verdict == "yes":
         return FrobeniusVerdict("yes", witness=verdict.witness)
@@ -589,61 +568,6 @@ def is_frobenius_bimodule(m: Bimodule, seed: int = 0) -> FrobeniusVerdict:
             "no", obstruction="the two dual bimodules are not isomorphic: "
                               f"{verdict.obstruction}")
     return FrobeniusVerdict("inconclusive")
-
-
-def _hom_s_m_s(m: Bimodule) -> Bimodule:
-    """Hom_S(M, S) as an R-S-bimodule: (r·h·s)(x) = h(x·r)·s."""
-    s, r = m.left, m.right
-    field = s.field
-    basis = hom_space(m.as_left_module(), regular_module(s))
-    dim = len(basis)
-
-    def in_basis(mat):
-        coeffs = coefficients_in_hom_basis(mat, basis)
-        if coeffs is None:
-            raise PropertyViolation("action left Hom_S(M, S)")
-        return coeffs
-
-    left = []
-    for i in range(r.dim):
-        cols = [tuple(in_basis(h.matrix * m.right_action[i])) for h in basis]
-        left.append(Mat.from_cols(field, cols) if cols else Mat.zeros(field, 0, 0))
-    right = []
-    for i in range(s.dim):
-        post = s.right_mult_matrix(s.basis_vec(i))
-        cols = [tuple(in_basis(post * h.matrix)) for h in basis]
-        right.append(Mat.from_cols(field, cols) if cols else Mat.zeros(field, 0, 0))
-    out = Bimodule(r, s, dim, left, right)
-    out._cache["hom_basis"] = basis
-    return out
-
-
-def _hom_rop_m_r(m: Bimodule) -> Bimodule:
-    """Hom_{R^op}(M, R) as an R-S-bimodule: (r·g·s)(x) = r·g(s·x)."""
-    s, r = m.left, m.right
-    field = s.field
-    rop = r.opposite()
-    basis = hom_space(m.as_right_op_module(), regular_module(rop))
-    dim = len(basis)
-
-    def in_basis(mat):
-        coeffs = coefficients_in_hom_basis(mat, basis)
-        if coeffs is None:
-            raise PropertyViolation("action left Hom_Rop(M, R)")
-        return coeffs
-
-    left = []
-    for i in range(r.dim):
-        post = r.left_mult_matrix(r.basis_vec(i))
-        cols = [tuple(in_basis(post * h.matrix)) for h in basis]
-        left.append(Mat.from_cols(field, cols) if cols else Mat.zeros(field, 0, 0))
-    right = []
-    for i in range(s.dim):
-        cols = [tuple(in_basis(h.matrix * m.left_action[i])) for h in basis]
-        right.append(Mat.from_cols(field, cols) if cols else Mat.zeros(field, 0, 0))
-    out = Bimodule(r, s, dim, left, right)
-    out._cache["hom_basis"] = basis
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +583,7 @@ class BimodulePair:
         self.algebra_a = m.right       # F goes from R-Mod
         self.algebra_b = m.left        # ... to S-Mod
         self.name = "(M⊗-, N⊗-)"
-        self.dual = _hom_s_m_s(m)      # N as an R-S-bimodule
+        self.dual = hom_to_regular(m, "left")   # N as an R-S-bimodule
         basis = projective_witness(m.as_left_module())
         if basis is None:
             raise PreconditionFailed("M is not projective as a left S-module")
@@ -672,76 +596,17 @@ class BimodulePair:
                 raise PropertyViolation("dual-basis functional is outside Hom_S(M, S)")
             self._functional_coords.append(coeffs)
 
-    # -- tensor functor machinery ------------------------------------------
-
-    def _tensor(self, bim: Bimodule, x: Module, cache_key: str) -> Module:
-        key = (cache_key, id(bim), id(x))
-        cached = x._cache.get(key)
-        if cached is not None:
-            return cached
-        out_alg = bim.left
-        act_alg = bim.right
-        if x.algebra != act_alg:
-            raise AlgebraMismatch("tensor functor applied to a module over the wrong algebra")
-        field = out_alg.field
-        dm, dx = bim.dim, x.dim
-        ambient_actions = [kron(bim.left_action[i], Mat.identity(field, dx))
-                           for i in range(out_alg.dim)]
-        ambient = Module(out_alg, ambient_actions, _skip_validation=True)
-        cols = []
-        for j in range(act_alg.dim):
-            mr = bim.right_action[j]
-            xr = x.action[j]
-            for a in range(dm):
-                for b in range(dx):
-                    vec = [field.zero()] * (dm * dx)
-                    for a2, c in enumerate(mr.col(a)):
-                        if c != 0:
-                            vec[a2 * dx + b] = field.add(vec[a2 * dx + b], c)
-                    for b2, c in enumerate(xr.col(b)):
-                        if c != 0:
-                            vec[a * dx + b2] = field.sub(vec[a * dx + b2], c)
-                    if any(e != 0 for e in vec):
-                        cols.append(tuple(vec))
-        relations = Mat.from_cols(field, cols) if cols else Mat.zeros(field, dm * dx, 0)
-        quot, proj, section = _tensor_quotient(ambient, relations)
-        quot._cache["tensor_data"] = (bim, x, ambient, proj, section)
-        x._cache[key] = quot
-        return quot
-
-    def _tensor_hom(self, bim: Bimodule, f: ModHom, t_src: Module, t_tgt: Module) -> ModHom:
-        field = bim.left.field
-        _b, _x, _amb, proj_src, sec_src = t_src._cache["tensor_data"]
-        _b2, _x2, _amb2, proj_tgt, _s2 = t_tgt._cache["tensor_data"]
-        big = kron(Mat.identity(field, bim.dim), f.matrix)
-        mat = proj_tgt.matrix * big * sec_src
-        if proj_tgt.matrix * big != mat * proj_src.matrix:
-            raise PropertyViolation("tensor hom is not well defined on classes")
-        return ModHom(t_src, t_tgt, mat)
-
-    def _pure(self, t_mod: Module, m_vec, x_vec) -> tuple:
-        bim, x, ambient, proj, _sec = t_mod._cache["tensor_data"]
-        field = bim.left.field
-        vec = [field.zero()] * ambient.dim
-        for a, cm in enumerate(m_vec):
-            if cm == 0:
-                continue
-            for b, cv in enumerate(x_vec):
-                if cv != 0:
-                    vec[a * x.dim + b] = field.add(vec[a * x.dim + b], field.mul(cm, cv))
-        return tuple((proj.matrix * Mat.col_vector(field, vec)).col(0))
-
     def apply_f(self, x: Module) -> Module:
-        return self._tensor(self.m, x, "bimod_f")
+        return _tensor(self.m, x)
 
     def apply_g(self, y: Module) -> Module:
-        return self._tensor(self.dual, y, "bimod_g")
+        return _tensor(self.dual, y)
 
     def apply_f_hom(self, f: ModHom) -> ModHom:
-        return self._tensor_hom(self.m, f, self.apply_f(f.source), self.apply_f(f.target))
+        return _tensor_hom(self.m, f)
 
     def apply_g_hom(self, f: ModHom) -> ModHom:
-        return self._tensor_hom(self.dual, f, self.apply_g(f.source), self.apply_g(f.target))
+        return _tensor_hom(self.dual, f)
 
     def unit(self, x: Module) -> ModHom:
         """x -> N ⊗_S M ⊗_R x through the dual basis of M over S."""
@@ -753,8 +618,8 @@ class BimodulePair:
             e_c = tuple(field.one() if i == c else field.zero() for i in range(x.dim))
             acc = [field.zero()] * gfx.dim
             for m_elt, f_coords in zip(self.dual_basis.elements, self._functional_coords):
-                inner = self._pure(fx, m_elt, e_c)
-                outer = self._pure(gfx, f_coords, inner)
+                inner = _pure(fx, m_elt, e_c)
+                outer = _pure(gfx, f_coords, inner)
                 acc = [field.add(a, b) for a, b in zip(acc, outer)]
             cols.append(tuple(acc))
         mat = Mat.from_cols(field, cols) if cols else Mat.zeros(field, gfx.dim, 0)
@@ -866,34 +731,30 @@ class ProductPair:
 
     def apply_f(self, y: Module) -> Module:
         """e·Y as a module over B."""
-        key = ("pr", id(self))
-        cached = y._cache.get(key)
-        if cached is not None:
-            return cached
-        basis = column_space_basis(y.rho(self.e_vec))
-        acts = []
-        for i in range(self.b.dim):
-            big = y.rho(self.embed_b(self.b.basis_vec(i)))
-            sol = solve(basis, big * basis)
-            if sol.particular is None:
-                raise PropertyViolation("projection block is not action-stable")
-            acts.append(sol.particular)
-        out = Module(self.b, acts)
-        out._cache["pr_data"] = (y, basis)
-        y._cache[key] = out
-        return out
+
+        def build() -> Module:
+            basis = column_space_basis(y.rho(self.e_vec))
+            acts = []
+            for i in range(self.b.dim):
+                big = y.rho(self.embed_b(self.b.basis_vec(i)))
+                sol = solve(basis, big * basis)
+                if sol.particular is None:
+                    raise PropertyViolation("projection block is not action-stable")
+                acts.append(sol.particular)
+            out = Module(self.b, acts)
+            out._cache["pr_data"] = (y, basis)
+            return out
+
+        return memo(y, "pr", self, build)
 
     def apply_g(self, x: Module) -> Module:
-        key = ("inc", id(self))
-        cached = x._cache.get(key)
-        if cached is not None:
-            return cached
-        acts = [x.action[i] for i in range(self.b.dim)]
-        acts += [Mat.zeros(self.b.field, x.dim, x.dim) for _ in range(self.bprime.dim)]
-        out = Module(self.product, acts)
-        out._cache["inc_data"] = x
-        x._cache[key] = out
-        return out
+
+        def build() -> Module:
+            acts = [x.action[i] for i in range(self.b.dim)]
+            acts += [Mat.zeros(self.b.field, x.dim, x.dim) for _ in range(self.bprime.dim)]
+            return Module(self.product, acts)
+
+        return memo(x, "inc", self, build)
 
     def apply_f_hom(self, f: ModHom) -> ModHom:
         src = self.apply_f(f.source)
@@ -986,25 +847,6 @@ class AdjunctionReport:
         return all(self.flags.values())
 
 
-def _in_add_of(q: Module, gen: Module) -> bool:
-    """Whether q is a direct summand of a finite direct sum of copies of gen."""
-    if q.dim == 0:
-        return True
-    field = q.algebra.field
-    downs = hom_space(q, gen)
-    ups = hom_space(gen, q)
-    cols = []
-    for p in ups:
-        for h in downs:
-            comp = p.matrix * h.matrix
-            cols.append(tuple(comp.entry(i, j) for j in range(q.dim) for i in range(q.dim)))
-    if not cols:
-        return False
-    ident = Mat.col_vector(field, [field.one() if i % (q.dim + 1) == 0 else field.zero()
-                                   for i in range(q.dim * q.dim)])
-    return solve(Mat.from_cols(field, cols), ident).particular is not None
-
-
 def add_generation_holds(pair, side: str) -> bool:
     """Exact test of add F(P(A)) ⊇ P(B) (side="f") or add G(P(B)) ⊇ P(A) ("g")."""
     if side == "f":
@@ -1013,7 +855,7 @@ def add_generation_holds(pair, side: str) -> bool:
     else:
         gen = pair.apply_g(regular_module(pair.algebra_b))
         projs = structural_modules(pair.algebra_a).projectives
-    return all(_in_add_of(q, gen) for q in projs)
+    return all(summand_witness(q, gen) is not None for q in projs)
 
 
 def faithfulness_report(pair, corpus: Sequence[Module]) -> AdjunctionReport:
@@ -1361,19 +1203,10 @@ def extension_to_json(ext: RingExtension, base_ref=None, total_ref=None) -> dict
     }
 
 
-def _resolve_algebra_ref(ref, base_dir: Optional[Path]):
-    if isinstance(ref, str):
-        path = Path(ref)
-        if base_dir is not None and not path.is_absolute():
-            path = base_dir / path
-        return load_algebra(path)
-    return algebra_from_json(ref)
-
-
 def extension_from_json(doc: dict, base_dir: Optional[Path] = None) -> RingExtension:
     try:
-        base = _resolve_algebra_ref(doc["base"], base_dir)
-        total = _resolve_algebra_ref(doc["total"], base_dir)
+        base = resolve_algebra_ref(doc["base"], base_dir)
+        total = resolve_algebra_ref(doc["total"], base_dir)
         flat = doc["embedding"]
         emb = Mat(base.field,
                   [[flat[i * base.dim + j] for j in range(base.dim)] for i in range(total.dim)],
@@ -1407,9 +1240,9 @@ def bimodule_to_json(bm: Bimodule, left_ref=None, right_ref=None) -> dict:
 
 def bimodule_from_json(doc: dict, base_dir: Optional[Path] = None) -> Bimodule:
     try:
-        left = _resolve_algebra_ref(doc["left"], base_dir)
-        right = _resolve_algebra_ref(doc["right"], base_dir)
-        dim = int(doc["dim"])
+        left = resolve_algebra_ref(doc["left"], base_dir)
+        right = resolve_algebra_ref(doc["right"], base_dir)
+        dim = json_int(doc["dim"], "dim")
 
         def mats(flats):
             return [Mat(left.field,

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .algebra import Algebra, algebra_from_json, algebra_to_json
+from .algebra import Algebra, algebra_to_json, json_int, resolve_algebra_ref
 from .errors import (
     InputShapeError,
     LiftFailed,
@@ -40,17 +40,17 @@ from .errors import (
     ProfileNotCertified,
     PropertyViolation,
 )
-from .exactlin import Mat, rref, solve
+from .exactlin import Mat, rref, solve, vec
 from .modrep import (
     ModHom,
     Module,
     ShortExactSequence,
-    coefficients_in_hom_basis,
     column_space_basis,
     cover_envelope,
     direct_sum,
     dual_hom,
     dual_module,
+    hom_coordinates,
     hom_dim,
     hom_space,
     module_from_json,
@@ -74,10 +74,6 @@ class AtLeast:
 
 
 Dim = Union[int, AtLeast]
-
-
-def is_finite_dim(x: Dim) -> bool:
-    return isinstance(x, int)
 
 
 # ---------------------------------------------------------------------------
@@ -193,21 +189,26 @@ def resolve(m: Module, direction: str, depth: int) -> Resolution:
 # ---------------------------------------------------------------------------
 
 
-def _hom_complex_delta(source_terms: Sequence[Module], d_maps: Sequence[ModHom],
-                       n: Module, k: int) -> Mat:
-    """Matrix of Hom(terms[k], n) -> Hom(terms[k+1], n), phi -> phi∘d."""
-    field = n.algebra.field
-    hk = hom_space(source_terms[k], n) if k < len(source_terms) else []
-    tgt = source_terms[k + 1] if k + 1 < len(source_terms) else None
-    if tgt is None or not hk:
-        rows = (tgt.dim if tgt else 0) * n.dim
-        return Mat.zeros(field, rows, len(hk))
-    d = d_maps[k]
-    cols = []
-    for h in hk:
-        comp = h.matrix * d.matrix
-        cols.append(tuple(comp.entry(i, j) for j in range(comp.cols) for i in range(comp.rows)))
-    return Mat.from_cols(field, cols) if cols else Mat.zeros(field, tgt.dim * n.dim, 0)
+def _hom_delta(homs: Sequence[ModHom], d: Mat, post: bool = False) -> Mat:
+    """Matrix of phi -> phi∘d, or phi -> d∘phi when post, over the hom basis
+    homs; column t is the column-major vec of the image of homs[t]."""
+    return Mat.from_cols(d.field, [tuple(vec(d * h.matrix if post else h.matrix * d).col(0))
+                                   for h in homs])
+
+
+def _hom_cohomology(res: Resolution, homs_at, i: int) -> int:
+    """dim H^i of Hom(res, n) for a projective resolution, or of Hom(m, res)
+    for an injective one; homs_at(k) is the hom basis at term k."""
+    if res.complete and i > res.depth():
+        return 0
+    post = res.direction == "injective"
+
+    def rank(k: int) -> int:
+        if k >= len(res.maps):
+            return 0
+        return rref(_hom_delta(homs_at(k), res.maps[k].matrix, post)).rank
+
+    return len(homs_at(i)) - rank(i) - rank(i - 1)
 
 
 def ext_dim(m: Module, n: Module, i: int) -> int:
@@ -217,13 +218,7 @@ def ext_dim(m: Module, n: Module, i: int) -> int:
     if i == 0:
         return hom_dim(m, n)
     res = resolve(m, "projective", i + 1)
-    terms = list(res.terms)
-    if res.complete and i > res.depth():
-        return 0
-    hi = hom_space(res.term(i), n)
-    delta_i = _hom_complex_delta(terms, res.maps, n, i)
-    delta_prev = _hom_complex_delta(terms, res.maps, n, i - 1)
-    return len(hi) - rref(delta_i).rank - rref(delta_prev).rank
+    return _hom_cohomology(res, lambda k: hom_space(res.term(k), n), i)
 
 
 def ext_dim_injective(m: Module, n: Module, i: int) -> int:
@@ -236,26 +231,7 @@ def ext_dim_injective(m: Module, n: Module, i: int) -> int:
     if i == 0:
         return hom_dim(m, n)
     res = resolve(n, "injective", i + 1)
-    if res.complete and i > res.depth():
-        return 0
-    field = m.algebra.field
-
-    def delta(k: int) -> Mat:
-        hk = hom_space(m, res.term(k))
-        tgt = res.term(k + 1)
-        if not hk:
-            return Mat.zeros(field, tgt.dim * m.dim, 0)
-        if k >= len(res.maps):
-            return Mat.zeros(field, tgt.dim * m.dim, len(hk))
-        d = res.maps[k]
-        cols = []
-        for h in hk:
-            comp = d.matrix * h.matrix
-            cols.append(tuple(comp.entry(r, c) for c in range(comp.cols) for r in range(comp.rows)))
-        return Mat.from_cols(field, cols)
-
-    hi = hom_space(m, res.term(i))
-    return len(hi) - rref(delta(i)).rank - rref(delta(i - 1)).rank
+    return _hom_cohomology(res, lambda k: hom_space(m, res.term(k)), i)
 
 
 def fin_dimension(m: Module, kind: str, bound: int) -> Dim:
@@ -342,21 +318,12 @@ def star_module(m: Module) -> Tuple[Module, list]:
     if cached is not None:
         return cached
     a = m.algebra
-    reg = regular_module(a)
-    basis = hom_space(m, reg)
-    op = a.opposite()
-    field = a.field
-    acts = []
-    for i in range(op.dim):
-        rmat = a.right_mult_matrix(a.basis_vec(i))
-        cols = []
-        for h in basis:
-            coeffs = coefficients_in_hom_basis(rmat * h.matrix, basis)
-            if coeffs is None:
-                raise PropertyViolation("Hom(m, A) is not stable under the right action")
-            cols.append(tuple(coeffs))
-        acts.append(Mat.from_cols(field, cols) if cols else Mat.zeros(field, 0, 0))
-    result = (Module(op, acts), basis)
+    basis = hom_space(m, regular_module(a))
+    rmats = [a.right_mult_matrix(a.basis_vec(i)) for i in range(a.dim)]
+    acts = [hom_coordinates([rmat * h.matrix for h in basis], basis, a.field,
+                            "Hom(m, A) is not stable under the right action")
+            for rmat in rmats]
+    result = (Module(a.opposite(), acts), basis)
     m._cache["star"] = result
     return result
 
@@ -367,32 +334,22 @@ def evaluation_to_double_star(m: Module) -> Tuple[ModHom, Module]:
     field = a.field
     star_m, basis = star_module(m)
     star2, basis2 = star_module(star_m)
-    cols = []
+    ev_mats = []
     for c in range(m.dim):
         x = Mat.from_cols(field, [tuple(field.one() if r == c else field.zero()
                                         for r in range(m.dim))])
         # ev_x : star_m -> A, f -> f(x); as a matrix over the star_m basis
-        ev_mat = Mat.from_cols(field, [tuple((h.matrix * x).col(0)) for h in basis]) \
-            if basis else Mat.zeros(field, a.dim, 0)
-        coeffs = coefficients_in_hom_basis(ev_mat, basis2)
-        if coeffs is None:
-            raise PropertyViolation("evaluation map leaves the double-star hom space")
-        cols.append(tuple(coeffs))
-    mat = Mat.from_cols(field, cols) if cols else Mat.zeros(field, star2.dim, 0)
+        ev_mats.append(Mat.from_cols(field, [tuple((h.matrix * x).col(0)) for h in basis])
+                       if basis else Mat.zeros(field, a.dim, 0))
+    mat = hom_coordinates(ev_mats, basis2, field,
+                          "evaluation map leaves the double-star hom space")
     return ModHom(m, star2, mat), star2
 
 
 def _star_of_hom(f: ModHom, star_tgt_basis: list, star_src_basis: list) -> Mat:
     """Matrix of Hom(f, A): Hom(f.target, A) -> Hom(f.source, A) in star bases."""
-    field = f.source.algebra.field
-    cols = []
-    for h in star_tgt_basis:
-        comp = h.matrix * f.matrix
-        coeffs = coefficients_in_hom_basis(comp, star_src_basis)
-        if coeffs is None:
-            raise PropertyViolation("star of a hom fell outside the hom space")
-        cols.append(tuple(coeffs))
-    return Mat.from_cols(field, cols) if cols else Mat.zeros(field, len(star_src_basis), 0)
+    return hom_coordinates([h.matrix * f.matrix for h in star_tgt_basis], star_src_basis,
+                           f.source.algebra.field, "star of a hom fell outside the hom space")
 
 
 def is_projective(m: Module) -> bool:
@@ -494,15 +451,7 @@ def _complete_resolution_check(m: Module, window: int) -> None:
 
     # Hom(-, A)-acyclicity in the window.
     homs = [hom_space(t, reg) for t in chain_terms]
-    deltas = []
-    for i in range(len(chain_maps)):
-        cols = []
-        for h in homs[i + 1]:
-            comp = h.matrix * chain_maps[i]
-            cols.append(tuple(comp.entry(r, c) for c in range(comp.cols)
-                              for r in range(comp.rows)))
-        deltas.append(Mat.from_cols(a.field, cols) if cols
-                      else Mat.zeros(a.field, chain_terms[i].dim * reg.dim, 0))
+    deltas = [_hom_delta(homs[i + 1], chain_maps[i]) for i in range(len(chain_maps))]
     for i in range(1, len(chain_terms) - 1):
         rank_out = rref(deltas[i - 1]).rank
         rank_in = rref(deltas[i]).rank
@@ -740,17 +689,8 @@ def complex_from_json(doc: dict, algebra: Optional[Algebra] = None,
                       base_dir: Optional[Path] = None) -> ComplexObj:
     try:
         if algebra is None:
-            ref = doc["algebra"]
-            if isinstance(ref, str):
-                from .algebra import load_algebra
-
-                ref_path = Path(ref)
-                if base_dir is not None and not ref_path.is_absolute():
-                    ref_path = base_dir / ref_path
-                algebra = load_algebra(ref_path)
-            else:
-                algebra = algebra_from_json(ref)
-        lo, hi = (int(x) for x in doc["support"])
+            algebra = resolve_algebra_ref(doc["algebra"], base_dir)
+        lo, hi = (json_int(x, "support") for x in doc["support"])
         comps: Dict[int, Module] = {}
         for offset, comp_doc in enumerate(doc["components"]):
             comps[lo + offset] = module_from_json(

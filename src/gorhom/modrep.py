@@ -21,7 +21,7 @@ from itertools import product as iter_product
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-from .algebra import Algebra, algebra_from_json, algebra_to_json, load_algebra
+from .algebra import Algebra, algebra_to_json, json_int, resolve_algebra_ref
 from .errors import AlgebraMismatch, InputShapeError, PropertyViolation, UnsupportedAlgebra
 from .exactlin import Mat, kron, rref, solve, unvec, vec
 
@@ -142,31 +142,47 @@ def regular_module(a: Algebra) -> Module:
 # ---------------------------------------------------------------------------
 
 
-def _hom_space_matrices(m: Module, n: Module) -> List[Mat]:
-    if m.algebra != n.algebra:
-        raise AlgebraMismatch("hom space requires modules over one algebra")
+def memo(holder, tag, other, build):
+    """build(), cached in holder's cache for the object `other`.
+
+    The entry stores `other` next to the value.  That keeps `other` alive,
+    so its id cannot pass to a new object while the entry exists, and the
+    `is` test makes the match explicit.
+    """
+    key = (tag, id(other))
+    cached = holder._cache.get(key)
+    if cached is not None and cached[0] is other:
+        return cached[1]
+    value = build()
+    holder._cache[key] = (other, value)
+    return value
+
+
+def _intertwining_system(m: Module, n: Module) -> Mat:
+    """Rows of f·rho_m(e_i) = rho_n(e_i)·f for every basis element e_i,
+    in the unknowns vec(f) of f: m -> n."""
     field = m.algebra.field
-    if m.dim == 0 or n.dim == 0:
-        return []
     eye_m = Mat.identity(field, m.dim)
     eye_n = Mat.identity(field, n.dim)
     blocks = None
     for i in range(m.algebra.dim):
         rows = kron(m.action[i].transpose(), eye_n) - kron(eye_m, n.action[i])
         blocks = rows if blocks is None else blocks.vstack(rows)
-    ker = blocks.kernel_basis()
-    return [unvec(field, ker.col(c), n.dim, m.dim) for c in range(ker.cols)]
+    return blocks
+
+
+def _hom_space_matrices(m: Module, n: Module) -> List[Mat]:
+    if m.algebra != n.algebra:
+        raise AlgebraMismatch("hom space requires modules over one algebra")
+    if m.dim == 0 or n.dim == 0:
+        return []
+    ker = _intertwining_system(m, n).kernel_basis()
+    return [unvec(m.algebra.field, ker.col(c), n.dim, m.dim) for c in range(ker.cols)]
 
 
 def hom_space(m: Module, n: Module) -> List[ModHom]:
     """A basis of Hom(m, n), found by solving the intertwining equations."""
-    key = ("hom", id(n))
-    cached = m._cache.get(key)
-    if cached is not None and cached[0] is n:
-        return cached[1]
-    homs = [ModHom(m, n, mat) for mat in _hom_space_matrices(m, n)]
-    m._cache[key] = (n, homs)
-    return homs
+    return memo(m, "hom", n, lambda: [ModHom(m, n, mat) for mat in _hom_space_matrices(m, n)])
 
 
 def hom_dim(m: Module, n: Module) -> int:
@@ -184,18 +200,9 @@ def solve_hom_with_left_constraint(src: Module, tgt: Module, m: Mat, rhs: Mat) -
         if rhs.is_zero():
             return zero_hom(src, tgt)
         return None
-    eye_s = Mat.identity(field, src.dim)
-    eye_t = Mat.identity(field, tgt.dim)
-    blocks = None
-    rhs_rows: List = []
-    for i in range(src.algebra.dim):
-        rows = kron(src.action[i].transpose(), eye_t) - kron(eye_s, tgt.action[i])
-        blocks = rows if blocks is None else blocks.vstack(rows)
-    zero_rhs = Mat.zeros(field, blocks.rows, 1)
-    rows2 = kron(eye_s, m)
-    blocks = blocks.vstack(rows2)
-    b = zero_rhs.vstack(vec(rhs))
-    res = solve(blocks, b)
+    blocks = _intertwining_system(src, tgt)
+    b = Mat.zeros(field, blocks.rows, 1).vstack(vec(rhs))
+    res = solve(blocks.vstack(kron(Mat.identity(field, src.dim), m)), b)
     if res.particular is None:
         return None
     return ModHom(src, tgt, unvec(field, res.particular.col(0), tgt.dim, src.dim))
@@ -211,6 +218,18 @@ def coefficients_in_hom_basis(f: Mat, basis: Sequence[ModHom]) -> Optional[tuple
     if res.particular is None:
         return None
     return res.particular.col(0)
+
+
+def hom_coordinates(mats: Sequence[Mat], basis: Sequence[ModHom], field, law: str) -> Mat:
+    """The matrix whose columns are the coordinates of mats in the hom basis;
+    raises PropertyViolation(law) when one of them leaves the hom space."""
+    cols = []
+    for mat in mats:
+        coeffs = coefficients_in_hom_basis(mat, basis)
+        if coeffs is None:
+            raise PropertyViolation(law)
+        cols.append(tuple(coeffs))
+    return Mat.from_cols(field, cols) if cols else Mat.zeros(field, len(basis), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -699,15 +718,8 @@ def module_from_json(doc: dict, base_dir: Optional[Path] = None,
                      algebra: Optional[Algebra] = None) -> Module:
     try:
         if algebra is None:
-            ref = doc["algebra"]
-            if isinstance(ref, str):
-                path = Path(ref)
-                if base_dir is not None and not path.is_absolute():
-                    path = base_dir / path
-                algebra = load_algebra(path)
-            else:
-                algebra = algebra_from_json(ref)
-        dim = int(doc["dim"])
+            algebra = resolve_algebra_ref(doc["algebra"], base_dir)
+        dim = json_int(doc["dim"], "dim")
         acts = []
         for flat in doc["action"]:
             if len(flat) != dim * dim:

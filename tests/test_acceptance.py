@@ -4,10 +4,14 @@ Each criterion prints one pass/fail line.  All comparisons are exact
 integer or exact matrix equalities; nothing here is approximate.
 """
 
+from pathlib import Path
+
 import pytest
 from click.testing import CliRunner
 
+import gorhom
 from gorhom import suite
+from gorhom.corpus import export_data
 from gorhom.cli import main as cli_main
 
 
@@ -64,3 +68,12 @@ def test_criterion_8_complex_pair():
 
 def test_criterion_9_oracle_cross_checks():
     report(9, suite.check_oracles(bound=20, seed=0))
+
+
+def test_bundled_data_is_what_the_constructors_export(tmp_path):
+    # the shipped files must not drift from the corpus constructors
+    data = Path(gorhom.__file__).parent / "data"
+    written = export_data(tmp_path)
+    assert sorted(written) == sorted(p.name for p in data.iterdir() if p.is_file())
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (data / name).read_bytes(), name

@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,29 @@ def test_bad_scalar_exits_2(runner, tmp_path, scalar):
     bad = tmp_path / "bad.alg"
     bad.write_text(json.dumps(doc))
     result = runner.invoke(main, ["algebra-info", str(bad)])
+    assert result.exit_code == 2
+    assert "input error" in result.output
+
+
+WRONG_TYPES = (
+    [("f2x2.alg", f, v) for f in ("basis", "table", "unit") for v in (5, None, 1.5, True)]
+    + [("f2x2.alg", f, v) for f in ("idempotents", "provenance") for v in (5, 1.5, True, "1")]
+    + [("f2.alg", "basis", "1"), ("f2x2.alg", "field", {"char": 2.0})]
+    + [("a2_s1.mod", "dim", v) for v in (1.5, True, "1")]
+    + [("a2_stalk.cpx", "support", [0.5, 0])]
+)
+
+
+@pytest.mark.parametrize("name, field, value", WRONG_TYPES)
+def test_wrong_typed_field_exits_2(runner, tmp_path, name, field, value):
+    data = Path(gorhom.__file__).parent / "data"
+    doc = json.loads((data / name).read_text())
+    doc[field] = value
+    bad = tmp_path / name
+    bad.write_text(json.dumps(doc))
+    shutil.copy(data / "a2.alg", tmp_path)   # the algebra a2_s1.mod and a2_stalk.cpx name
+    command = {".alg": "algebra-info", ".mod": "module-info", ".cpx": "complex-check"}
+    result = runner.invoke(main, [command[bad.suffix], str(bad)])
     assert result.exit_code == 2
     assert "input error" in result.output
 

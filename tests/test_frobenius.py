@@ -1,5 +1,6 @@
 import pytest
 
+from gorhom import frobenius
 from gorhom.algebra import (
     Quiver,
     cyclic_group_table,
@@ -7,6 +8,7 @@ from gorhom.algebra import (
     group_algebra,
     matrix_algebra,
     path_algebra,
+    product_algebra,
     truncated_extension,
 )
 from gorhom.errors import PreconditionFailed
@@ -198,6 +200,56 @@ def test_projective_witness_dual_basis(f2c2):
     assert db is not None and len(db.elements) >= 1
     s = structural_modules(f2c2)
     assert projective_witness(s.simples[0]) is None
+
+
+def test_functor_caches_never_answer_for_another_pair(f2, a2, f2c2):
+    # A cache keyed on id(pair) or id(ext) alone, with nothing keeping that
+    # object alive, handed a collected pair's module to a new pair that
+    # reused its id: a module over the wrong algebra.
+    f2x2 = product_algebra(f2, f2)
+    reg_f2, reg_f2c2 = regular_module(f2), regular_module(f2c2)
+    extensions = {f2: lambda: RingExtension(f2, f2c2, Mat(F2, [[1], [0]])),
+                  f2c2: lambda: identity_extension(f2c2)}
+    for trial in range(60):
+        other = a2 if trial % 2 else f2x2
+        assert ProductPair(f2, other).apply_g(reg_f2).algebra.dim == 1 + other.dim
+        base = f2 if trial % 2 else f2c2
+        assert ExtensionPair(extensions[base]()).apply_g(reg_f2c2).algebra is base
+
+
+def _counting(log, name, fn):
+    def wrapper(*args, **kwargs):
+        log.append(name)
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def test_second_application_builds_nothing(monkeypatch, ext_f2_f2c2, f2, a2, f2c2):
+    k, reg_f2c2 = regular_module(f2), regular_module(f2c2)
+    prod = ProductPair(f2, a2)
+    bim_pair = BimodulePair(extension_bimodule(ext_f2_f2c2))
+    applications = [
+        (ExtensionPair(ext_f2_f2c2).apply_f, k), (ExtensionPair(ext_f2_f2c2).apply_g, reg_f2c2),
+        (bim_pair.apply_f, k), (bim_pair.apply_g, reg_f2c2),
+        (ResCoindPair(ext_f2_f2c2).apply_g, k),
+        (prod.apply_f, regular_module(prod.product)), (prod.apply_g, k),
+    ]
+    built = []
+    for name in ("Module", "Bimodule", "quotient_module"):
+        monkeypatch.setattr(frobenius, name, _counting(built, name, getattr(frobenius, name)))
+    first = [apply(x) for apply, x in applications]
+    assert built
+    built.clear()
+    assert all(apply(x) is out for (apply, x), out in zip(applications, first))
+    assert built == []
+    # induction and the pair's F share one bimodule and one tensor module
+    ext = RingExtension(f2, f2c2, Mat(F2, [[1], [0]]))
+    ind = induce(ext, k)
+    assert "Bimodule" in built
+    built.clear()
+    assert ExtensionPair(ext).apply_f(k) is ind
+    assert extension_bimodule(ext) is ind._cache["tensor_data"][0]
+    assert built == []
 
 
 def test_faithfulness_identity(a2):
