@@ -13,7 +13,10 @@ Conventions
   order (["a", "b"] denotes a∘b, i.e. b followed by a).
 * The Jacobson radical is computed generically for every algebra: over Q
   as the kernel of the trace bilinear form of the regular representation,
-  over F_p by the p-th-power trace refinement of that form.  Algebras
+  over F_p by the p-th-power trace refinement of that form.  Each p-power
+  trace functional is linear on the ideal it is evaluated on (Rónyai 1990;
+  Cohen, Ivanyos and Wales 1997), so it is evaluated once per basis vector
+  of that ideal and read off coordinates for every product.  Algebras
   built by the constructors here also carry a closed-form radical, and the
   two are asserted to agree.
 * Primitive orthogonal idempotents are carried only when a constructor
@@ -26,6 +29,7 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass
+from operator import mul
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -37,7 +41,7 @@ from .errors import (
     PropertyViolation,
     UnsupportedAlgebra,
 )
-from .exactlin import FieldSpec, Mat, rref
+from .exactlin import FieldSpec, Mat, rref, solve
 
 Vector = tuple
 
@@ -203,8 +207,8 @@ class Algebra:
             closed = self._closed_radical
             if not _same_column_space(closed, generic):
                 raise PropertyViolation(
-                    "closed-form radical disagrees with the generic trace computation"
-                )
+                    "closed-form radical disagrees with the generic trace computation "
+                    f"in {self!r}")
             return closed
         return generic
 
@@ -232,6 +236,22 @@ class Algebra:
         return self._get_cached("opposite", build)
 
 
+def memo(holder, tag, other, build):
+    """build(), cached in holder's cache for the object `other`.
+
+    The entry stores `other` next to the value.  That keeps `other` alive,
+    so its id cannot pass to a new object while the entry exists, and the
+    `is` test makes the match explicit.
+    """
+    key = (tag, id(other))
+    cached = holder._cache.get(key)
+    if cached is not None and cached[0] is other:
+        return cached[1]
+    value = build()
+    holder._cache[key] = (other, value)
+    return value
+
+
 def _same_column_space(a: Mat, b: Mat) -> bool:
     ra = rref(a.transpose()).rank if a.cols else 0
     rb = rref(b.transpose()).rank if b.cols else 0
@@ -247,15 +267,20 @@ def _radical_generic(a: Algebra) -> Mat:
     Over F_p the chain V_0 = A, V_{i+1} = {x in V_i : g_i(x*y) = 0 for all
     y}, with g_i(z) = Tr(Z^(p^i))/p^i mod p computed from an integer lift Z
     of the regular representation of z, reaches the radical after
-    floor(log_p dim) + 1 steps.  Over a prime field each g_i is linear, so
-    every step is one exact kernel computation.
+    floor(log_p dim) + 1 steps.  Each V_i is an ideal and g_i is linear on
+    it (Rónyai, "Computing the structure of finite algebras", J. Symb.
+    Comput. 1990; Cohen, Ivanyos and Wales, "Finding the radical of an
+    algebra of linear transformations", JPAA 1997).  So a step evaluates
+    g_i once per basis vector b_k of V_i, one integer matrix power each,
+    and reads g_i(x*y) = sum_k c_k g_i(b_k) off the coordinates c of x*y
+    in that basis; every step is then one exact kernel computation.
     """
     field = a.field
     n = a.dim
     p = field.characteristic
-    lmats = [a.left_mult_matrix(a.basis_vec(i)) for i in range(n)]
 
     if p == 0:
+        lmats = [a.left_mult_matrix(a.basis_vec(i)) for i in range(n)]
         gram = [
             [_trace(lmats[i] * lmats[j]) for j in range(n)]
             for i in range(n)
@@ -269,24 +294,44 @@ def _radical_generic(a: Algebra) -> Mat:
     basis = Mat.identity(field, n)  # columns span the current ideal V_i
     for i in range(levels + 1):
         q = p ** i
-        if basis.cols == 0:
+        d = basis.cols
+        if d == 0:
             break
-        rows = []
-        for y in range(n):
-            row = []
-            for t in range(basis.cols):
-                x = basis.col(t)
-                z = a.mul_vec(x, a.basis_vec(y))
-                lz = a.left_mult_matrix(z)
-                zint = [[int(e) for e in r] for r in lz.data]
-                tr = _int_matrix_power_trace(zint, q)
-                if tr % q != 0:
-                    raise PropertyViolation("p-power trace is not divisible as required")
-                row.append((tr // q) % p)
-            rows.append(row)
-        ker = Mat(field, rows, cols=basis.cols).kernel_basis()
+        zs = [_int_left_mult(a, basis.col(t)) for t in range(d)]
+        g = []
+        for z in zs:
+            tr = _int_matrix_power_trace(z, q)
+            if tr % q != 0:
+                raise PropertyViolation(
+                    f"p-power trace is not divisible as required in {a!r}")
+            g.append((tr // q) % p)
+        # Column y*d + t holds x_t*e_y, column y of the lift of x_t; solve
+        # for the coordinates of all of them in the basis of V_i at once.
+        prods = tuple(tuple(z[m][y] for y in range(n) for z in zs) for m in range(n))
+        coords = solve(basis, Mat._from_canonical(field, prods, n * d)).particular
+        if coords is None:
+            raise PropertyViolation(f"a product leaves the trace ideal V_{i} in {a!r}")
+        terms = [(row, gk) for row, gk in zip(coords.data, g) if gk]
+        rows = tuple(
+            tuple(sum(row[y * d + t] * gk for row, gk in terms) % p for t in range(d))
+            for y in range(n)
+        )
+        ker = Mat._from_canonical(field, rows, d).kernel_basis()
         basis = basis * ker
     return basis
+
+
+def _int_left_mult(a: Algebra, x) -> list:
+    """The integer lift, entries in [0, p), of the matrix of y -> x*y: row m,
+    column j holds coordinate m of x*e_j, summed from the structure table."""
+    n, p = a.dim, a.field.characteristic
+    z = [[0] * n for _ in range(n)]
+    for k, xk in enumerate(x):
+        if xk:
+            for j, cell in enumerate(a._nz[k]):
+                for m, c in cell:
+                    z[m][j] += xk * c
+    return [[e % p for e in row] for row in z]
 
 
 def _trace(m: Mat):
@@ -313,7 +358,7 @@ def _int_matrix_power_trace(m, e: int) -> int:
 
 def _int_matmul(a, b):
     bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 # ---------------------------------------------------------------------------
@@ -871,9 +916,17 @@ def product_algebra(a: Algebra, b: Algebra) -> Algebra:
 
 
 def tensor_algebra(a: Algebra, b: Algebra) -> Algebra:
-    """a ⊗_k b; modules over it are (a, b^op)-bimodule-style data."""
+    """a ⊗_k b; modules over it are (a, b^op)-bimodule-style data.
+
+    Built once per pair of factors: the result is cached on a for b, so
+    every bimodule over the same factors shares one algebra and its radical.
+    """
     if a.field != b.field:
         raise InputShapeError("tensor factors must share the field")
+    return memo(a, "tensor", b, lambda: _tensor_algebra(a, b))
+
+
+def _tensor_algebra(a: Algebra, b: Algebra) -> Algebra:
     field = a.field
     da, db = a.dim, b.dim
     dim = da * db

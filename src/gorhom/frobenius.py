@@ -30,6 +30,7 @@ from .algebra import (
     Algebra,
     algebra_to_json,
     json_int,
+    memo,
     product_algebra,
     resolve_algebra_ref,
     tensor_algebra,
@@ -58,7 +59,6 @@ from .modrep import (
     hom_coordinates,
     hom_space,
     is_isomorphic,
-    memo,
     regular_module,
     stable_hom_dim,
     structural_modules,

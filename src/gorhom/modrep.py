@@ -21,7 +21,7 @@ from itertools import product as iter_product
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-from .algebra import Algebra, algebra_to_json, json_int, resolve_algebra_ref
+from .algebra import Algebra, algebra_to_json, json_int, memo, resolve_algebra_ref
 from .errors import AlgebraMismatch, InputShapeError, PropertyViolation, UnsupportedAlgebra
 from .exactlin import Mat, kron, rref, solve, unvec, vec
 
@@ -140,22 +140,6 @@ def regular_module(a: Algebra) -> Module:
 # ---------------------------------------------------------------------------
 # Hom spaces
 # ---------------------------------------------------------------------------
-
-
-def memo(holder, tag, other, build):
-    """build(), cached in holder's cache for the object `other`.
-
-    The entry stores `other` next to the value.  That keeps `other` alive,
-    so its id cannot pass to a new object while the entry exists, and the
-    `is` test makes the match explicit.
-    """
-    key = (tag, id(other))
-    cached = holder._cache.get(key)
-    if cached is not None and cached[0] is other:
-        return cached[1]
-    value = build()
-    holder._cache[key] = (other, value)
-    return value
 
 
 def _intertwining_system(m: Module, n: Module) -> Mat:

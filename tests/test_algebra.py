@@ -1,10 +1,16 @@
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+import gorhom
+from gorhom import algebra
 from gorhom.algebra import (
     Algebra,
     Quiver,
+    _same_column_space,
     algebra_from_json,
     algebra_to_json,
     cyclic_group_table,
@@ -30,6 +36,7 @@ from gorhom.errors import (
     UnsupportedAlgebra,
 )
 from gorhom.exactlin import FieldSpec, Mat
+from gorhom.frobenius import extension_bimodule, load_bimodule, load_extension
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -336,3 +343,108 @@ def test_rational_path_algebra():
     a = path_algebra(a2_quiver(), QQ)
     assert a.dim == 3
     assert a.radical_basis().cols == 1
+
+
+# -- the generic radical against its per-product definition ------------------
+
+DATA = Path(gorhom.__file__).parent / "data"
+
+
+def _per_product_radical(a):
+    """The F_p radical chain evaluating g_i(x_t*e_y) directly for every basis
+    vector x_t of V_i and every e_y: one integer matrix power per product.
+    Returns the radical basis and the dimension of each V_i evaluated."""
+    field, n, p = a.field, a.dim, a.field.characteristic
+    levels = 0
+    while p ** (levels + 1) <= n:
+        levels += 1
+    basis, dims = Mat.identity(field, n), []
+    for i in range(levels + 1):
+        q = p ** i
+        if basis.cols == 0:
+            break
+        dims.append(basis.cols)
+        rows = []
+        for y in range(n):
+            row = []
+            for t in range(basis.cols):
+                lz = a.left_mult_matrix(a.mul_vec(basis.col(t), a.basis_vec(y)))
+                tr = algebra._int_matrix_power_trace([[int(e) for e in r] for r in lz.data], q)
+                assert tr % q == 0
+                row.append((tr // q) % p)
+            rows.append(row)
+        basis = basis * Mat(field, rows, cols=basis.cols).kernel_basis()
+    return basis, dims
+
+
+def _radical_oracle_algebras():
+    """Every bundled F_p algebra and its opposite, both tensor algebras of
+    each bundled bimodule, and the constructions tested above."""
+    out = []
+    for path in sorted(DATA.glob("*.alg")):
+        a = load_algebra(path)
+        out += [a, a.opposite()]
+    bimodules = [extension_bimodule(load_extension(path)) for path in sorted(DATA.glob("*.ext"))]
+    bimodules.append(load_bimodule(DATA / "morita_col.bimod"))
+    for b in bimodules:
+        out += [tensor_algebra(b.left, b.right.opposite()),
+                tensor_algebra(b.right, b.left.opposite())]
+    a2 = path_algebra(a2_quiver(), F2)
+    dual = truncated_extension(field_algebra(F2), 2)[0]
+    out += [
+        product_algebra(field_algebra(F2), a2),
+        truncated_extension(a2, 2)[0],
+        dual,
+        matrix_algebra(dual, 2),
+        tensor_algebra(a2, group_algebra(cyclic_group_table(2), F2).opposite()),
+        group_algebra(cyclic_group_table(3), F3),
+        group_algebra(symmetric_group_table(3), F7),
+    ]
+    return [a for a in out if a.field.characteristic]
+
+
+def test_linear_radical_matches_per_product_evaluation():
+    algebras = _radical_oracle_algebras()
+    assert len(algebras) == 51
+    for a in algebras:
+        expected, _ = _per_product_radical(a)
+        assert _same_column_space(algebra._radical_generic(a), expected), repr(a)
+
+
+def test_linear_radical_powers_once_per_basis_vector(monkeypatch):
+    b = extension_bimodule(load_extension(DATA / "a2_a2t2.ext"))
+    t = tensor_algebra(b.left, b.right.opposite())
+    calls = []
+    power_trace = algebra._int_matrix_power_trace
+
+    def counting(m, e):
+        calls.append(e)
+        return power_trace(m, e)
+
+    monkeypatch.setattr(algebra, "_int_matrix_power_trace", counting)
+    algebra._radical_generic(t)
+    linear = len(calls)
+    calls.clear()
+    _, dims = _per_product_radical(t)
+    assert t.dim == 18 and dims == [18, 18, 17, 15, 14]
+    assert linear == sum(dims)
+    assert len(calls) == t.dim * linear
+
+
+def test_radical_failures_name_the_algebra(monkeypatch):
+    a2 = path_algebra(a2_quiver(), F2)
+    wrong = Algebra(F2, a2.basis_labels, a2.table, a2.unit, _closed_radical=Mat.zeros(F2, 3, 0),
+                    provenance={"kind": "wrong_closed_radical"})
+    named = re.escape(repr(wrong))
+    with pytest.raises(PropertyViolation, match=f"closed-form radical disagrees.*{named}"):
+        wrong.radical_basis()
+    # g_1 is evaluated as Tr(Z^2)/2, so an odd trace must be refused
+    with monkeypatch.context() as patch:
+        patch.setattr(algebra, "_int_matrix_power_trace", lambda m, e: 1)
+        with pytest.raises(PropertyViolation, match=f"not divisible.*{named}"):
+            algebra._radical_generic(wrong)
+    solve = algebra.solve
+    monkeypatch.setattr(algebra, "solve",
+                        lambda a, b: dataclasses.replace(solve(a, b), particular=None))
+    with pytest.raises(PropertyViolation, match=f"leaves the trace ideal.*{named}"):
+        algebra._radical_generic(wrong)

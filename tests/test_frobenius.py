@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import pytest
 
-from gorhom import frobenius
+import gorhom
+from gorhom import algebra, frobenius
 from gorhom.algebra import (
     Quiver,
     cyclic_group_table,
@@ -250,6 +253,32 @@ def test_second_application_builds_nothing(monkeypatch, ext_f2_f2c2, f2, a2, f2c
     assert ExtensionPair(ext).apply_f(k) is ind
     assert extension_bimodule(ext) is ind._cache["tensor_data"][0]
     assert built == []
+
+
+DATA = Path(gorhom.__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name, load, certify", [
+    ("a2_a2t2.ext", load_extension, is_frobenius_extension),
+    ("morita_col.bimod", load_bimodule, is_frobenius_bimodule),
+])
+def test_certification_computes_the_tensor_radical_once(monkeypatch, name, load, certify):
+    # Both sides of the certified isomorphism are modules over S (x) R^op,
+    # which is built once per pair of factors, and its radical with it.
+    kinds = []
+    generic = algebra._radical_generic
+
+    def counting(a):
+        kinds.append(a.provenance.get("kind"))
+        return generic(a)
+
+    monkeypatch.setattr(algebra, "_radical_generic", counting)
+    obj = load(DATA / name)
+    assert certify(obj).verdict == "yes"
+    assert kinds.count("tensor") == 1
+    kinds.clear()
+    assert certify(obj).verdict == "yes"
+    assert kinds == []
 
 
 def test_faithfulness_identity(a2):
