@@ -594,7 +594,7 @@ def path_algebra(q: Quiver, field: FieldSpec, max_path_length: int = 64) -> Alge
         for b, key in enumerate(basis_keys)
         if len(key[1]) >= 1
     ]
-    closed_rad = Mat.from_cols(field, rad_cols) if rad_cols else Mat.zeros(field, dim, 0)
+    closed_rad = Mat.from_cols(field, rad_cols, dim)
 
     labels = [_path_label(k, arrow_labels) for k in basis_keys]
     return Algebra(
@@ -770,7 +770,7 @@ def truncated_extension(r: Algebra, t: int):
             v = [zero] * dim
             v[pos(i, j)] = field.one()
             rad_cols.append(tuple(v))
-    closed_rad = Mat.from_cols(field, rad_cols) if rad_cols else Mat.zeros(field, dim, 0)
+    closed_rad = Mat.from_cols(field, rad_cols, dim)
 
     s = Algebra(
         field,
@@ -854,7 +854,7 @@ def matrix_algebra(a: Algebra, n: int) -> Algebra:
                 for i, c in enumerate(col):
                     w[pos(u, v, i)] = c
                 rad_cols.append(tuple(w))
-    closed_rad = Mat.from_cols(field, rad_cols) if rad_cols else Mat.zeros(field, dim, 0)
+    closed_rad = Mat.from_cols(field, rad_cols, dim)
 
     return Algebra(
         field,
@@ -900,7 +900,7 @@ def product_algebra(a: Algebra, b: Algebra) -> Algebra:
 
     rad_cols = [embed_a(a.radical_basis().col(c)) for c in range(a.radical_basis().cols)]
     rad_cols += [embed_b(b.radical_basis().col(c)) for c in range(b.radical_basis().cols)]
-    closed_rad = Mat.from_cols(field, rad_cols) if rad_cols else Mat.zeros(field, dim, 0)
+    closed_rad = Mat.from_cols(field, rad_cols, dim)
 
     return Algebra(
         field,
@@ -991,12 +991,8 @@ def _tensor_algebra(a: Algebra, b: Algebra) -> Algebra:
             for j, x in enumerate(col):
                 v[pos(i, j)] = x
             span_cols.append(v)
-    if span_cols:
-        span = Mat.from_cols(field, span_cols)
-        red = rref(span.transpose())
-        closed_rad = red.matrix.transpose().select_cols(range(red.rank))
-    else:
-        closed_rad = Mat.zeros(field, dim, 0)
+    red = rref(Mat.from_cols(field, span_cols, dim).transpose())
+    closed_rad = red.matrix.transpose().select_cols(range(red.rank))
 
     return Algebra(
         field,

@@ -42,7 +42,7 @@ from .homology import (
     resolve,
     totalize_quasi_bicomplex,
 )
-from .modrep import load_module, structural_modules
+from .modrep import load_module, radical_submodule_basis, socle_basis, structural_modules
 
 
 def _data_dir() -> Path:
@@ -168,8 +168,6 @@ def module_info(path, bound, seed, fmt, out):
 
     def run():
         m = load_module(resolve_input(path))
-        from .modrep import radical_submodule_basis, socle_basis
-
         return {
             "title": f"module {path}",
             "dimension": m.dim,

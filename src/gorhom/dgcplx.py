@@ -27,21 +27,31 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from .algebra import Algebra
+from .algebra import Algebra, algebra_to_json, resolve_algebra_ref
 from .errors import InputShapeError, PreconditionFailed, PropertyViolation
-from .exactlin import Mat, solve
+from .exactlin import Mat, block_matrix, solve, vec
 from .frobenius import AdjunctionReport
-from .homology import ComplexObj, GorensteinProfile, is_gorenstein_projective
+from .homology import (
+    ComplexObj,
+    GorensteinProfile,
+    hom_delta,
+    is_gorenstein_projective,
+    is_projective,
+    json_support,
+)
 from .modrep import (
     ModHom,
     Module,
     ShortExactSequence,
+    component_to_json,
     cover_envelope,
     direct_sum,
     hom_space,
+    module_from_json,
     submodule,
     zero_module,
 )
@@ -97,15 +107,11 @@ class GradedHom:
                    for p in self.target.support())
 
 
-class ChainMap:
+class ChainMap(GradedHom):
     """A degreewise module map between complexes commuting with differentials."""
 
     def __init__(self, source: ComplexObj, target: ComplexObj, mats: Dict[int, Mat]):
-        self.source = source
-        self.target = target
-        self.mats = dict(mats)
-        for p, mat in self.mats.items():
-            ModHom(source.component(p), target.component(p), mat)
+        super().__init__(source, target, mats)
         lo = min(source.lo, target.lo) - 1
         hi = max(source.hi, target.hi) + 1
         for p in range(lo, hi + 1):
@@ -114,82 +120,32 @@ class ChainMap:
             if lhs != rhs:
                 raise PropertyViolation(f"chain map square fails at degree {p}")
 
-    def mat(self, p: int) -> Mat:
-        m = self.mats.get(p)
-        if m is not None:
-            return m
-        field = self.source.algebra.field
-        return Mat.zeros(field, self.target.component(p).dim, self.source.component(p).dim)
 
-    def is_mono(self) -> bool:
-        return all(self.mat(p).kernel_basis().cols == 0 for p in self.source.support())
-
-    def is_epi(self) -> bool:
-        return all(self.mat(p).rank() == self.target.component(p).dim
-                   for p in self.target.support())
+def _f_dims(x: GradedModule, p: int) -> List[int]:
+    """Block sizes of F(X)^p = X^p ⊕ X^{p-1}."""
+    return [x.component(p).dim, x.component(p - 1).dim]
 
 
 def functor_F(x: GradedModule) -> ComplexObj:
     """F(X)^p = X^p ⊕ X^{p-1} with differential (x, y) -> (0, x)."""
     a = x.algebra
-    field = a.field
-    comps: Dict[int, Module] = {}
-    parts: Dict[int, tuple] = {}
-    for p in range(x.lo, x.hi + 2):
-        top = x.component(p)
-        bot = x.component(p - 1)
-        if top.dim == 0 and bot.dim == 0:
-            comps[p] = zero_module(a)
-            parts[p] = (top, bot)
-            continue
-        total, _incl, _proj = direct_sum([top, bot])
-        comps[p] = total
-        parts[p] = (top, bot)
-    diffs: Dict[int, ModHom] = {}
+    comps = {p: direct_sum([x.component(p), x.component(p - 1)])[0]
+             for p in range(x.lo, x.hi + 2)}
+    diffs = {}
     for p in range(x.lo, x.hi + 1):
-        src = comps[p]
-        tgt = comps[p + 1]
-        top, bot = parts[p]
-        rows = [[field.zero()] * src.dim for _ in range(tgt.dim)]
-        # block (bottom of target) x (top of source) is the identity on X^p
-        top_tgt, _ = parts[p + 1]
-        for i in range(top.dim):
-            rows[top_tgt.dim + i][i] = field.one()
-        diffs[p] = ModHom(src, tgt, Mat(field, rows, cols=src.dim)
-                          if tgt.dim else Mat.zeros(field, 0, src.dim))
-    c = ComplexObj(a, comps, diffs)
-    c._f_parts = parts
-    c._f_source = x
-    return c
-
-
-def _f_parts_at(c: ComplexObj, p: int):
-    parts = c._f_parts.get(p)
-    if parts is not None:
-        return parts
-    src = c._f_source
-    return (src.component(p), src.component(p - 1))
+        # the block (X^p of the target) x (X^p of the source) is the identity
+        d = block_matrix(a.field, _f_dims(x, p + 1), _f_dims(x, p),
+                         {(1, 0): Mat.identity(a.field, x.component(p).dim)})
+        diffs[p] = ModHom(comps[p], comps[p + 1], d)
+    return ComplexObj(a, comps, diffs)
 
 
 def functor_F_hom(f: GradedHom, fx: ComplexObj, fy: ComplexObj) -> ChainMap:
-    """F on morphisms: the diagonal blocks diag(f^p, f^{p-1})."""
-    field = f.source.algebra.field
-    mats = {}
-    for p in range(min(fx.lo, fy.lo), max(fx.hi, fy.hi) + 1):
-        top_s, bot_s = _f_parts_at(fx, p)
-        top_t, bot_t = _f_parts_at(fy, p)
-        a = f.mat(p)
-        b = f.mat(p - 1)
-        rows = [[field.zero()] * (top_s.dim + bot_s.dim)
-                for _ in range(top_t.dim + bot_t.dim)]
-        for i in range(a.rows):
-            for j in range(a.cols):
-                rows[i][j] = a.entry(i, j)
-        for i in range(b.rows):
-            for j in range(b.cols):
-                rows[top_t.dim + i][top_s.dim + j] = b.entry(i, j)
-        mats[p] = Mat(field, rows, cols=top_s.dim + bot_s.dim) \
-            if rows else Mat.zeros(field, 0, top_s.dim + bot_s.dim)
+    """F on morphisms, from F(f.source) = fx to F(f.target) = fy: the
+    diagonal blocks diag(f^p, f^{p-1})."""
+    mats = {p: block_matrix(f.source.algebra.field, _f_dims(f.target, p), _f_dims(f.source, p),
+                            {(0, 0): f.mat(p), (1, 1): f.mat(p - 1)})
+            for p in range(min(fx.lo, fy.lo), max(fx.hi, fy.hi) + 1)}
     return ChainMap(fx, fy, mats)
 
 
@@ -220,14 +176,9 @@ def shift_sigma(c: ComplexObj) -> ComplexObj:
 def unit_FU(x: GradedModule, fx: ComplexObj) -> GradedHom:
     """eta: X -> U F X, the inclusion x -> (x, 0)."""
     field = x.algebra.field
-    ufx = functor_U(fx)
-    mats = {}
-    for p in x.support():
-        top, bot = fx._f_parts[p]
-        rows = [[field.one() if (i == j) else field.zero()
-                 for j in range(top.dim)] for i in range(top.dim + bot.dim)]
-        mats[p] = Mat(field, rows, cols=top.dim) if rows else Mat.zeros(field, 0, top.dim)
-    return GradedHom(x, ufx, mats)
+    mats = {p: Mat.identity(field, sum(_f_dims(x, p))).select_cols(range(x.component(p).dim))
+            for p in x.support()}
+    return GradedHom(x, functor_U(fx), mats)
 
 
 def counit_FU(y: ComplexObj) -> ChainMap:
@@ -236,19 +187,8 @@ def counit_FU(y: ComplexObj) -> ChainMap:
     fuy = functor_F(functor_U(y))
     mats = {}
     for p in fuy.support():
-        top, bot = fuy._f_parts[p]       # Y^p and Y^{p-1}
-        tgt = y.component(p)
-        d_prev = y.differential(p - 1).matrix
-        rows = []
-        for i in range(tgt.dim):
-            row = [field.zero()] * (top.dim + bot.dim)
-            if i < top.dim:
-                row[i] = field.one()
-            for j in range(bot.dim):
-                row[top.dim + j] = d_prev.entry(i, j)
-            rows.append(row)
-        mats[p] = Mat(field, rows, cols=top.dim + bot.dim) \
-            if rows else Mat.zeros(field, 0, top.dim + bot.dim)
+        # (F U Y)^p = Y^p ⊕ Y^{p-1}
+        mats[p] = Mat.identity(field, y.component(p).dim).hstack(y.differential(p - 1).matrix)
     return ChainMap(fuy, y, mats)
 
 
@@ -259,36 +199,18 @@ def unit_U_SigmaF(y: ComplexObj) -> ChainMap:
     mats = {}
     for p in y.support():
         # (Σ F U Y)^p = (F U Y)^{p+1} = Y^{p+1} ⊕ Y^p
-        up = y.component(p + 1)
-        here = y.component(p)
-        d = y.differential(p).matrix
-        rows = []
-        for i in range(up.dim):
-            rows.append([field.neg(d.entry(i, j)) for j in range(here.dim)])
-        for i in range(here.dim):
-            rows.append([field.one() if i == j else field.zero()
-                         for j in range(here.dim)])
-        mats[p] = Mat(field, rows, cols=here.dim) \
-            if rows else Mat.zeros(field, 0, here.dim)
+        mats[p] = (-y.differential(p).matrix).vstack(Mat.identity(field, y.component(p).dim))
     return ChainMap(y, sfu, mats)
 
 
 def counit_U_SigmaF(x: GradedModule, sfx: ComplexObj) -> GradedHom:
     """eps': U Σ F X -> X, (x, y) -> y."""
-    field = x.algebra.field
     usf = functor_U(sfx)
     mats = {}
     for p in usf.support():
         # (Σ F X)^p = (F X)^{p+1} = X^{p+1} ⊕ X^p
-        up = x.component(p + 1)
-        here = x.component(p)
-        rows = []
-        for i in range(here.dim):
-            row = [field.zero()] * (up.dim + here.dim)
-            row[up.dim + i] = field.one()
-            rows.append(row)
-        mats[p] = Mat(field, rows, cols=up.dim + here.dim) \
-            if rows else Mat.zeros(field, 0, up.dim + here.dim)
+        up, here = _f_dims(x, p + 1)
+        mats[p] = Mat.identity(x.algebra.field, up + here).select_rows(range(up, up + here))
     return GradedHom(usf, x, mats)
 
 
@@ -298,43 +220,28 @@ def is_contractible(c: ComplexObj):
     Returns (True, homotopy mats) with an exact witness, or (False, None).
     """
     field = c.algebra.field
-    hom_bases = {}
-    for p in c.support():
-        hom_bases[p] = hom_space(c.component(p), c.component(p - 1))
-    n_vars = sum(len(b) for b in hom_bases.values())
-    offsets = {}
-    run = 0
-    for p in c.support():
-        offsets[p] = run
-        run += len(hom_bases[p])
-    rows: List[List] = []
-    rhs: List = []
-    for p in c.support():
-        comp = c.component(p)
-        if comp.dim == 0:
-            continue
-        d_prev = c.differential(p - 1).matrix
-        d_here = c.differential(p).matrix
-        for i in range(comp.dim):
-            for j in range(comp.dim):
-                row = [field.zero()] * n_vars
-                # d^{p-1} ∘ s^p contribution
-                for t, h in enumerate(hom_bases[p]):
-                    prod = d_prev * h.matrix
-                    row[offsets[p] + t] = prod.entry(i, j)
-                # s^{p+1} ∘ d^p contribution
-                for t, h in enumerate(hom_bases.get(p + 1, [])):
-                    prod = h.matrix * d_here
-                    row[offsets[p + 1] + t] = field.add(row[offsets[p + 1] + t],
-                                                        prod.entry(i, j))
-                rows.append(row)
-                rhs.append(field.one() if i == j else field.zero())
-    if not rows:
+    degrees = list(c.support())
+    hom_bases = {p: hom_space(c.component(p), c.component(p - 1)) for p in degrees}
+    # one block row of equations per nonzero component, in the unknowns of
+    # every s^p: (d^{p-1} ∘ s^p + s^{p+1} ∘ d^p) = id, vectorized
+    eq_degrees = [p for p in degrees if c.component(p).dim]
+    if not eq_degrees:
         return True, {}
-    system = Mat(field, rows, cols=n_vars)
-    res = solve(system, Mat.col_vector(field, rhs))
+    blocks = {}
+    for r, p in enumerate(eq_degrees):
+        k = p - c.lo
+        if hom_bases[p]:
+            blocks[(r, k)] = hom_delta(hom_bases[p], c.differential(p - 1).matrix, post=True)
+        if hom_bases.get(p + 1):
+            blocks[(r, k + 1)] = hom_delta(hom_bases[p + 1], c.differential(p).matrix)
+    sizes = [c.component(p).dim ** 2 for p in eq_degrees]
+    system = block_matrix(field, sizes, [len(hom_bases[p]) for p in degrees], blocks)
+    rhs = block_matrix(field, sizes, [1], {(r, 0): vec(Mat.identity(field, c.component(p).dim))
+                                           for r, p in enumerate(eq_degrees)})
+    res = solve(system, rhs)
     if res.particular is None:
         return False, None
+    offsets = dict(zip(degrees, accumulate([len(hom_bases[p]) for p in degrees], initial=0)))
     coeffs = res.particular
     homotopy = {}
     for p in c.support():
@@ -486,8 +393,6 @@ def check_frobenius_pair_FU(corpus_graded: Sequence[GradedModule],
         contractible, _ = is_contractible(fp)
         if not contractible:
             f_contractible = False
-        from .homology import is_projective
-
         if not all(is_projective(fp.component(p)) for p in fp.support()):
             f_contractible = False
 
@@ -538,37 +443,21 @@ def componentwise_gp_check(c: ComplexObj, profile: GorensteinProfile) -> Compone
 
 
 def graded_to_json(g: GradedModule, algebra_ref=None) -> dict:
-    from .algebra import algebra_to_json
-
-    fmt = g.algebra.field.format
-    comps = []
-    for p in g.support():
-        mod = g.component(p)
-        comps.append({"dim": mod.dim,
-                      "action": [[fmt(mat.entry(i, j)) for i in range(mod.dim)
-                                  for j in range(mod.dim)] for mat in mod.action]})
     return {
         "algebra": algebra_ref if algebra_ref is not None else algebra_to_json(g.algebra),
         "support": [g.lo, g.hi],
-        "components": comps,
+        "components": [component_to_json(g.component(p)) for p in g.support()],
     }
 
 
 def graded_from_json(doc: dict, algebra: Optional[Algebra] = None,
                      base_dir: Optional[Path] = None) -> GradedModule:
-    from .algebra import json_int, resolve_algebra_ref
-    from .modrep import module_from_json
-
     try:
         if algebra is None:
             algebra = resolve_algebra_ref(doc["algebra"], base_dir)
-        lo, _hi = (json_int(v, "support") for v in doc["support"])
-        comps = {}
-        for offset, comp_doc in enumerate(doc["components"]):
-            comps[lo + offset] = module_from_json(
-                {"algebra": None, "dim": comp_doc["dim"], "action": comp_doc["action"]},
-                algebra=algebra)
-        return GradedModule(algebra, comps)
+        lo = json_support(doc)
+        return GradedModule(algebra, {lo + k: module_from_json(comp, algebra=algebra)
+                                      for k, comp in enumerate(doc["components"])})
     except (KeyError, TypeError, ValueError) as exc:
         raise InputShapeError(f"malformed graded module document: {exc}") from exc
 

@@ -13,10 +13,17 @@ nonzero entry as pivot, deterministically.
 Canonical form is an invariant of every `Mat`: entries are ints in
 [0, p) over F_p and `Fraction`s over Q.  The public constructor `Mat(...)`
 is the boundary where outside data comes in, so it coerces and checks
-every entry.  The routines of this module build their results with the
-private `Mat._from_canonical`, which skips that work: their entries are
-canonical by construction.  It is for internal arithmetic only; code
-outside this module builds matrices with `Mat(...)`.
+every entry; so does `mat_from_flat`, the reader of the flat encoding.
+The routines of this module build their results with the private
+`Mat._from_canonical`, which skips that work: their entries are canonical
+by construction.  `Mat.from_cols` is trusted the same way and takes
+columns of canonical entries, such as columns of other matrices.
+
+Matrix layout lives here and nowhere else: slicing (`select_rows`,
+`select_cols`), block assembly (`block_matrix`, of which a block-diagonal
+matrix is the special case), empty shapes (an n x 0 matrix from no
+columns) and the flat row-major string encoding that every document
+format uses for its matrices (`mat_to_flat`, `mat_from_flat`).
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from operator import mul
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import InputShapeError
 
@@ -194,11 +201,12 @@ class Mat:
             field, tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)), n)
 
     @staticmethod
-    def from_cols(field: FieldSpec, cols: Sequence[Sequence]) -> "Mat":
+    def from_cols(field: FieldSpec, cols: Sequence[Sequence], rows: int = 0) -> "Mat":
+        """The matrix with the given columns of canonical entries; `rows` is
+        its row count when there are no columns."""
         if not cols:
-            return Mat.zeros(field, 0, 0)
-        n = len(cols[0])
-        return Mat(field, [[col[i] for col in cols] for i in range(n)], cols=len(cols))
+            return Mat.zeros(field, rows, 0)
+        return Mat._from_canonical(field, tuple(zip(*cols)), len(cols))
 
     @staticmethod
     def col_vector(field: FieldSpec, entries: Sequence) -> "Mat":
@@ -310,6 +318,9 @@ class Mat:
         idx = list(idx)
         rows = tuple([tuple([row[j] for j in idx]) for row in self.data])
         return Mat._from_canonical(self.field, rows, len(idx))
+
+    def select_rows(self, idx: Iterable[int]) -> "Mat":
+        return Mat._from_canonical(self.field, tuple([self.data[i] for i in idx]), self.cols)
 
     def _same_shape(self, other: "Mat"):
         if self.rows != other.rows or self.cols != other.cols:
@@ -449,7 +460,7 @@ def solve(a: Mat, b: Mat) -> SolveResult:
         for r_i, c in enumerate(pivots):
             v[c] = field.neg(R.entry(r_i, f))
         kcols.append(v)
-    kernel = _canonical_from_cols(field, kcols, n)
+    kernel = Mat.from_cols(field, kcols, n)
 
     # Per-column consistency: column k of b is consistent unless some row
     # with zero in the first n columns has a nonzero entry at position n+k.
@@ -469,15 +480,8 @@ def solve(a: Mat, b: Mat) -> SolveResult:
             for r_i, c in enumerate(pivots):
                 v[c] = R.entry(r_i, n + k)
             pcols.append(v)
-        particular = _canonical_from_cols(field, pcols, n)
+        particular = Mat.from_cols(field, pcols, n)
     return SolveResult(particular, kernel, column_consistent)
-
-
-def _canonical_from_cols(field: FieldSpec, cols: list, n: int) -> Mat:
-    """The n-row matrix with the given columns of canonical entries."""
-    if not cols:
-        return Mat.zeros(field, n, 0)
-    return Mat._from_canonical(field, tuple(zip(*cols)), len(cols))
 
 
 def fraction_free_rank(m: Mat) -> int:
@@ -565,3 +569,47 @@ def unvec(field: FieldSpec, v: Sequence, rows: int, cols: int) -> Mat:
     such as a column of another matrix."""
     return Mat._from_canonical(
         field, tuple(tuple(v[j * rows + i] for j in range(cols)) for i in range(rows)), cols)
+
+
+def block_matrix(field: FieldSpec, row_sizes: Sequence[int], col_sizes: Sequence[int],
+                 blocks: Mapping[Tuple[int, int], Mat]) -> Mat:
+    """The matrix cut into row_sizes x col_sizes blocks whose block (i, j) is
+    blocks[(i, j)], zero where absent.  Sizes may be 0."""
+    zero = field.zero()
+    out = []
+    used = 0
+    for i, r in enumerate(row_sizes):
+        parts = []
+        for j, c in enumerate(col_sizes):
+            b = blocks.get((i, j))
+            if b is None:
+                parts.append(((zero,) * c,) * r)
+                continue
+            if b.rows != r or b.cols != c:
+                raise InputShapeError(f"block ({i}, {j}) is {b.rows}x{b.cols}, expected {r}x{c}")
+            parts.append(b.data)
+            used += 1
+        if col_sizes:
+            out.extend(sum(pieces, ()) for pieces in zip(*parts))
+        else:
+            out.extend([()] * r)
+    if used != len(blocks):
+        raise InputShapeError("a block lies outside the block grid")
+    return Mat._from_canonical(field, tuple(out), sum(col_sizes))
+
+
+def mat_to_flat(m: Mat) -> list:
+    """The entries of m as strings, row by row: the document encoding."""
+    fmt = m.field.format
+    return [fmt(x) for row in m.data for x in row]
+
+
+def mat_from_flat(field: FieldSpec, flat, rows: int, cols: int) -> Mat:
+    """Read the rows x cols matrix of a flat row-major document list,
+    coercing every entry; the list must hold exactly rows * cols entries."""
+    if not isinstance(flat, list):
+        raise InputShapeError(f"a flat matrix must be a list, got {type(flat).__name__}")
+    if len(flat) != rows * cols:
+        raise InputShapeError(
+            f"a {rows}x{cols} matrix needs {rows * cols} entries, got {len(flat)}")
+    return Mat(field, [flat[i * cols:(i + 1) * cols] for i in range(rows)], cols=cols)

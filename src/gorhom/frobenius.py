@@ -41,7 +41,7 @@ from .errors import (
     PreconditionFailed,
     PropertyViolation,
 )
-from .exactlin import Mat, kron, solve, vec
+from .exactlin import Mat, block_matrix, kron, mat_from_flat, mat_to_flat, solve, vec
 from .homology import (
     fin_dimension,
     gorenstein_profile,
@@ -57,6 +57,7 @@ from .modrep import (
     column_space_basis,
     cover_envelope,
     hom_coordinates,
+    hom_factorization,
     hom_space,
     is_isomorphic,
     regular_module,
@@ -192,12 +193,9 @@ class ExtensionPair:
         ind = self.apply_f(x)
         res_ind = self.apply_g(ind)
         field = x.algebra.field
-        cols = []
-        for c in range(x.dim):
-            e_c = tuple(field.one() if i == c else field.zero() for i in range(x.dim))
-            cols.append(_pure(ind, self.ext.total.unit, e_c))
-        mat = Mat.from_cols(field, cols) if cols else Mat.zeros(field, ind.dim, 0)
-        return ModHom(x, res_ind, mat)
+        eye = Mat.identity(field, x.dim)
+        cols = [_pure(ind, self.ext.total.unit, eye.col(c)) for c in range(x.dim)]
+        return ModHom(x, res_ind, Mat.from_cols(field, cols, ind.dim))
 
     def counit(self, y: Module) -> ModHom:
         res = self.apply_g(y)
@@ -206,12 +204,8 @@ class ExtensionPair:
         s = self.ext.total
         field = s.field
         # on the ambient S ⊗ res(y): s_i ⊗ w_j -> rho_y(s_i) w_j
-        cols = []
-        for i in range(s.dim):
-            act = y.action[i]
-            for j in range(y.dim):
-                cols.append(tuple(act.col(j)))
-        e1 = Mat.from_cols(field, cols) if cols else Mat.zeros(field, y.dim, 0)
+        e1 = block_matrix(field, [y.dim], [y.dim] * s.dim,
+                          {(0, i): act for i, act in enumerate(y.action)})
         mat = e1 * section
         if mat * proj.matrix != e1:
             raise PropertyViolation("counit does not kill the balancing relations")
@@ -269,9 +263,8 @@ class ResCoindPair:
         _e, _x, basis = co._cache["coind_data"]
         field = x.algebra.field
         unit_col = Mat.col_vector(field, self.ext.total.unit)
-        cols = [tuple((h.matrix * unit_col).col(0)) for h in basis]
-        mat = Mat.from_cols(field, cols) if cols else Mat.zeros(field, x.dim, 0)
-        return ModHom(res_co, x, mat)
+        cols = [(h.matrix * unit_col).col(0) for h in basis]
+        return ModHom(res_co, x, Mat.from_cols(field, cols, x.dim))
 
     def check_triangles(self, y: Module, x: Module) -> bool:
         # (eps Res)(Res eta) = id on Res y
@@ -401,23 +394,13 @@ def _tensor(bim: Bimodule, x: Module) -> Module:
         ambient_actions = [kron(bim.left_action[i], Mat.identity(field, dx))
                            for i in range(out_alg.dim)]
         ambient = Module(out_alg, ambient_actions, _skip_validation=True)
+        # column a*dx + b of kron(mr, 1) - kron(1, xr) is m_a·r ⊗ v_b - m_a ⊗ r·v_b
+        eye_m, eye_x = Mat.identity(field, dm), Mat.identity(field, dx)
         cols = []
-        for j in range(act_alg.dim):
-            mr = bim.right_action[j]
-            xr = x.action[j]
-            for a in range(dm):
-                for b in range(dx):
-                    rel = [field.zero()] * (dm * dx)
-                    for a2, c in enumerate(mr.col(a)):
-                        if c != 0:
-                            rel[a2 * dx + b] = field.add(rel[a2 * dx + b], c)
-                    for b2, c in enumerate(xr.col(b)):
-                        if c != 0:
-                            rel[a * dx + b2] = field.sub(rel[a * dx + b2], c)
-                    if any(e != 0 for e in rel):
-                        cols.append(tuple(rel))
-        relations = Mat.from_cols(field, cols) if cols else Mat.zeros(field, dm * dx, 0)
-        rel_basis = column_space_basis(relations) if relations.cols else relations
+        for mr, xr in zip(bim.right_action, x.action):
+            rel = kron(mr, eye_x) - kron(eye_m, xr)
+            cols.extend(c for c in zip(*rel.data) if any(c))
+        rel_basis = column_space_basis(Mat.from_cols(field, cols, dm * dx))
         quot, proj = quotient_module(ambient, rel_basis)
         section = solve(proj.matrix, Mat.identity(field, quot.dim)).particular
         if section is None:
@@ -443,16 +426,10 @@ def _tensor_hom(bim: Bimodule, f: ModHom) -> ModHom:
 
 def _pure(t_mod: Module, m_vec, x_vec) -> tuple:
     """The class of m ⊗ v in a tensor module, as a coordinate tuple."""
-    bim, x, ambient, proj, _sec = t_mod._cache["tensor_data"]
+    bim, _x, _ambient, proj, _sec = t_mod._cache["tensor_data"]
     field = bim.left.field
-    amb_vec = [field.zero()] * ambient.dim
-    for a, cm in enumerate(m_vec):
-        if cm == 0:
-            continue
-        for b, cv in enumerate(x_vec):
-            if cv != 0:
-                amb_vec[a * x.dim + b] = field.add(amb_vec[a * x.dim + b], field.mul(cm, cv))
-    return tuple((proj.matrix * Mat.col_vector(field, amb_vec)).col(0))
+    amb_vec = kron(Mat.from_cols(field, [m_vec]), Mat.from_cols(field, [x_vec]))
+    return (proj.matrix * amb_vec).col(0)
 
 
 # ---------------------------------------------------------------------------
@@ -613,17 +590,16 @@ class BimodulePair:
         fx = self.apply_f(x)
         gfx = self.apply_g(fx)
         field = x.algebra.field
+        eye = Mat.identity(field, x.dim)
         cols = []
         for c in range(x.dim):
-            e_c = tuple(field.one() if i == c else field.zero() for i in range(x.dim))
             acc = [field.zero()] * gfx.dim
             for m_elt, f_coords in zip(self.dual_basis.elements, self._functional_coords):
-                inner = _pure(fx, m_elt, e_c)
+                inner = _pure(fx, m_elt, eye.col(c))
                 outer = _pure(gfx, f_coords, inner)
                 acc = [field.add(a, b) for a, b in zip(acc, outer)]
-            cols.append(tuple(acc))
-        mat = Mat.from_cols(field, cols) if cols else Mat.zeros(field, gfx.dim, 0)
-        return ModHom(x, gfx, mat)
+            cols.append(acc)
+        return ModHom(x, gfx, Mat.from_cols(field, cols, gfx.dim))
 
     def counit(self, y: Module) -> ModHom:
         """M ⊗_R N ⊗_S y -> y, m ⊗ h ⊗ w -> rho_y(h(m))·w."""
@@ -633,32 +609,19 @@ class BimodulePair:
         n_basis = self.dual._cache["hom_basis"]
         _b, _x, _amb, proj_g, sec_g = gy._cache["tensor_data"]
         _b2, _x2, _amb2, proj_f, sec_f = fgy._cache["tensor_data"]
-        # E1 on M ⊗k N ⊗k y
-        cols = []
-        for a in range(self.m.dim):
-            for u, h in enumerate(n_basis):
-                s_elt = tuple(h.matrix.col(a))     # h(m_a) in S
-                act = y.rho(s_elt)
-                for c in range(y.dim):
-                    cols.append(tuple(act.col(c)))
-        e1 = Mat.from_cols(field, cols) if cols else Mat.zeros(field, y.dim, 0)
-        # descend through N ⊗_S y  (columns of the ambient M ⊗k G(y))
-        dn, dy, dgy = len(n_basis), y.dim, gy.dim
-        cols2 = []
-        for a in range(self.m.dim):
-            for q in range(dgy):
-                amb_g = sec_g.col(q)
-                vec = [field.zero()] * (self.m.dim * dn * dy)
-                for idx, cval in enumerate(amb_g):
-                    if cval != 0:
-                        vec[a * dn * dy + idx] = cval
-                cols2.append(tuple((e1 * Mat.col_vector(field, vec)).col(0)))
-        e2 = Mat.from_cols(field, cols2) if cols2 else Mat.zeros(field, y.dim, 0)
+        # E1 on M ⊗k N ⊗k y: block (a, u) is the action of h_u(m_a) in S
+        acts = [y.rho(h.matrix.col(a)) for a in range(self.m.dim) for h in n_basis]
+        e1 = block_matrix(field, [y.dim], [y.dim] * len(acts),
+                          {(0, k): act for k, act in enumerate(acts)})
+        # descend through N ⊗_S y: the ambient M ⊗k G(y) maps into M ⊗k N ⊗k y
+        # by the section of G(y) on each copy
+        eye_m = Mat.identity(field, self.m.dim)
+        e2 = e1 * kron(eye_m, sec_g)
         mat = e2 * sec_f
         if mat * proj_f.matrix != e2:
             raise PropertyViolation("counit does not kill the outer balancing relations")
         # well-definedness across the inner quotient
-        big_q = kron(Mat.identity(field, self.m.dim), proj_g.matrix)
+        big_q = kron(eye_m, proj_g.matrix)
         if mat * proj_f.matrix * big_q != e1:
             raise PropertyViolation("counit does not kill the inner balancing relations")
         return ModHom(fgy, y, mat)
@@ -681,36 +644,12 @@ class BimodulePair:
 
 def column_bimodule(r: Algebra, n: int, matrix_alg: Algebra) -> Bimodule:
     """The column bimodule R^n over (M_n(R), R): left matrix action, right scalars."""
-    field = r.field
-    d = r.dim
-    dim = n * d
-
-    def pos(u, i):
-        return u * d + i
-
-    left = []
-    for u in range(n):
-        for v in range(n):
-            for i in range(r.dim):
-                mat = [[field.zero()] * dim for _ in range(dim)]
-                # E_uv r_i sends column entry (v, j) to (u, i*j)
-                for j in range(d):
-                    prod = r.table[i][j]
-                    for k2, c in enumerate(prod):
-                        if c != 0:
-                            mat[pos(u, k2)][pos(v, j)] = c
-                left.append(Mat(field, mat, cols=dim))
-    right = []
-    for j in range(r.dim):
-        mat = [[field.zero()] * dim for _ in range(dim)]
-        for u in range(n):
-            for i in range(d):
-                prod = r.table[i][j]
-                for k2, c in enumerate(prod):
-                    if c != 0:
-                        mat[pos(u, k2)][pos(u, i)] = c
-        right.append(Mat(field, mat, cols=dim))
-    return Bimodule(matrix_alg, r, dim, left, right)
+    eye = Mat.identity(r.field, n)
+    # E_uv ⊗ r_i sends column entry (v, j) to (u, r_i·r_j); r_j acts on the right
+    left = [kron(eye.select_cols([u]) * eye.select_rows([v]), r.left_mult_matrix(r.basis_vec(i)))
+            for u in range(n) for v in range(n) for i in range(r.dim)]
+    right = [kron(eye, r.right_mult_matrix(r.basis_vec(j))) for j in range(r.dim)]
+    return Bimodule(matrix_alg, r, n * r.dim, left, right)
 
 
 class ProductPair:
@@ -1114,8 +1053,6 @@ def tri_equiv_conditions(pair, corpus_a: Sequence[Module], corpus_b: Sequence[Mo
     stable Hom dimensions across the functors in both directions, an
     object-level witness for the induced stable equivalence.
     """
-    from .modrep import hom_factorization
-
     if not add_generation_holds(pair, "f"):
         raise PreconditionFailed("G is not faithful on the projectives (add test)")
     if not add_generation_holds(pair, "g"):
@@ -1194,12 +1131,10 @@ def tri_equiv_conditions(pair, corpus_a: Sequence[Module], corpus_b: Sequence[Mo
 
 
 def extension_to_json(ext: RingExtension, base_ref=None, total_ref=None) -> dict:
-    fmt = ext.base.field.format
-    emb = ext.embedding
     return {
         "base": base_ref if base_ref is not None else algebra_to_json(ext.base),
         "total": total_ref if total_ref is not None else algebra_to_json(ext.total),
-        "embedding": [fmt(emb.entry(i, j)) for i in range(emb.rows) for j in range(emb.cols)],
+        "embedding": mat_to_flat(ext.embedding),
     }
 
 
@@ -1207,10 +1142,7 @@ def extension_from_json(doc: dict, base_dir: Optional[Path] = None) -> RingExten
     try:
         base = resolve_algebra_ref(doc["base"], base_dir)
         total = resolve_algebra_ref(doc["total"], base_dir)
-        flat = doc["embedding"]
-        emb = Mat(base.field,
-                  [[flat[i * base.dim + j] for j in range(base.dim)] for i in range(total.dim)],
-                  cols=base.dim)
+        emb = mat_from_flat(base.field, doc["embedding"], total.dim, base.dim)
         return RingExtension(base, total, emb)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise InputShapeError(f"malformed extension document: {exc}") from exc
@@ -1226,15 +1158,12 @@ def load_extension(path) -> RingExtension:
 
 
 def bimodule_to_json(bm: Bimodule, left_ref=None, right_ref=None) -> dict:
-    fmt = bm.left.field.format
     return {
         "left": left_ref if left_ref is not None else algebra_to_json(bm.left),
         "right": right_ref if right_ref is not None else algebra_to_json(bm.right),
         "dim": bm.dim,
-        "leftAction": [[fmt(m.entry(i, j)) for i in range(bm.dim) for j in range(bm.dim)]
-                       for m in bm.left_action],
-        "rightAction": [[fmt(m.entry(i, j)) for i in range(bm.dim) for j in range(bm.dim)]
-                        for m in bm.right_action],
+        "leftAction": [mat_to_flat(m) for m in bm.left_action],
+        "rightAction": [mat_to_flat(m) for m in bm.right_action],
     }
 
 
@@ -1245,9 +1174,7 @@ def bimodule_from_json(doc: dict, base_dir: Optional[Path] = None) -> Bimodule:
         dim = json_int(doc["dim"], "dim")
 
         def mats(flats):
-            return [Mat(left.field,
-                        [[flat[i * dim + j] for j in range(dim)] for i in range(dim)],
-                        cols=dim) for flat in flats]
+            return [mat_from_flat(left.field, flat, dim, dim) for flat in flats]
 
         return Bimodule(left, right, dim, mats(doc["leftAction"]), mats(doc["rightAction"]))
     except (KeyError, TypeError, ValueError, IndexError) as exc:

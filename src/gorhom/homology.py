@@ -40,12 +40,13 @@ from .errors import (
     ProfileNotCertified,
     PropertyViolation,
 )
-from .exactlin import Mat, rref, solve, vec
+from .exactlin import Mat, block_matrix, mat_from_flat, mat_to_flat, rref, solve, vec
 from .modrep import (
     ModHom,
     Module,
     ShortExactSequence,
     column_space_basis,
+    component_to_json,
     cover_envelope,
     direct_sum,
     dual_hom,
@@ -189,7 +190,7 @@ def resolve(m: Module, direction: str, depth: int) -> Resolution:
 # ---------------------------------------------------------------------------
 
 
-def _hom_delta(homs: Sequence[ModHom], d: Mat, post: bool = False) -> Mat:
+def hom_delta(homs: Sequence[ModHom], d: Mat, post: bool = False) -> Mat:
     """Matrix of phi -> phi∘d, or phi -> d∘phi when post, over the hom basis
     homs; column t is the column-major vec of the image of homs[t]."""
     return Mat.from_cols(d.field, [tuple(vec(d * h.matrix if post else h.matrix * d).col(0))
@@ -206,7 +207,7 @@ def _hom_cohomology(res: Resolution, homs_at, i: int) -> int:
     def rank(k: int) -> int:
         if k >= len(res.maps):
             return 0
-        return rref(_hom_delta(homs_at(k), res.maps[k].matrix, post)).rank
+        return rref(hom_delta(homs_at(k), res.maps[k].matrix, post)).rank
 
     return len(homs_at(i)) - rank(i) - rank(i - 1)
 
@@ -334,13 +335,10 @@ def evaluation_to_double_star(m: Module) -> Tuple[ModHom, Module]:
     field = a.field
     star_m, basis = star_module(m)
     star2, basis2 = star_module(star_m)
-    ev_mats = []
-    for c in range(m.dim):
-        x = Mat.from_cols(field, [tuple(field.one() if r == c else field.zero()
-                                        for r in range(m.dim))])
-        # ev_x : star_m -> A, f -> f(x); as a matrix over the star_m basis
-        ev_mats.append(Mat.from_cols(field, [tuple((h.matrix * x).col(0)) for h in basis])
-                       if basis else Mat.zeros(field, a.dim, 0))
+    # ev_x : star_m -> A, f -> f(x) for the basis vectors x = e_c of m, as
+    # matrices over the star_m basis: column t is column c of basis[t]
+    ev_mats = [Mat.from_cols(field, [h.matrix.col(c) for h in basis], a.dim)
+               for c in range(m.dim)]
     mat = hom_coordinates(ev_mats, basis2, field,
                           "evaluation map leaves the double-star hom space")
     return ModHom(m, star2, mat), star2
@@ -451,7 +449,7 @@ def _complete_resolution_check(m: Module, window: int) -> None:
 
     # Hom(-, A)-acyclicity in the window.
     homs = [hom_space(t, reg) for t in chain_terms]
-    deltas = [_hom_delta(homs[i + 1], chain_maps[i]) for i in range(len(chain_maps))]
+    deltas = [hom_delta(homs[i + 1], chain_maps[i]) for i in range(len(chain_maps))]
     for i in range(1, len(chain_terms) - 1):
         rank_out = rref(deltas[i - 1]).rank
         rank_in = rref(deltas[i]).rank
@@ -666,23 +664,22 @@ class ComplexObj:
 
 
 def complex_to_json(c: ComplexObj, algebra_ref: Optional[str] = None) -> dict:
-    fmt = c.algebra.field.format
-    comps = []
-    diffs = []
-    for n in c.support():
-        mod = c.component(n)
-        comps.append({"dim": mod.dim,
-                      "action": [[fmt(mat.entry(i, j)) for i in range(mod.dim)
-                                  for j in range(mod.dim)] for mat in mod.action]})
-        if n < c.hi:
-            d = c.differential(n).matrix
-            diffs.append([fmt(d.entry(i, j)) for i in range(d.rows) for j in range(d.cols)])
     return {
         "algebra": algebra_ref if algebra_ref is not None else algebra_to_json(c.algebra),
         "support": [c.lo, c.hi],
-        "components": comps,
-        "differentials": diffs,
+        "components": [component_to_json(c.component(n)) for n in c.support()],
+        "differentials": [mat_to_flat(c.differential(n).matrix) for n in range(c.lo, c.hi)],
     }
+
+
+def json_support(doc: dict) -> int:
+    """The first degree of a complex or graded module document, whose
+    support [lo, hi] must count its components exactly."""
+    lo, hi = (json_int(x, "support") for x in doc["support"])
+    if hi - lo + 1 != len(doc["components"]):
+        raise InputShapeError(
+            f"support [{lo}, {hi}] does not match {len(doc['components'])} components")
+    return lo
 
 
 def complex_from_json(doc: dict, algebra: Optional[Algebra] = None,
@@ -690,21 +687,14 @@ def complex_from_json(doc: dict, algebra: Optional[Algebra] = None,
     try:
         if algebra is None:
             algebra = resolve_algebra_ref(doc["algebra"], base_dir)
-        lo, hi = (json_int(x, "support") for x in doc["support"])
-        comps: Dict[int, Module] = {}
-        for offset, comp_doc in enumerate(doc["components"]):
-            comps[lo + offset] = module_from_json(
-                {"algebra": None, "dim": comp_doc["dim"], "action": comp_doc["action"]},
-                algebra=algebra,
-            )
+        lo = json_support(doc)
+        comps = {lo + k: module_from_json(comp, algebra=algebra)
+                 for k, comp in enumerate(doc["components"])}
         diffs: Dict[int, ModHom] = {}
         for offset, flat in enumerate(doc["differentials"]):
             n = lo + offset
             src, tgt = comps[n], comps[n + 1]
-            mat = Mat(algebra.field,
-                      [[flat[i * src.dim + j] for j in range(src.dim)] for i in range(tgt.dim)],
-                      cols=src.dim) if tgt.dim else Mat.zeros(algebra.field, 0, src.dim)
-            diffs[n] = ModHom(src, tgt, mat)
+            diffs[n] = ModHom(src, tgt, mat_from_flat(algebra.field, flat, tgt.dim, src.dim))
         return ComplexObj(algebra, comps, diffs)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputShapeError(f"malformed complex document: {exc}") from exc
@@ -868,44 +858,26 @@ def totalize_quasi_bicomplex(m: Module, profile: GorensteinProfile) -> Totalizat
     degrees = range(-mhat, ncols)
     blocks: Dict[int, List[Tuple[int, int]]] = {}
     totals: Dict[int, Module] = {}
-    offsets: Dict[int, Dict[Tuple[int, int], int]] = {}
     for s in degrees:
-        lst = [(i, s - i) for i in range(ncols) if (i, s - i) in components]
-        blocks[s] = lst
-        offs = {}
-        run = 0
-        mods = []
-        for key in lst:
-            offs[key] = run
-            run += components[key].dim
-            mods.append(components[key])
-        offsets[s] = offs
-        if mods:
-            totals[s], _, _ = direct_sum(mods)
+        blocks[s] = [(i, s - i) for i in range(ncols) if (i, s - i) in components]
+        if blocks[s]:
+            totals[s], _, _ = direct_sum([components[key] for key in blocks[s]])
         else:
             totals[s] = zero_module(a)
 
     diffs: Dict[int, ModHom] = {}
-    for s in degrees:
-        if s + 1 not in totals:
-            continue
-        src, tgt = totals[s], totals[s + 1]
-        rows_mat = [[field.zero()] * src.dim for _ in range(tgt.dim)]
-        for (i, j) in blocks[s]:
+    for s in degrees[:-1]:
+        target_pos = {key: n for n, key in enumerate(blocks[s + 1])}
+        parts = {}
+        for n, (i, j) in enumerate(blocks[s]):
             for l in range(0, mhat + 2):
-                ti, tj = i + l, j - l + 1
-                if (ti, tj) not in offsets.get(s + 1, {}):
-                    continue
+                t = target_pos.get((i + l, j - l + 1))
                 mat = dmaps.get(l, {}).get((i, j))
-                if mat is None:
-                    continue
-                r0 = offsets[s + 1][(ti, tj)]
-                c0 = offsets[s][(i, j)]
-                for r in range(mat.rows):
-                    for c in range(mat.cols):
-                        rows_mat[r0 + r][c0 + c] = mat.entry(r, c)
-        diffs[s] = ModHom(src, tgt, Mat(field, rows_mat, cols=src.dim)
-                          if tgt.dim else Mat.zeros(field, 0, src.dim))
+                if t is not None and mat is not None:
+                    parts[(t, n)] = mat
+        d = block_matrix(field, [components[key].dim for key in blocks[s + 1]],
+                         [components[key].dim for key in blocks[s]], parts)
+        diffs[s] = ModHom(totals[s], totals[s + 1], d)
 
     total = ComplexObj(a, totals, diffs)  # validates d∘d = 0
 
@@ -925,15 +897,13 @@ def totalize_quasi_bicomplex(m: Module, profile: GorensteinProfile) -> Totalizat
     b0_basis = column_space_basis(dm1)
     b0_mod, _ = submodule(totals[0], b0_basis)
 
-    # Map Z^0 -> m: project to the P^{0,0} block, apply the row augmentation,
-    # then pull back through the coresolution augmentation m -> I^0.
-    p00_off = offsets[0].get((0, 0))
+    # Map Z^0 -> m: project to the P^{0,0} block, which comes first in Q^0,
+    # apply the row augmentation, then pull back through the coresolution
+    # augmentation m -> I^0.
     p00 = components.get((0, 0))
-    if p00 is None or p00_off is None:
+    if p00 is None:
         raise PropertyViolation("the (0,0) corner of the window is missing")
-    proj_rows = [[field.one() if c == p00_off + r else field.zero()
-                  for c in range(totals[0].dim)] for r in range(p00.dim)]
-    to_p00 = Mat(field, proj_rows, cols=totals[0].dim)
+    to_p00 = Mat.identity(field, totals[0].dim).select_rows(range(p00.dim))
     into_i0 = rows[0].augmentation.matrix * to_p00 * z0_basis
     back = solve(ires.augmentation.matrix, into_i0)
     if back.particular is None:

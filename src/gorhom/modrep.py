@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .algebra import Algebra, algebra_to_json, json_int, memo, resolve_algebra_ref
 from .errors import AlgebraMismatch, InputShapeError, PropertyViolation, UnsupportedAlgebra
-from .exactlin import Mat, kron, rref, solve, unvec, vec
+from .exactlin import Mat, block_matrix, kron, mat_from_flat, mat_to_flat, rref, solve, unvec, vec
 
 
 class Module:
@@ -213,7 +213,7 @@ def hom_coordinates(mats: Sequence[Mat], basis: Sequence[ModHom], field, law: st
         if coeffs is None:
             raise PropertyViolation(law)
         cols.append(tuple(coeffs))
-    return Mat.from_cols(field, cols) if cols else Mat.zeros(field, len(basis), 0)
+    return Mat.from_cols(field, cols, len(basis))
 
 
 # ---------------------------------------------------------------------------
@@ -255,27 +255,19 @@ def quotient_module(m: Module, basis: Mat) -> Tuple[Module, ModHom]:
     pivot_rows = set(red.pivots)
     b = red.matrix.transpose().select_cols(range(red.rank))
     keep = [i for i in range(m.dim) if i not in pivot_rows]
-    c = Mat.from_cols(field, [tuple(
-        field.one() if r == i else field.zero() for r in range(m.dim)) for i in keep]) \
-        if keep else Mat.zeros(field, m.dim, 0)
-    t = b.hstack(c)
-    if t.cols != m.dim or (m.dim and not t.is_invertible()):
+    t = b.hstack(Mat.identity(field, m.dim).select_cols(keep))
+    if t.cols != m.dim or not t.is_invertible():
         raise InputShapeError("quotient basis is not independent")
-    tinv = t.inverse() if m.dim else Mat.zeros(field, 0, 0)
-    k = b.cols
+    tinv = t.inverse()
+    stable, rest = range(b.cols), range(b.cols, m.dim)
     acts = []
     for i in range(m.algebra.dim):
-        conj = tinv * m.action[i] * t
-        lower_left = Mat(field, [[conj.entry(r, cc) for cc in range(k)]
-                                 for r in range(k, m.dim)], cols=k) if m.dim - k else Mat.zeros(field, 0, k)
-        if not lower_left.is_zero():
+        lower = (tinv * m.action[i] * t).select_rows(rest)
+        if not lower.select_cols(stable).is_zero():
             raise PropertyViolation("span is not action-stable")
-        acts.append(Mat(field, [[conj.entry(r, cc) for cc in range(k, m.dim)]
-                                for r in range(k, m.dim)], cols=m.dim - k))
+        acts.append(lower.select_cols(rest))
     quot = Module(m.algebra, acts)
-    proj = Mat(field, [list(tinv.row(r)) for r in range(k, m.dim)], cols=m.dim) \
-        if m.dim - k else Mat.zeros(field, 0, m.dim)
-    return quot, ModHom(m, quot, proj)
+    return quot, ModHom(m, quot, tinv.select_rows(rest))
 
 
 def direct_sum(mods: Sequence[Module]):
@@ -283,30 +275,18 @@ def direct_sum(mods: Sequence[Module]):
     if not mods:
         raise InputShapeError("direct sum of nothing; use zero_module")
     a = mods[0].algebra
-    field = a.field
     dims = [m.dim for m in mods]
-    total = sum(dims)
-    offs = [sum(dims[:i]) for i in range(len(mods))]
-    acts = []
-    for i in range(a.dim):
-        rows = []
-        for bi, m in enumerate(mods):
-            block = m.action[i]
-            for r in range(m.dim):
-                row = [field.zero()] * total
-                for c in range(m.dim):
-                    row[offs[bi] + c] = block.entry(r, c)
-                rows.append(row)
-        acts.append(Mat(field, rows, cols=total))
+    acts = [block_matrix(a.field, dims, dims, {(b, b): m.action[i] for b, m in enumerate(mods)})
+            for i in range(a.dim)]
     big = Module(a, acts, _skip_validation=True)
+    eye = Mat.identity(a.field, big.dim)
     incls, projs = [], []
-    for bi, m in enumerate(mods):
-        inc = Mat(field, [[field.one() if (r == offs[bi] + c) else field.zero()
-                           for c in range(m.dim)] for r in range(total)], cols=m.dim)
-        prj = Mat(field, [[field.one() if (offs[bi] + r == c) else field.zero()
-                           for c in range(total)] for r in range(m.dim)], cols=total)
-        incls.append(ModHom(m, big, inc))
-        projs.append(ModHom(big, m, prj))
+    start = 0
+    for m in mods:
+        span = range(start, start + m.dim)
+        incls.append(ModHom(m, big, eye.select_cols(span)))
+        projs.append(ModHom(big, m, eye.select_rows(span)))
+        start += m.dim
     return big, incls, projs
 
 
@@ -513,7 +493,7 @@ def _projective_cover(m: Module) -> Tuple[Module, ModHom]:
         return result
     top, pi_top = top_of(m)
     summands: List[Module] = []
-    columns: List[tuple] = []
+    generators: List[Mat] = []
     # one idempotent per isomorphism class of simples, so multiplicities
     # are not double-counted when distinct idempotents share their top
     reps = [cls[0] for cls in structural.simple_classes]
@@ -529,24 +509,17 @@ def _projective_cover(m: Module) -> Tuple[Module, ModHom]:
             if (pi_top.matrix * v) != t_vec:
                 raise PropertyViolation("projective cover lift left the idempotent slice")
             summands.append(pe)
-            columns.append(tuple(v.col(0)))
+            generators.append(v)
     if not summands:
         raise PropertyViolation("nonzero module with zero top")
     big, _incls, _projs = direct_sum(summands)
-    # Map A·e -> m, x -> rho(x)·v, one block of columns per summand.
-    blocks = []
-    for (pe, vcol) in zip(summands, columns):
-        v = Mat.col_vector(field, vcol)
+    # Map A·e -> m, x -> rho(x)·v, one block of columns per summand; the
+    # columns of the embedding are the elements of the algebra spanning A·e.
+    cols = []
+    for pe, v in zip(summands, generators):
         emb = _projective_embedding(pe)
-        block_cols = []
-        for c in range(pe.dim):
-            x = emb.col(c)  # element of the algebra spanning A·e
-            block_cols.append(tuple((m.rho(x) * v).col(0)))
-        blocks.append(Mat.from_cols(field, block_cols))
-    mat = blocks[0]
-    for b in blocks[1:]:
-        mat = mat.hstack(b)
-    cover_map = ModHom(big, m, mat)
+        cols.extend((m.rho(emb.col(c)) * v).col(0) for c in range(pe.dim))
+    cover_map = ModHom(big, m, Mat.from_cols(field, cols))
     if not cover_map.is_epi():
         raise PropertyViolation("projective cover map is not epi")
     ker = cover_map.matrix.kernel_basis()
@@ -687,31 +660,28 @@ def _radical_series_dims(m: Module) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def component_to_json(m: Module) -> dict:
+    """The dimension and flat action matrices of m: a .mod document without
+    its algebra, as the components of complexes and graded modules are."""
+    return {"dim": m.dim, "action": [mat_to_flat(mat) for mat in m.action]}
+
+
 def module_to_json(m: Module, algebra_ref: Optional[str] = None) -> dict:
-    fmt = m.algebra.field.format
-    doc = {
+    return {
         "algebra": algebra_ref if algebra_ref is not None else algebra_to_json(m.algebra),
-        "dim": m.dim,
-        "action": [[fmt(mat.entry(i, j)) for i in range(m.dim) for j in range(m.dim)]
-                   for mat in m.action],
+        **component_to_json(m),
     }
-    return doc
 
 
 def module_from_json(doc: dict, base_dir: Optional[Path] = None,
                      algebra: Optional[Algebra] = None) -> Module:
+    """Read a .mod document, or a component document when the algebra is given."""
     try:
         if algebra is None:
             algebra = resolve_algebra_ref(doc["algebra"], base_dir)
         dim = json_int(doc["dim"], "dim")
-        acts = []
-        for flat in doc["action"]:
-            if len(flat) != dim * dim:
-                raise InputShapeError("action matrix has wrong entry count")
-            acts.append(Mat(algebra.field,
-                            [[flat[i * dim + j] for j in range(dim)] for i in range(dim)],
-                            cols=dim))
-        return Module(algebra, acts)
+        return Module(algebra, [mat_from_flat(algebra.field, flat, dim, dim)
+                                for flat in doc["action"]])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputShapeError(f"malformed module document: {exc}") from exc
 

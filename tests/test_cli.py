@@ -47,20 +47,58 @@ WRONG_TYPES = (
     + [("f2x2.alg", f, v) for f in ("idempotents", "provenance") for v in (5, 1.5, True, "1")]
     + [("f2.alg", "basis", "1"), ("f2x2.alg", "field", {"char": 2.0})]
     + [("a2_s1.mod", "dim", v) for v in (1.5, True, "1")]
-    + [("a2_stalk.cpx", "support", [0.5, 0])]
+    + [("a2_stalk.cpx", "support", v) for v in ([0.5, 0], [0, 3], [0, -1], [0, 0, 0])]
+    + [("f2_f2c2.ext", "embedding", v) for v in (["1", "0", "0"], ["1"], "10", 5)]
 )
+
+COMMANDS = {".alg": "algebra-info", ".mod": "module-info", ".cpx": "complex-check",
+            ".ext": "frobenius-verify", ".bimod": "frobenius-verify"}
+
+
+def _bundled_copy(tmp_path) -> Path:
+    """The bundled files in a scratch directory, so algebra references resolve."""
+    shutil.copytree(Path(gorhom.__file__).parent / "data", tmp_path, dirs_exist_ok=True)
+    return tmp_path
 
 
 @pytest.mark.parametrize("name, field, value", WRONG_TYPES)
 def test_wrong_typed_field_exits_2(runner, tmp_path, name, field, value):
-    data = Path(gorhom.__file__).parent / "data"
-    doc = json.loads((data / name).read_text())
+    bad = _bundled_copy(tmp_path) / name
+    doc = json.loads(bad.read_text())
     doc[field] = value
-    bad = tmp_path / name
     bad.write_text(json.dumps(doc))
-    shutil.copy(data / "a2.alg", tmp_path)   # the algebra a2_s1.mod and a2_stalk.cpx name
-    command = {".alg": "algebra-info", ".mod": "module-info", ".cpx": "complex-check"}
-    result = runner.invoke(main, [command[bad.suffix], str(bad)])
+    result = runner.invoke(main, [COMMANDS[bad.suffix], str(bad)])
+    assert result.exit_code == 2
+    assert "input error" in result.output
+
+
+# (file, path to a flat row-major matrix list inside the document)
+FLAT_MATRICES = [
+    ("a2_s1.mod", ("action", 1)),
+    ("a2_stalk.cpx", ("components", 0, "action", 0)),
+    ("a2_f.cpx", ("differentials", 0)),
+    ("f2_f2c2.ext", ("embedding",)),
+    ("morita_col.bimod", ("leftAction", 2)),
+    ("morita_col.bimod", ("rightAction", 0)),
+]
+
+
+@pytest.mark.parametrize("name, path", FLAT_MATRICES)
+def test_extra_matrix_entry_exits_2(runner, tmp_path, name, path):
+    from gorhom.corpus import complex_corpus
+    from gorhom.homology import save_complex
+
+    target = _bundled_copy(tmp_path) / name
+    if name == "a2_f.cpx":   # F of a simple over a2: components in degrees 0 and 1
+        save_complex(complex_corpus()[4], target, algebra_ref="a2.alg")
+    assert runner.invoke(main, [COMMANDS[target.suffix], str(target)]).exit_code == 0
+    doc = json.loads(target.read_text())
+    flat = doc
+    for key in path:
+        flat = flat[key]
+    flat.append("0")
+    target.write_text(json.dumps(doc))
+    result = runner.invoke(main, [COMMANDS[target.suffix], str(target)])
     assert result.exit_code == 2
     assert "input error" in result.output
 

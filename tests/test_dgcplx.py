@@ -15,7 +15,7 @@ from gorhom.dgcplx import (
     shift_sigma,
     unit_FU,
 )
-from gorhom.errors import PreconditionFailed
+from gorhom.errors import InputShapeError, PreconditionFailed
 from gorhom.exactlin import FieldSpec, Mat
 from gorhom.homology import ComplexObj, gorenstein_profile
 from gorhom.modrep import ModHom, Module, regular_module, structural_modules, zero_module
@@ -216,3 +216,13 @@ def test_graded_serialization_roundtrip(tmp_path, a2):
     again = load_graded(path)
     assert [again.component(p).dim for p in again.support()] == \
         [g.component(p).dim for p in g.support()]
+
+
+@pytest.mark.parametrize("support", [[0, 5], [0, 0], [1, 0]])
+def test_graded_support_must_count_the_components(a2, support):
+    s = structural_modules(a2)
+    doc = graded_to_json(GradedModule(a2, {0: s.simples[0], 1: s.projectives[0]}))
+    assert graded_from_json(doc).support() == range(0, 2)
+    doc["support"] = support
+    with pytest.raises(InputShapeError):
+        graded_from_json(doc)

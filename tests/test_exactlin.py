@@ -6,7 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gorhom.errors import InputShapeError
-from gorhom.exactlin import FieldSpec, Mat, fraction_free_rank, kron, rref, solve
+from gorhom.exactlin import (
+    FieldSpec,
+    Mat,
+    block_matrix,
+    fraction_free_rank,
+    kron,
+    mat_from_flat,
+    mat_to_flat,
+    rref,
+    solve,
+)
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -227,6 +237,24 @@ def _assert_canonical(r: Mat):
                 assert type(x) is Fraction
 
 
+def _naive_blocks(field, row_sizes, col_sizes, blocks) -> Mat:
+    out = [[field.zero()] * sum(col_sizes) for _ in range(sum(row_sizes))]
+    for (i, j), b in blocks.items():
+        r0, c0 = sum(row_sizes[:i]), sum(col_sizes[:j])
+        for r in range(b.rows):
+            for c in range(b.cols):
+                out[r0 + r][c0 + c] = b.entry(r, c)
+    return Mat(field, out, cols=sum(col_sizes))
+
+
+def _layout_cases(field, a, c, m):
+    """Block grids of the operands, 0-sized blocks included, with a zero
+    block row and column that nothing fills."""
+    row_sizes, col_sizes = [a.rows, c.rows, m.rows, 2], [a.cols, c.cols, m.cols, a.rows, 0]
+    blocks = {(0, 0): a, (1, 1): c, (2, 2): m, (1, 3): a.transpose()}
+    return row_sizes, col_sizes, blocks
+
+
 def _naive_product(a: Mat, b: Mat) -> Mat:
     f = a.field
     out = []
@@ -246,9 +274,14 @@ def _naive_product(a: Mat, b: Mat) -> Mat:
 def test_every_result_is_canonical(ops, c0):
     field, a, b, c, m = ops
     res = solve(a, b)
+    odd_rows = [i for i in range(a.rows) if i % 2]
+    layout = _layout_cases(field, a, c, m)
+    block = block_matrix(field, *layout)
+    a_cols = Mat.from_cols(field, [a.col(j) for j in range(a.cols)], a.rows)
     results = [
         a + b, a - b, -a, a.scale(c0), a * c,
         a.transpose(), a.hstack(b), a.vstack(b), a.select_cols([j for j in range(a.cols) if j % 2]),
+        a.select_rows(odd_rows), block, a_cols, Mat.from_cols(field, [], a.rows),
         kron(a, c), kron(c, m), rref(a).matrix, res.kernel,
     ]
     if res.particular is not None:
@@ -259,6 +292,33 @@ def test_every_result_is_canonical(ops, c0):
         _assert_canonical(r)
     assert a * c == _naive_product(a, c)
     assert (a - b) + b == a
+    assert block == _naive_blocks(field, *layout)
+    assert a.select_rows(odd_rows) == a.transpose().select_cols(odd_rows).transpose()
+    assert a_cols == a
+    assert Mat.from_cols(field, [], a.rows) == Mat.zeros(field, a.rows, 0)
+
+
+def test_block_matrix_rejects_misfit_blocks():
+    one = Mat.identity(F2, 1)
+    with pytest.raises(InputShapeError):
+        block_matrix(F2, [2], [1], {(0, 0): one})
+    with pytest.raises(InputShapeError):
+        block_matrix(F2, [1], [1], {(0, 1): one})
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_flat_codec_round_trips(field, data):
+    rows, cols = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    m = _raw_matrix(data.draw, field, rows, cols)
+    flat = mat_to_flat(m)
+    assert all(type(x) is str for x in flat) and len(flat) == rows * cols
+    assert mat_from_flat(field, flat, rows, cols) == m
+    short = [flat[1:]] if flat else []
+    for wrong in [flat + ["0"], "".join(flat), {"entries": flat}] + short:
+        with pytest.raises(InputShapeError):
+            mat_from_flat(field, wrong, rows, cols)
 
 
 def test_exact_arithmetic_never_enters_the_coercing_constructor(monkeypatch):
@@ -285,6 +345,10 @@ def test_exact_arithmetic_never_enters_the_coercing_constructor(monkeypatch):
         solve(a, total.hstack(prod))
         solve(at, at)
         Mat.identity(field, 3).inverse()
+        a.select_rows([2, 0])
+        block_matrix(field, *_layout_cases(field, a, b, prod))
+        Mat.from_cols(field, [a.col(1), a.col(3)], 3)
+        Mat.from_cols(field, [], 3)
     assert calls == []
     Mat(F2, [[1]])  # the count does see the public constructor
     assert len(calls) == 1

@@ -331,3 +331,29 @@ def test_idempotent_count_matches_top_multiplicities(a2, f2c2):
     top_reg, _ = top_of(regular_module(m2))
     rep = s.simples[s.simple_classes[0][0]]
     assert top_reg.dim == sum(len(cls) for cls in s.simple_classes) * rep.dim
+
+
+def test_direct_sum_and_quotient_never_enter_the_coercing_constructor(monkeypatch):
+    # Both lay out internal data that is canonical already: blocks and
+    # slices of existing matrices, never a coercing Mat(...).
+    from gorhom.corpus import corpus_algebra, module_corpus
+
+    cases = []
+    for name in ("a2", "nak2", "f3c3", "q", "m2f2x2"):
+        mods = module_corpus(corpus_algebra(name))
+        cases.append((mods, [(m, radical_submodule_basis(m)) for m in mods]))
+    calls = []
+    coercing_init = Mat.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(args)
+        coercing_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Mat, "__init__", counting_init)
+    for mods, quotients in cases:
+        big, incls, projs = direct_sum(mods)
+        assert big.dim == sum(m.dim for m in mods) and len(incls) == len(projs) == len(mods)
+        for m, rad in quotients:
+            quot, proj = quotient_module(m, rad)
+            assert quot.dim == m.dim - rad.cols
+    assert calls == []
