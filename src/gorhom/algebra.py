@@ -77,7 +77,6 @@ class Algebra:
         )
         self.provenance = provenance or {}
         self._closed_radical = _closed_radical
-        self._lock = threading.Lock()
         self._cache: dict = {}
 
         if self.dim == 0:
@@ -88,6 +87,8 @@ class Algebra:
             raise InputShapeError("structure constants must be vectors of length dim")
         if len(self.unit) != self.dim:
             raise InputShapeError("unit vector has wrong length")
+        if self.idempotents is not None and any(len(e) != self.dim for e in self.idempotents):
+            raise InputShapeError("idempotent vector has wrong length")
 
         self._nz = tuple(
             tuple(tuple((k, c) for k, c in enumerate(cell) if c != 0) for cell in row)
@@ -182,24 +183,16 @@ class Algebra:
     def __repr__(self):
         return f"Algebra(dim={self.dim}, field={self.field}, kind={self.provenance.get('kind', '?')})"
 
-    # -- cached structure -----------------------------------------------------
-
-    def _get_cached(self, key, builder):
-        with self._lock:
-            if key in self._cache:
-                return self._cache[key]
-        value = builder()
-        with self._lock:
-            return self._cache.setdefault(key, value)
+    # -- memoized structure ---------------------------------------------------
 
     def radical_basis(self) -> Mat:
-        """Columns spanning the Jacobson radical.
+        """Columns spanning the Jacobson radical, computed once per algebra.
 
         Generic computation always runs; when a constructor supplied a
         closed-form radical the two are asserted to span the same
         subspace and the closed form (deterministic basis) is returned.
         """
-        return self._get_cached("radical", self._compute_radical)
+        return memo(self, "radical", None, self._compute_radical)
 
     def _compute_radical(self) -> Mat:
         generic = _radical_generic(self)
@@ -230,26 +223,42 @@ class Algebra:
                 provenance={"kind": "opposite", "of": self.provenance.get("kind", "?")},
                 _closed_radical=self._closed_radical,
             )
-            op._cache["opposite"] = self
+            memo(op, "opposite", None, lambda: self)
             return op
 
-        return self._get_cached("opposite", build)
+        return memo(self, "opposite", None, build)
+
+
+_memo_lock = threading.Lock()
 
 
 def memo(holder, tag, other, build):
-    """build(), cached in holder's cache for the object `other`.
+    """build(), memoized in holder's `_cache` under tag for the object
+    `other` (None when holder and tag alone determine the value).
+
+    The one rule for every cache in the package: an entry holds only a
+    value its key determines, so deleting any entry, or a whole `_cache`,
+    changes no result, only the time it takes.  Data a later step needs
+    from a construction is part of the memoized value, found again from
+    the construction's own inputs, never stored on the object it built.
 
     The entry stores `other` next to the value.  That keeps `other` alive,
     so its id cannot pass to a new object while the entry exists, and the
-    `is` test makes the match explicit.
+    `is` test makes the match explicit.  The lock guards the dictionary
+    only and is never held while build() runs; when two threads build the
+    same entry, the first value stored is the one both return.
     """
     key = (tag, id(other))
-    cached = holder._cache.get(key)
+    with _memo_lock:
+        cached = holder._cache.get(key)
     if cached is not None and cached[0] is other:
         return cached[1]
     value = build()
-    holder._cache[key] = (other, value)
-    return value
+    with _memo_lock:
+        cached = holder._cache.get(key)
+        if cached is None or cached[0] is not other:
+            cached = holder._cache[key] = (other, value)
+    return cached[1]
 
 
 def _same_column_space(a: Mat, b: Mat) -> bool:
@@ -1005,38 +1014,6 @@ def _tensor_algebra(a: Algebra, b: Algebra) -> Algebra:
                     "right": b.provenance.get("kind", "?")},
         _closed_radical=closed_rad,
     )
-
-
-def quotient_by_ideal(a: Algebra, ideal: Mat) -> Algebra:
-    """The quotient algebra A/I for a two-sided ideal spanned by ideal's columns.
-
-    Used to check semisimplicity of A/rad(A); the quotient basis is the
-    set of coordinate positions missed by the ideal's pivots.
-    """
-    field = a.field
-    red = rref(ideal.transpose())
-    pivot_rows = set(red.pivots)
-    keep = [i for i in range(a.dim) if i not in pivot_rows]
-    b_cols = [red.matrix.transpose().col(c) for c in range(red.rank)]
-    c_cols = [a.basis_vec(i) for i in keep]
-    t = Mat.from_cols(field, list(b_cols) + list(c_cols))
-    if t.cols != a.dim or not t.is_invertible():
-        raise InputShapeError("ideal basis is not independent")
-    tinv = t.inverse()
-    k = len(b_cols)
-
-    def project(v):
-        coords = tinv * Mat.col_vector(field, v)
-        return tuple(coords.entry(i, 0) for i in range(k, a.dim))
-
-    table = [
-        [project(a.mul_vec(c_cols[i], c_cols[j])) for j in range(len(keep))]
-        for i in range(len(keep))
-    ]
-    unit = project(a.unit)
-    labels = [a.basis_labels[i] for i in keep]
-    return Algebra(field, labels, table, unit,
-                   provenance={"kind": "quotient", "of": a.provenance.get("kind", "?")})
 
 
 def radical_and_idempotents(a: Algebra):

@@ -253,7 +253,6 @@ def export_data(directory) -> List[str]:
     written.append("morita_col.bimod")
     # a few sample modules and a sample complex for the CLI
     a2 = corpus_algebra("a2")
-    s = structural_modules(a2)
     save_module(bad_module_for_counterexample(), directory / "a2_s1.mod",
                 algebra_ref="a2.alg")
     written.append("a2_s1.mod")

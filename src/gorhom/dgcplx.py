@@ -259,8 +259,6 @@ def is_contractible(c: ComplexObj):
         nxt = homotopy.get(p + 1)
         if nxt is not None:
             acc = acc + nxt * c.differential(p).matrix
-        elif comp.dim:
-            acc = acc + Mat.zeros(field, comp.dim, comp.dim)
         if comp.dim and acc != Mat.identity(field, comp.dim):
             raise PropertyViolation("contracting homotopy failed verification")
     return True, homotopy

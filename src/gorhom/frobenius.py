@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import (
     Algebra,
@@ -53,7 +53,6 @@ from .modrep import (
     ModHom,
     Module,
     ShortExactSequence,
-    coefficients_in_hom_basis,
     column_space_basis,
     cover_envelope,
     hom_coordinates,
@@ -115,7 +114,7 @@ def identity_extension(a: Algebra) -> RingExtension:
 
 def induce(ext: RingExtension, x: Module) -> Module:
     """S ⊗_R x: tensoring with the bimodule _S S_R."""
-    return _tensor(extension_bimodule(ext), x)
+    return _tensor(extension_bimodule(ext), x).module
 
 
 def restrict(ext: RingExtension, y: Module) -> Module:
@@ -126,25 +125,39 @@ def restrict(ext: RingExtension, y: Module) -> Module:
                              for i in range(ext.base.dim)])
 
 
+def _restriction(ext: RingExtension, y: Module) -> Module:
+    """restrict(ext, y), built once per (ext, y)."""
+    return memo(y, "res", ext, lambda: restrict(ext, y))
+
+
 def coinduce(ext: RingExtension, x: Module) -> Module:
     """Hom_R(S, x) with S acting by precomposition with right multiplication."""
-    if x.algebra != ext.base:
-        raise AlgebraMismatch("coinduce expects a module over the base algebra")
-    s = ext.total
-    basis = hom_space(restrict(ext, regular_module(s)), x)
-    acts = []
-    for i in range(s.dim):
-        rmul = s.right_mult_matrix(s.basis_vec(i))
-        acts.append(hom_coordinates([h.matrix * rmul for h in basis], basis, s.field,
-                                    "coinduced action left the hom space"))
-    out = Module(s, acts)
-    out._cache["coind_data"] = (ext, x, basis)
-    return out
+    return _coinduction(ext, x)[0]
 
 
-def coinduce_hom(ext: RingExtension, f: ModHom, co_src: Module, co_tgt: Module) -> ModHom:
-    basis_src = co_src._cache["coind_data"][2]
-    basis_tgt = co_tgt._cache["coind_data"][2]
+def _coinduction(ext: RingExtension, x: Module) -> Tuple[Module, list]:
+    """Coind x with the basis of Hom_R(S, x) its coordinates refer to,
+    built once per (ext, x)."""
+
+    def build() -> Tuple[Module, list]:
+        if x.algebra != ext.base:
+            raise AlgebraMismatch("coinduce expects a module over the base algebra")
+        s = ext.total
+        basis = hom_space(restrict(ext, regular_module(s)), x)
+        acts = []
+        for i in range(s.dim):
+            rmul = s.right_mult_matrix(s.basis_vec(i))
+            acts.append(hom_coordinates([h.matrix * rmul for h in basis], basis, s.field,
+                                        "coinduced action left the hom space"))
+        return Module(s, acts), basis
+
+    return memo(x, "coind", ext, build)
+
+
+def coinduce_hom(ext: RingExtension, f: ModHom) -> ModHom:
+    """Hom_R(S, f) between the coinduced modules of its source and target."""
+    co_src, basis_src = _coinduction(ext, f.source)
+    co_tgt, basis_tgt = _coinduction(ext, f.target)
     return ModHom(co_src, co_tgt,
                   hom_coordinates([f.matrix * h.matrix for h in basis_src], basis_tgt,
                                   ext.total.field, "coinduced hom left the hom space"))
@@ -181,7 +194,7 @@ class ExtensionPair:
         return induce(self.ext, x)
 
     def apply_g(self, y: Module) -> Module:
-        return memo(y, "res", self.ext, lambda: restrict(self.ext, y))
+        return _restriction(self.ext, y)
 
     def apply_f_hom(self, f: ModHom) -> ModHom:
         return _tensor_hom(extension_bimodule(self.ext), f)
@@ -190,26 +203,24 @@ class ExtensionPair:
         return ModHom(self.apply_g(f.source), self.apply_g(f.target), f.matrix)
 
     def unit(self, x: Module) -> ModHom:
-        ind = self.apply_f(x)
-        res_ind = self.apply_g(ind)
+        ind = _tensor(extension_bimodule(self.ext), x)
+        res_ind = self.apply_g(ind.module)
         field = x.algebra.field
         eye = Mat.identity(field, x.dim)
         cols = [_pure(ind, self.ext.total.unit, eye.col(c)) for c in range(x.dim)]
-        return ModHom(x, res_ind, Mat.from_cols(field, cols, ind.dim))
+        return ModHom(x, res_ind, Mat.from_cols(field, cols, res_ind.dim))
 
     def counit(self, y: Module) -> ModHom:
-        res = self.apply_g(y)
-        ind_res = self.apply_f(res)
-        _b, _x, _amb, proj, section = ind_res._cache["tensor_data"]
+        ind_res = _tensor(extension_bimodule(self.ext), self.apply_g(y))
         s = self.ext.total
         field = s.field
         # on the ambient S ⊗ res(y): s_i ⊗ w_j -> rho_y(s_i) w_j
         e1 = block_matrix(field, [y.dim], [y.dim] * s.dim,
                           {(0, i): act for i, act in enumerate(y.action)})
-        mat = e1 * section
-        if mat * proj.matrix != e1:
+        mat = e1 * ind_res.section
+        if mat * ind_res.proj != e1:
             raise PropertyViolation("counit does not kill the balancing relations")
-        return ModHom(ind_res, y, mat)
+        return ModHom(ind_res.module, y, mat)
 
     def check_triangles(self, x: Module, y: Module) -> bool:
         """(eps F)(F eta) = id_{F x} and (G eps)(eta G) = id_{G y}, exactly."""
@@ -241,26 +252,25 @@ class ResCoindPair:
         self.name = "(Res, Coind)"
 
     def apply_f(self, y: Module) -> Module:
-        return restrict(self.ext, y)
+        return _restriction(self.ext, y)
 
     def apply_g(self, x: Module) -> Module:
-        return memo(x, "coind", self.ext, lambda: coinduce(self.ext, x))
+        return coinduce(self.ext, x)
 
     def unit(self, y: Module) -> ModHom:
         """y -> Coind(Res y), w -> (s -> s·w)."""
-        co = self.apply_g(self.apply_f(y))
+        co, basis = _coinduction(self.ext, self.apply_f(y))
         field = y.algebra.field
         # the hom S -> res_y sending s_i to rho_y(s_i)·e_c, for each c
         mats = [Mat.from_cols(field, [tuple(y.action[i].col(c)) for i in range(y.algebra.dim)])
                 for c in range(y.dim)]
-        return ModHom(y, co, hom_coordinates(mats, co._cache["coind_data"][2], field,
+        return ModHom(y, co, hom_coordinates(mats, basis, field,
                                              "unit of (Res, Coind) left the hom space"))
 
     def counit(self, x: Module) -> ModHom:
         """Res(Coind x) -> x, f -> f(1)."""
-        co = self.apply_g(x)
+        co, basis = _coinduction(self.ext, x)
         res_co = self.apply_f(co)
-        _e, _x, basis = co._cache["coind_data"]
         field = x.algebra.field
         unit_col = Mat.col_vector(field, self.ext.total.unit)
         cols = [(h.matrix * unit_col).col(0) for h in basis]
@@ -277,7 +287,7 @@ class ResCoindPair:
         co = self.apply_g(x)
         eps_x = self.counit(x)
         eta_at_co = self.unit(co)
-        coind_eps = coinduce_hom(self.ext, eps_x, eta_at_co.target, co)
+        coind_eps = coinduce_hom(self.ext, eps_x)
         if coind_eps.matrix * eta_at_co.matrix != Mat.identity(x.algebra.field, co.dim):
             raise PropertyViolation("second triangle identity of (Res, Coind) fails")
         return True
@@ -298,7 +308,6 @@ class Bimodule:
         self.dim = dim
         self.left_action = tuple(left_action)
         self.right_action = tuple(right_action)
-        self._cache: dict = {}
         # each action is a module structure in its own right
         self._as_left = Module(left, self.left_action)
         self._as_right_op = Module(right.opposite(), self.right_action)
@@ -329,20 +338,19 @@ class Bimodule:
 
 def extension_bimodule(ext: RingExtension) -> Bimodule:
     """S as the natural S-R-bimodule of a ring extension, built once per extension."""
-    cached = ext._cache.get("bimodule")
-    if cached is not None:
-        return cached
-    s, r = ext.total, ext.base
-    left = [s.left_mult_matrix(s.basis_vec(i)) for i in range(s.dim)]
-    right = [s.right_mult_matrix(ext.embed(r.basis_vec(j))) for j in range(r.dim)]
-    out = Bimodule(s, r, s.dim, left, right)
-    ext._cache["bimodule"] = out
-    return out
+
+    def build() -> Bimodule:
+        s, r = ext.total, ext.base
+        left = [s.left_mult_matrix(s.basis_vec(i)) for i in range(s.dim)]
+        right = [s.right_mult_matrix(ext.embed(r.basis_vec(j))) for j in range(r.dim)]
+        return Bimodule(s, r, s.dim, left, right)
+
+    return memo(ext, "bimodule", None, build)
 
 
-def hom_to_regular(m: Bimodule, side: str) -> Bimodule:
+def hom_to_regular(m: Bimodule, side: str) -> Tuple[Bimodule, list]:
     """Hom into the regular module over one side of an S-R-bimodule M, as an
-    R-S-bimodule, with its hom basis cached under "hom_basis".
+    R-S-bimodule, with the hom basis its coordinates refer to.
 
     side="left":  Hom_S(M, S),      (r·h·s)(x) = h(x·r)·s;
     side="right": Hom_{R^op}(M, R), (r·g·s)(x) = r·g(s·x).
@@ -360,9 +368,7 @@ def hom_to_regular(m: Bimodule, side: str) -> Bimodule:
     post_acts = [hom_coordinates([post * h.matrix for h in basis], basis, a.field, law)
                  for post in posts]
     left, right = (pre_acts, post_acts) if side == "left" else (post_acts, pre_acts)
-    out = Bimodule(m.right, m.left, len(basis), left, right)
-    out._cache["hom_basis"] = basis
-    return out
+    return Bimodule(m.right, m.left, len(basis), left, right), basis
 
 
 def hom_bimodule_to_base(ext: RingExtension) -> Bimodule:
@@ -373,18 +379,26 @@ def hom_bimodule_to_base(ext: RingExtension) -> Bimodule:
     s, r = ext.total, ext.base
     left = [s.left_mult_matrix(ext.embed(r.basis_vec(j))) for j in range(r.dim)]
     right = [s.right_mult_matrix(s.basis_vec(i)) for i in range(s.dim)]
-    return hom_to_regular(Bimodule(r, s, s.dim, left, right), "left")
+    return hom_to_regular(Bimodule(r, s, s.dim, left, right), "left")[0]
 
 
 # -- the tensor construction -------------------------------------------------
 
 
-def _tensor(bim: Bimodule, x: Module) -> Module:
-    """M ⊗_R x: the quotient of M ⊗_k x by m·r ⊗ v - m ⊗ r·v, built once
-    per (M, x); the ambient, projection and a section are kept in the
-    result's cache under "tensor_data"."""
+class _Tensor(NamedTuple):
+    """M ⊗_R x with the projection from M ⊗_k x onto it and a section of
+    that projection."""
 
-    def build() -> Module:
+    module: Module
+    proj: Mat
+    section: Mat
+
+
+def _tensor(bim: Bimodule, x: Module) -> _Tensor:
+    """M ⊗_R x: the quotient of M ⊗_k x by m·r ⊗ v - m ⊗ r·v, with its
+    projection and section, built once per (M, x)."""
+
+    def build() -> _Tensor:
         out_alg = bim.left
         act_alg = bim.right
         if x.algebra != act_alg:
@@ -405,31 +419,27 @@ def _tensor(bim: Bimodule, x: Module) -> Module:
         section = solve(proj.matrix, Mat.identity(field, quot.dim)).particular
         if section is None:
             raise PropertyViolation("quotient projection has no section")
-        quot._cache["tensor_data"] = (bim, x, ambient, proj, section)
-        return quot
+        return _Tensor(quot, proj.matrix, section)
 
     return memo(x, "tensor", bim, build)
 
 
 def _tensor_hom(bim: Bimodule, f: ModHom) -> ModHom:
     """M ⊗_R f between the tensor modules of its source and target."""
-    t_src, t_tgt = _tensor(bim, f.source), _tensor(bim, f.target)
+    src, tgt = _tensor(bim, f.source), _tensor(bim, f.target)
     field = bim.left.field
-    _b, _x, _amb, proj_src, sec_src = t_src._cache["tensor_data"]
-    _b2, _x2, _amb2, proj_tgt, _s2 = t_tgt._cache["tensor_data"]
     big = kron(Mat.identity(field, bim.dim), f.matrix)
-    mat = proj_tgt.matrix * big * sec_src
-    if proj_tgt.matrix * big != mat * proj_src.matrix:
+    mat = tgt.proj * big * src.section
+    if tgt.proj * big != mat * src.proj:
         raise PropertyViolation("tensor hom is not well defined on classes")
-    return ModHom(t_src, t_tgt, mat)
+    return ModHom(src.module, tgt.module, mat)
 
 
-def _pure(t_mod: Module, m_vec, x_vec) -> tuple:
+def _pure(t: _Tensor, m_vec, x_vec) -> tuple:
     """The class of m ⊗ v in a tensor module, as a coordinate tuple."""
-    bim, _x, _ambient, proj, _sec = t_mod._cache["tensor_data"]
-    field = bim.left.field
+    field = t.proj.field
     amb_vec = kron(Mat.from_cols(field, [m_vec]), Mat.from_cols(field, [x_vec]))
-    return (proj.matrix * amb_vec).col(0)
+    return (t.proj * amb_vec).col(0)
 
 
 # ---------------------------------------------------------------------------
@@ -535,8 +545,8 @@ def is_frobenius_bimodule(m: Bimodule, seed: int = 0) -> FrobeniusVerdict:
         return FrobeniusVerdict("no", obstruction="M is not projective as a left S-module")
     if projective_witness(m.as_right_op_module()) is None:
         return FrobeniusVerdict("no", obstruction="M is not projective as a right R-module")
-    left_dual = hom_to_regular(m, "left").as_tensor_module()
-    right_dual = hom_to_regular(m, "right").as_tensor_module()
+    left_dual = hom_to_regular(m, "left")[0].as_tensor_module()
+    right_dual = hom_to_regular(m, "right")[0].as_tensor_module()
     verdict = is_isomorphic(left_dual, right_dual, seed=seed)
     if verdict.verdict == "yes":
         return FrobeniusVerdict("yes", witness=verdict.witness)
@@ -560,24 +570,21 @@ class BimodulePair:
         self.algebra_a = m.right       # F goes from R-Mod
         self.algebra_b = m.left        # ... to S-Mod
         self.name = "(M⊗-, N⊗-)"
-        self.dual = hom_to_regular(m, "left")   # N as an R-S-bimodule
+        # N as an R-S-bimodule, and the basis of Hom_S(M, S) it is written in
+        self.dual, self.n_basis = hom_to_regular(m, "left")
         basis = projective_witness(m.as_left_module())
         if basis is None:
             raise PreconditionFailed("M is not projective as a left S-module")
         self.dual_basis = basis
-        n_basis = self.dual._cache["hom_basis"]
-        self._functional_coords = []
-        for f in basis.functionals:
-            coeffs = coefficients_in_hom_basis(f, n_basis)
-            if coeffs is None:
-                raise PropertyViolation("dual-basis functional is outside Hom_S(M, S)")
-            self._functional_coords.append(coeffs)
+        coords = hom_coordinates(basis.functionals, self.n_basis, m.left.field,
+                                 "dual-basis functional is outside Hom_S(M, S)")
+        self._functional_coords = [coords.col(t) for t in range(coords.cols)]
 
     def apply_f(self, x: Module) -> Module:
-        return _tensor(self.m, x)
+        return _tensor(self.m, x).module
 
     def apply_g(self, y: Module) -> Module:
-        return _tensor(self.dual, y)
+        return _tensor(self.dual, y).module
 
     def apply_f_hom(self, f: ModHom) -> ModHom:
         return _tensor_hom(self.m, f)
@@ -587,44 +594,42 @@ class BimodulePair:
 
     def unit(self, x: Module) -> ModHom:
         """x -> N ⊗_S M ⊗_R x through the dual basis of M over S."""
-        fx = self.apply_f(x)
-        gfx = self.apply_g(fx)
+        fx = _tensor(self.m, x)
+        gfx = _tensor(self.dual, fx.module)
+        dim = gfx.module.dim
         field = x.algebra.field
         eye = Mat.identity(field, x.dim)
         cols = []
         for c in range(x.dim):
-            acc = [field.zero()] * gfx.dim
+            acc = [field.zero()] * dim
             for m_elt, f_coords in zip(self.dual_basis.elements, self._functional_coords):
                 inner = _pure(fx, m_elt, eye.col(c))
                 outer = _pure(gfx, f_coords, inner)
                 acc = [field.add(a, b) for a, b in zip(acc, outer)]
             cols.append(acc)
-        return ModHom(x, gfx, Mat.from_cols(field, cols, gfx.dim))
+        return ModHom(x, gfx.module, Mat.from_cols(field, cols, dim))
 
     def counit(self, y: Module) -> ModHom:
         """M ⊗_R N ⊗_S y -> y, m ⊗ h ⊗ w -> rho_y(h(m))·w."""
-        gy = self.apply_g(y)
-        fgy = self.apply_f(gy)
+        gy = _tensor(self.dual, y)
+        fgy = _tensor(self.m, gy.module)
         field = y.algebra.field
-        n_basis = self.dual._cache["hom_basis"]
-        _b, _x, _amb, proj_g, sec_g = gy._cache["tensor_data"]
-        _b2, _x2, _amb2, proj_f, sec_f = fgy._cache["tensor_data"]
         # E1 on M ⊗k N ⊗k y: block (a, u) is the action of h_u(m_a) in S
-        acts = [y.rho(h.matrix.col(a)) for a in range(self.m.dim) for h in n_basis]
+        acts = [y.rho(h.matrix.col(a)) for a in range(self.m.dim) for h in self.n_basis]
         e1 = block_matrix(field, [y.dim], [y.dim] * len(acts),
                           {(0, k): act for k, act in enumerate(acts)})
         # descend through N ⊗_S y: the ambient M ⊗k G(y) maps into M ⊗k N ⊗k y
         # by the section of G(y) on each copy
         eye_m = Mat.identity(field, self.m.dim)
-        e2 = e1 * kron(eye_m, sec_g)
-        mat = e2 * sec_f
-        if mat * proj_f.matrix != e2:
+        e2 = e1 * kron(eye_m, gy.section)
+        mat = e2 * fgy.section
+        if mat * fgy.proj != e2:
             raise PropertyViolation("counit does not kill the outer balancing relations")
         # well-definedness across the inner quotient
-        big_q = kron(eye_m, proj_g.matrix)
-        if mat * proj_f.matrix * big_q != e1:
+        big_q = kron(eye_m, gy.proj)
+        if mat * fgy.proj * big_q != e1:
             raise PropertyViolation("counit does not kill the inner balancing relations")
-        return ModHom(fgy, y, mat)
+        return ModHom(fgy.module, y, mat)
 
     def check_triangles(self, x: Module, y: Module) -> bool:
         eta = self.unit(x)
@@ -670,8 +675,13 @@ class ProductPair:
 
     def apply_f(self, y: Module) -> Module:
         """e·Y as a module over B."""
+        return self._block(y)[0]
 
-        def build() -> Module:
+    def _block(self, y: Module) -> Tuple[Module, Mat]:
+        """e·Y with the basis of e·Y inside Y its coordinates refer to,
+        built once per (pair, Y)."""
+
+        def build() -> Tuple[Module, Mat]:
             basis = column_space_basis(y.rho(self.e_vec))
             acts = []
             for i in range(self.b.dim):
@@ -680,9 +690,7 @@ class ProductPair:
                 if sol.particular is None:
                     raise PropertyViolation("projection block is not action-stable")
                 acts.append(sol.particular)
-            out = Module(self.b, acts)
-            out._cache["pr_data"] = (y, basis)
-            return out
+            return Module(self.b, acts), basis
 
         return memo(y, "pr", self, build)
 
@@ -696,10 +704,8 @@ class ProductPair:
         return memo(x, "inc", self, build)
 
     def apply_f_hom(self, f: ModHom) -> ModHom:
-        src = self.apply_f(f.source)
-        tgt = self.apply_f(f.target)
-        _y, b_src = src._cache["pr_data"]
-        _y2, b_tgt = tgt._cache["pr_data"]
+        src, b_src = self._block(f.source)
+        tgt, b_tgt = self._block(f.target)
         sol = solve(b_tgt, f.matrix * b_src)
         if sol.particular is None:
             raise PropertyViolation("projected hom left the idempotent block")
@@ -710,9 +716,8 @@ class ProductPair:
 
     def unit(self, y: Module) -> ModHom:
         """Y -> Inc Pr Y, the action of the idempotent in block coordinates."""
-        pr = self.apply_f(y)
+        pr, basis = self._block(y)
         inc_pr = self.apply_g(pr)
-        _y, basis = pr._cache["pr_data"]
         sol = solve(basis, y.rho(self.e_vec))
         if sol.particular is None:
             raise PropertyViolation("idempotent image missed its own block")
@@ -720,16 +725,12 @@ class ProductPair:
 
     def counit(self, x: Module) -> ModHom:
         """Pr Inc X -> X: the block of Inc X is X itself."""
-        inc = self.apply_g(x)
-        pr_inc = self.apply_f(inc)
-        _y, basis = pr_inc._cache["pr_data"]
+        pr_inc, basis = self._block(self.apply_g(x))
         return ModHom(pr_inc, x, basis)
 
     def unit2(self, x: Module) -> ModHom:
         """X -> Pr Inc X for the second adjunction (Inc, Pr)."""
-        inc = self.apply_g(x)
-        pr_inc = self.apply_f(inc)
-        _y, basis = pr_inc._cache["pr_data"]
+        pr_inc, basis = self._block(self.apply_g(x))
         sol = solve(basis, Mat.identity(self.b.field, x.dim))
         if sol.particular is None:
             raise PropertyViolation("identity is not expressible in the block basis")
@@ -737,10 +738,8 @@ class ProductPair:
 
     def counit2(self, y: Module) -> ModHom:
         """Inc Pr Y -> Y: the block inclusion."""
-        pr = self.apply_f(y)
-        inc_pr = self.apply_g(pr)
-        _y, basis = pr._cache["pr_data"]
-        return ModHom(inc_pr, y, basis)
+        pr, basis = self._block(y)
+        return ModHom(self.apply_g(pr), y, basis)
 
     def check_triangles(self, y_obj: Module, x_obj: Module) -> bool:
         # (Pr, Inc): (eps Pr)(Pr eta) = id and (Inc eps)(eta Inc) = id

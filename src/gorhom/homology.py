@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .algebra import Algebra, algebra_to_json, json_int, resolve_algebra_ref
+from .algebra import Algebra, algebra_to_json, json_int, memo, resolve_algebra_ref
 from .errors import (
     InputShapeError,
     LiftFailed,
@@ -134,10 +134,13 @@ class Resolution:
 
 
 def resolve(m: Module, direction: str, depth: int) -> Resolution:
-    """Minimal resolution by projective covers, or the dual coresolution.
+    """Minimal resolution by projective covers, or the dual coresolution,
+    to `depth` steps or until it stops.
 
-    The result may be deeper than requested when a deeper resolution was
-    already computed and cached; terms beyond `depth` are simply extra.
+    A module's projective resolution is kept in its `_cache`, outside
+    `memo` because one entry serves every depth: a deeper or complete
+    resolution answers a shallower request, cut to `depth`, so the result
+    is the one a cold cache computes.
     """
     if direction not in ("projective", "injective"):
         raise InputShapeError("direction must be 'projective' or 'injective'")
@@ -155,7 +158,10 @@ def resolve(m: Module, direction: str, depth: int) -> Resolution:
     key = "projective_resolution"
     cached: Optional[Resolution] = m._cache.get(key)
     if cached is not None and (cached.complete or cached.depth() >= depth):
-        return cached
+        if cached.depth() <= depth:
+            return cached
+        return Resolution(m, "projective", cached.terms[:depth + 1], cached.maps[:depth],
+                          cached.augmentation, cached.syzygies[:depth + 1], False)
 
     terms: List[Module] = []
     maps: List[ModHom] = []
@@ -296,7 +302,7 @@ def gorenstein_profile(a: Algebra, bound: int = 20) -> GorensteinProfile:
             gdim = spdi
         return GorensteinProfile(spdi, sidp, gdim, bound)
 
-    return a._get_cached(("profile", bound), build)
+    return memo(a, ("profile", bound), None, build)
 
 
 # ---------------------------------------------------------------------------
@@ -314,19 +320,19 @@ class GpVerdict:
 
 
 def star_module(m: Module) -> Tuple[Module, list]:
-    """Hom(m, A) as a module over the opposite algebra, with its hom basis."""
-    cached = m._cache.get("star")
-    if cached is not None:
-        return cached
-    a = m.algebra
-    basis = hom_space(m, regular_module(a))
-    rmats = [a.right_mult_matrix(a.basis_vec(i)) for i in range(a.dim)]
-    acts = [hom_coordinates([rmat * h.matrix for h in basis], basis, a.field,
-                            "Hom(m, A) is not stable under the right action")
-            for rmat in rmats]
-    result = (Module(a.opposite(), acts), basis)
-    m._cache["star"] = result
-    return result
+    """Hom(m, A) as a module over the opposite algebra, with its hom basis,
+    computed once per module."""
+
+    def build() -> Tuple[Module, list]:
+        a = m.algebra
+        basis = hom_space(m, regular_module(a))
+        rmats = [a.right_mult_matrix(a.basis_vec(i)) for i in range(a.dim)]
+        acts = [hom_coordinates([rmat * h.matrix for h in basis], basis, a.field,
+                                "Hom(m, A) is not stable under the right action")
+                for rmat in rmats]
+        return Module(a.opposite(), acts), basis
+
+    return memo(m, "star", None, build)
 
 
 def evaluation_to_double_star(m: Module) -> Tuple[ModHom, Module]:
@@ -367,13 +373,8 @@ def is_gorenstein_projective(m: Module, profile: GorensteinProfile) -> GpVerdict
     Without certification, Ext-vanishing up to the profile bound yields
     only "unknown-at-depth", while a nonzero Ext certifies "no".
     """
-    key = ("is_gp", profile.gorenstein_dim, profile.bound)
-    cached = m._cache.get(key)
-    if cached is not None:
-        return cached
-    verdict = _is_gp_uncached(m, profile)
-    m._cache[key] = verdict
-    return verdict
+    return memo(m, ("is_gp", profile.gorenstein_dim, profile.bound), None,
+                lambda: _is_gp_uncached(m, profile))
 
 
 def _is_gp_uncached(m: Module, profile: GorensteinProfile) -> GpVerdict:
@@ -412,7 +413,7 @@ def _complete_resolution_check(m: Module, window: int) -> None:
     star_m, _star_m_basis = star_module(m)
     right_res = resolve(star_m, "projective", window)
 
-    ev, star2 = evaluation_to_double_star(m)
+    ev, _ = evaluation_to_double_star(m)
     _, star2_basis = star_module(star_m)
     if not ev.is_iso():
         raise PropertyViolation("evaluation to the double star is not an isomorphism")
@@ -465,10 +466,11 @@ def gpd(m: Module, profile: GorensteinProfile):
     """
     if not profile.certified:
         return "unknown"
-    key = ("gpd", profile.gorenstein_dim, profile.bound)
-    cached = m._cache.get(key)
-    if cached is not None:
-        return cached
+    return memo(m, ("gpd", profile.gorenstein_dim, profile.bound), None,
+                lambda: _gpd_uncached(m, profile))
+
+
+def _gpd_uncached(m: Module, profile: GorensteinProfile) -> int:
     d = profile.gorenstein_dim
     reg = regular_module(m.algebra)
     value = None
@@ -492,7 +494,6 @@ def gpd(m: Module, profile: GorensteinProfile):
         raise PropertyViolation(
             f"syzygy-based value {value} disagrees with Ext support {support}"
         )
-    m._cache[key] = value
     return value
 
 
@@ -740,10 +741,7 @@ class QuasiBicomplex:
         bad = []
         max_l = 2 * (self.max_row + 2)
         for l in range(max_l + 1):
-            for (i, j), mod in self.components.items():
-                ti, tj = i + l, j - l + 2
-                tgt = self.components.get((ti, tj))
-                rows = tgt.dim if tgt else 0
+            for i, j in self.components:
                 acc = None
                 for a_deg in range(l + 1):
                     first = self.map_at(l - a_deg, i, j)
@@ -893,7 +891,7 @@ def totalize_quasi_bicomplex(m: Module, profile: GorensteinProfile) -> Totalizat
     d0 = total.differential(0).matrix
     dm1 = total.differential(-1).matrix
     z0_basis = d0.kernel_basis()
-    z0_mod, z0_incl = submodule(totals[0], z0_basis)
+    z0_mod, _ = submodule(totals[0], z0_basis)
     b0_basis = column_space_basis(dm1)
     b0_mod, _ = submodule(totals[0], b0_basis)
 

@@ -134,7 +134,7 @@ def regular_module(a: Algebra) -> Module:
     def build():
         return Module(a, [a.left_mult_matrix(a.basis_vec(i)) for i in range(a.dim)])
 
-    return a._get_cached("regular_module", build)
+    return memo(a, "regular_module", None, build)
 
 
 # ---------------------------------------------------------------------------
@@ -192,27 +192,17 @@ def solve_hom_with_left_constraint(src: Module, tgt: Module, m: Mat, rhs: Mat) -
     return ModHom(src, tgt, unvec(field, res.particular.col(0), tgt.dim, src.dim))
 
 
-def coefficients_in_hom_basis(f: Mat, basis: Sequence[ModHom]) -> Optional[tuple]:
-    """Coordinates of the matrix f in the given hom basis, or None."""
-    if not basis:
-        return () if f.is_zero() else None
-    field = basis[0].source.algebra.field
-    cols = Mat.from_cols(field, [tuple(vec(h.matrix).col(0)) for h in basis])
-    res = solve(cols, vec(f))
-    if res.particular is None:
-        return None
-    return res.particular.col(0)
-
-
 def hom_coordinates(mats: Sequence[Mat], basis: Sequence[ModHom], field, law: str) -> Mat:
     """The matrix whose columns are the coordinates of mats in the hom basis;
     raises PropertyViolation(law) when one of them leaves the hom space."""
     cols = []
     for mat in mats:
-        coeffs = coefficients_in_hom_basis(mat, basis)
+        target = vec(mat)
+        span = Mat.from_cols(field, [vec(h.matrix).col(0) for h in basis], target.rows)
+        coeffs = solve(span, target).particular
         if coeffs is None:
             raise PropertyViolation(law)
-        cols.append(tuple(coeffs))
+        cols.append(coeffs.col(0))
     return Mat.from_cols(field, cols, len(basis))
 
 
@@ -232,7 +222,6 @@ def submodule(m: Module, basis: Mat) -> Tuple[Module, ModHom]:
 
     The columns must be independent and the span action-stable.
     """
-    field = m.algebra.field
     k = basis.cols
     if basis.rows != m.dim:
         raise InputShapeError("submodule basis lives in the wrong space")
@@ -268,6 +257,24 @@ def quotient_module(m: Module, basis: Mat) -> Tuple[Module, ModHom]:
         acts.append(lower.select_cols(rest))
     quot = Module(m.algebra, acts)
     return quot, ModHom(m, quot, tinv.select_rows(rest))
+
+
+def quotient_by_ideal(a: Algebra, ideal: Mat) -> Algebra:
+    """The quotient algebra A/I for a two-sided ideal spanned by ideal's columns.
+
+    Used to check semisimplicity of A/rad(A).  It is the quotient module of
+    the regular module: its basis is the classes of the basis elements
+    missed by the ideal's pivots, the product of the classes of e_k and
+    e_j is column j of the quotient action of e_k, and the unit is the
+    class of the unit.
+    """
+    quot, proj = quotient_module(regular_module(a), ideal)
+    pivots = set(rref(ideal.transpose()).pivots)
+    keep = [i for i in range(a.dim) if i not in pivots]
+    table = [[quot.action[k].col(j) for j in range(quot.dim)] for k in keep]
+    unit = (proj.matrix * Mat.from_cols(a.field, [a.unit])).col(0)
+    return Algebra(a.field, [a.basis_labels[i] for i in keep], table, unit,
+                   provenance={"kind": "quotient", "of": a.provenance.get("kind", "?")})
 
 
 def direct_sum(mods: Sequence[Module]):
@@ -404,6 +411,9 @@ class StructuralModules:
     # indices of the idempotents grouped by isomorphism class of their tops;
     # several idempotents share a class on non-basic algebras (matrix units)
     simple_classes: tuple
+    # embeddings[i]: the basis of projectives[i] = A·e_i inside the algebra,
+    # as columns of algebra elements
+    embeddings: tuple
 
 
 def structural_modules(a: Algebra) -> StructuralModules:
@@ -422,10 +432,11 @@ def structural_modules(a: Algebra) -> StructuralModules:
         reg = regular_module(a)
         projectives = []
         simples = []
+        embeddings = []
         for e in idems:
             pe_basis = column_space_basis(a.right_mult_matrix(e))
             pe, _ = submodule(reg, pe_basis)
-            pe._cache["embedding_in_regular"] = pe_basis
+            embeddings.append(pe_basis)
             projectives.append(pe)
             s, _ = top_of(pe)
             simples.append(s)
@@ -446,12 +457,11 @@ def structural_modules(a: Algebra) -> StructuralModules:
         for e in op.primitive_idempotents():
             pe_basis = column_space_basis(op.right_mult_matrix(e))
             pe, _ = submodule(reg_op, pe_basis)
-            pe._cache["embedding_in_regular"] = pe_basis
             injectives.append(dual_module(pe))
         return StructuralModules(tuple(simples), tuple(projectives), tuple(injectives),
-                                 tuple(tuple(c) for c in classes))
+                                 tuple(tuple(c) for c in classes), tuple(embeddings))
 
-    return a._get_cached("structural_modules", build)
+    return memo(a, "structural_modules", None, build)
 
 
 def cover_envelope(m: Module, direction: str) -> Tuple[Module, ModHom]:
@@ -479,66 +489,53 @@ def cover_envelope(m: Module, direction: str) -> Tuple[Module, ModHom]:
 
 
 def _projective_cover(m: Module) -> Tuple[Module, ModHom]:
-    key = "cover"
-    if key in m._cache:
-        return m._cache[key]
-    a = m.algebra
-    field = a.field
-    structural = structural_modules(a)
-    idems = a.primitive_idempotents()
-    if m.dim == 0:
-        z = zero_module(a)
-        result = (z, zero_hom(z, m))
-        m._cache[key] = result
-        return result
-    top, pi_top = top_of(m)
-    summands: List[Module] = []
-    generators: List[Mat] = []
-    # one idempotent per isomorphism class of simples, so multiplicities
-    # are not double-counted when distinct idempotents share their top
-    reps = [cls[0] for cls in structural.simple_classes]
-    for rep in reps:
-        e = idems[rep]
-        pe = structural.projectives[rep]
-        e_top = top.rho(e)
-        img = column_space_basis(e_top)
-        for c in range(img.cols):
-            t_vec = Mat.col_vector(field, img.col(c))
-            lift = solve(pi_top.matrix, t_vec).particular
-            v = m.rho(e) * lift
-            if (pi_top.matrix * v) != t_vec:
-                raise PropertyViolation("projective cover lift left the idempotent slice")
-            summands.append(pe)
-            generators.append(v)
-    if not summands:
-        raise PropertyViolation("nonzero module with zero top")
-    big, _incls, _projs = direct_sum(summands)
-    # Map A·e -> m, x -> rho(x)·v, one block of columns per summand; the
-    # columns of the embedding are the elements of the algebra spanning A·e.
-    cols = []
-    for pe, v in zip(summands, generators):
-        emb = _projective_embedding(pe)
-        cols.extend((m.rho(emb.col(c)) * v).col(0) for c in range(pe.dim))
-    cover_map = ModHom(big, m, Mat.from_cols(field, cols))
-    if not cover_map.is_epi():
-        raise PropertyViolation("projective cover map is not epi")
-    ker = cover_map.matrix.kernel_basis()
-    radp = radical_submodule_basis(big)
-    if ker.cols:
-        joint = rref(radp.hstack(ker).transpose()).rank
-        if joint != rref(radp.transpose()).rank:
-            raise PropertyViolation("projective cover kernel is not superfluous")
-    result = (big, cover_map)
-    m._cache[key] = result
-    return result
+    """The projective cover of m, computed once per module."""
 
+    def build() -> Tuple[Module, ModHom]:
+        a = m.algebra
+        field = a.field
+        structural = structural_modules(a)
+        idems = a.primitive_idempotents()
+        if m.dim == 0:
+            z = zero_module(a)
+            return z, zero_hom(z, m)
+        top, pi_top = top_of(m)
+        # (index of the projective summand A·e, its generator in m)
+        picks: List[Tuple[int, Mat]] = []
+        # one idempotent per isomorphism class of simples, so multiplicities
+        # are not double-counted when distinct idempotents share their top
+        for rep in (cls[0] for cls in structural.simple_classes):
+            e = idems[rep]
+            e_top = top.rho(e)
+            img = column_space_basis(e_top)
+            for c in range(img.cols):
+                t_vec = Mat.col_vector(field, img.col(c))
+                lift = solve(pi_top.matrix, t_vec).particular
+                v = m.rho(e) * lift
+                if (pi_top.matrix * v) != t_vec:
+                    raise PropertyViolation("projective cover lift left the idempotent slice")
+                picks.append((rep, v))
+        if not picks:
+            raise PropertyViolation("nonzero module with zero top")
+        big, _incls, _projs = direct_sum([structural.projectives[i] for i, _ in picks])
+        # Map A·e -> m, x -> rho(x)·v, one block of columns per summand; the
+        # columns of the embedding are the elements of the algebra spanning A·e.
+        cols = []
+        for i, v in picks:
+            emb = structural.embeddings[i]
+            cols.extend((m.rho(emb.col(c)) * v).col(0) for c in range(emb.cols))
+        cover_map = ModHom(big, m, Mat.from_cols(field, cols))
+        if not cover_map.is_epi():
+            raise PropertyViolation("projective cover map is not epi")
+        ker = cover_map.matrix.kernel_basis()
+        radp = radical_submodule_basis(big)
+        if ker.cols:
+            joint = rref(radp.hstack(ker).transpose()).rank
+            if joint != rref(radp.transpose()).rank:
+                raise PropertyViolation("projective cover kernel is not superfluous")
+        return big, cover_map
 
-def _projective_embedding(pe: Module) -> Mat:
-    """The basis of A·e inside the algebra, recorded when pe was built."""
-    emb = pe._cache.get("embedding_in_regular")
-    if emb is None:
-        raise PropertyViolation("projective summand lost its embedding data")
-    return emb
+    return memo(m, "cover", None, build)
 
 
 def stable_hom_dim(m: Module, n: Module) -> int:

@@ -21,7 +21,6 @@ from gorhom.algebra import (
     path_algebra,
     product_algebra,
     quiver_from_json,
-    quotient_by_ideal,
     radical_and_idempotents,
     save_algebra,
     symmetric_group_table,
@@ -37,6 +36,7 @@ from gorhom.errors import (
 )
 from gorhom.exactlin import FieldSpec, Mat
 from gorhom.frobenius import extension_bimodule, load_bimodule, load_extension
+from gorhom.modrep import quotient_by_ideal
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)

@@ -49,6 +49,7 @@ WRONG_TYPES = (
     + [("a2_s1.mod", "dim", v) for v in (1.5, True, "1")]
     + [("a2_stalk.cpx", "support", v) for v in ([0.5, 0], [0, 3], [0, -1], [0, 0, 0])]
     + [("f2_f2c2.ext", "embedding", v) for v in (["1", "0", "0"], ["1"], "10", 5)]
+    + [("f2.alg", "idempotents", [["1", "1"]])]
 )
 
 COMMANDS = {".alg": "algebra-info", ".mod": "module-info", ".cpx": "complex-check",

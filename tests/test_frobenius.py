@@ -1,3 +1,4 @@
+import gc
 from pathlib import Path
 
 import pytest
@@ -43,8 +44,10 @@ from gorhom.frobenius import (
     unit_counit,
     verify_gpd_transfer,
 )
+from gorhom.homology import gorenstein_profile, gpd, is_gorenstein_projective, star_module
 from gorhom.modrep import (
     Module,
+    cover_envelope,
     direct_sum,
     hom_dim,
     is_isomorphic,
@@ -251,8 +254,50 @@ def test_second_application_builds_nothing(monkeypatch, ext_f2_f2c2, f2, a2, f2c
     assert "Bimodule" in built
     built.clear()
     assert ExtensionPair(ext).apply_f(k) is ind
-    assert extension_bimodule(ext) is ind._cache["tensor_data"][0]
+    assert frobenius._tensor(extension_bimodule(ext), k).module is ind
     assert built == []
+
+
+def _empty_every_cache() -> int:
+    """Empty the `_cache` of every live gorhom object; the entries removed."""
+    removed = 0
+    for obj in gc.get_objects():
+        cache = getattr(obj, "_cache", None)
+        if type(obj).__module__.startswith("gorhom.") and isinstance(cache, dict):
+            removed += len(cache)
+            cache.clear()
+    return removed
+
+
+def test_clearing_every_cache_changes_no_result(ext_f2_f2c2, f2, a2, f2c2):
+    # A cache entry may only save time: the triangle identities, units and
+    # counits of all four pairs, covers, envelopes, stars and Gorenstein
+    # verdicts come out the same from empty caches as from warm ones.
+    ext = ext_f2_f2c2
+    k, k_c2 = structural_modules(f2).simples[0], structural_modules(f2c2).simples[0]
+    s_a2 = structural_modules(a2).simples[0]
+    x_prod = regular_module(product_algebra(f2, a2))
+    pairs = [(ExtensionPair(ext), k, k_c2), (ResCoindPair(ext), k_c2, k),
+             (BimodulePair(extension_bimodule(ext)), k, k_c2), (ProductPair(f2, a2), x_prod, k)]
+
+    def results():
+        out = []
+        for pair, x, y in pairs:
+            assert pair.check_triangles(x, y)
+            out += [pair.unit(x).matrix, pair.counit(y).matrix]
+        for m in (k_c2, s_a2):
+            prof = gorenstein_profile(m.algebra)
+            for direction in ("cover", "envelope"):
+                mod, hom = cover_envelope(m, direction)
+                out += [mod.action, hom.matrix]
+            star, basis = star_module(m)
+            out += [star.action, [h.matrix for h in basis]]
+            out += [prof, is_gorenstein_projective(m, prof), gpd(m, prof)]
+        return out
+
+    first = results()
+    assert _empty_every_cache() > 0
+    assert results() == first
 
 
 DATA = Path(gorhom.__file__).parent / "data"

@@ -72,10 +72,8 @@ def two_loops():
 
 def simple_at(a, label):
     s = structural_modules(a)
-    idx = [i for i, p in enumerate(s.projectives)]
     # identify the simple whose projective cover has top at the given vertex label
-    for si, proj in zip(s.simples, s.projectives):
-        emb = proj._cache["embedding_in_regular"]
+    for si, emb in zip(s.simples, s.embeddings):
         if a.basis_labels.index(label) in rref(emb.transpose()).pivots:
             return si
     raise AssertionError("no simple found")
@@ -103,6 +101,18 @@ def test_periodic_resolution_over_dual_numbers(dual_numbers):
     for syz in res.syzygies:
         assert syz.dim == 1
         assert is_isomorphic(syz, k).verdict == "yes"
+
+
+def test_a_deeper_cached_resolution_is_cut_to_the_depth_asked(a2, dual_numbers):
+    # a resolution reused from the cache must be the one a cold cache computes
+    k = structural_modules(dual_numbers).simples[0]
+    resolve(k, "projective", 6)
+    res = resolve(k, "projective", 2)
+    assert (len(res.terms), len(res.maps), len(res.syzygies), res.complete) == (3, 2, 3, False)
+    s1 = simple_at(a2, "e1")
+    assert resolve(s1, "projective", 5).complete
+    res = resolve(s1, "projective", 0)
+    assert (len(res.terms), res.complete) == (1, False)
 
 
 def test_resolution_of_simple_over_a2(a2):
