@@ -61,7 +61,6 @@ class Algebra:
         idempotents=None,
         provenance: Optional[dict] = None,
         _closed_radical=None,
-        _skip_validation: bool = False,
     ):
         self.field = field
         self.dim = len(basis_labels)
@@ -94,8 +93,7 @@ class Algebra:
             tuple(tuple((k, c) for k, c in enumerate(cell) if c != 0) for cell in row)
             for row in self.table
         )
-        if not _skip_validation:
-            self._validate()
+        self._validate()
 
     # -- element arithmetic ---------------------------------------------------
 
@@ -721,77 +719,27 @@ def symmetric_group_table(n: int):
 def truncated_extension(r: Algebra, t: int):
     """S = R[x]/(x^t) with x central, plus the embedding matrix R -> S.
 
-    The basis is {r_i x^j} ordered with the power of x as the slow index,
-    so the j = 0 slice is an embedded copy of R.
+    S is the tensor product k[x]/(x^t) ⊗ R, with basis {x^j ⊗ r_i}
+    labelled r_i*x^j.  The power of x is the slow index, so the first
+    dim R basis vectors (j = 0) are an embedded copy of R.
     """
     if t < 1:
         raise InputShapeError("truncation degree must be >= 1")
     field = r.field
-    d = r.dim
-    dim = d * t
-    zero = field.zero()
 
-    def pos(i, j):
-        return j * d + i
+    def power(j):
+        return tuple(field.one() if k == j else field.zero() for k in range(t))
 
-    labels = []
-    for j in range(t):
-        for i in range(d):
-            suffix = "" if j == 0 else (f"*x" if j == 1 else f"*x^{j}")
-            labels.append(r.basis_labels[i] + suffix)
-
-    table = [[None] * dim for _ in range(dim)]
-    for a in range(t):
-        for i in range(d):
-            for b in range(t):
-                for k in range(d):
-                    cell = [zero] * dim
-                    if a + b < t:
-                        prod = r.table[i][k]
-                        for m, c in enumerate(prod):
-                            if c != 0:
-                                cell[pos(m, a + b)] = c
-                    table[pos(i, a)][pos(k, b)] = tuple(cell)
-
-    unit = [zero] * dim
-    for i, c in enumerate(r.unit):
-        unit[pos(i, 0)] = c
-
-    idems = None
-    if r.idempotents is not None:
-        idems = []
-        for e in r.idempotents:
-            v = [zero] * dim
-            for i, c in enumerate(e):
-                v[pos(i, 0)] = c
-            idems.append(tuple(v))
-
-    rad_r = r.radical_basis()
-    rad_cols = []
-    for cidx in range(rad_r.cols):
-        col = rad_r.col(cidx)
-        v = [zero] * dim
-        for i, c in enumerate(col):
-            v[pos(i, 0)] = c
-        rad_cols.append(tuple(v))
-    for j in range(1, t):
-        for i in range(d):
-            v = [zero] * dim
-            v[pos(i, j)] = field.one()
-            rad_cols.append(tuple(v))
-    closed_rad = Mat.from_cols(field, rad_cols, dim)
-
-    s = Algebra(
-        field,
-        labels,
-        table,
-        unit,
-        idempotents=idems,
-        provenance={"kind": "truncated", "t": t, "base": r.provenance.get("kind", "?")},
-        _closed_radical=closed_rad,
-    )
-    embedding = Mat.from_cols(field, [s.basis_vec(pos(i, 0)) for i in range(d)])
-    return s, embedding
+    # x^a * x^b = x^(a+b), which power() makes zero once a + b >= t
+    poly = Algebra(field, [f"x^{j}" for j in range(t)],
+                   [[power(a + b) for b in range(t)] for a in range(t)], power(0),
+                   idempotents=[power(0)], provenance={"kind": "truncated_polynomial"},
+                   _closed_radical=Mat.from_cols(field, [power(j) for j in range(1, t)], t))
+    suffixes = ["", "*x"] + [f"*x^{j}" for j in range(2, t)]
+    s = _tensor_algebra(
+        poly, r, [label + suffixes[j] for j in range(t) for label in r.basis_labels],
+        {"kind": "truncated", "t": t, "base": r.provenance.get("kind", "?")})
+    return s, Mat.identity(field, s.dim).select_cols(range(r.dim))
 
 
 def field_algebra(field: FieldSpec) -> Algebra:
@@ -807,73 +755,27 @@ def field_algebra(field: FieldSpec) -> Algebra:
 
 
 def matrix_algebra(a: Algebra, n: int) -> Algebra:
-    """n x n matrices over a; basis E_uv ⊗ e_i with matrix-unit products."""
+    """M_n(a) as the tensor product M_n(k) ⊗ a, with basis {E_uv ⊗ e_i}
+    labelled E{u}{v}*e_i and the matrix unit E_uv as the slow index."""
     if n < 1:
         raise InputShapeError("matrix size must be >= 1")
     field = a.field
-    d = a.dim
-    dim = n * n * d
-    zero = field.zero()
+    units = [(u, v) for u in range(n) for v in range(n)]
 
-    def pos(u, v, i):
-        return (u * n + v) * d + i
+    def unit_vec(uv):
+        return tuple(field.one() if w == uv else field.zero() for w in units)
 
-    labels = [
-        f"E{u + 1}{v + 1}*{a.basis_labels[i]}"
-        for u in range(n)
-        for v in range(n)
-        for i in range(d)
-    ]
-    table = [[None] * dim for _ in range(dim)]
-    for u in range(n):
-        for v in range(n):
-            for i in range(d):
-                for u2 in range(n):
-                    for v2 in range(n):
-                        for j in range(d):
-                            cell = [zero] * dim
-                            if v == u2:
-                                for k, c in enumerate(a.table[i][j]):
-                                    if c != 0:
-                                        cell[pos(u, v2, k)] = c
-                            table[pos(u, v, i)][pos(u2, v2, j)] = tuple(cell)
-
-    unit = [zero] * dim
-    for u in range(n):
-        for i, c in enumerate(a.unit):
-            unit[pos(u, u, i)] = c
-
-    idems = None
-    if a.idempotents is not None:
-        idems = []
-        for u in range(n):
-            for e in a.idempotents:
-                v = [zero] * dim
-                for i, c in enumerate(e):
-                    v[pos(u, u, i)] = c
-                idems.append(tuple(v))
-
-    rad_a = a.radical_basis()
-    rad_cols = []
-    for u in range(n):
-        for v in range(n):
-            for cidx in range(rad_a.cols):
-                col = rad_a.col(cidx)
-                w = [zero] * dim
-                for i, c in enumerate(col):
-                    w[pos(u, v, i)] = c
-                rad_cols.append(tuple(w))
-    closed_rad = Mat.from_cols(field, rad_cols, dim)
-
-    return Algebra(
-        field,
-        labels,
-        table,
-        unit,
-        idempotents=idems,
-        provenance={"kind": "matrix", "n": n, "base": a.provenance.get("kind", "?")},
-        _closed_radical=closed_rad,
-    )
+    zero = tuple(field.zero() for _ in units)
+    # E_uv * E_wz = E_uz when v = w, else 0
+    mn = Algebra(field, [f"E{u + 1}{v + 1}" for u, v in units],
+                 [[unit_vec((u, z)) if v == w else zero for w, z in units] for u, v in units],
+                 tuple(field.one() if u == v else field.zero() for u, v in units),
+                 idempotents=[unit_vec((u, u)) for u in range(n)],
+                 provenance={"kind": "matrix_units"},
+                 _closed_radical=Mat.zeros(field, n * n, 0))
+    return _tensor_algebra(
+        mn, a, [f"{e}*{label}" for e in mn.basis_labels for label in a.basis_labels],
+        {"kind": "matrix", "n": n, "base": a.provenance.get("kind", "?")})
 
 
 def product_algebra(a: Algebra, b: Algebra) -> Algebra:
@@ -932,86 +834,46 @@ def tensor_algebra(a: Algebra, b: Algebra) -> Algebra:
     """
     if a.field != b.field:
         raise InputShapeError("tensor factors must share the field")
-    return memo(a, "tensor", b, lambda: _tensor_algebra(a, b))
+    return memo(a, "tensor", b, lambda: _tensor_algebra(
+        a, b, [f"{la}(x){lb}" for la in a.basis_labels for lb in b.basis_labels],
+        {"kind": "tensor",
+         "left": a.provenance.get("kind", "?"),
+         "right": b.provenance.get("kind", "?")}))
 
 
-def _tensor_algebra(a: Algebra, b: Algebra) -> Algebra:
+def _tensor_algebra(a: Algebra, b: Algebra, labels: Sequence[str],
+                    provenance: dict) -> Algebra:
+    """a ⊗_k b with basis a_i ⊗ b_j at i * dim b + j (a's index is the slow
+    one), under the caller's labels and provenance."""
     field = a.field
-    da, db = a.dim, b.dim
-    dim = da * db
-    zero = field.zero()
     p = field.characteristic
 
-    def pos(i, j):
-        return i * db + j
+    def pure(v, w):
+        """Coordinates of v ⊗ w."""
+        return tuple([(x * y) % p if p else x * y for x in v for y in w])
 
-    labels = [f"{la}(x){lb}" for la in a.basis_labels for lb in b.basis_labels]
-    table = [[None] * dim for _ in range(dim)]
-    for i in range(da):
-        for j in range(db):
-            for k in range(da):
-                for l in range(db):
-                    cell = [zero] * dim
-                    for m, c1 in enumerate(a.table[i][k]):
-                        if c1 == 0:
-                            continue
-                        for q, c2 in enumerate(b.table[j][l]):
-                            if c2 == 0:
-                                continue
-                            cell[pos(m, q)] = (c1 * c2) % p if p else c1 * c2
-                    table[pos(i, j)][pos(k, l)] = tuple(cell)
-
-    unit = [zero] * dim
-    for i, c1 in enumerate(a.unit):
-        if c1 == 0:
-            continue
-        for j, c2 in enumerate(b.unit):
-            if c2 != 0:
-                unit[pos(i, j)] = (c1 * c2) % p if p else c1 * c2
-
+    pairs = [(i, j) for i in range(a.dim) for j in range(b.dim)]
+    table = [[pure(a.table[i][k], b.table[j][l]) for k, l in pairs] for i, j in pairs]
     idems = None
     if a.idempotents is not None and b.idempotents is not None:
-        idems = []
-        for e in a.idempotents:
-            for f in b.idempotents:
-                v = [zero] * dim
-                for i, c1 in enumerate(e):
-                    if c1 == 0:
-                        continue
-                    for j, c2 in enumerate(f):
-                        if c2 != 0:
-                            v[pos(i, j)] = (c1 * c2) % p if p else c1 * c2
-                idems.append(tuple(v))
+        idems = [pure(e, f) for e in a.idempotents for f in b.idempotents]
 
     # rad(a (x) b) = rad(a) (x) b + a (x) rad(b) over a perfect field.
     rad_a, rad_b = a.radical_basis(), b.radical_basis()
-    span_cols = []
-    for c in range(rad_a.cols):
-        col = rad_a.col(c)
-        for j in range(db):
-            v = [zero] * dim
-            for i, x in enumerate(col):
-                v[pos(i, j)] = x
-            span_cols.append(v)
-    for c in range(rad_b.cols):
-        col = rad_b.col(c)
-        for i in range(da):
-            v = [zero] * dim
-            for j, x in enumerate(col):
-                v[pos(i, j)] = x
-            span_cols.append(v)
-    red = rref(Mat.from_cols(field, span_cols, dim).transpose())
+    span_cols = [pure(rad_a.col(c), b.basis_vec(j)) for c in range(rad_a.cols)
+                 for j in range(b.dim)]
+    span_cols += [pure(a.basis_vec(i), rad_b.col(c)) for c in range(rad_b.cols)
+                  for i in range(a.dim)]
+    red = rref(Mat.from_cols(field, span_cols, a.dim * b.dim).transpose())
     closed_rad = red.matrix.transpose().select_cols(range(red.rank))
 
     return Algebra(
         field,
         labels,
         table,
-        unit,
+        pure(a.unit, b.unit),
         idempotents=idems,
-        provenance={"kind": "tensor",
-                    "left": a.provenance.get("kind", "?"),
-                    "right": b.provenance.get("kind", "?")},
+        provenance=provenance,
         _closed_radical=closed_rad,
     )
 

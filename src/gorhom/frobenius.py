@@ -14,9 +14,10 @@ relations.
 * for a product algebra B x B', the projection and inclusion act through
   the central idempotent (1, 0).
 
-Every adjunction built here verifies its triangle identities as exact
-matrix equalities, and the verification routines report per-object
-records rather than trusting any general fact on faith.
+Every adjoint pair here is an AdjointPair, and AdjointPair.check_triangles
+is the one check of the triangle identities, as exact matrix equalities.
+The verification routines report per-object records rather than trusting
+any general fact on faith.
 """
 
 from __future__ import annotations
@@ -181,7 +182,34 @@ def unit_counit(ext: RingExtension, x: Module, y: Module):
 # ---------------------------------------------------------------------------
 
 
-class ExtensionPair:
+class AdjointPair:
+    """An adjoint pair (F, G): F takes algebra_a-modules to algebra_b-modules
+    and G takes them back, with unit eta: 1 -> GF and counit eps: FG -> 1.
+
+    A pair supplies apply_f, apply_g, their hom versions apply_f_hom and
+    apply_g_hom, unit and counit; the triangle identities are checked here,
+    once for every pair.
+    """
+
+    def check_triangles(self, x: Module, y: Module) -> bool:
+        """eps_{Fx} ∘ F(eta_x) = id_{Fx} and G(eps_y) ∘ eta_{Gy} = id_{Gy}, exactly."""
+        fx = self.apply_f(x)
+        first = self.counit(fx).matrix * self.apply_f_hom(self.unit(x)).matrix
+        if first != Mat.identity(fx.algebra.field, fx.dim):
+            raise PropertyViolation(f"first triangle identity of {self.name} fails")
+        gy = self.apply_g(y)
+        second = self.apply_g_hom(self.counit(y)).matrix * self.unit(gy).matrix
+        if second != Mat.identity(gy.algebra.field, gy.dim):
+            raise PropertyViolation(f"second triangle identity of {self.name} fails")
+        return True
+
+
+def _restriction_hom(ext: RingExtension, f: ModHom) -> ModHom:
+    """Restriction of f: the same matrix between the restricted modules."""
+    return ModHom(_restriction(ext, f.source), _restriction(ext, f.target), f.matrix)
+
+
+class ExtensionPair(AdjointPair):
     """The adjoint pair (induction, restriction) of a ring extension."""
 
     def __init__(self, ext: RingExtension):
@@ -200,7 +228,7 @@ class ExtensionPair:
         return _tensor_hom(extension_bimodule(self.ext), f)
 
     def apply_g_hom(self, f: ModHom) -> ModHom:
-        return ModHom(self.apply_g(f.source), self.apply_g(f.target), f.matrix)
+        return _restriction_hom(self.ext, f)
 
     def unit(self, x: Module) -> ModHom:
         ind = _tensor(extension_bimodule(self.ext), x)
@@ -222,27 +250,8 @@ class ExtensionPair:
             raise PropertyViolation("counit does not kill the balancing relations")
         return ModHom(ind_res.module, y, mat)
 
-    def check_triangles(self, x: Module, y: Module) -> bool:
-        """(eps F)(F eta) = id_{F x} and (G eps)(eta G) = id_{G y}, exactly."""
-        eta_x = self.unit(x)
-        ind_x = self.apply_f(x)
-        # eta_x.target is Res(Ind x) whose induced module is Ind Res Ind x
-        f_eta = self.apply_f_hom(eta_x)
-        eps_at_ind = self.counit(ind_x)
-        left = eps_at_ind.matrix * f_eta.matrix
-        if left != Mat.identity(x.algebra.field, ind_x.dim):
-            raise PropertyViolation("first triangle identity fails")
-        eps_y = self.counit(y)
-        res_y = self.apply_g(y)
-        eta_res = self.unit(res_y)
-        g_eps = eps_y.matrix  # restriction acts identically on matrices
-        right = g_eps * eta_res.matrix
-        if right != Mat.identity(y.algebra.field, res_y.dim):
-            raise PropertyViolation("second triangle identity fails")
-        return True
 
-
-class ResCoindPair:
+class ResCoindPair(AdjointPair):
     """The adjoint pair (restriction, coinduction) of a ring extension."""
 
     def __init__(self, ext: RingExtension):
@@ -256,6 +265,12 @@ class ResCoindPair:
 
     def apply_g(self, x: Module) -> Module:
         return coinduce(self.ext, x)
+
+    def apply_f_hom(self, f: ModHom) -> ModHom:
+        return _restriction_hom(self.ext, f)
+
+    def apply_g_hom(self, f: ModHom) -> ModHom:
+        return coinduce_hom(self.ext, f)
 
     def unit(self, y: Module) -> ModHom:
         """y -> Coind(Res y), w -> (s -> s·w)."""
@@ -275,22 +290,6 @@ class ResCoindPair:
         unit_col = Mat.col_vector(field, self.ext.total.unit)
         cols = [(h.matrix * unit_col).col(0) for h in basis]
         return ModHom(res_co, x, Mat.from_cols(field, cols, x.dim))
-
-    def check_triangles(self, y: Module, x: Module) -> bool:
-        # (eps Res)(Res eta) = id on Res y
-        eta_y = self.unit(y)
-        res_eta = eta_y.matrix        # restriction acts identically
-        eps_at_res = self.counit(self.apply_f(y))
-        if eps_at_res.matrix * res_eta != Mat.identity(y.algebra.field, y.dim):
-            raise PropertyViolation("first triangle identity of (Res, Coind) fails")
-        # (Coind eps)(eta Coind) = id on Coind x
-        co = self.apply_g(x)
-        eps_x = self.counit(x)
-        eta_at_co = self.unit(co)
-        coind_eps = coinduce_hom(self.ext, eps_x)
-        if coind_eps.matrix * eta_at_co.matrix != Mat.identity(x.algebra.field, co.dim):
-            raise PropertyViolation("second triangle identity of (Res, Coind) fails")
-        return True
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +561,7 @@ def is_frobenius_bimodule(m: Bimodule, seed: int = 0) -> FrobeniusVerdict:
 # ---------------------------------------------------------------------------
 
 
-class BimodulePair:
+class BimodulePair(AdjointPair):
     """(M ⊗_R -, Hom_S(M, S) ⊗_S -) for an S-R-bimodule M with _S M projective."""
 
     def __init__(self, m: Bimodule):
@@ -631,21 +630,6 @@ class BimodulePair:
             raise PropertyViolation("counit does not kill the inner balancing relations")
         return ModHom(fgy.module, y, mat)
 
-    def check_triangles(self, x: Module, y: Module) -> bool:
-        eta = self.unit(x)
-        fx = self.apply_f(x)
-        f_eta = self.apply_f_hom(eta)
-        eps_fx = self.counit(fx)
-        if eps_fx.matrix * f_eta.matrix != Mat.identity(x.algebra.field, fx.dim):
-            raise PropertyViolation("first triangle identity fails (bimodule pair)")
-        gy = self.apply_g(y)
-        eps_y = self.counit(y)
-        g_eps = self.apply_g_hom(eps_y)
-        eta_gy = self.unit(gy)
-        if g_eps.matrix * eta_gy.matrix != Mat.identity(y.algebra.field, gy.dim):
-            raise PropertyViolation("second triangle identity fails (bimodule pair)")
-        return True
-
 
 def column_bimodule(r: Algebra, n: int, matrix_alg: Algebra) -> Bimodule:
     """The column bimodule R^n over (M_n(R), R): left matrix action, right scalars."""
@@ -657,7 +641,7 @@ def column_bimodule(r: Algebra, n: int, matrix_alg: Algebra) -> Bimodule:
     return Bimodule(matrix_alg, r, n * r.dim, left, right)
 
 
-class ProductPair:
+class ProductPair(AdjointPair):
     """(projection, inclusion) for B x B', acting through the idempotent (1, 0)."""
 
     def __init__(self, b: Algebra, bprime: Algebra, product: Optional[Algebra] = None):
@@ -728,44 +712,44 @@ class ProductPair:
         pr_inc, basis = self._block(self.apply_g(x))
         return ModHom(pr_inc, x, basis)
 
-    def unit2(self, x: Module) -> ModHom:
-        """X -> Pr Inc X for the second adjunction (Inc, Pr)."""
-        pr_inc, basis = self._block(self.apply_g(x))
-        sol = solve(basis, Mat.identity(self.b.field, x.dim))
+    def check_triangles(self, y: Module, x: Module) -> bool:
+        """Both adjunctions of the product: (Pr, Inc) at (y, x) and (Inc, Pr) at (x, y)."""
+        return super().check_triangles(y, x) and InclusionPair(self).check_triangles(x, y)
+
+
+class InclusionPair(AdjointPair):
+    """(inclusion, projection) for B x B': the pair of ProductPair read backwards."""
+
+    def __init__(self, pr: ProductPair):
+        self.pr = pr
+        self.algebra_a = pr.b             # F = Inc goes from B-Mod
+        self.algebra_b = pr.product
+        self.name = "(Inc, Pr)"
+
+    def apply_f(self, x: Module) -> Module:
+        return self.pr.apply_g(x)
+
+    def apply_g(self, y: Module) -> Module:
+        return self.pr.apply_f(y)
+
+    def apply_f_hom(self, f: ModHom) -> ModHom:
+        return self.pr.apply_g_hom(f)
+
+    def apply_g_hom(self, f: ModHom) -> ModHom:
+        return self.pr.apply_f_hom(f)
+
+    def unit(self, x: Module) -> ModHom:
+        """X -> Pr Inc X: the identity written in the block basis."""
+        pr_inc, basis = self.pr._block(self.pr.apply_g(x))
+        sol = solve(basis, Mat.identity(x.algebra.field, x.dim))
         if sol.particular is None:
             raise PropertyViolation("identity is not expressible in the block basis")
         return ModHom(x, pr_inc, sol.particular)
 
-    def counit2(self, y: Module) -> ModHom:
+    def counit(self, y: Module) -> ModHom:
         """Inc Pr Y -> Y: the block inclusion."""
-        pr, basis = self._block(y)
-        return ModHom(self.apply_g(pr), y, basis)
-
-    def check_triangles(self, y_obj: Module, x_obj: Module) -> bool:
-        # (Pr, Inc): (eps Pr)(Pr eta) = id and (Inc eps)(eta Inc) = id
-        eta = self.unit(y_obj)
-        pr_eta = self.apply_f_hom(eta)
-        eps_pr = self.counit(self.apply_f(y_obj))
-        pr_y = self.apply_f(y_obj)
-        if eps_pr.matrix * pr_eta.matrix != Mat.identity(self.b.field, pr_y.dim):
-            raise PropertyViolation("first triangle of (Pr, Inc) fails")
-        inc_x = self.apply_g(x_obj)
-        eps_x = self.counit(x_obj)
-        inc_eps = self.apply_g_hom(eps_x)
-        eta_inc = self.unit(inc_x)
-        if inc_eps.matrix * eta_inc.matrix != Mat.identity(self.b.field, inc_x.dim):
-            raise PropertyViolation("second triangle of (Pr, Inc) fails")
-        # (Inc, Pr): both triangles with unit2/counit2
-        u2 = self.unit2(x_obj)
-        inc_u2 = self.apply_g_hom(u2)
-        c2_inc = self.counit2(self.apply_g(x_obj))
-        if c2_inc.matrix * inc_u2.matrix != Mat.identity(self.b.field, inc_x.dim):
-            raise PropertyViolation("first triangle of (Inc, Pr) fails")
-        pr_c2 = self.apply_f_hom(self.counit2(y_obj))
-        u2_pr = self.unit2(self.apply_f(y_obj))
-        if pr_c2.matrix * u2_pr.matrix != Mat.identity(self.b.field, pr_y.dim):
-            raise PropertyViolation("second triangle of (Inc, Pr) fails")
-        return True
+        pr, basis = self.pr._block(y)
+        return ModHom(self.pr.apply_g(pr), y, basis)
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,6 @@ from .modrep import (
     component_to_json,
     cover_envelope,
     direct_sum,
-    dual_hom,
     dual_module,
     hom_coordinates,
     hom_dim,
@@ -110,27 +109,38 @@ class Resolution:
         return zero_module(self.augmented.algebra)
 
     def __post_init__(self):
-        if self.direction == "projective":
-            if not self.augmentation.is_epi():
-                raise PropertyViolation("augmentation of a projective resolution must be epi")
-            prev = self.augmentation
-            for k, d in enumerate(self.maps):
-                if not (prev.matrix * d.matrix).is_zero():
-                    raise PropertyViolation(f"composite is nonzero at stage {k}")
-                # exactness at terms[k]: im(maps[k]) = ker(prev)
-                if d.matrix.rank() != self.terms[k].dim - prev.matrix.rank():
-                    raise PropertyViolation(f"resolution is not exact at stage {k}")
-                prev = d
-        else:
-            if not self.augmentation.is_mono():
-                raise PropertyViolation("augmentation of an injective resolution must be mono")
-            prev = self.augmentation
-            for k, d in enumerate(self.maps):
-                if not (d.matrix * prev.matrix).is_zero():
-                    raise PropertyViolation(f"composite is nonzero at stage {k}")
-                if d.matrix.kernel_basis().cols != prev.matrix.rank():
-                    raise PropertyViolation(f"coresolution is not exact at stage {k}")
-                prev = d
+        projective = self.direction == "projective"
+        arrows = (self.augmentation,) + self.maps
+        for k, (prev, d) in enumerate(zip(arrows, self.maps)):
+            first, then = (d, prev) if projective else (prev, d)
+            if not (then.matrix * first.matrix).is_zero():
+                raise PropertyViolation(f"composite is nonzero at stage {k}")
+        # 0 -> augmented -> terms[0] -> ... (arrows reversed when projective):
+        # exact at the augmented module and at every term a map leaves
+        h = homology_dims([self.augmented.dim] + [t.dim for t in self.terms],
+                          [f.matrix for f in arrows])
+        if h[0]:
+            raise PropertyViolation(
+                "augmentation of a projective resolution must be epi" if projective
+                else "augmentation of an injective resolution must be mono")
+        for k in range(len(self.maps)):
+            if h[k + 1]:
+                raise PropertyViolation(
+                    f"{'resolution' if projective else 'coresolution'} "
+                    f"is not exact at stage {k}")
+
+
+def homology_dims(dims: Sequence[int], mats: Sequence[Mat]) -> List[int]:
+    """dims[i] - rank(mats[i-1]) - rank(mats[i]) at every spot i of a
+    complex whose map mats[i] joins spot i and spot i+1, pointing either
+    way; maps past the end of mats count as rank 0.  Each rank is computed
+    once.  A spot is exact exactly when its entry is 0."""
+    ranks = [rref(m).rank for m in mats]
+
+    def rank(i: int) -> int:
+        return ranks[i] if 0 <= i < len(ranks) else 0
+
+    return [d - rank(i - 1) - rank(i) for i, d in enumerate(dims)]
 
 
 def resolve(m: Module, direction: str, depth: int) -> Resolution:
@@ -209,13 +219,10 @@ def _hom_cohomology(res: Resolution, homs_at, i: int) -> int:
     if res.complete and i > res.depth():
         return 0
     post = res.direction == "injective"
-
-    def rank(k: int) -> int:
-        if k >= len(res.maps):
-            return 0
-        return rref(hom_delta(homs_at(k), res.maps[k].matrix, post)).rank
-
-    return len(homs_at(i)) - rank(i) - rank(i - 1)
+    homs = [homs_at(k) for k in (i - 1, i)]
+    deltas = [hom_delta(h, res.maps[k].matrix, post)
+              for h, k in zip(homs, (i - 1, i)) if k < len(res.maps)]
+    return homology_dims([len(h) for h in homs], deltas)[1]
 
 
 def ext_dim(m: Module, n: Module, i: int) -> int:
@@ -442,20 +449,15 @@ def _complete_resolution_check(m: Module, window: int) -> None:
     for i in range(len(chain_maps) - 1):
         if not (chain_maps[i + 1] * chain_maps[i]).is_zero():
             raise PropertyViolation("complete-resolution window is not a complex")
-    for i in range(1, len(chain_terms) - 1):
-        rank_in = rref(chain_maps[i - 1]).rank
-        rank_out = rref(chain_maps[i]).rank
-        if rank_in + rank_out != chain_terms[i].dim:
-            raise PropertyViolation("complete-resolution window is not exact")
+    # the two ends of the window are cut off, so only its interior is exact
+    if any(homology_dims([t.dim for t in chain_terms], chain_maps)[1:-1]):
+        raise PropertyViolation("complete-resolution window is not exact")
 
     # Hom(-, A)-acyclicity in the window.
     homs = [hom_space(t, reg) for t in chain_terms]
     deltas = [hom_delta(homs[i + 1], chain_maps[i]) for i in range(len(chain_maps))]
-    for i in range(1, len(chain_terms) - 1):
-        rank_out = rref(deltas[i - 1]).rank
-        rank_in = rref(deltas[i]).rank
-        if len(homs[i]) - rank_out - rank_in != 0:
-            raise PropertyViolation("Hom(-, A) applied to the window is not acyclic")
+    if any(homology_dims([len(h) for h in homs], deltas)[1:-1]):
+        raise PropertyViolation("Hom(-, A) applied to the window is not acyclic")
 
 
 def gpd(m: Module, profile: GorensteinProfile):
@@ -516,22 +518,15 @@ def gid(m: Module, profile: GorensteinProfile):
 
 
 def lift_chain_map(f: ModHom, source: Resolution, target: Resolution) -> List[ModHom]:
-    """Lift f between the augmented objects to a chain map of resolutions.
+    """Lift f between the augmented objects to a chain map of projective
+    resolutions; LiftFailed for any other direction.
 
     Every returned square is verified to commute exactly; exactness of the
     target resolution guarantees the linear systems are solvable whenever
     the preconditions hold.
     """
-    if source.direction != target.direction:
-        raise LiftFailed("resolutions must share a direction")
-    if source.direction == "injective":
-        dres_s = _dualize_injective(source)
-        dres_t = _dualize_injective(target)
-        dlift = lift_chain_map(dual_hom(f), dres_t, dres_s)
-        out = []
-        for k, g in enumerate(dlift):
-            out.append(ModHom(source.term(k), target.term(k), g.matrix.transpose()))
-        return out
+    if source.direction != "projective" or target.direction != "projective":
+        raise LiftFailed("chain maps are lifted between projective resolutions only")
 
     depth = max(len(source.terms), len(target.terms))
     lifts: List[ModHom] = []
@@ -557,16 +552,6 @@ def lift_chain_map(f: ModHom, source: Resolution, target: Resolution) -> List[Mo
         lifts.append(sol)
         prev = sol
     return lifts
-
-
-def _dualize_injective(res: Resolution) -> Resolution:
-    caps = tuple(dual_module(t) for t in res.terms)
-    maps = tuple(ModHom(caps[k + 1], caps[k], res.maps[k].matrix.transpose())
-                 for k in range(len(res.maps)))
-    aug = ModHom(caps[0], dual_module(res.augmented), res.augmentation.matrix.transpose())
-    syz = tuple(dual_module(s) for s in res.syzygies)
-    return Resolution(dual_module(res.augmented), "projective", caps, maps, aug, syz,
-                      res.complete)
 
 
 def nullhomotopy(chain_map: Sequence, source: Resolution, target: Resolution,
@@ -658,10 +643,8 @@ class ComplexObj:
         return range(self.lo, self.hi + 1)
 
     def cohomology_dim(self, n: int) -> int:
-        x = self.component(n)
-        d_out = self.differential(n).matrix
-        d_in = self.differential(n - 1).matrix
-        return (x.dim - rref(d_out).rank) - rref(d_in).rank
+        dims = [self.component(k).dim for k in (n - 1, n, n + 1)]
+        return homology_dims(dims, [self.differential(k).matrix for k in (n - 1, n)])[1]
 
 
 def complex_to_json(c: ComplexObj, algebra_ref: Optional[str] = None) -> dict:
@@ -879,8 +862,9 @@ def totalize_quasi_bicomplex(m: Module, profile: GorensteinProfile) -> Totalizat
 
     total = ComplexObj(a, totals, diffs)  # validates d∘d = 0
 
-    for s in degrees:
-        h = total.cohomology_dim(s)
+    h_dims = homology_dims([totals[s].dim for s in degrees],
+                           [diffs[s].matrix for s in degrees[:-1]])
+    for s, h in zip(degrees, h_dims):
         if s == 0:
             if h != m.dim:
                 raise PropertyViolation(f"H^0 of the total complex has dimension {h} != {m.dim}")

@@ -194,16 +194,19 @@ def solve_hom_with_left_constraint(src: Module, tgt: Module, m: Mat, rhs: Mat) -
 
 def hom_coordinates(mats: Sequence[Mat], basis: Sequence[ModHom], field, law: str) -> Mat:
     """The matrix whose columns are the coordinates of mats in the hom basis;
-    raises PropertyViolation(law) when one of them leaves the hom space."""
-    cols = []
-    for mat in mats:
-        target = vec(mat)
-        span = Mat.from_cols(field, [vec(h.matrix).col(0) for h in basis], target.rows)
-        coeffs = solve(span, target).particular
-        if coeffs is None:
-            raise PropertyViolation(law)
-        cols.append(coeffs.col(0))
-    return Mat.from_cols(field, cols, len(basis))
+    raises PropertyViolation(law) when one of them leaves the hom space.
+
+    One solve for all of mats: when every column is consistent, the RREF of
+    [span | targets] gives each column the solution it gets alone, the one
+    with zero free coordinates."""
+    if not mats:
+        return Mat.zeros(field, len(basis), 0)
+    rows = mats[0].rows * mats[0].cols
+    span = Mat.from_cols(field, [vec(h.matrix).col(0) for h in basis], rows)
+    coeffs = solve(span, Mat.from_cols(field, [vec(mat).col(0) for mat in mats], rows)).particular
+    if coeffs is None:
+        raise PropertyViolation(law)
+    return coeffs
 
 
 # ---------------------------------------------------------------------------

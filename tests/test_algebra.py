@@ -20,9 +20,11 @@ from gorhom.algebra import (
     matrix_algebra,
     path_algebra,
     product_algebra,
+    load_quiver,
     quiver_from_json,
     radical_and_idempotents,
     save_algebra,
+    save_quiver,
     symmetric_group_table,
     tensor_algebra,
     truncated_extension,
@@ -34,6 +36,7 @@ from gorhom.errors import (
     PropertyViolation,
     UnsupportedAlgebra,
 )
+from gorhom.corpus import corpus_algebra
 from gorhom.exactlin import FieldSpec, Mat
 from gorhom.frobenius import extension_bimodule, load_bimodule, load_extension
 from gorhom.modrep import quotient_by_ideal
@@ -260,6 +263,58 @@ def test_matrix_algebra_over_dual_numbers():
     assert m.radical_basis().cols == 4
 
 
+@pytest.mark.parametrize("t", [1, 2, 3])
+@pytest.mark.parametrize("name", ["a2", "f2c2", "f3c3", "q", "a2^op"])
+def test_truncated_extension_multiplies_powers_of_x(name, t):
+    # (r_i x^a)(r_k x^b) = (r_i r_k) x^(a+b), zero once a + b >= t
+    r = corpus_algebra(name.removesuffix("^op"))
+    r = r.opposite() if name.endswith("^op") else r
+    s, emb = truncated_extension(r, t)
+    d = r.dim
+    for a in range(t):
+        for b in range(t):
+            for i in range(d):
+                for k in range(d):
+                    cell = [0] * s.dim
+                    if a + b < t:
+                        cell[(a + b) * d:(a + b + 1) * d] = r.table[i][k]
+                    assert s.table[a * d + i][b * d + k] == tuple(cell)
+    pad = (0,) * (s.dim - d)
+    assert s.unit == tuple(r.unit) + pad
+    if r.idempotents is not None:
+        assert s.idempotents == tuple(tuple(e) + pad for e in r.idempotents)
+    assert [emb.col(i) for i in range(d)] == [s.basis_vec(i) for i in range(d)]
+    assert s.basis_labels == tuple(label + ("" if j == 0 else "*x" if j == 1 else f"*x^{j}")
+                                   for j in range(t) for label in r.basis_labels)
+    s.radical_basis()  # raises unless the closed form spans the generic radical
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("name", ["f2x2", "f3c3", "q"])
+def test_matrix_algebra_multiplies_matrix_units(name, n):
+    # (E_uv e_i)(E_wz e_j) = E_uz (e_i e_j) when v = w, else 0
+    a = corpus_algebra(name)
+    m = matrix_algebra(a, n)
+    d = a.dim
+    units = [(u, v) for u in range(n) for v in range(n)]
+    for p, (u, v) in enumerate(units):
+        for q, (w, z) in enumerate(units):
+            for i in range(d):
+                for j in range(d):
+                    cell = [0] * m.dim
+                    if v == w:
+                        start = units.index((u, z)) * d
+                        cell[start:start + d] = a.table[i][j]
+                    assert m.table[p * d + i][q * d + j] == tuple(cell)
+    assert m.basis_labels == tuple(f"E{u + 1}{v + 1}*{label}"
+                                   for u, v in units for label in a.basis_labels)
+    assert m.unit == tuple(x if u == v else 0 for u, v in units for x in a.unit)
+    if a.idempotents is not None:
+        assert m.idempotents == tuple(tuple(x if u == v == w else 0 for u, v in units for x in e)
+                                      for w in range(n) for e in a.idempotents)
+    m.radical_basis()  # raises unless the closed form spans the generic radical
+
+
 def test_tensor_algebra_radical_and_idempotents():
     a = path_algebra(a2_quiver(), F2)
     b = group_algebra(cyclic_group_table(2), F2)
@@ -335,8 +390,10 @@ def test_quiver_serialization_roundtrip(tmp_path):
         "arrows": [[0, 1, "a"], [1, 0, "b"]],
         "relations": [[[["b", "a"], "1"]], [[["a", "b"], "1"]]],
     }))
-    q2 = quiver_from_json(doc)
-    assert path_algebra(q2, F2).dim == path_algebra(q, F2).dim
+    assert path_algebra(quiver_from_json(doc), F2).table == path_algebra(q, F2).table
+    path = tmp_path / "nak.quiver"
+    save_quiver(q, path)
+    assert path_algebra(load_quiver(path), F2).table == path_algebra(q, F2).table
 
 
 def test_rational_path_algebra():

@@ -1,4 +1,5 @@
 import gc
+import re
 from pathlib import Path
 
 import pytest
@@ -15,12 +16,13 @@ from gorhom.algebra import (
     product_algebra,
     truncated_extension,
 )
-from gorhom.errors import PreconditionFailed
+from gorhom.errors import PreconditionFailed, PropertyViolation
 from gorhom.exactlin import FieldSpec, Mat
 from gorhom.frobenius import (
     Bimodule,
     BimodulePair,
     ExtensionPair,
+    InclusionPair,
     ProductPair,
     ResCoindPair,
     RingExtension,
@@ -53,6 +55,7 @@ from gorhom.modrep import (
     is_isomorphic,
     regular_module,
     structural_modules,
+    zero_hom,
 )
 
 F2 = FieldSpec(2)
@@ -155,6 +158,22 @@ def test_unit_mono_counit_split(ext_f2_f2c2, f2, f2c2):
 def test_res_coind_triangles(ext_f2_f2c2, f2, f2c2):
     pair = ResCoindPair(ext_f2_f2c2)
     pair.check_triangles(regular_module(f2c2), regular_module(f2))
+
+
+def test_every_pair_names_itself_when_a_triangle_fails(ext_f2_f2c2, f2, a2, f2c2):
+    ext = ext_f2_f2c2
+    k, k_c2 = regular_module(f2), regular_module(f2c2)
+    x_prod = regular_module(product_algebra(f2, a2))
+    product = ProductPair(f2, a2)
+    pairs = [(ExtensionPair(ext), k, k_c2), (ResCoindPair(ext), k_c2, k),
+             (BimodulePair(extension_bimodule(ext)), k, k_c2), (product, x_prod, k),
+             (InclusionPair(product), k, x_prod)]
+    for pair, x, y in pairs:
+        assert pair.check_triangles(x, y)
+        unit = pair.unit
+        pair.unit = lambda m, unit=unit: zero_hom(m, unit(m).target)
+        with pytest.raises(PropertyViolation, match=re.escape(pair.name)):
+            pair.check_triangles(x, y)
 
 
 def test_frobenius_extension_identity(a2):

@@ -1,5 +1,8 @@
+import dataclasses
+
 import pytest
 
+from gorhom import exactlin, homology
 from gorhom.algebra import (
     Quiver,
     cyclic_group_table,
@@ -8,7 +11,7 @@ from gorhom.algebra import (
     path_algebra,
     truncated_extension,
 )
-from gorhom.errors import NoHomotopy, ProfileNotCertified
+from gorhom.errors import LiftFailed, NoHomotopy, ProfileNotCertified, PropertyViolation
 from gorhom.exactlin import FieldSpec, Mat, rref
 from gorhom.homology import (
     AtLeast,
@@ -113,6 +116,37 @@ def test_a_deeper_cached_resolution_is_cut_to_the_depth_asked(a2, dual_numbers):
     assert resolve(s1, "projective", 5).complete
     res = resolve(s1, "projective", 0)
     assert (len(res.terms), res.complete) == (1, False)
+
+
+@pytest.mark.parametrize("direction, law", [("projective", "^resolution is not exact"),
+                                            ("injective", "^coresolution is not exact")])
+def test_a_resolution_with_a_zero_map_is_rejected(dual_numbers, direction, law):
+    k = structural_modules(dual_numbers).simples[0]
+    res = resolve(k, direction, 3)
+    maps = list(res.maps)
+    maps[1] = zero_hom(maps[1].source, maps[1].target)
+    with pytest.raises(PropertyViolation, match=law):
+        dataclasses.replace(res, maps=tuple(maps))
+    aug = zero_hom(res.augmentation.source, res.augmentation.target)
+    with pytest.raises(PropertyViolation, match="must be epi|must be mono"):
+        dataclasses.replace(res, augmentation=aug)
+
+
+@pytest.mark.parametrize("direction", ["projective", "injective"])
+def test_validating_a_resolution_ranks_each_map_once(monkeypatch, dual_numbers, direction):
+    k = structural_modules(dual_numbers).simples[0]
+    res = resolve(k, direction, 4)
+    calls = []
+    original = exactlin.rref
+
+    def counted(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(exactlin, "rref", counted)
+    monkeypatch.setattr(homology, "rref", counted)
+    dataclasses.replace(res)
+    assert res.depth() == 4 and len(calls) == res.depth() + 1
 
 
 def test_resolution_of_simple_over_a2(a2):
@@ -299,6 +333,13 @@ def test_lift_of_coresolution_differential(a2):
     for k in range(min(len(r0.maps), len(r1.maps))):
         assert (r1.maps[k].matrix * lift[k + 1].matrix ==
                 lift[k].matrix * r0.maps[k].matrix)
+
+
+def test_lift_needs_projective_resolutions(a2):
+    s2 = simple_at(a2, "e2")
+    ires = resolve(s2, "injective", 2)
+    with pytest.raises(LiftFailed):
+        lift_chain_map(identity_hom(s2), ires, ires)
 
 
 def test_nullhomotopy_of_zero_map(a2):

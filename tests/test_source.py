@@ -1,11 +1,13 @@
 """Static checks on the package source."""
 
 import ast
+import re
 from pathlib import Path
 
 import gorhom
 
 SOURCES = sorted(Path(gorhom.__file__).parent.glob("*.py"))
+REPO = Path(__file__).resolve().parents[1]
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 
 
@@ -63,3 +65,62 @@ def test_the_scan_sees_every_kind_of_store():
         "    e += 1\n"
         "    return g\n")
     assert [name for _line, _fn, name in unread_locals(tree)] == ["a", "b", "v"]
+
+
+def defined_functions(tree):
+    """(line, name) of every module-level function and method, except
+    dunders and functions under a decorator call such as
+    `@main.command("suite")`, which registers them where nothing names them."""
+    tops = list(tree.body)
+    tops += [node for cls in tree.body if isinstance(cls, ast.ClassDef) for node in cls.body]
+    return [(fn.lineno, fn.name) for fn in tops
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (fn.name.startswith("__") and fn.name.endswith("__"))
+            and not any(isinstance(d, ast.Call) for d in fn.decorator_list)]
+
+
+def mentioned_names(tree):
+    """Every identifier a Name, an Attribute or a word of a string constant names."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.update(re.findall(r"\w+", node.value))
+    return names
+
+
+def test_every_function_is_referred_to():
+    readers = SOURCES + sorted((REPO / "tests").glob("*.py")) + sorted(
+        (REPO / "perfbench").glob("*.py"))
+    mentioned = set()
+    for path in readers:
+        mentioned |= mentioned_names(ast.parse(path.read_text(), str(path)))
+    unused = [f"{path.name}:{line} {name}"
+              for path in SOURCES
+              for line, name in defined_functions(ast.parse(path.read_text(), str(path)))
+              if name not in mentioned]
+    assert unused == []
+
+
+def test_the_reference_scan_sees_names_attributes_and_strings():
+    tree = ast.parse(
+        "import click\n"
+        "def called(): pass\n"
+        "def patched(): pass\n"
+        "def unused(): pass\n"
+        "def __dunder__(): pass\n"
+        "@click.command('x')\n"
+        "def registered(): pass\n"
+        "class C:\n"
+        "    def method(self): pass\n"
+        "    def dead_method(self): pass\n"
+        "called()\n"
+        "C().method()\n"
+        "PATCH = ('mod', 'patched')\n")
+    defined = [name for _line, name in defined_functions(tree)]
+    assert defined == ["called", "patched", "unused", "method", "dead_method"]
+    mentioned = mentioned_names(tree)
+    assert [name for name in defined if name not in mentioned] == ["unused", "dead_method"]
