@@ -234,19 +234,26 @@ def memo(holder, tag, other, build):
     """build(), memoized in holder's `_cache` under tag for the object
     `other` (None when holder and tag alone determine the value).
 
-    The one rule for every cache in the package: an entry holds only a
-    value its key determines, so deleting any entry, or a whole `_cache`,
-    changes no result, only the time it takes.  Data a later step needs
-    from a construction is part of the memoized value, found again from
-    the construction's own inputs, never stored on the object it built.
+    The only cache in the package: no other code reads or writes a
+    `_cache`.  Its one rule: an entry holds only a value its key
+    determines, so deleting any entry, or a whole `_cache`, changes no
+    result, only the time it takes.  Data a later step needs from a
+    construction is part of the memoized value, found again from the
+    construction's own inputs, never stored on the object it built.  The
+    two involutions, `Algebra.opposite` and `modrep.dual_module`, prime
+    the entry of the object they build with the one they were built from,
+    so applying either twice gives back the object itself.
 
-    The entry stores `other` next to the value.  That keeps `other` alive,
-    so its id cannot pass to a new object while the entry exists, and the
-    `is` test makes the match explicit.  The lock guards the dictionary
-    only and is never held while build() runs; when two threads build the
-    same entry, the first value stored is the one both return.
+    The entry stores `other` next to the value, so `other` is pinned: it
+    lives as long as holder's entry, its id cannot pass to a new object
+    while the entry exists, and the `is` test makes the match explicit.
+    No tag is used both with and without an `other`, so an entry for None
+    is keyed by the bare tag, one key tuple less.  The lock guards the
+    dictionary only and is never held while build() runs; when two
+    threads build the same entry, the first value stored is the one both
+    return.
     """
-    key = (tag, id(other))
+    key = tag if other is None else (tag, id(other))
     with _memo_lock:
         cached = holder._cache.get(key)
     if cached is not None and cached[0] is other:

@@ -51,6 +51,7 @@ from .homology import (
     is_projective,
 )
 from .modrep import (
+    IsoVerdict,
     ModHom,
     Module,
     ShortExactSequence,
@@ -521,21 +522,24 @@ class FrobeniusVerdict:
         return self.verdict == "yes"
 
 
+def _frobenius_verdict(iso: IsoVerdict, prefix: str) -> FrobeniusVerdict:
+    """The Frobenius verdict from the isomorphism test of its two sides; a
+    "no" carries the test's obstruction after prefix."""
+    if iso.verdict == "yes":
+        return FrobeniusVerdict("yes", witness=iso.witness)
+    if iso.verdict == "no":
+        return FrobeniusVerdict("no", obstruction=f"{prefix}: {iso.obstruction}")
+    return FrobeniusVerdict("inconclusive")
+
+
 def is_frobenius_extension(ext: RingExtension, seed: int = 0) -> FrobeniusVerdict:
     """Check that S is projective over R and S ≅ Hom_R(S, R) as bimodules."""
-    res_s = restrict(ext, regular_module(ext.total))
-    if projective_witness(res_s) is None:
+    if projective_witness(_restriction(ext, regular_module(ext.total))) is None:
         return FrobeniusVerdict("no", obstruction="S is not projective as a left R-module")
     s_bimod = extension_bimodule(ext).as_tensor_module()
     h_bimod = hom_bimodule_to_base(ext).as_tensor_module()
-    verdict = is_isomorphic(s_bimod, h_bimod, seed=seed)
-    if verdict.verdict == "yes":
-        return FrobeniusVerdict("yes", witness=verdict.witness)
-    if verdict.verdict == "no":
-        return FrobeniusVerdict(
-            "no", obstruction=f"S and Hom_R(S, R) are not isomorphic bimodules: "
-                              f"{verdict.obstruction}")
-    return FrobeniusVerdict("inconclusive")
+    return _frobenius_verdict(is_isomorphic(s_bimod, h_bimod, seed=seed),
+                              "S and Hom_R(S, R) are not isomorphic bimodules")
 
 
 def is_frobenius_bimodule(m: Bimodule, seed: int = 0) -> FrobeniusVerdict:
@@ -546,14 +550,8 @@ def is_frobenius_bimodule(m: Bimodule, seed: int = 0) -> FrobeniusVerdict:
         return FrobeniusVerdict("no", obstruction="M is not projective as a right R-module")
     left_dual = hom_to_regular(m, "left")[0].as_tensor_module()
     right_dual = hom_to_regular(m, "right")[0].as_tensor_module()
-    verdict = is_isomorphic(left_dual, right_dual, seed=seed)
-    if verdict.verdict == "yes":
-        return FrobeniusVerdict("yes", witness=verdict.witness)
-    if verdict.verdict == "no":
-        return FrobeniusVerdict(
-            "no", obstruction="the two dual bimodules are not isomorphic: "
-                              f"{verdict.obstruction}")
-    return FrobeniusVerdict("inconclusive")
+    return _frobenius_verdict(is_isomorphic(left_dual, right_dual, seed=seed),
+                              "the two dual bimodules are not isomorphic")
 
 
 # ---------------------------------------------------------------------------

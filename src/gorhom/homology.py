@@ -3,9 +3,10 @@
 Projective resolutions are minimal by construction (each step is a
 projective cover) and every computed spot is verified exact.  Injective
 resolutions are duals of projective resolutions over the opposite
-algebra.  A module's projective dimension is detected by its syzygies
-becoming projective, where "projective" is decided by the cover map being
-an isomorphism.
+algebra; D is a memoized involution, so the injective side reuses the
+covers, syzygies, stars and verdicts of the dual.  A module's projective
+dimension is detected by its syzygies becoming projective, where
+"projective" is decided by the cover map being an isomorphism.
 
 The Gorenstein profile of an algebra records the supremum of projective
 dimensions of the indecomposable injectives and the supremum of injective
@@ -143,14 +144,24 @@ def homology_dims(dims: Sequence[int], mats: Sequence[Mat]) -> List[int]:
     return [d - rank(i - 1) - rank(i) for i, d in enumerate(dims)]
 
 
+def syzygy(m: Module) -> Tuple[Module, ModHom]:
+    """The kernel of m's projective cover with its inclusion into the
+    cover, built once per module."""
+
+    def build() -> Tuple[Module, ModHom]:
+        p, cov = cover_envelope(m, "cover")
+        return submodule(p, cov.matrix.kernel_basis())
+
+    return memo(m, "syzygy", None, build)
+
+
 def resolve(m: Module, direction: str, depth: int) -> Resolution:
     """Minimal resolution by projective covers, or the dual coresolution,
     to `depth` steps or until it stops.
 
-    A module's projective resolution is kept in its `_cache`, outside
-    `memo` because one entry serves every depth: a deeper or complete
-    resolution answers a shallower request, cut to `depth`, so the result
-    is the one a cold cache computes.
+    Each cover and each syzygy step is memoized on the module it starts
+    from, so a deeper request walks on from the steps a shallower one
+    built; the injective side resolves the memoized dual.
     """
     if direction not in ("projective", "injective"):
         raise InputShapeError("direction must be 'projective' or 'injective'")
@@ -165,40 +176,22 @@ def resolve(m: Module, direction: str, depth: int) -> Resolution:
         cosyz = tuple(dual_module(s) for s in dres.syzygies)
         return Resolution(m, "injective", terms, maps, aug, cosyz, dres.complete)
 
-    key = "projective_resolution"
-    cached: Optional[Resolution] = m._cache.get(key)
-    if cached is not None and (cached.complete or cached.depth() >= depth):
-        if cached.depth() <= depth:
-            return cached
-        return Resolution(m, "projective", cached.terms[:depth + 1], cached.maps[:depth],
-                          cached.augmentation, cached.syzygies[:depth + 1], False)
-
     terms: List[Module] = []
     maps: List[ModHom] = []
     syzygies: List[Module] = []
-    augmentation: Optional[ModHom] = None
     current = m
-    incl: Optional[ModHom] = None  # syzygy -> previous term
-    complete = False
+    incl: Optional[ModHom] = None  # current -> previous term
     for k in range(depth + 1):
         p, cov = cover_envelope(current, "cover")
         terms.append(p)
-        if k == 0:
-            augmentation = cov
-        else:
+        if incl is not None:
             maps.append(ModHom(p, terms[k - 1], incl.matrix * cov.matrix))
-        kb = cov.matrix.kernel_basis()
-        syz, syz_incl = submodule(p, kb)
-        syzygies.append(syz)
-        if syz.dim == 0:
-            complete = True
+        current, incl = syzygy(current)
+        syzygies.append(current)
+        if current.dim == 0:
             break
-        current = syz
-        incl = syz_incl
-    res = Resolution(m, "projective", tuple(terms), tuple(maps), augmentation,
-                     tuple(syzygies), complete)
-    m._cache[key] = res
-    return res
+    return Resolution(m, "projective", tuple(terms), tuple(maps),
+                      cover_envelope(m, "cover")[1], tuple(syzygies), current.dim == 0)
 
 
 # ---------------------------------------------------------------------------

@@ -362,9 +362,15 @@ def hom_factorization(f: ModHom) -> Factorization:
 
 
 def dual_module(m: Module) -> Module:
-    """D(m) = Hom_k(m, k) as a module over the opposite algebra."""
-    op = m.algebra.opposite()
-    return Module(op, [a.transpose() for a in m.action])
+    """D(m) = Hom_k(m, k) as a module over the opposite algebra, built once
+    per module; D is an involution, so D(D(m)) is m itself."""
+
+    def build() -> Module:
+        dm = Module(m.algebra.opposite(), [a.transpose() for a in m.action])
+        memo(dm, "dual", None, lambda: m)
+        return dm
+
+    return memo(m, "dual", None, build)
 
 
 def dual_hom(f: ModHom) -> ModHom:

@@ -26,6 +26,7 @@ from .frobenius import (
     ExtensionPair,
     ProductPair,
     ResCoindPair,
+    RingExtension,
     coinduce,
     counterexample_product,
     faithfulness_report,
@@ -44,7 +45,7 @@ from .homology import (
     is_gorenstein_projective,
     totalize_quasi_bicomplex,
 )
-from .modrep import is_isomorphic, regular_module, structural_modules
+from .modrep import Module, is_isomorphic, regular_module, structural_modules
 
 
 @dataclass
@@ -177,12 +178,9 @@ def check_adjunction_diagnostics(bound: int = 20, seed: int = 0) -> CheckResult:
     f2 = corpus.corpus_algebra("f2")
     a2 = corpus.corpus_algebra("a2")
     ppair = ProductPair(f2, a2)
-    from .exactlin import Mat as _Mat
-    from .modrep import Module as _Module
-
     bad = corpus.bad_module_for_counterexample()
-    bad_prod = _Module(ppair.product,
-                       [_Mat.zeros(f2.field, bad.dim, bad.dim)] + list(bad.action))
+    bad_prod = Module(ppair.product,
+                      [Mat.zeros(f2.field, bad.dim, bad.dim)] + list(bad.action))
     prod_corpus = (list(structural_modules(ppair.product).projectives)
                    + [bad_prod, regular_module(f2)])
     report = faithfulness_report(ppair, prod_corpus)
@@ -227,8 +225,6 @@ def check_frobenius_certification(bound: int = 20, seed: int = 0) -> CheckResult
                 details.append(f"{name}: induced and coinduced modules differ "
                                f"({iso.verdict})")
         details.append(f"{name}: yes, with witnesses")
-    from .frobenius import RingExtension
-
     f2, a2 = corpus.corpus_algebra("f2"), corpus.corpus_algebra("a2")
     bad_ext = RingExtension(f2, a2, Mat.from_cols(f2.field, [a2.unit]))
     verdict = is_frobenius_extension(bad_ext, seed=seed)

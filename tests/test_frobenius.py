@@ -322,6 +322,21 @@ def test_clearing_every_cache_changes_no_result(ext_f2_f2c2, f2, a2, f2c2):
 DATA = Path(gorhom.__file__).parent / "data"
 
 
+def test_repeated_certification_retains_no_memory(retained_bytes):
+    # S restricted to R is memoized on S's regular module; a fresh
+    # restriction per call pinned every one of them in R's hom memo
+    ext = load_extension(DATA / "a2_a2t2.ext")
+    assert retained_bytes(lambda: is_frobenius_extension(ext), 5) < 1024
+
+
+def test_coinducing_fresh_modules_retains_no_memory(f2, ext_f2_f2c2, retained_bytes):
+    # Hom_R(S, x) is taken out of a restriction built for the call, so no
+    # long-lived module keeps a hom memo entry that pins x (that cost about
+    # 2 KB a call); the bound leaves room for a few dozen bytes of noise
+    k = regular_module(f2)
+    assert retained_bytes(lambda: coinduce(ext_f2_f2c2, Module(f2, k.action)), 20) < 100
+
+
 @pytest.mark.parametrize("name, load, certify", [
     ("a2_a2t2.ext", load_extension, is_frobenius_extension),
     ("morita_col.bimod", load_bimodule, is_frobenius_bimodule),

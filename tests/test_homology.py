@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from gorhom import exactlin, homology
+from gorhom import corpus, exactlin, homology, modrep
 from gorhom.algebra import (
     Quiver,
     cyclic_group_table,
@@ -116,6 +116,49 @@ def test_a_deeper_cached_resolution_is_cut_to_the_depth_asked(a2, dual_numbers):
     assert resolve(s1, "projective", 5).complete
     res = resolve(s1, "projective", 0)
     assert (len(res.terms), res.complete) == (1, False)
+
+
+def _counting_covers(monkeypatch) -> list:
+    """A list that gains one entry per projective cover built: outside the
+    memoized structural_modules, only the cover build calls top_of."""
+    built = []
+    top_of = modrep.top_of
+    monkeypatch.setattr(modrep, "top_of", lambda m: built.append(m) or top_of(m))
+    return built
+
+
+def test_a_deeper_resolution_walks_on_from_the_steps_built(monkeypatch, dual_numbers):
+    k = structural_modules(dual_numbers).simples[0]
+    fresh = Module(dual_numbers, k.action)
+    resolve(fresh, "projective", 2)
+    built = _counting_covers(monkeypatch)
+    assert len(resolve(fresh, "projective", 5).terms) == 6
+    assert len(built) == 3
+
+
+def test_a_second_injective_resolution_builds_no_cover(monkeypatch, a2):
+    s1 = simple_at(a2, "e1")
+    fresh = Module(a2, s1.action)
+    first = resolve(fresh, "injective", 3)
+    built = _counting_covers(monkeypatch)
+    again = resolve(fresh, "injective", 3)
+    assert built == []
+    assert again.terms == first.terms and again.syzygies == first.syzygies
+
+
+def test_a_warm_injective_pass_retains_no_memory(a2, retained_bytes):
+    # gid, totalization and Ext from a coresolution all go through the dual;
+    # a fresh dual per call pinned in the modules' memos grew every pass
+    prof = gorenstein_profile(a2)
+    mods = corpus.module_corpus(a2)
+
+    def injective_pass():
+        for m in mods:
+            gid(m, prof)
+            totalize_quasi_bicomplex(m, prof)
+            ext_dim_injective(m, m, 1)
+
+    assert retained_bytes(injective_pass, 3) < 1024
 
 
 @pytest.mark.parametrize("direction, law", [("projective", "^resolution is not exact"),

@@ -143,9 +143,10 @@ def test_dual_module_basics(a2):
     z = zero_module(a2)
     assert dual_module(z).dim == 0
     reg = regular_module(a2)
-    dd = dual_module(dual_module(reg))
-    assert dd.algebra == a2
-    assert is_isomorphic(dd, reg).verdict == "yes"
+    d = dual_module(reg)
+    # D is built once per module and is an involution
+    assert d.algebra is a2.opposite() and dual_module(reg) is d
+    assert dual_module(d) is reg
 
 
 def test_dual_is_exact(a2):

@@ -67,6 +67,59 @@ def test_the_scan_sees_every_kind_of_store():
     assert [name for _line, _fn, name in unread_locals(tree)] == ["a", "b", "v"]
 
 
+def cache_touchers(tree, module):
+    """`module.function` for every function that reads or writes a `._cache`
+    attribute, once each, sorted; `self._cache = {}` initializers do not count."""
+    initializers = {id(target) for node in ast.walk(tree)
+                    if isinstance(node, (ast.Assign, ast.AnnAssign))
+                    and isinstance(node.value, ast.Dict) and not node.value.keys
+                    for target in (node.targets if isinstance(node, ast.Assign)
+                                   else [node.target])
+                    if isinstance(target, ast.Attribute)
+                    and isinstance(target.value, ast.Name) and target.value.id == "self"}
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if (isinstance(node, ast.Attribute) and node.attr == "_cache"
+                and id(node) not in initializers):
+            found.add(f"{module}.{owner}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return sorted(found)
+
+
+def test_memo_is_the_only_code_that_touches_a_cache():
+    touchers = [name for path in SOURCES
+                for name in cache_touchers(ast.parse(path.read_text(), str(path)), path.stem)]
+    assert touchers == ["algebra.memo"]
+
+
+def test_the_cache_scan_sees_reads_and_writes_but_not_initializers():
+    tree = ast.parse(
+        "class C:\n"
+        "    def __init__(self):\n"
+        "        self._cache = {}\n"
+        "        self._other: dict = {}\n"
+        "    def clear(self):\n"
+        "        self._cache = {'k': 1}\n"
+        "def memo(h):\n"
+        "    return h._cache.get(1)\n"
+        "def writer(m):\n"
+        "    m._cache['k'] = 1\n"
+        "def reader(m):\n"
+        "    def inner():\n"
+        "        return m._cache\n"
+        "    return inner\n"
+        "def rebinder(m):\n"
+        "    m._cache = {}\n")
+    assert cache_touchers(tree, "mod") == ["mod.clear", "mod.inner", "mod.memo",
+                                           "mod.rebinder", "mod.writer"]
+
+
 def defined_functions(tree):
     """(line, name) of every module-level function and method, except
     dunders and functions under a decorator call such as
