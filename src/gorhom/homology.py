@@ -14,9 +14,9 @@ dimensions of the indecomposable projectives; when both are finite within
 the bound they must agree, and the common value is the Gorenstein
 dimension.  Over a certified d-Gorenstein algebra, Gorenstein projectivity
 is decided by vanishing of Ext^i(-, A) for 1 <= i <= d, and every "yes" is
-cross-validated by splicing a projective resolution against a coresolution
-obtained through Hom(-, A) duals and checking Hom(-, projective)-acyclicity
-in a finite window.
+cross-checked against the definition: the module is totally reflexive (its
+evaluation into the double A-dual is an isomorphism, and Ext^i(m, A) and
+Ext^i(Hom(m, A), A) vanish) in a finite window of degrees.
 
 The totalization routine builds, for a module M over a d-Gorenstein
 algebra, the bigraded array of projective resolutions of an injective
@@ -90,7 +90,8 @@ class Resolution:
     maps[k]: terms[k+1] -> terms[k], augmentation: terms[0] -> augmented,
     and syzygies[k] is the kernel of the map leaving terms[k] (the
     (k+1)-st syzygy).  For "injective" all arrows point the other way and
-    syzygies hold cosyzygies.  complete means the last syzygy vanished.
+    syzygies is empty: no caller reads cosyzygies, so none is built.
+    complete means the last (co)syzygy vanished.
     """
 
     augmented: Module
@@ -173,8 +174,7 @@ def resolve(m: Module, direction: str, depth: int) -> Resolution:
             for k in range(len(dres.maps))
         )
         aug = ModHom(m, terms[0], dres.augmentation.matrix.transpose())
-        cosyz = tuple(dual_module(s) for s in dres.syzygies)
-        return Resolution(m, "injective", terms, maps, aug, cosyz, dres.complete)
+        return Resolution(m, "injective", terms, maps, aug, (), dres.complete)
 
     terms: List[Module] = []
     maps: List[ModHom] = []
@@ -350,12 +350,6 @@ def evaluation_to_double_star(m: Module) -> Tuple[ModHom, Module]:
     return ModHom(m, star2, mat), star2
 
 
-def _star_of_hom(f: ModHom, star_tgt_basis: list, star_src_basis: list) -> Mat:
-    """Matrix of Hom(f, A): Hom(f.target, A) -> Hom(f.source, A) in star bases."""
-    return hom_coordinates([h.matrix * f.matrix for h in star_tgt_basis], star_src_basis,
-                           f.source.algebra.field, "star of a hom fell outside the hom space")
-
-
 def is_projective(m: Module) -> bool:
     """A module is projective iff its projective cover map is an isomorphism."""
     if m.dim == 0:
@@ -368,8 +362,8 @@ def is_gorenstein_projective(m: Module, profile: GorensteinProfile) -> GpVerdict
     """Membership test for the Gorenstein projective objects.
 
     Over a certified d-Gorenstein algebra the test is Ext^i(m, A) = 0 for
-    1 <= i <= d; every "yes" is additionally cross-validated by a finite
-    window of a complete resolution (see _complete_resolution_check).
+    1 <= i <= d; every "yes" is cross-checked against the definition, total
+    reflexivity, in degrees below max(1, 2d) (see _totally_reflexive_check).
     Without certification, Ext-vanishing up to the profile bound yields
     only "unknown-at-depth", while a nonzero Ext certifies "no".
     """
@@ -383,74 +377,61 @@ def _is_gp_uncached(m: Module, profile: GorensteinProfile) -> GpVerdict:
     if is_projective(m):
         return GpVerdict("yes", "projective module")
     reg = regular_module(m.algebra)
-    if profile.certified:
-        d = profile.gorenstein_dim
-        for i in range(1, d + 1):
-            e = ext_dim(m, reg, i)
-            if e:
-                return GpVerdict("no", f"Ext^{i}(m, A) has dimension {e}")
-        _complete_resolution_check(m, max(1, 2 * d))
-        return GpVerdict("yes", f"Ext^i(m, A) = 0 for 1 <= i <= {d}, window check passed")
-    for i in range(1, profile.bound + 1):
+    d = profile.gorenstein_dim
+    for i in range(1, (d if profile.certified else profile.bound) + 1):
         e = ext_dim(m, reg, i)
         if e:
             return GpVerdict("no", f"Ext^{i}(m, A) has dimension {e}")
-    return GpVerdict("unknown-at-depth",
-                     f"Ext vanishes up to {profile.bound} but the algebra is not certified")
+    if not profile.certified:
+        return GpVerdict("unknown-at-depth",
+                         f"Ext vanishes up to {profile.bound} but the algebra is not certified")
+    window = max(1, 2 * d)
+    _totally_reflexive_check(m, window)
+    return GpVerdict("yes", f"Ext^i(m, A) = 0 for 1 <= i <= {d}, "
+                            f"totally reflexive below degree {window}")
 
 
-def _complete_resolution_check(m: Module, window: int) -> None:
-    """Splice a projective resolution with a star-dual coresolution and assert
-    exactness and Hom(-, A)-acyclicity in the window.
+def _totally_reflexive_check(m: Module, window: int) -> None:
+    """Assert that m is totally reflexive below degree w = window, or raise a
+    PropertyViolation naming the condition and degree that failed.
 
-    The right half is Hom_op(Q_j, A_op) for a projective resolution Q of
-    Hom(m, A) over the opposite algebra, glued along the evaluation map,
-    which must be an isomorphism here.
+    With m* = Hom(m, A), the conditions are: the evaluation m -> m** is an
+    isomorphism, Ext^i(m, A) = 0 and Ext^i(m*, A) = 0 over A^op for
+    1 <= i < w.  They are the finite window of a complete resolution, read
+    position by position.  Let P be the projective resolution of m and Q
+    that of m* over A^op, and join them through m -> m** -> Q_0* into the
+    window P_w -> ... -> P_0 -> Q_0* -> ... -> Q_w*.  Then:
+    - the window is a complex, because Hom(-, A) is a functor: it sends
+      the zero composites of Q and of Q_1 -> Q_0 -> m* to zero;
+    - it is exact at P_k for k >= 1, because P is a validated resolution;
+    - it is exact at P_0 iff the evaluation is injective, and at Q_0* iff it
+      is surjective, because Hom(-, A) is left exact and so embeds m** in
+      Q_0* as the kernel of Q_0* -> Q_1*;
+    - it is exact at Q_j* (1 <= j < w) iff Ext^j(m*, A) = 0;
+    - Hom(-, A) applied to the window is exact at Hom(P_k, A) (1 <= k < w)
+      iff Ext^k(m, A) = 0;
+    - it is exact at every other interior position, because finitely
+      generated projectives are reflexive: at Hom(Q_j*, A) = Q_j it is Q
+      itself, and at Hom(P_0, A) it is Q_0 -> m* -> Hom(P_0, A), exact
+      once the evaluation is an isomorphism.
+    If Q stops at Q_r with 1 <= r < w, the joined window ends at Q_r* and
+    cannot test exactness there, but Ext^r(m*, A) != 0 and this check
+    fails.  No Gorenstein projective m meets that case: its m* is
+    Gorenstein projective, and one of finite projective dimension is
+    projective (r = 0).
     """
-    a = m.algebra
-    reg = regular_module(a)
-    left = resolve(m, "projective", window)
-    star_m, _star_m_basis = star_module(m)
-    right_res = resolve(star_m, "projective", window)
-
     ev, _ = evaluation_to_double_star(m)
-    _, star2_basis = star_module(star_m)
     if not ev.is_iso():
-        raise PropertyViolation("evaluation to the double star is not an isomorphism")
-
-    # Star the right resolution back to left modules.
-    r_terms: List[Module] = []
-    r_bases: List[list] = []
-    for t in right_res.terms:
-        st, sb = star_module(t)
-        r_terms.append(st)
-        r_bases.append(sb)
-    # star(star_m) plays the role of m at the junction.
-    aug_star = _star_of_hom(right_res.augmentation, star2_basis, r_bases[0])
-    # chain: ... P_1 -> P_0 -> r_terms[0] -> r_terms[1] -> ...
-    junction = aug_star * ev.matrix * left.augmentation.matrix
-    chain_terms = [left.term(k) for k in range(window, -1, -1)] + r_terms
-    chain_maps: List[Mat] = []
-    for k in range(window, 0, -1):
-        chain_maps.append(left.maps[k - 1].matrix if k - 1 < len(left.maps)
-                          else Mat.zeros(a.field, left.term(k - 1).dim, left.term(k).dim))
-    chain_maps.append(junction)
-    for j in range(len(r_terms) - 1):
-        st_d = _star_of_hom(right_res.maps[j], r_bases[j], r_bases[j + 1])
-        chain_maps.append(st_d)
-
-    for i in range(len(chain_maps) - 1):
-        if not (chain_maps[i + 1] * chain_maps[i]).is_zero():
-            raise PropertyViolation("complete-resolution window is not a complex")
-    # the two ends of the window are cut off, so only its interior is exact
-    if any(homology_dims([t.dim for t in chain_terms], chain_maps)[1:-1]):
-        raise PropertyViolation("complete-resolution window is not exact")
-
-    # Hom(-, A)-acyclicity in the window.
-    homs = [hom_space(t, reg) for t in chain_terms]
-    deltas = [hom_delta(homs[i + 1], chain_maps[i]) for i in range(len(chain_maps))]
-    if any(homology_dims([len(h) for h in homs], deltas)[1:-1]):
-        raise PropertyViolation("Hom(-, A) applied to the window is not acyclic")
+        raise PropertyViolation(
+            "not totally reflexive: evaluation to the double star is not an isomorphism")
+    star_m, _ = star_module(m)
+    for side, x in (("m", m), ("Hom(m, A)", star_m)):
+        reg = regular_module(x.algebra)
+        for i in range(1, window):
+            e = ext_dim(x, reg, i)
+            if e:
+                raise PropertyViolation(
+                    f"not totally reflexive: Ext^{i}({side}, A) has dimension {e}")
 
 
 def gpd(m: Module, profile: GorensteinProfile):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import pytest
 
@@ -143,7 +144,7 @@ def test_a_second_injective_resolution_builds_no_cover(monkeypatch, a2):
     built = _counting_covers(monkeypatch)
     again = resolve(fresh, "injective", 3)
     assert built == []
-    assert again.terms == first.terms and again.syzygies == first.syzygies
+    assert again.terms == first.terms and again.maps == first.maps
 
 
 def test_a_warm_injective_pass_retains_no_memory(a2, retained_bytes):
@@ -316,6 +317,56 @@ def test_gp_unknown_at_depth(two_loops):
     v = is_gorenstein_projective(k, prof)
     # Ext^i(k, A) != 0 for rad-square-zero: certified no
     assert v.verdict == "no"
+
+
+def test_total_reflexivity_at_the_gp_window_is_ext_vanishing():
+    # over a certified d-Gorenstein algebra, m is Gorenstein projective iff
+    # Ext^i(m, A) = 0 for 1 <= i <= d, and iff it is totally reflexive
+    not_gp = 0
+    for name in corpus.GORENSTEIN_NAMES:
+        a = corpus.corpus_algebra(name)
+        d = gorenstein_profile(a).gorenstein_dim
+        reg = regular_module(a)
+        for m in corpus.module_corpus(a):
+            if all(ext_dim(m, reg, i) == 0 for i in range(1, d + 1)):
+                homology._totally_reflexive_check(m, max(1, 2 * d))
+            else:
+                not_gp += 1
+                with pytest.raises(PropertyViolation, match="evaluation to the double star"):
+                    homology._totally_reflexive_check(m, max(1, 2 * d))
+    assert not_gp == 10
+
+
+def _a2t2_gp_simple() -> Module:
+    """A fresh copy of a Gorenstein projective, non-projective simple over
+    the 1-Gorenstein algebra a2t2."""
+    a = corpus.corpus_algebra("a2t2")
+    return Module(a, corpus.module_corpus(a)[1].action)
+
+
+@pytest.mark.parametrize("side", ["m", "Hom(m, A)"])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_the_reflexivity_check_names_the_side_and_degree_that_failed(monkeypatch, side, degree):
+    m = _a2t2_gp_simple()
+    homology._totally_reflexive_check(m, 3)
+    bad = m if side == "m" else homology.star_module(m)[0]
+    real = homology.ext_dim
+    monkeypatch.setattr(homology, "ext_dim",
+                        lambda x, n, i: 1 if (x is bad and i == degree) else real(x, n, i))
+    law = re.escape(f"Ext^{degree}({side}, A) has dimension 1")
+    with pytest.raises(PropertyViolation, match=law):
+        homology._totally_reflexive_check(m, 3)
+
+
+def test_a_gp_yes_dualizes_only_the_module_and_its_dual(monkeypatch):
+    m = _a2t2_gp_simple()
+    prof = gorenstein_profile(m.algebra)
+    starred = []
+    real = homology.star_module
+    monkeypatch.setattr(homology, "star_module", lambda x: starred.append(x) or real(x))
+    assert is_gorenstein_projective(m, prof).verdict == "yes"
+    star_m = real(m)[0]
+    assert {id(x) for x in starred} == {id(m), id(star_m)}
 
 
 def test_gpd_values(a2, dual_numbers):
