@@ -42,7 +42,8 @@ from .homology import (
     resolve,
     totalize_quasi_bicomplex,
 )
-from .modrep import load_module, radical_submodule_basis, socle_basis, structural_modules
+from .modrep import (dual_module, load_module, radical_submodule_basis, socle_basis,
+                     structural_modules)
 
 
 def _data_dir() -> Path:
@@ -243,7 +244,9 @@ def resolve_cmd(path, direction, bound, seed, fmt, out):
 
     def run():
         m = load_module(resolve_input(path))
-        res = resolve(m, direction, bound)
+        # the coresolution of m is D of the resolution of D(m): the same
+        # term dimensions, completeness and length
+        res = resolve(m if direction == "projective" else dual_module(m), bound)
         return {
             "title": f"{direction} resolution of {path}",
             "term_dimensions": [t.dim for t in res.terms],

@@ -180,7 +180,7 @@ def module_corpus(a: Algebra, minimum: int = 8) -> List[Module]:
     while len(out) < minimum:
         a_mod = out[i % seen]
         b_mod = out[(i + 1) % seen]
-        out.append(direct_sum([a_mod, b_mod])[0])
+        out.append(direct_sum([a_mod, b_mod]))
         i += 1
     return out
 

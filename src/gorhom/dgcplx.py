@@ -129,7 +129,7 @@ def _f_dims(x: GradedModule, p: int) -> List[int]:
 def functor_F(x: GradedModule) -> ComplexObj:
     """F(X)^p = X^p ⊕ X^{p-1} with differential (x, y) -> (0, x)."""
     a = x.algebra
-    comps = {p: direct_sum([x.component(p), x.component(p - 1)])[0]
+    comps = {p: direct_sum([x.component(p), x.component(p - 1)])
              for p in range(x.lo, x.hi + 2)}
     diffs = {}
     for p in range(x.lo, x.hi + 1):

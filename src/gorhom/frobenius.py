@@ -44,11 +44,11 @@ from .errors import (
 )
 from .exactlin import Mat, block_matrix, kron, mat_from_flat, mat_to_flat, solve, vec
 from .homology import (
-    fin_dimension,
     gorenstein_profile,
     gpd,
     is_gorenstein_projective,
     is_projective,
+    projective_dimension,
 )
 from .modrep import (
     IsoVerdict,
@@ -642,10 +642,10 @@ def column_bimodule(r: Algebra, n: int, matrix_alg: Algebra) -> Bimodule:
 class ProductPair(AdjointPair):
     """(projection, inclusion) for B x B', acting through the idempotent (1, 0)."""
 
-    def __init__(self, b: Algebra, bprime: Algebra, product: Optional[Algebra] = None):
+    def __init__(self, b: Algebra, bprime: Algebra):
         self.b = b
         self.bprime = bprime
-        self.product = product if product is not None else product_algebra(b, bprime)
+        self.product = product_algebra(b, bprime)
         self.algebra_a = self.product   # F = Pr goes from (B x B')-Mod
         self.algebra_b = b
         self.name = "(Pr, Inc)"
@@ -1050,7 +1050,7 @@ def tri_equiv_conditions(pair, corpus_a: Sequence[Module], corpus_b: Sequence[Mo
         row = {
             "object": f"A dim {x.dim}",
             "cok_dim": cok.dim,
-            "cok_pd": fin_dimension(cok, "pd", bound) if cok.dim else 0,
+            "cok_pd": projective_dimension(cok, bound) if cok.dim else 0,
             "cok_projective": is_projective(cok),
             "cok_gpd": gpd(cok, prof_a) if prof_a.certified else "unknown",
             "x_gp": is_gorenstein_projective(x, prof_a).verdict,
@@ -1066,7 +1066,7 @@ def tri_equiv_conditions(pair, corpus_a: Sequence[Module], corpus_b: Sequence[Mo
         row = {
             "object": f"B dim {y.dim}",
             "ker_dim": ker.dim,
-            "ker_pd": fin_dimension(ker, "pd", bound) if ker.dim else 0,
+            "ker_pd": projective_dimension(ker, bound) if ker.dim else 0,
             "ker_projective": is_projective(ker),
             "ker_gpd": gpd(ker, prof_b) if prof_b.certified else "unknown",
             "y_gp": is_gorenstein_projective(y, prof_b).verdict,

@@ -1,12 +1,14 @@
 """Resolutions, Ext, Gorenstein dimensions, and quasi-bicomplex totalization.
 
-Projective resolutions are minimal by construction (each step is a
-projective cover) and every computed spot is verified exact.  Injective
-resolutions are duals of projective resolutions over the opposite
-algebra; D is a memoized involution, so the injective side reuses the
-covers, syzygies, stars and verdicts of the dual.  A module's projective
-dimension is detected by its syzygies becoming projective, where
-"projective" is decided by the cover map being an isomorphism.
+Only the projective side is computed.  Resolutions are minimal by
+construction (each step is a projective cover) and every computed spot is
+verified exact.  Every injective quantity is the projective one of the
+dual over the opposite algebra, through D = Hom_k(-, k): a coresolution of
+m is D of the resolution of D(m), id(m) = pd(D(m)), Gid(m) = Gpd(D(m)) and
+Ext^i(m, n) = Ext^i(D(n), D(m)).  D is a memoized involution, so the two
+sides share their covers, syzygies, stars and verdicts.  A module's
+projective dimension is detected by its syzygies becoming projective,
+where "projective" is decided by the cover map being an isomorphism.
 
 The Gorenstein profile of an algebra records the supremum of projective
 dimensions of the indecomposable injectives and the supremum of injective
@@ -50,6 +52,7 @@ from .modrep import (
     component_to_json,
     cover_envelope,
     direct_sum,
+    dual_hom,
     dual_module,
     hom_coordinates,
     hom_dim,
@@ -84,18 +87,16 @@ Dim = Union[int, AtLeast]
 
 @dataclass(frozen=True)
 class Resolution:
-    """An augmented minimal (co)resolution.
+    """An augmented minimal projective resolution.
 
-    For direction "projective": terms[k] sits k steps from the module,
-    maps[k]: terms[k+1] -> terms[k], augmentation: terms[0] -> augmented,
-    and syzygies[k] is the kernel of the map leaving terms[k] (the
-    (k+1)-st syzygy).  For "injective" all arrows point the other way and
-    syzygies is empty: no caller reads cosyzygies, so none is built.
-    complete means the last (co)syzygy vanished.
+    terms[k] sits k steps from the module, maps[k]: terms[k+1] -> terms[k],
+    augmentation: terms[0] -> augmented, and syzygies[k] is the kernel of
+    the map leaving terms[k] (the (k+1)-st syzygy).  complete means the
+    last syzygy vanished.  There is no injective kind: the coresolution of
+    m is D applied to the resolution of D(m) over the opposite algebra.
     """
 
     augmented: Module
-    direction: str
     terms: tuple
     maps: tuple
     augmentation: ModHom
@@ -111,25 +112,19 @@ class Resolution:
         return zero_module(self.augmented.algebra)
 
     def __post_init__(self):
-        projective = self.direction == "projective"
         arrows = (self.augmentation,) + self.maps
         for k, (prev, d) in enumerate(zip(arrows, self.maps)):
-            first, then = (d, prev) if projective else (prev, d)
-            if not (then.matrix * first.matrix).is_zero():
+            if not (prev.matrix * d.matrix).is_zero():
                 raise PropertyViolation(f"composite is nonzero at stage {k}")
-        # 0 -> augmented -> terms[0] -> ... (arrows reversed when projective):
-        # exact at the augmented module and at every term a map leaves
+        # ... -> terms[0] -> augmented -> 0: exact at the augmented module
+        # and at every term a map leaves
         h = homology_dims([self.augmented.dim] + [t.dim for t in self.terms],
                           [f.matrix for f in arrows])
         if h[0]:
-            raise PropertyViolation(
-                "augmentation of a projective resolution must be epi" if projective
-                else "augmentation of an injective resolution must be mono")
+            raise PropertyViolation("augmentation of a projective resolution must be epi")
         for k in range(len(self.maps)):
             if h[k + 1]:
-                raise PropertyViolation(
-                    f"{'resolution' if projective else 'coresolution'} "
-                    f"is not exact at stage {k}")
+                raise PropertyViolation(f"resolution is not exact at stage {k}")
 
 
 def homology_dims(dims: Sequence[int], mats: Sequence[Mat]) -> List[int]:
@@ -156,26 +151,14 @@ def syzygy(m: Module) -> Tuple[Module, ModHom]:
     return memo(m, "syzygy", None, build)
 
 
-def resolve(m: Module, direction: str, depth: int) -> Resolution:
-    """Minimal resolution by projective covers, or the dual coresolution,
-    to `depth` steps or until it stops.
+def resolve(m: Module, depth: int) -> Resolution:
+    """Minimal projective resolution by projective covers, to `depth`
+    steps or until it stops.
 
     Each cover and each syzygy step is memoized on the module it starts
     from, so a deeper request walks on from the steps a shallower one
-    built; the injective side resolves the memoized dual.
+    built.
     """
-    if direction not in ("projective", "injective"):
-        raise InputShapeError("direction must be 'projective' or 'injective'")
-    if direction == "injective":
-        dres = resolve(dual_module(m), "projective", depth)
-        terms = tuple(dual_module(t) for t in dres.terms)
-        maps = tuple(
-            ModHom(terms[k], terms[k + 1], dres.maps[k].matrix.transpose())
-            for k in range(len(dres.maps))
-        )
-        aug = ModHom(m, terms[0], dres.augmentation.matrix.transpose())
-        return Resolution(m, "injective", terms, maps, aug, (), dres.complete)
-
     terms: List[Module] = []
     maps: List[ModHom] = []
     syzygies: List[Module] = []
@@ -190,7 +173,7 @@ def resolve(m: Module, direction: str, depth: int) -> Resolution:
         syzygies.append(current)
         if current.dim == 0:
             break
-    return Resolution(m, "projective", tuple(terms), tuple(maps),
+    return Resolution(m, tuple(terms), tuple(maps),
                       cover_envelope(m, "cover")[1], tuple(syzygies), current.dim == 0)
 
 
@@ -206,54 +189,45 @@ def hom_delta(homs: Sequence[ModHom], d: Mat, post: bool = False) -> Mat:
                                    for h in homs])
 
 
-def _hom_cohomology(res: Resolution, homs_at, i: int) -> int:
-    """dim H^i of Hom(res, n) for a projective resolution, or of Hom(m, res)
-    for an injective one; homs_at(k) is the hom basis at term k."""
-    if res.complete and i > res.depth():
-        return 0
-    post = res.direction == "injective"
-    homs = [homs_at(k) for k in (i - 1, i)]
-    deltas = [hom_delta(h, res.maps[k].matrix, post)
-              for h, k in zip(homs, (i - 1, i)) if k < len(res.maps)]
-    return homology_dims([len(h) for h in homs], deltas)[1]
-
-
 def ext_dim(m: Module, n: Module, i: int) -> int:
-    """dim Ext^i(m, n), from a minimal projective resolution of m."""
+    """dim Ext^i(m, n): dim H^i of Hom(P, n) for the minimal projective
+    resolution P of m."""
     if i < 0:
         raise InputShapeError("Ext degree must be >= 0")
     if i == 0:
         return hom_dim(m, n)
-    res = resolve(m, "projective", i + 1)
-    return _hom_cohomology(res, lambda k: hom_space(res.term(k), n), i)
+    res = resolve(m, i + 1)
+    if res.complete and i > res.depth():
+        return 0
+    homs = [hom_space(res.term(k), n) for k in (i - 1, i)]
+    deltas = [hom_delta(h, res.maps[k].matrix)
+              for h, k in zip(homs, (i - 1, i)) if k < len(res.maps)]
+    return homology_dims([len(h) for h in homs], deltas)[1]
 
 
 def ext_dim_injective(m: Module, n: Module, i: int) -> int:
     """dim Ext^i(m, n) computed from an injective coresolution of n.
 
-    Independent route used for the balance cross-check against ext_dim.
+    Independent route used for the balance cross-check against ext_dim:
+    it resolves n, not m.  The coresolution of n is D(P) for P the
+    projective resolution of D(n) over the opposite algebra, and
+    Hom_A(m, D(P)) is Hom_{A^op}(P, D(m)) transposed, so this is
+    Ext^i(D(n), D(m)) over the opposite algebra.
     """
     if i < 0:
         raise InputShapeError("Ext degree must be >= 0")
     if i == 0:
         return hom_dim(m, n)
-    res = resolve(n, "injective", i + 1)
-    return _hom_cohomology(res, lambda k: hom_space(m, res.term(k)), i)
+    return ext_dim(dual_module(n), dual_module(m), i)
 
 
-def fin_dimension(m: Module, kind: str, bound: int) -> Dim:
-    """Projective or injective dimension, or a lower bound.
-
-    pd is the stage at which the minimal resolution stops; id is pd of the
-    dual module over the opposite algebra.
-    """
+def projective_dimension(m: Module, bound: int) -> Dim:
+    """The stage at which the minimal projective resolution of m stops, or
+    AtLeast(bound) when it runs past bound.  The injective dimension of m
+    is projective_dimension(dual_module(m), bound)."""
     if bound < 1:
         raise InputShapeError("bound must be >= 1")
-    if kind == "id":
-        return fin_dimension(dual_module(m), "pd", bound)
-    if kind != "pd":
-        raise InputShapeError("kind must be 'pd' or 'id'")
-    res = resolve(m, "projective", bound)
+    res = resolve(m, bound)
     if res.complete:
         return res.depth()
     return AtLeast(bound)
@@ -284,8 +258,8 @@ def gorenstein_profile(a: Algebra, bound: int = 20) -> GorensteinProfile:
 
     def build():
         s = structural_modules(a)
-        pds = [fin_dimension(i_mod, "pd", bound) for i_mod in s.injectives]
-        ids = [fin_dimension(p_mod, "id", bound) for p_mod in s.projectives]
+        pds = [projective_dimension(i_mod, bound) for i_mod in s.injectives]
+        ids = [projective_dimension(dual_module(p_mod), bound) for p_mod in s.projectives]
         spdi: Dim = max((x for x in pds if isinstance(x, int)), default=0)
         sidp: Dim = max((x for x in ids if isinstance(x, int)), default=0)
         if any(not isinstance(x, int) for x in pds):
@@ -451,7 +425,7 @@ def _gpd_uncached(m: Module, profile: GorensteinProfile) -> int:
     reg = regular_module(m.algebra)
     value = None
     stage = m
-    res = resolve(m, "projective", d) if d else None
+    res = resolve(m, d) if d else None
     for n in range(d + 1):
         if n > 0:
             stage = res.syzygies[n - 1] if n - 1 < len(res.syzygies) else zero_module(m.algebra)
@@ -493,15 +467,12 @@ def gid(m: Module, profile: GorensteinProfile):
 
 def lift_chain_map(f: ModHom, source: Resolution, target: Resolution) -> List[ModHom]:
     """Lift f between the augmented objects to a chain map of projective
-    resolutions; LiftFailed for any other direction.
+    resolutions.
 
     Every returned square is verified to commute exactly; exactness of the
     target resolution guarantees the linear systems are solvable whenever
     the preconditions hold.
     """
-    if source.direction != "projective" or target.direction != "projective":
-        raise LiftFailed("chain maps are lifted between projective resolutions only")
-
     depth = max(len(source.terms), len(target.terms))
     lifts: List[ModHom] = []
     prev: Optional[ModHom] = None
@@ -726,7 +697,8 @@ class TotalizationResult:
 def totalize_quasi_bicomplex(m: Module, profile: GorensteinProfile) -> TotalizationResult:
     """Realize the totalization argument bounding Gpd(m) by the profile.
 
-    Builds the injective coresolution of m to degree m^+1, projective
+    Builds the injective coresolution of m to degree m^+1, as D of the
+    projective resolution of D(m) over the opposite algebra, projective
     resolutions of each injective term, the horizontal lifts with signs
     d_1^{i,j} = (-1)^j d_h^{i,j}, and the higher d_l via successive
     null-homotopies; verifies every window identity and that the total
@@ -742,11 +714,11 @@ def totalize_quasi_bicomplex(m: Module, profile: GorensteinProfile) -> Totalizat
     mhat = profile.gorenstein_dim
     ncols = mhat + 2
 
-    ires = resolve(m, "injective", ncols - 1)
-    inj_terms = [ires.term(i) for i in range(ncols)]
+    dres = resolve(dual_module(m), ncols - 1)
+    inj_terms = [dual_module(dres.term(i)) for i in range(ncols)]
     rows: List[Resolution] = []
     for i, inj in enumerate(inj_terms):
-        r = resolve(inj, "projective", mhat)
+        r = resolve(inj, mhat)
         if not r.complete:
             raise PropertyViolation(
                 f"injective term {i} has projective dimension above the certified bound"
@@ -756,8 +728,8 @@ def totalize_quasi_bicomplex(m: Module, profile: GorensteinProfile) -> Totalizat
     # Horizontal lifts d_h and the signed d_1.
     dh: Dict[int, List[Mat]] = {}
     for i in range(ncols - 1):
-        if i < len(ires.maps):
-            partial = ires.maps[i]
+        if i < len(dres.maps):
+            partial = dual_hom(dres.maps[i])
         else:
             partial = zero_hom(inj_terms[i], inj_terms[i + 1])
         lift = lift_chain_map(partial, rows[i], rows[i + 1])
@@ -816,7 +788,7 @@ def totalize_quasi_bicomplex(m: Module, profile: GorensteinProfile) -> Totalizat
     for s in degrees:
         blocks[s] = [(i, s - i) for i in range(ncols) if (i, s - i) in components]
         if blocks[s]:
-            totals[s], _, _ = direct_sum([components[key] for key in blocks[s]])
+            totals[s] = direct_sum([components[key] for key in blocks[s]])
         else:
             totals[s] = zero_module(a)
 
@@ -861,7 +833,7 @@ def totalize_quasi_bicomplex(m: Module, profile: GorensteinProfile) -> Totalizat
         raise PropertyViolation("the (0,0) corner of the window is missing")
     to_p00 = Mat.identity(field, totals[0].dim).select_rows(range(p00.dim))
     into_i0 = rows[0].augmentation.matrix * to_p00 * z0_basis
-    back = solve(ires.augmentation.matrix, into_i0)
+    back = solve(dres.augmentation.matrix.transpose(), into_i0)
     if back.particular is None:
         raise PropertyViolation("Z^0 does not land in the image of m inside I^0")
     omega = ModHom(z0_mod, m, back.particular)
@@ -873,7 +845,7 @@ def totalize_quasi_bicomplex(m: Module, profile: GorensteinProfile) -> Totalizat
     b0_incl = ModHom(b0_mod, z0_mod, b0_in_z0.particular)
     witness = ShortExactSequence(b0_mod, z0_mod, m, b0_incl, omega)
 
-    b0_pd: Dim = 0 if b0_mod.dim == 0 else fin_dimension(b0_mod, "pd", max(1, mhat))
+    b0_pd: Dim = 0 if b0_mod.dim == 0 else projective_dimension(b0_mod, max(1, mhat))
     if b0_mod.dim and not (isinstance(b0_pd, int) and b0_pd <= mhat - 1):
         raise PropertyViolation(f"pd(B^0) = {b0_pd} exceeds {mhat - 1}")
     z0_verdict = is_gorenstein_projective(z0_mod, profile)

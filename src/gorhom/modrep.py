@@ -97,12 +97,6 @@ class ModHom:
                     f"{self.source.algebra.basis_labels[i]}"
                 )
 
-    def compose(self, other: "ModHom") -> "ModHom":
-        """self after other."""
-        if other.target is not self.source and other.target.dim != self.source.dim:
-            raise InputShapeError("composition shape mismatch")
-        return ModHom(other.source, self.target, self.matrix * other.matrix)
-
     def is_mono(self) -> bool:
         return self.matrix.kernel_basis().cols == 0
 
@@ -280,24 +274,16 @@ def quotient_by_ideal(a: Algebra, ideal: Mat) -> Algebra:
                    provenance={"kind": "quotient", "of": a.provenance.get("kind", "?")})
 
 
-def direct_sum(mods: Sequence[Module]):
-    """Block-diagonal direct sum, with the inclusion and projection homs."""
+def direct_sum(mods: Sequence[Module]) -> Module:
+    """Block-diagonal direct sum; summand b holds the coordinates after
+    those of the summands before it."""
     if not mods:
         raise InputShapeError("direct sum of nothing; use zero_module")
     a = mods[0].algebra
     dims = [m.dim for m in mods]
     acts = [block_matrix(a.field, dims, dims, {(b, b): m.action[i] for b, m in enumerate(mods)})
             for i in range(a.dim)]
-    big = Module(a, acts, _skip_validation=True)
-    eye = Mat.identity(a.field, big.dim)
-    incls, projs = [], []
-    start = 0
-    for m in mods:
-        span = range(start, start + m.dim)
-        incls.append(ModHom(m, big, eye.select_cols(span)))
-        projs.append(ModHom(big, m, eye.select_rows(span)))
-        start += m.dim
-    return big, incls, projs
+    return Module(a, acts, _skip_validation=True)
 
 
 @dataclass(frozen=True)
@@ -425,30 +411,35 @@ class StructuralModules:
     embeddings: tuple
 
 
+def _indecomposable_projectives(a: Algebra) -> Tuple[tuple, tuple]:
+    """The modules A·e for the primitive idempotents e, and the basis of
+    each inside the algebra as columns of algebra elements, built once per
+    algebra."""
+
+    def build() -> Tuple[tuple, tuple]:
+        idems = a.primitive_idempotents()
+        if idems is None:
+            raise UnsupportedAlgebra("structural modules need primitive idempotents")
+        reg = regular_module(a)
+        embeddings = tuple(column_space_basis(a.right_mult_matrix(e)) for e in idems)
+        return tuple(submodule(reg, emb)[0] for emb in embeddings), embeddings
+
+    return memo(a, "indecomposable_projectives", None, build)
+
+
 def structural_modules(a: Algebra) -> StructuralModules:
     """Simple, projective-indecomposable and injective-indecomposable modules.
 
     Projectives are A·e for the primitive idempotents e, simples their
     tops, injectives the duals of the indecomposable projectives over the
-    opposite algebra.  Simples must be split (End = k); otherwise
-    UnsupportedAlgebra is raised.
+    opposite algebra: the same objects, since D is a memoized involution,
+    so injectives[i] is dual_module(structural_modules(A^op).projectives[i]).
+    Simples must be split (End = k); otherwise UnsupportedAlgebra is raised.
     """
 
     def build():
-        idems = a.primitive_idempotents()
-        if idems is None:
-            raise UnsupportedAlgebra("structural modules need primitive idempotents")
-        reg = regular_module(a)
-        projectives = []
-        simples = []
-        embeddings = []
-        for e in idems:
-            pe_basis = column_space_basis(a.right_mult_matrix(e))
-            pe, _ = submodule(reg, pe_basis)
-            embeddings.append(pe_basis)
-            projectives.append(pe)
-            s, _ = top_of(pe)
-            simples.append(s)
+        projectives, embeddings = _indecomposable_projectives(a)
+        simples = [top_of(pe)[0] for pe in projectives]
         for s in simples:
             if hom_dim(s, s) != 1:
                 raise UnsupportedAlgebra("non-split simple module encountered")
@@ -460,15 +451,9 @@ def structural_modules(a: Algebra) -> StructuralModules:
                     break
             else:
                 classes.append([i])
-        op = a.opposite()
-        reg_op = regular_module(op)
-        injectives = []
-        for e in op.primitive_idempotents():
-            pe_basis = column_space_basis(op.right_mult_matrix(e))
-            pe, _ = submodule(reg_op, pe_basis)
-            injectives.append(dual_module(pe))
-        return StructuralModules(tuple(simples), tuple(projectives), tuple(injectives),
-                                 tuple(tuple(c) for c in classes), tuple(embeddings))
+        injectives = tuple(dual_module(p) for p in _indecomposable_projectives(a.opposite())[0])
+        return StructuralModules(tuple(simples), projectives, injectives,
+                                 tuple(tuple(c) for c in classes), embeddings)
 
     return memo(a, "structural_modules", None, build)
 
@@ -483,10 +468,8 @@ def cover_envelope(m: Module, direction: str) -> Tuple[Module, ModHom]:
     if direction == "cover":
         return _projective_cover(m)
     if direction == "envelope":
-        dm = dual_module(m)
-        p_op, cov = _projective_cover(dm)
-        env = dual_module(p_op)
-        emap = ModHom(m, env, cov.matrix.transpose())
+        emap = dual_hom(_projective_cover(dual_module(m))[1])
+        env = emap.target
         soc = socle_basis(env)
         img = column_space_basis(emap.matrix)
         if img.cols < env.dim:
@@ -526,7 +509,7 @@ def _projective_cover(m: Module) -> Tuple[Module, ModHom]:
                 picks.append((rep, v))
         if not picks:
             raise PropertyViolation("nonzero module with zero top")
-        big, _incls, _projs = direct_sum([structural.projectives[i] for i, _ in picks])
+        big = direct_sum([structural.projectives[i] for i, _ in picks])
         # Map A·e -> m, x -> rho(x)·v, one block of columns per summand; the
         # columns of the embedding are the elements of the algebra spanning A·e.
         cols = []

@@ -38,11 +38,11 @@ from .frobenius import (
 from .homology import (
     ext_dim,
     ext_dim_injective,
-    fin_dimension,
     gid,
     gorenstein_profile,
     gpd,
     is_gorenstein_projective,
+    projective_dimension,
     totalize_quasi_bicomplex,
 )
 from .modrep import Module, is_isomorphic, regular_module, structural_modules
@@ -92,7 +92,7 @@ def check_gorenstein_balance(bound: int = 20, seed: int = 0) -> CheckResult:
             passed = False
             details.append(f"{name}: suprema not attained: {inj_gpds}, {proj_gids}")
         for i_mod in s.injectives:
-            pd_i = fin_dimension(i_mod, "pd", bound)
+            pd_i = projective_dimension(i_mod, bound)
             if gpd(i_mod, prof) != pd_i:
                 passed = False
                 details.append(f"{name}: gpd != pd on an injective")

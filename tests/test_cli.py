@@ -146,6 +146,22 @@ def test_resolve_command_reports_periodicity(runner):
     assert ">= 4" in result.output
 
 
+@pytest.mark.parametrize("path, extra, dims, complete, length", [
+    ("a2_s1.mod", [], "[1]", "True", "0"),
+    ("a2_regular.mod", [], "[4, 1]", "True", "1"),
+    ("f2c2_simple.mod", ["--bound", "6"], "[2, 2, 2, 2, 2, 2, 2]", "False", ">= 6"),
+])
+def test_injective_resolve_command(runner, path, extra, dims, complete, length):
+    # the coresolution is read off the projective resolution of the dual
+    result = runner.invoke(main, ["resolve", path, "--direction", "injective", *extra])
+    assert result.exit_code == 0
+    assert result.output == (f"injective resolution of {path}\n"
+                             f"  term_dimensions: {dims}\n"
+                             f"  complete: {complete}\n"
+                             f"  length: {length}\n"
+                             f"  passed: True\n")
+
+
 def test_totalize_command(runner):
     result = runner.invoke(main, ["totalize", "a2_s1.mod"])
     assert result.exit_code == 0

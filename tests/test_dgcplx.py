@@ -178,9 +178,9 @@ def test_componentwise_gp_self_injective(f2c2):
 def test_componentwise_gp_detects_failure(a2):
     prof = gorenstein_profile(a2, 10)
     s = structural_modules(a2)
-    from gorhom.homology import fin_dimension
+    from gorhom.homology import projective_dimension
 
-    s1 = next(m for m in s.simples if fin_dimension(m, "pd", 5) == 1)
+    s1 = next(m for m in s.simples if projective_dimension(m, 5) == 1)
     report = componentwise_gp_check(stalk(s1), prof)
     assert not report.all_gp
     assert report.per_degree[0] == "no"

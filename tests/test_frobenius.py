@@ -111,7 +111,7 @@ def test_restrict_identity(a2):
 
 def test_restrict_regular_of_truncation_is_free(ext_a2_trunc, a2):
     res = restrict(ext_a2_trunc, regular_module(ext_a2_trunc.total))
-    free, _, _ = direct_sum([regular_module(a2), regular_module(a2)])
+    free = direct_sum([regular_module(a2), regular_module(a2)])
     assert res.dim == 6
     assert is_isomorphic(res, free).verdict == "yes"
 
@@ -399,7 +399,7 @@ def test_faithfulness_fails_for_product_projection(f2, a2):
 def test_gpd_transfer_group_extension(ext_f2_f2c2, f2c2):
     s = structural_modules(f2c2)
     corpus = [regular_module(f2c2), s.simples[0], s.projectives[0],
-              direct_sum([s.simples[0], s.simples[0]])[0]]
+              direct_sum([s.simples[0], s.simples[0]])]
     report = verify_gpd_transfer(ext_f2_f2c2, corpus, bound=10)
     assert report.all_equal
     assert all(row["gpd_total"] == 0 for row in report.rows)

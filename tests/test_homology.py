@@ -12,14 +12,13 @@ from gorhom.algebra import (
     path_algebra,
     truncated_extension,
 )
-from gorhom.errors import LiftFailed, NoHomotopy, ProfileNotCertified, PropertyViolation
+from gorhom.errors import NoHomotopy, ProfileNotCertified, PropertyViolation
 from gorhom.exactlin import FieldSpec, Mat, rref
 from gorhom.homology import (
     AtLeast,
     ComplexObj,
     ext_dim,
     ext_dim_injective,
-    fin_dimension,
     gid,
     gorenstein_profile,
     gpd,
@@ -28,6 +27,7 @@ from gorhom.homology import (
     lift_chain_map,
     load_complex,
     nullhomotopy,
+    projective_dimension,
     resolve,
     save_complex,
     totalize_quasi_bicomplex,
@@ -35,6 +35,8 @@ from gorhom.homology import (
 from gorhom.modrep import (
     Module,
     direct_sum,
+    dual_hom,
+    dual_module,
     hom_dim,
     hom_space,
     identity_hom,
@@ -85,14 +87,14 @@ def simple_at(a, label):
 
 def test_resolution_of_projective_has_length_zero(a2):
     for p in structural_modules(a2).projectives:
-        res = resolve(p, "projective", 5)
+        res = resolve(p, 5)
         assert res.complete and res.depth() == 0
 
 
 def test_periodic_resolution_over_dual_numbers(dual_numbers):
     a = dual_numbers
     k = structural_modules(a).simples[0]
-    res = resolve(k, "projective", 4)
+    res = resolve(k, 4)
     assert not res.complete
     assert len(res.terms) == 5
     reg = regular_module(a)
@@ -110,12 +112,12 @@ def test_periodic_resolution_over_dual_numbers(dual_numbers):
 def test_a_deeper_cached_resolution_is_cut_to_the_depth_asked(a2, dual_numbers):
     # a resolution reused from the cache must be the one a cold cache computes
     k = structural_modules(dual_numbers).simples[0]
-    resolve(k, "projective", 6)
-    res = resolve(k, "projective", 2)
+    resolve(k, 6)
+    res = resolve(k, 2)
     assert (len(res.terms), len(res.maps), len(res.syzygies), res.complete) == (3, 2, 3, False)
     s1 = simple_at(a2, "e1")
-    assert resolve(s1, "projective", 5).complete
-    res = resolve(s1, "projective", 0)
+    assert resolve(s1, 5).complete
+    res = resolve(s1, 0)
     assert (len(res.terms), res.complete) == (1, False)
 
 
@@ -131,20 +133,19 @@ def _counting_covers(monkeypatch) -> list:
 def test_a_deeper_resolution_walks_on_from_the_steps_built(monkeypatch, dual_numbers):
     k = structural_modules(dual_numbers).simples[0]
     fresh = Module(dual_numbers, k.action)
-    resolve(fresh, "projective", 2)
+    resolve(fresh, 2)
     built = _counting_covers(monkeypatch)
-    assert len(resolve(fresh, "projective", 5).terms) == 6
+    assert len(resolve(fresh, 5).terms) == 6
     assert len(built) == 3
 
 
 def test_a_second_injective_resolution_builds_no_cover(monkeypatch, a2):
     s1 = simple_at(a2, "e1")
     fresh = Module(a2, s1.action)
-    first = resolve(fresh, "injective", 3)
+    first = [ext_dim_injective(s1, fresh, i) for i in range(1, 4)]
     built = _counting_covers(monkeypatch)
-    again = resolve(fresh, "injective", 3)
+    assert [ext_dim_injective(s1, fresh, i) for i in range(1, 4)] == first
     assert built == []
-    assert again.terms == first.terms and again.maps == first.maps
 
 
 def test_a_warm_injective_pass_retains_no_memory(a2, retained_bytes):
@@ -162,24 +163,24 @@ def test_a_warm_injective_pass_retains_no_memory(a2, retained_bytes):
     assert retained_bytes(injective_pass, 3) < 1024
 
 
-@pytest.mark.parametrize("direction, law", [("projective", "^resolution is not exact"),
-                                            ("injective", "^coresolution is not exact")])
+# `direction` only names the case: every resolution is projective
+@pytest.mark.parametrize("direction, law", [("projective", "^resolution is not exact")])
 def test_a_resolution_with_a_zero_map_is_rejected(dual_numbers, direction, law):
     k = structural_modules(dual_numbers).simples[0]
-    res = resolve(k, direction, 3)
+    res = resolve(k, 3)
     maps = list(res.maps)
     maps[1] = zero_hom(maps[1].source, maps[1].target)
     with pytest.raises(PropertyViolation, match=law):
         dataclasses.replace(res, maps=tuple(maps))
     aug = zero_hom(res.augmentation.source, res.augmentation.target)
-    with pytest.raises(PropertyViolation, match="must be epi|must be mono"):
+    with pytest.raises(PropertyViolation, match="must be epi"):
         dataclasses.replace(res, augmentation=aug)
 
 
-@pytest.mark.parametrize("direction", ["projective", "injective"])
+@pytest.mark.parametrize("direction", ["projective"])  # names the case, as above
 def test_validating_a_resolution_ranks_each_map_once(monkeypatch, dual_numbers, direction):
     k = structural_modules(dual_numbers).simples[0]
-    res = resolve(k, direction, 4)
+    res = resolve(k, 4)
     calls = []
     original = exactlin.rref
 
@@ -195,7 +196,7 @@ def test_validating_a_resolution_ranks_each_map_once(monkeypatch, dual_numbers, 
 
 def test_resolution_of_simple_over_a2(a2):
     s1 = simple_at(a2, "e1")
-    res = resolve(s1, "projective", 5)
+    res = resolve(s1, 5)
     assert res.complete and res.depth() == 1
     assert [t.dim for t in res.terms] == [2, 1]
 
@@ -247,11 +248,11 @@ def test_ext_balance_on_sampled_pairs(a2, dual_numbers, nakayama):
 
 def test_fin_dimension(a2, dual_numbers):
     s1 = simple_at(a2, "e1")
-    assert fin_dimension(s1, "pd", 10) == 1
+    assert projective_dimension(s1, 10) == 1
     for p in structural_modules(a2).projectives:
-        assert fin_dimension(p, "pd", 10) == 0
+        assert projective_dimension(p, 10) == 0
     k = structural_modules(dual_numbers).simples[0]
-    assert fin_dimension(k, "pd", 8) == AtLeast(8)
+    assert projective_dimension(k, 8) == AtLeast(8)
 
 
 def test_profile_of_field():
@@ -373,7 +374,7 @@ def test_gpd_values(a2, dual_numbers):
     prof_a2 = gorenstein_profile(a2, 10)
     s1 = simple_at(a2, "e1")
     assert gpd(s1, prof_a2) == 1
-    assert fin_dimension(s1, "pd", 10) == 1  # matches pd when pd is finite
+    assert projective_dimension(s1, 10) == 1  # matches pd when pd is finite
     for p in structural_modules(a2).projectives:
         assert gpd(p, prof_a2) == 0
     prof_d = gorenstein_profile(dual_numbers, 10)
@@ -390,12 +391,12 @@ def test_gid_values(a2, dual_numbers):
     assert gid(k, gorenstein_profile(dual_numbers, 10)) == 0
     s2 = simple_at(a2, "e2")
     assert gid(s2, prof_a2) == 1
-    assert fin_dimension(s2, "id", 10) == 1
+    assert projective_dimension(dual_module(s2), 10) == 1
 
 
 def test_lift_identity_chain_map(a2):
     s1 = simple_at(a2, "e1")
-    res = resolve(s1, "projective", 4)
+    res = resolve(s1, 4)
     lift = lift_chain_map(identity_hom(s1), res, res)
     # any valid lift commutes with differentials and augmentations
     assert (res.augmentation.matrix * lift[0].matrix ==
@@ -408,44 +409,37 @@ def test_lift_identity_chain_map(a2):
 def test_lift_zero_chain_map(a2):
     s1 = simple_at(a2, "e1")
     s2 = simple_at(a2, "e2")
-    res1 = resolve(s1, "projective", 4)
-    res2 = resolve(s2, "projective", 4)
+    res1 = resolve(s1, 4)
+    res2 = resolve(s2, 4)
     lift = lift_chain_map(zero_hom(s1, s2), res1, res2)
     assert (res2.augmentation.matrix * lift[0].matrix).is_zero()
 
 
 def test_lift_of_coresolution_differential(a2):
     s2 = simple_at(a2, "e2")
-    ires = resolve(s2, "injective", 2)
-    assert len(ires.terms) >= 2
-    i0, i1 = ires.terms[0], ires.terms[1]
-    r0 = resolve(i0, "projective", 3)
-    r1 = resolve(i1, "projective", 3)
-    lift = lift_chain_map(ires.maps[0], r0, r1)
+    # the first differential I^0 -> I^1 of the injective coresolution of s2
+    d0 = dual_hom(resolve(dual_module(s2), 2).maps[0])
+    i0, i1 = d0.source, d0.target
+    r0 = resolve(i0, 3)
+    r1 = resolve(i1, 3)
+    lift = lift_chain_map(d0, r0, r1)
     assert (r1.augmentation.matrix * lift[0].matrix ==
-            ires.maps[0].matrix * r0.augmentation.matrix)
+            d0.matrix * r0.augmentation.matrix)
     for k in range(min(len(r0.maps), len(r1.maps))):
         assert (r1.maps[k].matrix * lift[k + 1].matrix ==
                 lift[k].matrix * r0.maps[k].matrix)
 
 
-def test_lift_needs_projective_resolutions(a2):
-    s2 = simple_at(a2, "e2")
-    ires = resolve(s2, "injective", 2)
-    with pytest.raises(LiftFailed):
-        lift_chain_map(identity_hom(s2), ires, ires)
-
-
 def test_nullhomotopy_of_zero_map(a2):
     s1 = simple_at(a2, "e1")
-    res = resolve(s1, "projective", 3)
+    res = resolve(s1, 3)
     s = nullhomotopy([None] * len(res.terms), res, res)
     assert all(mat.is_zero() for mat in s)
 
 
 def test_nullhomotopy_of_lifted_zero(dual_numbers):
     k = structural_modules(dual_numbers).simples[0]
-    res = resolve(k, "projective", 3)
+    res = resolve(k, 3)
     lift = lift_chain_map(zero_hom(k, k), res, res)
     s = nullhomotopy([h.matrix for h in lift], res, res)
     assert len(s) == len(res.terms)
@@ -453,7 +447,7 @@ def test_nullhomotopy_of_lifted_zero(dual_numbers):
 
 def test_nullhomotopy_identity_fails(dual_numbers):
     k = structural_modules(dual_numbers).simples[0]
-    res = resolve(k, "projective", 3)
+    res = resolve(k, 3)
     ident = [Mat.identity(F2, t.dim) for t in res.terms]
     with pytest.raises(NoHomotopy):
         nullhomotopy(ident, res, res)
@@ -513,7 +507,7 @@ def test_totalize_whole_structural_corpus(a2, dual_numbers, nakayama):
 
 def test_complex_serialization_roundtrip(tmp_path, a2):
     s1 = simple_at(a2, "e1")
-    res = resolve(s1, "projective", 3)
+    res = resolve(s1, 3)
     comps = {-k: t for k, t in enumerate(res.terms)}
     diffs = {-(k + 1): res.maps[k] for k in range(len(res.maps))}
     c = ComplexObj(a2, comps, diffs)
@@ -533,7 +527,7 @@ def test_gpd_equals_pd_when_pd_finite(a2, nakayama):
         prof = gorenstein_profile(alg, 10)
         s = structural_modules(alg)
         for m in list(s.simples) + list(s.projectives) + list(s.injectives):
-            pd = fin_dimension(m, "pd", 10)
+            pd = projective_dimension(m, 10)
             if isinstance(pd, int):
                 assert gpd(m, prof) == pd
 

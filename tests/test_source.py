@@ -132,15 +132,29 @@ def defined_functions(tree):
             and not any(isinstance(d, ast.Call) for d in fn.decorator_list)]
 
 
+def docstring_nodes(tree):
+    """The ids of the docstrings: the first statement of a module, class or
+    function when it is a string."""
+    return {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)
+            and isinstance(node.body[0].value.value, str)}
+
+
 def mentioned_names(tree):
-    """Every identifier a Name, an Attribute or a word of a string constant names."""
+    """Every identifier a Name, an Attribute or a word of a string constant
+    names.  Docstrings are prose and name nothing: a word such as "compose"
+    in one would hide an unused function of that name."""
+    docstrings = docstring_nodes(tree)
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docstrings):
             names.update(re.findall(r"\w+", node.value))
     return names
 
@@ -160,20 +174,25 @@ def test_every_function_is_referred_to():
 
 def test_the_reference_scan_sees_names_attributes_and_strings():
     tree = ast.parse(
+        "'Only prose names documented.'\n"
         "import click\n"
         "def called(): pass\n"
         "def patched(): pass\n"
         "def unused(): pass\n"
+        "def documented():\n"
+        "    'The docstring of documented.'\n"
         "def __dunder__(): pass\n"
         "@click.command('x')\n"
         "def registered(): pass\n"
         "class C:\n"
+        "    'C calls documented() in prose.'\n"
         "    def method(self): pass\n"
         "    def dead_method(self): pass\n"
         "called()\n"
         "C().method()\n"
         "PATCH = ('mod', 'patched')\n")
     defined = [name for _line, name in defined_functions(tree)]
-    assert defined == ["called", "patched", "unused", "method", "dead_method"]
+    assert defined == ["called", "patched", "unused", "documented", "method", "dead_method"]
     mentioned = mentioned_names(tree)
-    assert [name for name in defined if name not in mentioned] == ["unused", "dead_method"]
+    assert [name for name in defined if name not in mentioned] == [
+        "unused", "documented", "dead_method"]
