@@ -6,7 +6,7 @@ Submodules:
 * algebra    - structure-constant algebras and their constructors
 * modrep     - modules as representations, hom spaces, covers, duality
 * homology   - resolutions, Ext, Gorenstein profiles, totalization
-* frobenius  - induction/restriction pairs, Frobenius certification
+* frobenius  - bimodule tensor pairs, Frobenius certification
 * dgcplx     - the complexes/graded-modules Frobenius pair
 * corpus     - the bundled test corpus
 * suite      - the bundled verification suite

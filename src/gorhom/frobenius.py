@@ -1,23 +1,26 @@
-"""Concrete Frobenius pairs: ring extensions, bimodules, product projections.
+"""Frobenius pairs as tensor functors of bimodules.
 
 Functors are realized as explicit matrix constructions, never as abstract
-functor objects.  There is one tensor construction: for an (S, R)-bimodule
-M and an R-module x, M ⊗_R x is the quotient of M ⊗_k x by the balancing
-relations.
+functor objects.  Every adjoint pair is a BimodulePair: for an S-R-bimodule
+M with _S M projective, F = M ⊗_R - and G = Hom_S(M, S) ⊗_S -, with unit
+and counit assembled from a dual basis witnessing that M is a summand of a
+free S-module.  The pairs the package uses are four bimodules:
 
-* for a ring extension R -> S, induction is tensoring with the bimodule
-  _S S_R, restriction pulls the action back along the embedding, and
-  coinduction is Hom_R(S, -) with S acting by precomposition;
-* for an (S, R)-bimodule M, the pair is (M ⊗_R -, Hom_S(M, S) ⊗_S -),
-  with unit and counit assembled from a dual basis witnessing that M is a
-  summand of a free S-module;
-* for a product algebra B x B', the projection and inclusion act through
-  the central idempotent (1, 0).
+* (induction, restriction) of a ring extension R -> S: _S S_R;
+* (restriction, coinduction): _R S_S;
+* (projection, inclusion) for a product B x B': e(B x B') with e = (1, 0),
+  as a B-(B x B')-bimodule;
+* (inclusion, projection): B as a (B x B')-B-bimodule.
 
-Every adjoint pair here is an AdjointPair, and AdjointPair.check_triangles
-is the one check of the triangle identities, as exact matrix equalities.
-The verification routines report per-object records rather than trusting
-any general fact on faith.
+There is one tensor construction: M ⊗_R x is the quotient of M ⊗_k x by
+the balancing relations.  When M's right side is literally the regular
+R-module, M ⊗_R x is x itself with S acting through M's left action, and
+Hom_A(A, A) is written in the basis of right multiplications, so the G of
+(induction, restriction) and the F of (restriction, coinduction) are
+restriction exactly.  BimodulePair.check_triangles is the one check of the
+triangle identities, as exact matrix equalities, and is_frobenius_bimodule
+certifies any pair.  The verification routines report per-object records
+rather than trusting any general fact on faith.
 """
 
 from __future__ import annotations
@@ -127,21 +130,11 @@ def restrict(ext: RingExtension, y: Module) -> Module:
                              for i in range(ext.base.dim)])
 
 
-def _restriction(ext: RingExtension, y: Module) -> Module:
-    """restrict(ext, y), built once per (ext, y)."""
-    return memo(y, "res", ext, lambda: restrict(ext, y))
-
-
 def coinduce(ext: RingExtension, x: Module) -> Module:
-    """Hom_R(S, x) with S acting by precomposition with right multiplication."""
-    return _coinduction(ext, x)[0]
-
-
-def _coinduction(ext: RingExtension, x: Module) -> Tuple[Module, list]:
-    """Coind x with the basis of Hom_R(S, x) its coordinates refer to,
+    """Hom_R(S, x) with S acting by precomposition with right multiplication,
     built once per (ext, x)."""
 
-    def build() -> Tuple[Module, list]:
+    def build() -> Module:
         if x.algebra != ext.base:
             raise AlgebraMismatch("coinduce expects a module over the base algebra")
         s = ext.total
@@ -151,146 +144,9 @@ def _coinduction(ext: RingExtension, x: Module) -> Tuple[Module, list]:
             rmul = s.right_mult_matrix(s.basis_vec(i))
             acts.append(hom_coordinates([h.matrix * rmul for h in basis], basis, s.field,
                                         "coinduced action left the hom space"))
-        return Module(s, acts), basis
+        return Module(s, acts)
 
     return memo(x, "coind", ext, build)
-
-
-def coinduce_hom(ext: RingExtension, f: ModHom) -> ModHom:
-    """Hom_R(S, f) between the coinduced modules of its source and target."""
-    co_src, basis_src = _coinduction(ext, f.source)
-    co_tgt, basis_tgt = _coinduction(ext, f.target)
-    return ModHom(co_src, co_tgt,
-                  hom_coordinates([f.matrix * h.matrix for h in basis_src], basis_tgt,
-                                  ext.total.field, "coinduced hom left the hom space"))
-
-
-def unit_counit(ext: RingExtension, x: Module, y: Module):
-    """The unit at x and counit at y of (induction, restriction).
-
-    eta_x sends v to the class of 1 ⊗ v; eps_y multiplies s ⊗ w out.
-    Both triangle identities are verified exactly before returning.
-    """
-    pair = ExtensionPair(ext)
-    eta = pair.unit(x)
-    eps = pair.counit(y)
-    pair.check_triangles(x, y)
-    return eta, eps
-
-
-# ---------------------------------------------------------------------------
-# Functor pairs
-# ---------------------------------------------------------------------------
-
-
-class AdjointPair:
-    """An adjoint pair (F, G): F takes algebra_a-modules to algebra_b-modules
-    and G takes them back, with unit eta: 1 -> GF and counit eps: FG -> 1.
-
-    A pair supplies apply_f, apply_g, their hom versions apply_f_hom and
-    apply_g_hom, unit and counit; the triangle identities are checked here,
-    once for every pair.
-    """
-
-    def check_triangles(self, x: Module, y: Module) -> bool:
-        """eps_{Fx} ∘ F(eta_x) = id_{Fx} and G(eps_y) ∘ eta_{Gy} = id_{Gy}, exactly."""
-        fx = self.apply_f(x)
-        first = self.counit(fx).matrix * self.apply_f_hom(self.unit(x)).matrix
-        if first != Mat.identity(fx.algebra.field, fx.dim):
-            raise PropertyViolation(f"first triangle identity of {self.name} fails")
-        gy = self.apply_g(y)
-        second = self.apply_g_hom(self.counit(y)).matrix * self.unit(gy).matrix
-        if second != Mat.identity(gy.algebra.field, gy.dim):
-            raise PropertyViolation(f"second triangle identity of {self.name} fails")
-        return True
-
-
-def _restriction_hom(ext: RingExtension, f: ModHom) -> ModHom:
-    """Restriction of f: the same matrix between the restricted modules."""
-    return ModHom(_restriction(ext, f.source), _restriction(ext, f.target), f.matrix)
-
-
-class ExtensionPair(AdjointPair):
-    """The adjoint pair (induction, restriction) of a ring extension."""
-
-    def __init__(self, ext: RingExtension):
-        self.ext = ext
-        self.algebra_a = ext.base
-        self.algebra_b = ext.total
-        self.name = "(Ind, Res)"
-
-    def apply_f(self, x: Module) -> Module:
-        return induce(self.ext, x)
-
-    def apply_g(self, y: Module) -> Module:
-        return _restriction(self.ext, y)
-
-    def apply_f_hom(self, f: ModHom) -> ModHom:
-        return _tensor_hom(extension_bimodule(self.ext), f)
-
-    def apply_g_hom(self, f: ModHom) -> ModHom:
-        return _restriction_hom(self.ext, f)
-
-    def unit(self, x: Module) -> ModHom:
-        ind = _tensor(extension_bimodule(self.ext), x)
-        res_ind = self.apply_g(ind.module)
-        field = x.algebra.field
-        eye = Mat.identity(field, x.dim)
-        cols = [_pure(ind, self.ext.total.unit, eye.col(c)) for c in range(x.dim)]
-        return ModHom(x, res_ind, Mat.from_cols(field, cols, res_ind.dim))
-
-    def counit(self, y: Module) -> ModHom:
-        ind_res = _tensor(extension_bimodule(self.ext), self.apply_g(y))
-        s = self.ext.total
-        field = s.field
-        # on the ambient S ⊗ res(y): s_i ⊗ w_j -> rho_y(s_i) w_j
-        e1 = block_matrix(field, [y.dim], [y.dim] * s.dim,
-                          {(0, i): act for i, act in enumerate(y.action)})
-        mat = e1 * ind_res.section
-        if mat * ind_res.proj != e1:
-            raise PropertyViolation("counit does not kill the balancing relations")
-        return ModHom(ind_res.module, y, mat)
-
-
-class ResCoindPair(AdjointPair):
-    """The adjoint pair (restriction, coinduction) of a ring extension."""
-
-    def __init__(self, ext: RingExtension):
-        self.ext = ext
-        self.algebra_a = ext.total
-        self.algebra_b = ext.base
-        self.name = "(Res, Coind)"
-
-    def apply_f(self, y: Module) -> Module:
-        return _restriction(self.ext, y)
-
-    def apply_g(self, x: Module) -> Module:
-        return coinduce(self.ext, x)
-
-    def apply_f_hom(self, f: ModHom) -> ModHom:
-        return _restriction_hom(self.ext, f)
-
-    def apply_g_hom(self, f: ModHom) -> ModHom:
-        return coinduce_hom(self.ext, f)
-
-    def unit(self, y: Module) -> ModHom:
-        """y -> Coind(Res y), w -> (s -> s·w)."""
-        co, basis = _coinduction(self.ext, self.apply_f(y))
-        field = y.algebra.field
-        # the hom S -> res_y sending s_i to rho_y(s_i)·e_c, for each c
-        mats = [Mat.from_cols(field, [tuple(y.action[i].col(c)) for i in range(y.algebra.dim)])
-                for c in range(y.dim)]
-        return ModHom(y, co, hom_coordinates(mats, basis, field,
-                                             "unit of (Res, Coind) left the hom space"))
-
-    def counit(self, x: Module) -> ModHom:
-        """Res(Coind x) -> x, f -> f(1)."""
-        co, basis = _coinduction(self.ext, x)
-        res_co = self.apply_f(co)
-        field = x.algebra.field
-        unit_col = Mat.col_vector(field, self.ext.total.unit)
-        cols = [(h.matrix * unit_col).col(0) for h in basis]
-        return ModHom(res_co, x, Mat.from_cols(field, cols, x.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +167,7 @@ class Bimodule:
         # each action is a module structure in its own right
         self._as_left = Module(left, self.left_action)
         self._as_right_op = Module(right.opposite(), self.right_action)
+        self._cache: dict = {}
         for lam in self.left_action:
             for rho_m in self.right_action:
                 if lam * rho_m != rho_m * lam:
@@ -348,38 +205,53 @@ def extension_bimodule(ext: RingExtension) -> Bimodule:
     return memo(ext, "bimodule", None, build)
 
 
+def restriction_bimodule(ext: RingExtension) -> Bimodule:
+    """S as the natural R-S-bimodule of a ring extension, built once per extension."""
+
+    def build() -> Bimodule:
+        s, r = ext.total, ext.base
+        left = [s.left_mult_matrix(ext.embed(r.basis_vec(j))) for j in range(r.dim)]
+        right = [s.right_mult_matrix(s.basis_vec(i)) for i in range(s.dim)]
+        return Bimodule(r, s, s.dim, left, right)
+
+    return memo(ext, "restriction bimodule", None, build)
+
+
+def _is_regular(m: Module) -> bool:
+    """m is literally the left regular module of its algebra, decided once per module."""
+    return memo(m, "is regular", None, lambda: m.action == regular_module(m.algebra).action)
+
+
 def hom_to_regular(m: Bimodule, side: str) -> Tuple[Bimodule, list]:
     """Hom into the regular module over one side of an S-R-bimodule M, as an
-    R-S-bimodule, with the hom basis its coordinates refer to.
+    R-S-bimodule, with the hom basis its coordinates refer to, built once
+    per (M, side).
 
     side="left":  Hom_S(M, S),      (r·h·s)(x) = h(x·r)·s;
     side="right": Hom_{R^op}(M, R), (r·g·s)(x) = r·g(s·x).
     The other side's action on M is precomposed; the regular module's own
-    algebra acts by right multiplication after h.
+    algebra acts by right multiplication after h.  Over the regular module
+    itself the basis is that of the right multiplications x -> x·e_i, so
+    Hom_A(A, A) is A again, coordinate for coordinate.
     """
-    over, pre = ((m.as_left_module(), m.right_action) if side == "left"
-                 else (m.as_right_op_module(), m.left_action))
-    a = over.algebra
-    basis = hom_space(over, regular_module(a))
-    law = f"bimodule action left Hom into the regular {side} module"
-    pre_acts = [hom_coordinates([h.matrix * p for h in basis], basis, a.field, law)
-                for p in pre]
-    posts = [a.right_mult_matrix(a.basis_vec(i)) for i in range(a.dim)]
-    post_acts = [hom_coordinates([post * h.matrix for h in basis], basis, a.field, law)
-                 for post in posts]
-    left, right = (pre_acts, post_acts) if side == "left" else (post_acts, pre_acts)
-    return Bimodule(m.right, m.left, len(basis), left, right), basis
 
+    def build() -> Tuple[Bimodule, list]:
+        over, pre = ((m.as_left_module(), m.right_action) if side == "left"
+                     else (m.as_right_op_module(), m.left_action))
+        a = over.algebra
+        reg = regular_module(a)
+        posts = [a.right_mult_matrix(a.basis_vec(i)) for i in range(a.dim)]
+        basis = ([ModHom(over, reg, post) for post in posts] if _is_regular(over)
+                 else hom_space(over, reg))
+        law = f"bimodule action left Hom into the regular {side} module"
+        pre_acts = [hom_coordinates([h.matrix * p for h in basis], basis, a.field, law)
+                    for p in pre]
+        post_acts = [hom_coordinates([post * h.matrix for h in basis], basis, a.field, law)
+                     for post in posts]
+        left, right = (pre_acts, post_acts) if side == "left" else (post_acts, pre_acts)
+        return Bimodule(m.right, m.left, len(basis), left, right), basis
 
-def hom_bimodule_to_base(ext: RingExtension) -> Bimodule:
-    """Hom_R(S, R) as an S-R-bimodule: (s·h·r)(x) = h(x·s)·r.
-
-    This is Hom into the regular module over the left side of _R S_S.
-    """
-    s, r = ext.total, ext.base
-    left = [s.left_mult_matrix(ext.embed(r.basis_vec(j))) for j in range(r.dim)]
-    right = [s.right_mult_matrix(s.basis_vec(i)) for i in range(s.dim)]
-    return hom_to_regular(Bimodule(r, s, s.dim, left, right), "left")[0]
+    return memo(m, "hom to regular " + side, None, build)
 
 
 # -- the tensor construction -------------------------------------------------
@@ -396,7 +268,10 @@ class _Tensor(NamedTuple):
 
 def _tensor(bim: Bimodule, x: Module) -> _Tensor:
     """M ⊗_R x: the quotient of M ⊗_k x by m·r ⊗ v - m ⊗ r·v, with its
-    projection and section, built once per (M, x)."""
+    projection and section, built once per (M, x).
+
+    When M is literally R_R, m ⊗ v -> m·v identifies M ⊗_R x with x, on
+    which s acts as rho_x(s·1); the section is v -> 1 ⊗ v."""
 
     def build() -> _Tensor:
         out_alg = bim.left
@@ -405,6 +280,12 @@ def _tensor(bim: Bimodule, x: Module) -> _Tensor:
             raise AlgebraMismatch("tensor functor applied to a module over the wrong algebra")
         field = out_alg.field
         dm, dx = bim.dim, x.dim
+        if _is_regular(bim.as_right_op_module()):
+            unit = Mat.col_vector(field, act_alg.unit)
+            acts = [x.rho((lam * unit).col(0)) for lam in bim.left_action]
+            proj = block_matrix(field, [dx], [dx] * dm,
+                                {(0, a): act for a, act in enumerate(x.action)})
+            return _Tensor(Module(out_alg, acts), proj, kron(unit, Mat.identity(field, dx)))
         ambient_actions = [kron(bim.left_action[i], Mat.identity(field, dx))
                            for i in range(out_alg.dim)]
         ambient = Module(out_alg, ambient_actions, _skip_validation=True)
@@ -477,34 +358,32 @@ def projective_witness(m: Module) -> Optional[DualBasis]:
     """A dual basis certifying that m is a summand of a free module, or None.
 
     The pieces of the summand system id_m = sum_t p_t ∘ q_t with p_t: A -> m
-    and q_t: m -> A give the dual basis.  When the algebra carries
-    idempotents the verdict is cross-checked against the projective-cover
-    test.
+    and q_t: m -> A give the dual basis; the regular module's is (1, id).
+    When the algebra carries idempotents the verdict is cross-checked
+    against the projective-cover test.
     """
     a = m.algebra
     field = a.field
-    found = summand_witness(m, regular_module(a))
-    if a.primitive_idempotents() is not None:
-        if (found is not None) != is_projective(m):
-            raise PropertyViolation("summand-of-free and cover tests disagree")
-    if found is None:
-        return None
-    pairs, coeffs = found
-    elements = []
-    functionals = []
-    unit_col = Mat.col_vector(field, a.unit)
+    if _is_regular(m):
+        pieces = [(Mat.identity(field, a.dim), Mat.identity(field, a.dim))]
+    else:
+        found = summand_witness(m, regular_module(a))
+        if a.primitive_idempotents() is not None:
+            if (found is not None) != is_projective(m):
+                raise PropertyViolation("summand-of-free and cover tests disagree")
+        if found is None:
+            return None
+        pairs, coeffs = found
+        pieces = [(p.matrix.scale(c), q.matrix)
+                  for (p, q), c in zip(pairs, coeffs.col(0)) if c != 0]
     acc = Mat.zeros(field, m.dim, m.dim)
-    for t, (p, q) in enumerate(pairs):
-        c = coeffs.entry(t, 0)
-        if c == 0:
-            continue
-        scaled_p = p.matrix.scale(c)
-        elements.append(tuple((scaled_p * unit_col).col(0)))
-        functionals.append(q.matrix)
-        acc = acc + scaled_p * q.matrix
+    for p, q in pieces:
+        acc = acc + p * q
     if acc != Mat.identity(field, m.dim):
         raise PropertyViolation("dual basis does not reassemble the identity")
-    return DualBasis(tuple(elements), tuple(functionals))
+    unit_col = Mat.col_vector(field, a.unit)
+    return DualBasis(tuple(tuple((p * unit_col).col(0)) for p, _ in pieces),
+                     tuple(q for _, q in pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -534,10 +413,11 @@ def _frobenius_verdict(iso: IsoVerdict, prefix: str) -> FrobeniusVerdict:
 
 def is_frobenius_extension(ext: RingExtension, seed: int = 0) -> FrobeniusVerdict:
     """Check that S is projective over R and S ≅ Hom_R(S, R) as bimodules."""
-    if projective_witness(_restriction(ext, regular_module(ext.total))) is None:
+    res = restriction_bimodule(ext)
+    if projective_witness(res.as_left_module()) is None:
         return FrobeniusVerdict("no", obstruction="S is not projective as a left R-module")
     s_bimod = extension_bimodule(ext).as_tensor_module()
-    h_bimod = hom_bimodule_to_base(ext).as_tensor_module()
+    h_bimod = hom_to_regular(res, "left")[0].as_tensor_module()
     return _frobenius_verdict(is_isomorphic(s_bimod, h_bimod, seed=seed),
                               "S and Hom_R(S, R) are not isomorphic bimodules")
 
@@ -559,47 +439,64 @@ def is_frobenius_bimodule(m: Bimodule, seed: int = 0) -> FrobeniusVerdict:
 # ---------------------------------------------------------------------------
 
 
-class BimodulePair(AdjointPair):
-    """(M ⊗_R -, Hom_S(M, S) ⊗_S -) for an S-R-bimodule M with _S M projective."""
+class BimodulePair:
+    """The adjoint pair (M ⊗_R -, Hom_S(M, S) ⊗_S -) of an S-R-bimodule M with
+    _S M projective: F takes algebra_a = R-modules to algebra_b = S-modules,
+    G takes them back, with unit eta: 1 -> GF and counit eps: FG -> 1.
+
+    Building a pair computes nothing.  N = Hom_S(M, S) and a dual basis of
+    M over S are found on first use and memoized on M, so every pair on M
+    shares them; a non-projective _S M raises PreconditionFailed there.
+    """
 
     def __init__(self, m: Bimodule):
         self.m = m
-        self.algebra_a = m.right       # F goes from R-Mod
-        self.algebra_b = m.left        # ... to S-Mod
-        self.name = "(M⊗-, N⊗-)"
-        # N as an R-S-bimodule, and the basis of Hom_S(M, S) it is written in
-        self.dual, self.n_basis = hom_to_regular(m, "left")
-        basis = projective_witness(m.as_left_module())
-        if basis is None:
-            raise PreconditionFailed("M is not projective as a left S-module")
-        self.dual_basis = basis
-        coords = hom_coordinates(basis.functionals, self.n_basis, m.left.field,
-                                 "dual-basis functional is outside Hom_S(M, S)")
-        self._functional_coords = [coords.col(t) for t in range(coords.cols)]
+        self.algebra_a = m.right
+        self.algebra_b = m.left
+        self.name = f"(M⊗-, N⊗-) of the ({m.left!r}, {m.right!r})-bimodule M"
+
+    def _dual(self) -> Tuple[Bimodule, list, list]:
+        """N as an R-S-bimodule, the basis of Hom_S(M, S) it is written in,
+        and the dual basis of M over S as pairs (element, functional in N's
+        coordinates)."""
+        m = self.m
+
+        def build() -> Tuple[Bimodule, list, list]:
+            dual, n_basis = hom_to_regular(m, "left")
+            basis = projective_witness(m.as_left_module())
+            if basis is None:
+                raise PreconditionFailed("M is not projective as a left S-module")
+            coords = hom_coordinates(basis.functionals, n_basis, m.left.field,
+                                     "dual-basis functional is outside Hom_S(M, S)")
+            return dual, n_basis, list(zip(basis.elements,
+                                           (coords.col(t) for t in range(coords.cols))))
+
+        return memo(m, "dual basis", None, build)
 
     def apply_f(self, x: Module) -> Module:
         return _tensor(self.m, x).module
 
     def apply_g(self, y: Module) -> Module:
-        return _tensor(self.dual, y).module
+        return _tensor(self._dual()[0], y).module
 
     def apply_f_hom(self, f: ModHom) -> ModHom:
         return _tensor_hom(self.m, f)
 
     def apply_g_hom(self, f: ModHom) -> ModHom:
-        return _tensor_hom(self.dual, f)
+        return _tensor_hom(self._dual()[0], f)
 
     def unit(self, x: Module) -> ModHom:
         """x -> N ⊗_S M ⊗_R x through the dual basis of M over S."""
+        dual, _, dual_basis = self._dual()
         fx = _tensor(self.m, x)
-        gfx = _tensor(self.dual, fx.module)
+        gfx = _tensor(dual, fx.module)
         dim = gfx.module.dim
         field = x.algebra.field
         eye = Mat.identity(field, x.dim)
         cols = []
         for c in range(x.dim):
             acc = [field.zero()] * dim
-            for m_elt, f_coords in zip(self.dual_basis.elements, self._functional_coords):
+            for m_elt, f_coords in dual_basis:
                 inner = _pure(fx, m_elt, eye.col(c))
                 outer = _pure(gfx, f_coords, inner)
                 acc = [field.add(a, b) for a, b in zip(acc, outer)]
@@ -608,11 +505,12 @@ class BimodulePair(AdjointPair):
 
     def counit(self, y: Module) -> ModHom:
         """M ⊗_R N ⊗_S y -> y, m ⊗ h ⊗ w -> rho_y(h(m))·w."""
-        gy = _tensor(self.dual, y)
+        dual, n_basis, _ = self._dual()
+        gy = _tensor(dual, y)
         fgy = _tensor(self.m, gy.module)
         field = y.algebra.field
         # E1 on M ⊗k N ⊗k y: block (a, u) is the action of h_u(m_a) in S
-        acts = [y.rho(h.matrix.col(a)) for a in range(self.m.dim) for h in self.n_basis]
+        acts = [y.rho(h.matrix.col(a)) for a in range(self.m.dim) for h in n_basis]
         e1 = block_matrix(field, [y.dim], [y.dim] * len(acts),
                           {(0, k): act for k, act in enumerate(acts)})
         # descend through N ⊗_S y: the ambient M ⊗k G(y) maps into M ⊗k N ⊗k y
@@ -628,6 +526,35 @@ class BimodulePair(AdjointPair):
             raise PropertyViolation("counit does not kill the inner balancing relations")
         return ModHom(fgy.module, y, mat)
 
+    def check_triangles(self, x: Module, y: Module) -> bool:
+        """eps_{Fx} ∘ F(eta_x) = id_{Fx} and G(eps_y) ∘ eta_{Gy} = id_{Gy}, exactly."""
+        fx = self.apply_f(x)
+        first = self.counit(fx).matrix * self.apply_f_hom(self.unit(x)).matrix
+        if first != Mat.identity(fx.algebra.field, fx.dim):
+            raise PropertyViolation(f"first triangle identity of {self.name} fails")
+        gy = self.apply_g(y)
+        second = self.apply_g_hom(self.counit(y)).matrix * self.unit(gy).matrix
+        if second != Mat.identity(gy.algebra.field, gy.dim):
+            raise PropertyViolation(f"second triangle identity of {self.name} fails")
+        return True
+
+
+def ExtensionPair(ext: RingExtension) -> BimodulePair:
+    """(induction, restriction) of a ring extension: the pair of _S S_R."""
+    return BimodulePair(extension_bimodule(ext))
+
+
+def triangles_hold(pair: BimodulePair, corpus_a: Sequence[Module],
+                   corpus_b: Sequence[Module]) -> bool:
+    """Whether pair.check_triangles(x, y) holds at every x in corpus_a, y in corpus_b."""
+    try:
+        for x in corpus_a:
+            for y in corpus_b:
+                pair.check_triangles(x, y)
+    except PropertyViolation:
+        return False
+    return True
+
 
 def column_bimodule(r: Algebra, n: int, matrix_alg: Algebra) -> Bimodule:
     """The column bimodule R^n over (M_n(R), R): left matrix action, right scalars."""
@@ -639,115 +566,16 @@ def column_bimodule(r: Algebra, n: int, matrix_alg: Algebra) -> Bimodule:
     return Bimodule(matrix_alg, r, n * r.dim, left, right)
 
 
-class ProductPair(AdjointPair):
-    """(projection, inclusion) for B x B', acting through the idempotent (1, 0)."""
-
-    def __init__(self, b: Algebra, bprime: Algebra):
-        self.b = b
-        self.bprime = bprime
-        self.product = product_algebra(b, bprime)
-        self.algebra_a = self.product   # F = Pr goes from (B x B')-Mod
-        self.algebra_b = b
-        self.name = "(Pr, Inc)"
-        field = b.field
-        self.e_vec = tuple(b.unit) + tuple(field.zero() for _ in range(bprime.dim))
-
-    def embed_b(self, v) -> tuple:
-        return tuple(v) + tuple(self.b.field.zero() for _ in range(self.bprime.dim))
-
-    def apply_f(self, y: Module) -> Module:
-        """e·Y as a module over B."""
-        return self._block(y)[0]
-
-    def _block(self, y: Module) -> Tuple[Module, Mat]:
-        """e·Y with the basis of e·Y inside Y its coordinates refer to,
-        built once per (pair, Y)."""
-
-        def build() -> Tuple[Module, Mat]:
-            basis = column_space_basis(y.rho(self.e_vec))
-            acts = []
-            for i in range(self.b.dim):
-                big = y.rho(self.embed_b(self.b.basis_vec(i)))
-                sol = solve(basis, big * basis)
-                if sol.particular is None:
-                    raise PropertyViolation("projection block is not action-stable")
-                acts.append(sol.particular)
-            return Module(self.b, acts), basis
-
-        return memo(y, "pr", self, build)
-
-    def apply_g(self, x: Module) -> Module:
-
-        def build() -> Module:
-            acts = [x.action[i] for i in range(self.b.dim)]
-            acts += [Mat.zeros(self.b.field, x.dim, x.dim) for _ in range(self.bprime.dim)]
-            return Module(self.product, acts)
-
-        return memo(x, "inc", self, build)
-
-    def apply_f_hom(self, f: ModHom) -> ModHom:
-        src, b_src = self._block(f.source)
-        tgt, b_tgt = self._block(f.target)
-        sol = solve(b_tgt, f.matrix * b_src)
-        if sol.particular is None:
-            raise PropertyViolation("projected hom left the idempotent block")
-        return ModHom(src, tgt, sol.particular)
-
-    def apply_g_hom(self, f: ModHom) -> ModHom:
-        return ModHom(self.apply_g(f.source), self.apply_g(f.target), f.matrix)
-
-    def unit(self, y: Module) -> ModHom:
-        """Y -> Inc Pr Y, the action of the idempotent in block coordinates."""
-        pr, basis = self._block(y)
-        inc_pr = self.apply_g(pr)
-        sol = solve(basis, y.rho(self.e_vec))
-        if sol.particular is None:
-            raise PropertyViolation("idempotent image missed its own block")
-        return ModHom(y, inc_pr, sol.particular)
-
-    def counit(self, x: Module) -> ModHom:
-        """Pr Inc X -> X: the block of Inc X is X itself."""
-        pr_inc, basis = self._block(self.apply_g(x))
-        return ModHom(pr_inc, x, basis)
-
-    def check_triangles(self, y: Module, x: Module) -> bool:
-        """Both adjunctions of the product: (Pr, Inc) at (y, x) and (Inc, Pr) at (x, y)."""
-        return super().check_triangles(y, x) and InclusionPair(self).check_triangles(x, y)
-
-
-class InclusionPair(AdjointPair):
-    """(inclusion, projection) for B x B': the pair of ProductPair read backwards."""
-
-    def __init__(self, pr: ProductPair):
-        self.pr = pr
-        self.algebra_a = pr.b             # F = Inc goes from B-Mod
-        self.algebra_b = pr.product
-        self.name = "(Inc, Pr)"
-
-    def apply_f(self, x: Module) -> Module:
-        return self.pr.apply_g(x)
-
-    def apply_g(self, y: Module) -> Module:
-        return self.pr.apply_f(y)
-
-    def apply_f_hom(self, f: ModHom) -> ModHom:
-        return self.pr.apply_g_hom(f)
-
-    def apply_g_hom(self, f: ModHom) -> ModHom:
-        return self.pr.apply_f_hom(f)
-
-    def unit(self, x: Module) -> ModHom:
-        """X -> Pr Inc X: the identity written in the block basis."""
-        pr_inc, basis = self.pr._block(self.pr.apply_g(x))
-        sol = solve(basis, Mat.identity(x.algebra.field, x.dim))
-        if sol.particular is None:
-            raise PropertyViolation("identity is not expressible in the block basis")
-        return ModHom(x, pr_inc, sol.particular)
-
-    def counit(self, y: Module) -> ModHom:
-        """Inc Pr Y -> Y: the block inclusion."""
-        pr, basis = self.pr._block(y)
-        return ModHom(self.pr.apply_g(pr), y, basis)
+def product_pairs(b: Algebra, bprime: Algebra) -> Tuple[BimodulePair, BimodulePair]:
+    """(projection, inclusion) and (inclusion, projection) for B x B': the
+    pairs of e(B x B') as a B-(B x B')-bimodule and of B as a
+    (B x B')-B-bimodule, where e = (1, 0) and B' acts by zero."""
+    product = product_algebra(b, bprime)
+    left = [b.left_mult_matrix(b.basis_vec(i)) for i in range(b.dim)]
+    right = [b.right_mult_matrix(b.basis_vec(i)) for i in range(b.dim)]
+    zeros = [Mat.zeros(b.field, b.dim, b.dim)] * bprime.dim
+    return (BimodulePair(Bimodule(b, product, b.dim, left, right + zeros)),
+            BimodulePair(Bimodule(product, b, b.dim, left + zeros, right)))
 
 
 # ---------------------------------------------------------------------------
@@ -801,13 +629,6 @@ def faithfulness_report(pair, corpus: Sequence[Module]) -> AdjunctionReport:
         epi = eps.is_epi()
         counits_epi.append(epi)
         report.entries.append({"object": f"B-side dim {y.dim}", "counit_epi": epi})
-    triangles = True
-    for x in corpus_a:
-        for y in corpus_b:
-            try:
-                pair.check_triangles(x, y)
-            except PropertyViolation:
-                triangles = False
     add_f = add_generation_holds(pair, "f")
     add_g = add_generation_holds(pair, "g")
     # naturality of unit and counit along projective cover maps
@@ -830,7 +651,7 @@ def faithfulness_report(pair, corpus: Sequence[Module]) -> AdjunctionReport:
         rhs = cov.matrix * pair.counit(p).matrix
         if lhs != rhs:
             naturality = False
-    report.flags["triangle_identities"] = triangles
+    report.flags["triangle_identities"] = triangles_hold(pair, corpus_a, corpus_b)
     report.flags["unit_mono_all"] = all(units_mono)
     report.flags["counit_epi_all"] = all(counits_epi)
     report.flags["add_generation_f_side"] = add_f
@@ -977,8 +798,8 @@ def counterexample_product(b: Algebra, bprime: Algebra, bad_module: Module,
     if bad_verdict.verdict != "no":
         raise PreconditionFailed(
             f"the designated module is not certified non-GP: {bad_verdict.verdict}")
-    pair = ProductPair(b, bprime)
-    product = pair.product
+    pair, inclusion = product_pairs(b, bprime)
+    product = pair.algebra_a
     field = b.field
     # X = (0, bad): the B-block acts by zero
     acts = [Mat.zeros(field, bad_module.dim, bad_module.dim) for _ in range(b.dim)]
@@ -988,13 +809,8 @@ def counterexample_product(b: Algebra, bprime: Algebra, bad_module: Module,
     s_prod = structural_modules(product)
     corpus_a = list(s_prod.projectives) + [x, regular_module(product)]
     corpus_b = list(structural_modules(b).projectives) + [regular_module(b)]
-    pair_ok = True
-    try:
-        for y_obj in corpus_a:
-            for x_obj in corpus_b:
-                pair.check_triangles(y_obj, x_obj)
-    except PropertyViolation:
-        pair_ok = False
+    pair_ok = (triangles_hold(pair, corpus_a, corpus_b)
+               and triangles_hold(inclusion, corpus_b, corpus_a))
     prof_prod = gorenstein_profile(product, bound)
     pr_x = pair.apply_f(x)
     projected_gp = is_gorenstein_projective(pr_x, gorenstein_profile(b, bound))
@@ -1034,10 +850,12 @@ def tri_equiv_conditions(pair, corpus_a: Sequence[Module], corpus_b: Sequence[Mo
     stable Hom dimensions across the functors in both directions, an
     object-level witness for the induced stable equivalence.
     """
-    if not add_generation_holds(pair, "f"):
-        raise PreconditionFailed("G is not faithful on the projectives (add test)")
+    # G first: it is the side that needs _S M projective, which a pair
+    # checks on first use, so a pair that is none fails as such
     if not add_generation_holds(pair, "g"):
         raise PreconditionFailed("F is not faithful on the projectives (add test)")
+    if not add_generation_holds(pair, "f"):
+        raise PreconditionFailed("G is not faithful on the projectives (add test)")
     prof_a = gorenstein_profile(pair.algebra_a, bound)
     prof_b = gorenstein_profile(pair.algebra_b, bound)
     unit_rows = []

@@ -24,14 +24,15 @@ from .exactlin import FieldSpec, Mat, fraction_free_rank, rref, solve
 from .frobenius import (
     BimodulePair,
     ExtensionPair,
-    ProductPair,
-    ResCoindPair,
     RingExtension,
     coinduce,
     counterexample_product,
     faithfulness_report,
     induce,
     is_frobenius_extension,
+    product_pairs,
+    restriction_bimodule,
+    triangles_hold,
     tri_equiv_conditions,
     verify_gpd_transfer,
 )
@@ -168,7 +169,7 @@ def check_adjunction_diagnostics(bound: int = 20, seed: int = 0) -> CheckResult:
         if not agree:
             passed = False
             details.append(f"{name}: {report.flags}")
-        rc = ResCoindPair(ext)
+        rc = BimodulePair(restriction_bimodule(ext))
         try:
             rc.check_triangles(regular_module(ext.total), regular_module(ext.base))
         except Exception as exc:  # noqa: BLE001 - report any identity failure
@@ -177,18 +178,18 @@ def check_adjunction_diagnostics(bound: int = 20, seed: int = 0) -> CheckResult:
     # the product pair, including the non-faithful projection
     f2 = corpus.corpus_algebra("f2")
     a2 = corpus.corpus_algebra("a2")
-    ppair = ProductPair(f2, a2)
+    pr, inc = product_pairs(f2, a2)
     bad = corpus.bad_module_for_counterexample()
-    bad_prod = Module(ppair.product,
+    bad_prod = Module(pr.algebra_a,
                       [Mat.zeros(f2.field, bad.dim, bad.dim)] + list(bad.action))
-    prod_corpus = (list(structural_modules(ppair.product).projectives)
-                   + [bad_prod, regular_module(f2)])
-    report = faithfulness_report(ppair, prod_corpus)
+    prod_modules = list(structural_modules(pr.algebra_a).projectives) + [bad_prod]
+    report = faithfulness_report(pr, prod_modules + [regular_module(f2)])
+    inc_triangles = triangles_hold(inc, [regular_module(f2)], prod_modules)
     if not (report.flags["unit_mono_matches_add_generation"]
             and report.flags["counit_epi_matches_add_generation"]
-            and report.flags["triangle_identities"]):
+            and report.flags["triangle_identities"] and inc_triangles):
         passed = False
-        details.append(f"product pair: {report.flags}")
+        details.append(f"product pair: {report.flags}, inclusion triangles: {inc_triangles}")
     if report.flags["unit_mono_all"] or report.flags["add_generation_g_side"]:
         passed = False
         details.append("product projection unexpectedly looks faithful")

@@ -6,7 +6,6 @@ integer or exact matrix equalities; nothing here is approximate.
 
 from pathlib import Path
 
-import pytest
 from click.testing import CliRunner
 
 import gorhom

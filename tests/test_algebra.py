@@ -11,8 +11,6 @@ from gorhom.algebra import (
     Algebra,
     Quiver,
     _same_column_space,
-    algebra_from_json,
-    algebra_to_json,
     cyclic_group_table,
     field_algebra,
     group_algebra,

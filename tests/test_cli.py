@@ -162,6 +162,72 @@ def test_injective_resolve_command(runner, path, extra, dims, complete, length):
                              f"  passed: True\n")
 
 
+# the whole stdout of triequiv-check, every unit and counit row of each pair
+TRIEQUIV_OUTPUTS = [
+    ("f2_f2c2.ext",
+     "stable-category conditions for f2_f2c2.ext\n"
+     "  law: unit cokernels and counit kernels govern the induced equivalences\n"
+     "  stable_gp_condition: False\n"
+     "  singularity_condition: False\n"
+     "  defect_condition: True\n"
+     "  both_projective_condition: False\n"
+     "  stable_hom_match_forward: True\n"
+     "  stable_hom_match_backward: False\n"
+     "  passed: True\n"
+     "  - cok_dim=1  cok_gpd=0  cok_pd=0  cok_projective=True  object=A dim 1  x_gp=yes\n"
+     "  - cok_dim=1  cok_gpd=0  cok_pd=0  cok_projective=True  object=A dim 1  x_gp=yes\n"
+     "  - cok_dim=1  cok_gpd=0  cok_pd=0  cok_projective=True  object=A dim 1  x_gp=yes\n"
+     "  - cok_dim=1  cok_gpd=0  cok_pd=0  cok_projective=True  object=A dim 1  x_gp=yes\n"
+     "  - ker_dim=1  ker_gpd=0  ker_pd=>= 20  ker_projective=False  object=B dim 1  y_gp=yes\n"
+     "  - ker_dim=2  ker_gpd=0  ker_pd=0  ker_projective=True  object=B dim 2  y_gp=yes\n"
+     "  - ker_dim=2  ker_gpd=0  ker_pd=0  ker_projective=True  object=B dim 2  y_gp=yes\n"
+     "  - ker_dim=2  ker_gpd=0  ker_pd=0  ker_projective=True  object=B dim 2  y_gp=yes\n"),
+    ("id_nak2.ext",
+     "stable-category conditions for id_nak2.ext\n"
+     "  law: unit cokernels and counit kernels govern the induced equivalences\n"
+     "  stable_gp_condition: True\n"
+     "  singularity_condition: True\n"
+     "  defect_condition: True\n"
+     "  both_projective_condition: True\n"
+     "  stable_hom_match_forward: True\n"
+     "  stable_hom_match_backward: True\n"
+     "  passed: True\n"
+     "  - cok_dim=0  cok_gpd=0  cok_pd=0  cok_projective=True  object=A dim 1  x_gp=yes\n"
+     "  - cok_dim=0  cok_gpd=0  cok_pd=0  cok_projective=True  object=A dim 1  x_gp=yes\n"
+     "  - cok_dim=0  cok_gpd=0  cok_pd=0  cok_projective=True  object=A dim 2  x_gp=yes\n"
+     "  - cok_dim=0  cok_gpd=0  cok_pd=0  cok_projective=True  object=A dim 2  x_gp=yes\n"
+     "  - ker_dim=0  ker_gpd=0  ker_pd=0  ker_projective=True  object=B dim 1  y_gp=yes\n"
+     "  - ker_dim=0  ker_gpd=0  ker_pd=0  ker_projective=True  object=B dim 1  y_gp=yes\n"
+     "  - ker_dim=0  ker_gpd=0  ker_pd=0  ker_projective=True  object=B dim 2  y_gp=yes\n"
+     "  - ker_dim=0  ker_gpd=0  ker_pd=0  ker_projective=True  object=B dim 2  y_gp=yes\n"),
+    ("morita_col.bimod",
+     "stable-category conditions for morita_col.bimod\n"
+     "  law: unit cokernels and counit kernels govern the induced equivalences\n"
+     "  stable_gp_condition: True\n"
+     "  singularity_condition: True\n"
+     "  defect_condition: True\n"
+     "  both_projective_condition: True\n"
+     "  stable_hom_match_forward: True\n"
+     "  stable_hom_match_backward: True\n"
+     "  passed: True\n"
+     "  - cok_dim=0  cok_gpd=0  cok_pd=0  cok_projective=True  object=A dim 1  x_gp=yes\n"
+     "  - cok_dim=0  cok_gpd=0  cok_pd=0  cok_projective=True  object=A dim 2  x_gp=yes\n"
+     "  - cok_dim=0  cok_gpd=0  cok_pd=0  cok_projective=True  object=A dim 2  x_gp=yes\n"
+     "  - cok_dim=0  cok_gpd=0  cok_pd=0  cok_projective=True  object=A dim 2  x_gp=yes\n"
+     "  - ker_dim=0  ker_gpd=0  ker_pd=0  ker_projective=True  object=B dim 2  y_gp=yes\n"
+     "  - ker_dim=0  ker_gpd=0  ker_pd=0  ker_projective=True  object=B dim 2  y_gp=yes\n"
+     "  - ker_dim=0  ker_gpd=0  ker_pd=0  ker_projective=True  object=B dim 4  y_gp=yes\n"
+     "  - ker_dim=0  ker_gpd=0  ker_pd=0  ker_projective=True  object=B dim 4  y_gp=yes\n"),
+]
+
+
+@pytest.mark.parametrize("path, expected", TRIEQUIV_OUTPUTS)
+def test_triequiv_check_command(runner, path, expected):
+    result = runner.invoke(main, ["triequiv-check", path])
+    assert result.exit_code == 0
+    assert result.output == expected
+
+
 def test_totalize_command(runner):
     result = runner.invoke(main, ["totalize", "a2_s1.mod"])
     assert result.exit_code == 0

@@ -13,7 +13,6 @@ from gorhom.dgcplx import (
     load_graded,
     save_graded,
     shift_sigma,
-    unit_FU,
 )
 from gorhom.errors import InputShapeError, PreconditionFailed
 from gorhom.exactlin import FieldSpec, Mat

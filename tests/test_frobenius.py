@@ -16,15 +16,13 @@ from gorhom.algebra import (
     product_algebra,
     truncated_extension,
 )
+from gorhom.corpus import EXTENSION_NAMES, corpus_algebra, corpus_extension, module_corpus
 from gorhom.errors import PreconditionFailed, PropertyViolation
 from gorhom.exactlin import FieldSpec, Mat
 from gorhom.frobenius import (
     Bimodule,
     BimodulePair,
     ExtensionPair,
-    InclusionPair,
-    ProductPair,
-    ResCoindPair,
     RingExtension,
     coinduce,
     column_bimodule,
@@ -38,12 +36,14 @@ from gorhom.frobenius import (
     is_frobenius_extension,
     load_bimodule,
     load_extension,
+    product_pairs,
     projective_witness,
     restrict,
+    restriction_bimodule,
     save_bimodule,
     save_extension,
+    triangles_hold,
     tri_equiv_conditions,
-    unit_counit,
     verify_gpd_transfer,
 )
 from gorhom.homology import gorenstein_profile, gpd, is_gorenstein_projective, star_module
@@ -135,9 +135,10 @@ def test_coinduce_dimension(ext_a2_trunc, a2):
 
 
 def test_unit_counit_identity_extension(a2):
-    ext = identity_extension(a2)
+    pair = ExtensionPair(identity_extension(a2))
     reg = regular_module(a2)
-    eta, eps = unit_counit(ext, reg, reg)
+    eta, eps = pair.unit(reg), pair.counit(reg)
+    assert pair.check_triangles(reg, reg)
     assert eta.is_iso()
     assert eps.is_iso()
 
@@ -145,7 +146,9 @@ def test_unit_counit_identity_extension(a2):
 def test_unit_mono_counit_split(ext_f2_f2c2, f2, f2c2):
     k = regular_module(f2)
     reg_s = regular_module(f2c2)
-    eta, eps = unit_counit(ext_f2_f2c2, k, reg_s)
+    pair = ExtensionPair(ext_f2_f2c2)
+    eta, eps = pair.unit(k), pair.counit(reg_s)
+    assert pair.check_triangles(k, reg_s)
     assert eta.is_mono()
     assert eps.is_epi()
     # split epi: a section exists
@@ -156,18 +159,79 @@ def test_unit_mono_counit_split(ext_f2_f2c2, f2, f2c2):
 
 
 def test_res_coind_triangles(ext_f2_f2c2, f2, f2c2):
-    pair = ResCoindPair(ext_f2_f2c2)
-    pair.check_triangles(regular_module(f2c2), regular_module(f2))
+    pair = BimodulePair(restriction_bimodule(ext_f2_f2c2))
+    assert pair.check_triangles(regular_module(f2c2), regular_module(f2))
+
+
+def _conjugated(m: Bimodule) -> Bimodule:
+    """m written in the basis given by the columns of a unitriangular matrix."""
+    p = Mat(m.left.field, [[int(j >= i) for j in range(m.dim)] for i in range(m.dim)])
+    q = p.inverse()
+    return Bimodule(m.left, m.right, m.dim, [q * a * p for a in m.left_action],
+                    [q * a * p for a in m.right_action])
+
+
+def _pair_bimodules(name: str) -> list:
+    if name == "a2 x f2":
+        return [pair.m for pair in product_pairs(corpus_algebra("a2"), corpus_algebra("f2"))]
+    ext = corpus_extension(name)
+    return [extension_bimodule(ext), restriction_bimodule(ext)]
+
+
+@pytest.mark.parametrize("name", ["f2_f2c2", "a2_a2t2", "a2 x f2"])
+def test_the_regular_shortcut_and_the_quotient_path_agree(name):
+    # each pair bimodule has a side that is literally regular; in another
+    # basis neither side is, so the tensors, the hom basis and the dual
+    # basis are all found the general way, and the pairs must still agree
+    for m in _pair_bimodules(name):
+        conj = _conjugated(m)
+        assert [frobenius._is_regular(side) for side in (m.as_left_module(),
+                                                        m.as_right_op_module())].count(True) == 1
+        assert not frobenius._is_regular(conj.as_left_module())
+        assert not frobenius._is_regular(conj.as_right_op_module())
+        plain, moved = BimodulePair(m), BimodulePair(conj)
+        corpus_a = module_corpus(plain.algebra_a, minimum=2)[:2]
+        corpus_b = module_corpus(plain.algebra_b, minimum=2)[:2]
+        for x in corpus_a:
+            assert is_isomorphic(plain.apply_f(x), moved.apply_f(x)).verdict == "yes"
+        for y in corpus_b:
+            assert is_isomorphic(plain.apply_g(y), moved.apply_g(y)).verdict == "yes"
+        assert triangles_hold(plain, corpus_a, corpus_b)
+        assert triangles_hold(moved, corpus_a, corpus_b)
+
+
+@pytest.mark.parametrize("name", EXTENSION_NAMES)
+def test_restriction_is_g_of_induction_and_f_of_coinduction(name):
+    ext = corpus_extension(name)
+    g, f = ExtensionPair(ext).apply_g, BimodulePair(restriction_bimodule(ext)).apply_f
+    for y in module_corpus(ext.total):
+        res = restrict(ext, y)
+        assert g(y).algebra is f(y).algebra is ext.base
+        assert g(y).action == f(y).action == res.action
+
+
+def test_inclusion_extends_by_zero(f2, a2):
+    for b, other in ((f2, a2), (a2, f2)):
+        _, inc = product_pairs(b, other)
+        for x in module_corpus(b, minimum=3):
+            zeros = (Mat.zeros(F2, x.dim, x.dim),) * other.dim
+            assert inc.apply_f(x).action == x.action + zeros
+
+
+def test_every_pair_bimodule_is_frobenius(ext_f2_f2c2, f2, a2):
+    pr, inc = product_pairs(f2, a2)
+    for m in (extension_bimodule(ext_f2_f2c2), restriction_bimodule(ext_f2_f2c2), pr.m, inc.m):
+        assert is_frobenius_bimodule(m).verdict == "yes"
 
 
 def test_every_pair_names_itself_when_a_triangle_fails(ext_f2_f2c2, f2, a2, f2c2):
     ext = ext_f2_f2c2
     k, k_c2 = regular_module(f2), regular_module(f2c2)
     x_prod = regular_module(product_algebra(f2, a2))
-    product = ProductPair(f2, a2)
-    pairs = [(ExtensionPair(ext), k, k_c2), (ResCoindPair(ext), k_c2, k),
-             (BimodulePair(extension_bimodule(ext)), k, k_c2), (product, x_prod, k),
-             (InclusionPair(product), k, x_prod)]
+    pr, inc = product_pairs(f2, a2)
+    pairs = [(ExtensionPair(ext), k, k_c2), (BimodulePair(restriction_bimodule(ext)), k_c2, k),
+             (BimodulePair(extension_bimodule(ext)), k, k_c2), (pr, x_prod, k),
+             (inc, k, x_prod)]
     for pair, x, y in pairs:
         assert pair.check_triangles(x, y)
         unit = pair.unit
@@ -217,6 +281,12 @@ def test_frobenius_bimodule_nonprojective_gate(f2, f2c2):
     v = is_frobenius_bimodule(bm)
     assert v.verdict == "no"
     assert "projective" in v.obstruction
+    # a pair on it is built, and fails as no pair at its first use of G
+    pair = BimodulePair(bm)
+    assert pair.apply_f(regular_module(f2)).dim == 1
+    for _ in range(2):
+        with pytest.raises(PreconditionFailed, match="not projective as a left S-module"):
+            tri_equiv_conditions(pair, [regular_module(f2)], [regular_module(f2c2)])
 
 
 def test_projective_witness_dual_basis(f2c2):
@@ -237,7 +307,7 @@ def test_functor_caches_never_answer_for_another_pair(f2, a2, f2c2):
                   f2c2: lambda: identity_extension(f2c2)}
     for trial in range(60):
         other = a2 if trial % 2 else f2x2
-        assert ProductPair(f2, other).apply_g(reg_f2).algebra.dim == 1 + other.dim
+        assert product_pairs(f2, other)[0].apply_g(reg_f2).algebra.dim == 1 + other.dim
         base = f2 if trial % 2 else f2c2
         assert ExtensionPair(extensions[base]()).apply_g(reg_f2c2).algebra is base
 
@@ -251,13 +321,13 @@ def _counting(log, name, fn):
 
 def test_second_application_builds_nothing(monkeypatch, ext_f2_f2c2, f2, a2, f2c2):
     k, reg_f2c2 = regular_module(f2), regular_module(f2c2)
-    prod = ProductPair(f2, a2)
+    pr, _ = product_pairs(f2, a2)
     bim_pair = BimodulePair(extension_bimodule(ext_f2_f2c2))
     applications = [
         (ExtensionPair(ext_f2_f2c2).apply_f, k), (ExtensionPair(ext_f2_f2c2).apply_g, reg_f2c2),
         (bim_pair.apply_f, k), (bim_pair.apply_g, reg_f2c2),
-        (ResCoindPair(ext_f2_f2c2).apply_g, k),
-        (prod.apply_f, regular_module(prod.product)), (prod.apply_g, k),
+        (BimodulePair(restriction_bimodule(ext_f2_f2c2)).apply_g, k),
+        (pr.apply_f, regular_module(pr.algebra_a)), (pr.apply_g, k),
     ]
     built = []
     for name in ("Module", "Bimodule", "quotient_module"):
@@ -290,14 +360,15 @@ def _empty_every_cache() -> int:
 
 def test_clearing_every_cache_changes_no_result(ext_f2_f2c2, f2, a2, f2c2):
     # A cache entry may only save time: the triangle identities, units and
-    # counits of all four pairs, covers, envelopes, stars and Gorenstein
+    # counits of all five pairs, covers, envelopes, stars and Gorenstein
     # verdicts come out the same from empty caches as from warm ones.
     ext = ext_f2_f2c2
     k, k_c2 = structural_modules(f2).simples[0], structural_modules(f2c2).simples[0]
     s_a2 = structural_modules(a2).simples[0]
     x_prod = regular_module(product_algebra(f2, a2))
-    pairs = [(ExtensionPair(ext), k, k_c2), (ResCoindPair(ext), k_c2, k),
-             (BimodulePair(extension_bimodule(ext)), k, k_c2), (ProductPair(f2, a2), x_prod, k)]
+    pr, inc = product_pairs(f2, a2)
+    pairs = [(ExtensionPair(ext), k, k_c2), (BimodulePair(restriction_bimodule(ext)), k_c2, k),
+             (BimodulePair(extension_bimodule(ext)), k, k_c2), (pr, x_prod, k), (inc, k, x_prod)]
 
     def results():
         out = []
@@ -323,8 +394,8 @@ DATA = Path(gorhom.__file__).parent / "data"
 
 
 def test_repeated_certification_retains_no_memory(retained_bytes):
-    # S restricted to R is memoized on S's regular module; a fresh
-    # restriction per call pinned every one of them in R's hom memo
+    # S restricted to R is built once per extension; a fresh restriction
+    # per call pinned every one of them in R's hom memo
     ext = load_extension(DATA / "a2_a2t2.ext")
     assert retained_bytes(lambda: is_frobenius_extension(ext), 5) < 1024
 
@@ -380,8 +451,8 @@ def test_faithfulness_group_extension(ext_f2_f2c2, f2, f2c2):
 
 
 def test_faithfulness_fails_for_product_projection(f2, a2):
-    pair = ProductPair(f2, a2)
-    product = pair.product
+    pair, _ = product_pairs(f2, a2)
+    product = pair.algebra_a
     s_prod = structural_modules(product)
     s_a2 = structural_modules(a2)
     # embed the non-GP simple S1 of A2 as (0, S1)

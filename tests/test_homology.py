@@ -6,9 +6,7 @@ import pytest
 from gorhom import corpus, exactlin, homology, modrep
 from gorhom.algebra import (
     Quiver,
-    cyclic_group_table,
     field_algebra,
-    group_algebra,
     path_algebra,
     truncated_extension,
 )
@@ -23,7 +21,6 @@ from gorhom.homology import (
     gorenstein_profile,
     gpd,
     is_gorenstein_projective,
-    is_projective,
     lift_chain_map,
     load_complex,
     nullhomotopy,
@@ -34,7 +31,6 @@ from gorhom.homology import (
 )
 from gorhom.modrep import (
     Module,
-    direct_sum,
     dual_hom,
     dual_module,
     hom_dim,

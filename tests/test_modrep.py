@@ -12,9 +12,7 @@ from gorhom.algebra import (
 from gorhom.errors import AlgebraMismatch, PropertyViolation
 from gorhom.exactlin import FieldSpec, Mat
 from gorhom.modrep import (
-    Factorization,
     ModHom,
-    Module,
     ShortExactSequence,
     cover_envelope,
     direct_sum,
@@ -26,8 +24,6 @@ from gorhom.modrep import (
     identity_hom,
     is_isomorphic,
     load_module,
-    module_from_json,
-    module_to_json,
     quotient_module,
     radical_submodule_basis,
     regular_module,

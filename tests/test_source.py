@@ -67,6 +67,51 @@ def test_the_scan_sees_every_kind_of_store():
     assert [name for _line, _fn, name in unread_locals(tree)] == ["a", "b", "v"]
 
 
+def unused_imports(tree):
+    """(line, name) for every name an import binds that the module never
+    reads; a name listed in `__all__` is read, and `from __future__`
+    imports bind nothing."""
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(alias.lineno, alias.asname or alias.name.split(".")[0])
+                         for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [(alias.lineno, alias.asname or alias.name) for alias in node.names]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    read |= {elt.value for node in ast.walk(tree)
+             if isinstance(node, ast.Assign)
+             and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+             for elt in getattr(node.value, "elts", ()) if isinstance(elt, ast.Constant)}
+    return [(line, name) for line, name in imported if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    unused = [f"{path.parent.name}/{path.name}:{line} {name}"
+              for path in SOURCES + sorted((REPO / "tests").glob("*.py"))
+              for line, name in unused_imports(ast.parse(path.read_text(), str(path)))]
+    assert unused == []
+
+
+def test_the_import_scan_sees_every_kind_of_binding():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import json, re\n"
+        "import xml.dom\n"
+        "import numpy as np\n"
+        "from typing import (List,\n"
+        "                    Dict)\n"
+        "from . import sibling as _sib\n"
+        "from pkg import exported, shadowed\n"
+        "__all__ = ['exported']\n"
+        "shadowed = 1\n"
+        "def f(x: List) -> None:\n"
+        "    return json.dumps(x), xml.dom\n")
+    assert unused_imports(tree) == [(2, "re"), (4, "np"), (6, "Dict"), (7, "_sib"),
+                                    (8, "shadowed")]
+
+
 def cache_touchers(tree, module):
     """`module.function` for every function that reads or writes a `._cache`
     attribute, once each, sorted; `self._cache = {}` initializers do not count."""
