@@ -39,7 +39,6 @@ from .errors import (
     MalformedRelation,
     NotAGroup,
     PropertyViolation,
-    UnsupportedAlgebra,
 )
 from .exactlin import FieldSpec, Mat, rref, solve
 
@@ -883,20 +882,6 @@ def _tensor_algebra(a: Algebra, b: Algebra, labels: Sequence[str],
         provenance=provenance,
         _closed_radical=closed_rad,
     )
-
-
-def radical_and_idempotents(a: Algebra):
-    """The radical basis together with the primitive idempotent set.
-
-    Raises UnsupportedAlgebra when no idempotent data is available (the
-    radical alone is always computable via Algebra.radical_basis()).
-    """
-    idems = a.primitive_idempotents()
-    if idems is None:
-        raise UnsupportedAlgebra(
-            "no primitive idempotent data; supply idempotents or use a supported constructor"
-        )
-    return a.radical_basis(), list(idems)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ identities are constructed explicitly and checked as exact matrix
 equalities on every corpus object.  Projective objects of the complex
 category are the contractible complexes with projective components, so
 F lands in projectives: F(X) carries the contracting homotopy
-(x, y) -> (y, 0).
+(x, y) -> (y, 0); is_contractible finds one degree by degree.
 
 A complex is Gorenstein projective exactly when each component is; the
 componentwise check reports per-degree verdicts and states that the
@@ -27,18 +27,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import accumulate
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from .algebra import Algebra, algebra_to_json, resolve_algebra_ref
 from .errors import InputShapeError, PreconditionFailed, PropertyViolation
-from .exactlin import Mat, block_matrix, solve, vec
+from .exactlin import Mat, block_matrix
 from .frobenius import AdjunctionReport
 from .homology import (
     ComplexObj,
     GorensteinProfile,
-    hom_delta,
     is_gorenstein_projective,
     is_projective,
     json_support,
@@ -50,7 +48,7 @@ from .modrep import (
     component_to_json,
     cover_envelope,
     direct_sum,
-    hom_space,
+    factor_through,
     module_from_json,
     submodule,
     zero_module,
@@ -217,41 +215,24 @@ def counit_U_SigmaF(x: GradedModule, sfx: ComplexObj) -> GradedHom:
 def is_contractible(c: ComplexObj):
     """Solve id = d∘s + s∘d for a degreewise module homotopy s.
 
+    From the top degree down, s^p is one factor_through: d^{p-1}·s^p =
+    id - s^{p+1}·d^p.  Solving degree by degree loses no homotopy.  Once
+    s^{p+1} meets its own equation, d^p·(id - s^{p+1}·d^p) =
+    s^{p+2}·d^{p+1}·d^p = 0, so the right side lands in ker d^p, which is
+    im d^{p-1} when c is contractible; and a contractible complex splits,
+    so d^{p-1} has a module section on its image and the right side lifts.
     Returns (True, homotopy mats) with an exact witness, or (False, None).
     """
     field = c.algebra.field
-    degrees = list(c.support())
-    hom_bases = {p: hom_space(c.component(p), c.component(p - 1)) for p in degrees}
-    # one block row of equations per nonzero component, in the unknowns of
-    # every s^p: (d^{p-1} ∘ s^p + s^{p+1} ∘ d^p) = id, vectorized
-    eq_degrees = [p for p in degrees if c.component(p).dim]
-    if not eq_degrees:
-        return True, {}
-    blocks = {}
-    for r, p in enumerate(eq_degrees):
-        k = p - c.lo
-        if hom_bases[p]:
-            blocks[(r, k)] = hom_delta(hom_bases[p], c.differential(p - 1).matrix, post=True)
-        if hom_bases.get(p + 1):
-            blocks[(r, k + 1)] = hom_delta(hom_bases[p + 1], c.differential(p).matrix)
-    sizes = [c.component(p).dim ** 2 for p in eq_degrees]
-    system = block_matrix(field, sizes, [len(hom_bases[p]) for p in degrees], blocks)
-    rhs = block_matrix(field, sizes, [1], {(r, 0): vec(Mat.identity(field, c.component(p).dim))
-                                           for r, p in enumerate(eq_degrees)})
-    res = solve(system, rhs)
-    if res.particular is None:
-        return False, None
-    offsets = dict(zip(degrees, accumulate([len(hom_bases[p]) for p in degrees], initial=0)))
-    coeffs = res.particular
-    homotopy = {}
-    for p in c.support():
-        basis = hom_bases[p]
-        mat = Mat.zeros(field, c.component(p - 1).dim, c.component(p).dim)
-        for t, h in enumerate(basis):
-            cval = coeffs.entry(offsets[p] + t, 0)
-            if cval != 0:
-                mat = mat + h.matrix.scale(cval)
-        homotopy[p] = mat
+    homotopy: Dict[int, Mat] = {}
+    for p in reversed(c.support()):
+        rhs = Mat.identity(field, c.component(p).dim)
+        if p + 1 in homotopy:
+            rhs = rhs - homotopy[p + 1] * c.differential(p).matrix
+        s = factor_through(c.component(p), c.component(p - 1), c.differential(p - 1).matrix, rhs)
+        if s is None:
+            return False, None
+        homotopy[p] = s.matrix
     # verify the witness exactly
     for p in c.support():
         comp = c.component(p)

@@ -19,8 +19,9 @@ Hom_A(A, A) is written in the basis of right multiplications, so the G of
 (induction, restriction) and the F of (restriction, coinduction) are
 restriction exactly.  BimodulePair.check_triangles is the one check of the
 triangle identities, as exact matrix equalities, and is_frobenius_bimodule
-certifies any pair.  The verification routines report per-object records
-rather than trusting any general fact on faith.
+certifies any pair, once per bimodule and seed; a ring extension R -> S is
+certified as the bimodule _S S_R.  The verification routines report
+per-object records rather than trusting any general fact on faith.
 """
 
 from __future__ import annotations
@@ -412,26 +413,25 @@ def _frobenius_verdict(iso: IsoVerdict, prefix: str) -> FrobeniusVerdict:
 
 
 def is_frobenius_extension(ext: RingExtension, seed: int = 0) -> FrobeniusVerdict:
-    """Check that S is projective over R and S ≅ Hom_R(S, R) as bimodules."""
-    res = restriction_bimodule(ext)
-    if projective_witness(res.as_left_module()) is None:
-        return FrobeniusVerdict("no", obstruction="S is not projective as a left R-module")
-    s_bimod = extension_bimodule(ext).as_tensor_module()
-    h_bimod = hom_to_regular(res, "left")[0].as_tensor_module()
-    return _frobenius_verdict(is_isomorphic(s_bimod, h_bimod, seed=seed),
-                              "S and Hom_R(S, R) are not isomorphic bimodules")
+    """R -> S is a Frobenius extension exactly when _S S_R is a Frobenius bimodule."""
+    return is_frobenius_bimodule(extension_bimodule(ext), seed)
 
 
 def is_frobenius_bimodule(m: Bimodule, seed: int = 0) -> FrobeniusVerdict:
-    """Projectivity on both sides plus Hom_S(M, S) ≅ Hom_R^op(M, R)."""
-    if projective_witness(m.as_left_module()) is None:
-        return FrobeniusVerdict("no", obstruction="M is not projective as a left S-module")
-    if projective_witness(m.as_right_op_module()) is None:
-        return FrobeniusVerdict("no", obstruction="M is not projective as a right R-module")
-    left_dual = hom_to_regular(m, "left")[0].as_tensor_module()
-    right_dual = hom_to_regular(m, "right")[0].as_tensor_module()
-    return _frobenius_verdict(is_isomorphic(left_dual, right_dual, seed=seed),
-                              "the two dual bimodules are not isomorphic")
+    """Projectivity on both sides plus Hom_S(M, S) ≅ Hom_R^op(M, R), decided
+    once per (M, seed)."""
+
+    def build() -> FrobeniusVerdict:
+        if projective_witness(m.as_left_module()) is None:
+            return FrobeniusVerdict("no", obstruction="M is not projective as a left S-module")
+        if projective_witness(m.as_right_op_module()) is None:
+            return FrobeniusVerdict("no", obstruction="M is not projective as a right R-module")
+        left_dual = hom_to_regular(m, "left")[0].as_tensor_module()
+        right_dual = hom_to_regular(m, "right")[0].as_tensor_module()
+        return _frobenius_verdict(is_isomorphic(left_dual, right_dual, seed=seed),
+                                  "the two dual bimodules are not isomorphic")
+
+    return memo(m, ("frobenius", seed), None, build)
 
 
 # ---------------------------------------------------------------------------

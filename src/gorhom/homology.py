@@ -23,9 +23,10 @@ Ext^i(Hom(m, A), A) vanish) in a finite window of degrees.
 The totalization routine builds, for a module M over a d-Gorenstein
 algebra, the bigraded array of projective resolutions of an injective
 coresolution of M, endows it with the degree-(l, -l+1) maps obtained by
-iterated null-homotopies, verifies all quasi-bicomplex identities
-sum d_i d_{l-i} = 0 exactly, forms the total complex, and extracts the
-short exact sequence 0 -> B^0 -> Z^0 -> M -> 0 witnessing Gpd(M) <= d.
+iterated null-homotopies (lifts and homotopies are solved degree by
+degree, one modrep.factor_through each), verifies all quasi-bicomplex
+identities sum d_i d_{l-i} = 0 exactly, forms the total complex, and
+extracts the short exact sequence 0 -> B^0 -> Z^0 -> M -> 0 witnessing Gpd(M) <= d.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .errors import (
     ProfileNotCertified,
     PropertyViolation,
 )
-from .exactlin import Mat, block_matrix, mat_from_flat, mat_to_flat, rref, solve, vec
+from .exactlin import Mat, block_matrix, mat_from_flat, mat_to_flat, rref, solve
 from .modrep import (
     ModHom,
     Module,
@@ -54,12 +55,13 @@ from .modrep import (
     direct_sum,
     dual_hom,
     dual_module,
+    factor_through,
     hom_coordinates,
+    hom_delta,
     hom_dim,
     hom_space,
     module_from_json,
     regular_module,
-    solve_hom_with_left_constraint,
     structural_modules,
     submodule,
     zero_hom,
@@ -110,6 +112,15 @@ class Resolution:
         if 0 <= k < len(self.terms):
             return self.terms[k]
         return zero_module(self.augmented.algebra)
+
+    def map_from(self, k: int) -> Mat:
+        """The matrix of the map leaving terms[k]: the augmentation at k = 0,
+        maps[k - 1] after it, and zero past the computed maps."""
+        if k == 0:
+            return self.augmentation.matrix
+        if k - 1 < len(self.maps):
+            return self.maps[k - 1].matrix
+        return Mat.zeros(self.augmented.algebra.field, self.term(k - 1).dim, self.term(k).dim)
 
     def __post_init__(self):
         arrows = (self.augmentation,) + self.maps
@@ -182,13 +193,6 @@ def resolve(m: Module, depth: int) -> Resolution:
 # ---------------------------------------------------------------------------
 
 
-def hom_delta(homs: Sequence[ModHom], d: Mat, post: bool = False) -> Mat:
-    """Matrix of phi -> phi∘d, or phi -> d∘phi when post, over the hom basis
-    homs; column t is the column-major vec of the image of homs[t]."""
-    return Mat.from_cols(d.field, [tuple(vec(d * h.matrix if post else h.matrix * d).col(0))
-                                   for h in homs])
-
-
 def ext_dim(m: Module, n: Module, i: int) -> int:
     """dim Ext^i(m, n): dim H^i of Hom(P, n) for the minimal projective
     resolution P of m."""
@@ -199,9 +203,8 @@ def ext_dim(m: Module, n: Module, i: int) -> int:
     res = resolve(m, i + 1)
     if res.complete and i > res.depth():
         return 0
-    homs = [hom_space(res.term(k), n) for k in (i - 1, i)]
-    deltas = [hom_delta(h, res.maps[k].matrix)
-              for h, k in zip(homs, (i - 1, i)) if k < len(res.maps)]
+    homs = [[h.matrix for h in hom_space(res.term(k), n)] for k in (i - 1, i)]
+    deltas = [hom_delta(h, res.map_from(k + 1)) for h, k in zip(homs, (i - 1, i))]
     return homology_dims([len(h) for h in homs], deltas)[1]
 
 
@@ -467,35 +470,18 @@ def gid(m: Module, profile: GorensteinProfile):
 
 def lift_chain_map(f: ModHom, source: Resolution, target: Resolution) -> List[ModHom]:
     """Lift f between the augmented objects to a chain map of projective
-    resolutions.
-
-    Every returned square is verified to commute exactly; exactness of the
-    target resolution guarantees the linear systems are solvable whenever
-    the preconditions hold.
+    resolutions (the comparison theorem), one factor_through per degree:
+    d_k·f_k = f_{k-1}·d_k, with d_k the map leaving terms[k] and f_{-1} = f.
+    factor_through verifies every square exactly; exactness of the target
+    resolution makes each solve succeed whenever the preconditions hold.
     """
-    depth = max(len(source.terms), len(target.terms))
     lifts: List[ModHom] = []
-    prev: Optional[ModHom] = None
-    for k in range(depth):
-        src_t = source.term(k)
-        tgt_t = target.term(k)
-        if k == 0:
-            constraint = target.augmentation.matrix
-            rhs = f.matrix * source.augmentation.matrix
-        else:
-            if k - 1 < len(target.maps):
-                constraint = target.maps[k - 1].matrix
-            else:
-                constraint = Mat.zeros(f.matrix.field, target.term(k - 1).dim, tgt_t.dim)
-            if k - 1 < len(source.maps):
-                rhs = prev.matrix * source.maps[k - 1].matrix
-            else:
-                rhs = Mat.zeros(f.matrix.field, target.term(k - 1).dim, src_t.dim)
-        sol = solve_hom_with_left_constraint(src_t, tgt_t, constraint, rhs)
-        if sol is None:
+    for k in range(max(len(source.terms), len(target.terms))):
+        rhs = (lifts[-1].matrix if lifts else f.matrix) * source.map_from(k)
+        lift = factor_through(source.term(k), target.term(k), target.map_from(k), rhs)
+        if lift is None:
             raise LiftFailed(f"lift is not solvable at stage {k}")
-        lifts.append(sol)
-        prev = sol
+        lifts.append(lift)
     return lifts
 
 
@@ -506,8 +492,9 @@ def nullhomotopy(chain_map: Sequence, source: Resolution, target: Resolution,
     chain_map[k] maps source.terms[k] to target.terms[k + target_shift]
     (entries may be ModHoms or raw matrices; missing/short entries are
     zero).  The homotopy s[k]: source.terms[k] -> terms[k+target_shift+1]
-    is found degree by degree; an inconsistent system signals a violated
-    precondition upstream and raises NoHomotopy.
+    is one factor_through per degree, d·s[k] = chain_map[k] - s[k-1]·d; an
+    inconsistent system signals a violated precondition upstream and
+    raises NoHomotopy.
     """
     field = source.augmented.algebra.field
     t = target_shift
@@ -518,33 +505,20 @@ def nullhomotopy(chain_map: Sequence, source: Resolution, target: Resolution,
             return entry.matrix if isinstance(entry, ModHom) else entry
         return Mat.zeros(field, target.term(k + t).dim, source.term(k).dim)
 
-    depth = len(source.terms)
     s: List[Mat] = []
-    for k in range(depth):
-        src_t = source.term(k)
-        tgt_above = target.term(k + t + 1)
-        rhs = phi(k)
-        if k > 0 and k - 1 < len(source.maps):
-            rhs = rhs - s[k - 1] * source.maps[k - 1].matrix
-        d_idx = k + t
-        if 0 <= d_idx < len(target.maps):
-            constraint = target.maps[d_idx].matrix
-        else:
-            constraint = Mat.zeros(field, target.term(d_idx).dim, tgt_above.dim)
-        sol = solve_hom_with_left_constraint(src_t, tgt_above, constraint, rhs)
+    for k in range(len(source.terms)):
+        rhs = phi(k) - s[-1] * source.map_from(k) if s else phi(k)
+        sol = factor_through(source.term(k), target.term(k + t + 1),
+                             target.map_from(k + t + 1), rhs)
         if sol is None:
             raise NoHomotopy(f"homotopy system inconsistent at stage {k}")
         s.append(sol.matrix)
     # verify the identity exactly on every computed degree
-    for k in range(depth):
-        lhs = phi(k)
-        acc = Mat.zeros(field, lhs.rows, lhs.cols)
-        d_idx = k + t
-        if 0 <= d_idx < len(target.maps):
-            acc = acc + target.maps[d_idx].matrix * s[k]
-        if k > 0 and k - 1 < len(source.maps):
-            acc = acc + s[k - 1] * source.maps[k - 1].matrix
-        if acc != lhs:
+    for k in range(len(s)):
+        acc = target.map_from(k + t + 1) * s[k]
+        if k:
+            acc = acc + s[k - 1] * source.map_from(k)
+        if acc != phi(k):
             raise NoHomotopy(f"homotopy verification failed at stage {k}")
     return s
 

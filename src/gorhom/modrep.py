@@ -7,9 +7,10 @@ A ModHom re-asserts its intertwining equations on construction.
 
 Hom spaces, kernels/cokernels, projective covers, injective envelopes and
 stable Hom dimensions all reduce to exact kernel computations in
-`exactlin`.  Right modules are handled as left modules over the opposite
-algebra throughout, and the standard duality D = Hom_k(-, k) transposes
-action matrices.
+`exactlin`.  Finding f in Hom(X, Y) with g·f = rhs (a lift, a homotopy) is
+one solve over a hom basis, factor_through.  Right modules are handled as
+left modules over the opposite algebra throughout, and the standard
+duality D = Hom_k(-, k) transposes action matrices.
 """
 
 from __future__ import annotations
@@ -136,26 +137,22 @@ def regular_module(a: Algebra) -> Module:
 # ---------------------------------------------------------------------------
 
 
-def _intertwining_system(m: Module, n: Module) -> Mat:
-    """Rows of f·rho_m(e_i) = rho_n(e_i)·f for every basis element e_i,
-    in the unknowns vec(f) of f: m -> n."""
-    field = m.algebra.field
-    eye_m = Mat.identity(field, m.dim)
-    eye_n = Mat.identity(field, n.dim)
-    blocks = None
-    for i in range(m.algebra.dim):
-        rows = kron(m.action[i].transpose(), eye_n) - kron(eye_m, n.action[i])
-        blocks = rows if blocks is None else blocks.vstack(rows)
-    return blocks
-
-
 def _hom_space_matrices(m: Module, n: Module) -> List[Mat]:
+    """A basis of Hom(m, n) as matrices: the kernel of the equations
+    f·rho_m(e_i) = rho_n(e_i)·f for every basis element e_i, in the unknowns
+    vec(f).  The only place the intertwining system is built."""
     if m.algebra != n.algebra:
         raise AlgebraMismatch("hom space requires modules over one algebra")
     if m.dim == 0 or n.dim == 0:
         return []
-    ker = _intertwining_system(m, n).kernel_basis()
-    return [unvec(m.algebra.field, ker.col(c), n.dim, m.dim) for c in range(ker.cols)]
+    field = m.algebra.field
+    eye_m, eye_n = Mat.identity(field, m.dim), Mat.identity(field, n.dim)
+    system = None
+    for i in range(m.algebra.dim):
+        rows = kron(m.action[i].transpose(), eye_n) - kron(eye_m, n.action[i])
+        system = rows if system is None else system.vstack(rows)
+    ker = system.kernel_basis()
+    return [unvec(field, ker.col(c), n.dim, m.dim) for c in range(ker.cols)]
 
 
 def hom_space(m: Module, n: Module) -> List[ModHom]:
@@ -167,23 +164,39 @@ def hom_dim(m: Module, n: Module) -> int:
     return len(hom_space(m, n))
 
 
-def solve_hom_with_left_constraint(src: Module, tgt: Module, m: Mat, rhs: Mat) -> Optional[ModHom]:
-    """Find f in Hom(src, tgt) with m * f.matrix = rhs, or None.
+def hom_delta(mats: Sequence[Mat], d: Mat, post: bool = False) -> Mat:
+    """Matrix of phi -> phi∘d, or phi -> d∘phi when post, over the hom basis
+    mats; column t is the column-major vec of the image of mats[t]."""
+    return Mat.from_cols(d.field, [tuple(vec(d * h if post else h * d).col(0)) for h in mats])
 
-    Used for lifting through epimorphisms: the unknown is constrained both
-    by the intertwining equations and by a left composition.
+
+def _combine(mats: Sequence[Mat], coeffs) -> Mat:
+    """The combination sum c_t·mats[t] of a nonempty hom basis."""
+    out = Mat.zeros(mats[0].field, mats[0].rows, mats[0].cols)
+    for h, c in zip(mats, coeffs):
+        if c:
+            out = out + h.scale(c)
+    return out
+
+
+def factor_through(src: Module, tgt: Module, g: Mat, rhs: Mat) -> Optional[ModHom]:
+    """An f in Hom(src, tgt) with g·f = rhs, or None when there is none.
+
+    One solve over a hom basis h_t: hom_delta(basis, g, post=True)·c =
+    vec(rhs) and f = sum c_t·h_t.  The basis is not memoized: a totalization
+    meets each (src, tgt) once, and a memo entry would pin tgt.  f is a
+    ModHom, so it intertwines, and g·f = rhs is asserted exactly.
     """
-    field = src.algebra.field
-    if src.dim == 0 or tgt.dim == 0:
-        if rhs.is_zero():
-            return zero_hom(src, tgt)
+    basis = _hom_space_matrices(src, tgt)
+    if not basis:
+        return zero_hom(src, tgt) if rhs.is_zero() else None
+    coeffs = solve(hom_delta(basis, g, post=True), vec(rhs)).particular
+    if coeffs is None:
         return None
-    blocks = _intertwining_system(src, tgt)
-    b = Mat.zeros(field, blocks.rows, 1).vstack(vec(rhs))
-    res = solve(blocks.vstack(kron(Mat.identity(field, src.dim), m)), b)
-    if res.particular is None:
-        return None
-    return ModHom(src, tgt, unvec(field, res.particular.col(0), tgt.dim, src.dim))
+    f = ModHom(src, tgt, _combine(basis, coeffs.col(0)))
+    if g * f.matrix != rhs:
+        raise PropertyViolation("the factorization does not compose to the right side")
+    return f
 
 
 def hom_coordinates(mats: Sequence[Mat], basis: Sequence[ModHom], field, law: str) -> Mat:
@@ -543,13 +556,8 @@ def stable_hom_dim(m: Module, n: Module) -> int:
     if not homs:
         return 0
     p_n, cov = cover_envelope(n, "cover")
-    lifts = hom_space(m, p_n)
-    if not lifts:
-        return len(homs)
-    field = m.algebra.field
-    composed = [tuple(vec(cov.matrix * h.matrix).col(0)) for h in lifts]
-    factral = Mat.from_cols(field, composed)
-    return len(homs) - rref(factral).rank
+    lifts = [h.matrix for h in hom_space(m, p_n)]
+    return len(homs) - rref(hom_delta(lifts, cov.matrix, post=True)).rank
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +596,7 @@ def is_isomorphic(m: Module, n: Module, seed: int = 0) -> IsoVerdict:
     if m.dim == 0:
         return IsoVerdict("yes", witness=zero_hom(m, n))
 
-    homs = hom_space(m, n)
+    homs = [h.matrix for h in hom_space(m, n)]
     if not homs:
         return IsoVerdict("no", obstruction="Hom(m, n) = 0")
     d_end_m, d_end_n, d_hom = hom_dim(m, m), hom_dim(n, n), len(homs)
@@ -620,14 +628,6 @@ def is_isomorphic(m: Module, n: Module, seed: int = 0) -> IsoVerdict:
                 return IsoVerdict("yes", witness=ModHom(m, n, cand))
         return IsoVerdict("no", obstruction="exhausted the hom space: no invertible element")
     return IsoVerdict("inconclusive")
-
-
-def _combine(homs: Sequence[ModHom], coeffs) -> Mat:
-    out = Mat.zeros(homs[0].matrix.field, homs[0].matrix.rows, homs[0].matrix.cols)
-    for h, c in zip(homs, coeffs):
-        if c:
-            out = out + h.matrix.scale(c)
-    return out
 
 
 def _radical_series_dims(m: Module) -> tuple:

@@ -20,7 +20,6 @@ from gorhom.algebra import (
     product_algebra,
     load_quiver,
     quiver_from_json,
-    radical_and_idempotents,
     save_algebra,
     save_quiver,
     symmetric_group_table,
@@ -37,7 +36,7 @@ from gorhom.errors import (
 from gorhom.corpus import corpus_algebra
 from gorhom.exactlin import FieldSpec, Mat
 from gorhom.frobenius import extension_bimodule, load_bimodule, load_extension
-from gorhom.modrep import quotient_by_ideal
+from gorhom.modrep import quotient_by_ideal, structural_modules
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -154,7 +153,7 @@ def test_s3_has_no_idempotent_data():
     a = group_algebra(symmetric_group_table(3), F7)
     assert a.primitive_idempotents() is None
     with pytest.raises(UnsupportedAlgebra):
-        radical_and_idempotents(a)
+        structural_modules(a)
 
 
 def test_f2c2_radical_is_augmentation_ideal():

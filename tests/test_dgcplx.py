@@ -17,7 +17,16 @@ from gorhom.dgcplx import (
 from gorhom.errors import InputShapeError, PreconditionFailed
 from gorhom.exactlin import FieldSpec, Mat
 from gorhom.homology import ComplexObj, gorenstein_profile
-from gorhom.modrep import ModHom, Module, regular_module, structural_modules, zero_module
+from gorhom.modrep import (
+    ModHom,
+    Module,
+    quotient_module,
+    radical_submodule_basis,
+    regular_module,
+    structural_modules,
+    submodule,
+    zero_module,
+)
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -102,7 +111,6 @@ def test_shift_sigma_basics(a2):
 
 def test_sigma_negates_differential_over_f3():
     f3 = field_algebra(F3)
-    k = regular_module(f3)
     two = Module(f3, [Mat.identity(F3, 2)])
     d = ModHom(two, two, Mat(F3, [[0, 1], [0, 0]]))
     c = ComplexObj(f3, {0: two, 1: two}, {0: d})
@@ -118,8 +126,23 @@ def test_contractible_verdicts(a2):
     ident = ComplexObj(a2, {0: p, 1: p}, {0: ModHom(p, p, Mat.identity(F2, p.dim))})
     ok, homotopy = is_contractible(ident)
     assert ok
+    # d^0·s^1 = id on C^1 and s^1·d^0 = id on C^0: s^1 inverts the identity
+    d0 = ident.differential(0).matrix
+    assert d0 * homotopy[1] == Mat.identity(F2, p.dim) == homotopy[1] * d0
     stalk_c = stalk(s.simples[0])
     assert not is_contractible(stalk_c)[0]
+
+
+def test_exact_non_split_complex_is_not_contractible(a2):
+    # 0 -> rad P -> P -> top P -> 0 for the 2-dimensional indecomposable
+    # projective P is exact, but P does not split, so no homotopy exists
+    p = next(q for q in structural_modules(a2).projectives if q.dim == 2)
+    rad = radical_submodule_basis(p)
+    sub, incl = submodule(p, rad)
+    top, proj = quotient_module(p, rad)
+    c = ComplexObj(a2, {0: sub, 1: p, 2: top}, {0: incl, 1: proj})
+    assert all(c.cohomology_dim(n) == 0 for n in range(-1, 4))
+    assert is_contractible(c) == (False, None)
 
 
 def test_check_frobenius_pair_empty_corpora():

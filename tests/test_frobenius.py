@@ -272,7 +272,6 @@ def test_frobenius_bimodule_from_extension(ext_f2_f2c2):
 
 def test_frobenius_bimodule_nonprojective_gate(f2, f2c2):
     # the trivial module k over F_2[C_2] is not projective on the left
-    zero = Mat.zeros(F2, 1, 1)
     one = Mat.identity(F2, 1)
     # both group elements act as the identity on k
     left = [one, one]
@@ -399,6 +398,25 @@ def test_repeated_certification_retains_no_memory(retained_bytes):
     ext = load_extension(DATA / "a2_a2t2.ext")
     assert retained_bytes(lambda: is_frobenius_extension(ext), 5) < 1024
 
+
+
+def test_second_certification_builds_nothing(monkeypatch, ext_f2_f2c2):
+    # the verdict is memoized on the bimodule _S S_R and its seed, so
+    # certifying again, as an extension or as that bimodule, is a lookup
+    built = []
+    as_tensor_module = Bimodule.as_tensor_module
+
+    def counting(self):
+        built.append(self)
+        return as_tensor_module(self)
+
+    monkeypatch.setattr(Bimodule, "as_tensor_module", counting)
+    first = is_frobenius_extension(ext_f2_f2c2, seed=3)
+    assert first.verdict == "yes" and len(built) == 2
+    built.clear()
+    assert is_frobenius_extension(ext_f2_f2c2, seed=3) is first
+    assert is_frobenius_bimodule(extension_bimodule(ext_f2_f2c2), seed=3) is first
+    assert built == []
 
 def test_coinducing_fresh_modules_retains_no_memory(f2, ext_f2_f2c2, retained_bytes):
     # Hom_R(S, x) is taken out of a restriction built for the call, so no

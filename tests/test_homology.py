@@ -501,6 +501,31 @@ def test_totalize_whole_structural_corpus(a2, dual_numbers, nakayama):
             assert result.gpd_bound_matches
 
 
+
+# (dim B^0, dim Z^0, pd B^0) of the witness 0 -> B^0 -> Z^0 -> M -> 0 for
+# every module_corpus module, as the kron-system lifts produced them; all
+# three algebras have Gorenstein dimension 1, so d_1 and d_2 are nontrivial
+TOTALIZATION_WITNESSES = {
+    "a2": [(1, 2, 0), (0, 1, 0), (0, 2, 0), (0, 1, 0), (1, 2, 0), (0, 2, 0), (0, 3, 0),
+           (0, 1, 0)],
+    "a3": [(2, 3, 0), (1, 2, 0), (0, 1, 0), (0, 3, 0), (0, 2, 0), (0, 1, 0), (2, 3, 0),
+           (1, 3, 0), (0, 3, 0), (0, 6, 0), (0, 2, 0), (0, 1, 0)],
+    "prod_f2_a2": [(0, 1, 0), (1, 2, 0), (0, 1, 0), (0, 1, 0), (0, 2, 0), (0, 1, 0),
+                   (0, 1, 0), (1, 2, 0), (0, 2, 0), (0, 4, 0), (0, 1, 0)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOTALIZATION_WITNESSES))
+def test_totalization_witnesses_are_pinned(name):
+    a = corpus.corpus_algebra(name)
+    prof = gorenstein_profile(a)
+    assert prof.gorenstein_dim == 1
+    witnesses = []
+    for m in corpus.module_corpus(a):
+        result = totalize_quasi_bicomplex(m, prof)
+        witnesses.append((result.witness.left.dim, result.witness.middle.dim, result.b0_pd))
+    assert witnesses == TOTALIZATION_WITNESSES[name]
+
 def test_complex_serialization_roundtrip(tmp_path, a2):
     s1 = simple_at(a2, "e1")
     res = resolve(s1, 3)

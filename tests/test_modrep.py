@@ -2,15 +2,18 @@ from itertools import product as iter_product
 
 import pytest
 
+from gorhom import homology
 from gorhom.algebra import (
     Quiver,
     cyclic_group_table,
     field_algebra,
     group_algebra,
     path_algebra,
+    truncated_extension,
 )
-from gorhom.errors import AlgebraMismatch, PropertyViolation
-from gorhom.exactlin import FieldSpec, Mat
+from gorhom.corpus import corpus_algebra, module_corpus
+from gorhom.errors import AlgebraMismatch, NoHomotopy, PropertyViolation
+from gorhom.exactlin import FieldSpec, Mat, kron, solve, vec
 from gorhom.modrep import (
     ModHom,
     ShortExactSequence,
@@ -18,6 +21,7 @@ from gorhom.modrep import (
     direct_sum,
     dual_hom,
     dual_module,
+    factor_through,
     hom_dim,
     hom_factorization,
     hom_space,
@@ -151,7 +155,7 @@ def test_dual_is_exact(a2):
     rad = radical_submodule_basis(p1)
     sub, incl = submodule(p1, rad)
     quot, proj = quotient_module(p1, rad)
-    ses = ShortExactSequence(sub, p1, quot, incl, proj)
+    ShortExactSequence(sub, p1, quot, incl, proj)
     # dualize: arrows reverse
     ShortExactSequence(dual_module(quot), dual_module(p1), dual_module(sub),
                        dual_hom(proj), dual_hom(incl))
@@ -196,7 +200,7 @@ def test_structural_modules_of_a2(a2):
 def test_cover_of_projective_is_iso(a2):
     s = structural_modules(a2)
     for p in s.projectives:
-        cover, cmap = cover_envelope(p, "cover")
+        _, cmap = cover_envelope(p, "cover")
         assert cmap.is_iso()
 
 
@@ -345,8 +349,6 @@ def test_idempotent_count_matches_top_multiplicities(a2, f2c2):
 def test_direct_sum_and_quotient_never_enter_the_coercing_constructor(monkeypatch):
     # Both lay out internal data that is canonical already: blocks and
     # slices of existing matrices, never a coercing Mat(...).
-    from gorhom.corpus import corpus_algebra, module_corpus
-
     cases = []
     for name in ("a2", "nak2", "f3c3", "q", "m2f2x2"):
         mods = module_corpus(corpus_algebra(name))
@@ -363,6 +365,67 @@ def test_direct_sum_and_quotient_never_enter_the_coercing_constructor(monkeypatc
         big = direct_sum(mods)
         assert big.dim == sum(m.dim for m in mods)
         for m, rad in quotients:
-            quot, proj = quotient_module(m, rad)
+            quot, _ = quotient_module(m, rad)
             assert quot.dim == m.dim - rad.cols
     assert calls == []
+
+
+def kron_factor_oracle(src, tgt, g, rhs) -> bool:
+    """Whether some f: src -> tgt intertwines and has g·f = rhs, decided in
+    the unknowns vec(f): the intertwining rows stacked on kron(I, g)."""
+    field = src.algebra.field
+    eye_s, eye_t = Mat.identity(field, src.dim), Mat.identity(field, tgt.dim)
+    system, target = kron(eye_s, g), vec(rhs)
+    for i in range(src.algebra.dim):
+        rows = kron(src.action[i].transpose(), eye_t) - kron(eye_s, tgt.action[i])
+        system = system.vstack(rows)
+        target = target.vstack(Mat.zeros(field, rows.rows, 1))
+    return solve(system, target).particular is not None
+
+
+def recorded_factorizations(monkeypatch, run):
+    """(src, tgt, g, rhs, result) of every factor_through call run makes
+    through the homology layer."""
+    calls = []
+
+    def recording(src, tgt, g, rhs):
+        calls.append((src, tgt, g, rhs, factor_through(src, tgt, g, rhs)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(homology, "factor_through", recording)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+def assert_agrees_with_kron_oracle(calls):
+    for src, tgt, g, rhs, f in calls:
+        assert kron_factor_oracle(src, tgt, g, rhs) == (f is not None)
+        if f is not None:
+            assert (f.source, f.target) == (src, tgt) and g * f.matrix == rhs
+
+
+@pytest.mark.parametrize("name", ["a2", "nak2", "a2t2"])
+def test_factor_through_agrees_with_the_kron_system_on_totalizations(monkeypatch, name):
+    a = corpus_algebra(name)
+    prof = homology.gorenstein_profile(a)
+    calls = recorded_factorizations(monkeypatch, lambda: [
+        homology.totalize_quasi_bicomplex(m, prof) for m in module_corpus(a)])
+    assert calls and all(f is not None for *_, f in calls)
+    assert any(not rhs.is_zero() for _, _, _, rhs, _ in calls)
+    assert_agrees_with_kron_oracle(calls)
+
+
+def test_factor_through_agrees_with_the_kron_system_when_inconsistent(monkeypatch):
+    # the identity on a resolution of k over k[x]/x^2 is not null-homotopic
+    k = structural_modules(truncated_extension(field_algebra(F2), 2)[0]).simples[0]
+    res = homology.resolve(k, 3)
+    ident = [Mat.identity(F2, t.dim) for t in res.terms]
+
+    def run():
+        with pytest.raises(NoHomotopy):
+            homology.nullhomotopy(ident, res, res)
+
+    calls = recorded_factorizations(monkeypatch, run)
+    assert calls[-1][-1] is None
+    assert_agrees_with_kron_oracle(calls)
