@@ -225,6 +225,58 @@ class Algebra:
 
         return memo(self, "opposite", None, build)
 
+    def generators(self) -> tuple:
+        """Indices of basis elements that generate the algebra, found once
+        per algebra by _greedy_generators.
+
+        A law whose solution set is a subalgebra containing 1 holds on the
+        whole algebra once it holds on these: an action respecting products
+        with every basis element, a map intertwining two actions, two
+        actions commuting."""
+        return memo(self, "generators", None, lambda: _greedy_generators(self))
+
+
+def _greedy_generators(a: Algebra) -> tuple:
+    """Walk the basis in order from span{1}, keeping e_i when it lies
+    outside the subalgebra the kept ones generate.
+
+    That subalgebra is the closure of span{1} under left multiplication by
+    the kept elements, held as echelon rows (pivot, row): each row is 1 at
+    its pivot and 0 at the pivots of the rows before it.  A new generator
+    is applied to every row already there, and every row it adds meets
+    every generator."""
+    p = a.field.characteristic
+    rows = []
+
+    def add(v) -> bool:
+        """Put v into the span; False when it was there already."""
+        v = list(v)
+        for piv, row in rows:
+            c = v[piv]
+            if c:
+                v = [(x - c * y) % p for x, y in zip(v, row)] if p else [
+                    x - c * y for x, y in zip(v, row)]
+        piv = next((k for k, x in enumerate(v) if x), None)
+        if piv is None:
+            return False
+        inv = a.field.inv(v[piv])
+        rows.append((piv, [(x * inv) % p for x in v] if p else [x * inv for x in v]))
+        return True
+
+    add(a.unit)
+    gens = []
+    for i in range(a.dim):
+        if not add(a.basis_vec(i)):
+            continue
+        gens.append(i)
+        todo = [(row, (i,)) for _, row in rows[:-1]] + [(rows[-1][1], tuple(gens))]
+        while todo:
+            v, by = todo.pop()
+            for g in by:
+                if add(a.mul_vec(a.basis_vec(g), v)):
+                    todo.append((rows[-1][1], tuple(gens)))
+    return tuple(gens)
+
 
 _memo_lock = threading.Lock()
 

@@ -27,7 +27,7 @@ per-object records rather than trusting any general fact on faith.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -169,8 +169,12 @@ class Bimodule:
         self._as_left = Module(left, self.left_action)
         self._as_right_op = Module(right.opposite(), self.right_action)
         self._cache: dict = {}
-        for lam in self.left_action:
-            for rho_m in self.right_action:
+        # for a right generator h the s whose action commutes with h's form a
+        # subalgebra containing 1, and so, for any s, do the r whose action
+        # commutes with s's: commuting on generator pairs is commuting
+        for i in left.generators():
+            for j in self._as_right_op.algebra.generators():
+                lam, rho_m = self.left_action[i], self.right_action[j]
                 if lam * rho_m != rho_m * lam:
                     raise PropertyViolation("left and right actions do not commute")
 
@@ -428,8 +432,15 @@ def is_frobenius_bimodule(m: Bimodule, seed: int = 0) -> FrobeniusVerdict:
             return FrobeniusVerdict("no", obstruction="M is not projective as a right R-module")
         left_dual = hom_to_regular(m, "left")[0].as_tensor_module()
         right_dual = hom_to_regular(m, "right")[0].as_tensor_module()
-        return _frobenius_verdict(is_isomorphic(left_dual, right_dual, seed=seed),
-                                  "the two dual bimodules are not isomorphic")
+        iso = is_isomorphic(left_dual, right_dual, seed=seed)
+        if iso.witness is not None:
+            # the memo keeps the witness between copies without the hom
+            # memos the search left on the two modules; a copy of a valid
+            # module is valid, and the witness still intertwines them
+            src, tgt = (Module(d.algebra, d.action, _skip_validation=True)
+                        for d in (left_dual, right_dual))
+            iso = replace(iso, witness=ModHom._trusted(src, tgt, iso.witness.matrix))
+        return _frobenius_verdict(iso, "the two dual bimodules are not isomorphic")
 
     return memo(m, ("frobenius", seed), None, build)
 

@@ -179,7 +179,8 @@ def resolve(m: Module, depth: int) -> Resolution:
         p, cov = cover_envelope(current, "cover")
         terms.append(p)
         if incl is not None:
-            maps.append(ModHom(p, terms[k - 1], incl.matrix * cov.matrix))
+            # a composite of two homs: not checked again
+            maps.append(ModHom._trusted(p, terms[k - 1], incl.matrix * cov.matrix))
         current, incl = syzygy(current)
         syzygies.append(current)
         if current.dim == 0:

@@ -1,9 +1,24 @@
 """Finite-dimensional left modules over structure-constant algebras.
 
-A Module stores one action matrix per algebra basis element; validation
-asserts rho(1) = id and that the structure constants are respected, so
-every module floating around the package is a genuine representation.
-A ModHom re-asserts its intertwining equations on construction.
+A Module stores one action matrix per algebra basis element, and a ModHom
+a matrix from source to target coordinates.  Each law is checked once,
+where it is cheapest:
+
+* Modules and homs from outside (documents, callers, covers, bimodules)
+  are checked on construction: rho(1) = id and rho(g·e_j) = rho(g)·rho(e_j)
+  for every generator g of the algebra (Algebra.generators) and basis
+  element e_j; a hom intertwines on the generators.  The elements where
+  either law holds form a subalgebra containing 1, so this is the law on
+  the whole algebra.
+* Constructions that proved the law themselves build their result
+  without the check (`Module(..., _skip_validation=True)`,
+  `ModHom._trusted`), and each says why: `submodule`, `quotient_module`,
+  `dual_module`, `dual_hom`, the `hom_space` basis maps, `factor_through`'s
+  combinations, `homology.resolve`'s composites, the block-diagonal
+  `zero_module` and `direct_sum`, and in `frobenius` a tensor product's
+  ambient module and the copies a Frobenius verdict keeps.  Their inputs
+  are modules already checked, so no document or outside input skips a
+  check; tests/test_source.py fails on a trusted construction anywhere else.
 
 Hom spaces, kernels/cokernels, projective covers, injective envelopes and
 stable Hom dimensions all reduce to exact kernel computations in
@@ -46,10 +61,13 @@ class Module:
             self._validate()
 
     def _validate(self):
+        """rho(1) = id and rho(g·e_j) = rho(g)·rho(e_j) for the generators g:
+        the x with rho(x·y) = rho(x)·rho(y) for all y form a subalgebra
+        containing 1, so this proves every structure constant."""
         if self.rho(self.algebra.unit) != Mat.identity(self.algebra.field, self.dim):
             raise PropertyViolation("the unit does not act as the identity")
         a = self.algebra
-        for i in range(a.dim):
+        for i in a.generators():
             for j in range(a.dim):
                 lhs = self.action[i] * self.action[j]
                 rhs = Mat.zeros(a.field, self.dim, self.dim)
@@ -84,6 +102,8 @@ class ModHom:
     matrix: Mat
 
     def __post_init__(self):
+        """Intertwining on the generators: the x with f·rho(x) = rho(x)·f
+        form a subalgebra containing 1."""
         if self.source.algebra != self.target.algebra:
             raise AlgebraMismatch("hom between modules over different algebras")
         if self.matrix.rows != self.target.dim or self.matrix.cols != self.source.dim:
@@ -91,12 +111,22 @@ class ModHom:
                 f"hom matrix must be {self.target.dim}x{self.source.dim}, "
                 f"got {self.matrix.rows}x{self.matrix.cols}"
             )
-        for i in range(self.source.algebra.dim):
+        for i in self.source.algebra.generators():
             if self.matrix * self.source.action[i] != self.target.action[i] * self.matrix:
                 raise PropertyViolation(
                     f"intertwining fails at basis element "
                     f"{self.source.algebra.basis_labels[i]}"
                 )
+
+    @classmethod
+    def _trusted(cls, source: Module, target: Module, matrix: Mat) -> "ModHom":
+        """A hom whose construction proved it intertwines, built without the
+        check; only the constructions the module docstring lists call it."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "source", source)
+        object.__setattr__(f, "target", target)
+        object.__setattr__(f, "matrix", matrix)
+        return f
 
     def is_mono(self) -> bool:
         return self.matrix.kernel_basis().cols == 0
@@ -139,25 +169,29 @@ def regular_module(a: Algebra) -> Module:
 
 def _hom_space_matrices(m: Module, n: Module) -> List[Mat]:
     """A basis of Hom(m, n) as matrices: the kernel of the equations
-    f·rho_m(e_i) = rho_n(e_i)·f for every basis element e_i, in the unknowns
-    vec(f).  The only place the intertwining system is built."""
+    f·rho_m(g) = rho_n(g)·f for every generator g, in the unknowns vec(f).
+    The only place the intertwining system is built.  Its solutions are
+    those of the system over every basis element, so it has the same row
+    space, the same RREF and the same kernel basis."""
     if m.algebra != n.algebra:
         raise AlgebraMismatch("hom space requires modules over one algebra")
     if m.dim == 0 or n.dim == 0:
         return []
     field = m.algebra.field
     eye_m, eye_n = Mat.identity(field, m.dim), Mat.identity(field, n.dim)
-    system = None
-    for i in range(m.algebra.dim):
-        rows = kron(m.action[i].transpose(), eye_n) - kron(eye_m, n.action[i])
-        system = rows if system is None else system.vstack(rows)
+    # no generators (the ground field itself): no equations, all of Hom_k(m, n)
+    system = Mat.zeros(field, 0, m.dim * n.dim)
+    for i in m.algebra.generators():
+        system = system.vstack(kron(m.action[i].transpose(), eye_n) - kron(eye_m, n.action[i]))
     ker = system.kernel_basis()
     return [unvec(field, ker.col(c), n.dim, m.dim) for c in range(ker.cols)]
 
 
 def hom_space(m: Module, n: Module) -> List[ModHom]:
-    """A basis of Hom(m, n), found by solving the intertwining equations."""
-    return memo(m, "hom", n, lambda: [ModHom(m, n, mat) for mat in _hom_space_matrices(m, n)])
+    """A basis of Hom(m, n), found by solving the intertwining equations;
+    its maps are solutions of them, so they are not checked again."""
+    return memo(m, "hom", n,
+                lambda: [ModHom._trusted(m, n, mat) for mat in _hom_space_matrices(m, n)])
 
 
 def hom_dim(m: Module, n: Module) -> int:
@@ -185,7 +219,8 @@ def factor_through(src: Module, tgt: Module, g: Mat, rhs: Mat) -> Optional[ModHo
     One solve over a hom basis h_t: hom_delta(basis, g, post=True)·c =
     vec(rhs) and f = sum c_t·h_t.  The basis is not memoized: a totalization
     meets each (src, tgt) once, and a memo entry would pin tgt.  f is a
-    ModHom, so it intertwines, and g·f = rhs is asserted exactly.
+    combination of solutions of the intertwining system, so it intertwines,
+    and g·f = rhs is asserted exactly.
     """
     basis = _hom_space_matrices(src, tgt)
     if not basis:
@@ -193,7 +228,7 @@ def factor_through(src: Module, tgt: Module, g: Mat, rhs: Mat) -> Optional[ModHo
     coeffs = solve(hom_delta(basis, g, post=True), vec(rhs)).particular
     if coeffs is None:
         return None
-    f = ModHom(src, tgt, _combine(basis, coeffs.col(0)))
+    f = ModHom._trusted(src, tgt, _combine(basis, coeffs.col(0)))
     if g * f.matrix != rhs:
         raise PropertyViolation("the factorization does not compose to the right side")
     return f
@@ -230,7 +265,11 @@ def column_space_basis(m: Mat) -> Mat:
 def submodule(m: Module, basis: Mat) -> Tuple[Module, ModHom]:
     """The submodule spanned by the columns of basis, with its inclusion.
 
-    The columns must be independent and the span action-stable.
+    The columns must be independent and the span action-stable.  Neither
+    result is checked again: rho(e_i)·B = B·X_i is solved for every i, and
+    with B independent, B·X_iX_j = rho_i·rho_j·B = B·sum_k c_ij^k X_k gives
+    the structure constants of the X_i (and X(1) = I), while the solved
+    equations are the inclusion's intertwining equations.
     """
     k = basis.cols
     if basis.rows != m.dim:
@@ -243,20 +282,29 @@ def submodule(m: Module, basis: Mat) -> Tuple[Module, ModHom]:
         if res.particular is None:
             raise PropertyViolation("span is not action-stable")
         acts.append(res.particular)
-    sub = Module(m.algebra, acts)
-    return sub, ModHom(sub, m, basis)
+    sub = Module(m.algebra, acts, _skip_validation=True)
+    return sub, ModHom._trusted(sub, m, basis)
 
 
 def quotient_module(m: Module, basis: Mat) -> Tuple[Module, ModHom]:
-    """The quotient of m by the stable span of basis, with its projection."""
+    """The quotient of m by the stable span of basis, with its projection.
+
+    Neither result is checked again: the lower-left block of T^-1·rho(e_i)·T
+    is checked to be zero, so T^-1·rho·T is block upper triangular and its
+    lower-right block, the quotient action, is multiplicative; the
+    projection, the lower rows of T^-1, intertwines by the same blocks."""
     field = m.algebra.field
+    if basis.rows != m.dim:
+        raise InputShapeError("quotient basis lives in the wrong space")
     red = rref(basis.transpose())
+    if red.rank != basis.cols:
+        raise InputShapeError("quotient basis is not independent")
+    # T: the RREF rows of the basis, then the unit vectors off their pivots;
+    # invertible, as it is the identity on the pivot rows and the rest
     pivot_rows = set(red.pivots)
     b = red.matrix.transpose().select_cols(range(red.rank))
     keep = [i for i in range(m.dim) if i not in pivot_rows]
     t = b.hstack(Mat.identity(field, m.dim).select_cols(keep))
-    if t.cols != m.dim or not t.is_invertible():
-        raise InputShapeError("quotient basis is not independent")
     tinv = t.inverse()
     stable, rest = range(b.cols), range(b.cols, m.dim)
     acts = []
@@ -265,26 +313,8 @@ def quotient_module(m: Module, basis: Mat) -> Tuple[Module, ModHom]:
         if not lower.select_cols(stable).is_zero():
             raise PropertyViolation("span is not action-stable")
         acts.append(lower.select_cols(rest))
-    quot = Module(m.algebra, acts)
-    return quot, ModHom(m, quot, tinv.select_rows(rest))
-
-
-def quotient_by_ideal(a: Algebra, ideal: Mat) -> Algebra:
-    """The quotient algebra A/I for a two-sided ideal spanned by ideal's columns.
-
-    Used to check semisimplicity of A/rad(A).  It is the quotient module of
-    the regular module: its basis is the classes of the basis elements
-    missed by the ideal's pivots, the product of the classes of e_k and
-    e_j is column j of the quotient action of e_k, and the unit is the
-    class of the unit.
-    """
-    quot, proj = quotient_module(regular_module(a), ideal)
-    pivots = set(rref(ideal.transpose()).pivots)
-    keep = [i for i in range(a.dim) if i not in pivots]
-    table = [[quot.action[k].col(j) for j in range(quot.dim)] for k in keep]
-    unit = (proj.matrix * Mat.from_cols(a.field, [a.unit])).col(0)
-    return Algebra(a.field, [a.basis_labels[i] for i in keep], table, unit,
-                   provenance={"kind": "quotient", "of": a.provenance.get("kind", "?")})
+    quot = Module(m.algebra, acts, _skip_validation=True)
+    return quot, ModHom._trusted(m, quot, tinv.select_rows(rest))
 
 
 def direct_sum(mods: Sequence[Module]) -> Module:
@@ -362,10 +392,13 @@ def hom_factorization(f: ModHom) -> Factorization:
 
 def dual_module(m: Module) -> Module:
     """D(m) = Hom_k(m, k) as a module over the opposite algebra, built once
-    per module; D is an involution, so D(D(m)) is m itself."""
+    per module; D is an involution, so D(D(m)) is m itself.  The transposes
+    of a valid action are a valid action of the opposite algebra, so D(m)
+    is not checked again."""
 
     def build() -> Module:
-        dm = Module(m.algebra.opposite(), [a.transpose() for a in m.action])
+        dm = Module(m.algebra.opposite(), [a.transpose() for a in m.action],
+                    _skip_validation=True)
         memo(dm, "dual", None, lambda: m)
         return dm
 
@@ -373,7 +406,8 @@ def dual_module(m: Module) -> Module:
 
 
 def dual_hom(f: ModHom) -> ModHom:
-    return ModHom(dual_module(f.target), dual_module(f.source), f.matrix.transpose())
+    """D(f): the transpose of an intertwiner intertwines the transposed actions."""
+    return ModHom._trusted(dual_module(f.target), dual_module(f.source), f.matrix.transpose())
 
 
 # ---------------------------------------------------------------------------

@@ -34,9 +34,9 @@ from gorhom.errors import (
     UnsupportedAlgebra,
 )
 from gorhom.corpus import corpus_algebra
-from gorhom.exactlin import FieldSpec, Mat
+from gorhom.exactlin import FieldSpec, Mat, rref
 from gorhom.frobenius import extension_bimodule, load_bimodule, load_extension
-from gorhom.modrep import quotient_by_ideal, structural_modules
+from gorhom.modrep import quotient_module, regular_module, structural_modules
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -320,6 +320,20 @@ def test_tensor_algebra_radical_and_idempotents():
     # rad(a (x) b) = rad a (x) b + a (x) rad b: dims 1*2 + 3*1 - 1*1 = 4
     assert t.radical_basis().cols == 4
     assert len(t.idempotents) == 2
+
+
+def quotient_by_ideal(a: Algebra, ideal: Mat) -> Algebra:
+    """The quotient algebra A/I for a two-sided ideal spanned by ideal's
+    columns, as the quotient module of the regular module: its basis is the
+    classes of the basis elements missed by the ideal's pivots, the product
+    of the classes of e_k and e_j is column j of the quotient action of
+    e_k, and the unit is the class of the unit."""
+    quot, proj = quotient_module(regular_module(a), ideal)
+    pivots = set(rref(ideal.transpose()).pivots)
+    keep = [i for i in range(a.dim) if i not in pivots]
+    table = [[quot.action[k].col(j) for j in range(quot.dim)] for k in keep]
+    unit = (proj.matrix * Mat.from_cols(a.field, [a.unit])).col(0)
+    return Algebra(a.field, [a.basis_labels[i] for i in keep], table, unit)
 
 
 def test_radical_is_nilpotent_ideal_and_quotient_semisimple():

@@ -104,6 +104,31 @@ def test_extra_matrix_entry_exits_2(runner, tmp_path, name, path):
     assert "input error" in result.output
 
 
+# (file, action matrix, flat entry flipped, the law the message names); a2's
+# generators are e1 and a, so e2's matrix is checked only through products
+CORRUPTED_ACTIONS = [
+    ("a2_s1.mod", 1, 0, "the unit does not act as the identity"),
+    ("a2_s1.mod", 2, 0, "structure constants violated at (e1, a)"),
+    ("a2_regular.mod", 2, 4, "structure constants violated at (a, e1)"),
+]
+
+
+@pytest.mark.parametrize("name, index, entry, law", CORRUPTED_ACTIONS)
+@pytest.mark.parametrize("command", ["module-info", "gpd"])
+def test_a_wrong_action_entry_exits_2_naming_the_law(runner, tmp_path, command, name, index,
+                                                      entry, law):
+    bad = _bundled_copy(tmp_path) / name
+    doc = json.loads(bad.read_text())
+    flat = doc["action"][index]
+    flat[entry] = "1" if flat[entry] == "0" else "0"
+    bad.write_text(json.dumps(doc))
+    result = runner.invoke(main, [command, str(bad)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert f"input error: {law}" in result.output
+
+
 def test_missing_file_exits_2(runner):
     result = runner.invoke(main, ["gpd", "definitely_not_there.mod"])
     assert result.exit_code == 2

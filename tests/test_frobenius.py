@@ -399,6 +399,29 @@ def test_repeated_certification_retains_no_memory(retained_bytes):
     assert retained_bytes(lambda: is_frobenius_extension(ext), 5) < 1024
 
 
+def test_a_first_certification_keeps_only_its_witness(retained_bytes):
+    # the verdict memo keeps its witness between copies of the two dual
+    # modules without their hom memos: keeping the verdict costs no more
+    # than keeping the witness's matrices (a witness between the searched
+    # modules with every memo the isomorphism search left, about 5.9 KB)
+    bim = extension_bimodule(load_extension(DATA / "a2_a2t2.ext"))
+    kept = []
+
+    def first_certification():
+        fresh = Bimodule(bim.left, bim.right, bim.dim, bim.left_action, bim.right_action)
+        return is_frobenius_bimodule(fresh)
+
+    def keep_verdict():
+        kept.append(first_certification())
+
+    def keep_matrices():
+        w = first_certification().witness
+        kept.append((w.source.action, w.target.action, w.matrix))
+
+    overhead = retained_bytes(keep_verdict, 1) - retained_bytes(keep_matrices, 1)
+    assert overhead < 2048
+
+
 
 def test_second_certification_builds_nothing(monkeypatch, ext_f2_f2c2):
     # the verdict is memoized on the bimodule _S S_R and its seed, so

@@ -1,0 +1,118 @@
+"""Gorenstein dimension 2 and 3 against the Kupisch-series oracle.
+
+The corpus algebras all have Gorenstein dimension 0 or 1.  These cyclic
+Nakayama algebras over F_2 reach gpd 2 and 3, total-reflexivity window 4,
+and the higher maps d_3 and d_4 of the totalization; kupisch.py predicts
+pd, gpd and the GP verdict of every indecomposable from the Kupisch series
+alone.
+"""
+
+import functools
+
+import pytest
+
+from kupisch import Kupisch
+
+from gorhom.algebra import Quiver, path_algebra
+from gorhom.exactlin import FieldSpec, Mat
+from gorhom.homology import (
+    AtLeast,
+    gorenstein_profile,
+    gpd,
+    is_gorenstein_projective,
+    projective_dimension,
+    totalize_quasi_bicomplex,
+)
+from gorhom.modrep import quotient_module, radical_submodule_basis, structural_modules, submodule
+
+F2 = FieldSpec(2)
+BOUND = 20
+
+
+def monomial(*labels):
+    """The relation 'this path is zero'; labels in composition order."""
+    return ((tuple(labels), 1),)
+
+
+# name -> (quiver, Kupisch series c_i, sigma(i) = the target of the arrow
+# leaving vertex i, Gorenstein dimension)
+NAKAYAMA = {
+    # 2-cycle a: 0 -> 1, b: 1 -> 0; finite global dimension
+    "k32": (Quiver(2, arrows=((0, 1, "a"), (1, 0, "b")),
+                   relations=(monomial("a", "b"), monomial("b", "a", "b"))),
+            (3, 2), (1, 0), 2),
+    # 3-cycle a: 0 -> 1, b: 1 -> 2, c: 2 -> 0; finite global dimension
+    "k223": (Quiver(3, arrows=((0, 1, "a"), (1, 2, "b"), (2, 0, "c")),
+                    relations=(monomial("b", "a"), monomial("c", "b"), monomial("a", "c", "b"))),
+             (2, 2, 3), (1, 2, 0), 3),
+    # 2-cycle with infinite global dimension: four modules have pd >= 20
+    "k54": (Quiver(2, arrows=((0, 1, "a"), (1, 0, "b")),
+                   relations=(monomial("a", "b", "a", "b"), monomial("b", "a", "b", "a", "b"))),
+            (5, 4), (1, 0), 2),
+}
+
+@functools.cache
+def nakayama(name):
+    """(algebra, its profile, the oracle), built once per name."""
+    quiver, lengths, sigma, d = NAKAYAMA[name]
+    a = path_algebra(quiver, F2)
+    oracle = Kupisch(lengths, sigma)
+    assert oracle.gorenstein_dimension() == d
+    return a, gorenstein_profile(a, BOUND), oracle
+
+
+def uniserial(a, top: int, length: int):
+    """P_top / rad^length P_top."""
+    p = structural_modules(a).projectives[top]
+    current, in_p = p, Mat.identity(F2, p.dim)
+    for _ in range(length):
+        rad = radical_submodule_basis(current)
+        current, in_p = submodule(current, rad)[0], in_p * rad
+    return quotient_module(p, in_p)[0] if in_p.cols else p
+
+
+@pytest.mark.parametrize("name", NAKAYAMA)
+def test_the_profile_is_the_kupisch_gorenstein_dimension(name):
+    a, prof, oracle = nakayama(name)
+    assert prof.gorenstein_dim == oracle.gorenstein_dimension()
+    assert [p.dim for p in structural_modules(a).projectives] == list(oracle.lengths)
+
+
+@pytest.mark.parametrize("name", ["k32", "k223"])
+def test_every_indecomposable_matches_the_oracle(name):
+    a, prof, oracle = nakayama(name)
+    gp = oracle.gorenstein_projectives()
+    for x in oracle.modules():
+        m = uniserial(a, *x)
+        assert m.dim == x[1]
+        assert projective_dimension(m, BOUND) == oracle.pd(x, BOUND), x
+        assert gpd(m, prof) == oracle.gpd(x), x
+        assert is_gorenstein_projective(m, prof).verdict == ("yes" if x in gp else "no"), x
+
+
+def test_infinite_global_dimension_matches_the_oracle():
+    a, prof, oracle = nakayama("k54")
+    gp = oracle.gorenstein_projectives()
+    # the non-projective GP module is the only length-2 module in GP
+    assert [x for x in gp if not oracle.is_projective(x)] == [(1, 2)]
+    assert oracle.gpd((0, 2)) == 2
+    for x, verdict in (((1, 2), "yes"), ((0, 2), "no")):
+        m = uniserial(a, *x)
+        assert gpd(m, prof) == oracle.gpd(x), x
+        assert is_gorenstein_projective(m, prof).verdict == verdict, x
+    # pd is compared only at a small bound: four modules have pd >= 20
+    assert oracle.pd((1, 2), 4) is None
+    assert projective_dimension(uniserial(a, 1, 2), 4) == AtLeast(4)
+
+
+@pytest.mark.parametrize("name, x", [("k32", (0, 2)), ("k223", (2, 2))])
+def test_totalization_above_gorenstein_dimension_one(name, x):
+    a, prof, oracle = nakayama(name)
+    m = uniserial(a, *x)
+    result = totalize_quasi_bicomplex(m, prof)
+    # the maps d_0 .. d_{mhat + 1} are all built: d_3 at mhat 2, d_4 at mhat 3
+    assert sorted(result.quasi_bicomplex.maps) == list(range(prof.gorenstein_dim + 2))
+    assert not result.quasi_bicomplex.verify_identities()
+    assert result.z0_verdict.verdict == "yes" and result.gpd_bound_matches
+    assert result.witness.left.dim + m.dim == result.witness.middle.dim
+    assert oracle.gpd(x) == prof.gorenstein_dim

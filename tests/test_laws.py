@@ -1,0 +1,246 @@
+"""Each law is checked once: generator checks and trusted constructions
+against the full-basis checks they replaced.
+
+The full-basis checks live on here as oracles: structure constants on every
+pair of basis elements, intertwining and commuting on every basis element,
+and the intertwining system stacked over every basis element.
+"""
+
+from itertools import product as iter_product
+
+import pytest
+
+from gorhom import algebra as algebra_mod
+from gorhom.algebra import load_algebra
+from gorhom.corpus import (
+    EXTENSION_NAMES,
+    GORENSTEIN_NAMES,
+    corpus_algebra,
+    corpus_bimodule,
+    corpus_extension,
+    module_corpus,
+)
+from gorhom.errors import InputShapeError, PropertyViolation
+from gorhom.exactlin import Mat, kron, unvec
+from gorhom.frobenius import Bimodule, extension_bimodule, restriction_bimodule
+from gorhom.homology import resolve
+from gorhom.modrep import (
+    Module,
+    ModHom,
+    dual_hom,
+    dual_module,
+    hom_space,
+    quotient_module,
+    radical_submodule_basis,
+    submodule,
+)
+
+
+def _combination(a, mats, coeffs, rows, cols):
+    out = Mat.zeros(a.field, rows, cols)
+    for k, c in enumerate(coeffs):
+        if c != 0:
+            out = out + mats[k].scale(c)
+    return out
+
+
+def full_basis_module_law(a, action) -> bool:
+    """rho(1) = id and rho(e_i)·rho(e_j) = sum_k c_ij^k rho(e_k) for every
+    pair of basis elements."""
+    dim = action[0].rows
+    if _combination(a, action, a.unit, dim, dim) != Mat.identity(a.field, dim):
+        return False
+    return all(action[i] * action[j] == _combination(a, action, a.table[i][j], dim, dim)
+               for i in range(a.dim) for j in range(a.dim))
+
+
+def full_basis_intertwines(m, n, mat) -> bool:
+    return all(mat * m.action[i] == n.action[i] * mat for i in range(m.algebra.dim))
+
+
+def full_basis_hom_matrices(m, n) -> list:
+    """The kernel of the intertwining system stacked over every basis element."""
+    field = m.algebra.field
+    if m.dim == 0 or n.dim == 0:
+        return []
+    eye_m, eye_n = Mat.identity(field, m.dim), Mat.identity(field, n.dim)
+    system = Mat.zeros(field, 0, m.dim * n.dim)
+    for i in range(m.algebra.dim):
+        system = system.vstack(kron(m.action[i].transpose(), eye_n) - kron(eye_m, n.action[i]))
+    ker = system.kernel_basis()
+    return [unvec(field, ker.col(c), n.dim, m.dim) for c in range(ker.cols)]
+
+
+def full_basis_commute(left_action, right_action) -> bool:
+    return all(lam * rho == rho * lam for lam in left_action for rho in right_action)
+
+
+def _corrupted(mat: Mat, r: int, c: int) -> Mat:
+    """mat with 1 added to entry (r, c)."""
+    one = mat.field.one()
+    return Mat._from_canonical(mat.field, tuple(
+        tuple(mat.field.add(x, one) if (i, j) == (r, c) else x for j, x in enumerate(row))
+        for i, row in enumerate(mat.data)), mat.cols)
+
+
+def _raises(build) -> bool:
+    try:
+        build()
+    except PropertyViolation:
+        return True
+    return False
+
+
+ALGEBRAS = [(name, op) for name in GORENSTEIN_NAMES for op in (False, True)]
+
+
+def _algebra(name, op):
+    a = corpus_algebra(name)
+    return a.opposite() if op else a
+
+
+# --- generators ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, count", [
+    ("a2t2", 4), ("a3", 4), ("m2f2x2", 4), ("nak2", 3), ("f2x3", 1), ("f3c3", 1), ("f2", 0)])
+def test_greedy_generators_pick_few_basis_elements(name, count):
+    assert len(corpus_algebra(name).generators()) == count
+
+
+def _independent(a, vectors) -> list:
+    """A maximal independent subset of vectors, earlier ones first."""
+    keep = []
+    for v in vectors:
+        if Mat.from_cols(a.field, keep + [v]).rank() == len(keep) + 1:
+            keep.append(v)
+    return keep
+
+
+@pytest.mark.parametrize("name, op", ALGEBRAS)
+def test_the_generators_generate(name, op):
+    # words in the generators, one letter longer each round, span the algebra
+    a = _algebra(name, op)
+    words = [a.unit]
+    for _ in range(a.dim):
+        words = _independent(a, words + [a.mul_vec(a.basis_vec(g), v)
+                                         for g in a.generators() for v in words])
+    assert len(words) == a.dim
+
+
+def test_generators_are_found_on_first_use_not_on_load(monkeypatch, tmp_path):
+    from gorhom.algebra import save_algebra
+
+    save_algebra(corpus_algebra("a2t2"), tmp_path / "a2t2.alg")
+    calls = []
+    greedy = algebra_mod._greedy_generators
+    monkeypatch.setattr(algebra_mod, "_greedy_generators",
+                        lambda a: calls.append(a) or greedy(a))
+    a = load_algebra(tmp_path / "a2t2.alg")
+    assert calls == []
+    reg = Module(a, [a.left_mult_matrix(a.basis_vec(i)) for i in range(a.dim)])
+    Module(a, reg.action)
+    assert calls == [a]
+
+
+# --- checks on generators equal the full-basis checks -------------------------
+
+
+@pytest.mark.parametrize("name, op", ALGEBRAS)
+def test_generator_hom_bases_equal_the_full_basis_kernel(name, op):
+    mods = module_corpus(_algebra(name, op), minimum=0)
+    for m, n in iter_product(mods, mods):
+        assert [h.matrix for h in hom_space(m, n)] == full_basis_hom_matrices(m, n)
+
+
+@pytest.mark.parametrize("name, op", ALGEBRAS)
+def test_single_entry_corruptions_get_the_full_basis_verdict(name, op):
+    a = _algebra(name, op)
+    caught = 0
+    # modules up to dimension 4: the regular modules of the larger algebras
+    # would take seconds
+    for m in (m for m in module_corpus(a, minimum=0) if m.dim <= 4):
+        for i, r, c in iter_product(range(a.dim), range(m.dim), range(m.dim)):
+            acts = list(m.action)
+            acts[i] = _corrupted(acts[i], r, c)
+            broken = _raises(lambda: Module(a, acts))
+            assert broken == (not full_basis_module_law(a, acts)), (m, i, r, c)
+            caught += broken
+    assert caught
+
+
+@pytest.mark.parametrize("name", ["a2", "nak2", "a2t2", "m2f2x2", "prod_f2_a2"])
+def test_single_entry_corruptions_of_homs_get_the_full_basis_verdict(name):
+    a = corpus_algebra(name)
+    mods = module_corpus(a, minimum=0)
+    for m, n in iter_product(mods, mods):
+        for h in hom_space(m, n)[:1]:
+            for r, c in iter_product(range(n.dim), range(m.dim)):
+                mat = _corrupted(h.matrix, r, c)
+                assert _raises(lambda: ModHom(m, n, mat)) == (
+                    not full_basis_intertwines(m, n, mat)), (m, n, r, c)
+
+
+BIMODULES = ["morita_col"] + [f"{kind} {name}" for name in EXTENSION_NAMES
+                              for kind in ("extension", "restriction")]
+
+
+def _bimodule(name):
+    if name == "morita_col":
+        return corpus_bimodule(name)
+    kind, ext = name.split()
+    build = extension_bimodule if kind == "extension" else restriction_bimodule
+    return build(corpus_extension(ext))
+
+
+@pytest.mark.parametrize("name", BIMODULES)
+def test_single_entry_corruptions_of_bimodules_get_the_full_basis_verdict(name):
+    bim = _bimodule(name)
+    left, right = list(bim.left_action), list(bim.right_action)
+    assert full_basis_commute(left, right)
+    # every action matrix, corrupted in its first column (all entries of
+    # all of them take seconds)
+    for side, acts in (("left", left), ("right", right)):
+        for i, r in iter_product(range(len(acts)), range(bim.dim)):
+            bad = list(acts)
+            bad[i] = _corrupted(bad[i], r, 0)
+            lam, rho = (bad, right) if side == "left" else (left, bad)
+            expected = not (full_basis_module_law(bim.left, lam)
+                            and full_basis_module_law(bim.right.opposite(), rho)
+                            and full_basis_commute(lam, rho))
+            assert _raises(lambda: Bimodule(bim.left, bim.right, bim.dim, lam, rho)) == \
+                expected, (side, i, r)
+
+
+# --- trusted constructions -----------------------------------------------------
+
+
+@pytest.mark.parametrize("name, op", ALGEBRAS)
+def test_trusted_constructions_pass_the_full_basis_checks(name, op):
+    a = _algebra(name, op)
+    for m in module_corpus(a, minimum=0):
+        rad = radical_submodule_basis(m)
+        for built, arrow in (submodule(m, rad), quotient_module(m, rad)):
+            assert full_basis_module_law(a, built.action)
+            assert full_basis_intertwines(arrow.source, arrow.target, arrow.matrix)
+            dual = dual_hom(arrow)
+            assert full_basis_module_law(a.opposite(), dual_module(built).action)
+            assert full_basis_intertwines(dual.source, dual.target, dual.matrix)
+        for f in resolve(m, 2).maps:
+            assert full_basis_intertwines(f.source, f.target, f.matrix)
+
+
+@pytest.mark.parametrize("name, op", ALGEBRAS)
+def test_submodule_and_quotient_reject_what_is_not_stable_or_independent(name, op):
+    a = _algebra(name, op)
+    for m in module_corpus(a, minimum=0):
+        for k in range(m.dim):
+            basis = Mat.identity(a.field, m.dim).select_cols([k])
+            stable = all(Mat.from_cols(a.field, [basis.col(0), (rho * basis).col(0)]).rank() == 1
+                         for rho in m.action)
+            assert _raises(lambda: submodule(m, basis)) == (not stable)
+            assert _raises(lambda: quotient_module(m, basis)) == (not stable)
+            with pytest.raises(InputShapeError):
+                submodule(m, basis.hstack(basis))
+            with pytest.raises(InputShapeError):
+                quotient_module(m, basis.hstack(basis))

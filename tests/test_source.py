@@ -241,3 +241,68 @@ def test_the_reference_scan_sees_names_attributes_and_strings():
     mentioned = mentioned_names(tree)
     assert [name for name in defined if name not in mentioned] == [
         "unused", "documented", "dead_method"]
+
+
+# The functions that build a Module or ModHom without checking its law: the
+# constructions that proved the law themselves (see the modrep module
+# docstring), the empty module, direct sums, the tensor construction's
+# ambient module and the memo-free copies a Frobenius verdict keeps.  No
+# document or outside input reaches any other.
+TRUSTED_SITES = [
+    "frobenius._tensor.build",
+    "frobenius.is_frobenius_bimodule.build",
+    "homology.resolve",
+    "modrep.direct_sum",
+    "modrep.dual_hom",
+    "modrep.dual_module.build",
+    "modrep.factor_through",
+    "modrep.hom_space",
+    "modrep.quotient_module",
+    "modrep.submodule",
+    "modrep.zero_module",
+]
+
+
+def trusted_constructions(tree, module):
+    """`module.function` for every function that passes `_skip_validation`
+    or names a `._trusted` attribute, once each, sorted; nested functions and
+    methods are joined to their owners by dots, and a lambda counts as the
+    function around it."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = f"{owner}.{node.name}"
+        if ((isinstance(node, ast.keyword) and node.arg == "_skip_validation")
+                or (isinstance(node, ast.Attribute) and node.attr == "_trusted")):
+            found.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, module)
+    return sorted(found)
+
+
+def test_laws_are_skipped_only_where_a_construction_proved_them():
+    sites = [name for path in SOURCES
+             for name in trusted_constructions(ast.parse(path.read_text(), str(path)), path.stem)]
+    assert sites == TRUSTED_SITES
+
+
+def test_the_trust_scan_sees_keywords_attributes_lambdas_and_methods():
+    tree = ast.parse(
+        "def checked(a, acts, _skip_validation=False):\n"
+        "    return Module(a, acts)\n"
+        "def trusted(a, acts):\n"
+        "    return Module(a, acts, _skip_validation=True)\n"
+        "def outer(m):\n"
+        "    def build():\n"
+        "        return [ModHom._trusted(m, m, x) for x in m.action]\n"
+        "    return memo(m, 'k', None, lambda: Module(m, m.action, _skip_validation=flag))\n"
+        "class C:\n"
+        "    def method(self):\n"
+        "        make = ModHom._trusted\n"
+        "        return make\n"
+        "ZERO = Module(a, acts, _skip_validation=False)\n")
+    assert trusted_constructions(tree, "mod") == [
+        "mod", "mod.C.method", "mod.outer", "mod.outer.build", "mod.trusted"]
