@@ -427,11 +427,10 @@ def _rref_gf2(m: Mat) -> RrefResult:
 @dataclass(frozen=True)
 class SolveResult:
     """Solution of a x = b: a particular solution (or None when some column
-    of b is inconsistent, with per-column flags) plus a kernel basis."""
+    of b is inconsistent) plus a kernel basis."""
 
     particular: Optional[Mat]
     kernel: Mat
-    column_consistent: tuple
 
 
 def solve(a: Mat, b: Mat) -> SolveResult:
@@ -448,7 +447,6 @@ def solve(a: Mat, b: Mat) -> SolveResult:
     n = a.cols
     pivots = [c for c in aug.pivots if c < n]
     consistent_all = all(c < n for c in aug.pivots)
-    rank = len(pivots)
     free = [c for c in range(n) if c not in set(pivots)]
 
     zero, one = field.zero(), field.one()
@@ -462,16 +460,6 @@ def solve(a: Mat, b: Mat) -> SolveResult:
         kcols.append(v)
     kernel = Mat.from_cols(field, kcols, n)
 
-    # Per-column consistency: column k of b is consistent unless some row
-    # with zero in the first n columns has a nonzero entry at position n+k.
-    bad = [False] * b.cols
-    for r_i in range(rank, R.rows):
-        if all(R.entry(r_i, c) == zero for c in range(n)):
-            for k in range(b.cols):
-                if R.entry(r_i, n + k) != zero:
-                    bad[k] = True
-    column_consistent = tuple(not x for x in bad)
-
     particular = None
     if consistent_all:
         pcols = []
@@ -481,7 +469,7 @@ def solve(a: Mat, b: Mat) -> SolveResult:
                 v[c] = R.entry(r_i, n + k)
             pcols.append(v)
         particular = Mat.from_cols(field, pcols, n)
-    return SolveResult(particular, kernel, column_consistent)
+    return SolveResult(particular, kernel)
 
 
 def fraction_free_rank(m: Mat) -> int:

@@ -59,6 +59,7 @@ from .modrep import (
     ModHom,
     Module,
     ShortExactSequence,
+    _hom_space_matrices,
     column_space_basis,
     cover_envelope,
     hom_coordinates,
@@ -237,7 +238,8 @@ def hom_to_regular(m: Bimodule, side: str) -> Tuple[Bimodule, list]:
     The other side's action on M is precomposed; the regular module's own
     algebra acts by right multiplication after h.  Over the regular module
     itself the basis is that of the right multiplications x -> x·e_i, so
-    Hom_A(A, A) is A again, coordinate for coordinate.
+    Hom_A(A, A) is A again, coordinate for coordinate; they commute with
+    left multiplication by associativity, so they are not checked again.
     """
 
     def build() -> Tuple[Bimodule, list]:
@@ -246,7 +248,7 @@ def hom_to_regular(m: Bimodule, side: str) -> Tuple[Bimodule, list]:
         a = over.algebra
         reg = regular_module(a)
         posts = [a.right_mult_matrix(a.basis_vec(i)) for i in range(a.dim)]
-        basis = ([ModHom(over, reg, post) for post in posts] if _is_regular(over)
+        basis = ([ModHom._trusted(over, reg, post) for post in posts] if _is_regular(over)
                  else hom_space(over, reg))
         law = f"bimodule action left Hom into the regular {side} module"
         pre_acts = [hom_coordinates([h.matrix * p for h in basis], basis, a.field, law)
@@ -344,17 +346,20 @@ class DualBasis:
 def summand_witness(q: Module, gen: Module):
     """Solve id_q = sum_t c_t·p_t∘h_t over p_t in Hom(gen, q), h_t in Hom(q, gen).
 
-    Returns the pairs (p_t, h_t) and the coefficient column c, or None when
-    q is not a direct summand of a finite direct sum of copies of gen.
+    Returns the pairs (p_t, h_t) as matrices and the coefficient column c,
+    or None when q is not a direct summand of a finite direct sum of copies
+    of gen.
     """
     field = q.algebra.field
     if q.dim == 0:
         return [], Mat.zeros(field, 0, 1)
-    downs = hom_space(q, gen)
-    pairs = [(p, h) for p in hom_space(gen, q) for h in downs]
+    downs = [h.matrix for h in hom_space(q, gen)]
+    # Hom(gen, q) is kept on q: a memo entry on the long-lived gen would pin q
+    ups = memo(q, "hom from", gen, lambda: _hom_space_matrices(gen, q))
+    pairs = [(p, h) for p in ups for h in downs]
     if not pairs:
         return None
-    span = Mat.from_cols(field, [tuple(vec(p.matrix * h.matrix).col(0)) for p, h in pairs])
+    span = Mat.from_cols(field, [tuple(vec(p * h).col(0)) for p, h in pairs])
     coeffs = solve(span, vec(Mat.identity(field, q.dim))).particular
     return None if coeffs is None else (pairs, coeffs)
 
@@ -379,8 +384,7 @@ def projective_witness(m: Module) -> Optional[DualBasis]:
         if found is None:
             return None
         pairs, coeffs = found
-        pieces = [(p.matrix.scale(c), q.matrix)
-                  for (p, q), c in zip(pairs, coeffs.col(0)) if c != 0]
+        pieces = [(p.scale(c), q) for (p, q), c in zip(pairs, coeffs.col(0)) if c != 0]
     acc = Mat.zeros(field, m.dim, m.dim)
     for p, q in pieces:
         acc = acc + p * q
@@ -647,7 +651,7 @@ def faithfulness_report(pair, corpus: Sequence[Module]) -> AdjunctionReport:
     for x in corpus_a:
         if x.dim == 0:
             continue
-        p, cov = cover_envelope(x, "cover")
+        p, cov = cover_envelope(x)
         gf_cov = pair.apply_g_hom(pair.apply_f_hom(cov))
         lhs = pair.unit(x).matrix * cov.matrix
         rhs = gf_cov.matrix * pair.unit(p).matrix
@@ -656,7 +660,7 @@ def faithfulness_report(pair, corpus: Sequence[Module]) -> AdjunctionReport:
     for y in corpus_b:
         if y.dim == 0:
             continue
-        p, cov = cover_envelope(y, "cover")
+        p, cov = cover_envelope(y)
         fg_cov = pair.apply_f_hom(pair.apply_g_hom(cov))
         lhs = pair.counit(y).matrix * fg_cov.matrix
         rhs = cov.matrix * pair.counit(p).matrix
@@ -692,7 +696,7 @@ def faithfulness_report(pair, corpus: Sequence[Module]) -> AdjunctionReport:
         for x in mods:
             if x.dim == 0:
                 continue
-            p, cov = cover_envelope(x, "cover")
+            p, cov = cover_envelope(x)
             ker_basis = cov.matrix.kernel_basis()
             sub, incl = submodule(p, ker_basis)
             try:

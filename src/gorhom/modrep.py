@@ -13,19 +13,27 @@ where it is cheapest:
 * Constructions that proved the law themselves build their result
   without the check (`Module(..., _skip_validation=True)`,
   `ModHom._trusted`), and each says why: `submodule`, `quotient_module`,
-  `dual_module`, `dual_hom`, the `hom_space` basis maps, `factor_through`'s
-  combinations, `homology.resolve`'s composites, the block-diagonal
-  `zero_module` and `direct_sum`, and in `frobenius` a tensor product's
-  ambient module and the copies a Frobenius verdict keeps.  Their inputs
-  are modules already checked, so no document or outside input skips a
-  check; tests/test_source.py fails on a trusted construction anywhere else.
+  `hom_factorization`'s map onto the image, `dual_module`, `dual_hom`, the
+  `hom_space` basis maps, `factor_through`'s combinations,
+  `homology.resolve`'s composites, the block-diagonal `zero_module` and
+  `direct_sum`, and in `frobenius` the right multiplications of
+  Hom_A(A, A), a tensor product's ambient module and the copies a
+  Frobenius verdict keeps.  Their inputs are modules already checked, so no
+  document or outside input skips a check; tests/test_source.py fails on a
+  trusted construction anywhere else.
+* A fact a construction proved is not proved again: a cover's epi and
+  superfluous kernel are checked where the cover is built, and
+  factor_through asserts g·f = rhs exactly, so what is made of them (a
+  resolution, a homotopy) carries no second check; tests/test_laws.py
+  checks them in full, as oracles.
 
-Hom spaces, kernels/cokernels, projective covers, injective envelopes and
-stable Hom dimensions all reduce to exact kernel computations in
-`exactlin`.  Finding f in Hom(X, Y) with g·f = rhs (a lift, a homotopy) is
-one solve over a hom basis, factor_through.  Right modules are handled as
-left modules over the opposite algebra throughout, and the standard
-duality D = Hom_k(-, k) transposes action matrices.
+Hom spaces, kernels/cokernels, projective covers and stable Hom dimensions
+all reduce to exact kernel computations in `exactlin`.  An injective
+envelope is D of the projective cover of the dual.  Finding f in Hom(X, Y)
+with g·f = rhs (a lift, a homotopy) is one solve over a hom basis,
+factor_through.  Right modules are handled as left modules over the
+opposite algebra throughout, and the standard duality D = Hom_k(-, k)
+transposes action matrices.
 """
 
 from __future__ import annotations
@@ -147,10 +155,6 @@ def zero_module(a: Algebra) -> Module:
 
 def zero_hom(source: Module, target: Module) -> ModHom:
     return ModHom(source, target, Mat.zeros(source.algebra.field, target.dim, source.dim))
-
-
-def identity_hom(m: Module) -> ModHom:
-    return ModHom(m, m, Mat.identity(m.algebra.field, m.dim))
 
 
 def regular_module(a: Algebra) -> Module:
@@ -367,20 +371,20 @@ class Factorization:
 
 
 def hom_factorization(f: ModHom) -> Factorization:
-    """Kernel, image and cokernel of f with verified module structures.
+    """Kernel, image and cokernel of f, with their maps.
 
-    Both induced short exact sequences 0 -> ker -> src -> im -> 0 and
-    0 -> im -> tgt -> coker -> 0 are constructed and validated.
+    The two short exact sequences 0 -> ker -> src -> im -> 0 and
+    0 -> im -> tgt -> coker -> 0 are exact by construction: the kernel and
+    image bases are exact kernel and column-space bases, the quotient is by
+    the image basis, and onto_image is the solve of img_basis·X = f.  As
+    img_basis is injective and intertwines, so does X: img_basis·X·rho(x) =
+    f·rho(x) = rho(x)·img_basis·X = img_basis·rho_im(x)·X.
     """
-    ker_basis = f.matrix.kernel_basis()
-    kernel, kernel_incl = submodule(f.source, ker_basis)
+    kernel, kernel_incl = submodule(f.source, f.matrix.kernel_basis())
     img_basis = column_space_basis(f.matrix)
     image, image_incl = submodule(f.target, img_basis)
-    coords = solve(img_basis, f.matrix)
-    onto_image = ModHom(f.source, image, coords.particular)
+    onto_image = ModHom._trusted(f.source, image, solve(img_basis, f.matrix).particular)
     cokernel, coker_proj = quotient_module(f.target, img_basis)
-    ShortExactSequence(kernel, f.source, image, kernel_incl, onto_image)
-    ShortExactSequence(image, f.target, cokernel, image_incl, coker_proj)
     return Factorization(kernel, kernel_incl, image, onto_image, image_incl,
                          cokernel, coker_proj)
 
@@ -505,30 +509,14 @@ def structural_modules(a: Algebra) -> StructuralModules:
     return memo(a, "structural_modules", None, build)
 
 
-def cover_envelope(m: Module, direction: str) -> Tuple[Module, ModHom]:
-    """Projective cover (direction="cover") or injective envelope ("envelope").
+def cover_envelope(m: Module) -> Tuple[Module, ModHom]:
+    """The projective cover P -> m, computed once per module: an epi whose
+    kernel lies in rad(P), both checked here.
 
-    The cover map P -> m is epi with kernel inside rad(P); the envelope is
-    the dual construction over the opposite algebra, so its map is mono
-    with image containing the socle.
+    The injective envelope of m is D of the cover of D(m) over the
+    opposite algebra, dual_hom(cover_envelope(dual_module(m))[1]): D turns
+    the epi into a mono and the superfluous kernel into an essential image.
     """
-    if direction == "cover":
-        return _projective_cover(m)
-    if direction == "envelope":
-        emap = dual_hom(_projective_cover(dual_module(m))[1])
-        env = emap.target
-        soc = socle_basis(env)
-        img = column_space_basis(emap.matrix)
-        if img.cols < env.dim:
-            joint = rref(img.hstack(soc).transpose()).rank
-            if joint != rref(img.transpose()).rank:
-                raise PropertyViolation("envelope image misses part of the socle")
-        return env, emap
-    raise InputShapeError("direction must be 'cover' or 'envelope'")
-
-
-def _projective_cover(m: Module) -> Tuple[Module, ModHom]:
-    """The projective cover of m, computed once per module."""
 
     def build() -> Tuple[Module, ModHom]:
         a = m.algebra
@@ -589,7 +577,7 @@ def stable_hom_dim(m: Module, n: Module) -> int:
     homs = hom_space(m, n)
     if not homs:
         return 0
-    p_n, cov = cover_envelope(n, "cover")
+    p_n, cov = cover_envelope(n)
     lifts = [h.matrix for h in hom_space(m, p_n)]
     return len(homs) - rref(hom_delta(lifts, cov.matrix, post=True)).rank
 
@@ -685,7 +673,7 @@ def _radical_series_dims(m: Module) -> tuple:
 
 def component_to_json(m: Module) -> dict:
     """The dimension and flat action matrices of m: a .mod document without
-    its algebra, as the components of complexes and graded modules are."""
+    its algebra, as the components of a complex are."""
     return {"dim": m.dim, "action": [mat_to_flat(mat) for mat in m.action]}
 
 

@@ -7,14 +7,10 @@ from gorhom.dgcplx import (
     componentwise_gp_check,
     functor_F,
     functor_U,
-    graded_from_json,
-    graded_to_json,
     is_contractible,
-    load_graded,
-    save_graded,
     shift_sigma,
 )
-from gorhom.errors import InputShapeError, PreconditionFailed
+from gorhom.errors import PreconditionFailed
 from gorhom.exactlin import FieldSpec, Mat
 from gorhom.homology import ComplexObj, gorenstein_profile
 from gorhom.modrep import (
@@ -228,23 +224,3 @@ def test_componentwise_gp_requires_certificate():
     s = structural_modules(bad)
     with pytest.raises(PreconditionFailed):
         componentwise_gp_check(stalk(s.simples[0]), prof)
-
-
-def test_graded_serialization_roundtrip(tmp_path, a2):
-    s = structural_modules(a2)
-    g = GradedModule(a2, {0: s.simples[0], 1: s.projectives[0]})
-    path = tmp_path / "g.gr"
-    save_graded(g, path)
-    again = load_graded(path)
-    assert [again.component(p).dim for p in again.support()] == \
-        [g.component(p).dim for p in g.support()]
-
-
-@pytest.mark.parametrize("support", [[0, 5], [0, 0], [1, 0]])
-def test_graded_support_must_count_the_components(a2, support):
-    s = structural_modules(a2)
-    doc = graded_to_json(GradedModule(a2, {0: s.simples[0], 1: s.projectives[0]}))
-    assert graded_from_json(doc).support() == range(0, 2)
-    doc["support"] = support
-    with pytest.raises(InputShapeError):
-        graded_from_json(doc)

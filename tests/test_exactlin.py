@@ -98,7 +98,6 @@ def test_solve_identity():
     res = solve(Mat.identity(QQ, 2), b)
     assert res.particular == b
     assert res.kernel.cols == 0
-    assert res.column_consistent == (True, True)
 
 
 def test_solve_inconsistent_flagged_per_column():
@@ -106,7 +105,6 @@ def test_solve_inconsistent_flagged_per_column():
     b = Mat(QQ, [[0, 5], [1, 0]])
     res = solve(a, b)
     assert res.particular is None
-    assert res.column_consistent == (False, True)
 
 
 def test_solve_shape_mismatch():

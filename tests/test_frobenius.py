@@ -51,6 +51,8 @@ from gorhom.modrep import (
     Module,
     cover_envelope,
     direct_sum,
+    dual_hom,
+    dual_module,
     hom_dim,
     is_isomorphic,
     regular_module,
@@ -376,9 +378,9 @@ def test_clearing_every_cache_changes_no_result(ext_f2_f2c2, f2, a2, f2c2):
             out += [pair.unit(x).matrix, pair.counit(y).matrix]
         for m in (k_c2, s_a2):
             prof = gorenstein_profile(m.algebra)
-            for direction in ("cover", "envelope"):
-                mod, hom = cover_envelope(m, direction)
-                out += [mod.action, hom.matrix]
+            cover, cmap = cover_envelope(m)
+            emap = dual_hom(cover_envelope(dual_module(m))[1])  # the envelope
+            out += [cover.action, cmap.matrix, emap.target.action, emap.matrix]
             star, basis = star_module(m)
             out += [star.action, [h.matrix for h in basis]]
             out += [prof, is_gorenstein_projective(m, prof), gpd(m, prof)]
@@ -397,6 +399,19 @@ def test_repeated_certification_retains_no_memory(retained_bytes):
     # per call pinned every one of them in R's hom memo
     ext = load_extension(DATA / "a2_a2t2.ext")
     assert retained_bytes(lambda: is_frobenius_extension(ext), 5) < 1024
+
+
+def test_certifying_fresh_bimodules_retains_no_memory(retained_bytes):
+    # the summand test keeps Hom(A, q) on q: kept on the long-lived regular
+    # module A, it pinned every fresh bimodule's module q (about 10.7 KB a
+    # certification)
+    bim = extension_bimodule(load_extension(DATA / "a2_a2t2.ext"))
+
+    def certify_fresh():
+        is_frobenius_bimodule(Bimodule(bim.left, bim.right, bim.dim,
+                                       bim.left_action, bim.right_action))
+
+    assert retained_bytes(certify_fresh, 3) < 1024
 
 
 def test_a_first_certification_keeps_only_its_witness(retained_bytes):

@@ -3,7 +3,9 @@ import re
 
 import pytest
 
-from gorhom import corpus, exactlin, homology, modrep
+from test_laws import resolution_defects
+
+from gorhom import corpus, homology, modrep
 from gorhom.algebra import (
     Quiver,
     field_algebra,
@@ -30,12 +32,12 @@ from gorhom.homology import (
     totalize_quasi_bicomplex,
 )
 from gorhom.modrep import (
+    ModHom,
     Module,
     dual_hom,
     dual_module,
     hom_dim,
     hom_space,
-    identity_hom,
     is_isomorphic,
     regular_module,
     structural_modules,
@@ -162,32 +164,18 @@ def test_a_warm_injective_pass_retains_no_memory(a2, retained_bytes):
 # `direction` only names the case: every resolution is projective
 @pytest.mark.parametrize("direction, law", [("projective", "^resolution is not exact")])
 def test_a_resolution_with_a_zero_map_is_rejected(dual_numbers, direction, law):
+    # resolve proves exactness by construction; the test oracle rejects what
+    # no construction could build
     k = structural_modules(dual_numbers).simples[0]
     res = resolve(k, 3)
+    assert resolution_defects(res) == []
     maps = list(res.maps)
     maps[1] = zero_hom(maps[1].source, maps[1].target)
-    with pytest.raises(PropertyViolation, match=law):
-        dataclasses.replace(res, maps=tuple(maps))
+    defects = resolution_defects(dataclasses.replace(res, maps=tuple(maps)))
+    assert any(re.match(law, d) for d in defects)
     aug = zero_hom(res.augmentation.source, res.augmentation.target)
-    with pytest.raises(PropertyViolation, match="must be epi"):
-        dataclasses.replace(res, augmentation=aug)
-
-
-@pytest.mark.parametrize("direction", ["projective"])  # names the case, as above
-def test_validating_a_resolution_ranks_each_map_once(monkeypatch, dual_numbers, direction):
-    k = structural_modules(dual_numbers).simples[0]
-    res = resolve(k, 4)
-    calls = []
-    original = exactlin.rref
-
-    def counted(m):
-        calls.append(m)
-        return original(m)
-
-    monkeypatch.setattr(exactlin, "rref", counted)
-    monkeypatch.setattr(homology, "rref", counted)
-    dataclasses.replace(res)
-    assert res.depth() == 4 and len(calls) == res.depth() + 1
+    defects = resolution_defects(dataclasses.replace(res, augmentation=aug))
+    assert any("must be epi" in d for d in defects)
 
 
 def test_resolution_of_simple_over_a2(a2):
@@ -393,10 +381,9 @@ def test_gid_values(a2, dual_numbers):
 def test_lift_identity_chain_map(a2):
     s1 = simple_at(a2, "e1")
     res = resolve(s1, 4)
-    lift = lift_chain_map(identity_hom(s1), res, res)
+    lift = lift_chain_map(ModHom(s1, s1, Mat.identity(F2, s1.dim)), res, res)
     # any valid lift commutes with differentials and augmentations
-    assert (res.augmentation.matrix * lift[0].matrix ==
-            identity_hom(s1).matrix * res.augmentation.matrix)
+    assert res.augmentation.matrix * lift[0].matrix == res.augmentation.matrix
     for k in range(len(res.maps)):
         assert (res.maps[k].matrix * lift[k + 1].matrix ==
                 lift[k].matrix * res.maps[k].matrix)

@@ -1,37 +1,48 @@
 """Each law is checked once: generator checks and trusted constructions
-against the full-basis checks they replaced.
+against the full-basis checks they replaced, and constructions proved by
+their own steps against the second proofs they dropped.
 
-The full-basis checks live on here as oracles: structure constants on every
+The dropped checks live on here as oracles: structure constants on every
 pair of basis elements, intertwining and commuting on every basis element,
-and the intertwining system stacked over every basis element.
+the intertwining system stacked over every basis element, the exactness of
+every resolution, the identities of every homotopy and contraction, the
+short exact sequences of a factorization and the socle of an envelope.
 """
 
 from itertools import product as iter_product
 
 import pytest
 
+from test_kupisch import NAKAYAMA, nakayama
+
 from gorhom import algebra as algebra_mod
+from gorhom import frobenius, homology, suite
 from gorhom.algebra import load_algebra
 from gorhom.corpus import (
     EXTENSION_NAMES,
     GORENSTEIN_NAMES,
+    complex_corpus,
     corpus_algebra,
     corpus_bimodule,
     corpus_extension,
     module_corpus,
 )
+from gorhom.dgcplx import is_contractible
 from gorhom.errors import InputShapeError, PropertyViolation
 from gorhom.exactlin import Mat, kron, unvec
-from gorhom.frobenius import Bimodule, extension_bimodule, restriction_bimodule
-from gorhom.homology import resolve
+from gorhom.frobenius import Bimodule, extension_bimodule, hom_to_regular, restriction_bimodule
+from gorhom.homology import gorenstein_profile, homology_dims, resolve, totalize_quasi_bicomplex
 from gorhom.modrep import (
     Module,
     ModHom,
+    ShortExactSequence,
+    cover_envelope,
     dual_hom,
     dual_module,
     hom_space,
     quotient_module,
     radical_submodule_basis,
+    socle_basis,
     submodule,
 )
 
@@ -244,3 +255,125 @@ def test_submodule_and_quotient_reject_what_is_not_stable_or_independent(name, o
                 submodule(m, basis.hstack(basis))
             with pytest.raises(InputShapeError):
                 quotient_module(m, basis.hstack(basis))
+
+
+@pytest.mark.parametrize("name", BIMODULES)
+def test_hom_to_regular_bases_intertwine_on_every_basis_element(name):
+    # over the regular module the basis is the trusted right multiplications
+    bim = _bimodule(name)
+    for side in ("left", "right"):
+        basis = hom_to_regular(bim, side)[1]
+        assert all(full_basis_intertwines(h.source, h.target, h.matrix) for h in basis)
+
+
+def _recording(monkeypatch, module, name) -> list:
+    """A list that gains (args, kwargs, result) for every call of module.name."""
+    calls = []
+    real = getattr(module, name)
+
+    def record(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append((args, kwargs, out))
+        return out
+
+    monkeypatch.setattr(module, name, record)
+    return calls
+
+
+def test_factorizations_of_the_tri_equiv_inputs_pass_the_dropped_checks(monkeypatch):
+    # the units and counits tri_equiv_conditions factors in the suite
+    calls = _recording(monkeypatch, frobenius, "hom_factorization")
+    assert suite.check_tri_equiv().passed
+    assert calls
+    for (f,), _kwargs, fact in calls:
+        for g in (fact.kernel_incl, fact.onto_image, fact.image_incl, fact.coker_proj):
+            assert full_basis_intertwines(g.source, g.target, g.matrix)
+        assert fact.image_incl.matrix * fact.onto_image.matrix == f.matrix
+        ShortExactSequence(fact.kernel, f.source, fact.image, fact.kernel_incl, fact.onto_image)
+        ShortExactSequence(fact.image, f.target, fact.cokernel, fact.image_incl, fact.coker_proj)
+
+
+# --- chain-level facts proved by construction ----------------------------------
+
+
+def resolution_defects(res) -> list:
+    """Exactness of a resolution, checked in full: every composite of two
+    maps is zero, and the augmented complex is exact at the module and at
+    every term a map leaves; one message per failure."""
+    arrows = (res.augmentation,) + res.maps
+    found = [f"composite is nonzero at stage {k}"
+             for k, (prev, d) in enumerate(zip(arrows, res.maps))
+             if not (prev.matrix * d.matrix).is_zero()]
+    h = homology_dims([res.augmented.dim] + [t.dim for t in res.terms],
+                      [f.matrix for f in arrows])
+    if h[0]:
+        found.append("augmentation of a projective resolution must be epi")
+    return found + [f"resolution is not exact at stage {k}"
+                    for k in range(len(res.maps)) if h[k + 1]]
+
+
+RESOLVED = ALGEBRAS + [(name, "kupisch") for name in NAKAYAMA]
+
+
+@pytest.mark.parametrize("name, op", RESOLVED)
+def test_every_resolution_is_exact(name, op):
+    a = nakayama(name)[0] if op == "kupisch" else _algebra(name, op)
+    for m in module_corpus(a, minimum=0):
+        assert resolution_defects(resolve(m, 6)) == [], m
+
+
+def _homotopy_defects(chain_map, source, target, target_shift, s) -> list:
+    """The degrees k where d·s[k] + s[k-1]·d != chain_map[k]."""
+    found = []
+    for k, sk in enumerate(s):
+        acc = target.map_from(k + target_shift + 1) * sk
+        if k:
+            acc = acc + s[k - 1] * source.map_from(k)
+        if acc != chain_map[k]:
+            found.append(k)
+    return found
+
+
+SWEPT = [(name, False) for name in GORENSTEIN_NAMES] + [(name, True) for name in NAKAYAMA]
+
+
+@pytest.mark.parametrize("name, kupisch", SWEPT)
+def test_the_homotopies_of_the_totalization_sweep_meet_their_identities(monkeypatch, name,
+                                                                        kupisch):
+    if kupisch:
+        a, prof, _oracle = nakayama(name)
+    else:
+        a = corpus_algebra(name)
+        prof = gorenstein_profile(a)
+    calls = _recording(monkeypatch, homology, "nullhomotopy")
+    for m in module_corpus(a):
+        totalize_quasi_bicomplex(m, prof)
+    for (chain_map, source, target), kwargs, s in calls:
+        assert _homotopy_defects(chain_map, source, target, kwargs["target_shift"], s) == []
+    assert calls or prof.gorenstein_dim == 0
+
+
+def test_every_contraction_of_the_complex_corpus_meets_its_identity():
+    contracted = 0
+    for c in complex_corpus():
+        ok, s = is_contractible(c)
+        if not ok:
+            continue
+        contracted += 1
+        for p in c.support():
+            acc = c.differential(p - 1).matrix * s[p]
+            if p + 1 in s:
+                acc = acc + s[p + 1] * c.differential(p).matrix
+            assert acc == Mat.identity(c.algebra.field, c.component(p).dim), (c, p)
+    assert contracted
+
+
+@pytest.mark.parametrize("name, op", ALGEBRAS)
+def test_envelopes_are_mono_with_the_socle_in_their_image(name, op):
+    # the envelope D(cover of D(m)): its image contains the socle, the dual
+    # of the cover's superfluous kernel
+    for m in module_corpus(_algebra(name, op), minimum=0):
+        emap = dual_hom(cover_envelope(dual_module(m))[1])
+        img = emap.matrix
+        assert emap.source is m and emap.is_mono()
+        assert img.hstack(socle_basis(emap.target)).rank() == img.rank()

@@ -25,7 +25,6 @@ from gorhom.modrep import (
     hom_dim,
     hom_factorization,
     hom_space,
-    identity_hom,
     is_isomorphic,
     load_module,
     quotient_module,
@@ -124,7 +123,7 @@ def test_factorization_of_zero_and_identity(a2):
     reg = regular_module(a2)
     z = hom_factorization(zero_hom(reg, reg))
     assert z.kernel.dim == reg.dim and z.cokernel.dim == reg.dim and z.image.dim == 0
-    i = hom_factorization(identity_hom(reg))
+    i = hom_factorization(ModHom(reg, reg, Mat.identity(F2, reg.dim)))
     assert i.kernel.dim == 0 and i.cokernel.dim == 0 and i.image.dim == reg.dim
 
 
@@ -167,7 +166,8 @@ def test_dual_of_projective_is_envelope_of_its_socle(a2):
     d = dual_module(p1)   # module over the opposite algebra
     soc = socle_basis(d)
     soc_mod, _ = submodule(d, soc)
-    env, _ = cover_envelope(soc_mod, "envelope")
+    # the envelope is D of the projective cover of the dual
+    env = dual_hom(cover_envelope(dual_module(soc_mod))[1]).target
     assert is_isomorphic(d, env).verdict == "yes"
 
 
@@ -200,7 +200,7 @@ def test_structural_modules_of_a2(a2):
 def test_cover_of_projective_is_iso(a2):
     s = structural_modules(a2)
     for p in s.projectives:
-        _, cmap = cover_envelope(p, "cover")
+        _, cmap = cover_envelope(p)
         assert cmap.is_iso()
 
 
@@ -208,7 +208,7 @@ def test_cover_of_simple_over_a2(a2):
     s = structural_modules(a2)
     s1 = next(x for x in s.simples
               if hom_dim(next(p for p in s.projectives if p.dim == 2), x))
-    cover, cmap = cover_envelope(s1, "cover")
+    cover, cmap = cover_envelope(s1)
     assert cover.dim == 2
     assert cmap.is_epi()
     # kernel of the cover lies inside rad(P)
@@ -221,9 +221,13 @@ def test_cover_of_simple_over_a2(a2):
 def test_envelope_of_simple_over_f2c2_is_regular(f2c2):
     s = structural_modules(f2c2)
     (k,) = s.simples
-    env, emap = cover_envelope(k, "envelope")
+    emap = dual_hom(cover_envelope(dual_module(k))[1])
+    env = emap.target
     assert env.dim == 2
     assert emap.is_mono()
+    # the image contains the socle
+    img = emap.matrix
+    assert img.hstack(socle_basis(env)).rank() == img.rank()
     assert is_isomorphic(env, regular_module(f2c2)).verdict == "yes"
 
 
