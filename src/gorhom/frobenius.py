@@ -275,7 +275,8 @@ class _Tensor(NamedTuple):
 
 def _tensor(bim: Bimodule, x: Module) -> _Tensor:
     """M ⊗_R x: the quotient of M ⊗_k x by m·r ⊗ v - m ⊗ r·v, with its
-    projection and section, built once per (M, x).
+    projection and section, built once per (M, x), and kept on M when x is
+    the regular module, so a long-lived R does not pin every M.
 
     When M is literally R_R, m ⊗ v -> m·v identifies M ⊗_R x with x, on
     which s acts as rho_x(s·1); the section is v -> 1 ⊗ v."""
@@ -309,6 +310,9 @@ def _tensor(bim: Bimodule, x: Module) -> _Tensor:
             raise PropertyViolation("quotient projection has no section")
         return _Tensor(quot, proj.matrix, section)
 
+    if x is regular_module(x.algebra):
+        # M ⊗_R R is determined by M alone: kept on M, it pins nothing
+        return memo(bim, "tensor of the regular module", None, build)
     return memo(x, "tensor", bim, build)
 
 
@@ -343,8 +347,9 @@ class DualBasis:
     functionals: tuple   # matrices module -> regular
 
 
-def summand_witness(q: Module, gen: Module):
-    """Solve id_q = sum_t c_t·p_t∘h_t over p_t in Hom(gen, q), h_t in Hom(q, gen).
+def summand_witness(q: Module, downs: Sequence[Mat], ups: Sequence[Mat]):
+    """Solve id_q = sum_t c_t·p_t∘h_t over p_t in ups, a basis of Hom(gen, q),
+    and h_t in downs, a basis of Hom(q, gen).
 
     Returns the pairs (p_t, h_t) as matrices and the coefficient column c,
     or None when q is not a direct summand of a finite direct sum of copies
@@ -353,9 +358,6 @@ def summand_witness(q: Module, gen: Module):
     field = q.algebra.field
     if q.dim == 0:
         return [], Mat.zeros(field, 0, 1)
-    downs = [h.matrix for h in hom_space(q, gen)]
-    # Hom(gen, q) is kept on q: a memo entry on the long-lived gen would pin q
-    ups = memo(q, "hom from", gen, lambda: _hom_space_matrices(gen, q))
     pairs = [(p, h) for p in ups for h in downs]
     if not pairs:
         return None
@@ -377,7 +379,10 @@ def projective_witness(m: Module) -> Optional[DualBasis]:
     if _is_regular(m):
         pieces = [(Mat.identity(field, a.dim), Mat.identity(field, a.dim))]
     else:
-        found = summand_witness(m, regular_module(a))
+        reg = regular_module(a)
+        # Hom(A, m) is kept on m: a memo entry on the long-lived A would pin m
+        found = summand_witness(m, [h.matrix for h in hom_space(m, reg)],
+                                memo(m, "hom from", reg, lambda: _hom_space_matrices(reg, m)))
         if a.primitive_idempotents() is not None:
             if (found is not None) != is_projective(m):
                 raise PropertyViolation("summand-of-free and cover tests disagree")
@@ -611,14 +616,21 @@ class AdjunctionReport:
 
 
 def add_generation_holds(pair, side: str) -> bool:
-    """Exact test of add F(P(A)) ⊇ P(B) (side="f") or add G(P(B)) ⊇ P(A) ("g")."""
-    if side == "f":
-        gen = pair.apply_f(regular_module(pair.algebra_a))
-        projs = structural_modules(pair.algebra_b).projectives
-    else:
-        gen = pair.apply_g(regular_module(pair.algebra_b))
-        projs = structural_modules(pair.algebra_a).projectives
-    return all(summand_witness(q, gen) is not None for q in projs)
+    """Exact test of add F(P(A)) ⊇ P(B) (side="f") or add G(P(B)) ⊇ P(A) ("g"),
+    kept on the bimodule; its hom spaces are not kept, as on the long-lived
+    projectives they would pin the generator."""
+
+    def build() -> bool:
+        if side == "f":
+            gen = pair.apply_f(regular_module(pair.algebra_a))
+            projs = structural_modules(pair.algebra_b).projectives
+        else:
+            gen = pair.apply_g(regular_module(pair.algebra_b))
+            projs = structural_modules(pair.algebra_a).projectives
+        return all(summand_witness(q, _hom_space_matrices(q, gen), _hom_space_matrices(gen, q))
+                   is not None for q in projs)
+
+    return memo(pair.m, "add generation " + side, None, build)
 
 
 def faithfulness_report(pair, corpus: Sequence[Module]) -> AdjunctionReport:

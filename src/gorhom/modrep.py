@@ -4,7 +4,7 @@ A Module stores one action matrix per algebra basis element, and a ModHom
 a matrix from source to target coordinates.  Each law is checked once,
 where it is cheapest:
 
-* Modules and homs from outside (documents, callers, covers, bimodules)
+* Modules and homs from outside (documents, callers, bimodules)
   are checked on construction: rho(1) = id and rho(g·e_j) = rho(g)·rho(e_j)
   for every generator g of the algebra (Algebra.generators) and basis
   element e_j; a hom intertwines on the generators.  The elements where
@@ -14,24 +14,25 @@ where it is cheapest:
   without the check (`Module(..., _skip_validation=True)`,
   `ModHom._trusted`), and each says why: `submodule`, `quotient_module`,
   `hom_factorization`'s map onto the image, `dual_module`, `dual_hom`, the
-  `hom_space` basis maps, `factor_through`'s combinations,
-  `homology.resolve`'s composites, the block-diagonal `zero_module` and
-  `direct_sum`, and in `frobenius` the right multiplications of
-  Hom_A(A, A), a tensor product's ambient module and the copies a
-  Frobenius verdict keeps.  Their inputs are modules already checked, so no
-  document or outside input skips a check; tests/test_source.py fails on a
-  trusted construction anywhere else.
-* A fact a construction proved is not proved again: a cover's epi and
-  superfluous kernel are checked where the cover is built, and
+  `hom_space` basis maps, `factor_through`'s combinations, the cover map
+  x -> rho(x)·v (associativity), `homology.resolve`'s composites, the
+  block-diagonal `zero_module` and `direct_sum`, and in `frobenius` the
+  right multiplications of Hom_A(A, A), a tensor product's ambient module
+  and the copies a Frobenius verdict keeps.  Their inputs are checked
+  modules, so no outside input skips a check; tests/test_source.py fails
+  on a trusted construction anywhere else.
+* A fact a construction proved is not proved again: a cover's epi is
+  checked, and its superfluous kernel counted, where it is built, and
   factor_through asserts g·f = rhs exactly, so what is made of them (a
   resolution, a homotopy) carries no second check; tests/test_laws.py
   checks them in full, as oracles.
 
-Hom spaces, kernels/cokernels, projective covers and stable Hom dimensions
-all reduce to exact kernel computations in `exactlin`.  An injective
-envelope is D of the projective cover of the dual.  Finding f in Hom(X, Y)
-with g·f = rhs (a lift, a homotopy) is one solve over a hom basis,
-factor_through.  Right modules are handled as left modules over the
+Hom out of a sum of structural projectives A·e_i, every term of a
+resolution, is found by Yoneda: Hom(A·e_i, N) = e_i·N.  Other Hom spaces,
+kernels and cokernels reduce to exact kernel computations in `exactlin`.
+An injective envelope is D of the projective cover of the dual.  Finding f
+in Hom(X, Y) with g·f = rhs (a lift, a homotopy) is one solve over a hom
+basis, factor_through.  Right modules are handled as left modules over the
 opposite algebra throughout, and the standard duality D = Hom_k(-, k)
 transposes action matrices.
 """
@@ -53,7 +54,9 @@ from .exactlin import Mat, block_matrix, kron, mat_from_flat, mat_to_flat, rref,
 class Module:
     """A left module given by an action matrix for every algebra basis element."""
 
-    __slots__ = ("algebra", "dim", "action", "_cache")
+    # _summands: (i_1, ..., i_s) when the module is built as the sum of the
+    # structural projectives A·e_{i_1}, ..., A·e_{i_s}, else None
+    __slots__ = ("algebra", "dim", "action", "_cache", "_summands")
 
     def __init__(self, algebra: Algebra, action: Sequence[Mat], _skip_validation=False):
         self.algebra = algebra
@@ -65,6 +68,7 @@ class Module:
             if m.rows != self.dim or m.cols != self.dim:
                 raise InputShapeError("action matrices must be square of the module dimension")
         self._cache = {}
+        self._summands = None
         if not _skip_validation:
             self._validate()
 
@@ -171,17 +175,48 @@ def regular_module(a: Algebra) -> Module:
 # ---------------------------------------------------------------------------
 
 
+def _yoneda(n: Module, emb: Mat, w: Mat) -> List[Mat]:
+    """The maps A·e -> n, x -> rho_n(x)·w_t for the columns w_t of w (in e·n),
+    in the basis emb of A·e: column c of map t is sum_j emb[j][c]·(action[j]·w)_t,
+    each action[j]·w computed once and combined in one product."""
+    used = [j for j in range(emb.rows) if any(emb.row(j))]
+    # row t·dim(n) + r, column j: entry (r, t) of action[j]·w
+    prods = Mat.from_cols(emb.field, [vec(n.action[j] * w).col(0) for j in used],
+                          n.dim * w.cols)
+    out = prods * emb.select_rows(used)
+    return [out.select_rows(range(t * n.dim, (t + 1) * n.dim)) for t in range(w.cols)]
+
+
 def _hom_space_matrices(m: Module, n: Module) -> List[Mat]:
-    """A basis of Hom(m, n) as matrices: the kernel of the equations
+    """A basis of Hom(m, n) as matrices: the kernel basis of the equations
     f·rho_m(g) = rho_n(g)·f for every generator g, in the unknowns vec(f).
-    The only place the intertwining system is built.  Its solutions are
-    those of the system over every basis element, so it has the same row
-    space, the same RREF and the same kernel basis."""
+
+    Out of a sum of structural projectives it is found by Yoneda: the maps
+    A·e_i -> n are x -> rho_n(x)·w for w in e_i·n, so dim Hom = sum rank
+    rho_n(e_i) (asserted).  A kernel basis vector is 1 at its free
+    coordinate, 0 at the others and elsewhere nonzero only before it: with
+    the coordinates reversed the basis is the RREF of any spanning set.
+    Any other source solves the system, here only; it has the row space,
+    so the kernel basis, of the system over every basis element."""
     if m.algebra != n.algebra:
         raise AlgebraMismatch("hom space requires modules over one algebra")
     if m.dim == 0 or n.dim == 0:
         return []
     field = m.algebra.field
+    if m._summands is not None:
+        idems = m.algebra.primitive_idempotents()
+        embeddings = _indecomposable_projectives(m.algebra)[1]
+        rows, before, zero = [], 0, (field.zero(),) * n.dim
+        for i in m._summands:
+            after = m.dim - before - embeddings[i].cols
+            rows += [zero * after + vec(f).col(0)[::-1] + zero * before
+                     for f in _yoneda(n, embeddings[i], column_space_basis(n.rho(idems[i])))]
+            before = m.dim - after
+        red = rref(Mat.from_cols(field, rows, m.dim * n.dim).transpose())
+        if red.rank != len(rows):
+            raise PropertyViolation("the Yoneda maps out of a projective are dependent")
+        return [unvec(field, red.matrix.row(r)[::-1], n.dim, m.dim)
+                for r in reversed(range(red.rank))]
     eye_m, eye_n = Mat.identity(field, m.dim), Mat.identity(field, n.dim)
     # no generators (the ground field itself): no equations, all of Hom_k(m, n)
     system = Mat.zeros(field, 0, m.dim * n.dim)
@@ -192,8 +227,9 @@ def _hom_space_matrices(m: Module, n: Module) -> List[Mat]:
 
 
 def hom_space(m: Module, n: Module) -> List[ModHom]:
-    """A basis of Hom(m, n), found by solving the intertwining equations;
-    its maps are solutions of them, so they are not checked again."""
+    """A basis of Hom(m, n): solutions of the intertwining equations, or
+    combinations of Yoneda maps, which intertwine by associativity; so they
+    are not checked again."""
     return memo(m, "hom", n,
                 lambda: [ModHom._trusted(m, n, mat) for mat in _hom_space_matrices(m, n)])
 
@@ -330,7 +366,10 @@ def direct_sum(mods: Sequence[Module]) -> Module:
     dims = [m.dim for m in mods]
     acts = [block_matrix(a.field, dims, dims, {(b, b): m.action[i] for b, m in enumerate(mods)})
             for i in range(a.dim)]
-    return Module(a, acts, _skip_validation=True)
+    out = Module(a, acts, _skip_validation=True)
+    if all(m._summands is not None and m.algebra is a for m in mods):
+        out._summands = sum((m._summands for m in mods), ())
+    return out
 
 
 @dataclass(frozen=True)
@@ -473,7 +512,10 @@ def _indecomposable_projectives(a: Algebra) -> Tuple[tuple, tuple]:
             raise UnsupportedAlgebra("structural modules need primitive idempotents")
         reg = regular_module(a)
         embeddings = tuple(column_space_basis(a.right_mult_matrix(e)) for e in idems)
-        return tuple(submodule(reg, emb)[0] for emb in embeddings), embeddings
+        projectives = tuple(submodule(reg, emb)[0] for emb in embeddings)
+        for i, p in enumerate(projectives):
+            p._summands = (i,)
+        return projectives, embeddings
 
     return memo(a, "indecomposable_projectives", None, build)
 
@@ -513,6 +555,11 @@ def cover_envelope(m: Module) -> Tuple[Module, ModHom]:
     """The projective cover P -> m, computed once per module: an epi whose
     kernel lies in rad(P), both checked here.
 
+    P has a summand A·e_i with the map x -> rho_m(x)·v for each lift v of a
+    basis vector of e_i·top(m), a hom by associativity, built trusted.  Given
+    the epi, the kernel K lies in rad(P) exactly when P/rad P -> m/rad m,
+    onto with kernel (K + rad P)/rad P, is injective: when dims agree.
+
     The injective envelope of m is D of the cover of D(m) over the
     opposite algebra, dual_hom(cover_envelope(dual_module(m))[1]): D turns
     the epi into a mono and the superfluous kernel into an essential image.
@@ -520,46 +567,36 @@ def cover_envelope(m: Module) -> Tuple[Module, ModHom]:
 
     def build() -> Tuple[Module, ModHom]:
         a = m.algebra
-        field = a.field
         structural = structural_modules(a)
         idems = a.primitive_idempotents()
         if m.dim == 0:
             z = zero_module(a)
             return z, zero_hom(z, m)
         top, pi_top = top_of(m)
-        # (index of the projective summand A·e, its generator in m)
-        picks: List[Tuple[int, Mat]] = []
+        summands, blocks = [], []
         # one idempotent per isomorphism class of simples, so multiplicities
-        # are not double-counted when distinct idempotents share their top
+        # are not double-counted when distinct idempotents share their top;
+        # a class's generators lift a basis of e·top(m) into e·m
         for rep in (cls[0] for cls in structural.simple_classes):
-            e = idems[rep]
-            e_top = top.rho(e)
-            img = column_space_basis(e_top)
+            img = column_space_basis(top.rho(idems[rep]))
+            e_m, gens = m.rho(idems[rep]), []
             for c in range(img.cols):
-                t_vec = Mat.col_vector(field, img.col(c))
-                lift = solve(pi_top.matrix, t_vec).particular
-                v = m.rho(e) * lift
-                if (pi_top.matrix * v) != t_vec:
+                t_vec = Mat.col_vector(a.field, img.col(c))
+                v = e_m * solve(pi_top.matrix, t_vec).particular
+                if pi_top.matrix * v != t_vec:
                     raise PropertyViolation("projective cover lift left the idempotent slice")
-                picks.append((rep, v))
-        if not picks:
+                gens.append(v.col(0))
+            summands += [rep] * img.cols
+            blocks += _yoneda(m, structural.embeddings[rep], Mat.from_cols(a.field, gens, m.dim))
+        if not summands:
             raise PropertyViolation("nonzero module with zero top")
-        big = direct_sum([structural.projectives[i] for i, _ in picks])
-        # Map A·e -> m, x -> rho(x)·v, one block of columns per summand; the
-        # columns of the embedding are the elements of the algebra spanning A·e.
-        cols = []
-        for i, v in picks:
-            emb = structural.embeddings[i]
-            cols.extend((m.rho(emb.col(c)) * v).col(0) for c in range(emb.cols))
-        cover_map = ModHom(big, m, Mat.from_cols(field, cols))
+        big = direct_sum([structural.projectives[i] for i in summands])
+        cols = [col for block in blocks for col in zip(*block.data)]
+        cover_map = ModHom._trusted(big, m, Mat.from_cols(a.field, cols))
         if not cover_map.is_epi():
             raise PropertyViolation("projective cover map is not epi")
-        ker = cover_map.matrix.kernel_basis()
-        radp = radical_submodule_basis(big)
-        if ker.cols:
-            joint = rref(radp.hstack(ker).transpose()).rank
-            if joint != rref(radp.transpose()).rank:
-                raise PropertyViolation("projective cover kernel is not superfluous")
+        if sum(structural.simples[i].dim for i in summands) != top.dim:
+            raise PropertyViolation("projective cover kernel is not superfluous")
         return big, cover_map
 
     return memo(m, "cover", None, build)

@@ -24,6 +24,7 @@ from gorhom.frobenius import (
     BimodulePair,
     ExtensionPair,
     RingExtension,
+    add_generation_holds,
     coinduce,
     column_bimodule,
     counterexample_product,
@@ -412,6 +413,18 @@ def test_certifying_fresh_bimodules_retains_no_memory(retained_bytes):
                                        bim.left_action, bim.right_action))
 
     assert retained_bytes(certify_fresh, 3) < 1024
+
+
+def test_applying_fresh_pairs_to_the_regular_module_retains_no_memory(retained_bytes):
+    # F(A) = M ⊗ A is kept on M: kept on the long-lived regular module A,
+    # keyed by M, it pinned every fresh pair's bimodule (about 11.1 KB a call)
+    bim = load_bimodule(DATA / "morita_col.bimod")
+
+    def generate_fresh():
+        fresh = Bimodule(bim.left, bim.right, bim.dim, bim.left_action, bim.right_action)
+        assert add_generation_holds(BimodulePair(fresh), "f")
+
+    assert retained_bytes(generate_fresh, 3) < 1024
 
 
 def test_a_first_certification_keeps_only_its_witness(retained_bytes):

@@ -1,10 +1,10 @@
-"""Gorenstein dimension 2 and 3 against the Kupisch-series oracle.
+"""Gorenstein dimension 2, 3 and 4 against the Kupisch-series oracle.
 
 The corpus algebras all have Gorenstein dimension 0 or 1.  These cyclic
-Nakayama algebras over F_2 reach gpd 2 and 3, total-reflexivity window 4,
-and the higher maps d_3 and d_4 of the totalization; kupisch.py predicts
-pd, gpd and the GP verdict of every indecomposable from the Kupisch series
-alone.
+Nakayama algebras over F_2 reach gpd 2, 3 and 4, total-reflexivity windows
+4 and 8, and the higher maps d_3, d_4 and d_5 of the totalization;
+kupisch.py predicts pd, gpd and the GP verdict of every indecomposable
+from the Kupisch series alone.
 """
 
 import functools
@@ -34,6 +34,15 @@ def monomial(*labels):
     return ((tuple(labels), 1),)
 
 
+def cycle(lengths):
+    """The cyclic quiver x_i: i -> i + 1 (mod n) in which the path of length
+    c_i from each vertex i is zero."""
+    n = len(lengths)
+    return Quiver(n, arrows=tuple((i, (i + 1) % n, f"x{i}") for i in range(n)),
+                  relations=tuple(monomial(*(f"x{(i + k) % n}" for k in reversed(range(c))))
+                                  for i, c in enumerate(lengths)))
+
+
 # name -> (quiver, Kupisch series c_i, sigma(i) = the target of the arrow
 # leaving vertex i, Gorenstein dimension)
 NAKAYAMA = {
@@ -49,6 +58,9 @@ NAKAYAMA = {
     "k54": (Quiver(2, arrows=((0, 1, "a"), (1, 0, "b")),
                    relations=(monomial("a", "b", "a", "b"), monomial("b", "a", "b", "a", "b"))),
             (5, 4), (1, 0), 2),
+    # 5-cycle with infinite global dimension, dim 17; gpd takes every value
+    # from 0 to 4
+    "k33344": (cycle((3, 3, 3, 4, 4)), (3, 3, 3, 4, 4), (1, 2, 3, 4, 0), 4),
 }
 
 @functools.cache
@@ -105,12 +117,26 @@ def test_infinite_global_dimension_matches_the_oracle():
     assert projective_dimension(uniserial(a, 1, 2), 4) == AtLeast(4)
 
 
-@pytest.mark.parametrize("name, x", [("k32", (0, 2)), ("k223", (2, 2))])
+def test_gorenstein_dimension_four_matches_the_oracle():
+    a, prof, oracle = nakayama("k33344")
+    gp = oracle.gorenstein_projectives()
+    # three non-projective GP modules, each GP by total reflexivity over a
+    # window of 8, and one module of gpd 4
+    assert sorted(x for x in gp if not oracle.is_projective(x)) == [(0, 2), (2, 1), (3, 2)]
+    assert oracle.gpd((0, 1)) == 4
+    for x in ((2, 1), (0, 2), (3, 2), (0, 1)):
+        m = uniserial(a, *x)
+        assert gpd(m, prof) == oracle.gpd(x), x
+        assert is_gorenstein_projective(m, prof).verdict == ("yes" if x in gp else "no"), x
+
+
+@pytest.mark.parametrize("name, x", [("k32", (0, 2)), ("k223", (2, 2)), ("k33344", (0, 1))])
 def test_totalization_above_gorenstein_dimension_one(name, x):
     a, prof, oracle = nakayama(name)
     m = uniserial(a, *x)
     result = totalize_quasi_bicomplex(m, prof)
-    # the maps d_0 .. d_{mhat + 1} are all built: d_3 at mhat 2, d_4 at mhat 3
+    # the maps d_0 .. d_{mhat + 1} are all built: d_3 at mhat 2, d_4 at mhat 3,
+    # d_5 at mhat 4
     assert sorted(result.quasi_bicomplex.maps) == list(range(prof.gorenstein_dim + 2))
     assert not result.quasi_bicomplex.verify_identities()
     assert result.z0_verdict.verdict == "yes" and result.gpd_bound_matches

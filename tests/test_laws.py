@@ -6,7 +6,9 @@ The dropped checks live on here as oracles: structure constants on every
 pair of basis elements, intertwining and commuting on every basis element,
 the intertwining system stacked over every basis element, the exactness of
 every resolution, the identities of every homotopy and contraction, the
-short exact sequences of a factorization and the socle of an envelope.
+short exact sequences of a factorization, the socle of an envelope, the
+intertwining system out of a projective (now solved by Yoneda) and the
+intertwining and superfluous kernel of a cover.
 """
 
 from itertools import product as iter_product
@@ -29,7 +31,7 @@ from gorhom.corpus import (
 )
 from gorhom.dgcplx import is_contractible
 from gorhom.errors import InputShapeError, PropertyViolation
-from gorhom.exactlin import Mat, kron, unvec
+from gorhom.exactlin import Mat, kron, rref, unvec
 from gorhom.frobenius import Bimodule, extension_bimodule, hom_to_regular, restriction_bimodule
 from gorhom.homology import gorenstein_profile, homology_dims, resolve, totalize_quasi_bicomplex
 from gorhom.modrep import (
@@ -69,14 +71,16 @@ def full_basis_intertwines(m, n, mat) -> bool:
     return all(mat * m.action[i] == n.action[i] * mat for i in range(m.algebra.dim))
 
 
-def full_basis_hom_matrices(m, n) -> list:
-    """The kernel of the intertwining system stacked over every basis element."""
+def full_basis_hom_matrices(m, n, elements=None) -> list:
+    """The kernel of the intertwining system stacked over every basis
+    element, or over the basis elements given (the generators: the system
+    Hom out of a projective was solved by before Yoneda)."""
     field = m.algebra.field
     if m.dim == 0 or n.dim == 0:
         return []
     eye_m, eye_n = Mat.identity(field, m.dim), Mat.identity(field, n.dim)
     system = Mat.zeros(field, 0, m.dim * n.dim)
-    for i in range(m.algebra.dim):
+    for i in range(m.algebra.dim) if elements is None else elements:
         system = system.vstack(kron(m.action[i].transpose(), eye_n) - kron(eye_m, n.action[i]))
     ker = system.kernel_basis()
     return [unvec(field, ker.col(c), n.dim, m.dim) for c in range(ker.cols)]
@@ -315,9 +319,13 @@ def resolution_defects(res) -> list:
 RESOLVED = ALGEBRAS + [(name, "kupisch") for name in NAKAYAMA]
 
 
+def _resolved_algebra(name, op):
+    return nakayama(name)[0] if op == "kupisch" else _algebra(name, op)
+
+
 @pytest.mark.parametrize("name, op", RESOLVED)
 def test_every_resolution_is_exact(name, op):
-    a = nakayama(name)[0] if op == "kupisch" else _algebra(name, op)
+    a = _resolved_algebra(name, op)
     for m in module_corpus(a, minimum=0):
         assert resolution_defects(resolve(m, 6)) == [], m
 
@@ -377,3 +385,52 @@ def test_envelopes_are_mono_with_the_socle_in_their_image(name, op):
         img = emap.matrix
         assert emap.source is m and emap.is_mono()
         assert img.hstack(socle_basis(emap.target)).rank() == img.rank()
+
+
+# --- maps out of projectives by Yoneda ------------------------------------------
+
+
+def _resolution_terms(a) -> list:
+    """The distinct terms of the resolutions of a's corpus modules, one per
+    sum of structural projectives."""
+    terms = {}
+    for m in module_corpus(a, minimum=0):
+        for t in resolve(m, 6).terms:
+            terms.setdefault(t._summands, t)
+    return list(terms.values())
+
+
+@pytest.mark.parametrize("name, op", RESOLVED)
+def test_yoneda_hom_bases_equal_the_kron_kernel(name, op):
+    # the targets include the regular module
+    a = _resolved_algebra(name, op)
+    targets = module_corpus(a, minimum=0)
+    terms = _resolution_terms(a)
+    assert all(t._summands is not None for t in terms)
+    for t, n in iter_product(terms, targets):
+        kron_basis = full_basis_hom_matrices(t, n, a.generators())
+        assert [h.matrix for h in hom_space(t, n)] == kron_basis, (t._summands, n)
+
+
+def cover_defects(m) -> list:
+    """The cover of m checked in full: intertwining on every basis element,
+    epi, and a kernel inside rad(P)."""
+    p, cov = cover_envelope(m)
+    found = []
+    if not full_basis_intertwines(p, m, cov.matrix):
+        found.append("the cover map does not intertwine")
+    if not cov.is_epi():
+        found.append("the cover map is not epi")
+    radp = radical_submodule_basis(p)
+    ker = cov.matrix.kernel_basis()
+    if rref(radp.hstack(ker).transpose()).rank != rref(radp.transpose()).rank:
+        found.append("the cover kernel is not superfluous")
+    return found
+
+
+@pytest.mark.parametrize("name, op", RESOLVED)
+def test_every_cover_intertwines_with_a_superfluous_kernel(name, op):
+    for m in module_corpus(_resolved_algebra(name, op), minimum=0):
+        for x in (m,) + resolve(m, 3).syzygies:
+            if x.dim:
+                assert cover_defects(x) == [], x

@@ -15,6 +15,7 @@ from gorhom.corpus import corpus_algebra, module_corpus
 from gorhom.errors import AlgebraMismatch, NoHomotopy, PropertyViolation
 from gorhom.exactlin import FieldSpec, Mat, kron, solve, vec
 from gorhom.modrep import (
+    Module,
     ModHom,
     ShortExactSequence,
     cover_envelope,
@@ -433,3 +434,29 @@ def test_factor_through_agrees_with_the_kron_system_when_inconsistent(monkeypatc
     calls = recorded_factorizations(monkeypatch, run)
     assert calls[-1][-1] is None
     assert_agrees_with_kron_oracle(calls)
+
+
+@pytest.mark.parametrize("name", ["a2", "nak2", "a2t2", "m2f2x2"])
+def test_maps_out_of_a_resolution_term_build_no_kron_system(monkeypatch, name):
+    # Hom out of a sum of structural projectives is found by Yoneda, so
+    # neither hom_space nor factor_through (lifts) out of a resolution term
+    # builds the intertwining system
+    from gorhom import modrep
+
+    a = corpus_algebra(name)
+    mods = module_corpus(a, minimum=0)
+    copies = [Module(a, m.action) for m in mods]
+
+    def no_kron(*_args):
+        raise AssertionError("kron called")
+
+    monkeypatch.setattr(modrep, "kron", no_kron)
+    idems = a.primitive_idempotents()
+    for m, copy in zip(mods, copies):
+        res, res_copy = homology.resolve(m, 3), homology.resolve(copy, 3)
+        for t in res.terms:
+            # dim Hom(A·e, N) = dim e·N
+            assert hom_dim(t, copy) == sum(copy.rho(idems[i]).rank() for i in t._summands)
+        ident = ModHom(m, copy, Mat.identity(a.field, m.dim))
+        lifts = homology.lift_chain_map(ident, res, res_copy)
+        assert all(f.is_iso() for f in lifts)

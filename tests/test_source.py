@@ -270,15 +270,16 @@ def test_the_reference_scan_sees_names_attributes_and_strings():
 
 # The functions that build a Module or ModHom without checking its law: the
 # constructions that proved the law themselves (see the modrep module
-# docstring), the empty module, direct sums, the right multiplications of
-# Hom_A(A, A), the tensor construction's ambient module and the memo-free
-# copies a Frobenius verdict keeps.  No document or outside input reaches
+# docstring), the empty module, direct sums, projective covers, the right
+# multiplications of Hom_A(A, A), the tensor construction's ambient module
+# and the memo-free copies a Frobenius verdict keeps.  No document or outside input reaches
 # any other.
 TRUSTED_SITES = [
     "frobenius._tensor.build",
     "frobenius.hom_to_regular.build",
     "frobenius.is_frobenius_bimodule.build",
     "homology.resolve",
+    "modrep.cover_envelope.build",
     "modrep.direct_sum",
     "modrep.dual_hom",
     "modrep.dual_module.build",
@@ -334,3 +335,72 @@ def test_the_trust_scan_sees_keywords_attributes_lambdas_and_methods():
         "ZERO = Module(a, acts, _skip_validation=False)\n")
     assert trusted_constructions(tree, "mod") == [
         "mod", "mod.C.method", "mod.outer", "mod.outer.build", "mod.trusted"]
+
+
+def summand_writers(tree, module):
+    """`module.function` for every function that stores a `._summands`
+    attribute, by assignment or by setattr, once each, sorted; nested
+    functions and methods are joined to their owners by dots, and
+    `self._summands = None` initializers do not count."""
+    found = set()
+
+    def writes(node):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            initializer = (isinstance(node.value, ast.Constant) and node.value.value is None
+                           and all(isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name)
+                                   and t.value.id == "self" for t in targets))
+            return not initializer and any(
+                isinstance(t, ast.Attribute) and t.attr == "_summands"
+                for target in targets for t in ast.walk(target))
+        setter = (isinstance(node, ast.Call)
+                  and getattr(node.func, "id", getattr(node.func, "attr", None))
+                  in ("setattr", "__setattr__"))
+        return setter and any(isinstance(arg, ast.Constant) and arg.value == "_summands"
+                              for arg in node.args)
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = f"{owner}.{node.name}"
+        if writes(node):
+            found.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, module)
+    return sorted(found)
+
+
+def test_only_projectives_and_their_sums_record_summands():
+    # a module records its structural-projective summands only where it is
+    # built as one or as a direct sum of such modules: no document or other
+    # construction can claim a decomposition that Hom by Yoneda would trust
+    writers = [name for path in SOURCES
+               for name in summand_writers(ast.parse(path.read_text(), str(path)), path.stem)]
+    assert writers == ["modrep._indecomposable_projectives.build", "modrep.direct_sum"]
+
+
+def test_the_summands_scan_sees_assignments_setattr_and_tuples_but_not_initializers():
+    tree = ast.parse(
+        "class Module:\n"
+        "    def __init__(self):\n"
+        "        self._summands = None\n"
+        "    def claim(self):\n"
+        "        self._summands = (0,)\n"
+        "def grow(m):\n"
+        "    m._summands += (1,)\n"
+        "def pair(m, n):\n"
+        "    m._summands, n._summands = (0,), (1,)\n"
+        "def outer(m):\n"
+        "    def inner():\n"
+        "        object.__setattr__(m, '_summands', (2,))\n"
+        "    return inner\n"
+        "def reader(m):\n"
+        "    return m._summands, getattr(m, '_summands', None)\n"
+        "def setter(m):\n"
+        "    setattr(m, '_summands', ())\n"
+        "def clear(m):\n"
+        "    m._summands = None\n")
+    assert summand_writers(tree, "mod") == [
+        "mod.Module.claim", "mod.clear", "mod.grow", "mod.outer.inner", "mod.pair",
+        "mod.setter"]
