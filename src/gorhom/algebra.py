@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import threading
+import weakref
 from dataclasses import dataclass
 from operator import mul
 from pathlib import Path
@@ -278,7 +279,25 @@ def _greedy_generators(a: Algebra) -> tuple:
     return tuple(gens)
 
 
-_memo_lock = threading.Lock()
+_memo_lock = threading.RLock()
+
+
+class _OtherRef(weakref.ref):
+    """A weak reference to an entry's `other` that knows its entry: the
+    cache it lies in and the key it lies under."""
+
+    __slots__ = ("cache", "key")
+
+
+def _drop_entry(ref: _OtherRef) -> None:
+    """Delete the entry of ref, whose `other` has died, unless a newer
+    entry has taken its key.  The entry is freed on return, so the
+    callbacks that freeing its value sets off run after the lock is
+    released."""
+    with _memo_lock:
+        cached = ref.cache.get(ref.key)
+        if cached is not None and cached[0] is ref:
+            del ref.cache[ref.key]
 
 
 def memo(holder, tag, other, build):
@@ -295,25 +314,36 @@ def memo(holder, tag, other, build):
     the entry of the object they build with the one they were built from,
     so applying either twice gives back the object itself.
 
-    The entry stores `other` next to the value, so `other` is pinned: it
-    lives as long as holder's entry, its id cannot pass to a new object
-    while the entry exists, and the `is` test makes the match explicit.
-    No tag is used both with and without an `other`, so an entry for None
-    is keyed by the bare tag, one key tuple less.  The lock guards the
-    dictionary only and is never held while build() runs; when two
-    threads build the same entry, the first value stored is the one both
-    return.
+    An entry lives only while both its objects do: it dies with holder's
+    `_cache`, and it holds `other` through a weak reference whose callback
+    deletes exactly that entry when `other` dies.  So no call site need
+    choose where an entry lives, and a value must not refer to its
+    `other` (it would keep `other`, and itself, alive as long as holder):
+    `modrep.hom_space` keeps the matrices and wraps them on each call.  No
+    tag is used both with and without an `other`, so an entry for None is
+    keyed by the bare tag, one key tuple less.
+
+    The lock guards the dictionaries only and is never held while build()
+    runs; when two threads build the same entry, the first value stored is
+    the one both return.  It is reentrant because a callback can run on
+    the thread that holds it: a garbage collection during a store, or the
+    value of a stale entry the store replaces, can free another entry's
+    `other`.
     """
     key = tag if other is None else (tag, id(other))
     with _memo_lock:
         cached = holder._cache.get(key)
-    if cached is not None and cached[0] is other:
+    if cached is not None and (other is None or cached[0]() is other):
         return cached[1]
     value = build()
     with _memo_lock:
         cached = holder._cache.get(key)
-        if cached is None or cached[0] is not other:
-            cached = holder._cache[key] = (other, value)
+        if cached is None or (other is not None and cached[0]() is not other):
+            ref = None
+            if other is not None:
+                ref = _OtherRef(other, _drop_entry)
+                ref.cache, ref.key = holder._cache, key
+            cached = holder._cache[key] = (ref, value)
     return cached[1]
 
 

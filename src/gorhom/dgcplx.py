@@ -241,7 +241,7 @@ def check_frobenius_pair_FU(corpus_graded: Sequence[GradedModule],
     componentwise projective covers; F of a degreewise-projective graded
     module must be contractible with projective components.
     """
-    report = AdjunctionReport("(F, U) on complexes")
+    report = AdjunctionReport()
     triangles = True
     units_mono = True
     counits_epi = True
@@ -266,9 +266,6 @@ def check_frobenius_pair_FU(corpus_graded: Sequence[GradedModule],
         contractible, _ = is_contractible(fx)
         if not contractible:
             f_contractible = False
-        report.entries.append({"object": f"graded total dim {x.total_dim()}",
-                               "unit_mono": eta.is_mono(),
-                               "F_contractible": contractible})
 
     for y in corpus_complexes:
         eps = counit_FU(y)
@@ -292,8 +289,6 @@ def check_frobenius_pair_FU(corpus_graded: Sequence[GradedModule],
                 triangles = False
         if not epsp_uy.is_epi():
             counits_epi = False
-        report.entries.append({"object": f"complex support [{y.lo},{y.hi}]",
-                               "counit_sigma_epi": epsp_uy.is_epi()})
 
     # (ΣF eps')(eta' ΣF) = id on ΣF(X) for the graded corpus
     for x in corpus_graded:

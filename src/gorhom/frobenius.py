@@ -59,11 +59,9 @@ from .modrep import (
     ModHom,
     Module,
     ShortExactSequence,
-    _hom_space_matrices,
     column_space_basis,
     cover_envelope,
     hom_coordinates,
-    hom_factorization,
     hom_space,
     is_isomorphic,
     regular_module,
@@ -186,11 +184,8 @@ class Bimodule:
         return self._as_right_op
 
     def as_tensor_module(self) -> Module:
-        """One module over left ⊗ right^op encoding the whole bimodule.
-
-        Built afresh on each call: a copy kept on a long-lived bimodule
-        would pin every module its hom spaces were computed against.
-        """
+        """One module over left ⊗ right^op encoding the whole bimodule,
+        built afresh on each call."""
         t = tensor_algebra(self.left, self.right.opposite())
         acts = []
         for i in range(self.left.dim):
@@ -275,8 +270,7 @@ class _Tensor(NamedTuple):
 
 def _tensor(bim: Bimodule, x: Module) -> _Tensor:
     """M ⊗_R x: the quotient of M ⊗_k x by m·r ⊗ v - m ⊗ r·v, with its
-    projection and section, built once per (M, x), and kept on M when x is
-    the regular module, so a long-lived R does not pin every M.
+    projection and section, built once per (M, x).
 
     When M is literally R_R, m ⊗ v -> m·v identifies M ⊗_R x with x, on
     which s acts as rho_x(s·1); the section is v -> 1 ⊗ v."""
@@ -310,9 +304,6 @@ def _tensor(bim: Bimodule, x: Module) -> _Tensor:
             raise PropertyViolation("quotient projection has no section")
         return _Tensor(quot, proj.matrix, section)
 
-    if x is regular_module(x.algebra):
-        # M ⊗_R R is determined by M alone: kept on M, it pins nothing
-        return memo(bim, "tensor of the regular module", None, build)
     return memo(x, "tensor", bim, build)
 
 
@@ -347,9 +338,9 @@ class DualBasis:
     functionals: tuple   # matrices module -> regular
 
 
-def summand_witness(q: Module, downs: Sequence[Mat], ups: Sequence[Mat]):
-    """Solve id_q = sum_t c_t·p_t∘h_t over p_t in ups, a basis of Hom(gen, q),
-    and h_t in downs, a basis of Hom(q, gen).
+def summand_witness(q: Module, gen: Module):
+    """Solve id_q = sum_t c_t·p_t∘h_t over p_t in a basis of Hom(gen, q)
+    and h_t in a basis of Hom(q, gen).
 
     Returns the pairs (p_t, h_t) as matrices and the coefficient column c,
     or None when q is not a direct summand of a finite direct sum of copies
@@ -358,7 +349,8 @@ def summand_witness(q: Module, downs: Sequence[Mat], ups: Sequence[Mat]):
     field = q.algebra.field
     if q.dim == 0:
         return [], Mat.zeros(field, 0, 1)
-    pairs = [(p, h) for p in ups for h in downs]
+    downs = [h.matrix for h in hom_space(q, gen)]
+    pairs = [(p.matrix, h) for p in hom_space(gen, q) for h in downs]
     if not pairs:
         return None
     span = Mat.from_cols(field, [tuple(vec(p * h).col(0)) for p, h in pairs])
@@ -379,10 +371,7 @@ def projective_witness(m: Module) -> Optional[DualBasis]:
     if _is_regular(m):
         pieces = [(Mat.identity(field, a.dim), Mat.identity(field, a.dim))]
     else:
-        reg = regular_module(a)
-        # Hom(A, m) is kept on m: a memo entry on the long-lived A would pin m
-        found = summand_witness(m, [h.matrix for h in hom_space(m, reg)],
-                                memo(m, "hom from", reg, lambda: _hom_space_matrices(reg, m)))
+        found = summand_witness(m, regular_module(a))
         if a.primitive_idempotents() is not None:
             if (found is not None) != is_projective(m):
                 raise PropertyViolation("summand-of-free and cover tests disagree")
@@ -605,10 +594,7 @@ def product_pairs(b: Algebra, bprime: Algebra) -> Tuple[BimodulePair, BimodulePa
 
 @dataclass
 class AdjunctionReport:
-    pair_name: str
-    entries: List[dict] = dc_field(default_factory=list)
     flags: Dict[str, bool] = dc_field(default_factory=dict)
-    notes: List[str] = dc_field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -617,8 +603,7 @@ class AdjunctionReport:
 
 def add_generation_holds(pair, side: str) -> bool:
     """Exact test of add F(P(A)) ⊇ P(B) (side="f") or add G(P(B)) ⊇ P(A) ("g"),
-    kept on the bimodule; its hom spaces are not kept, as on the long-lived
-    projectives they would pin the generator."""
+    decided once per (M, side)."""
 
     def build() -> bool:
         if side == "f":
@@ -627,8 +612,7 @@ def add_generation_holds(pair, side: str) -> bool:
         else:
             gen = pair.apply_g(regular_module(pair.algebra_b))
             projs = structural_modules(pair.algebra_a).projectives
-        return all(summand_witness(q, _hom_space_matrices(q, gen), _hom_space_matrices(gen, q))
-                   is not None for q in projs)
+        return all(summand_witness(q, gen) is not None for q in projs)
 
     return memo(pair.m, "add generation " + side, None, build)
 
@@ -636,26 +620,17 @@ def add_generation_holds(pair, side: str) -> bool:
 def faithfulness_report(pair, corpus: Sequence[Module]) -> AdjunctionReport:
     """Cor-2.2-style diagnostics for an adjoint pair on a module corpus.
 
-    Records, per object: unit mono / counit epi verdicts and the triangle
-    identities; plus the exact add-generation tests in both directions,
-    and the agreement between the unit-mono verdict and the G-side
-    add-generation verdict (two characterizations of F being faithful).
+    Flags whether the unit is mono and the counit epi at every object and
+    the triangle identities hold; plus the exact add-generation tests in
+    both directions, and the agreement between the unit-mono verdict and
+    the G-side add-generation verdict (two characterizations of F being
+    faithful).
     """
-    report = AdjunctionReport(pair.name)
+    report = AdjunctionReport()
     corpus_a = [m for m in corpus if m.algebra == pair.algebra_a]
     corpus_b = [m for m in corpus if m.algebra == pair.algebra_b]
-    units_mono = []
-    counits_epi = []
-    for x in corpus_a:
-        eta = pair.unit(x)
-        mono = eta.is_mono()
-        units_mono.append(mono)
-        report.entries.append({"object": f"A-side dim {x.dim}", "unit_mono": mono})
-    for y in corpus_b:
-        eps = pair.counit(y)
-        epi = eps.is_epi()
-        counits_epi.append(epi)
-        report.entries.append({"object": f"B-side dim {y.dim}", "counit_epi": epi})
+    units_mono = [pair.unit(x).is_mono() for x in corpus_a]
+    counits_epi = [pair.counit(y).is_epi() for y in corpus_b]
     add_f = add_generation_holds(pair, "f")
     add_g = add_generation_holds(pair, "g")
     # naturality of unit and counit along projective cover maps
@@ -695,9 +670,6 @@ def faithfulness_report(pair, corpus: Sequence[Module]) -> AdjunctionReport:
         if projective_witness(pair.apply_g(p)) is None:
             proj_preserved = False
     report.flags["projectivity_preserved"] = proj_preserved
-    report.notes.append(
-        f"F faithful (add test): {add_g}; G faithful (add test): {add_f}"
-    )
     # the agreement flags are the real checks; lack of faithfulness itself
     # is data, not a failure
     report.flags.setdefault("exactness_on_covers", True)
@@ -725,7 +697,6 @@ class TransferReport:
     rows: List[dict]
     all_equal: bool
     ind_checked: bool
-    notes: List[str]
 
 
 def verify_gpd_transfer(ext: RingExtension, corpus: Sequence[Module], bound: int = 20,
@@ -774,9 +745,7 @@ def verify_gpd_transfer(ext: RingExtension, corpus: Sequence[Module], bound: int
             all_equal = all_equal and equal
             rows.append({"module": f"R-module dim {x.dim} (induced)", "gpd_total": g_s,
                          "gpd_restricted": g_r, "equal": equal})
-    return TransferReport(rows, all_equal, ind_checked,
-                          [f"profiles: base {prof_r.gorenstein_dim}, "
-                           f"total {prof_s.gorenstein_dim}"])
+    return TransferReport(rows, all_equal, ind_checked)
 
 
 def global_gdim_transfer(ext: RingExtension, bound: int = 20):
@@ -855,7 +824,6 @@ def counterexample_product(b: Algebra, bprime: Algebra, bad_module: Module,
 
 @dataclass
 class TriEquivReport:
-    pair_name: str
     unit_rows: List[dict]
     counit_rows: List[dict]
     stable_gp_condition: bool
@@ -864,7 +832,6 @@ class TriEquivReport:
     both_projective_condition: bool
     stable_hom_f_match: bool
     stable_hom_g_match: bool
-    notes: List[str]
 
 
 def tri_equiv_conditions(pair, corpus_a: Sequence[Module], corpus_b: Sequence[Module],
@@ -890,8 +857,7 @@ def tri_equiv_conditions(pair, corpus_a: Sequence[Module], corpus_b: Sequence[Mo
         eta = pair.unit(x)
         if not eta.is_mono():
             raise PropertyViolation("unit is not mono despite faithfulness")
-        fact = hom_factorization(eta)
-        cok = fact.cokernel
+        cok = quotient_module(eta.target, column_space_basis(eta.matrix))[0]
         row = {
             "object": f"A dim {x.dim}",
             "cok_dim": cok.dim,
@@ -906,8 +872,7 @@ def tri_equiv_conditions(pair, corpus_a: Sequence[Module], corpus_b: Sequence[Mo
         eps = pair.counit(y)
         if not eps.is_epi():
             raise PropertyViolation("counit is not epi despite faithfulness")
-        fact = hom_factorization(eps)
-        ker = fact.kernel
+        ker = submodule(eps.source, eps.matrix.kernel_basis())[0]
         row = {
             "object": f"B dim {y.dim}",
             "ker_dim": ker.dim,
@@ -947,8 +912,8 @@ def tri_equiv_conditions(pair, corpus_a: Sequence[Module], corpus_b: Sequence[Mo
             rhs = stable_hom_dim(pair.apply_g(y1), pair.apply_g(y2))
             if lhs != rhs:
                 g_match = False
-    return TriEquivReport(pair.name, unit_rows, counit_rows, stable_gp,
-                          singularity, defect, both_proj, f_match, g_match, [])
+    return TriEquivReport(unit_rows, counit_rows, stable_gp,
+                          singularity, defect, both_proj, f_match, g_match)
 
 
 # ---------------------------------------------------------------------------

@@ -614,7 +614,6 @@ class QuasiBicomplex:
     max_row: int            # rows run j = 0, -1, ..., -max_row
     components: Dict[Tuple[int, int], Module]
     maps: Dict[int, Dict[Tuple[int, int], Mat]]
-    augmentations: List[ModHom]
 
     def component(self, i: int, j: int) -> Optional[Module]:
         return self.components.get((i, j))
@@ -733,8 +732,7 @@ def totalize_quasi_bicomplex(m: Module, profile: GorensteinProfile) -> Totalizat
                 if mat.rows and mat.cols:
                     dmaps[l][(i, -k)] = -mat
 
-    qb = QuasiBicomplex(ncols - 1, mhat, components, dmaps,
-                        [rows[i].augmentation for i in range(ncols)])
+    qb = QuasiBicomplex(ncols - 1, mhat, components, dmaps)
     bad = qb.verify_identities()
     if bad:
         raise PropertyViolation(f"quasi-bicomplex identities violated at {bad[:3]}")

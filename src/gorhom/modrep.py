@@ -13,12 +13,12 @@ where it is cheapest:
 * Constructions that proved the law themselves build their result
   without the check (`Module(..., _skip_validation=True)`,
   `ModHom._trusted`), and each says why: `submodule`, `quotient_module`,
-  `hom_factorization`'s map onto the image, `dual_module`, `dual_hom`, the
-  `hom_space` basis maps, `factor_through`'s combinations, the cover map
-  x -> rho(x)·v (associativity), `homology.resolve`'s composites, the
-  block-diagonal `zero_module` and `direct_sum`, and in `frobenius` the
-  right multiplications of Hom_A(A, A), a tensor product's ambient module
-  and the copies a Frobenius verdict keeps.  Their inputs are checked
+  `dual_module`, `dual_hom`, the `hom_space` basis maps,
+  `factor_through`'s combinations, the cover map x -> rho(x)·v
+  (associativity), `homology.resolve`'s composites, the block-diagonal
+  `zero_module` and `direct_sum`, and in `frobenius` the right
+  multiplications of Hom_A(A, A), a tensor product's ambient module and
+  the copies a Frobenius verdict keeps.  Their inputs are checked
   modules, so no outside input skips a check; tests/test_source.py fails
   on a trusted construction anywhere else.
 * A fact a construction proved is not proved again: a cover's epi is
@@ -56,7 +56,7 @@ class Module:
 
     # _summands: (i_1, ..., i_s) when the module is built as the sum of the
     # structural projectives A·e_{i_1}, ..., A·e_{i_s}, else None
-    __slots__ = ("algebra", "dim", "action", "_cache", "_summands")
+    __slots__ = ("algebra", "dim", "action", "_cache", "_summands", "__weakref__")
 
     def __init__(self, algebra: Algebra, action: Sequence[Mat], _skip_validation=False):
         self.algebra = algebra
@@ -230,8 +230,8 @@ def hom_space(m: Module, n: Module) -> List[ModHom]:
     """A basis of Hom(m, n): solutions of the intertwining equations, or
     combinations of Yoneda maps, which intertwine by associativity; so they
     are not checked again."""
-    return memo(m, "hom", n,
-                lambda: [ModHom._trusted(m, n, mat) for mat in _hom_space_matrices(m, n)])
+    return [ModHom._trusted(m, n, mat)
+            for mat in memo(m, "hom", n, lambda: _hom_space_matrices(m, n))]
 
 
 def hom_dim(m: Module, n: Module) -> int:
@@ -258,9 +258,9 @@ def factor_through(src: Module, tgt: Module, g: Mat, rhs: Mat) -> Optional[ModHo
 
     One solve over a hom basis h_t: hom_delta(basis, g, post=True)·c =
     vec(rhs) and f = sum c_t·h_t.  The basis is not memoized: a totalization
-    meets each (src, tgt) once, and a memo entry would pin tgt.  f is a
-    combination of solutions of the intertwining system, so it intertwines,
-    and g·f = rhs is asserted exactly.
+    meets each (src, tgt) once.  f is a combination of solutions of the
+    intertwining system, so it intertwines, and g·f = rhs is asserted
+    exactly.
     """
     basis = _hom_space_matrices(src, tgt)
     if not basis:
@@ -391,41 +391,6 @@ class ShortExactSequence:
         )
         if not ok:
             raise PropertyViolation("sequence is not short exact")
-
-
-# ---------------------------------------------------------------------------
-# Kernel / image / cokernel of a hom
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Factorization:
-    kernel: Module
-    kernel_incl: ModHom          # kernel -> source
-    image: Module
-    onto_image: ModHom           # source -> image (epi)
-    image_incl: ModHom           # image -> target (mono)
-    cokernel: Module
-    coker_proj: ModHom           # target -> cokernel (epi)
-
-
-def hom_factorization(f: ModHom) -> Factorization:
-    """Kernel, image and cokernel of f, with their maps.
-
-    The two short exact sequences 0 -> ker -> src -> im -> 0 and
-    0 -> im -> tgt -> coker -> 0 are exact by construction: the kernel and
-    image bases are exact kernel and column-space bases, the quotient is by
-    the image basis, and onto_image is the solve of img_basis·X = f.  As
-    img_basis is injective and intertwines, so does X: img_basis·X·rho(x) =
-    f·rho(x) = rho(x)·img_basis·X = img_basis·rho_im(x)·X.
-    """
-    kernel, kernel_incl = submodule(f.source, f.matrix.kernel_basis())
-    img_basis = column_space_basis(f.matrix)
-    image, image_incl = submodule(f.target, img_basis)
-    onto_image = ModHom._trusted(f.source, image, solve(img_basis, f.matrix).particular)
-    cokernel, coker_proj = quotient_module(f.target, img_basis)
-    return Factorization(kernel, kernel_incl, image, onto_image, image_incl,
-                         cokernel, coker_proj)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from gorhom.algebra import (
     group_algebra,
     load_algebra,
     matrix_algebra,
+    memo,
     path_algebra,
     product_algebra,
     load_quiver,
@@ -320,6 +321,38 @@ def test_tensor_algebra_radical_and_idempotents():
     # rad(a (x) b) = rad a (x) b + a (x) rad b: dims 1*2 + 3*1 - 1*1 = 4
     assert t.radical_basis().cols == 4
     assert len(t.idempotents) == 2
+
+
+def test_tensoring_with_fresh_algebras_retains_no_memory(retained_bytes):
+    # a ⊗ b is memoized on a for b; an entry kept after b dies holds b, its
+    # radical and the tensor algebra
+    a = path_algebra(a2_quiver(), F2)
+    b = group_algebra(cyclic_group_table(2), F2)
+
+    def tensor_fresh():
+        tensor_algebra(a, Algebra(b.field, b.basis_labels, b.table, b.unit))
+
+    assert retained_bytes(tensor_fresh, 5) < 100
+
+
+class _Holder:
+    """The least object memo keeps entries on, or keys them by."""
+
+    def __init__(self):
+        self._cache = {}
+
+
+def test_an_entry_dies_with_its_other_and_frees_what_only_it_held():
+    # h1's entry for `first` is the last holder of `second`, the other of
+    # h2's entry: when `first` dies, both entries go
+    h1, h2 = _Holder(), _Holder()
+    first, second = _Holder(), _Holder()
+    assert memo(h2, "t", second, lambda: 2) == 2
+    assert memo(h1, "t", first, lambda: second) is second
+    del second
+    assert len(h1._cache) == len(h2._cache) == 1
+    del first
+    assert h1._cache == {} and h2._cache == {}
 
 
 def quotient_by_ideal(a: Algebra, ideal: Mat) -> Algebra:

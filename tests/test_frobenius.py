@@ -403,9 +403,9 @@ def test_repeated_certification_retains_no_memory(retained_bytes):
 
 
 def test_certifying_fresh_bimodules_retains_no_memory(retained_bytes):
-    # the summand test keeps Hom(A, q) on q: kept on the long-lived regular
-    # module A, it pinned every fresh bimodule's module q (about 10.7 KB a
-    # certification)
+    # the summand test memoizes Hom(A, q) on the long-lived regular module A
+    # for q; an entry that outlived q held every fresh bimodule's module q
+    # (about 10.7 KB a certification)
     bim = extension_bimodule(load_extension(DATA / "a2_a2t2.ext"))
 
     def certify_fresh():
@@ -416,8 +416,9 @@ def test_certifying_fresh_bimodules_retains_no_memory(retained_bytes):
 
 
 def test_applying_fresh_pairs_to_the_regular_module_retains_no_memory(retained_bytes):
-    # F(A) = M ⊗ A is kept on M: kept on the long-lived regular module A,
-    # keyed by M, it pinned every fresh pair's bimodule (about 11.1 KB a call)
+    # F(A) = M ⊗ A is memoized on the long-lived regular module A for M; an
+    # entry that outlived M held every fresh pair's bimodule (about 11.1 KB
+    # a call)
     bim = load_bimodule(DATA / "morita_col.bimod")
 
     def generate_fresh():
@@ -475,6 +476,14 @@ def test_coinducing_fresh_modules_retains_no_memory(f2, ext_f2_f2c2, retained_by
     # 2 KB a call); the bound leaves room for a few dozen bytes of noise
     k = regular_module(f2)
     assert retained_bytes(lambda: coinduce(ext_f2_f2c2, Module(f2, k.action)), 20) < 100
+
+
+def test_coinducing_along_fresh_extensions_retains_no_memory(f2, f2c2, ext_f2_f2c2,
+                                                              retained_bytes):
+    # Hom_R(S, x) is memoized on the long-lived x for the extension; an
+    # entry kept after the extension dies holds it and the coinduced module
+    k, emb = regular_module(f2), ext_f2_f2c2.embedding
+    assert retained_bytes(lambda: coinduce(RingExtension(f2, f2c2, emb), k), 20) < 100
 
 
 @pytest.mark.parametrize("name, load, certify", [

@@ -161,6 +161,18 @@ def test_a_warm_injective_pass_retains_no_memory(a2, retained_bytes):
     assert retained_bytes(injective_pass, 3) < 1024
 
 
+def test_ext_into_fresh_targets_retains_no_memory(a2, retained_bytes):
+    # Ext^i(s1, n) reads Hom(P_k, n) from the hom memo of the long-lived
+    # terms of s1's resolution; an entry kept after n dies cost about 886 B
+    s1, s2 = simple_at(a2, "e1"), simple_at(a2, "e2")
+
+    def ext_fresh():
+        n = Module(a2, s2.action)
+        return [ext_dim(s1, n, i) for i in (1, 2)]
+
+    assert retained_bytes(ext_fresh, 20) < 100
+
+
 # `direction` only names the case: every resolution is projective
 @pytest.mark.parametrize("direction, law", [("projective", "^resolution is not exact")])
 def test_a_resolution_with_a_zero_map_is_rejected(dual_numbers, direction, law):

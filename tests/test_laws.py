@@ -38,6 +38,7 @@ from gorhom.modrep import (
     Module,
     ModHom,
     ShortExactSequence,
+    column_space_basis,
     cover_envelope,
     dual_hom,
     dual_module,
@@ -285,16 +286,22 @@ def _recording(monkeypatch, module, name) -> list:
 
 
 def test_factorizations_of_the_tri_equiv_inputs_pass_the_dropped_checks(monkeypatch):
-    # the units and counits tri_equiv_conditions factors in the suite
-    calls = _recording(monkeypatch, frobenius, "hom_factorization")
+    # the cokernels of the units and kernels of the counits tri_equiv_conditions
+    # builds in the suite, by the same two calls
+    units = _recording(monkeypatch, frobenius.BimodulePair, "unit")
+    counits = _recording(monkeypatch, frobenius.BimodulePair, "counit")
     assert suite.check_tri_equiv().passed
-    assert calls
-    for (f,), _kwargs, fact in calls:
-        for g in (fact.kernel_incl, fact.onto_image, fact.image_incl, fact.coker_proj):
-            assert full_basis_intertwines(g.source, g.target, g.matrix)
-        assert fact.image_incl.matrix * fact.onto_image.matrix == f.matrix
-        ShortExactSequence(fact.kernel, f.source, fact.image, fact.kernel_incl, fact.onto_image)
-        ShortExactSequence(fact.image, f.target, fact.cokernel, fact.image_incl, fact.coker_proj)
+    assert units and counits
+    for _args, _kwargs, eta in units:
+        cokernel, proj = quotient_module(eta.target, column_space_basis(eta.matrix))
+        assert full_basis_module_law(cokernel.algebra, cokernel.action)
+        assert full_basis_intertwines(eta.target, cokernel, proj.matrix)
+        ShortExactSequence(eta.source, eta.target, cokernel, eta, proj)
+    for _args, _kwargs, eps in counits:
+        kernel, incl = submodule(eps.source, eps.matrix.kernel_basis())
+        assert full_basis_module_law(kernel.algebra, kernel.action)
+        assert full_basis_intertwines(kernel, eps.source, incl.matrix)
+        ShortExactSequence(kernel, eps.source, eps.target, incl, eps)
 
 
 # --- chain-level facts proved by construction ----------------------------------

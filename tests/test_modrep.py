@@ -1,3 +1,6 @@
+import gc
+import sys
+import threading
 from itertools import product as iter_product
 
 import pytest
@@ -18,13 +21,13 @@ from gorhom.modrep import (
     Module,
     ModHom,
     ShortExactSequence,
+    column_space_basis,
     cover_envelope,
     direct_sum,
     dual_hom,
     dual_module,
     factor_through,
     hom_dim,
-    hom_factorization,
     hom_space,
     is_isomorphic,
     load_module,
@@ -122,10 +125,12 @@ def test_hom_space_mismatched_algebras(a2, f2c2):
 
 def test_factorization_of_zero_and_identity(a2):
     reg = regular_module(a2)
-    z = hom_factorization(zero_hom(reg, reg))
-    assert z.kernel.dim == reg.dim and z.cokernel.dim == reg.dim and z.image.dim == 0
-    i = hom_factorization(ModHom(reg, reg, Mat.identity(F2, reg.dim)))
-    assert i.kernel.dim == 0 and i.cokernel.dim == 0 and i.image.dim == reg.dim
+    for f, image_dim in ((zero_hom(reg, reg), 0),
+                         (ModHom(reg, reg, Mat.identity(F2, reg.dim)), reg.dim)):
+        image = column_space_basis(f.matrix)
+        assert image.cols == image_dim
+        assert submodule(reg, f.matrix.kernel_basis())[0].dim == reg.dim - image_dim
+        assert quotient_module(reg, image)[0].dim == reg.dim - image_dim
 
 
 def test_cokernel_of_projective_inclusion_is_simple(a2):
@@ -134,9 +139,9 @@ def test_cokernel_of_projective_inclusion_is_simple(a2):
     p2 = next(p for p in s.projectives if p.dim == 1)
     maps = hom_space(p2, p1)
     incl = next(h for h in maps if h.is_mono())
-    fact = hom_factorization(incl)
+    cokernel = quotient_module(p1, column_space_basis(incl.matrix))[0]
     s1 = next(x for x in s.simples if hom_dim(x, top_of(p1)[0]))
-    assert is_isomorphic(fact.cokernel, s1).verdict == "yes"
+    assert is_isomorphic(cokernel, s1).verdict == "yes"
 
 
 def test_dual_module_basics(a2):
@@ -301,9 +306,10 @@ def test_factorization_dimension_bookkeeping(a2, f2c2):
         reg = regular_module(a)
         for m in list(s.simples) + [reg]:
             for h in hom_space(reg, m):
-                f = hom_factorization(h)
-                assert f.kernel.dim + f.image.dim == reg.dim
-                assert f.image.dim + f.cokernel.dim == m.dim
+                image = column_space_basis(h.matrix)
+                kernel = submodule(reg, h.matrix.kernel_basis())[0]
+                assert kernel.dim + image.cols == reg.dim
+                assert image.cols + quotient_module(m, image)[0].dim == m.dim
 
 
 def test_intertwining_validation_fires(f2c2):
@@ -330,6 +336,44 @@ def test_module_serialization_with_algebra_ref(tmp_path, a2):
     save_module(reg, tmp_path / "reg.mod", algebra_ref="a2.alg")
     again = load_module(tmp_path / "reg.mod")
     assert again.dim == 3
+
+
+def test_homs_into_fresh_modules_retain_no_memory(a2, retained_bytes):
+    # Hom(A, n) is memoized on the long-lived regular module A for n; an
+    # entry kept after n dies holds n and the hom basis
+    reg, s = regular_module(a2), structural_modules(a2).simples[1]
+    assert retained_bytes(lambda: hom_space(reg, Module(a2, s.action)), 20) < 100
+
+
+def test_threads_storing_and_dropping_entries_keep_the_memo_consistent(a2):
+    # four threads store entries keyed by fresh modules on one holder while
+    # the entries of the modules they free are deleted, from whichever
+    # thread frees them: every answer is the one computed alone, and no
+    # entry outlives its module
+    reg, s = regular_module(a2), structural_modules(a2).simples[1]
+    expected = [h.matrix for h in hom_space(reg, Module(a2, s.action))]
+    gc.collect()
+    entries = len(reg._cache)
+    answers = []
+
+    def work():
+        for _ in range(200):
+            answers.append([h.matrix for h in hom_space(reg, Module(a2, s.action))])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(answers) == 800 and all(a == expected for a in answers)
+    gc.collect()
+    assert len(reg._cache) == entries
 
 
 def test_idempotent_count_matches_top_multiplicities(a2, f2c2):

@@ -284,7 +284,6 @@ TRUSTED_SITES = [
     "modrep.dual_hom",
     "modrep.dual_module.build",
     "modrep.factor_through",
-    "modrep.hom_factorization",
     "modrep.hom_space",
     "modrep.quotient_module",
     "modrep.submodule",
