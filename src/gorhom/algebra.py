@@ -1,9 +1,11 @@
 """Finite-dimensional associative unital algebras given by structure constants.
 
 An Algebra stores, for each pair of basis elements (e_i, e_j), the
-coordinate vector of the product e_i * e_j.  Construction validates
-associativity and the unit law exactly, so a structure-constant bug in any
-constructor fails loudly rather than corrupting downstream homology.
+coordinate vector of the product e_i * e_j.  Construction validates the
+unit law on every basis element and associativity on the generators
+(Algebra.generators), which proves it everywhere, so a structure-constant
+bug in any constructor fails loudly rather than corrupting downstream
+homology.
 
 Conventions
 -----------
@@ -11,14 +13,14 @@ Conventions
   For a path algebra, a path is stored as a sequence of arrows in
   application order, and relation files list arrow labels in composition
   order (["a", "b"] denotes a∘b, i.e. b followed by a).
-* The Jacobson radical is computed generically for every algebra: over Q
-  as the kernel of the trace bilinear form of the regular representation,
-  over F_p by the p-th-power trace refinement of that form.  Each p-power
-  trace functional is linear on the ideal it is evaluated on (Rónyai 1990;
-  Cohen, Ivanyos and Wales 1997), so it is evaluated once per basis vector
-  of that ideal and read off coordinates for every product.  Algebras
-  built by the constructors here also carry a closed-form radical, and the
-  two are asserted to agree.
+* The Jacobson radical of an algebra built by a constructor here is that
+  constructor's closed form, a theorem it states where it builds it.  Every
+  other algebra (a loaded document, a group algebra) gets the generic
+  computation: over Q the kernel of the trace bilinear form of the regular
+  representation, over F_p the p-th-power trace refinement of that form.
+  Each p-power trace functional is linear on the ideal it is evaluated on
+  (Rónyai 1990; Cohen, Ivanyos and Wales 1997), so it is evaluated once per
+  basis vector of that ideal and read off coordinates for every product.
 * Primitive orthogonal idempotents are carried only when a constructor
   can certify them (quiver vertices, matrix units, local algebras, ...)
   or when the caller supplies them; they are never searched for.
@@ -134,11 +136,15 @@ class Algebra:
     # -- validation -----------------------------------------------------------
 
     def _validate(self):
+        """The unit law on every basis element, then (g·e_j)·e_k =
+        g·(e_j·e_k) for the generators g: once the unit law holds, the x
+        with (x·y)·z = x·(y·z) for all y, z form a subalgebra containing 1,
+        so this proves associativity on all of A."""
         for i in range(self.dim):
             e_i = self.basis_vec(i)
             if self.mul_vec(self.unit, e_i) != e_i or self.mul_vec(e_i, self.unit) != e_i:
                 raise PropertyViolation(f"unit law fails at basis element {self.basis_labels[i]}")
-        for i in range(self.dim):
+        for i in self.generators():
             for j in range(self.dim):
                 ij = self.table[i][j]
                 for k in range(self.dim):
@@ -184,24 +190,12 @@ class Algebra:
     # -- memoized structure ---------------------------------------------------
 
     def radical_basis(self) -> Mat:
-        """Columns spanning the Jacobson radical, computed once per algebra.
-
-        Generic computation always runs; when a constructor supplied a
-        closed-form radical the two are asserted to span the same
-        subspace and the closed form (deterministic basis) is returned.
-        """
-        return memo(self, "radical", None, self._compute_radical)
-
-    def _compute_radical(self) -> Mat:
-        generic = _radical_generic(self)
+        """Columns spanning the Jacobson radical: the closed form the
+        constructor proved, when it gave one, else _radical_generic, run
+        once per algebra."""
         if self._closed_radical is not None:
-            closed = self._closed_radical
-            if not _same_column_space(closed, generic):
-                raise PropertyViolation(
-                    "closed-form radical disagrees with the generic trace computation "
-                    f"in {self!r}")
-            return closed
-        return generic
+            return self._closed_radical
+        return memo(self, "radical", None, lambda: _radical_generic(self))
 
     def primitive_idempotents(self):
         return self.idempotents
@@ -219,6 +213,7 @@ class Algebra:
                 self.unit,
                 idempotents=self.idempotents,
                 provenance={"kind": "opposite", "of": self.provenance.get("kind", "?")},
+                # rad(A^op) is the same subspace as rad(A)
                 _closed_radical=self._closed_radical,
             )
             memo(op, "opposite", None, lambda: self)
@@ -231,7 +226,8 @@ class Algebra:
         per algebra by _greedy_generators.
 
         A law whose solution set is a subalgebra containing 1 holds on the
-        whole algebra once it holds on these: an action respecting products
+        whole algebra once it holds on these: associativity with every pair
+        of basis elements, an action or an embedding respecting products
         with every basis element, a map intertwining two actions, two
         actions commuting."""
         return memo(self, "generators", None, lambda: _greedy_generators(self))
@@ -345,15 +341,6 @@ def memo(holder, tag, other, build):
                 ref.cache, ref.key = holder._cache, key
             cached = holder._cache[key] = (ref, value)
     return cached[1]
-
-
-def _same_column_space(a: Mat, b: Mat) -> bool:
-    ra = rref(a.transpose()).rank if a.cols else 0
-    rb = rref(b.transpose()).rank if b.cols else 0
-    if ra != rb:
-        return False
-    joint = rref(a.hstack(b).transpose()).rank
-    return joint == ra
 
 
 def _radical_generic(a: Algebra) -> Mat:
@@ -684,6 +671,7 @@ def path_algebra(q: Quiver, field: FieldSpec, max_path_length: int = 64) -> Alge
         idems.append(tuple(e))
         unit[basis_index[(v, ())]] = field.one()
 
+    # The arrow ideal is nilpotent (paths are bounded) and its quotient is k^n.
     rad_cols = [
         tuple(field.one() if t == b else zero for t in range(dim))
         for b, key in enumerate(basis_keys)
@@ -775,6 +763,7 @@ def group_algebra(mult_table: Sequence[Sequence[int]], field: FieldSpec) -> Alge
             unit,
             idempotents=[unit],
             provenance={"kind": "group_algebra", "order": n},
+            _closed_radical=a.radical_basis(),
         )
     return a
 
@@ -818,7 +807,8 @@ def truncated_extension(r: Algebra, t: int):
     def power(j):
         return tuple(field.one() if k == j else field.zero() for k in range(t))
 
-    # x^a * x^b = x^(a+b), which power() makes zero once a + b >= t
+    # x^a * x^b = x^(a+b), which power() makes zero once a + b >= t; the
+    # radical is (x), nilpotent with quotient k.
     poly = Algebra(field, [f"x^{j}" for j in range(t)],
                    [[power(a + b) for b in range(t)] for a in range(t)], power(0),
                    idempotents=[power(0)], provenance={"kind": "truncated_polynomial"},
@@ -831,6 +821,7 @@ def truncated_extension(r: Algebra, t: int):
 
 
 def field_algebra(field: FieldSpec) -> Algebra:
+    # a field has radical zero
     return Algebra(
         field,
         ["1"],
@@ -854,7 +845,7 @@ def matrix_algebra(a: Algebra, n: int) -> Algebra:
         return tuple(field.one() if w == uv else field.zero() for w in units)
 
     zero = tuple(field.zero() for _ in units)
-    # E_uv * E_wz = E_uz when v = w, else 0
+    # E_uv * E_wz = E_uz when v = w, else 0; M_n(k) is simple, radical zero
     mn = Algebra(field, [f"E{u + 1}{v + 1}" for u, v in units],
                  [[unit_vec((u, z)) if v == w else zero for w, z in units] for u, v in units],
                  tuple(field.one() if u == v else field.zero() for u, v in units),
@@ -897,6 +888,7 @@ def product_algebra(a: Algebra, b: Algebra) -> Algebra:
     if a.idempotents is not None and b.idempotents is not None:
         idems = [embed_a(e) for e in a.idempotents] + [embed_b(f) for f in b.idempotents]
 
+    # rad(a x b) = rad a x rad b
     rad_cols = [embed_a(a.radical_basis().col(c)) for c in range(a.radical_basis().cols)]
     rad_cols += [embed_b(b.radical_basis().col(c)) for c in range(b.radical_basis().cols)]
     closed_rad = Mat.from_cols(field, rad_cols, dim)
@@ -946,7 +938,9 @@ def _tensor_algebra(a: Algebra, b: Algebra, labels: Sequence[str],
     if a.idempotents is not None and b.idempotents is not None:
         idems = [pure(e, f) for e in a.idempotents for f in b.idempotents]
 
-    # rad(a (x) b) = rad(a) (x) b + a (x) rad(b) over a perfect field.
+    # rad(a (x) b) = rad(a) (x) b + a (x) rad(b): F_p and Q are perfect, so
+    # a/rad a and b/rad b are separable and their tensor is semisimple
+    # (Pierce, Associative Algebras).
     rad_a, rad_b = a.radical_basis(), b.radical_basis()
     span_cols = [pure(rad_a.col(c), b.basis_vec(j)) for c in range(rad_a.cols)
                  for j in range(b.dim)]

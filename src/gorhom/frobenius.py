@@ -92,7 +92,9 @@ class RingExtension:
             raise PropertyViolation("embedding is not injective")
         if tuple((embedding * Mat.col_vector(base.field, base.unit)).col(0)) != total.unit:
             raise PropertyViolation("embedding does not preserve the unit")
-        for i in range(base.dim):
+        # once phi(1) = 1, the x with phi(x·y) = phi(x)·phi(y) for all y form
+        # a subalgebra containing 1, so the generators of R suffice
+        for i in base.generators():
             for j in range(base.dim):
                 lhs = total.mul_vec(self.embed(base.basis_vec(i)), self.embed(base.basis_vec(j)))
                 rhs = self.embed(base.table[i][j])

@@ -129,6 +129,33 @@ def test_a_wrong_action_entry_exits_2_naming_the_law(runner, tmp_path, command, 
     assert f"input error: {law}" in result.output
 
 
+# (cell (i, j) of a2's table, coordinate flipped, the law the message names);
+# every cell with e1 or e2 on a side moves a product with the unit e1 + e2,
+# so only a*a is caught by associativity alone
+CORRUPTED_TABLE_ENTRIES = [
+    ((0, 0), 0, "unit law fails at basis element e1"),
+    ((1, 2), 2, "unit law fails at basis element a"),
+    ((2, 2), 0, "associativity fails at (e1, a, a)"),
+    ((2, 2), 1, "associativity fails at (a, e1, a)"),
+]
+
+
+@pytest.mark.parametrize("cell, entry, law", CORRUPTED_TABLE_ENTRIES)
+@pytest.mark.parametrize("command", ["algebra-info", "profile"])
+def test_a_wrong_table_entry_exits_2_naming_the_law(runner, tmp_path, command, cell, entry,
+                                                     law):
+    bad = _bundled_copy(tmp_path) / "a2.alg"
+    doc = json.loads(bad.read_text())
+    flat = doc["table"][cell[0]][cell[1]]
+    flat[entry] = "1" if flat[entry] == "0" else "0"
+    bad.write_text(json.dumps(doc))
+    result = runner.invoke(main, [command, str(bad)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert f"input error: {law}" in result.output
+
+
 def test_missing_file_exits_2(runner):
     result = runner.invoke(main, ["gpd", "definitely_not_there.mod"])
     assert result.exit_code == 2

@@ -492,21 +492,28 @@ def test_coinducing_along_fresh_extensions_retains_no_memory(f2, f2c2, ext_f2_f2
 ])
 def test_certification_computes_the_tensor_radical_once(monkeypatch, name, load, certify):
     # Both sides of the certified isomorphism are modules over S (x) R^op,
-    # which is built once per pair of factors, and its radical with it.
-    kinds = []
-    generic = algebra._radical_generic
+    # which is built once per pair of factors with its closed-form radical,
+    # so the generic computation never runs on it.
+    kinds, built = [], []
+    generic, tensor = algebra._radical_generic, algebra._tensor_algebra
 
     def counting(a):
         kinds.append(a.provenance.get("kind"))
         return generic(a)
 
+    def building(*args):
+        built.append(args[-1]["kind"])
+        return tensor(*args)
+
     monkeypatch.setattr(algebra, "_radical_generic", counting)
+    monkeypatch.setattr(algebra, "_tensor_algebra", building)
     obj = load(DATA / name)
     assert certify(obj).verdict == "yes"
-    assert kinds.count("tensor") == 1
+    assert built == ["tensor"] and "tensor" not in kinds
     kinds.clear()
+    built.clear()
     assert certify(obj).verdict == "yes"
-    assert kinds == []
+    assert kinds == [] and built == []
 
 
 def test_faithfulness_identity(a2):

@@ -2,13 +2,16 @@
 against the full-basis checks they replaced, and constructions proved by
 their own steps against the second proofs they dropped.
 
-The dropped checks live on here as oracles: structure constants on every
-pair of basis elements, intertwining and commuting on every basis element,
-the intertwining system stacked over every basis element, the exactness of
-every resolution, the identities of every homotopy and contraction, the
-short exact sequences of a factorization, the socle of an envelope, the
-intertwining system out of a projective (now solved by Yoneda) and the
-intertwining and superfluous kernel of a cover.
+The dropped checks live on here as oracles: associativity on every triple
+of basis elements, multiplicativity of an embedding on every pair, the
+generic radical of every algebra a constructor gives a closed form,
+structure constants on every pair of basis elements, intertwining and
+commuting on every basis element, the intertwining system stacked over
+every basis element, the exactness of every resolution, the identities of
+every homotopy and contraction, the short exact sequences of a
+factorization, the socle of an envelope, the intertwining system out of a
+projective (now solved by Yoneda) and the intertwining and superfluous
+kernel of a cover.
 """
 
 from itertools import product as iter_product
@@ -19,8 +22,9 @@ from test_kupisch import NAKAYAMA, nakayama
 
 from gorhom import algebra as algebra_mod
 from gorhom import frobenius, homology, suite
-from gorhom.algebra import load_algebra
+from gorhom.algebra import Algebra, load_algebra, tensor_algebra
 from gorhom.corpus import (
+    ALGEBRA_NAMES,
     EXTENSION_NAMES,
     GORENSTEIN_NAMES,
     complex_corpus,
@@ -32,7 +36,13 @@ from gorhom.corpus import (
 from gorhom.dgcplx import is_contractible
 from gorhom.errors import InputShapeError, PropertyViolation
 from gorhom.exactlin import Mat, kron, rref, unvec
-from gorhom.frobenius import Bimodule, extension_bimodule, hom_to_regular, restriction_bimodule
+from gorhom.frobenius import (
+    Bimodule,
+    RingExtension,
+    extension_bimodule,
+    hom_to_regular,
+    restriction_bimodule,
+)
 from gorhom.homology import gorenstein_profile, homology_dims, resolve, totalize_quasi_bicomplex
 from gorhom.modrep import (
     Module,
@@ -48,6 +58,54 @@ from gorhom.modrep import (
     socle_basis,
     submodule,
 )
+
+
+def _product(field, table, v, w) -> tuple:
+    """v·w by the structure constants table[i][j] = e_i·e_j."""
+    out = [field.zero()] * len(v)
+    for i, x in enumerate(v):
+        for j, y in enumerate(w):
+            if x != 0 and y != 0:
+                xy = field.mul(x, y)
+                out = [field.add(o, field.mul(xy, c)) for o, c in zip(out, table[i][j])]
+    return tuple(out)
+
+
+def full_basis_algebra_law(field, table, unit) -> bool:
+    """1·e_i = e_i = e_i·1 for every basis element and (e_i·e_j)·e_k =
+    e_i·(e_j·e_k) for every triple."""
+    n = len(unit)
+    basis = [tuple(field.one() if k == i else field.zero() for k in range(n)) for i in range(n)]
+    if any(_product(field, table, unit, e) != e or _product(field, table, e, unit) != e
+           for e in basis):
+        return False
+    return all(_product(field, table, table[i][j], basis[k])
+               == _product(field, table, basis[i], table[j][k])
+               for i in range(n) for j in range(n) for k in range(n))
+
+
+def full_basis_multiplicative(base, total, embedding) -> bool:
+    """An injective map sending 1 to 1 and e_i·e_j to phi(e_i)·phi(e_j) for
+    every pair of basis elements."""
+
+    def phi(v):
+        return tuple((embedding * Mat.col_vector(base.field, v)).col(0))
+
+    return (embedding.rank() == base.dim
+            and phi(base.unit) == total.unit
+            and all(total.mul_vec(phi(base.basis_vec(i)), phi(base.basis_vec(j)))
+                    == phi(base.table[i][j])
+                    for i in range(base.dim) for j in range(base.dim)))
+
+
+def same_column_space(a: Mat, b: Mat) -> bool:
+    """The columns of a and of b span the same subspace."""
+    ra = rref(a.transpose()).rank if a.cols else 0
+    rb = rref(b.transpose()).rank if b.cols else 0
+    if ra != rb:
+        return False
+    joint = rref(a.hstack(b).transpose()).rank
+    return joint == ra
 
 
 def _combination(a, mats, coeffs, rows, cols):
@@ -144,7 +202,8 @@ def test_the_generators_generate(name, op):
     assert len(words) == a.dim
 
 
-def test_generators_are_found_on_first_use_not_on_load(monkeypatch, tmp_path):
+def test_generators_are_found_once_per_algebra(monkeypatch, tmp_path):
+    # associativity is checked on them at load, and every later law reuses them
     from gorhom.algebra import save_algebra
 
     save_algebra(corpus_algebra("a2t2"), tmp_path / "a2t2.alg")
@@ -153,13 +212,46 @@ def test_generators_are_found_on_first_use_not_on_load(monkeypatch, tmp_path):
     monkeypatch.setattr(algebra_mod, "_greedy_generators",
                         lambda a: calls.append(a) or greedy(a))
     a = load_algebra(tmp_path / "a2t2.alg")
-    assert calls == []
+    assert calls == [a]
     reg = Module(a, [a.left_mult_matrix(a.basis_vec(i)) for i in range(a.dim)])
     Module(a, reg.action)
     assert calls == [a]
 
 
 # --- checks on generators equal the full-basis checks -------------------------
+
+
+SMALL_ALGEBRAS = [(name, op) for name in ALGEBRA_NAMES for op in (False, True)
+                  if corpus_algebra(name).dim <= 6]
+
+
+@pytest.mark.parametrize("name, op", SMALL_ALGEBRAS)
+def test_single_entry_corruptions_of_tables_get_the_full_basis_verdict(name, op):
+    a = _algebra(name, op)
+    field, caught = a.field, 0
+    assert full_basis_algebra_law(field, a.table, a.unit)
+    for i, j, k in iter_product(range(a.dim), repeat=3):
+        table = [list(row) for row in a.table]
+        cell = list(table[i][j])
+        cell[k] = field.add(cell[k], field.one())
+        table[i][j] = tuple(cell)
+        broken = _raises(lambda: Algebra(field, a.basis_labels, table, a.unit))
+        assert broken == (not full_basis_algebra_law(field, table, a.unit)), (i, j, k)
+        caught += broken
+    assert caught
+
+
+@pytest.mark.parametrize("name", EXTENSION_NAMES)
+def test_single_entry_corruptions_of_embeddings_get_the_full_basis_verdict(name):
+    ext = corpus_extension(name)
+    assert full_basis_multiplicative(ext.base, ext.total, ext.embedding)
+    verdicts = set()
+    for r, c in iter_product(range(ext.total.dim), range(ext.base.dim)):
+        mat = _corrupted(ext.embedding, r, c)
+        broken = _raises(lambda: RingExtension(ext.base, ext.total, mat))
+        assert broken == (not full_basis_multiplicative(ext.base, ext.total, mat)), (r, c)
+        verdicts.add(broken)
+    assert True in verdicts
 
 
 @pytest.mark.parametrize("name, op", ALGEBRAS)
@@ -226,6 +318,24 @@ def test_single_entry_corruptions_of_bimodules_get_the_full_basis_verdict(name):
                             and full_basis_commute(lam, rho))
             assert _raises(lambda: Bimodule(bim.left, bim.right, bim.dim, lam, rho)) == \
                 expected, (side, i, r)
+
+
+# --- closed-form radicals -------------------------------------------------------
+
+
+def test_every_closed_form_radical_spans_the_generic_radical():
+    # every corpus algebra and its opposite, the tensor algebra S (x) R^op of
+    # every bimodule above, and the Kupisch algebras
+    algebras = [_algebra(name, op) for name in ALGEBRA_NAMES for op in (False, True)]
+    algebras += [tensor_algebra(b.left, b.right.opposite()) for b in map(_bimodule, BIMODULES)]
+    algebras += [nakayama(name)[0] for name in NAKAYAMA]
+    closed = [a for a in algebras if a._closed_radical is not None]
+    # f7s3 and its opposite are the only ones a constructor gives no closed form
+    assert [a.provenance for a in algebras if a._closed_radical is None] == [
+        {"kind": "group_algebra", "order": 6}, {"kind": "opposite", "of": "group_algebra"}]
+    for a in closed:
+        assert a.radical_basis() is a._closed_radical
+        assert same_column_space(a._closed_radical, algebra_mod._radical_generic(a)), a
 
 
 # --- trusted constructions -----------------------------------------------------

@@ -272,9 +272,19 @@ def test_the_reference_scan_sees_names_attributes_and_strings():
 # constructions that proved the law themselves (see the modrep module
 # docstring), the empty module, direct sums, projective covers, the right
 # multiplications of Hom_A(A, A), the tensor construction's ambient module
-# and the memo-free copies a Frobenius verdict keeps.  No document or outside input reaches
-# any other.
+# and the memo-free copies a Frobenius verdict keeps.  And the constructors
+# that give an Algebra its radical, each stating the theorem that proves it
+# (group_algebra passes on the radical its first construction computed).
+# No document or outside input reaches any other.
 TRUSTED_SITES = [
+    "algebra.Algebra.opposite.build",
+    "algebra._tensor_algebra",
+    "algebra.field_algebra",
+    "algebra.group_algebra",
+    "algebra.matrix_algebra",
+    "algebra.path_algebra",
+    "algebra.product_algebra",
+    "algebra.truncated_extension",
     "frobenius._tensor.build",
     "frobenius.hom_to_regular.build",
     "frobenius.is_frobenius_bimodule.build",
@@ -293,15 +303,16 @@ TRUSTED_SITES = [
 
 def trusted_constructions(tree, module):
     """`module.function` for every function that passes `_skip_validation`
-    or names a `._trusted` attribute, once each, sorted; nested functions and
-    methods are joined to their owners by dots, and a lambda counts as the
-    function around it."""
+    or `_closed_radical`, or names a `._trusted` attribute, once each,
+    sorted; nested functions and methods are joined to their owners by
+    dots, and a lambda counts as the function around it."""
     found = set()
 
     def visit(node, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             owner = f"{owner}.{node.name}"
-        if ((isinstance(node, ast.keyword) and node.arg == "_skip_validation")
+        if ((isinstance(node, ast.keyword)
+             and node.arg in ("_skip_validation", "_closed_radical"))
                 or (isinstance(node, ast.Attribute) and node.attr == "_trusted")):
             found.add(owner)
         for child in ast.iter_child_nodes(node):
@@ -323,6 +334,8 @@ def test_the_trust_scan_sees_keywords_attributes_lambdas_and_methods():
         "    return Module(a, acts)\n"
         "def trusted(a, acts):\n"
         "    return Module(a, acts, _skip_validation=True)\n"
+        "def closed(f, t, u, _closed_radical=None):\n"
+        "    return Algebra(f, ['1'], t, u, _closed_radical=ZERO)\n"
         "def outer(m):\n"
         "    def build():\n"
         "        return [ModHom._trusted(m, m, x) for x in m.action]\n"
@@ -333,7 +346,7 @@ def test_the_trust_scan_sees_keywords_attributes_lambdas_and_methods():
         "        return make\n"
         "ZERO = Module(a, acts, _skip_validation=False)\n")
     assert trusted_constructions(tree, "mod") == [
-        "mod", "mod.C.method", "mod.outer", "mod.outer.build", "mod.trusted"]
+        "mod", "mod.C.method", "mod.closed", "mod.outer", "mod.outer.build", "mod.trusted"]
 
 
 def summand_writers(tree, module):
