@@ -14,13 +14,14 @@ Conventions
   application order, and relation files list arrow labels in composition
   order (["a", "b"] denotes a∘b, i.e. b followed by a).
 * The Jacobson radical of an algebra built by a constructor here is that
-  constructor's closed form, a theorem it states where it builds it.  Every
-  other algebra (a loaded document, a group algebra) gets the generic
-  computation: over Q the kernel of the trace bilinear form of the regular
-  representation, over F_p the p-th-power trace refinement of that form.
-  Each p-power trace functional is linear on the ideal it is evaluated on
-  (Rónyai 1990; Cohen, Ivanyos and Wales 1997), so it is evaluated once per
-  basis vector of that ideal and read off coordinates for every product.
+  constructor's closed form, a theorem it states where it builds it; an
+  opposite's is its original's.  Every other algebra (a loaded document, a
+  group algebra) gets the generic computation: over Q the kernel of the
+  trace bilinear form of the regular representation, over F_p the
+  p-th-power trace refinement of that form.  Each p-power trace functional
+  is linear on the ideal it is evaluated on (Rónyai 1990; Cohen, Ivanyos
+  and Wales 1997), so it is evaluated once per basis vector of that ideal
+  and read off coordinates for every product.
 * Primitive orthogonal idempotents are carried only when a constructor
   can certify them (quiver vertices, matrix units, local algebras, ...)
   or when the caller supplies them; they are never searched for.
@@ -213,8 +214,9 @@ class Algebra:
                 self.unit,
                 idempotents=self.idempotents,
                 provenance={"kind": "opposite", "of": self.provenance.get("kind", "?")},
-                # rad(A^op) is the same subspace as rad(A)
-                _closed_radical=self._closed_radical,
+                # rad(A^op) is the same subspace as rad(A): one computation
+                # of the generic radical, memoized on A, serves both
+                _closed_radical=self.radical_basis(),
             )
             memo(op, "opposite", None, lambda: self)
             return op
@@ -305,10 +307,9 @@ def memo(holder, tag, other, build):
     determines, so deleting any entry, or a whole `_cache`, changes no
     result, only the time it takes.  Data a later step needs from a
     construction is part of the memoized value, found again from the
-    construction's own inputs, never stored on the object it built.  The
-    two involutions, `Algebra.opposite` and `modrep.dual_module`, prime
-    the entry of the object they build with the one they were built from,
-    so applying either twice gives back the object itself.
+    construction's own inputs, never stored on the object it built.
+    `Algebra.opposite` primes the entry of the algebra it builds with the
+    one it was built from, so A^op^op is A itself.
 
     An entry lives only while both its objects do: it dies with holder's
     `_cache`, and it holds `other` through a weak reference whose callback
@@ -325,6 +326,11 @@ def memo(holder, tag, other, build):
     the thread that holds it: a garbage collection during a store, or the
     value of a stale entry the store replaces, can free another entry's
     `other`.
+
+    Modules are interned (`interned`), only once checked, so an entry
+    serves every module of its content, and a record on a module, such as
+    its structural-projective summands, is a fact about that content: a
+    document equal to a recorded sum is that sum, and takes the Yoneda path.
     """
     key = tag if other is None else (tag, id(other))
     with _memo_lock:
@@ -341,6 +347,19 @@ def memo(holder, tag, other, build):
                 ref.cache, ref.key = holder._cache, key
             cached = holder._cache[key] = (ref, value)
     return cached[1]
+
+
+_interned = weakref.WeakValueDictionary()
+
+
+def interned(key, value=None):
+    """The live object interned under key, or None; given value, intern it
+    unless one is there, and return the one interned.  Values are held
+    weakly, so an entry dies with its object."""
+    with _memo_lock:
+        if value is None:
+            return _interned.get(key)
+        return _interned.setdefault(key, value)
 
 
 def _radical_generic(a: Algebra) -> Mat:

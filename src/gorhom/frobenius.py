@@ -27,7 +27,7 @@ per-object records rather than trusting any general fact on faith.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -186,8 +186,8 @@ class Bimodule:
         return self._as_right_op
 
     def as_tensor_module(self) -> Module:
-        """One module over left ⊗ right^op encoding the whole bimodule,
-        built afresh on each call."""
+        """One module over left ⊗ right^op encoding the whole bimodule; its
+        products are formed on each call, and the module is interned."""
         t = tensor_algebra(self.left, self.right.opposite())
         acts = []
         for i in range(self.left.dim):
@@ -433,13 +433,6 @@ def is_frobenius_bimodule(m: Bimodule, seed: int = 0) -> FrobeniusVerdict:
         left_dual = hom_to_regular(m, "left")[0].as_tensor_module()
         right_dual = hom_to_regular(m, "right")[0].as_tensor_module()
         iso = is_isomorphic(left_dual, right_dual, seed=seed)
-        if iso.witness is not None:
-            # the memo keeps the witness between copies without the hom
-            # memos the search left on the two modules; a copy of a valid
-            # module is valid, and the witness still intertwines them
-            src, tgt = (Module(d.algebra, d.action, _skip_validation=True)
-                        for d in (left_dual, right_dual))
-            iso = replace(iso, witness=ModHom._trusted(src, tgt, iso.witness.matrix))
         return _frobenius_verdict(iso, "the two dual bimodules are not isomorphic")
 
     return memo(m, ("frobenius", seed), None, build)

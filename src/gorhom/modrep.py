@@ -17,15 +17,19 @@ where it is cheapest:
   `factor_through`'s combinations, the cover map x -> rho(x)·v
   (associativity), `homology.resolve`'s composites, the block-diagonal
   `zero_module` and `direct_sum`, and in `frobenius` the right
-  multiplications of Hom_A(A, A), a tensor product's ambient module and
-  the copies a Frobenius verdict keeps.  Their inputs are checked
-  modules, so no outside input skips a check; tests/test_source.py fails
-  on a trusted construction anywhere else.
+  multiplications of Hom_A(A, A) and a tensor product's ambient module.
+  Their inputs are checked modules, so no outside input skips a check;
+  tests/test_source.py fails on a trusted construction anywhere else.
 * A fact a construction proved is not proved again: a cover's epi is
   checked, and its superfluous kernel counted, where it is built, and
   factor_through asserts g·f = rhs exactly, so what is made of them (a
   resolution, a homotopy) carries no second check; tests/test_laws.py
   checks them in full, as oracles.
+
+Modules are interned: one object per algebra object and action matrices,
+so a cover, syzygy, dual or Hom basis memoized on it is built once per
+content.  A module enters the table only once its check passes or its
+trusted construction finishes, so one that failed is never returned.
 
 Hom out of a sum of structural projectives A·e_i, every term of a
 resolution, is found by Yoneda: Hom(A·e_i, N) = e_i·N.  Other Hom spaces,
@@ -46,7 +50,7 @@ from itertools import product as iter_product
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-from .algebra import Algebra, algebra_to_json, json_int, memo, resolve_algebra_ref
+from .algebra import Algebra, algebra_to_json, interned, json_int, memo, resolve_algebra_ref
 from .errors import AlgebraMismatch, InputShapeError, PropertyViolation, UnsupportedAlgebra
 from .exactlin import Mat, block_matrix, kron, mat_from_flat, mat_to_flat, rref, solve, unvec, vec
 
@@ -55,22 +59,35 @@ class Module:
     """A left module given by an action matrix for every algebra basis element."""
 
     # _summands: (i_1, ..., i_s) when the module is built as the sum of the
-    # structural projectives A·e_{i_1}, ..., A·e_{i_s}, else None
-    __slots__ = ("algebra", "dim", "action", "_cache", "_summands", "__weakref__")
+    # structural projectives A·e_{i_1}, ..., A·e_{i_s}, else None;
+    # _key: a new module's content key, which __init__ takes to intern it
+    __slots__ = ("algebra", "dim", "action", "_cache", "_summands", "_key", "__weakref__")
+
+    def __new__(cls, algebra: Algebra, action: Sequence[Mat], _skip_validation=False):
+        """The live interned module of this content, else a new one."""
+        action = tuple(action)
+        if len(action) != algebra.dim:
+            raise InputShapeError("need one action matrix per algebra basis element")
+        dim = action[0].rows
+        for m in action:
+            if m.rows != dim or m.cols != dim:
+                raise InputShapeError("action matrices must be square of the module dimension")
+        key = (id(algebra), tuple(m.data for m in action))
+        self = interned(key)
+        if self is None:
+            self = object.__new__(cls)
+            self.algebra, self.action, self.dim, self._key = algebra, action, dim, key
+            self._cache = {}
+            self._summands = None
+        return self
 
     def __init__(self, algebra: Algebra, action: Sequence[Mat], _skip_validation=False):
-        self.algebra = algebra
-        self.action = tuple(action)
-        if len(self.action) != algebra.dim:
-            raise InputShapeError("need one action matrix per algebra basis element")
-        self.dim = self.action[0].rows if self.action else 0
-        for m in self.action:
-            if m.rows != self.dim or m.cols != self.dim:
-                raise InputShapeError("action matrices must be square of the module dimension")
-        self._cache = {}
-        self._summands = None
-        if not _skip_validation:
-            self._validate()
+        """Check a new module, unless its construction proved the law, then intern it."""
+        key, self._key = self._key, None
+        if key is not None:
+            if not _skip_validation:
+                self._validate()
+            interned(key, self)
 
     def _validate(self):
         """rho(1) = id and rho(g·e_j) = rho(g)·rho(e_j) for the generators g:
@@ -367,7 +384,7 @@ def direct_sum(mods: Sequence[Module]) -> Module:
     acts = [block_matrix(a.field, dims, dims, {(b, b): m.action[i] for b, m in enumerate(mods)})
             for i in range(a.dim)]
     out = Module(a, acts, _skip_validation=True)
-    if all(m._summands is not None and m.algebra is a for m in mods):
+    if out._summands is None and all(m._summands is not None and m.algebra is a for m in mods):
         out._summands = sum((m._summands for m in mods), ())
     return out
 
@@ -400,15 +417,13 @@ class ShortExactSequence:
 
 def dual_module(m: Module) -> Module:
     """D(m) = Hom_k(m, k) as a module over the opposite algebra, built once
-    per module; D is an involution, so D(D(m)) is m itself.  The transposes
-    of a valid action are a valid action of the opposite algebra, so D(m)
-    is not checked again."""
+    per module; D is an involution and modules are interned, so D(D(m)) is m
+    itself.  The transposes of a valid action are a valid action of the
+    opposite algebra, so D(m) is not checked again."""
 
     def build() -> Module:
-        dm = Module(m.algebra.opposite(), [a.transpose() for a in m.action],
-                    _skip_validation=True)
-        memo(dm, "dual", None, lambda: m)
-        return dm
+        return Module(m.algebra.opposite(), [a.transpose() for a in m.action],
+                      _skip_validation=True)
 
     return memo(m, "dual", None, build)
 
@@ -469,7 +484,9 @@ class StructuralModules:
 def _indecomposable_projectives(a: Algebra) -> Tuple[tuple, tuple]:
     """The modules A·e for the primitive idempotents e, and the basis of
     each inside the algebra as columns of algebra elements, built once per
-    algebra."""
+    algebra.  Over m2f2x2, A·E11 and A·E22 have one content, so are one
+    object; the first record stays, and either gives the same Yoneda Hom
+    basis, since Hom out of a module depends only on its content."""
 
     def build() -> Tuple[tuple, tuple]:
         idems = a.primitive_idempotents()
@@ -479,7 +496,8 @@ def _indecomposable_projectives(a: Algebra) -> Tuple[tuple, tuple]:
         embeddings = tuple(column_space_basis(a.right_mult_matrix(e)) for e in idems)
         projectives = tuple(submodule(reg, emb)[0] for emb in embeddings)
         for i, p in enumerate(projectives):
-            p._summands = (i,)
+            if p._summands is None:
+                p._summands = (i,)
         return projectives, embeddings
 
     return memo(a, "indecomposable_projectives", None, build)

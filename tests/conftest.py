@@ -1,26 +1,62 @@
 import gc
+import random
 import tracemalloc
 
 import pytest
 
+from gorhom.exactlin import Mat
+from gorhom.modrep import Module
+
 
 @pytest.fixture()
 def retained_bytes():
-    """measure(call, repeats): the bytes still allocated per call after
-    `repeats` calls of a warmed-up call and a garbage collection."""
+    """measure(call, repeats): the bytes still allocated per call after a
+    warmed-up call is made `repeats` times and garbage is collected, the
+    smaller figure of two such windows.  A leak shows in both; a one-off
+    growth of a table sized by the live objects of the whole process, such
+    as the module intern table catching up with modules that earlier work
+    left alive, shows in at most one."""
+
+    def window(call, calls: int) -> float:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(calls):
+            call()
+        gc.collect()
+        return (tracemalloc.get_traced_memory()[0] - before) / calls
 
     def measure(call, repeats: int) -> float:
         call()
         tracemalloc.start()
         try:
-            gc.collect()
-            before = tracemalloc.get_traced_memory()[0]
-            for _ in range(repeats):
-                call()
-            gc.collect()
-            after = tracemalloc.get_traced_memory()[0]
+            return min(window(call, repeats), window(call, repeats))
         finally:
             tracemalloc.stop()
-        return (after - before) / repeats
 
     return measure
+
+
+@pytest.fixture()
+def in_new_basis():
+    """rebase(m, seed=0): (T^-1·rho·T, T^-1) for the first seeded random
+    invertible T that changes some action matrix, so a module of new content
+    (a new object, with no memos, since modules are interned by content)
+    and the isomorphism from m to it.  Raises when no such T is found: when
+    every action is a scalar, as on a 1-dimensional module over F_2, every
+    basis gives m itself."""
+
+    def rebase(m, seed=0):
+        field, rng = m.algebra.field, random.Random(seed)
+        p = field.characteristic
+        for _ in range(100):
+            t = Mat(field, [[rng.randrange(p) if p else rng.randint(-2, 2)
+                             for _ in range(m.dim)] for _ in range(m.dim)])
+            if not t.is_invertible():
+                continue
+            tinv = t.inverse()
+            acts = [tinv * a * t for a in m.action]
+            if acts != list(m.action):
+                return Module(m.algebra, acts), tinv
+        raise AssertionError(f"no basis gives {m!r} new content")
+
+    return rebase

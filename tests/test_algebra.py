@@ -547,3 +547,15 @@ def test_radical_failures_name_the_algebra(monkeypatch):
                         lambda a, b: dataclasses.replace(solve(a, b), particular=None))
     with pytest.raises(PropertyViolation, match=f"leaves the trace ideal.*{named}"):
         algebra._radical_generic(wrong)
+
+
+def test_an_algebra_and_its_opposite_share_one_generic_radical(monkeypatch):
+    # rad(A^op) is the same subspace as rad(A): whichever is asked first,
+    # the generic radical runs once for the pair
+    calls = []
+    generic = algebra._radical_generic
+    monkeypatch.setattr(algebra, "_radical_generic", lambda a: calls.append(a) or generic(a))
+    a, b = load_algebra(DATA / "f7s3.alg"), load_algebra(DATA / "a2.alg")
+    assert a.radical_basis() is a.opposite().radical_basis()
+    assert b.opposite().radical_basis() is b.radical_basis()
+    assert calls == [a, b]

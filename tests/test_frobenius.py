@@ -1,5 +1,6 @@
 import gc
 import re
+from itertools import count
 from pathlib import Path
 
 import pytest
@@ -429,10 +430,10 @@ def test_applying_fresh_pairs_to_the_regular_module_retains_no_memory(retained_b
 
 
 def test_a_first_certification_keeps_only_its_witness(retained_bytes):
-    # the verdict memo keeps its witness between copies of the two dual
-    # modules without their hom memos: keeping the verdict costs no more
-    # than keeping the witness's matrices (a witness between the searched
-    # modules with every memo the isomorphism search left, about 5.9 KB)
+    # the verdict memo keeps its witness, a hom between the two dual
+    # modules; they are interned, so a certification of a new copy of the
+    # bimodule shares them with the first, and keeping its verdict costs no
+    # more than keeping the witness's matrices
     bim = extension_bimodule(load_extension(DATA / "a2_a2t2.ext"))
     kept = []
 
@@ -473,9 +474,13 @@ def test_second_certification_builds_nothing(monkeypatch, ext_f2_f2c2):
 def test_coinducing_fresh_modules_retains_no_memory(f2, ext_f2_f2c2, retained_bytes):
     # Hom_R(S, x) is taken out of a restriction built for the call, so no
     # long-lived module keeps a hom memo entry that pins x (that cost about
-    # 2 KB a call); the bound leaves room for a few dozen bytes of noise
-    k = regular_module(f2)
-    assert retained_bytes(lambda: coinduce(ext_f2_f2c2, Module(f2, k.action)), 20) < 100
+    # 2 KB a call); the bound leaves room for a few dozen bytes of noise.
+    # Over the field all modules of one dimension have one content, so each
+    # call's x takes a dimension of its own: a kept x would be found again
+    # by the next call of its dimension, and retain nothing more
+    dims = count(3)
+    assert retained_bytes(
+        lambda: coinduce(ext_f2_f2c2, Module(f2, [Mat.identity(F2, next(dims))])), 20) < 100
 
 
 def test_coinducing_along_fresh_extensions_retains_no_memory(f2, f2c2, ext_f2_f2c2,

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+from itertools import count
 
 import pytest
 
@@ -128,20 +129,27 @@ def _counting_covers(monkeypatch) -> list:
     return built
 
 
-def test_a_deeper_resolution_walks_on_from_the_steps_built(monkeypatch, dual_numbers):
-    k = structural_modules(dual_numbers).simples[0]
-    fresh = Module(dual_numbers, k.action)
-    resolve(fresh, 2)
+def test_a_deeper_resolution_walks_on_from_the_steps_built(monkeypatch):
+    # over the cyclic Nakayama algebra with 6 vertices and radical square
+    # zero, the syzygies of a simple are the 6 simples in turn: 6 distinct
+    # modules, so each step of a depth-5 resolution has a cover of its own
+    arrows = tuple((i, (i + 1) % 6, f"a{i}") for i in range(6))
+    relations = tuple((((f"a{(i + 1) % 6}", f"a{i}"), 1),) for i in range(6))
+    a = path_algebra(Quiver(6, arrows=arrows, relations=relations), F2)
+    k = structural_modules(a).simples[0]
+    resolve(k, 2)
     built = _counting_covers(monkeypatch)
-    assert len(resolve(fresh, 5).terms) == 6
+    assert len(resolve(k, 5).terms) == 6
     assert len(built) == 3
 
 
-def test_a_second_injective_resolution_builds_no_cover(monkeypatch, a2):
+def test_a_second_injective_resolution_builds_no_cover(monkeypatch, a2, in_new_basis):
     s1 = simple_at(a2, "e1")
-    fresh = Module(a2, s1.action)
-    first = [ext_dim_injective(s1, fresh, i) for i in range(1, 4)]
+    fresh = in_new_basis(regular_module(a2))[0]
     built = _counting_covers(monkeypatch)
+    first = [ext_dim_injective(s1, fresh, i) for i in range(1, 4)]
+    assert built
+    built.clear()
     assert [ext_dim_injective(s1, fresh, i) for i in range(1, 4)] == first
     assert built == []
 
@@ -161,13 +169,15 @@ def test_a_warm_injective_pass_retains_no_memory(a2, retained_bytes):
     assert retained_bytes(injective_pass, 3) < 1024
 
 
-def test_ext_into_fresh_targets_retains_no_memory(a2, retained_bytes):
+def test_ext_into_fresh_targets_retains_no_memory(a2, retained_bytes, in_new_basis):
     # Ext^i(s1, n) reads Hom(P_k, n) from the hom memo of the long-lived
-    # terms of s1's resolution; an entry kept after n dies cost about 886 B
-    s1, s2 = simple_at(a2, "e1"), simple_at(a2, "e2")
+    # terms of s1's resolution; an entry kept after n dies cost about 886 B.
+    # Each call's n is A in a basis of its own, so no call finds the n of
+    # an earlier one
+    s1, reg, seeds = simple_at(a2, "e1"), regular_module(a2), count(1)
 
     def ext_fresh():
-        n = Module(a2, s2.action)
+        n = in_new_basis(reg, next(seeds))[0]
         return [ext_dim(s1, n, i) for i in (1, 2)]
 
     assert retained_bytes(ext_fresh, 20) < 100
@@ -257,13 +267,12 @@ def test_profile_of_field():
     assert prof.gorenstein_dim == 0
 
 
-def test_profile_of_dual_numbers(dual_numbers):
+def test_profile_of_dual_numbers(dual_numbers, in_new_basis):
     # self-injective: the dual of the regular module is the regular module
     reg = regular_module(dual_numbers)
-    from gorhom.modrep import dual_module
-
     dd = dual_module(reg)
-    back = Module(dual_numbers, dd.action)  # same structure over the same algebra
+    # the same structure over the same (commutative) algebra, in a new basis
+    back = in_new_basis(Module(dual_numbers, dd.action))[0]
     assert is_isomorphic(back, reg).verdict == "yes"
     prof = gorenstein_profile(dual_numbers, 10)
     assert prof.gorenstein_dim == 0
@@ -335,10 +344,12 @@ def test_total_reflexivity_at_the_gp_window_is_ext_vanishing():
 
 
 def _a2t2_gp_simple() -> Module:
-    """A fresh copy of a Gorenstein projective, non-projective simple over
-    the 1-Gorenstein algebra a2t2."""
-    a = corpus.corpus_algebra("a2t2")
-    return Module(a, corpus.module_corpus(a)[1].action)
+    """A Gorenstein projective, non-projective simple over a new copy of
+    the 1-Gorenstein algebra a2t2: 1-dimensional over F_2, it has no other
+    basis, so only a new algebra object makes it a new module, with no
+    memos."""
+    a = truncated_extension(corpus.corpus_algebra("a2"), 2)[0]
+    return Module(a, corpus.module_corpus(corpus.corpus_algebra("a2t2"))[1].action)
 
 
 @pytest.mark.parametrize("side", ["m", "Hom(m, A)"])

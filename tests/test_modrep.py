@@ -1,16 +1,21 @@
 import gc
 import sys
 import threading
-from itertools import product as iter_product
+from itertools import count, product as iter_product
+from pathlib import Path
 
 import pytest
 
+from test_laws import full_basis_hom_matrices
+
+import gorhom
 from gorhom import homology
 from gorhom.algebra import (
     Quiver,
     cyclic_group_table,
     field_algebra,
     group_algebra,
+    load_algebra,
     path_algebra,
     truncated_extension,
 )
@@ -338,27 +343,31 @@ def test_module_serialization_with_algebra_ref(tmp_path, a2):
     assert again.dim == 3
 
 
-def test_homs_into_fresh_modules_retain_no_memory(a2, retained_bytes):
+def test_homs_into_fresh_modules_retain_no_memory(a2, retained_bytes, in_new_basis):
     # Hom(A, n) is memoized on the long-lived regular module A for n; an
-    # entry kept after n dies holds n and the hom basis
-    reg, s = regular_module(a2), structural_modules(a2).simples[1]
-    assert retained_bytes(lambda: hom_space(reg, Module(a2, s.action)), 20) < 100
+    # entry kept after n dies holds n and the hom basis.  Each call's n is A
+    # in a basis of its own: a kept n of one content would be found again
+    # by the next call of that content, and retain nothing more
+    reg, seeds = regular_module(a2), count(1)
+    assert retained_bytes(lambda: hom_space(reg, in_new_basis(reg, next(seeds))[0]), 20) < 100
 
 
-def test_threads_storing_and_dropping_entries_keep_the_memo_consistent(a2):
+def test_threads_storing_and_dropping_entries_keep_the_memo_consistent(a2, in_new_basis):
     # four threads store entries keyed by fresh modules on one holder while
     # the entries of the modules they free are deleted, from whichever
     # thread frees them: every answer is the one computed alone, and no
-    # entry outlives its module
-    reg, s = regular_module(a2), structural_modules(a2).simples[1]
-    expected = [h.matrix for h in hom_space(reg, Module(a2, s.action))]
+    # entry outlives its module.  The modules have content no long-lived
+    # module has, so they die and are built again
+    reg = regular_module(a2)
+    acts = in_new_basis(reg)[0].action
+    expected = [h.matrix for h in hom_space(reg, Module(a2, acts))]
     gc.collect()
     entries = len(reg._cache)
     answers = []
 
     def work():
         for _ in range(200):
-            answers.append([h.matrix for h in hom_space(reg, Module(a2, s.action))])
+            answers.append([h.matrix for h in hom_space(reg, Module(a2, acts))])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -481,26 +490,95 @@ def test_factor_through_agrees_with_the_kron_system_when_inconsistent(monkeypatc
 
 
 @pytest.mark.parametrize("name", ["a2", "nak2", "a2t2", "m2f2x2"])
-def test_maps_out_of_a_resolution_term_build_no_kron_system(monkeypatch, name):
+def test_maps_out_of_a_resolution_term_build_no_kron_system(monkeypatch, name, in_new_basis):
     # Hom out of a sum of structural projectives is found by Yoneda, so
     # neither hom_space nor factor_through (lifts) out of a resolution term
-    # builds the intertwining system
+    # builds the intertwining system.  Each copy is m in a new basis, a new
+    # module resolved cold; a 1-dimensional module over F_2 has no other
+    # basis, so it is its own copy
     from gorhom import modrep
 
     a = corpus_algebra(name)
     mods = module_corpus(a, minimum=0)
-    copies = [Module(a, m.action) for m in mods]
+    copies = [in_new_basis(m) if m.dim > 1 else (m, Mat.identity(a.field, m.dim))
+              for m in mods]
 
     def no_kron(*_args):
         raise AssertionError("kron called")
 
     monkeypatch.setattr(modrep, "kron", no_kron)
     idems = a.primitive_idempotents()
-    for m, copy in zip(mods, copies):
+    for m, (copy, iso) in zip(mods, copies):
         res, res_copy = homology.resolve(m, 3), homology.resolve(copy, 3)
         for t in res.terms:
             # dim Hom(A·e, N) = dim e·N
             assert hom_dim(t, copy) == sum(copy.rho(idems[i]).rank() for i in t._summands)
-        ident = ModHom(m, copy, Mat.identity(a.field, m.dim))
-        lifts = homology.lift_chain_map(ident, res, res_copy)
+        lifts = homology.lift_chain_map(ModHom(m, copy, iso), res, res_copy)
         assert all(f.is_iso() for f in lifts)
+
+
+# --- interning ------------------------------------------------------------------
+
+
+DATA = Path(gorhom.__file__).parent / "data"
+
+
+def test_equal_content_over_one_algebra_object_is_one_module():
+    a, b = load_algebra(DATA / "a2.alg"), load_algebra(DATA / "a2.alg")
+    m = regular_module(a)
+    assert Module(a, [Mat(a.field, x.data) for x in m.action]) is m
+    n = Module(b, m.action)
+    assert n is not m and n.action == m.action and n.algebra is b
+
+
+def test_a_module_that_fails_its_checks_is_never_interned(a2):
+    # the unit acts as 0, not the identity; the first failure, and the
+    # module in its traceback, stay alive while the second is built
+    bad = [Mat.identity(F2, 1)] * a2.dim
+    with pytest.raises(PropertyViolation, match="unit") as first:
+        Module(a2, bad)
+    with pytest.raises(PropertyViolation, match="unit"):
+        Module(a2, bad)
+    assert first.value.__traceback__ is not None
+
+
+def test_interning_fresh_modules_retains_no_memory(a2, retained_bytes, in_new_basis):
+    reg, seeds = regular_module(a2), count(1)
+    assert retained_bytes(lambda: in_new_basis(reg, next(seeds)), 20) < 100
+
+
+def test_threads_building_one_content_get_checked_modules(a2, in_new_basis):
+    reg = regular_module(a2)
+    acts = in_new_basis(reg)[0].action
+    expected = [h.matrix for h in hom_space(reg, Module(a2, acts))]
+    built = []
+
+    def work():
+        for _ in range(50):
+            m = Module(a2, acts)
+            built.append((m.dim, m.action, m._summands, [h.matrix for h in hom_space(reg, m)]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert built == [(reg.dim, acts, None, expected)] * 200
+
+
+@pytest.mark.parametrize("op", [False, True])
+def test_projectives_of_one_content_keep_the_first_record(op):
+    # A·E11 and A·E22 have the same action matrices, so they are one module
+    # with one record; Hom out of it is the kron system's, whichever record
+    a = corpus_algebra("m2f2x2")
+    a = a.opposite() if op else a
+    s = structural_modules(a)
+    assert s.projectives[0] is s.projectives[1] and s.projectives[1]._summands == (0,)
+    for p, n in iter_product(s.projectives, module_corpus(a, minimum=0)):
+        assert [h.matrix for h in hom_space(p, n)] == full_basis_hom_matrices(p, n, a.generators())

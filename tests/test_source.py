@@ -271,10 +271,10 @@ def test_the_reference_scan_sees_names_attributes_and_strings():
 # The functions that build a Module or ModHom without checking its law: the
 # constructions that proved the law themselves (see the modrep module
 # docstring), the empty module, direct sums, projective covers, the right
-# multiplications of Hom_A(A, A), the tensor construction's ambient module
-# and the memo-free copies a Frobenius verdict keeps.  And the constructors
-# that give an Algebra its radical, each stating the theorem that proves it
-# (group_algebra passes on the radical its first construction computed).
+# multiplications of Hom_A(A, A) and the tensor construction's ambient
+# module.  And the constructors that give an Algebra its radical, each
+# stating the theorem that proves it (group_algebra passes on the radical
+# its first construction computed, and an opposite its original's).
 # No document or outside input reaches any other.
 TRUSTED_SITES = [
     "algebra.Algebra.opposite.build",
@@ -287,7 +287,6 @@ TRUSTED_SITES = [
     "algebra.truncated_extension",
     "frobenius._tensor.build",
     "frobenius.hom_to_regular.build",
-    "frobenius.is_frobenius_bimodule.build",
     "homology.resolve",
     "modrep.cover_envelope.build",
     "modrep.direct_sum",
