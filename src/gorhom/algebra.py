@@ -14,14 +14,13 @@ Conventions
   application order, and relation files list arrow labels in composition
   order (["a", "b"] denotes a∘b, i.e. b followed by a).
 * The Jacobson radical of an algebra built by a constructor here is that
-  constructor's closed form, a theorem it states where it builds it; an
-  opposite's is its original's.  Every other algebra (a loaded document, a
-  group algebra) gets the generic computation: over Q the kernel of the
-  trace bilinear form of the regular representation, over F_p the
-  p-th-power trace refinement of that form.  Each p-power trace functional
-  is linear on the ideal it is evaluated on (Rónyai 1990; Cohen, Ivanyos
-  and Wales 1997), so it is evaluated once per basis vector of that ideal
-  and read off coordinates for every product.
+  constructor's closed form, a theorem it states where it builds it.  Every
+  other algebra (a loaded document, a group algebra) gets the generic
+  computation: over Q the kernel of the trace bilinear form of the regular
+  representation, over F_p the p-th-power trace refinement of that form.
+  Each p-power trace functional is linear on the ideal it is evaluated on
+  (Rónyai 1990; Cohen, Ivanyos and Wales 1997), so it is evaluated once per
+  basis vector of that ideal and read off coordinates for every product.
 * Primitive orthogonal idempotents are carried only when a constructor
   can certify them (quiver vertices, matrix units, local algebras, ...)
   or when the caller supplies them; they are never searched for.
@@ -192,11 +191,12 @@ class Algebra:
 
     def radical_basis(self) -> Mat:
         """Columns spanning the Jacobson radical: the closed form the
-        constructor proved, when it gave one, else _radical_generic, run
-        once per algebra."""
-        if self._closed_radical is not None:
-            return self._closed_radical
-        return memo(self, "radical", None, lambda: _radical_generic(self))
+        constructor proved (an opposite's asks its original, when first
+        needed), else _radical_generic, run once per algebra."""
+        rad = self._closed_radical
+        if rad is None:
+            return memo(self, "radical", None, lambda: _radical_generic(self))
+        return rad() if callable(rad) else rad
 
     def primitive_idempotents(self):
         return self.idempotents
@@ -214,9 +214,8 @@ class Algebra:
                 self.unit,
                 idempotents=self.idempotents,
                 provenance={"kind": "opposite", "of": self.provenance.get("kind", "?")},
-                # rad(A^op) is the same subspace as rad(A): one computation
-                # of the generic radical, memoized on A, serves both
-                _closed_radical=self.radical_basis(),
+                # rad(A^op) is rad(A): asked of A when first needed, computed once
+                _closed_radical=self.radical_basis,
             )
             memo(op, "opposite", None, lambda: self)
             return op
@@ -278,6 +277,7 @@ def _greedy_generators(a: Algebra) -> tuple:
 
 
 _memo_lock = threading.RLock()
+_interned = weakref.WeakValueDictionary()
 
 
 class _OtherRef(weakref.ref):
@@ -327,10 +327,9 @@ def memo(holder, tag, other, build):
     value of a stale entry the store replaces, can free another entry's
     `other`.
 
-    Modules are interned (`interned`), only once checked, so an entry
-    serves every module of its content, and a record on a module, such as
-    its structural-projective summands, is a fact about that content: a
-    document equal to a recorded sum is that sum, and takes the Yoneda path.
+    Modules are interned (`interned`) once checked, so an entry serves every
+    module of its content; a document equal to a recorded sum of structural
+    projectives is that sum, and takes the Yoneda path.
     """
     key = tag if other is None else (tag, id(other))
     with _memo_lock:
@@ -349,17 +348,11 @@ def memo(holder, tag, other, build):
     return cached[1]
 
 
-_interned = weakref.WeakValueDictionary()
-
-
 def interned(key, value=None):
-    """The live object interned under key, or None; given value, intern it
-    unless one is there, and return the one interned.  Values are held
-    weakly, so an entry dies with its object."""
+    """The live object under key, or None; given value, intern it unless one
+    is there, and return the one interned.  Held weakly: it dies with its object."""
     with _memo_lock:
-        if value is None:
-            return _interned.get(key)
-        return _interned.setdefault(key, value)
+        return _interned.get(key) if value is None else _interned.setdefault(key, value)
 
 
 def _radical_generic(a: Algebra) -> Mat:

@@ -59,11 +59,12 @@ from .modrep import (
     ModHom,
     Module,
     ShortExactSequence,
+    _hom_space_matrices,
+    _isomorphism,
     column_space_basis,
     cover_envelope,
     hom_coordinates,
     hom_space,
-    is_isomorphic,
     regular_module,
     stable_hom_dim,
     structural_modules,
@@ -432,7 +433,9 @@ def is_frobenius_bimodule(m: Bimodule, seed: int = 0) -> FrobeniusVerdict:
             return FrobeniusVerdict("no", obstruction="M is not projective as a right R-module")
         left_dual = hom_to_regular(m, "left")[0].as_tensor_module()
         right_dual = hom_to_regular(m, "right")[0].as_tensor_module()
-        iso = is_isomorphic(left_dual, right_dual, seed=seed)
+        # the verdict's witness holds the two dual modules: the search
+        # memoizes nothing on them, so a kept verdict keeps no search memo
+        iso = _isomorphism(left_dual, right_dual, seed, _hom_space_matrices)
         return _frobenius_verdict(iso, "the two dual bimodules are not isomorphic")
 
     return memo(m, ("frobenius", seed), None, build)

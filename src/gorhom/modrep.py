@@ -26,10 +26,9 @@ where it is cheapest:
   resolution, a homotopy) carries no second check; tests/test_laws.py
   checks them in full, as oracles.
 
-Modules are interned: one object per algebra object and action matrices,
-so a cover, syzygy, dual or Hom basis memoized on it is built once per
-content.  A module enters the table only once its check passes or its
-trusted construction finishes, so one that failed is never returned.
+Modules are interned, one object per algebra object and action matrices,
+so what is memoized on a module is built once per content; a module is
+interned only once checked, so one that failed is never returned.
 
 Hom out of a sum of structural projectives A·e_i, every term of a
 resolution, is found by Yoneda: Hom(A·e_i, N) = e_i·N.  Other Hom spaces,
@@ -417,9 +416,9 @@ class ShortExactSequence:
 
 def dual_module(m: Module) -> Module:
     """D(m) = Hom_k(m, k) as a module over the opposite algebra, built once
-    per module; D is an involution and modules are interned, so D(D(m)) is m
-    itself.  The transposes of a valid action are a valid action of the
-    opposite algebra, so D(m) is not checked again."""
+    per module; D(D(m)) is the interned module of m's content.  The
+    transposes of a valid action are a valid action of the opposite algebra,
+    so D(m) is not checked again."""
 
     def build() -> Module:
         return Module(m.algebra.opposite(), [a.transpose() for a in m.action],
@@ -484,9 +483,8 @@ class StructuralModules:
 def _indecomposable_projectives(a: Algebra) -> Tuple[tuple, tuple]:
     """The modules A·e for the primitive idempotents e, and the basis of
     each inside the algebra as columns of algebra elements, built once per
-    algebra.  Over m2f2x2, A·E11 and A·E22 have one content, so are one
-    object; the first record stays, and either gives the same Yoneda Hom
-    basis, since Hom out of a module depends only on its content."""
+    algebra.  Equal ones, as A·E11 and A·E22 over m2f2x2, are one object
+    and keep the first record: Hom out of a module depends on its content."""
 
     def build() -> Tuple[tuple, tuple]:
         idems = a.primitive_idempotents()
@@ -630,6 +628,12 @@ def is_isomorphic(m: Module, n: Module, seed: int = 0) -> IsoVerdict:
     finite field.  When randomized search fails and exhaustion is
     infeasible the verdict is "inconclusive".
     """
+    return _isomorphism(m, n, seed, lambda x, y: [h.matrix for h in hom_space(x, y)])
+
+
+def _isomorphism(m: Module, n: Module, seed: int, homs_of) -> IsoVerdict:
+    """is_isomorphic with the hom bases, as matrices, from homs_of(x, y);
+    solved afresh, they leave no memo for a kept witness to pin."""
     if m.algebra != n.algebra:
         raise AlgebraMismatch("isomorphism test requires one algebra")
     field = m.algebra.field
@@ -638,10 +642,10 @@ def is_isomorphic(m: Module, n: Module, seed: int = 0) -> IsoVerdict:
     if m.dim == 0:
         return IsoVerdict("yes", witness=zero_hom(m, n))
 
-    homs = [h.matrix for h in hom_space(m, n)]
+    homs = homs_of(m, n)
     if not homs:
         return IsoVerdict("no", obstruction="Hom(m, n) = 0")
-    d_end_m, d_end_n, d_hom = hom_dim(m, m), hom_dim(n, n), len(homs)
+    d_end_m, d_end_n, d_hom = len(homs_of(m, m)), len(homs_of(n, n)), len(homs)
     if not (d_end_m == d_end_n == d_hom):
         return IsoVerdict(
             "no",

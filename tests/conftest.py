@@ -4,34 +4,40 @@ import tracemalloc
 
 import pytest
 
-from gorhom.exactlin import Mat
+from gorhom.algebra import field_algebra, truncated_extension
+from gorhom.exactlin import FieldSpec, Mat
 from gorhom.modrep import Module
 
 
 @pytest.fixture()
 def retained_bytes():
-    """measure(call, repeats): the bytes still allocated per call after a
-    warmed-up call is made `repeats` times and garbage is collected, the
-    smaller figure of two such windows.  A leak shows in both; a one-off
-    growth of a table sized by the live objects of the whole process, such
-    as the module intern table catching up with modules that earlier work
-    left alive, shows in at most one."""
+    """measure(call, repeats): the bytes still allocated per call after
+    `repeats` calls of a warmed-up call and a garbage collection.
 
-    def window(call, calls: int) -> float:
-        gc.collect()
-        before = tracemalloc.get_traced_memory()[0]
-        for _ in range(calls):
-            call()
-        gc.collect()
-        return (tracemalloc.get_traced_memory()[0] - before) / calls
+    Before the calls, modules of 2048 new contents are built and dropped
+    while traced.  Each takes a new slot of the module intern table, whose
+    size follows every module alive in the process, so the table
+    reallocates its storage then, unless over 1365 modules are alive.  A
+    reallocation during the calls then frees a traced block and counts what
+    the table grew, not the whole size of a block allocated before tracing."""
+    dual = truncated_extension(field_algebra(FieldSpec(65521)), 2)[0]
+    one = Mat.identity(dual.field, 2)
 
     def measure(call, repeats: int) -> float:
         call()
         tracemalloc.start()
         try:
-            return min(window(call, repeats), window(call, repeats))
+            for c in range(1, 2049):
+                Module(dual, [one, Mat(dual.field, [[0, 0], [c, 0]])])
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(repeats):
+                call()
+            gc.collect()
+            after = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
+        return (after - before) / repeats
 
     return measure
 

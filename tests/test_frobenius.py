@@ -403,15 +403,25 @@ def test_repeated_certification_retains_no_memory(retained_bytes):
     assert retained_bytes(lambda: is_frobenius_extension(ext), 5) < 1024
 
 
-def test_certifying_fresh_bimodules_retains_no_memory(retained_bytes):
+def _in_new_basis(bim, rebase, seed):
+    """bim with both actions conjugated by the seeded T of rebase(left
+    module, seed): a bimodule of new content, whose modules are new objects
+    with no memos, since modules are interned by content."""
+    t_inv = rebase(bim.as_left_module(), seed)[1]
+    t = t_inv.inverse()
+    return Bimodule(bim.left, bim.right, bim.dim, [t_inv * a * t for a in bim.left_action],
+                    [t_inv * a * t for a in bim.right_action])
+
+
+def test_certifying_fresh_bimodules_retains_no_memory(retained_bytes, in_new_basis):
     # the summand test memoizes Hom(A, q) on the long-lived regular module A
     # for q; an entry that outlived q held every fresh bimodule's module q
-    # (about 10.7 KB a certification)
-    bim = extension_bimodule(load_extension(DATA / "a2_a2t2.ext"))
+    # (about 10.7 KB a certification).  Each call's bimodule is in a basis
+    # of its own, so its q is a new module
+    bim, seeds = extension_bimodule(load_extension(DATA / "a2_a2t2.ext")), count(1)
 
     def certify_fresh():
-        is_frobenius_bimodule(Bimodule(bim.left, bim.right, bim.dim,
-                                       bim.left_action, bim.right_action))
+        is_frobenius_bimodule(_in_new_basis(bim, in_new_basis, next(seeds)))
 
     assert retained_bytes(certify_fresh, 3) < 1024
 
@@ -429,28 +439,30 @@ def test_applying_fresh_pairs_to_the_regular_module_retains_no_memory(retained_b
     assert retained_bytes(generate_fresh, 3) < 1024
 
 
-def test_a_first_certification_keeps_only_its_witness(retained_bytes):
+def test_a_first_certification_keeps_only_its_witness(retained_bytes, in_new_basis):
     # the verdict memo keeps its witness, a hom between the two dual
-    # modules; they are interned, so a certification of a new copy of the
-    # bimodule shares them with the first, and keeping its verdict costs no
-    # more than keeping the witness's matrices
+    # modules, and the isomorphism search leaves no memo on them: keeping
+    # the verdict costs no more than keeping the witness's matrices (with
+    # the search's hom memos it cost 6-9 KB more).  Each call certifies the
+    # bimodule in a new basis, so its dual modules are new objects, not
+    # ones an earlier call interned
     bim = extension_bimodule(load_extension(DATA / "a2_a2t2.ext"))
-    kept = []
+    seeds, kept = count(1), []
 
     def first_certification():
-        fresh = Bimodule(bim.left, bim.right, bim.dim, bim.left_action, bim.right_action)
-        return is_frobenius_bimodule(fresh)
+        return is_frobenius_bimodule(_in_new_basis(bim, in_new_basis, next(seeds)))
 
     def keep_verdict():
-        kept.append(first_certification())
+        v = first_certification()
+        assert all(v.witness.source is not k.witness.source for k in kept)
+        kept.append(v)
 
     def keep_matrices():
         w = first_certification().witness
         kept.append((w.source.action, w.target.action, w.matrix))
 
-    overhead = retained_bytes(keep_verdict, 1) - retained_bytes(keep_matrices, 1)
+    overhead = retained_bytes(keep_verdict, 3) - retained_bytes(keep_matrices, 3)
     assert overhead < 2048
-
 
 
 def test_second_certification_builds_nothing(monkeypatch, ext_f2_f2c2):
