@@ -23,7 +23,7 @@ from .algebra import (
     symmetric_group_table,
     truncated_extension,
 )
-from .dgcplx import GradedModule, functor_F
+from .dgcplx import functor_F
 from .exactlin import FieldSpec, Mat
 from .frobenius import Bimodule, RingExtension, column_bimodule, identity_extension
 from .homology import ComplexObj
@@ -193,33 +193,28 @@ def bad_module_for_counterexample() -> Module:
     return top_of(p1)[0]
 
 
-def complex_corpus(minimum: int = 20) -> List[ComplexObj]:
+def complex_corpus() -> List[ComplexObj]:
     """Bounded complexes over the Gorenstein corpus algebras."""
     out: List[ComplexObj] = []
     for name in ["a2", "f2c2", "nak2", "f2x2"]:
         a = corpus_algebra(name)
         s = structural_modules(a)
         mods = list(s.simples) + list(s.projectives)
-        for m in mods:
-            out.append(ComplexObj(a, {0: m}, {}))
-        for m in mods[:2]:
-            out.append(functor_F(GradedModule(a, {0: m})))
+        stalks = [ComplexObj(a, {0: m}, {}) for m in mods]
+        out += stalks + [functor_F(x) for x in stalks[:2]]
         if len(mods) >= 2:
-            out.append(functor_F(GradedModule(a, {0: mods[0], 1: mods[1]})))
-    i = 0
-    while len(out) < minimum:
-        out.append(out[i])
-        i += 1
+            out.append(functor_F(ComplexObj(a, {0: mods[0], 1: mods[1]}, {})))
     return out
 
 
-def graded_corpus() -> List[GradedModule]:
-    out: List[GradedModule] = []
+def graded_corpus() -> List[ComplexObj]:
+    """Graded modules, as complexes with no differentials."""
+    out: List[ComplexObj] = []
     for name in ["a2", "f2c2", "nak2"]:
         a = corpus_algebra(name)
         s = structural_modules(a)
-        out.append(GradedModule(a, {0: s.simples[0]}))
-        out.append(GradedModule(a, {0: s.projectives[0], 2: s.simples[0]}))
+        out.append(ComplexObj(a, {0: s.simples[0]}, {}))
+        out.append(ComplexObj(a, {0: s.projectives[0], 2: s.simples[0]}, {}))
     return out
 
 

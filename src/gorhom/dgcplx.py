@@ -3,7 +3,9 @@
 For an ordinary algebra R (no differential, concentrated in degree zero),
 the category of cochain complexes of R-modules is module theory over R
 with a square-zero degree-one operator, and the plain graded category is
-its underlying world.  The two functors realized here:
+its underlying world.  A graded module is a ComplexObj with no
+differentials, and a map of graded modules is a ChainMap between two of
+them, whose squares hold trivially.  The two functors realized here:
 
 * F sends a graded module X to the complex with components
   X^p ⊕ X^{p-1} and differential (x, y) -> (0, x); the action twist of
@@ -28,56 +30,33 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from .algebra import Algebra
 from .errors import InputShapeError, PreconditionFailed, PropertyViolation
 from .exactlin import Mat, block_matrix
 from .frobenius import AdjunctionReport
-from .homology import ComplexObj, GorensteinProfile, is_gorenstein_projective, is_projective
-from .modrep import (
-    ModHom,
-    Module,
-    ShortExactSequence,
-    cover_envelope,
-    direct_sum,
-    factor_through,
-    submodule,
-    zero_module,
+from .homology import (
+    ComplexObj,
+    GorensteinProfile,
+    is_gorenstein_projective,
+    is_projective,
+    syzygy,
 )
+from .modrep import ModHom, ShortExactSequence, cover_envelope, direct_sum, factor_through
 
 
-class GradedModule:
-    """Finitely supported list of modules indexed by integer degrees."""
+class ChainMap:
+    """A degreewise module map between complexes commuting with differentials."""
 
-    def __init__(self, algebra: Algebra, components: Dict[int, Module]):
-        self.algebra = algebra
-        self.components = dict(components)
-        degs = sorted(self.components)
-        self.lo = degs[0] if degs else 0
-        self.hi = degs[-1] if degs else -1
-        for m in self.components.values():
-            if m.algebra != algebra:
-                raise InputShapeError("graded component over the wrong algebra")
-
-    def component(self, p: int) -> Module:
-        m = self.components.get(p)
-        return m if m is not None else zero_module(self.algebra)
-
-    def support(self):
-        return range(self.lo, self.hi + 1)
-
-    def total_dim(self) -> int:
-        return sum(m.dim for m in self.components.values())
-
-
-class GradedHom:
-    """A degreewise module map between graded modules."""
-
-    def __init__(self, source: GradedModule, target: GradedModule, mats: Dict[int, Mat]):
+    def __init__(self, source: ComplexObj, target: ComplexObj, mats: Dict[int, Mat]):
         self.source = source
         self.target = target
         self.mats = dict(mats)
         for p, mat in self.mats.items():
             ModHom(source.component(p), target.component(p), mat)
+        for p in range(min(source.lo, target.lo) - 1, max(source.hi, target.hi) + 2):
+            lhs = self.mat(p + 1) * source.differential(p).matrix
+            rhs = target.differential(p).matrix * self.mat(p)
+            if lhs != rhs:
+                raise PropertyViolation(f"chain map square fails at degree {p}")
 
     def mat(self, p: int) -> Mat:
         m = self.mats.get(p)
@@ -95,27 +74,16 @@ class GradedHom:
                    for p in self.target.support())
 
 
-class ChainMap(GradedHom):
-    """A degreewise module map between complexes commuting with differentials."""
-
-    def __init__(self, source: ComplexObj, target: ComplexObj, mats: Dict[int, Mat]):
-        super().__init__(source, target, mats)
-        lo = min(source.lo, target.lo) - 1
-        hi = max(source.hi, target.hi) + 1
-        for p in range(lo, hi + 1):
-            lhs = self.mat(p + 1) * source.differential(p).matrix
-            rhs = target.differential(p).matrix * self.mat(p)
-            if lhs != rhs:
-                raise PropertyViolation(f"chain map square fails at degree {p}")
-
-
-def _f_dims(x: GradedModule, p: int) -> List[int]:
+def _f_dims(x: ComplexObj, p: int) -> List[int]:
     """Block sizes of F(X)^p = X^p ⊕ X^{p-1}."""
     return [x.component(p).dim, x.component(p - 1).dim]
 
 
-def functor_F(x: GradedModule) -> ComplexObj:
-    """F(X)^p = X^p ⊕ X^{p-1} with differential (x, y) -> (0, x)."""
+def functor_F(x: ComplexObj) -> ComplexObj:
+    """F(X)^p = X^p ⊕ X^{p-1} with differential (x, y) -> (0, x), for a
+    graded module X: a complex with no differentials."""
+    if x.differentials:
+        raise InputShapeError("F takes a graded module, a complex with no differentials")
     a = x.algebra
     comps = {p: direct_sum([x.component(p), x.component(p - 1)])
              for p in range(x.lo, x.hi + 2)}
@@ -128,7 +96,7 @@ def functor_F(x: GradedModule) -> ComplexObj:
     return ComplexObj(a, comps, diffs)
 
 
-def functor_F_hom(f: GradedHom, fx: ComplexObj, fy: ComplexObj) -> ChainMap:
+def functor_F_hom(f: ChainMap, fx: ComplexObj, fy: ComplexObj) -> ChainMap:
     """F on morphisms, from F(f.source) = fx to F(f.target) = fy: the
     diagonal blocks diag(f^p, f^{p-1})."""
     mats = {p: block_matrix(f.source.algebra.field, _f_dims(f.target, p), _f_dims(f.source, p),
@@ -137,13 +105,13 @@ def functor_F_hom(f: GradedHom, fx: ComplexObj, fy: ComplexObj) -> ChainMap:
     return ChainMap(fx, fy, mats)
 
 
-def functor_U(c: ComplexObj) -> GradedModule:
+def functor_U(c: ComplexObj) -> ComplexObj:
     """Forget the differential, keep the components."""
-    return GradedModule(c.algebra, {p: c.component(p) for p in c.support()})
+    return ComplexObj(c.algebra, {p: c.component(p) for p in c.support()}, {})
 
 
-def functor_U_hom(f: ChainMap) -> GradedHom:
-    return GradedHom(functor_U(f.source), functor_U(f.target), f.mats)
+def functor_U_hom(f: ChainMap) -> ChainMap:
+    return ChainMap(functor_U(f.source), functor_U(f.target), f.mats)
 
 
 def shift_sigma(c: ComplexObj) -> ComplexObj:
@@ -161,12 +129,12 @@ def shift_sigma(c: ComplexObj) -> ComplexObj:
 # ---------------------------------------------------------------------------
 
 
-def unit_FU(x: GradedModule, fx: ComplexObj) -> GradedHom:
+def unit_FU(x: ComplexObj, fx: ComplexObj) -> ChainMap:
     """eta: X -> U F X, the inclusion x -> (x, 0)."""
     field = x.algebra.field
     mats = {p: Mat.identity(field, sum(_f_dims(x, p))).select_cols(range(x.component(p).dim))
             for p in x.support()}
-    return GradedHom(x, functor_U(fx), mats)
+    return ChainMap(x, functor_U(fx), mats)
 
 
 def counit_FU(y: ComplexObj) -> ChainMap:
@@ -191,7 +159,7 @@ def unit_U_SigmaF(y: ComplexObj) -> ChainMap:
     return ChainMap(y, sfu, mats)
 
 
-def counit_U_SigmaF(x: GradedModule, sfx: ComplexObj) -> GradedHom:
+def counit_U_SigmaF(x: ComplexObj, sfx: ComplexObj) -> ChainMap:
     """eps': U Σ F X -> X, (x, y) -> y."""
     usf = functor_U(sfx)
     mats = {}
@@ -199,7 +167,7 @@ def counit_U_SigmaF(x: GradedModule, sfx: ComplexObj) -> GradedHom:
         # (Σ F X)^p = (F X)^{p+1} = X^{p+1} ⊕ X^p
         up, here = _f_dims(x, p + 1)
         mats[p] = Mat.identity(x.algebra.field, up + here).select_rows(range(up, up + here))
-    return GradedHom(usf, x, mats)
+    return ChainMap(usf, x, mats)
 
 
 def is_contractible(c: ComplexObj):
@@ -232,7 +200,7 @@ def is_contractible(c: ComplexObj):
 # ---------------------------------------------------------------------------
 
 
-def check_frobenius_pair_FU(corpus_graded: Sequence[GradedModule],
+def check_frobenius_pair_FU(corpus_graded: Sequence[ComplexObj],
                             corpus_complexes: Sequence[ComplexObj]) -> AdjunctionReport:
     """Verify both adjunctions, exactness, and projectivity preservation.
 
@@ -241,6 +209,15 @@ def check_frobenius_pair_FU(corpus_graded: Sequence[GradedModule],
     componentwise projective covers; F of a degreewise-projective graded
     module must be contractible with projective components.
     """
+
+    def is_identity(outer: ChainMap, inner: ChainMap, shift: int = 0) -> bool:
+        """Whether outer ∘ inner, with outer read shift degrees up, is the
+        identity of inner.source at every degree."""
+        src = inner.source
+        return all(outer.mat(p + shift) * inner.mat(p)
+                   == Mat.identity(src.algebra.field, src.component(p).dim)
+                   for p in src.support())
+
     report = AdjunctionReport()
     triangles = True
     units_mono = True
@@ -250,89 +227,30 @@ def check_frobenius_pair_FU(corpus_graded: Sequence[GradedModule],
 
     for x in corpus_graded:
         fx = functor_F(x)
+        sfx = shift_sigma(fx)
         eta = unit_FU(x, fx)
-        if not eta.is_mono():
-            units_mono = False
+        units_mono &= eta.is_mono()
         # first triangle of (F, U): (eps F)(F eta) = id_{F X}
         f_eta = functor_F_hom(eta, fx, functor_F(eta.target))
-        eps_fx = counit_FU(fx)
-        ok = True
-        for p in fx.support():
-            if eps_fx.mat(p) * f_eta.mat(p) != Mat.identity(x.algebra.field,
-                                                            fx.component(p).dim):
-                ok = False
-        if not ok:
-            triangles = False
-        contractible, _ = is_contractible(fx)
-        if not contractible:
-            f_contractible = False
-
-    for y in corpus_complexes:
-        eps = counit_FU(y)
-        uy = functor_U(y)
-        # second triangle of (F, U): (U eps)(eta U) = id_{U Y}
-        eta_uy = unit_FU(uy, eps.source)
-        ok = True
-        for p in uy.support():
-            if eps.mat(p) * eta_uy.mat(p) != Mat.identity(y.algebra.field,
-                                                          uy.component(p).dim):
-                ok = False
-        if not ok:
-            triangles = False
-        # (U, ΣF) triangles
-        etap = unit_U_SigmaF(y)
-        u_etap = functor_U_hom(etap)
-        epsp_uy = counit_U_SigmaF(uy, etap.target)
-        for p in uy.support():
-            if epsp_uy.mat(p) * u_etap.mat(p) != Mat.identity(y.algebra.field,
-                                                              uy.component(p).dim):
-                triangles = False
-        if not epsp_uy.is_epi():
-            counits_epi = False
-
-    # (ΣF eps')(eta' ΣF) = id on ΣF(X) for the graded corpus
-    for x in corpus_graded:
-        fx = functor_F(x)
-        sfx = shift_sigma(fx)
-        etap_sfx = unit_U_SigmaF(sfx)
+        triangles &= is_identity(counit_FU(fx), f_eta)
+        # second triangle of (U, ΣF): (ΣF eps')(eta' ΣF) = id_{ΣF X}, where
+        # ΣF eps' at degree p is F eps' at degree p + 1
         epsp = counit_U_SigmaF(x, sfx)
-        # ΣF applied to eps': first as F-hom, then shifted
         f_epsp = functor_F_hom(epsp, functor_F(epsp.source), fx)
-        sf_epsp_mats = {p: f_epsp.mats[p + 1] for p in
-                        [q - 1 for q in f_epsp.mats.keys()] if (p + 1) in f_epsp.mats}
-        ok = True
-        for p in sfx.support():
-            lhs_mat = sf_epsp_mats.get(p)
-            if lhs_mat is None:
-                continue
-            comp = etap_sfx.mat(p)
-            if lhs_mat * comp != Mat.identity(x.algebra.field, sfx.component(p).dim):
-                ok = False
-        if not ok:
-            triangles = False
+        triangles &= is_identity(f_epsp, unit_U_SigmaF(sfx), shift=1)
+        f_contractible &= is_contractible(fx)[0]
 
-    # exactness of F and U on short exact sequences of graded modules
-    for x in corpus_graded:
-        if x.total_dim() == 0:
+        # exactness of F and U on the sequence 0 -> K -> P -> X -> 0 of
+        # componentwise covers
+        if sum(m.dim for m in x.components.values()) == 0:
             continue
-        covers = {}
-        kernels = {}
-        cov_mats = {}
-        ker_mats = {}
-        for p in x.support():
-            comp = x.component(p)
-            pmod, cov = cover_envelope(comp)
-            kb = cov.matrix.kernel_basis()
-            sub, incl = submodule(pmod, kb)
-            covers[p] = pmod
-            kernels[p] = sub
-            cov_mats[p] = cov.matrix
-            ker_mats[p] = incl.matrix
-        p_graded = GradedModule(x.algebra, covers)
-        k_graded = GradedModule(x.algebra, kernels)
-        cov_hom = GradedHom(p_graded, x, cov_mats)
-        ker_hom = GradedHom(k_graded, p_graded, ker_mats)
-        fp, fk, fx = functor_F(p_graded), functor_F(k_graded), functor_F(x)
+        covers = {p: cover_envelope(x.component(p)) for p in x.support()}
+        kernels = {p: syzygy(x.component(p)) for p in x.support()}
+        p_graded = ComplexObj(x.algebra, {p: c[0] for p, c in covers.items()}, {})
+        k_graded = ComplexObj(x.algebra, {p: k[0] for p, k in kernels.items()}, {})
+        cov_hom = ChainMap(p_graded, x, {p: c[1].matrix for p, c in covers.items()})
+        ker_hom = ChainMap(k_graded, p_graded, {p: k[1].matrix for p, k in kernels.items()})
+        fp, fk = functor_F(p_graded), functor_F(k_graded)
         f_cov = functor_F_hom(cov_hom, fp, fx)
         f_ker = functor_F_hom(ker_hom, fk, fp)
         # F of the cover sequence is a degreewise short exact sequence of
@@ -346,11 +264,19 @@ def check_frobenius_pair_FU(corpus_graded: Sequence[GradedModule],
             except PropertyViolation:
                 exactness = False
         # F preserves projectivity: contractible with projective components
-        contractible, _ = is_contractible(fp)
-        if not contractible:
-            f_contractible = False
-        if not all(is_projective(fp.component(p)) for p in fp.support()):
-            f_contractible = False
+        f_contractible &= is_contractible(fp)[0]
+        f_contractible &= all(is_projective(fp.component(p)) for p in fp.support())
+
+    for y in corpus_complexes:
+        eps = counit_FU(y)
+        uy = functor_U(y)
+        # second triangle of (F, U): (U eps)(eta U) = id_{U Y}
+        triangles &= is_identity(eps, unit_FU(uy, eps.source))
+        # first triangle of (U, ΣF): (eps' U)(U eta') = id_{U Y}
+        etap = unit_U_SigmaF(y)
+        epsp_uy = counit_U_SigmaF(uy, etap.target)
+        triangles &= is_identity(epsp_uy, functor_U_hom(etap))
+        counits_epi &= epsp_uy.is_epi()
 
     report.flags["triangle_identities"] = triangles
     report.flags["unit_FU_mono"] = units_mono

@@ -53,6 +53,7 @@ from .homology import (
     is_gorenstein_projective,
     is_projective,
     projective_dimension,
+    syzygy,
 )
 from .modrep import (
     IsoVerdict,
@@ -397,46 +398,30 @@ def projective_witness(m: Module) -> Optional[DualBasis]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FrobeniusVerdict:
-    verdict: str                      # "yes" | "no" | "inconclusive"
-    witness: Optional[ModHom] = None  # bimodule isomorphism when yes
-    obstruction: Optional[str] = None
-
-    def __bool__(self):
-        return self.verdict == "yes"
-
-
-def _frobenius_verdict(iso: IsoVerdict, prefix: str) -> FrobeniusVerdict:
-    """The Frobenius verdict from the isomorphism test of its two sides; a
-    "no" carries the test's obstruction after prefix."""
-    if iso.verdict == "yes":
-        return FrobeniusVerdict("yes", witness=iso.witness)
-    if iso.verdict == "no":
-        return FrobeniusVerdict("no", obstruction=f"{prefix}: {iso.obstruction}")
-    return FrobeniusVerdict("inconclusive")
-
-
-def is_frobenius_extension(ext: RingExtension, seed: int = 0) -> FrobeniusVerdict:
+def is_frobenius_extension(ext: RingExtension, seed: int = 0) -> IsoVerdict:
     """R -> S is a Frobenius extension exactly when _S S_R is a Frobenius bimodule."""
     return is_frobenius_bimodule(extension_bimodule(ext), seed)
 
 
-def is_frobenius_bimodule(m: Bimodule, seed: int = 0) -> FrobeniusVerdict:
+def is_frobenius_bimodule(m: Bimodule, seed: int = 0) -> IsoVerdict:
     """Projectivity on both sides plus Hom_S(M, S) ≅ Hom_R^op(M, R), decided
-    once per (M, seed)."""
+    once per (M, seed).  The verdict is the isomorphism test's, its witness
+    the bimodule isomorphism."""
 
-    def build() -> FrobeniusVerdict:
+    def build() -> IsoVerdict:
         if projective_witness(m.as_left_module()) is None:
-            return FrobeniusVerdict("no", obstruction="M is not projective as a left S-module")
+            return IsoVerdict("no", obstruction="M is not projective as a left S-module")
         if projective_witness(m.as_right_op_module()) is None:
-            return FrobeniusVerdict("no", obstruction="M is not projective as a right R-module")
+            return IsoVerdict("no", obstruction="M is not projective as a right R-module")
         left_dual = hom_to_regular(m, "left")[0].as_tensor_module()
         right_dual = hom_to_regular(m, "right")[0].as_tensor_module()
         # the verdict's witness holds the two dual modules: the search
         # memoizes nothing on them, so a kept verdict keeps no search memo
         iso = _isomorphism(left_dual, right_dual, seed, _hom_space_matrices)
-        return _frobenius_verdict(iso, "the two dual bimodules are not isomorphic")
+        if iso.verdict == "no":
+            return IsoVerdict("no", obstruction="the two dual bimodules are not "
+                                                f"isomorphic: {iso.obstruction}")
+        return iso
 
     return memo(m, ("frobenius", seed), None, build)
 
@@ -679,8 +664,7 @@ def faithfulness_report(pair, corpus: Sequence[Module]) -> AdjunctionReport:
             if x.dim == 0:
                 continue
             p, cov = cover_envelope(x)
-            ker_basis = cov.matrix.kernel_basis()
-            sub, incl = submodule(p, ker_basis)
+            sub, incl = syzygy(x)
             try:
                 ShortExactSequence(sub, p, x, incl, cov)
                 ShortExactSequence(functor(sub), functor(p), functor(x),

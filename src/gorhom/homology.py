@@ -24,9 +24,9 @@ The totalization routine builds, for a module M over a d-Gorenstein
 algebra, the bigraded array of projective resolutions of an injective
 coresolution of M, endows it with the degree-(l, -l+1) maps obtained by
 iterated null-homotopies (lifts and homotopies are solved degree by
-degree, one modrep.factor_through each), verifies all quasi-bicomplex
-identities sum d_i d_{l-i} = 0 exactly, forms the total complex, and
-extracts the short exact sequence 0 -> B^0 -> Z^0 -> M -> 0 witnessing Gpd(M) <= d.
+degree, one modrep.factor_through each), forms the total complex and
+checks D∘D = 0 there, which is every identity sum d_i d_{l-i} = 0 at once,
+and extracts the short exact sequence 0 -> B^0 -> Z^0 -> M -> 0 witnessing Gpd(M) <= d.
 """
 
 from __future__ import annotations
@@ -513,7 +513,8 @@ def nullhomotopy(chain_map: Sequence, source: Resolution, target: Resolution,
 
 
 class ComplexObj:
-    """A bounded cochain complex of modules with d^{n+1} ∘ d^n = 0."""
+    """A bounded cochain complex of modules with d^{n+1} ∘ d^n = 0; with
+    no differentials, a graded module."""
 
     def __init__(self, algebra: Algebra, components: Dict[int, Module],
                  differentials: Dict[int, ModHom]):
@@ -523,10 +524,12 @@ class ComplexObj:
         degrees = sorted(self.components)
         self.lo = degrees[0] if degrees else 0
         self.hi = degrees[-1] if degrees else -1
+        for n, m in self.components.items():
+            if m.algebra != algebra:
+                raise InputShapeError(f"component at degree {n} is over another algebra")
         for n, d in self.differentials.items():
-            if d.source is not self.components.get(n) or d.target is not self.components.get(n + 1):
-                if d.source.dim != self.component(n).dim or d.target.dim != self.component(n + 1).dim:
-                    raise InputShapeError(f"differential at {n} connects wrong components")
+            if d.source is not self.component(n) or d.target is not self.component(n + 1):
+                raise InputShapeError(f"differential at {n} connects wrong components")
         for n in list(self.differentials):
             nxt = self.differentials.get(n + 1)
             if nxt is not None and not (nxt.matrix * self.differentials[n].matrix).is_zero():
@@ -606,8 +609,9 @@ class QuasiBicomplex:
     """Bigraded projectives P^{i,j} with maps d_l of bidegree (l, -l+1).
 
     maps[l][(i, j)] sends P^{i,j} to P^{i+l, j-l+1}; the defining
-    identities sum_{a=0}^{l} d_a ∘ d_{l-a} = 0 hold in the whole window
-    and are re-checked by verify_identities.
+    identities sum_{a=0}^{l} d_a ∘ d_{l-a} = 0 hold in the whole window.
+    totalize_quasi_bicomplex checks them as D∘D = 0 on the total complex;
+    verify_identities checks them one by one.
     """
 
     max_column: int
@@ -658,9 +662,10 @@ def totalize_quasi_bicomplex(m: Module, profile: GorensteinProfile) -> Totalizat
     projective resolution of D(m) over the opposite algebra, projective
     resolutions of each injective term, the horizontal lifts with signs
     d_1^{i,j} = (-1)^j d_h^{i,j}, and the higher d_l via successive
-    null-homotopies; verifies every window identity and that the total
-    differential squares to zero; checks H^0 ≅ m and vanishing elsewhere
-    in the window; and returns the short exact sequence
+    null-homotopies; checks that the total differential D squares to zero,
+    which is every window identity at once (the block of D² from P^{i,j}
+    to P^{i+l,j-l+2} is sum_a d_a d_{l-a}); checks H^0 ≅ m and vanishing
+    elsewhere in the window; and returns the short exact sequence
     0 -> B^0 -> Z^0 -> m -> 0 with pd(B^0) <= m^-1 and Z^0 Gorenstein
     projective.
     """
@@ -733,9 +738,6 @@ def totalize_quasi_bicomplex(m: Module, profile: GorensteinProfile) -> Totalizat
                     dmaps[l][(i, -k)] = -mat
 
     qb = QuasiBicomplex(ncols - 1, mhat, components, dmaps)
-    bad = qb.verify_identities()
-    if bad:
-        raise PropertyViolation(f"quasi-bicomplex identities violated at {bad[:3]}")
 
     # Total complex Q^s = ⊕_{i+j=s} P^{i,j}, differential sum of d_l blocks.
     degrees = range(-mhat, ncols)
@@ -762,7 +764,7 @@ def totalize_quasi_bicomplex(m: Module, profile: GorensteinProfile) -> Totalizat
                          [components[key].dim for key in blocks[s]], parts)
         diffs[s] = ModHom(totals[s], totals[s + 1], d)
 
-    total = ComplexObj(a, totals, diffs)  # validates d∘d = 0
+    total = ComplexObj(a, totals, diffs)  # checks D∘D = 0: the window identities
 
     h_dims = homology_dims([totals[s].dim for s in degrees],
                            [diffs[s].matrix for s in degrees[:-1]])

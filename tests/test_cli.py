@@ -287,6 +287,18 @@ def test_totalize_command(runner):
     assert "z0_gorenstein_projective: yes" in result.output
 
 
+def test_bundled_complex_check_report(runner):
+    result = runner.invoke(main, ["complex-check"])
+    assert result.exit_code == 0
+    assert result.output == (
+        "bundled complex suite\n"
+        "  law: the forgetful functor from complexes is Frobenius and "
+        "Gorenstein projectivity is componentwise\n"
+        "  details: 24 complexes checked componentwise\n"
+        "  passed: True\n"
+    )
+
+
 def test_frobenius_verify_yes_and_no(runner, tmp_path):
     result = runner.invoke(main, ["frobenius-verify", "f2_f2x2.ext"])
     assert result.exit_code == 0

@@ -2,7 +2,6 @@ import pytest
 
 from gorhom.algebra import Quiver, cyclic_group_table, field_algebra, group_algebra, path_algebra
 from gorhom.dgcplx import (
-    GradedModule,
     check_frobenius_pair_FU,
     componentwise_gp_check,
     functor_F,
@@ -10,7 +9,7 @@ from gorhom.dgcplx import (
     is_contractible,
     shift_sigma,
 )
-from gorhom.errors import PreconditionFailed
+from gorhom.errors import InputShapeError, PreconditionFailed
 from gorhom.exactlin import FieldSpec, Mat
 from gorhom.homology import ComplexObj, gorenstein_profile
 from gorhom.modrep import (
@@ -42,12 +41,8 @@ def stalk(m, degree=0):
     return ComplexObj(m.algebra, {degree: m}, {})
 
 
-def stalk_graded(m, degree=0):
-    return GradedModule(m.algebra, {degree: m})
-
-
 def test_functor_F_of_zero(a2):
-    x = GradedModule(a2, {})
+    x = ComplexObj(a2, {}, {})
     fx = functor_F(x)
     assert all(fx.component(p).dim == 0 for p in fx.support())
 
@@ -55,7 +50,7 @@ def test_functor_F_of_zero(a2):
 def test_functor_F_of_stalk_field():
     k_alg = field_algebra(F2)
     k = regular_module(k_alg)
-    fx = functor_F(stalk_graded(k))
+    fx = functor_F(stalk(k))
     # the complex [k --id--> k] in degrees 0, 1
     assert fx.component(0).dim == 1
     assert fx.component(1).dim == 1
@@ -67,13 +62,13 @@ def test_functor_F_always_contractible(a2, f2c2):
     for alg in (a2, f2c2):
         s = structural_modules(alg)
         for m in list(s.simples) + list(s.projectives):
-            x = GradedModule(alg, {0: m, 1: m, 3: m})
+            x = ComplexObj(alg, {0: m, 1: m, 3: m}, {})
             ok, _homotopy = is_contractible(functor_F(x))
             assert ok
     # the canonical homotopy s(x, y) = (y, 0) certifies the stalk case by hand:
     # for F(k) = [k --id--> k] both composites with s = id are the identity
     k = regular_module(field_algebra(F2))
-    fx = functor_F(stalk_graded(k))
+    fx = functor_F(stalk(k))
     d0 = fx.differential(0).matrix
     s_hand = Mat.identity(F2, 1)
     assert s_hand * d0 == Mat.identity(F2, 1)
@@ -82,9 +77,18 @@ def test_functor_F_always_contractible(a2, f2c2):
     assert ok
 
 
+def test_functor_F_takes_only_graded_modules(a2):
+    # F is defined on graded modules: a complex with a differential is refused
+    p = structural_modules(a2).projectives[0]
+    ident = ComplexObj(a2, {0: p, 1: p}, {0: ModHom(p, p, Mat.identity(F2, p.dim))})
+    with pytest.raises(InputShapeError):
+        functor_F(ident)
+    assert functor_F(functor_U(ident)).component(1).dim == 2 * p.dim
+
+
 def test_functor_U_keeps_components(a2):
     s = structural_modules(a2)
-    x = GradedModule(a2, {0: s.simples[0], 2: s.projectives[0]})
+    x = ComplexObj(a2, {0: s.simples[0], 2: s.projectives[0]}, {})
     fx = functor_F(x)
     u = functor_U(fx)
     for p in fx.support():
@@ -93,7 +97,7 @@ def test_functor_U_keeps_components(a2):
 
 def test_shift_sigma_basics(a2):
     s = structural_modules(a2)
-    x = GradedModule(a2, {0: s.projectives[0], 1: s.simples[0]})
+    x = ComplexObj(a2, {0: s.projectives[0], 1: s.simples[0]}, {})
     c = functor_F(x)
     sc = shift_sigma(c)
     assert sc.component(0).dim == c.component(1).dim
@@ -149,8 +153,8 @@ def test_check_frobenius_pair_empty_corpora():
 def test_check_frobenius_pair_on_f2c2(f2c2):
     s = structural_modules(f2c2)
     reg = regular_module(f2c2)
-    graded = [stalk_graded(s.simples[0]), stalk_graded(reg),
-              GradedModule(f2c2, {0: s.simples[0], 1: reg})]
+    graded = [stalk(s.simples[0]), stalk(reg),
+              ComplexObj(f2c2, {0: s.simples[0], 1: reg}, {})]
     complexes = [stalk(s.simples[0]), functor_F(graded[2])]
     report = check_frobenius_pair_FU(graded, complexes)
     assert report.passed, report.flags
@@ -158,8 +162,8 @@ def test_check_frobenius_pair_on_f2c2(f2c2):
 
 def test_check_frobenius_pair_on_a2(a2):
     s = structural_modules(a2)
-    graded = [GradedModule(a2, {0: p}) for p in s.projectives]
-    graded.append(GradedModule(a2, {0: s.simples[0], 1: s.simples[1]}))
+    graded = [ComplexObj(a2, {0: p}, {}) for p in s.projectives]
+    graded.append(ComplexObj(a2, {0: s.simples[0], 1: s.simples[1]}, {}))
     complexes = [functor_F(g) for g in graded[:2]]
     report = check_frobenius_pair_FU(graded, complexes)
     assert report.passed, report.flags
@@ -169,7 +173,7 @@ def test_check_frobenius_pair_over_f3():
     f3c3 = group_algebra(cyclic_group_table(3), F3)
     s = structural_modules(f3c3)
     reg = regular_module(f3c3)
-    graded = [GradedModule(f3c3, {0: s.simples[0], 1: reg})]
+    graded = [ComplexObj(f3c3, {0: s.simples[0], 1: reg}, {})]
     complexes = [functor_F(graded[0]), stalk(s.simples[0])]
     report = check_frobenius_pair_FU(graded, complexes)
     assert report.passed, report.flags
@@ -178,7 +182,7 @@ def test_check_frobenius_pair_over_f3():
 def test_componentwise_gp_on_projective_complex(a2):
     s = structural_modules(a2)
     prof = gorenstein_profile(a2, 10)
-    c = functor_F(GradedModule(a2, {0: s.projectives[0]}))
+    c = functor_F(ComplexObj(a2, {0: s.projectives[0]}, {}))
     report = componentwise_gp_check(c, prof)
     assert report.all_gp
 
@@ -208,7 +212,7 @@ def test_componentwise_gp_shift_invariance(a2, f2c2):
     for alg in (a2, f2c2):
         prof = gorenstein_profile(alg, 10)
         s = structural_modules(alg)
-        c = functor_F(GradedModule(alg, {0: s.simples[0], 1: s.projectives[0]}))
+        c = functor_F(ComplexObj(alg, {0: s.simples[0], 1: s.projectives[0]}, {}))
         rep1 = componentwise_gp_check(c, prof)
         rep2 = componentwise_gp_check(shift_sigma(c), prof)
         assert rep1.all_gp == rep2.all_gp

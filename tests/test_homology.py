@@ -13,7 +13,7 @@ from gorhom.algebra import (
     path_algebra,
     truncated_extension,
 )
-from gorhom.errors import NoHomotopy, ProfileNotCertified, PropertyViolation
+from gorhom.errors import InputShapeError, NoHomotopy, ProfileNotCertified, PropertyViolation
 from gorhom.exactlin import FieldSpec, Mat, rref
 from gorhom.homology import (
     AtLeast,
@@ -549,6 +549,22 @@ def test_complex_serialization_roundtrip(tmp_path, a2):
     assert [c2.component(n).dim for n in c2.support()] == \
         [c.component(n).dim for n in c.support()]
     assert c2.cohomology_dim(0) == s1.dim
+
+
+def test_a_differential_must_join_its_own_components(a2):
+    # both simples of a2 have dimension 1, so only identity tells them apart
+    s1, s2 = structural_modules(a2).simples
+    with pytest.raises(InputShapeError):
+        ComplexObj(a2, {0: s1, 1: s1}, {0: zero_hom(s2, s2)})
+    with pytest.raises(InputShapeError):
+        ComplexObj(a2, {0: s1}, {0: zero_hom(s1, s2)})  # degree 1 is the zero module
+    assert ComplexObj(a2, {0: s1, 1: s2}, {0: zero_hom(s1, s2)}).cohomology_dim(0) == 1
+
+
+def test_a_component_over_another_algebra_is_refused(a2):
+    k = regular_module(field_algebra(F2))
+    with pytest.raises(InputShapeError):
+        ComplexObj(a2, {0: simple_at(a2, "e1"), 1: k}, {})
 
 
 def test_gpd_equals_pd_when_pd_finite(a2, nakayama):
