@@ -5,7 +5,8 @@ coordinate vector of the product e_i * e_j.  Construction validates the
 unit law on every basis element and associativity on the generators
 (Algebra.generators), which proves it everywhere, so a structure-constant
 bug in any constructor fails loudly rather than corrupting downstream
-homology.
+homology.  The opposite and the tensor product of checked algebras
+inherit their laws, and are not checked again (see `Algebra`).
 
 Conventions
 -----------
@@ -51,7 +52,10 @@ Vector = tuple
 class Algebra:
     """A finite-dimensional associative unital algebra over FieldSpec.
 
-    table[i][j] is the coordinate vector of e_i * e_j.
+    table[i][j] is the coordinate vector of e_i * e_j.  The laws are
+    checked on construction, except under `_skip_validation`, which only
+    `opposite` and `_tensor_algebra` pass, each building from checked
+    algebras and saying why the laws carry over (tests/test_source.py).
     """
 
     def __init__(
@@ -63,6 +67,7 @@ class Algebra:
         idempotents=None,
         provenance: Optional[dict] = None,
         _closed_radical=None,
+        _skip_validation=False,
     ):
         self.field = field
         self.dim = len(basis_labels)
@@ -95,7 +100,8 @@ class Algebra:
             tuple(tuple((k, c) for k, c in enumerate(cell) if c != 0) for cell in row)
             for row in self.table
         )
-        self._validate()
+        if not _skip_validation:
+            self._validate()
 
     # -- element arithmetic ---------------------------------------------------
 
@@ -205,6 +211,11 @@ class Algebra:
         return self.dim - self.radical_basis().cols == 1
 
     def opposite(self) -> "Algebra":
+        """A^op, built once per algebra and not checked again: the
+        transposed table of an associative unital algebra is associative,
+        (xy)z = x(yz) read backwards, with the same unit, and idempotents
+        stay orthogonal idempotents summing to 1."""
+
         def build():
             table = [[self.table[j][i] for j in range(self.dim)] for i in range(self.dim)]
             op = Algebra(
@@ -216,6 +227,7 @@ class Algebra:
                 provenance={"kind": "opposite", "of": self.provenance.get("kind", "?")},
                 # rad(A^op) is rad(A): asked of A when first needed, computed once
                 _closed_radical=self.radical_basis,
+                _skip_validation=True,
             )
             memo(op, "opposite", None, lambda: self)
             return op
@@ -936,7 +948,13 @@ def tensor_algebra(a: Algebra, b: Algebra) -> Algebra:
 def _tensor_algebra(a: Algebra, b: Algebra, labels: Sequence[str],
                     provenance: dict) -> Algebra:
     """a ⊗_k b with basis a_i ⊗ b_j at i * dim b + j (a's index is the slow
-    one), under the caller's labels and provenance."""
+    one), under the caller's labels and provenance.
+
+    Not checked again: a and b are checked algebras, and the table is
+    (a_i ⊗ b_j)(a_k ⊗ b_l) = a_i·a_k ⊗ b_j·b_l, which is associative with
+    unit 1 ⊗ 1 because each factor is; the e ⊗ f for the idempotents of
+    each are orthogonal idempotents summing to 1 ⊗ 1 (Pierce, Associative
+    Algebras, GTM 88).  This covers truncated_extension and matrix_algebra."""
     field = a.field
     p = field.characteristic
 
@@ -969,6 +987,7 @@ def _tensor_algebra(a: Algebra, b: Algebra, labels: Sequence[str],
         idempotents=idems,
         provenance=provenance,
         _closed_radical=closed_rad,
+        _skip_validation=True,
     )
 
 

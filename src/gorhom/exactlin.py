@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import isqrt
 from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
@@ -578,7 +579,7 @@ def block_matrix(field: FieldSpec, row_sizes: Sequence[int], col_sizes: Sequence
             parts.append(b.data)
             used += 1
         if col_sizes:
-            out.extend(sum(pieces, ()) for pieces in zip(*parts))
+            out.extend(tuple(chain.from_iterable(pieces)) for pieces in zip(*parts))
         else:
             out.extend([()] * r)
     if used != len(blocks):

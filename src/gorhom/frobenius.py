@@ -189,13 +189,19 @@ class Bimodule:
 
     def as_tensor_module(self) -> Module:
         """One module over left ⊗ right^op encoding the whole bimodule; its
-        products are formed on each call, and the module is interned."""
+        products are formed on each call, and the module is interned.
+
+        s ⊗ r acts as lambda(s)·rho(r), not checked again: construction
+        checked lambda as a left-module and rho as a right^op-module action
+        and that they commute, so lambda(s)·rho(r)·lambda(s')·rho(r') =
+        lambda(s·s')·rho(r *op r'), the action of (s ⊗ r)(s' ⊗ r'), and
+        1 ⊗ 1 acts as the identity."""
         t = tensor_algebra(self.left, self.right.opposite())
         acts = []
         for i in range(self.left.dim):
             for j in range(self.right.dim):
                 acts.append(self.left_action[i] * self.right_action[j])
-        return Module(t, acts)
+        return Module(t, acts, _skip_validation=True)
 
 
 def extension_bimodule(ext: RingExtension) -> Bimodule:

@@ -17,7 +17,8 @@ where it is cheapest:
   `factor_through`'s combinations, the cover map x -> rho(x)·v
   (associativity), `homology.resolve`'s composites, the block-diagonal
   `zero_module` and `direct_sum`, and in `frobenius` the right
-  multiplications of Hom_A(A, A) and a tensor product's ambient module.
+  multiplications of Hom_A(A, A), a tensor product's ambient module and
+  `Bimodule.as_tensor_module` (two checked actions that commute).
   Their inputs are checked modules, so no outside input skips a check;
   tests/test_source.py fails on a trusted construction anywhere else.
 * A fact a construction proved is not proved again: a cover's epi is
@@ -437,30 +438,30 @@ def dual_hom(f: ModHom) -> ModHom:
 # ---------------------------------------------------------------------------
 
 
+def _radical_image(m: Module, v: Optional[Mat] = None, rows: bool = False) -> Mat:
+    """The images rho(r)·v for the columns r of the radical's basis, side by
+    side, or one above the other when rows: rad(A)·V is their column space.
+    v is a basis of a subspace V of m, or None for all of m, which takes
+    rho(r) itself.  Each image is formed once and the stack built at once."""
+    field, rad = m.algebra.field, m.algebra.radical_basis()
+    imgs = [m.rho(rad.col(c)) for c in range(rad.cols)]
+    if v is not None:
+        imgs = [img * v for img in imgs]
+    sizes = [m.dim] * len(imgs)
+    if rows:
+        return block_matrix(field, sizes, [m.dim], {(c, 0): img for c, img in enumerate(imgs)})
+    widths = [m.dim if v is None else v.cols] * len(imgs)
+    return block_matrix(field, [m.dim], widths, {(0, c): img for c, img in enumerate(imgs)})
+
+
 def radical_submodule_basis(m: Module) -> Mat:
     """Basis of rad(A)·m as columns."""
-    field = m.algebra.field
-    rad = m.algebra.radical_basis()
-    if m.dim == 0 or rad.cols == 0:
-        return Mat.zeros(field, m.dim, 0)
-    stacked = None
-    for c in range(rad.cols):
-        img = m.rho(rad.col(c))
-        stacked = img if stacked is None else stacked.hstack(img)
-    return column_space_basis(stacked)
+    return column_space_basis(_radical_image(m))
 
 
 def socle_basis(m: Module) -> Mat:
     """Basis of the socle: the annihilator of the radical action."""
-    field = m.algebra.field
-    rad = m.algebra.radical_basis()
-    if m.dim == 0 or rad.cols == 0:
-        return Mat.identity(field, m.dim)
-    stacked = None
-    for c in range(rad.cols):
-        img = m.rho(rad.col(c))
-        stacked = img if stacked is None else img.vstack(stacked)
-    return stacked.kernel_basis()
+    return _radical_image(m, rows=True).kernel_basis()
 
 
 def top_of(m: Module) -> Tuple[Module, ModHom]:
@@ -677,16 +678,18 @@ def _isomorphism(m: Module, n: Module, seed: int, homs_of) -> IsoVerdict:
 
 
 def _radical_series_dims(m: Module) -> tuple:
-    dims = [m.dim]
-    current = m
-    while current.dim:
-        rad = radical_submodule_basis(current)
-        if rad.cols == current.dim:
+    """dim rad^k(m) for k = 0, 1, ... while nonzero, read in m's own
+    coordinates: rad^(k+1)(m) = rad(A)·rad^k(m) is the column space of the
+    radical's images of a basis of rad^k(m), so no submodule is built.  A
+    nonzero module's radical is proper (Nakayama), else a violation."""
+    dims, basis = [m.dim], None
+    while dims[-1]:
+        basis = column_space_basis(_radical_image(m, basis))
+        if basis.cols == dims[-1]:
             raise PropertyViolation("radical series does not descend")
-        if rad.cols == 0:
+        if basis.cols == 0:
             break
-        current, _ = submodule(current, rad)
-        dims.append(current.dim)
+        dims.append(basis.cols)
     return tuple(dims)
 
 

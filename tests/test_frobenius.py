@@ -6,8 +6,9 @@ from pathlib import Path
 import pytest
 
 import gorhom
-from gorhom import algebra, frobenius
+from gorhom import algebra, frobenius, modrep
 from gorhom.algebra import (
+    Algebra,
     Quiver,
     cyclic_group_table,
     field_algebra,
@@ -15,6 +16,7 @@ from gorhom.algebra import (
     matrix_algebra,
     path_algebra,
     product_algebra,
+    tensor_algebra,
     truncated_extension,
 )
 from gorhom.corpus import EXTENSION_NAMES, corpus_algebra, corpus_extension, module_corpus
@@ -531,6 +533,26 @@ def test_certification_computes_the_tensor_radical_once(monkeypatch, name, load,
     built.clear()
     assert certify(obj).verdict == "yes"
     assert kinds == [] and built == []
+
+
+def test_certifying_a_loaded_extension_checks_no_inherited_law(monkeypatch):
+    # S (x) R^op, the opposites and the tensor modules of the two duals are
+    # built from checked algebras and bimodules and inherit their laws; the
+    # isomorphism obstruction reads the radical series in m's coordinates
+    ext = load_extension(DATA / "a2_a2t2.ext")
+    algebras, modules, submodules = [], [], []
+    check_algebra, check_module, submodule = Algebra._validate, Module._validate, modrep.submodule
+    monkeypatch.setattr(Algebra, "_validate", lambda a: algebras.append(a) or check_algebra(a))
+    monkeypatch.setattr(Module, "_validate", lambda m: modules.append(m) or check_module(m))
+    assert is_frobenius_extension(ext).verdict == "yes"
+    t = tensor_algebra(ext.base, ext.total.opposite())
+    assert algebras == [] and [m for m in modules if m.algebra is t] == []
+    x = regular_module(ext.base)
+    coind, ind = coinduce(ext, x), induce(ext, x)
+    monkeypatch.setattr(modrep, "submodule",
+                        lambda *args: submodules.append(args) or submodule(*args))
+    assert is_isomorphic(coind, ind).verdict == "yes"
+    assert submodules == []
 
 
 def test_faithfulness_identity(a2):

@@ -10,8 +10,10 @@ commuting on every basis element, the intertwining system stacked over
 every basis element, the exactness of every resolution, the identities of
 every homotopy and contraction, the short exact sequences of a
 factorization, the socle of an envelope, the intertwining system out of a
-projective (now solved by Yoneda) and the intertwining and superfluous
-kernel of a cover.
+projective (now solved by Yoneda), the intertwining and superfluous
+kernel of a cover, the laws of opposites, tensor algebras and the tensor
+modules of bimodules (built unchecked from checked parts), and the radical
+series walked through submodules (now read in the module's coordinates).
 """
 
 from itertools import product as iter_product
@@ -21,7 +23,7 @@ import pytest
 from test_kupisch import NAKAYAMA, nakayama
 
 from gorhom import algebra as algebra_mod
-from gorhom import frobenius, homology, suite
+from gorhom import frobenius, homology, modrep, suite
 from gorhom.algebra import Algebra, load_algebra, tensor_algebra
 from gorhom.corpus import (
     ALGEBRA_NAMES,
@@ -342,6 +344,60 @@ def test_every_closed_form_radical_spans_the_generic_radical():
         assert same_column_space(form, algebra_mod._radical_generic(a)), a
 
 
+# --- algebras and modules built from checked ones -------------------------------
+
+
+def full_basis_idempotent_law(a) -> bool:
+    """The idempotents e satisfy e·e = e, are pairwise orthogonal and sum
+    to the unit."""
+    idems, field = a.idempotents, a.field
+    zero = tuple(field.zero() for _ in a.unit)
+    total = zero
+    for e in idems:
+        total = tuple(field.add(x, y) for x, y in zip(total, e))
+    return total == a.unit and all(
+        _product(field, a.table, e, f) == (e if s == t else zero)
+        for s, e in enumerate(idems) for t, f in enumerate(idems))
+
+
+TRUSTED_ALGEBRAS = ([f"opposite {name}" for name in ALGEBRA_NAMES]
+                    + [f"{kind} {name}" for name in EXTENSION_NAMES + ["morita_col"]
+                       for kind in ("tensor", "reversed-tensor")]
+                    + [f"corpus {name}" for name in ("f2x2", "f2x3", "a2t2", "m2f2x2")])
+
+
+def _trusted_algebra(name):
+    """An opposite, a corpus algebra built by truncated_extension or
+    matrix_algebra, or S (x) R^op of the bimodule _S M_R (an extension's
+    _S S_R, or morita_col), or R (x) S^op, over which certification compares
+    the two duals of M."""
+    kind, base = name.split()
+    if kind == "opposite":
+        return corpus_algebra(base).opposite()
+    if kind == "corpus":
+        return corpus_algebra(base)
+    bim = _bimodule(base if base == "morita_col" else f"extension {base}")
+    left, right = (bim.right, bim.left) if kind == "reversed-tensor" else (bim.left, bim.right)
+    return tensor_algebra(left, right.opposite())
+
+
+@pytest.mark.parametrize("name", TRUSTED_ALGEBRAS)
+def test_algebras_built_unchecked_pass_the_full_basis_law(name):
+    # the opposite and the tensor product (behind truncated_extension and
+    # matrix_algebra) inherit the laws of checked algebras, so skip the check
+    a = _trusted_algebra(name)
+    assert full_basis_algebra_law(a.field, a.table, a.unit), a
+    assert a.idempotents is None or full_basis_idempotent_law(a), a
+
+
+@pytest.mark.parametrize("name", BIMODULES)
+def test_tensor_modules_of_bimodules_pass_the_full_basis_law(name):
+    # lambda(s)·rho(r) is an S (x) R^op action because the two actions are
+    # checked and commute, so the tensor module is built unchecked
+    m = _bimodule(name).as_tensor_module()
+    assert full_basis_module_law(m.algebra, m.action)
+
+
 # --- trusted constructions -----------------------------------------------------
 
 
@@ -555,3 +611,54 @@ def test_every_cover_intertwines_with_a_superfluous_kernel(name, op):
         for x in (m,) + resolve(m, 3).syzygies:
             if x.dim:
                 assert cover_defects(x) == [], x
+
+
+# --- the radical series, read in place ----------------------------------------------
+
+
+def chained_radical_basis(m) -> Mat:
+    """rad(A)·m as the pivot columns of [rho(r_1) | rho(r_2) | ...], the
+    stack chained one image at a time."""
+    rad = m.algebra.radical_basis()
+    stacked = Mat.zeros(m.algebra.field, m.dim, 0)
+    for c in range(rad.cols):
+        stacked = stacked.hstack(m.rho(rad.col(c)))
+    return column_space_basis(stacked)
+
+
+def chained_socle_basis(m) -> Mat:
+    """The common kernel of the rho(r), the stack chained one image at a time."""
+    rad = m.algebra.radical_basis()
+    stacked = Mat.zeros(m.algebra.field, 0, m.dim)
+    for c in range(rad.cols):
+        stacked = m.rho(rad.col(c)).vstack(stacked)
+    return stacked.kernel_basis()
+
+
+def submodule_walk_dims(m) -> tuple:
+    """dim rad^k(m), each rad^(k+1)(m) built as the submodule rad(A)·rad^k(m)
+    of the one before and its radical taken there."""
+    dims = [m.dim]
+    while m.dim:
+        rad = chained_radical_basis(m)
+        if rad.cols == 0:
+            break
+        m = submodule(m, rad)[0]
+        dims.append(m.dim)
+    return tuple(dims)
+
+
+def _series_inputs(name, op):
+    if op != "extension":
+        return module_corpus(_algebra(name, op), minimum=0)
+    ext = corpus_extension(name)
+    base = module_corpus(ext.base, minimum=0)
+    return [frobenius.induce(ext, x) for x in base] + [frobenius.coinduce(ext, x) for x in base]
+
+
+@pytest.mark.parametrize("name, op", ALGEBRAS + [(name, "extension") for name in EXTENSION_NAMES])
+def test_the_radical_series_in_place_is_the_submodule_walk(name, op):
+    for m in _series_inputs(name, op):
+        assert modrep._radical_series_dims(m) == submodule_walk_dims(m), m
+        assert radical_submodule_basis(m) == chained_radical_basis(m), m
+        assert socle_basis(m) == chained_socle_basis(m), m

@@ -271,11 +271,12 @@ def test_the_reference_scan_sees_names_attributes_and_strings():
 # The functions that build a Module or ModHom without checking its law: the
 # constructions that proved the law themselves (see the modrep module
 # docstring), the empty module, direct sums, projective covers, the right
-# multiplications of Hom_A(A, A) and the tensor construction's ambient
-# module.  And the constructors that give an Algebra its radical, each
-# stating the theorem that proves it (group_algebra passes on the radical
-# its first construction computed, and an opposite its original's).
-# No document or outside input reaches any other.
+# multiplications of Hom_A(A, A), the tensor construction's ambient
+# module and a bimodule's tensor module.  And the constructors that give an
+# Algebra its radical, each stating the theorem that proves it
+# (group_algebra passes on the radical its first construction computed, and
+# an opposite its original's).  No document or outside input reaches any
+# other.
 TRUSTED_SITES = [
     "algebra.Algebra.opposite.build",
     "algebra._tensor_algebra",
@@ -285,6 +286,7 @@ TRUSTED_SITES = [
     "algebra.path_algebra",
     "algebra.product_algebra",
     "algebra.truncated_extension",
+    "frobenius.Bimodule.as_tensor_module",
     "frobenius._tensor.build",
     "frobenius.hom_to_regular.build",
     "homology.resolve",
@@ -346,6 +348,48 @@ def test_the_trust_scan_sees_keywords_attributes_lambdas_and_methods():
         "ZERO = Module(a, acts, _skip_validation=False)\n")
     assert trusted_constructions(tree, "mod") == [
         "mod", "mod.C.method", "mod.closed", "mod.outer", "mod.outer.build", "mod.trusted"]
+
+
+def algebra_law_skippers(tree, module):
+    """`module.function` for every function that calls `Algebra(...)` with
+    `_skip_validation`, once each, sorted, named as trusted_constructions
+    names them."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = f"{owner}.{node.name}"
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Algebra"
+                and any(k.arg == "_skip_validation" for k in node.keywords)):
+            found.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, module)
+    return sorted(found)
+
+
+def test_only_the_opposite_and_the_tensor_product_skip_the_algebra_law():
+    # both build from checked algebras and inherit the laws (their docstrings
+    # say why); every other algebra, loaded or constructed, is checked
+    skippers = [name for path in SOURCES
+                for name in algebra_law_skippers(ast.parse(path.read_text(), str(path)),
+                                                 path.stem)]
+    assert skippers == ["algebra.Algebra.opposite.build", "algebra._tensor_algebra"]
+
+
+def test_the_algebra_skip_scan_sees_only_algebra_calls_with_the_keyword():
+    tree = ast.parse(
+        "def checked(f):\n"
+        "    return Algebra(f, ['1'], T, U)\n"
+        "def trusted(f):\n"
+        "    return Algebra(f, ['1'], T, U, _skip_validation=True)\n"
+        "def module(a):\n"
+        "    return Module(a, acts, _skip_validation=True)\n"
+        "class A:\n"
+        "    def op(self):\n"
+        "        return memo(self, 'op', None, lambda: Algebra(F, L, T, U, _skip_validation=1))\n")
+    assert algebra_law_skippers(tree, "mod") == ["mod.A.op", "mod.trusted"]
 
 
 def summand_writers(tree, module):
