@@ -500,11 +500,16 @@ def path_algebra(q: Quiver, field: FieldSpec, max_path_length: int = 64) -> Alge
 
     Relations must be homogeneous in path length (each relation's terms
     share one length), so the ideal is graded and the quotient is built
-    level by level: new paths only extend reduced paths of the previous
-    level, relations and right-extensions of earlier reduction rules are
-    row-reduced in the candidate coordinates, and the surviving candidates
-    form the basis at that level.  Raises InfiniteDimensional when
-    irreducible paths survive past max_path_length.
+    level by level on the standard paths (Green 1999).  The candidates at
+    length n are the standard paths of length n-1, each extended by one
+    arrow; the relations of length n and each length-(n-1) reduction rule
+    with an arrow applied first are row-reduced over them, the largest
+    paths leading, and the candidates that are not pivots are the standard
+    paths of length n.  Every pivot gets a rule rewriting it into smaller
+    standard paths.  The normal form of any path is then its last arrow
+    appended to the normal form of the rest, rewritten by those rules: one
+    routine gives the ideal rows and the structure table.  Raises
+    InfiniteDimensional when standard paths survive past max_path_length.
     """
     if q.vertex_count < 1:
         raise InputShapeError("a path algebra needs at least one vertex")
@@ -543,165 +548,95 @@ def path_algebra(q: Quiver, field: FieldSpec, max_path_length: int = 64) -> Alge
                 )
         rels_by_len.setdefault(len0, []).append(terms)
 
-    # Path keys are (source, arrows-in-application-order).
-    reduced: list = [[(v, ()) for v in range(q.vertex_count)],
-                     [(arr_src[i], (i,)) for i in range(len(q.arrows))]]
-    # nf_cand[level][candidate key] = {reduced key at that level: coeff}
-    nf_cand: list = [
-        {k: {k: field.one()} for k in reduced[0]},
-        {k: {k: field.one()} for k in reduced[1]},
-    ]
-    target_of = {}
-    for k in reduced[0]:
-        target_of[k] = k[0]
-    for k in reduced[1]:
-        target_of[k] = arr_tgt[k[1][0]]
+    # Path keys are (source, arrows-in-application-order).  A reduction rule
+    # sends a non-standard path to a combination of standard paths.
+    zero, one = field.zero(), field.one()
+    rules: dict = {}
 
-    def nf_level(key, level):
-        """Normal form of a length-`level` path, via tail reduction."""
-        if level >= len(nf_cand):
-            return {}
-        if level <= 1:
-            return nf_cand[level].get(key, {})
+    def target(key):
+        return arr_tgt[key[1][-1]] if key[1] else key[0]
+
+    def accumulate(acc, combo, scale):
+        """acc += scale·combo, over path keys."""
+        for key, c in combo.items():
+            acc[key] = field.add(acc.get(key, zero), field.mul(scale, c))
+
+    def normal_form(key):
+        """The path as a combination of standard paths: the last arrow
+        appended to the normal form of the rest, then rewritten by the rules.
+        The level being built has no rules yet, so there the result is in
+        its candidates."""
         src, arrows = key
-        last = arrows[-1]
-        tail = (src, arrows[:-1])
+        if not arrows:
+            return {key: one}
         out: dict = {}
-        for rkey, c in nf_level(tail, level - 1).items():
-            cand = (rkey[0], rkey[1] + (last,))
-            for fkey, c2 in nf_cand[level].get(cand, {}).items():
-                prod = field.mul(c, c2)
-                out[fkey] = field.add(out.get(fkey, field.zero()), prod)
-        return {k2: v for k2, v in out.items() if v != 0}
+        for (s, head), c in normal_form((src, arrows[:-1])).items():
+            cand = (s, head + arrows[-1:])
+            accumulate(out, rules.get(cand, {cand: one}), c)
+        return {k: c for k, c in out.items() if c != 0}
 
+    basis_keys = [(v, ()) for v in range(q.vertex_count)]
+    standard = sorted((arr_src[i], (i,)) for i in range(len(q.arrows)))
     level = 1
-    while reduced[level]:
+    while standard:
+        basis_keys += standard
         level += 1
         if level > max_path_length + 1:
             raise InfiniteDimensional(
                 f"irreducible paths survive past the bound {max_path_length}"
             )
-        candidates = []
-        for rkey in reduced[level - 1]:
-            for ai in range(len(q.arrows)):
-                if arr_src[ai] == target_of[rkey]:
-                    candidates.append((rkey[0], rkey[1] + (ai,)))
+        candidates = [(s, head + (ai,)) for s, head in standard
+                      for ai in range(len(q.arrows)) if arr_src[ai] == target((s, head))]
         if len(candidates) > 100_000:
             raise InfiniteDimensional("path growth exceeds the desk-scale limit")
-        cand_pos = {k: i for i, k in enumerate(candidates)}
-
-        def expand(key):
-            """Coordinates of a length-`level` path over the candidates."""
-            src, arrows = key
-            last = arrows[-1]
-            tail = (src, arrows[:-1])
-            out: dict = {}
-            for rkey, c in nf_level(tail, level - 1).items():
-                cand = (rkey[0], rkey[1] + (last,))
-                out[cand] = field.add(out.get(cand, field.zero()), c)
-            return out
-
+        # The relations of this length, and each rule of the last level with
+        # an arrow applied first.
         gens = []
         for terms in rels_by_len.get(level, []):
-            row = [field.zero()] * len(candidates)
+            row = {}
             for src, arrows_app, _tgt, c in terms:
-                for cand, c2 in expand((src, arrows_app)).items():
-                    row[cand_pos[cand]] = field.add(row[cand_pos[cand]],
-                                                    field.mul(c, c2))
+                accumulate(row, normal_form((src, arrows_app)), c)
             gens.append(row)
-        # Right-extensions of the previous level's reduction rules.
-        for pivot, nf_map in nf_cand[level - 1].items():
-            if nf_map == {pivot: field.one()}:
+        for (psrc, parrows), rule in rules.items():
+            if len(parrows) != level - 1:
                 continue
-            psrc = pivot[0]
-            first_arrow_src = psrc
             for ai in range(len(q.arrows)):
-                if arr_tgt[ai] != first_arrow_src:
-                    continue
-                row = [field.zero()] * len(candidates)
-                ext = (arr_src[ai], (ai,) + pivot[1])
-                for cand, c in expand(ext).items():
-                    row[cand_pos[cand]] = field.add(row[cand_pos[cand]], c)
-                for rkey, c in nf_map.items():
-                    rext = (arr_src[ai], (ai,) + rkey[1])
-                    for cand, c2 in expand(rext).items():
-                        row[cand_pos[cand]] = field.sub(row[cand_pos[cand]],
-                                                        field.mul(c, c2))
-                gens.append(row)
+                if arr_tgt[ai] == psrc:
+                    row = normal_form((arr_src[ai], (ai,) + parrows))
+                    for (_s, arrows), c in rule.items():
+                        accumulate(row, normal_form((arr_src[ai], (ai,) + arrows)), field.neg(c))
+                    gens.append(row)
+        # The largest paths lead, so each pivot is rewritten into smaller ones.
+        order = sorted(candidates, reverse=True)
+        red = rref(Mat(field, [[row.get(k, zero) for k in order] for row in gens],
+                       cols=len(order)))
+        pivots = set(red.pivots)
+        free = [pos for pos in range(len(order)) if pos not in pivots]
+        for r, pos in enumerate(red.pivots):
+            rules[order[pos]] = {order[f]: field.neg(red.matrix.entry(r, f))
+                                 for f in free if red.matrix.entry(r, f) != 0}
+        standard = sorted(order[pos] for pos in free)
 
-        order = sorted(range(len(candidates)), key=lambda i: candidates[i], reverse=True)
-        level_nf: dict = {}
-        if gens and candidates:
-            ordered = Mat(field, [[row[o] for o in order] for row in gens],
-                          cols=len(candidates))
-            red = rref(ordered)
-            pivot_set = set(red.pivots)
-            pivot_row = {c: r for r, c in enumerate(red.pivots)}
-            survivors = [order[pos] for pos in range(len(candidates))
-                         if pos not in pivot_set]
-            for pos in range(len(candidates)):
-                key = candidates[order[pos]]
-                if pos not in pivot_set:
-                    level_nf[key] = {key: field.one()}
-                else:
-                    r = pivot_row[pos]
-                    entry: dict = {}
-                    for pos2 in range(len(candidates)):
-                        if pos2 in pivot_set:
-                            continue
-                        c = red.matrix.entry(r, pos2)
-                        if c != 0:
-                            entry[candidates[order[pos2]]] = field.neg(c)
-                    level_nf[key] = entry
-        else:
-            survivors = list(range(len(candidates)))
-            for key in candidates:
-                level_nf[key] = {key: field.one()}
-
-        new_reduced = sorted((candidates[i] for i in survivors))
-        for key in new_reduced:
-            target_of[key] = arr_tgt[key[1][-1]]
-        reduced.append(new_reduced)
-        nf_cand.append(level_nf)
-
-    basis_keys = [k for lvl in reduced for k in sorted(lvl)]
-    basis_index = {k: i for i, k in enumerate(basis_keys)}
+    index = {k: i for i, k in enumerate(basis_keys)}
     dim = len(basis_keys)
-
-    def nf_any(key):
-        return nf_level(key, len(key[1]))
-
-    zero = field.zero()
     table = []
     for ki in basis_keys:
-        row = []
+        cells = []
         for kj in basis_keys:
             # product e_{ki} * e_{kj} applies kj first
-            if target_of[kj] != ki[0]:
-                row.append(tuple(zero for _ in range(dim)))
-                continue
-            full = (kj[0], kj[1] + ki[1])
             cell = [zero] * dim
-            for rkey, c in nf_any(full).items():
-                cell[basis_index[rkey]] = c
-            row.append(tuple(cell))
-        table.append(row)
+            if target(kj) == ki[0]:
+                for key, c in normal_form((kj[0], kj[1] + ki[1])).items():
+                    cell[index[key]] = c
+            cells.append(tuple(cell))
+        table.append(cells)
 
-    unit = [zero] * dim
-    idems = []
-    for v in range(q.vertex_count):
-        e = [zero] * dim
-        e[basis_index[(v, ())]] = field.one()
-        idems.append(tuple(e))
-        unit[basis_index[(v, ())]] = field.one()
-
-    # The arrow ideal is nilpotent (paths are bounded) and its quotient is k^n.
-    rad_cols = [
-        tuple(field.one() if t == b else zero for t in range(dim))
-        for b, key in enumerate(basis_keys)
-        if len(key[1]) >= 1
-    ]
-    closed_rad = Mat.from_cols(field, rad_cols, dim)
+    # The vertices lead the basis; the arrow ideal, spanned by the rest, is
+    # nilpotent (paths are bounded) and its quotient is k^n.
+    eye = Mat.identity(field, dim)
+    idems = [eye.row(v) for v in range(q.vertex_count)]
+    unit = [one if b < q.vertex_count else zero for b in range(dim)]
+    closed_rad = eye.select_cols(range(q.vertex_count, dim))
 
     labels = [_path_label(k, arrow_labels) for k in basis_keys]
     return Algebra(

@@ -127,11 +127,9 @@ def induce(ext: RingExtension, x: Module) -> Module:
 
 
 def restrict(ext: RingExtension, y: Module) -> Module:
-    """The same space with R acting through the embedding."""
-    if y.algebra != ext.total:
-        raise AlgebraMismatch("restrict expects a module over the total algebra")
-    return Module(ext.base, [y.rho(ext.embed(ext.base.basis_vec(i)))
-                             for i in range(ext.base.dim)])
+    """The same space with R acting through the embedding: S ⊗_S y over
+    the restriction bimodule _R S_S, which _tensor reads as y itself."""
+    return _tensor(restriction_bimodule(ext), y).module
 
 
 def coinduce(ext: RingExtension, x: Module) -> Module:

@@ -273,13 +273,12 @@ def _combine(mats: Sequence[Mat], coeffs) -> Mat:
 def factor_through(src: Module, tgt: Module, g: Mat, rhs: Mat) -> Optional[ModHom]:
     """An f in Hom(src, tgt) with g·f = rhs, or None when there is none.
 
-    One solve over a hom basis h_t: hom_delta(basis, g, post=True)·c =
-    vec(rhs) and f = sum c_t·h_t.  The basis is not memoized: a totalization
-    meets each (src, tgt) once.  f is a combination of solutions of the
-    intertwining system, so it intertwines, and g·f = rhs is asserted
-    exactly.
+    One solve over the memoized hom basis h_t: hom_delta(basis, g,
+    post=True)·c = vec(rhs) and f = sum c_t·h_t.  f is a combination of
+    solutions of the intertwining system, so it intertwines, and g·f = rhs
+    is asserted exactly.
     """
-    basis = _hom_space_matrices(src, tgt)
+    basis = memo(src, "hom", tgt, lambda: _hom_space_matrices(src, tgt))
     if not basis:
         return zero_hom(src, tgt) if rhs.is_zero() else None
     coeffs = solve(hom_delta(basis, g, post=True), vec(rhs)).particular

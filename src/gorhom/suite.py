@@ -187,15 +187,7 @@ def check_adjunction_diagnostics(bound: int = 20, seed: int = 0) -> CheckResult:
     if report.flags["unit_mono_all"] or report.flags["add_generation_g_side"]:
         passed = False
         details.append("product projection unexpectedly looks faithful")
-    # the complexes/graded pair contributes its two adjunctions as well
-    graded = corpus.graded_corpus()[:2]
-    complexes = corpus.complex_corpus()[:2]
-    fu_report = check_frobenius_pair_FU(graded, complexes)
-    if not fu_report.flags["triangle_identities"]:
-        passed = False
-        details.append("complexes/graded pair triangle identities failed")
-    details.append(f"{len(corpus.EXTENSION_NAMES)} extensions, the product pair, "
-                   "and the complexes/graded pair checked")
+    details.append(f"{len(corpus.EXTENSION_NAMES)} extensions and the product pair checked")
     return CheckResult("adjunction-diagnostics",
                        "triangle identities hold and the unit-mono and "
                        "add-generation faithfulness tests agree", passed, details)

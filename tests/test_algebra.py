@@ -12,6 +12,7 @@ from gorhom import algebra
 from gorhom.algebra import (
     Algebra,
     Quiver,
+    algebra_to_json,
     cyclic_group_table,
     field_algebra,
     group_algebra,
@@ -447,9 +448,116 @@ def test_rational_path_algebra():
     assert a.radical_basis().cols == 1
 
 
-# -- the generic radical against its per-product definition ------------------
+# -- path algebras against the whole two-sided ideal -------------------------
 
 DATA = Path(gorhom.__file__).parent / "data"
+
+
+def _target(q, path):
+    return q.arrows[path[1][-1]][1] if path[1] else path[0]
+
+
+def _paths(q, length):
+    """Every path of the given length as (source, arrows in application order)."""
+    out = [(v, ()) for v in range(q.vertex_count)]
+    for _ in range(length):
+        out = [(s, arrows + (i,)) for s, arrows in out for i, (src, _t, _l) in enumerate(q.arrows)
+               if src == _target(q, (s, arrows))]
+    return out
+
+
+def _whole_ideal_path_algebra(q, field):
+    """Labels and table of kQ/I with I_n = span{u·r·w} over every relation r
+    and all paths u, w with len(u) + len(r) + len(w) = n, row-reduced over
+    all paths of length n with the largest paths leading; the standard paths
+    are the non-pivots, vertices first, then each length in sorted order."""
+    index = {lbl: i for i, (_s, _t, lbl) in enumerate(q.arrows)}
+    rels = [{(q.arrows[index[labels[-1]]][0], tuple(index[lbl] for lbl in reversed(labels))):
+             field.coerce(c) for labels, c in rel} for rel in q.relations]
+    standard, rewrite, n = [], {}, 0
+    while True:
+        order = sorted(_paths(q, n), reverse=True)
+        pos = {p: i for i, p in enumerate(order)}
+        rows = []
+        for rel in rels:
+            (s, arrows), _c = next(iter(rel.items()))
+            for k in range(n - len(arrows) + 1):
+                for w in _paths(q, k):
+                    for u in _paths(q, n - len(arrows) - k):
+                        if _target(q, w) != s or u[0] != _target(q, (s, arrows)):
+                            continue
+                        row = [field.zero()] * len(order)
+                        for (_s, term), c in rel.items():
+                            path = pos[(w[0], w[1] + term + u[1])]
+                            row[path] = field.add(row[path], c)
+                        rows.append(row)
+        red = rref(Mat(field, rows, cols=len(order)))
+        free = [i for i in range(len(order)) if i not in red.pivots]
+        for r, i in enumerate(red.pivots):
+            rewrite[order[i]] = {order[j]: field.neg(red.matrix.entry(r, j)) for j in free}
+        if not free:
+            break
+        standard += sorted(order[i] for i in free)
+        n += 1
+    dim, at = len(standard), {p: i for i, p in enumerate(standard)}
+    table = []
+    for pi in standard:
+        cells = []
+        for pj in standard:
+            cell = [field.zero()] * dim
+            if _target(q, pj) == pi[0]:
+                path = (pj[0], pj[1] + pi[1])
+                for p, c in rewrite.get(path, {path: field.one()}).items():
+                    if p in at:
+                        cell[at[p]] = c
+            cells.append(tuple(cell))
+        table.append(tuple(cells))
+    labels = [f"e{s + 1}" if not arrows else "*".join(q.arrows[i][2] for i in reversed(arrows))
+              for s, arrows in standard]
+    return tuple(labels), tuple(table)
+
+
+def _random_quiver(rng):
+    """At most 3 vertices and 3 arrows; relations of length 2 or 3, each a
+    combination of parallel paths."""
+    n = rng.randint(1, 3)
+    q = Quiver(n, arrows=tuple((rng.randrange(n), rng.randrange(n), f"x{i}")
+                               for i in range(rng.randint(1, 3))))
+    relations = []
+    for _ in range(rng.randint(1, 4)):
+        paths = _paths(q, rng.choice((2, 3)))
+        if not paths:
+            continue
+        s, arrows = rng.choice(paths)
+        parallel = [p for p in paths if p[0] == s and _target(q, p) == _target(q, (s, arrows))]
+        relations.append(tuple((tuple(q.arrows[i][2] for i in reversed(p[1])), rng.choice((1, 2, -1)))
+                               for p in rng.sample(parallel, rng.randint(1, min(3, len(parallel))))))
+    return Quiver(n, arrows=q.arrows, relations=tuple(relations))
+
+
+def test_path_algebra_matches_the_whole_two_sided_ideal():
+    import random
+
+    rng = random.Random(7)
+    compared = 0
+    for trial in range(150):
+        q, field = _random_quiver(rng), (F2, F3, QQ)[trial % 3]
+        try:
+            a = path_algebra(q, field, max_path_length=4)
+        except InfiniteDimensional:
+            continue
+        assert (a.basis_labels, a.table) == _whole_ideal_path_algebra(q, field), q
+        compared += 1
+    assert compared >= 80
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "nak2"])
+def test_bundled_quivers_build_the_bundled_algebras(name):
+    a = path_algebra(load_quiver(DATA / f"{name}.quiver"), F2)
+    assert algebra_to_json(a) == json.loads((DATA / f"{name}.alg").read_text())
+
+
+# -- the generic radical against its per-product definition ------------------
 
 
 def _per_product_radical(a):
