@@ -55,7 +55,8 @@ class Algebra:
     table[i][j] is the coordinate vector of e_i * e_j.  The laws are
     checked on construction, except under `_skip_validation`, which only
     `opposite` and `_tensor_algebra` pass, each building from checked
-    algebras and saying why the laws carry over (tests/test_source.py).
+    algebras and saying why the laws carry over (tests/test_source.py);
+    their entries are taken as canonical, not coerced again.
     """
 
     def __init__(
@@ -72,15 +73,11 @@ class Algebra:
         self.field = field
         self.dim = len(basis_labels)
         self.basis_labels = tuple(basis_labels)
-        self.table = tuple(
-            tuple(tuple(field.coerce(x) for x in cell) for cell in row) for row in table
-        )
-        self.unit = tuple(field.coerce(x) for x in unit)
-        self.idempotents = (
-            tuple(tuple(field.coerce(x) for x in e) for e in idempotents)
-            if idempotents is not None
-            else None
-        )
+        # a trusted build's vectors hold canonical entries of checked algebras
+        vector = tuple if _skip_validation else (lambda v: tuple(map(field.coerce, v)))
+        self.table = tuple(tuple(map(vector, row)) for row in table)
+        self.unit = vector(unit)
+        self.idempotents = tuple(map(vector, idempotents)) if idempotents is not None else None
         self.provenance = provenance or {}
         self._closed_radical = _closed_radical
         self._cache: dict = {}
@@ -495,6 +492,11 @@ class Quiver:
             raise InputShapeError("arrow labels must be distinct")
 
 
+# The most cells (ideal rows times candidate paths) one level of
+# path_algebra row-reduces; the bundled quivers need at most a few dozen.
+LEVEL_CELL_BUDGET = 20_000
+
+
 def path_algebra(q: Quiver, field: FieldSpec, max_path_length: int = 64) -> Algebra:
     """The quotient of the path algebra kQ by the relation ideal.
 
@@ -509,7 +511,8 @@ def path_algebra(q: Quiver, field: FieldSpec, max_path_length: int = 64) -> Alge
     standard paths.  The normal form of any path is then its last arrow
     appended to the normal form of the rest, rewritten by those rules: one
     routine gives the ideal rows and the structure table.  Raises
-    InfiniteDimensional when standard paths survive past max_path_length.
+    InfiniteDimensional when standard paths survive past max_path_length,
+    or when a level would row-reduce more than LEVEL_CELL_BUDGET cells.
     """
     if q.vertex_count < 1:
         raise InputShapeError("a path algebra needs at least one vertex")
@@ -590,22 +593,28 @@ def path_algebra(q: Quiver, field: FieldSpec, max_path_length: int = 64) -> Alge
         if len(candidates) > 100_000:
             raise InfiniteDimensional("path growth exceeds the desk-scale limit")
         # The relations of this length, and each rule of the last level with
-        # an arrow applied first.
+        # an arrow applied first; counted before any is built, since
+        # building and reducing them is the cost the cell budget bounds.
+        relations = rels_by_len.get(level, [])
+        extended = [(ai, parrows, rule) for (psrc, parrows), rule in rules.items()
+                    if len(parrows) == level - 1
+                    for ai in range(len(q.arrows)) if arr_tgt[ai] == psrc]
+        rows = len(relations) + len(extended)
+        if rows * len(candidates) > LEVEL_CELL_BUDGET:
+            raise InfiniteDimensional(
+                f"path growth exceeds the desk-scale limit at length {level}: "
+                f"{rows} ideal rows over {len(candidates)} candidate paths")
         gens = []
-        for terms in rels_by_len.get(level, []):
+        for terms in relations:
             row = {}
             for src, arrows_app, _tgt, c in terms:
                 accumulate(row, normal_form((src, arrows_app)), c)
             gens.append(row)
-        for (psrc, parrows), rule in rules.items():
-            if len(parrows) != level - 1:
-                continue
-            for ai in range(len(q.arrows)):
-                if arr_tgt[ai] == psrc:
-                    row = normal_form((arr_src[ai], (ai,) + parrows))
-                    for (_s, arrows), c in rule.items():
-                        accumulate(row, normal_form((arr_src[ai], (ai,) + arrows)), field.neg(c))
-                    gens.append(row)
+        for ai, parrows, rule in extended:
+            row = normal_form((arr_src[ai], (ai,) + parrows))
+            for (_s, arrows), c in rule.items():
+                accumulate(row, normal_form((arr_src[ai], (ai,) + arrows)), field.neg(c))
+            gens.append(row)
         # The largest paths lead, so each pivot is rewritten into smaller ones.
         order = sorted(candidates, reverse=True)
         red = rref(Mat(field, [[row.get(k, zero) for k in order] for row in gens],

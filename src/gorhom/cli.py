@@ -4,6 +4,8 @@ Exit codes: 0 when every asserted property in the run passed, 1 when a
 property failed (the report names the violated law), 2 on input errors.
 Identical configurations (including the seed) produce byte-identical
 reports: nothing here depends on time, environment, or dict order.
+Each command imports the layers it uses in its own body, so a short
+command does not pay for loading the others.
 """
 
 from __future__ import annotations
@@ -17,33 +19,7 @@ from pathlib import Path
 
 import click
 
-from . import corpus as corpus_mod
-from . import suite as suite_mod
-from .algebra import load_algebra
-from .dgcplx import componentwise_gp_check
 from .errors import GorhomError, InputShapeError
-from .frobenius import (
-    BimodulePair,
-    ExtensionPair,
-    counterexample_product,
-    global_gdim_transfer,
-    is_frobenius_bimodule,
-    is_frobenius_extension,
-    load_bimodule,
-    load_extension,
-    tri_equiv_conditions,
-    verify_gpd_transfer,
-)
-from .homology import (
-    gid,
-    gorenstein_profile,
-    gpd,
-    load_complex,
-    resolve,
-    totalize_quasi_bicomplex,
-)
-from .modrep import (dual_module, load_module, radical_submodule_basis, socle_basis,
-                     structural_modules)
 
 
 def _data_dir() -> Path:
@@ -137,6 +113,8 @@ def _run(fn, fmt, out):
 @with_common
 def algebra_info(path, bound, seed, fmt, out):
     """Validate an .alg file and print its basic structure."""
+    from .algebra import load_algebra
+    from .modrep import structural_modules
 
     def run():
         a = load_algebra(resolve_input(path))
@@ -166,6 +144,7 @@ def algebra_info(path, bound, seed, fmt, out):
 @with_common
 def module_info(path, bound, seed, fmt, out):
     """Validate a .mod file and print dimensions and radical data."""
+    from .modrep import load_module, radical_submodule_basis, socle_basis
 
     def run():
         m = load_module(resolve_input(path))
@@ -186,6 +165,8 @@ def module_info(path, bound, seed, fmt, out):
 @with_common
 def profile_cmd(path, bound, seed, fmt, out):
     """Gorenstein profile of the algebra in an .alg file."""
+    from .algebra import load_algebra
+    from .homology import gorenstein_profile
 
     def run():
         a = load_algebra(resolve_input(path))
@@ -207,6 +188,8 @@ def profile_cmd(path, bound, seed, fmt, out):
 @with_common
 def gpd_cmd(path, bound, seed, fmt, out):
     """Gorenstein projective dimension of the module in a .mod file."""
+    from .homology import gorenstein_profile, gpd
+    from .modrep import load_module
 
     def run():
         m = load_module(resolve_input(path))
@@ -223,6 +206,8 @@ def gpd_cmd(path, bound, seed, fmt, out):
 @with_common
 def gid_cmd(path, bound, seed, fmt, out):
     """Gorenstein injective dimension of the module in a .mod file."""
+    from .homology import gid, gorenstein_profile
+    from .modrep import load_module
 
     def run():
         m = load_module(resolve_input(path))
@@ -241,6 +226,8 @@ def gid_cmd(path, bound, seed, fmt, out):
 @with_common
 def resolve_cmd(path, direction, bound, seed, fmt, out):
     """Minimal (co)resolution of the module in a .mod file."""
+    from .homology import resolve
+    from .modrep import dual_module, load_module
 
     def run():
         m = load_module(resolve_input(path))
@@ -263,6 +250,8 @@ def resolve_cmd(path, direction, bound, seed, fmt, out):
 @with_common
 def totalize_cmd(path, bound, seed, fmt, out):
     """Run the quasi-bicomplex totalization pipeline on a .mod file."""
+    from .homology import gorenstein_profile, totalize_quasi_bicomplex
+    from .modrep import load_module
 
     def run():
         m = load_module(resolve_input(path))
@@ -292,6 +281,8 @@ def totalize_cmd(path, bound, seed, fmt, out):
 @with_common
 def frobenius_verify(path, bound, seed, fmt, out):
     """Certify an .ext or .bimod file as Frobenius (or not)."""
+    from .frobenius import is_frobenius_bimodule, is_frobenius_extension, load_bimodule
+    from .frobenius import load_extension
 
     def run():
         p = resolve_input(path)
@@ -315,6 +306,8 @@ def frobenius_verify(path, bound, seed, fmt, out):
 @with_common
 def transfer_check(path, bound, seed, fmt, out):
     """Dimension-transfer table across the extension in an .ext file."""
+    from . import corpus as corpus_mod
+    from .frobenius import load_extension, verify_gpd_transfer
 
     def run():
         ext = load_extension(resolve_input(path))
@@ -337,6 +330,7 @@ def transfer_check(path, bound, seed, fmt, out):
 @with_common
 def glgdim_check(path, bound, seed, fmt, out):
     """Global Gorenstein dimensions on both sides of an .ext file agree."""
+    from .frobenius import global_gdim_transfer, load_extension
 
     def run():
         ext = load_extension(resolve_input(path))
@@ -360,6 +354,8 @@ def glgdim_check(path, bound, seed, fmt, out):
 @with_common
 def counterexample_cmd(block, other, bound, seed, fmt, out):
     """Certify the product-projection counterexample on bundled data."""
+    from . import corpus as corpus_mod
+    from .frobenius import counterexample_product
 
     def run():
         b = corpus_mod.corpus_algebra(block)
@@ -385,6 +381,9 @@ def counterexample_cmd(block, other, bound, seed, fmt, out):
 @with_common
 def triequiv_check(path, bound, seed, fmt, out):
     """Unit/counit conditions for the pair in an .ext or .bimod file."""
+    from . import corpus as corpus_mod
+    from .frobenius import (BimodulePair, ExtensionPair, load_bimodule, load_extension,
+                            tri_equiv_conditions)
 
     def run():
         p = resolve_input(path)
@@ -417,6 +416,9 @@ def triequiv_check(path, bound, seed, fmt, out):
 @with_common
 def complex_check(path, bound, seed, fmt, out):
     """Componentwise verdicts for a .cpx file, or the bundled complex suite."""
+    from . import suite as suite_mod
+    from .dgcplx import componentwise_gp_check
+    from .homology import gorenstein_profile, load_complex
 
     def run():
         if path is not None:
@@ -445,6 +447,7 @@ def complex_check(path, bound, seed, fmt, out):
 @with_common
 def suite_cmd(bound, seed, fmt, out):
     """Run every acceptance property over the bundled corpus."""
+    from . import suite as suite_mod
 
     def run():
         results = suite_mod.run_all(bound=bound, seed=seed)

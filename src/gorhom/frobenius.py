@@ -19,14 +19,18 @@ Hom_A(A, A) is written in the basis of right multiplications, so the G of
 (induction, restriction) and the F of (restriction, coinduction) are
 restriction exactly.  BimodulePair.check_triangles is the one check of the
 triangle identities, as exact matrix equalities, and is_frobenius_bimodule
-certifies any pair, once per bimodule and seed; a ring extension R -> S is
-certified as the bimodule _S S_R.  The verification routines report
-per-object records rather than trusting any general fact on faith.
+certifies any pair, once per bimodule and seed.  A ring extension R -> S is
+certified by a Frobenius system (E, x_i, y_i), checked by multiplication,
+with S ≅ Coind(R) by t -> E(-·t) as its witness; when none is found it is
+certified as the bimodule _S S_R, under the same memo.  The verification
+routines report per-object records rather than trusting any general fact
+on faith.
 """
 
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -56,15 +60,18 @@ from .homology import (
     syzygy,
 )
 from .modrep import (
+    MAX_RANDOM_TRIALS,
     IsoVerdict,
     ModHom,
     Module,
     ShortExactSequence,
+    _combine,
     _hom_space_matrices,
     _isomorphism,
     column_space_basis,
     cover_envelope,
     hom_coordinates,
+    hom_delta,
     hom_space,
     regular_module,
     stable_hom_dim,
@@ -403,31 +410,145 @@ def projective_witness(m: Module) -> Optional[DualBasis]:
 
 
 def is_frobenius_extension(ext: RingExtension, seed: int = 0) -> IsoVerdict:
-    """R -> S is a Frobenius extension exactly when _S S_R is a Frobenius bimodule."""
-    return is_frobenius_bimodule(extension_bimodule(ext), seed)
+    """R -> S is a Frobenius extension exactly when it has a Frobenius system
+    (Kasch; Kadison, New Examples of Frobenius Extensions, ch. 1), and
+    exactly when _S S_R is a Frobenius bimodule.  A system is tried first,
+    with S ≅ Coind(R), t -> E(-·t), as its witness; when none is found the
+    search certifies _S S_R.  The verdict is memoized as the bimodule's, so
+    the extension and its bimodule share one object."""
+    bim = extension_bimodule(ext)
+
+    def build() -> IsoVerdict:
+        system = frobenius_system(ext, seed)
+        if system is None:
+            return _frobenius_search(bim, seed)
+        return IsoVerdict("yes", witness=_system_witness(ext, system[0]))
+
+    return memo(bim, ("frobenius", seed), None, build)
 
 
 def is_frobenius_bimodule(m: Bimodule, seed: int = 0) -> IsoVerdict:
-    """Projectivity on both sides plus Hom_S(M, S) ≅ Hom_R^op(M, R), decided
-    once per (M, seed).  The verdict is the isomorphism test's, its witness
-    the bimodule isomorphism."""
+    """The search's verdict on M, decided once per (M, seed)."""
+    return memo(m, ("frobenius", seed), None, lambda: _frobenius_search(m, seed))
 
-    def build() -> IsoVerdict:
-        if projective_witness(m.as_left_module()) is None:
-            return IsoVerdict("no", obstruction="M is not projective as a left S-module")
-        if projective_witness(m.as_right_op_module()) is None:
-            return IsoVerdict("no", obstruction="M is not projective as a right R-module")
-        left_dual = hom_to_regular(m, "left")[0].as_tensor_module()
-        right_dual = hom_to_regular(m, "right")[0].as_tensor_module()
-        # the verdict's witness holds the two dual modules: the search
-        # memoizes nothing on them, so a kept verdict keeps no search memo
-        iso = _isomorphism(left_dual, right_dual, seed, _hom_space_matrices)
-        if iso.verdict == "no":
-            return IsoVerdict("no", obstruction="the two dual bimodules are not "
-                                                f"isomorphic: {iso.obstruction}")
-        return iso
 
-    return memo(m, ("frobenius", seed), None, build)
+def _frobenius_search(m: Bimodule, seed: int) -> IsoVerdict:
+    """Projectivity on both sides plus Hom_S(M, S) ≅ Hom_R^op(M, R).  The
+    verdict is the isomorphism test's, its witness the bimodule isomorphism."""
+    if projective_witness(m.as_left_module()) is None:
+        return IsoVerdict("no", obstruction="M is not projective as a left S-module")
+    if projective_witness(m.as_right_op_module()) is None:
+        return IsoVerdict("no", obstruction="M is not projective as a right R-module")
+    left_dual = hom_to_regular(m, "left")[0].as_tensor_module()
+    right_dual = hom_to_regular(m, "right")[0].as_tensor_module()
+    # the verdict's witness holds the two dual modules: the search
+    # memoizes nothing on them, so a kept verdict keeps no search memo
+    iso = _isomorphism(left_dual, right_dual, seed, _hom_space_matrices)
+    if iso.verdict == "no":
+        return IsoVerdict("no", obstruction="the two dual bimodules are not "
+                                            f"isomorphic: {iso.obstruction}")
+    return iso
+
+
+def frobenius_system(ext: RingExtension, seed: int = 0) -> Optional[Tuple[Mat, list]]:
+    """A Frobenius system (E, e_i, y_i) of R -> S, x_i being the basis e_i of
+    S, checked by check_frobenius_system; None when none is found.
+
+    E is drawn, seeded, from the R-R-bimodule maps S -> R, at most
+    MAX_RANDOM_TRIALS times.  A Frobenius homomorphism makes t -> E(-·t) a
+    bijection S -> Hom_R(S, R), so a draw whose map is not injective, or
+    every draw when the two dimensions differ, is passed over.  Once
+    x_i = e_i both identities are linear in the y_i, and any system
+    (x'_k, y'_k) with x'_k = sum_i c_ik·e_i gives y_i = sum_k c_ik·y'_k, so
+    one solve decides whether E has dual elements."""
+    r, s = ext.base, ext.total
+    maps = _bimodule_maps(ext)
+    if not maps or coinduce(ext, regular_module(r)).dim != s.dim:
+        return None
+    rmul = [s.right_mult_matrix(s.basis_vec(k)) for k in range(s.dim)]
+    rng, p = random.Random(seed), s.field.characteristic
+    for _ in range(MAX_RANDOM_TRIALS):
+        e = _combine(maps, [rng.randrange(p) if p else rng.randint(-3, 3) for _ in maps])
+        er = [e * m for m in rmul]   # er[t] is x -> E(x·e_t)
+        if Mat.from_cols(s.field, [vec(x).col(0) for x in er]).rank() == s.dim:
+            ys = _dual_elements(s, [ext.embedding * x for x in er])
+            if ys is not None:
+                check_frobenius_system(ext, e, ys)
+                return e, ys
+    return None
+
+
+def _bimodule_maps(ext: RingExtension) -> List[Mat]:
+    """A basis of the R-R-bimodule maps E: S -> R as matrices: the E in
+    Hom_R(S, R), the basis Coind(R) is written in, with E(x·phi(g)) =
+    E(x)·g for the generators g of R.  The r with E(x·phi(r)) = E(x)·r for
+    every x form a subalgebra containing 1, so the generators suffice."""
+    r, s = ext.base, ext.total
+    basis = [h.matrix for h in hom_space(restrict(ext, regular_module(s)), regular_module(r))]
+    if not basis:
+        return []
+    system = Mat.zeros(r.field, 0, len(basis))
+    for g in r.generators():
+        on_s = s.right_mult_matrix(ext.embed(r.basis_vec(g)))
+        on_r = r.right_mult_matrix(r.basis_vec(g))
+        system = system.vstack(hom_delta(basis, on_s) - hom_delta(basis, on_r, post=True))
+    ker = system.kernel_basis()
+    return [_combine(basis, ker.col(c)) for c in range(ker.cols)]
+
+
+def _dual_elements(s: Algebra, fr: List[Mat]) -> Optional[list]:
+    """The y_i with sum_i e_i·E(y_i·e_k) = e_k = sum_i E(e_k·e_i)·y_i for
+    every k, as coordinate tuples, from one solve in the coordinates of all
+    the y_i; None when there are none.  fr[k] is t -> phi(E(t·e_k))."""
+    n = s.dim
+    blocks = {}
+    for i in range(n):
+        lmul = s.left_mult_matrix(s.basis_vec(i))
+        for k in range(n):
+            blocks[(k, i)] = lmul * fr[k]
+            blocks[(n + k, i)] = s.left_mult_matrix(fr[i].col(k))
+    eye = vec(Mat.identity(s.field, n))
+    sol = solve(block_matrix(s.field, [n] * (2 * n), [n] * n, blocks), eye.vstack(eye)).particular
+    return None if sol is None else [sol.col(0)[i * n:(i + 1) * n] for i in range(n)]
+
+
+def check_frobenius_system(ext: RingExtension, e: Mat, ys: Sequence) -> None:
+    """Raise PropertyViolation unless (E, e_i, y_i) is a Frobenius system of
+    R -> S, checked by multiplication alone: E is an R-R-bimodule map on the
+    generators of R, and sum_i e_i·E(y_i·t) = t = sum_i E(t·e_i)·y_i for
+    every basis element t of S."""
+    r, s = ext.base, ext.total
+    field = s.field
+    for g in r.generators():
+        x, y = ext.embed(r.basis_vec(g)), r.basis_vec(g)
+        if (e * s.left_mult_matrix(x) != r.left_mult_matrix(y) * e
+                or e * s.right_mult_matrix(x) != r.right_mult_matrix(y) * e):
+            raise PropertyViolation(f"E is not an R-R-bimodule map at {r.basis_labels[g]}")
+
+    def fe(v) -> tuple:
+        return ext.embed((e * Mat.col_vector(field, v)).col(0))
+
+    for k in range(s.dim):
+        t = s.basis_vec(k)
+        left = right = s.zero_vec()
+        for i, y in enumerate(ys):
+            left = tuple(map(field.add, left, s.mul_vec(s.basis_vec(i), fe(s.mul_vec(y, t)))))
+            right = tuple(map(field.add, right, s.mul_vec(fe(s.table[k][i]), y)))
+        if left != t or right != t:
+            raise PropertyViolation(f"the Frobenius system fails at {s.basis_labels[k]}")
+
+
+def _system_witness(ext: RingExtension, e: Mat) -> ModHom:
+    """S -> Coind(R) = Hom_R(S, R), t -> E(-·t), checked as a hom of
+    S-modules and as invertible."""
+    s, r = ext.total, ext.base
+    basis = hom_space(restrict(ext, regular_module(s)), regular_module(r))
+    mat = hom_coordinates([e * s.right_mult_matrix(s.basis_vec(t)) for t in range(s.dim)],
+                          basis, s.field, "E(-·t) is not a map of R-modules")
+    witness = ModHom(regular_module(s), coinduce(ext, regular_module(r)), mat)
+    if not witness.is_iso():
+        raise PropertyViolation("t -> E(-·t) is not invertible")
+    return witness
 
 
 # ---------------------------------------------------------------------------

@@ -623,20 +623,26 @@ def is_isomorphic(m: Module, n: Module, seed: int = 0) -> IsoVerdict:
     """Three-valued isomorphism test with verified certificates.
 
     "yes" carries an invertible intertwiner.  "no" carries a certified
-    obstruction: a dimension mismatch, a Hom/End dimension mismatch, a
-    radical-series mismatch, or exhaustion of the hom space over a small
-    finite field.  When randomized search fails and exhaustion is
-    infeasible the verdict is "inconclusive".
+    obstruction: a dimension mismatch, Hom(m, n) = 0, a Hom/End dimension
+    mismatch, a radical-series mismatch, or exhaustion of the hom space
+    over a small finite field.  The two cheap tests come first; then
+    MAX_RANDOM_TRIALS seeded combinations of the hom basis are tried, and
+    only when none is invertible are End(m), End(n) and the radical series
+    computed, so a "yes" pays for its certificate only.  When randomized
+    search fails and exhaustion is infeasible the verdict is "inconclusive".
     """
     return _isomorphism(m, n, seed, lambda x, y: [h.matrix for h in hom_space(x, y)])
 
 
 def _isomorphism(m: Module, n: Module, seed: int, homs_of) -> IsoVerdict:
     """is_isomorphic with the hom bases, as matrices, from homs_of(x, y);
-    solved afresh, they leave no memo for a kept witness to pin."""
+    solved afresh, they leave no memo for a kept witness to pin.
+
+    An invertible intertwiner is an isomorphism, so no obstruction can hold
+    where a trial succeeds, and the trials read nothing the obstructions
+    compute: the order changes no verdict, obstruction or witness."""
     if m.algebra != n.algebra:
         raise AlgebraMismatch("isomorphism test requires one algebra")
-    field = m.algebra.field
     if m.dim != n.dim:
         return IsoVerdict("no", obstruction=f"dimensions differ: {m.dim} vs {n.dim}")
     if m.dim == 0:
@@ -645,6 +651,13 @@ def _isomorphism(m: Module, n: Module, seed: int, homs_of) -> IsoVerdict:
     homs = homs_of(m, n)
     if not homs:
         return IsoVerdict("no", obstruction="Hom(m, n) = 0")
+    rng, p = random.Random(seed), m.algebra.field.characteristic
+    trials = ([rng.randrange(p) if p else rng.randint(-3, 3) for _ in homs]
+              for _ in range(MAX_RANDOM_TRIALS))
+    found = _first_invertible(m, n, homs, trials)
+    if found is not None:
+        return found
+
     d_end_m, d_end_n, d_hom = len(homs_of(m, m)), len(homs_of(n, n)), len(homs)
     if not (d_end_m == d_end_n == d_hom):
         return IsoVerdict(
@@ -655,25 +668,20 @@ def _isomorphism(m: Module, n: Module, seed: int, homs_of) -> IsoVerdict:
     rn = _radical_series_dims(n)
     if rm != rn:
         return IsoVerdict("no", obstruction=f"radical series differ: {rm} vs {rn}")
+    if p and p ** len(homs) <= EXHAUSTION_LIMIT:
+        return (_first_invertible(m, n, homs, iter_product(range(p), repeat=len(homs)))
+                or IsoVerdict("no", obstruction="exhausted the hom space: no invertible element"))
+    return IsoVerdict("inconclusive")
 
-    rng = random.Random(seed)
-    p = field.characteristic
-    for _ in range(MAX_RANDOM_TRIALS):
-        if p:
-            coeffs = [rng.randrange(p) for _ in homs]
-        else:
-            coeffs = [rng.randint(-3, 3) for _ in homs]
+
+def _first_invertible(m: Module, n: Module, homs: List[Mat], trials) -> Optional[IsoVerdict]:
+    """The "yes" of the first combination of homs, by the coefficient lists
+    of trials, that is invertible; None when there is none."""
+    for coeffs in trials:
         cand = _combine(homs, coeffs)
         if cand.is_invertible():
             return IsoVerdict("yes", witness=ModHom(m, n, cand))
-
-    if p and p ** len(homs) <= EXHAUSTION_LIMIT:
-        for coeffs in iter_product(range(p), repeat=len(homs)):
-            cand = _combine(homs, coeffs)
-            if cand.is_invertible():
-                return IsoVerdict("yes", witness=ModHom(m, n, cand))
-        return IsoVerdict("no", obstruction="exhausted the hom space: no invertible element")
-    return IsoVerdict("inconclusive")
+    return None
 
 
 def _radical_series_dims(m: Module) -> tuple:

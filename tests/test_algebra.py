@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from test_kupisch import NAKAYAMA
 from test_laws import same_column_space
 
 import gorhom
@@ -93,6 +94,32 @@ def test_loop_mod_square_is_dual_numbers():
 def test_unbounded_loop_raises():
     with pytest.raises(InfiniteDimensional):
         path_algebra(Quiver(1, arrows=((0, 0, "x"),)), F2, max_path_length=6)
+
+
+def test_a_dense_level_raises_at_the_cell_budget():
+    # four loops and five quadratic relations over F_3: the standard paths
+    # grow as 4, 11, 24, 41, so the ideal rows of length 5 times its
+    # candidate paths pass the budget, which is checked before any row of
+    # that length is built or reduced
+    rels = (((("x", "y"), 1), (("y", "x"), 2)),
+            ((("z", "w"), 1), (("w", "z"), 1)),
+            ((("x", "z"), 1), (("y", "w"), 1)),
+            ((("x", "x"), 1), (("z", "z"), 2)),
+            ((("y", "y"), 1), (("w", "w"), 1), (("w", "x"), 1)))
+    q = Quiver(1, arrows=tuple((0, 0, label) for label in "xyzw"), relations=rels)
+    with pytest.raises(InfiniteDimensional,
+                       match="desk-scale limit at length 5: 212 ideal rows over 172 candidate"):
+        path_algebra(q, F3)
+
+
+def test_bundled_and_kupisch_quivers_stay_far_below_the_cell_budget(monkeypatch):
+    reduced, reduce = [], algebra.rref
+    monkeypatch.setattr(algebra, "rref", lambda m: reduced.append(m.rows * m.cols) or reduce(m))
+    for name in ("a2", "a3", "nak2"):
+        path_algebra(load_quiver(DATA / f"{name}.quiver"), F2)
+    for quiver, *_ in NAKAYAMA.values():
+        path_algebra(quiver, F2)
+    assert 100 * max(reduced) < algebra.LEVEL_CELL_BUDGET
 
 
 def test_malformed_relations():
@@ -335,6 +362,23 @@ def test_tensoring_with_fresh_algebras_retains_no_memory(retained_bytes):
         tensor_algebra(a, Algebra(b.field, b.basis_labels, b.table, b.unit))
 
     assert retained_bytes(tensor_fresh, 5) < 100
+
+
+def test_trusted_builds_coerce_no_entry(monkeypatch):
+    # the opposite and the tensor product take the canonical entries of
+    # their checked factors as they are
+    a2t2 = load_algebra(DATA / "a2t2.alg")
+    a2op = load_algebra(DATA / "a2.alg").opposite()
+    a2t2.radical_basis(), a2op.radical_basis()
+    coerced = []
+    coerce = FieldSpec.coerce
+    monkeypatch.setattr(FieldSpec, "coerce", lambda f, x: coerced.append(x) or coerce(f, x))
+    op, t = a2t2.opposite(), tensor_algebra(a2t2, a2op)
+    assert coerced == []
+    assert op.table == tuple(tuple(a2t2.table[j][i] for j in range(a2t2.dim))
+                             for i in range(a2t2.dim))
+    assert (t.dim, t.unit, len(t.idempotents)) == (18, tuple(
+        x * y for x in a2t2.unit for y in a2op.unit), 4)
 
 
 class _Holder:

@@ -1,5 +1,8 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -339,3 +342,22 @@ def test_out_writes_file(runner, tmp_path):
     assert result.exit_code == 0
     doc = json.loads(target.read_text())
     assert doc["gorenstein-dim"] == 0
+
+
+def test_algebra_info_loads_only_the_layers_it_uses():
+    # each command imports its own layers, so a fresh process running
+    # algebra-info never loads the homological or Frobenius layers
+    script = ("import sys\n"
+              "from gorhom.cli import main\n"
+              "try:\n"
+              "    main(['algebra-info', 'f2.alg'])\n"
+              "except SystemExit as exc:\n"
+              "    assert exc.code == 0, exc.code\n"
+              "print(' '.join(sorted(m for m in sys.modules if m.startswith('gorhom'))))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(gorhom.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    loaded = set(done.stdout.splitlines()[-1].split())
+    assert "gorhom.algebra" in loaded and "gorhom.modrep" in loaded
+    for layer in ("frobenius", "homology", "dgcplx", "corpus", "suite"):
+        assert f"gorhom.{layer}" not in loaded

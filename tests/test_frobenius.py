@@ -33,6 +33,7 @@ from gorhom.frobenius import (
     counterexample_product,
     extension_bimodule,
     faithfulness_report,
+    frobenius_system,
     global_gdim_transfer,
     identity_extension,
     induce,
@@ -266,6 +267,62 @@ def test_frobenius_extension_a2_is_not(f2, a2):
     assert v.obstruction is not None
 
 
+def _field_into(name):
+    a = corpus_algebra(name)
+    f2 = corpus_algebra("f2")
+    return RingExtension(f2, a, Mat.from_cols(F2, [a.unit]))
+
+
+SYSTEM_CASES = ([(name, corpus_extension, "yes") for name in EXTENSION_NAMES]
+                + [(name, _field_into, "yes") for name in ("nak2", "f2c2", "m2f2x2")]
+                + [(name, _field_into, "no") for name in ("a2", "a3", "a2t2")])
+
+
+@pytest.mark.parametrize("name, make, expected", SYSTEM_CASES)
+def test_a_frobenius_system_exists_exactly_when_the_search_says_yes(name, make, expected):
+    # the search is called directly, not through the verdict memo the two
+    # routes share
+    ext = make(name)
+    search = frobenius._frobenius_search(extension_bimodule(ext), 0)
+    assert search.verdict == expected
+    assert (frobenius_system(ext) is not None) == (expected == "yes")
+    v = is_frobenius_extension(ext)
+    assert (v.verdict, v.obstruction) == (search.verdict, search.obstruction)
+    if expected == "yes":
+        assert v.witness.source is regular_module(ext.total)
+        assert v.witness.target is coinduce(ext, regular_module(ext.base))
+        assert v.witness.is_iso()
+
+
+def _bumped(x, field):
+    p = field.characteristic
+    return (x + 1) % p if p else x + 1
+
+
+@pytest.mark.parametrize("name", EXTENSION_NAMES)
+def test_a_corrupted_frobenius_system_is_refused(name):
+    # every one-entry change of E breaks a bimodule law or an identity; over
+    # a field base the y_i are the dual basis of the e_i under the form
+    # (x, t) -> E(x·t), so every one-entry change of a y_i breaks one too
+    ext = corpus_extension(name)
+    e, ys = frobenius_system(ext)
+    frobenius.check_frobenius_system(ext, e, ys)
+    field = e.field
+    for r in range(e.rows):
+        for c in range(e.cols):
+            rows = [list(row) for row in e.data]
+            rows[r][c] = _bumped(rows[r][c], field)
+            with pytest.raises(PropertyViolation):
+                frobenius.check_frobenius_system(ext, Mat(field, rows), ys)
+    if ext.base.dim == 1:
+        for i, y in enumerate(ys):
+            for j in range(len(y)):
+                bad = list(ys)
+                bad[i] = y[:j] + (_bumped(y[j], field),) + y[j + 1:]
+                with pytest.raises(PropertyViolation):
+                    frobenius.check_frobenius_system(ext, e, bad)
+
+
 def test_frobenius_bimodule_trivial(f2):
     k = Bimodule(f2, f2, 1, [Mat.identity(F2, 1)], [Mat.identity(F2, 1)])
     assert is_frobenius_bimodule(k).verdict == "yes"
@@ -468,7 +525,8 @@ def test_a_first_certification_keeps_only_its_witness(retained_bytes, in_new_bas
 
 
 def test_second_certification_builds_nothing(monkeypatch, ext_f2_f2c2):
-    # the verdict is memoized on the bimodule _S S_R and its seed, so
+    # a Frobenius system certifies the extension, so no tensor module is
+    # built; the verdict is memoized on the bimodule _S S_R and its seed, so
     # certifying again, as an extension or as that bimodule, is a lookup
     built = []
     as_tensor_module = Bimodule.as_tensor_module
@@ -479,7 +537,7 @@ def test_second_certification_builds_nothing(monkeypatch, ext_f2_f2c2):
 
     monkeypatch.setattr(Bimodule, "as_tensor_module", counting)
     first = is_frobenius_extension(ext_f2_f2c2, seed=3)
-    assert first.verdict == "yes" and len(built) == 2
+    assert first.verdict == "yes" and built == []
     built.clear()
     assert is_frobenius_extension(ext_f2_f2c2, seed=3) is first
     assert is_frobenius_bimodule(extension_bimodule(ext_f2_f2c2), seed=3) is first
@@ -505,14 +563,19 @@ def test_coinducing_along_fresh_extensions_retains_no_memory(f2, f2c2, ext_f2_f2
     assert retained_bytes(lambda: coinduce(RingExtension(f2, f2c2, emb), k), 20) < 100
 
 
+def is_frobenius_bimodule_of(ext):
+    """The search's certification of the extension, as the bimodule _S S_R."""
+    return is_frobenius_bimodule(extension_bimodule(ext))
+
+
 @pytest.mark.parametrize("name, load, certify", [
-    ("a2_a2t2.ext", load_extension, is_frobenius_extension),
+    ("a2_a2t2.ext", load_extension, is_frobenius_bimodule_of),
     ("morita_col.bimod", load_bimodule, is_frobenius_bimodule),
 ])
 def test_certification_computes_the_tensor_radical_once(monkeypatch, name, load, certify):
-    # Both sides of the certified isomorphism are modules over S (x) R^op,
-    # which is built once per pair of factors with its closed-form radical,
-    # so the generic computation never runs on it.
+    # Both sides of the isomorphism the search certifies are modules over
+    # S (x) R^op, which is built once per pair of factors with its
+    # closed-form radical, so the generic computation never runs on it.
     kinds, built = [], []
     generic, tensor = algebra._radical_generic, algebra._tensor_algebra
 

@@ -1,4 +1,5 @@
 import gc
+import random
 import sys
 import threading
 from itertools import count, product as iter_product
@@ -9,7 +10,7 @@ import pytest
 from test_laws import full_basis_hom_matrices
 
 import gorhom
-from gorhom import homology
+from gorhom import homology, modrep
 from gorhom.algebra import (
     Quiver,
     cyclic_group_table,
@@ -23,6 +24,9 @@ from gorhom.corpus import corpus_algebra, module_corpus
 from gorhom.errors import AlgebraMismatch, NoHomotopy, PropertyViolation
 from gorhom.exactlin import FieldSpec, Mat, kron, solve, vec
 from gorhom.modrep import (
+    EXHAUSTION_LIMIT,
+    MAX_RANDOM_TRIALS,
+    IsoVerdict,
     Module,
     ModHom,
     ShortExactSequence,
@@ -303,6 +307,95 @@ def test_is_isomorphic_radical_series_obstruction(f2c2):
     v = is_isomorphic(two_k, reg)
     assert v.verdict == "no"
     assert v.obstruction is not None
+
+
+def obstruction_first_isomorphism(m, n, seed=0):
+    """is_isomorphic with the End-dimension and radical-series obstructions
+    before the random trials, as it was written before the trials came
+    first: the oracle for the search-first order."""
+    if m.dim != n.dim:
+        return IsoVerdict("no", obstruction=f"dimensions differ: {m.dim} vs {n.dim}")
+    if m.dim == 0:
+        return IsoVerdict("yes", witness=zero_hom(m, n))
+    homs = [h.matrix for h in hom_space(m, n)]
+    if not homs:
+        return IsoVerdict("no", obstruction="Hom(m, n) = 0")
+    d_end_m, d_end_n, d_hom = hom_dim(m, m), hom_dim(n, n), len(homs)
+    if not (d_end_m == d_end_n == d_hom):
+        return IsoVerdict(
+            "no",
+            obstruction=f"hom dimensions differ: End(m)={d_end_m}, End(n)={d_end_n}, Hom={d_hom}",
+        )
+    rm, rn = modrep._radical_series_dims(m), modrep._radical_series_dims(n)
+    if rm != rn:
+        return IsoVerdict("no", obstruction=f"radical series differ: {rm} vs {rn}")
+    rng, p = random.Random(seed), m.algebra.field.characteristic
+    for _ in range(MAX_RANDOM_TRIALS):
+        if p:
+            coeffs = [rng.randrange(p) for _ in homs]
+        else:
+            coeffs = [rng.randint(-3, 3) for _ in homs]
+        cand = modrep._combine(homs, coeffs)
+        if cand.is_invertible():
+            return IsoVerdict("yes", witness=ModHom(m, n, cand))
+    if p and p ** len(homs) <= EXHAUSTION_LIMIT:
+        for coeffs in iter_product(range(p), repeat=len(homs)):
+            cand = modrep._combine(homs, coeffs)
+            if cand.is_invertible():
+                return IsoVerdict("yes", witness=ModHom(m, n, cand))
+        return IsoVerdict("no", obstruction="exhausted the hom space: no invertible element")
+    return IsoVerdict("inconclusive")
+
+
+def _verdict_record(v):
+    return v.verdict, v.obstruction, None if v.witness is None else v.witness.matrix
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "nak2", "f2c2", "a2t2"])
+def test_search_first_isomorphism_agrees_with_obstructions_first(name, in_new_basis):
+    # every ordered pair of the corpus and of its seeded new bases gets the
+    # verdict, obstruction text and witness matrix of the old order
+    mods = module_corpus(corpus_algebra(name), minimum=0)
+    rebased = []
+    for seed, m in enumerate(mods):
+        try:
+            rebased.append(in_new_basis(m, seed)[0])
+        except AssertionError:   # every basis gives m itself
+            pass
+    for seed, (m, n) in enumerate(iter_product(mods + rebased, repeat=2)):
+        assert (_verdict_record(is_isomorphic(m, n, seed % 3))
+                == _verdict_record(obstruction_first_isomorphism(m, n, seed % 3)))
+
+
+def test_search_first_isomorphism_keeps_each_obstruction():
+    # P2 + P2 and S1 + S2 + P2 over A_3: equal End dimensions, so one
+    # direction is decided by the radical series and the other by Hom
+    s = structural_modules(corpus_algebra("a3"))
+    p2 = s.projectives[1]
+    m, n = direct_sum([p2, p2]), direct_sum([s.simples[0], s.simples[1], p2])
+    k, reg = structural_modules(corpus_algebra("f2c2")).simples[0], regular_module(
+        corpus_algebra("f2c2"))
+    for x, y, obstruction in [
+            (m, n, "radical series differ: (4, 2) vs (4, 1)"),
+            (n, m, "hom dimensions differ: End(m)=4, End(n)=4, Hom=2"),
+            (direct_sum([k, k]), reg, "hom dimensions differ: End(m)=4, End(n)=2, Hom=2")]:
+        assert _verdict_record(is_isomorphic(x, y)) == ("no", obstruction, None)
+        assert _verdict_record(obstruction_first_isomorphism(x, y)) == ("no", obstruction, None)
+
+
+def test_a_yes_computes_no_obstruction(monkeypatch, in_new_basis):
+    # the first random trial certifies the isomorphism: End(m), End(n) and
+    # the radical series are never computed
+    m = regular_module(corpus_algebra("a2t2"))
+    n = in_new_basis(m, 1)[0]
+    walks, solved = [], []
+    series, solve_homs = modrep._radical_series_dims, modrep._hom_space_matrices
+    monkeypatch.setattr(modrep, "_radical_series_dims",
+                        lambda x: walks.append(x) or series(x))
+    monkeypatch.setattr(modrep, "_hom_space_matrices",
+                        lambda x, y: solved.append((x, y)) or solve_homs(x, y))
+    assert is_isomorphic(m, n).verdict == "yes"
+    assert walks == [] and [(x, y) for x, y in solved if x is y] == []
 
 
 def test_factorization_dimension_bookkeeping(a2, f2c2):
