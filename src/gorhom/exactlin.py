@@ -16,8 +16,11 @@ is the boundary where outside data comes in, so it coerces and checks
 every entry; so does `mat_from_flat`, the reader of the flat encoding.
 The routines of this module build their results with the private
 `Mat._from_canonical`, which skips that work: their entries are canonical
-by construction.  `Mat.from_cols` is trusted the same way and takes
-columns of canonical entries, such as columns of other matrices.
+by construction; it sets the four slots through their slot descriptors,
+as `Mat.__setattr__` raises.  `Mat.from_cols` is trusted the same way and
+takes columns of canonical entries, such as columns of other matrices.
+Over F_2, whose entries are the ints 0 and 1, `rref` packs each row into
+one int by a byte translation and eliminates by xor.
 
 Matrix layout lives here and nowhere else: slicing (`select_rows`,
 `select_cols`), block assembly (`block_matrix`, of which a block-diagonal
@@ -180,10 +183,10 @@ class Mat:
         """Wrap `rows`, a tuple of `cols`-long tuples of canonical entries,
         without coercing or checking them."""
         m = object.__new__(cls)
-        object.__setattr__(m, "field", field)
-        object.__setattr__(m, "rows", len(rows))
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "data", rows)
+        _set_field(m, field)
+        _set_rows(m, len(rows))
+        _set_cols(m, cols)
+        _set_data(m, rows)
         return m
 
     def __setattr__(self, *a):  # pragma: no cover
@@ -293,10 +296,10 @@ class Mat:
         p = self.field.characteristic
         bt = list(zip(*other.data))  # columns of other
         if p:
-            out = tuple(tuple([sum(map(mul, row, bc)) % p for bc in bt]) for row in self.data)
+            out = tuple([tuple([sum(map(mul, row, bc)) % p for bc in bt]) for row in self.data])
         else:
             zero = Fraction(0)
-            out = tuple(tuple([sum(map(mul, row, bc), zero) for bc in bt]) for row in self.data)
+            out = tuple([tuple([sum(map(mul, row, bc), zero) for bc in bt]) for row in self.data])
         return Mat._from_canonical(self.field, out, other.cols)
 
     def transpose(self) -> "Mat":
@@ -347,6 +350,10 @@ class Mat:
         return self.rows == self.cols and self.rank() == self.rows
 
 
+_set_field, _set_rows, _set_cols, _set_data = (
+    Mat.__dict__[name].__set__ for name in Mat.__slots__)
+
+
 @dataclass(frozen=True)
 class RrefResult:
     matrix: Mat
@@ -394,16 +401,17 @@ def rref(m: Mat) -> RrefResult:
     return RrefResult(out, tuple(pivots), len(pivots))
 
 
+_PACK = bytes.maketrans(b"\x00\x01", b"01")
+_UNPACK = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def _rref_gf2(m: Mat) -> RrefResult:
-    # Rows packed into ints, bit j = column j; elimination is xor.
+    # Rows packed into ints, bit j = column j; elimination is xor.  The
+    # reversed row's bytes, read as binary digits, are the packed int.
     nrows, ncols = m.rows, m.cols
-    packed = []
-    for row in m.data:
-        acc = 0
-        for j, x in enumerate(row):
-            if x:
-                acc |= 1 << j
-        packed.append(acc)
+    if not ncols or not nrows:
+        return RrefResult(m, (), 0)
+    packed = [int(bytes(row[::-1]).translate(_PACK), 2) for row in m.data]
     pivots = []
     r = 0
     for c in range(ncols):
@@ -420,9 +428,9 @@ def _rref_gf2(m: Mat) -> RrefResult:
         r += 1
         if r == nrows:
             break
-    data = tuple(tuple([(acc >> j) & 1 for j in range(ncols)]) for acc in packed)
-    out = Mat._from_canonical(m.field, data, ncols) if nrows else m
-    return RrefResult(out, tuple(pivots), len(pivots))
+    width = f"0{ncols}b"
+    data = tuple([tuple(format(acc, width).encode().translate(_UNPACK)[::-1]) for acc in packed])
+    return RrefResult(Mat._from_canonical(m.field, data, ncols), tuple(pivots), len(pivots))
 
 
 @dataclass(frozen=True)
@@ -444,32 +452,25 @@ def solve(a: Mat, b: Mat) -> SolveResult:
         raise InputShapeError(f"solve: a has {a.rows} rows but b has {b.rows}")
     field = a.field
     aug = rref(a.hstack(b))
-    R = aug.matrix
+    rows = aug.matrix.data
     n = a.cols
     pivots = [c for c in aug.pivots if c < n]
-    consistent_all = all(c < n for c in aug.pivots)
-    free = [c for c in range(n) if c not in set(pivots)]
+    pivot_row = {c: r_i for r_i, c in enumerate(pivots)}
+    free = [c for c in range(n) if c not in pivot_row]
 
-    zero, one = field.zero(), field.one()
-    # Kernel basis: one column per free variable.
-    kcols = []
-    for f in free:
-        v = [zero] * n
-        v[f] = one
-        for r_i, c in enumerate(pivots):
-            v[c] = field.neg(R.entry(r_i, f))
-        kcols.append(v)
-    kernel = Mat.from_cols(field, kcols, n)
-
+    # Kernel basis, one column per free variable, built row by row: a pivot
+    # coordinate's row is minus its RREF row at the free columns, a free
+    # coordinate's row a unit vector.
+    zero, one, neg = field.zero(), field.one(), field.neg
+    kernel = Mat._from_canonical(field, tuple([
+        tuple([neg(rows[pivot_row[c]][f]) for f in free]) if c in pivot_row
+        else tuple([one if f == c else zero for f in free]) for c in range(n)]), len(free))
     particular = None
-    if consistent_all:
-        pcols = []
-        for k in range(b.cols):
-            v = [zero] * n
-            for r_i, c in enumerate(pivots):
-                v[c] = R.entry(r_i, n + k)
-            pcols.append(v)
-        particular = Mat.from_cols(field, pcols, n)
+    if len(pivots) == aug.rank:  # no pivot in b: every column is consistent
+        zeros = (zero,) * b.cols
+        particular = Mat._from_canonical(
+            field, tuple([rows[pivot_row[c]][n:] if c in pivot_row else zeros
+                          for c in range(n)]), b.cols)
     return SolveResult(particular, kernel)
 
 

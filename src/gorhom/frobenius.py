@@ -70,6 +70,7 @@ from .modrep import (
     _isomorphism,
     column_space_basis,
     cover_envelope,
+    hom_actions,
     hom_coordinates,
     hom_delta,
     hom_space,
@@ -148,12 +149,8 @@ def coinduce(ext: RingExtension, x: Module) -> Module:
             raise AlgebraMismatch("coinduce expects a module over the base algebra")
         s = ext.total
         basis = hom_space(restrict(ext, regular_module(s)), x)
-        acts = []
-        for i in range(s.dim):
-            rmul = s.right_mult_matrix(s.basis_vec(i))
-            acts.append(hom_coordinates([h.matrix * rmul for h in basis], basis, s.field,
-                                        "coinduced action left the hom space"))
-        return Module(s, acts)
+        rmuls = [s.right_mult_matrix(s.basis_vec(i)) for i in range(s.dim)]
+        return Module(s, hom_actions(basis, rmuls, s.field, "coinduced action left the hom space"))
 
     return memo(x, "coind", ext, build)
 
@@ -261,10 +258,8 @@ def hom_to_regular(m: Bimodule, side: str) -> Tuple[Bimodule, list]:
         basis = ([ModHom._trusted(over, reg, post) for post in posts] if _is_regular(over)
                  else hom_space(over, reg))
         law = f"bimodule action left Hom into the regular {side} module"
-        pre_acts = [hom_coordinates([h.matrix * p for h in basis], basis, a.field, law)
-                    for p in pre]
-        post_acts = [hom_coordinates([post * h.matrix for h in basis], basis, a.field, law)
-                     for post in posts]
+        pre_acts = hom_actions(basis, pre, a.field, law)
+        post_acts = hom_actions(basis, posts, a.field, law, post=True)
         left, right = (pre_acts, post_acts) if side == "left" else (post_acts, pre_acts)
         return Bimodule(m.right, m.left, len(basis), left, right), basis
 

@@ -56,6 +56,7 @@ from .modrep import (
     dual_hom,
     dual_module,
     factor_through,
+    hom_actions,
     hom_coordinates,
     hom_delta,
     hom_dim,
@@ -294,9 +295,8 @@ def star_module(m: Module) -> Tuple[Module, list]:
         a = m.algebra
         basis = hom_space(m, regular_module(a))
         rmats = [a.right_mult_matrix(a.basis_vec(i)) for i in range(a.dim)]
-        acts = [hom_coordinates([rmat * h.matrix for h in basis], basis, a.field,
-                                "Hom(m, A) is not stable under the right action")
-                for rmat in rmats]
+        acts = hom_actions(basis, rmats, a.field,
+                           "Hom(m, A) is not stable under the right action", post=True)
         return Module(a.opposite(), acts), basis
 
     return memo(m, "star", None, build)

@@ -108,12 +108,8 @@ class Module:
                     )
 
     def rho(self, v) -> Mat:
-        """Action matrix of an arbitrary algebra element (coordinate vector)."""
-        out = Mat.zeros(self.algebra.field, self.dim, self.dim)
-        for i, c in enumerate(v):
-            if c != 0:
-                out = out + self.action[i].scale(c)
-        return out
+        """Action matrix of an algebra element (coordinate vector); action[i] for e_i."""
+        return _combine(self.action, v)
 
     def is_zero(self) -> bool:
         return self.dim == 0
@@ -171,7 +167,9 @@ class ModHom:
 
 
 def zero_module(a: Algebra) -> Module:
-    return Module(a, [Mat.zeros(a.field, 0, 0) for _ in range(a.dim)], _skip_validation=True)
+    """The zero module, built once per algebra."""
+    return memo(a, "zero_module", None,
+                lambda: Module(a, [Mat.zeros(a.field, 0, 0)] * a.dim, _skip_validation=True))
 
 
 def zero_hom(source: Module, target: Module) -> ModHom:
@@ -262,11 +260,14 @@ def hom_delta(mats: Sequence[Mat], d: Mat, post: bool = False) -> Mat:
 
 
 def _combine(mats: Sequence[Mat], coeffs) -> Mat:
-    """The combination sum c_t·mats[t] of a nonempty hom basis."""
+    """The combination sum c_t·mats[t] of a nonempty list of matrices;
+    mats[t] itself when the coefficients are the t-th unit vector."""
+    terms = [(h, c) for h, c in zip(mats, coeffs) if c]
+    if len(terms) == 1 and terms[0][1] == 1:
+        return terms[0][0]
     out = Mat.zeros(mats[0].field, mats[0].rows, mats[0].cols)
-    for h, c in zip(mats, coeffs):
-        if c:
-            out = out + h.scale(c)
+    for h, c in terms:
+        out = out + h.scale(c)
     return out
 
 
@@ -307,6 +308,16 @@ def hom_coordinates(mats: Sequence[Mat], basis: Sequence[ModHom], field, law: st
     return coeffs
 
 
+def hom_actions(basis: Sequence[ModHom], ops: Sequence[Mat], field, law: str,
+                post: bool = False) -> List[Mat]:
+    """For each op, the matrix of h -> h∘op, or h -> op∘h when post, in the
+    hom basis: one hom_coordinates solve, one block of columns per op."""
+    k = len(basis)
+    mats = [op * h.matrix if post else h.matrix * op for op in ops for h in basis]
+    coeffs = hom_coordinates(mats, basis, field, law)
+    return [coeffs.select_cols(range(t * k, (t + 1) * k)) for t in range(len(ops))]
+
+
 # ---------------------------------------------------------------------------
 # Sub/quotient/direct sum constructions
 # ---------------------------------------------------------------------------
@@ -325,19 +336,22 @@ def submodule(m: Module, basis: Mat) -> Tuple[Module, ModHom]:
     result is checked again: rho(e_i)·B = B·X_i is solved for every i, and
     with B independent, B·X_iX_j = rho_i·rho_j·B = B·sum_k c_ij^k X_k gives
     the structure constants of the X_i (and X(1) = I), while the solved
-    equations are the inclusion's intertwining equations.
+    equations are the inclusion's intertwining equations.  They are one
+    solve, B·X = [rho(e_0)·B | ...], with zero kernel exactly when B is
+    independent, and X_i is the i-th block of X.
     """
     k = basis.cols
     if basis.rows != m.dim:
         raise InputShapeError("submodule basis lives in the wrong space")
-    if rref(basis).rank != k:
+    n = m.algebra.dim
+    images = block_matrix(m.algebra.field, [m.dim], [k] * n,
+                          {(0, i): act * basis for i, act in enumerate(m.action)})
+    res = solve(basis, images)
+    if res.kernel.cols:
         raise InputShapeError("submodule basis columns are dependent")
-    acts = []
-    for i in range(m.algebra.dim):
-        res = solve(basis, m.action[i] * basis)
-        if res.particular is None:
-            raise PropertyViolation("span is not action-stable")
-        acts.append(res.particular)
+    if res.particular is None:
+        raise PropertyViolation("span is not action-stable")
+    acts = [res.particular.select_cols(range(i * k, (i + 1) * k)) for i in range(n)]
     sub = Module(m.algebra, acts, _skip_validation=True)
     return sub, ModHom._trusted(sub, m, basis)
 

@@ -350,3 +350,132 @@ def test_exact_arithmetic_never_enters_the_coercing_constructor(monkeypatch):
     assert calls == []
     Mat(F2, [[1]])  # the count does see the public constructor
     assert len(calls) == 1
+
+
+# -- the small-system kernel against its per-entry forms ------------------------
+
+
+def per_bit_rref_gf2(m: Mat):
+    """RREF over F_2 with rows packed and unpacked one bit at a time: the
+    oracle for the byte-packed elimination."""
+    nrows, ncols = m.rows, m.cols
+    packed = []
+    for row in m.data:
+        acc = 0
+        for j, x in enumerate(row):
+            if x:
+                acc |= 1 << j
+        packed.append(acc)
+    pivots, r = [], 0
+    for c in range(ncols):
+        bit = 1 << c
+        pr = next((i for i in range(r, nrows) if packed[i] & bit), None)
+        if pr is None:
+            continue
+        packed[r], packed[pr] = packed[pr], packed[r]
+        for i in range(nrows):
+            if i != r and packed[i] & bit:
+                packed[i] ^= packed[r]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    data = tuple(tuple((acc >> j) & 1 for j in range(ncols)) for acc in packed)
+    return data, tuple(pivots)
+
+
+def per_column_solve(a: Mat, b: Mat):
+    """(particular rows or None, kernel rows) of a x = b, each solution
+    column assembled entry by entry from the RREF of [a | b]: the oracle for
+    the row-wise solve."""
+    field, n = a.field, a.cols
+    aug = rref(a.hstack(b))
+    pivots = [c for c in aug.pivots if c < n]
+    free = [c for c in range(n) if c not in pivots]
+    kcols = []
+    for f in free:
+        v = [field.zero()] * n
+        v[f] = field.one()
+        for r_i, c in enumerate(pivots):
+            v[c] = field.neg(aug.matrix.entry(r_i, f))
+        kcols.append(v)
+    particular = None
+    if all(c < n for c in aug.pivots):
+        pcols = []
+        for k in range(b.cols):
+            v = [field.zero()] * n
+            for r_i, c in enumerate(pivots):
+                v[c] = aug.matrix.entry(r_i, n + k)
+            pcols.append(v)
+        particular = tuple(tuple(col[i] for col in pcols) for i in range(n))
+    return particular, tuple(tuple(col[i] for col in kcols) for i in range(n))
+
+
+@st.composite
+def f2_matrices(draw):
+    rows, cols = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    bits = st.integers(0, 1)
+    return Mat(F2, draw(st.lists(st.lists(bits, min_size=cols, max_size=cols),
+                                 min_size=rows, max_size=rows)), cols=cols)
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 5), (5, 0), (3, 7), (12, 12)])
+def test_rref_gf2_of_empty_and_zero_shapes(rows, cols):
+    m = Mat.zeros(F2, rows, cols)
+    res = rref(m)
+    assert (res.matrix.data, res.pivots, res.rank) == (m.data, (), 0)
+    assert (res.matrix.rows, res.matrix.cols) == (rows, cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(f2_matrices())
+def test_rref_gf2_is_the_per_bit_elimination(m):
+    res = rref(m)
+    data, pivots = per_bit_rref_gf2(m)
+    assert (res.matrix.data, res.pivots, res.rank) == (data, pivots, len(pivots))
+    assert (res.matrix.rows, res.matrix.cols) == (m.rows, m.cols)
+    _assert_canonical(res.matrix)
+
+
+@st.composite
+def systems(draw):
+    """A field, a of shape r x n, and b of r rows: consistent b = a·y with
+    some columns replaced by arbitrary ones, which may be inconsistent."""
+    field = draw(st.sampled_from([F2, F3, QQ]))
+    r, n, k = draw(st.integers(0, 5)), draw(st.integers(0, 5)), draw(st.integers(0, 3))
+    a = _raw_matrix(draw, field, r, n)
+    b = a * _raw_matrix(draw, field, n, k)
+    loose = _raw_matrix(draw, field, r, k)
+    cols = [loose.col(j) if draw(st.booleans()) else b.col(j) for j in range(k)]
+    return a, Mat.from_cols(field, cols, r) if draw(st.booleans()) else b
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems())
+def test_solve_meets_its_contract_and_the_per_column_assembly(system):
+    a, b = system
+    field, n = a.field, a.cols
+    res = solve(a, b)
+    particular, kernel = per_column_solve(a, b)
+    assert res.kernel.data == kernel and (res.kernel.rows, res.kernel.cols) == (n, n - a.rank())
+    assert (a * res.kernel).is_zero()
+    consistent = [rref(a.hstack(b.select_cols([j]))).rank == a.rank() for j in range(b.cols)]
+    if not all(consistent):
+        assert res.particular is None and particular is None
+        return
+    assert res.particular.data == particular
+    assert (res.particular.rows, res.particular.cols) == (n, b.cols)
+    assert a * res.particular == b
+    pivots = rref(a).pivots
+    for c in range(n):
+        if c not in pivots:
+            assert all(x == field.zero() for x in res.particular.row(c))
+    _assert_canonical(res.particular)
+    _assert_canonical(res.kernel)
+
+
+def test_trusted_matrices_stay_immutable():
+    m = rref(Mat(F3, [[1, 2], [2, 1]])).matrix
+    for name in ("field", "rows", "cols", "data"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, None)

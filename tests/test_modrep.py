@@ -299,14 +299,14 @@ def test_is_isomorphic_dimension_obstruction(a2):
     assert is_isomorphic(p1, p2).verdict == "no"
 
 
-def test_is_isomorphic_radical_series_obstruction(f2c2):
+def test_is_isomorphic_end_dimension_obstruction(f2c2):
     s = structural_modules(f2c2)
     (k,) = s.simples
     reg = regular_module(f2c2)
     two_k = direct_sum([k, k])
     v = is_isomorphic(two_k, reg)
     assert v.verdict == "no"
-    assert v.obstruction is not None
+    assert v.obstruction == "hom dimensions differ: End(m)=4, End(n)=2, Hom=2"
 
 
 def obstruction_first_isomorphism(m, n, seed=0):
