@@ -473,10 +473,10 @@ def _int_matmul(a, b):
 class Quiver:
     """A finite quiver with relations given as combinations of parallel paths.
 
-    Arrows are (source, target, label) with 0-based vertices.  A relation
-    is a list of (arrow-label sequence in composition order, coefficient)
-    terms; all terms of one relation must be parallel paths of one common
-    length >= 2.
+    Arrows are (source, target, label) with 0-based vertices and string
+    labels.  A relation is a list of (arrow-label sequence in composition
+    order, coefficient) terms; all terms of one relation must be parallel
+    paths of one common length >= 2.
     """
 
     vertex_count: int
@@ -488,6 +488,8 @@ class Quiver:
             if not (0 <= s < self.vertex_count and 0 <= t < self.vertex_count):
                 raise InputShapeError("arrow endpoint outside vertex range")
         labels = [lbl for _, _, lbl in self.arrows]
+        if not all(isinstance(lbl, str) for lbl in labels):
+            raise InputShapeError(f"arrow labels must be strings, got {labels!r}")
         if len(set(labels)) != len(labels):
             raise InputShapeError("arrow labels must be distinct")
 
@@ -1021,9 +1023,11 @@ def quiver_to_json(q: Quiver) -> dict:
 def quiver_from_json(doc: dict) -> Quiver:
     try:
         return Quiver(
-            int(doc["vertices"]),
-            tuple((int(s), int(t), str(l)) for s, t, l in doc.get("arrows", [])),
-            tuple(tuple((tuple(p), c) for p, c in rel) for rel in doc.get("relations", [])),
+            json_int(doc["vertices"], "vertices"),
+            tuple((json_int(s, "arrow source"), json_int(t, "arrow target"), lbl)
+                  for s, t, lbl in doc.get("arrows", [])),
+            tuple(tuple((tuple(_json_list(p, "relation path")), c) for p, c in rel)
+                  for rel in doc.get("relations", [])),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputShapeError(f"malformed quiver document: {exc}") from exc

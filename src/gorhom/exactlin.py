@@ -245,7 +245,7 @@ class Mat:
         return self.data[i]
 
     def col(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.data)
+        return tuple([row[j] for row in self.data])
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -534,19 +534,12 @@ def _gcd(a: int, b: int) -> int:
 
 def kron(a: Mat, b: Mat) -> Mat:
     """Kronecker product, used to vectorize intertwiner equations."""
-    field = a.field
-    p = field.characteristic
-    out = []
-    for ar in a.data:
-        for br in b.data:
-            row = []
-            for x in ar:
-                if p:
-                    row.extend((x * y) % p for y in br)
-                else:
-                    row.extend(x * y for y in br)
-            out.append(tuple(row))
-    return Mat._from_canonical(field, tuple(out), a.cols * b.cols)
+    p = a.field.characteristic
+    if p:
+        out = [tuple([(x * y) % p for x in ar for y in br]) for ar in a.data for br in b.data]
+    else:
+        out = [tuple([x * y for x in ar for y in br]) for ar in a.data for br in b.data]
+    return Mat._from_canonical(a.field, tuple(out), a.cols * b.cols)
 
 
 def vec(m: Mat) -> Mat:

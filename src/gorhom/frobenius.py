@@ -13,13 +13,15 @@ free S-module.  The pairs the package uses are four bimodules:
 * (inclusion, projection): B as a (B x B')-B-bimodule.
 
 There is one tensor construction: M ⊗_R x is the quotient of M ⊗_k x by
-the balancing relations.  When M's right side is literally the regular
-R-module, M ⊗_R x is x itself with S acting through M's left action, and
-Hom_A(A, A) is written in the basis of right multiplications, so the G of
-(induction, restriction) and the F of (restriction, coinduction) are
-restriction exactly.  BimodulePair.check_triangles is the one check of the
-triangle identities, as exact matrix equalities, and is_frobenius_bimodule
-certifies any pair, once per bimodule and seed.  A ring extension R -> S is
+the balancing relations.  When M's right side is the regular R-module (one
+object, as modules are interned), M ⊗_R x is x itself with S acting
+through M's left action, and Hom into the regular module is
+homology.star_module, which writes Hom_A(A, A) in the basis of right
+multiplications, so the G of (induction, restriction) and the F of
+(restriction, coinduction) are restriction exactly.
+BimodulePair.check_triangles is the one check of the triangle identities,
+as exact matrix equalities, and is_frobenius_bimodule certifies any pair,
+once per bimodule and seed.  A ring extension R -> S is
 certified by a Frobenius system (E, x_i, y_i), checked by multiplication,
 with S ≅ Coind(R) by t -> E(-·t) as its witness; when none is found it is
 certified as the bimodule _S S_R, under the same memo.  The verification
@@ -57,6 +59,7 @@ from .homology import (
     is_gorenstein_projective,
     is_projective,
     projective_dimension,
+    star_module,
     syzygy,
 )
 from .modrep import (
@@ -74,6 +77,7 @@ from .modrep import (
     hom_coordinates,
     hom_delta,
     hom_space,
+    random_coefficients,
     regular_module,
     stable_hom_dim,
     structural_modules,
@@ -230,11 +234,6 @@ def restriction_bimodule(ext: RingExtension) -> Bimodule:
     return memo(ext, "restriction bimodule", None, build)
 
 
-def _is_regular(m: Module) -> bool:
-    """m is literally the left regular module of its algebra, decided once per module."""
-    return memo(m, "is regular", None, lambda: m.action == regular_module(m.algebra).action)
-
-
 def hom_to_regular(m: Bimodule, side: str) -> Tuple[Bimodule, list]:
     """Hom into the regular module over one side of an S-R-bimodule M, as an
     R-S-bimodule, with the hom basis its coordinates refer to, built once
@@ -242,25 +241,18 @@ def hom_to_regular(m: Bimodule, side: str) -> Tuple[Bimodule, list]:
 
     side="left":  Hom_S(M, S),      (r·h·s)(x) = h(x·r)·s;
     side="right": Hom_{R^op}(M, R), (r·g·s)(x) = r·g(s·x).
-    The other side's action on M is precomposed; the regular module's own
-    algebra acts by right multiplication after h.  Over the regular module
-    itself the basis is that of the right multiplications x -> x·e_i, so
-    Hom_A(A, A) is A again, coordinate for coordinate; they commute with
-    left multiplication by associativity, so they are not checked again.
+    The regular module's own algebra acts by right multiplication after h:
+    that is star_module of the side, whose basis and action are taken as
+    they are; the other side's action on M is precomposed.
     """
 
     def build() -> Tuple[Bimodule, list]:
         over, pre = ((m.as_left_module(), m.right_action) if side == "left"
                      else (m.as_right_op_module(), m.left_action))
-        a = over.algebra
-        reg = regular_module(a)
-        posts = [a.right_mult_matrix(a.basis_vec(i)) for i in range(a.dim)]
-        basis = ([ModHom._trusted(over, reg, post) for post in posts] if _is_regular(over)
-                 else hom_space(over, reg))
-        law = f"bimodule action left Hom into the regular {side} module"
-        pre_acts = hom_actions(basis, pre, a.field, law)
-        post_acts = hom_actions(basis, posts, a.field, law, post=True)
-        left, right = (pre_acts, post_acts) if side == "left" else (post_acts, pre_acts)
+        star, basis = star_module(over)
+        pre_acts = hom_actions(basis, pre, over.algebra.field,
+                               f"bimodule action left Hom into the regular {side} module")
+        left, right = (pre_acts, star.action) if side == "left" else (star.action, pre_acts)
         return Bimodule(m.right, m.left, len(basis), left, right), basis
 
     return memo(m, "hom to regular " + side, None, build)
@@ -292,7 +284,8 @@ def _tensor(bim: Bimodule, x: Module) -> _Tensor:
             raise AlgebraMismatch("tensor functor applied to a module over the wrong algebra")
         field = out_alg.field
         dm, dx = bim.dim, x.dim
-        if _is_regular(bim.as_right_op_module()):
+        over = bim.as_right_op_module()
+        if over is regular_module(over.algebra):
             unit = Mat.col_vector(field, act_alg.unit)
             acts = [x.rho((lam * unit).col(0)) for lam in bim.left_action]
             proj = block_matrix(field, [dx], [dx] * dm,
@@ -326,13 +319,6 @@ def _tensor_hom(bim: Bimodule, f: ModHom) -> ModHom:
     if tgt.proj * big != mat * src.proj:
         raise PropertyViolation("tensor hom is not well defined on classes")
     return ModHom(src.module, tgt.module, mat)
-
-
-def _pure(t: _Tensor, m_vec, x_vec) -> tuple:
-    """The class of m ⊗ v in a tensor module, as a coordinate tuple."""
-    field = t.proj.field
-    amb_vec = kron(Mat.from_cols(field, [m_vec]), Mat.from_cols(field, [x_vec]))
-    return (t.proj * amb_vec).col(0)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +364,7 @@ def projective_witness(m: Module) -> Optional[DualBasis]:
     """
     a = m.algebra
     field = a.field
-    if _is_regular(m):
+    if m is regular_module(a):
         pieces = [(Mat.identity(field, a.dim), Mat.identity(field, a.dim))]
     else:
         found = summand_witness(m, regular_module(a))
@@ -463,7 +449,7 @@ def frobenius_system(ext: RingExtension, seed: int = 0) -> Optional[Tuple[Mat, l
     rmul = [s.right_mult_matrix(s.basis_vec(k)) for k in range(s.dim)]
     rng, p = random.Random(seed), s.field.characteristic
     for _ in range(MAX_RANDOM_TRIALS):
-        e = _combine(maps, [rng.randrange(p) if p else rng.randint(-3, 3) for _ in maps])
+        e = _combine(maps, random_coefficients(rng, p, len(maps)))
         er = [e * m for m in rmul]   # er[t] is x -> E(x·e_t)
         if Mat.from_cols(s.field, [vec(x).col(0) for x in er]).rank() == s.dim:
             ys = _dual_elements(s, [ext.embedding * x for x in er])
@@ -598,22 +584,18 @@ class BimodulePair:
         return _tensor_hom(self._dual()[0], f)
 
     def unit(self, x: Module) -> ModHom:
-        """x -> N ⊗_S M ⊗_R x through the dual basis of M over S."""
+        """x -> N ⊗_S M ⊗_R x, v -> sum_t f_t ⊗ m_t ⊗ v over the dual basis
+        (m_t, f_t) of M over S: the sum of proj_GFx·(f_t ⊗ proj_Fx·(m_t ⊗ 1))."""
         dual, _, dual_basis = self._dual()
         fx = _tensor(self.m, x)
         gfx = _tensor(dual, fx.module)
-        dim = gfx.module.dim
         field = x.algebra.field
         eye = Mat.identity(field, x.dim)
-        cols = []
-        for c in range(x.dim):
-            acc = [field.zero()] * dim
-            for m_elt, f_coords in dual_basis:
-                inner = _pure(fx, m_elt, eye.col(c))
-                outer = _pure(gfx, f_coords, inner)
-                acc = [field.add(a, b) for a, b in zip(acc, outer)]
-            cols.append(acc)
-        return ModHom(x, gfx.module, Mat.from_cols(field, cols, dim))
+        mat = Mat.zeros(field, gfx.module.dim, x.dim)
+        for m_elt, f_coords in dual_basis:
+            inner = fx.proj * kron(Mat.from_cols(field, [m_elt]), eye)
+            mat = mat + gfx.proj * kron(Mat.from_cols(field, [f_coords]), inner)
+        return ModHom(x, gfx.module, mat)
 
     def counit(self, y: Module) -> ModHom:
         """M ⊗_R N ⊗_S y -> y, m ⊗ h ⊗ w -> rho_y(h(m))·w."""

@@ -288,13 +288,20 @@ class GpVerdict:
 
 
 def star_module(m: Module) -> Tuple[Module, list]:
-    """Hom(m, A) as a module over the opposite algebra, with its hom basis,
-    computed once per module."""
+    """Hom(m, A) as a module over the opposite algebra, A acting by right
+    multiplication after the map, with its hom basis, computed once per
+    module.
+
+    Over the regular module itself the basis is that of the right
+    multiplications x -> x·e_i, so Hom_A(A, A) is A again, coordinate for
+    coordinate; they commute with left multiplication by associativity, so
+    they are not checked again."""
 
     def build() -> Tuple[Module, list]:
         a = m.algebra
-        basis = hom_space(m, regular_module(a))
         rmats = [a.right_mult_matrix(a.basis_vec(i)) for i in range(a.dim)]
+        basis = ([ModHom._trusted(m, m, r) for r in rmats] if m is regular_module(a)
+                 else hom_space(m, regular_module(a)))
         acts = hom_actions(basis, rmats, a.field,
                            "Hom(m, A) is not stable under the right action", post=True)
         return Module(a.opposite(), acts), basis

@@ -12,13 +12,14 @@ where it is cheapest:
   the whole algebra.
 * Constructions that proved the law themselves build their result
   without the check (`Module(..., _skip_validation=True)`,
-  `ModHom._trusted`), and each says why: `submodule`, `quotient_module`,
-  `dual_module`, `dual_hom`, the `hom_space` basis maps,
-  `factor_through`'s combinations, the cover map x -> rho(x)·v
-  (associativity), `homology.resolve`'s composites, the block-diagonal
-  `zero_module` and `direct_sum`, and in `frobenius` the right
-  multiplications of Hom_A(A, A), a tensor product's ambient module and
-  `Bimodule.as_tensor_module` (two checked actions that commute).
+  `ModHom._trusted`), and each says why: `submodule`, `dual_module`,
+  `dual_hom`, the `hom_space` basis maps, `factor_through`'s
+  combinations, the cover map x -> rho(x)·v (associativity),
+  `homology.resolve`'s composites, the right multiplications of
+  Hom_A(A, A) in `homology.star_module`, the block-diagonal `zero_module`
+  and `direct_sum`, and in `frobenius` a tensor product's ambient module
+  and `Bimodule.as_tensor_module` (two checked actions that commute).
+  A quotient is D of a submodule of the dual, so it is built by these.
   Their inputs are checked modules, so no outside input skips a check;
   tests/test_source.py fails on a trusted construction anywhere else.
 * A fact a construction proved is not proved again: a cover's epi is
@@ -34,7 +35,8 @@ interned only once checked, so one that failed is never returned.
 Hom out of a sum of structural projectives A·e_i, every term of a
 resolution, is found by Yoneda: Hom(A·e_i, N) = e_i·N.  Other Hom spaces,
 kernels and cokernels reduce to exact kernel computations in `exactlin`.
-An injective envelope is D of the projective cover of the dual.  Finding f
+An injective envelope is D of the projective cover of the dual, and a
+quotient m/U is D of the annihilator of U in D(m).  Finding f
 in Hom(X, Y) with g·f = rhs (a lift, a homotopy) is one solve over a hom
 basis, factor_through.  Right modules are handled as left modules over the
 opposite algebra throughout, and the standard duality D = Hom_k(-, k)
@@ -357,34 +359,21 @@ def submodule(m: Module, basis: Mat) -> Tuple[Module, ModHom]:
 
 
 def quotient_module(m: Module, basis: Mat) -> Tuple[Module, ModHom]:
-    """The quotient of m by the stable span of basis, with its projection.
+    """The quotient of m by the stable span of basis, with its projection:
+    D of the annihilator of the span, a submodule of D(m).
 
-    Neither result is checked again: the lower-left block of T^-1·rho(e_i)·T
-    is checked to be zero, so T^-1·rho·T is block upper triangular and its
-    lower-right block, the quotient action, is multiplicative; the
-    projection, the lower rows of T^-1, intertwines by the same blocks."""
-    field = m.algebra.field
+    The annihilator is the kernel of basis^T, of dimension m.dim - rank, and
+    it is action-stable exactly when the span is; the projection is D of its
+    inclusion, so neither result is checked again.  Its kernel vectors are 1
+    at one coordinate off the pivots of the span's RREF and 0 at the others,
+    so the quotient is written in those coordinates."""
     if basis.rows != m.dim:
         raise InputShapeError("quotient basis lives in the wrong space")
-    red = rref(basis.transpose())
-    if red.rank != basis.cols:
+    ann = basis.transpose().kernel_basis()
+    if ann.cols != m.dim - basis.cols:
         raise InputShapeError("quotient basis is not independent")
-    # T: the RREF rows of the basis, then the unit vectors off their pivots;
-    # invertible, as it is the identity on the pivot rows and the rest
-    pivot_rows = set(red.pivots)
-    b = red.matrix.transpose().select_cols(range(red.rank))
-    keep = [i for i in range(m.dim) if i not in pivot_rows]
-    t = b.hstack(Mat.identity(field, m.dim).select_cols(keep))
-    tinv = t.inverse()
-    stable, rest = range(b.cols), range(b.cols, m.dim)
-    acts = []
-    for i in range(m.algebra.dim):
-        lower = (tinv * m.action[i] * t).select_rows(rest)
-        if not lower.select_cols(stable).is_zero():
-            raise PropertyViolation("span is not action-stable")
-        acts.append(lower.select_cols(rest))
-    quot = Module(m.algebra, acts, _skip_validation=True)
-    return quot, ModHom._trusted(m, quot, tinv.select_rows(rest))
+    proj = dual_hom(submodule(dual_module(m), ann)[1])
+    return proj.target, proj
 
 
 def direct_sum(mods: Sequence[Module]) -> Module:
@@ -451,18 +440,15 @@ def dual_hom(f: ModHom) -> ModHom:
 # ---------------------------------------------------------------------------
 
 
-def _radical_image(m: Module, v: Optional[Mat] = None, rows: bool = False) -> Mat:
+def _radical_image(m: Module, v: Optional[Mat] = None) -> Mat:
     """The images rho(r)·v for the columns r of the radical's basis, side by
-    side, or one above the other when rows: rad(A)·V is their column space.
-    v is a basis of a subspace V of m, or None for all of m, which takes
-    rho(r) itself.  Each image is formed once and the stack built at once."""
+    side: rad(A)·V is their column space.  v is a basis of a subspace V of
+    m, or None for all of m, which takes rho(r) itself.  Each image is
+    formed once and the row of blocks built at once."""
     field, rad = m.algebra.field, m.algebra.radical_basis()
     imgs = [m.rho(rad.col(c)) for c in range(rad.cols)]
     if v is not None:
         imgs = [img * v for img in imgs]
-    sizes = [m.dim] * len(imgs)
-    if rows:
-        return block_matrix(field, sizes, [m.dim], {(c, 0): img for c, img in enumerate(imgs)})
     widths = [m.dim if v is None else v.cols] * len(imgs)
     return block_matrix(field, [m.dim], widths, {(0, c): img for c, img in enumerate(imgs)})
 
@@ -473,8 +459,10 @@ def radical_submodule_basis(m: Module) -> Mat:
 
 
 def socle_basis(m: Module) -> Mat:
-    """Basis of the socle: the annihilator of the radical action."""
-    return _radical_image(m, rows=True).kernel_basis()
+    """Basis of the socle, the annihilator of the radical action: the
+    common kernel of the rho(r), whose transposes are the radical's action
+    on D(m) (rad(A^op) is rad(A))."""
+    return _radical_image(dual_module(m)).transpose().kernel_basis()
 
 
 def top_of(m: Module) -> Tuple[Module, ModHom]:
@@ -666,8 +654,7 @@ def _isomorphism(m: Module, n: Module, seed: int, homs_of) -> IsoVerdict:
     if not homs:
         return IsoVerdict("no", obstruction="Hom(m, n) = 0")
     rng, p = random.Random(seed), m.algebra.field.characteristic
-    trials = ([rng.randrange(p) if p else rng.randint(-3, 3) for _ in homs]
-              for _ in range(MAX_RANDOM_TRIALS))
+    trials = (random_coefficients(rng, p, len(homs)) for _ in range(MAX_RANDOM_TRIALS))
     found = _first_invertible(m, n, homs, trials)
     if found is not None:
         return found
@@ -686,6 +673,12 @@ def _isomorphism(m: Module, n: Module, seed: int, homs_of) -> IsoVerdict:
         return (_first_invertible(m, n, homs, iter_product(range(p), repeat=len(homs)))
                 or IsoVerdict("no", obstruction="exhausted the hom space: no invertible element"))
     return IsoVerdict("inconclusive")
+
+
+def random_coefficients(rng: random.Random, p: int, count: int) -> list:
+    """count seeded coefficients: uniform in F_p, or integers in [-3, 3]
+    when the characteristic p is 0."""
+    return [rng.randrange(p) if p else rng.randint(-3, 3) for _ in range(count)]
 
 
 def _first_invertible(m: Module, n: Module, homs: List[Mat], trials) -> Optional[IsoVerdict]:

@@ -32,6 +32,7 @@ from gorhom.algebra import (
 )
 from gorhom.errors import (
     InfiniteDimensional,
+    InputShapeError,
     MalformedRelation,
     NotAGroup,
     PropertyViolation,
@@ -484,6 +485,27 @@ def test_quiver_serialization_roundtrip(tmp_path):
     path = tmp_path / "nak.quiver"
     save_quiver(q, path)
     assert path_algebra(load_quiver(path), F2).table == path_algebra(q, F2).table
+
+
+@pytest.mark.parametrize("change", [
+    {"vertices": 1.5},
+    {"vertices": True},
+    {"vertices": "1"},
+    {"arrows": [[0.9, 0, "x"]]},
+    {"arrows": [[0, 0.0, "x"]]},
+    {"arrows": [[False, 0, "x"]]},
+    {"arrows": [[0, 0, 7]]},
+    {"arrows": [[0, 0, None]]},
+    {"relations": [[["xx", "1"]]]},
+], ids=repr)
+def test_quiver_documents_reject_numbers_labels_and_paths_of_the_wrong_type(change):
+    # each change was once read as the good document: int() and str() of
+    # the numbers and labels, and "xx" as the path x·x
+    good = {"vertices": 1, "arrows": [[0, 0, "x"]], "relations": [[[["x", "x"], "1"]]]}
+    assert quiver_from_json(good) == Quiver(1, arrows=((0, 0, "x"),),
+                                            relations=(((("x", "x"), "1"),),))
+    with pytest.raises(InputShapeError):
+        quiver_from_json({**good, **change})
 
 
 def test_rational_path_algebra():

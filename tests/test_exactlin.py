@@ -267,6 +267,14 @@ def _naive_product(a: Mat, b: Mat) -> Mat:
     return Mat(f, out, cols=b.cols)
 
 
+def _naive_kron(a: Mat, b: Mat) -> Mat:
+    """Entry (i·b.rows + k, j·b.cols + l) is a[i][j]·b[k][l]."""
+    f = a.field
+    out = [[f.mul(a.entry(i, j), b.entry(k, l)) for j in range(a.cols) for l in range(b.cols)]
+           for i in range(a.rows) for k in range(b.rows)]
+    return Mat(f, out, cols=a.cols * b.cols)
+
+
 @settings(max_examples=150, deadline=None)
 @given(operands(), st.integers(-7, 7))
 def test_every_result_is_canonical(ops, c0):
@@ -289,6 +297,7 @@ def test_every_result_is_canonical(ops, c0):
     for r in results:
         _assert_canonical(r)
     assert a * c == _naive_product(a, c)
+    assert kron(a, c) == _naive_kron(a, c) and kron(c, m) == _naive_kron(c, m)
     assert (a - b) + b == a
     assert block == _naive_blocks(field, *layout)
     assert a.select_rows(odd_rows) == a.transpose().select_cols(odd_rows).transpose()

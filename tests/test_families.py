@@ -1,9 +1,12 @@
 """Each family of action matrices on one subspace comes from one
 elimination: the submodule actions from one solve against the basis, and
 the actions on a hom basis (Hom(m, A), coinduction, Hom into the regular
-module over a bimodule) from one hom_coordinates solve.
+module over a bimodule) from one hom_coordinates solve.  Each construction
+is built once: a quotient is D of a submodule of the dual, the socle is
+read off the radical's action on the dual, and a pair's unit is one matrix
+formula over the dual basis.
 
-The per-element loops they replaced live on here as oracles and must give
+The constructions they replaced live on here as oracles and must give
 identical matrices; the work counts check that each family is one solve.
 """
 
@@ -11,7 +14,7 @@ import pytest
 
 from test_laws import ALGEBRAS, _algebra
 
-from gorhom import exactlin, modrep
+from gorhom import exactlin, frobenius, modrep
 from gorhom.corpus import (
     EXTENSION_NAMES,
     corpus_algebra,
@@ -19,14 +22,27 @@ from gorhom.corpus import (
     corpus_extension,
     module_corpus,
 )
-from gorhom.exactlin import solve
-from gorhom.frobenius import coinduce, extension_bimodule, hom_to_regular, restrict
+from gorhom.exactlin import Mat, kron, rref, solve
+from gorhom.frobenius import (
+    BimodulePair,
+    ExtensionPair,
+    coinduce,
+    extension_bimodule,
+    hom_to_regular,
+    product_pairs,
+    restrict,
+    restriction_bimodule,
+)
 from gorhom.homology import resolve, star_module
 from gorhom.modrep import (
+    column_space_basis,
     cover_envelope,
     hom_coordinates,
     hom_space,
+    quotient_module,
+    radical_submodule_basis,
     regular_module,
+    socle_basis,
     structural_modules,
     submodule,
     zero_module,
@@ -109,6 +125,118 @@ def test_hom_to_regular_actions_are_the_per_operator_solves(name, side):
     left, right = (pre_acts, post_acts) if side == "left" else (post_acts, pre_acts)
     assert list(dual.left_action) == left
     assert list(dual.right_action) == right
+
+
+# --- quotients, socles and units ---------------------------------------------
+
+
+def conjugated_quotient(m, basis) -> tuple:
+    """The quotient actions and projection by conjugation: T is the RREF rows
+    of the basis, then the unit vectors off their pivots; the lower-left
+    block of T^-1·rho(e_i)·T vanishes, its lower-right block is the quotient
+    action, and the projection is the lower rows of T^-1."""
+    field = m.algebra.field
+    red = rref(basis.transpose())
+    assert red.rank == basis.cols
+    b = red.matrix.transpose().select_cols(range(red.rank))
+    keep = [i for i in range(m.dim) if i not in set(red.pivots)]
+    t = b.hstack(Mat.identity(field, m.dim).select_cols(keep))
+    tinv = t.inverse()
+    stable, rest = range(b.cols), range(b.cols, m.dim)
+    acts = []
+    for act in m.action:
+        lower = (tinv * act * t).select_rows(rest)
+        assert lower.select_cols(stable).is_zero()
+        acts.append(lower.select_cols(rest))
+    return acts, tinv.select_rows(rest)
+
+
+def stacked_socle_basis(m) -> Mat:
+    """The common kernel of the rho(r), r in the radical's basis, stacked."""
+    rad = m.algebra.radical_basis()
+    system = Mat.zeros(m.algebra.field, 0, m.dim)
+    for c in range(rad.cols):
+        system = system.vstack(m.rho(rad.col(c)))
+    return system.kernel_basis()
+
+
+def _class_of(t, m_vec, x_vec) -> tuple:
+    """The class of m ⊗ v in a tensor module, as a coordinate tuple."""
+    field = t.proj.field
+    return (t.proj * kron(Mat.from_cols(field, [m_vec]), Mat.from_cols(field, [x_vec]))).col(0)
+
+
+def pure_tensor_unit(pair, x) -> Mat:
+    """The unit at x column by column: e_c -> sum_t [f_t ⊗ [m_t ⊗ e_c]]."""
+    dual, _, dual_basis = pair._dual()
+    fx = frobenius._tensor(pair.m, x)
+    gfx = frobenius._tensor(dual, fx.module)
+    field = x.algebra.field
+    eye = Mat.identity(field, x.dim)
+    cols = []
+    for c in range(x.dim):
+        acc = [field.zero()] * gfx.module.dim
+        for m_elt, f_coords in dual_basis:
+            outer = _class_of(gfx, f_coords, _class_of(fx, m_elt, eye.col(c)))
+            acc = [field.add(u, v) for u, v in zip(acc, outer)]
+        cols.append(acc)
+    return Mat.from_cols(field, cols, gfx.module.dim)
+
+
+@pytest.mark.parametrize("name, op", ALGEBRAS)
+def test_quotients_and_socles_are_the_conjugated_and_stacked_ones(name, op):
+    a = _algebra(name, op)
+    for m in module_corpus(a, minimum=0):
+        rad = radical_submodule_basis(m)
+        quot, proj = quotient_module(m, rad)
+        assert proj.source is m and proj.target is quot
+        assert (list(quot.action), proj.matrix) == conjugated_quotient(m, rad)
+        assert socle_basis(m) == stacked_socle_basis(m)
+
+
+def _pairs() -> list:
+    """The pairs of every bundled extension, of the restriction bimodules,
+    of morita_col and of a2 x f2."""
+    pairs = [ExtensionPair(corpus_extension(name)) for name in EXTENSION_NAMES]
+    pairs += [BimodulePair(restriction_bimodule(corpus_extension(name)))
+              for name in EXTENSION_NAMES]
+    pairs += [BimodulePair(corpus_bimodule("morita_col"))]
+    return pairs + list(product_pairs(corpus_algebra("a2"), corpus_algebra("f2")))
+
+
+def _relation_quotient_inputs(bim, x) -> tuple:
+    """The ambient module M ⊗_k x and the balancing relations' basis that
+    the tensor construction takes the quotient by."""
+    field = bim.left.field
+    eye_m, eye_x = Mat.identity(field, bim.dim), Mat.identity(field, x.dim)
+    ambient = modrep.Module(bim.left, [kron(lam, eye_x) for lam in bim.left_action])
+    cols = []
+    for mr, xr in zip(bim.right_action, x.action):
+        rel = kron(mr, eye_x) - kron(eye_m, xr)
+        cols.extend(c for c in zip(*rel.data) if any(c))
+    return ambient, column_space_basis(Mat.from_cols(field, cols, bim.dim * x.dim))
+
+
+def test_tensor_quotients_are_the_conjugated_ones():
+    seen = 0
+    for pair in _pairs():
+        for bim, side in ((pair.m, pair.algebra_a), (pair._dual()[0], pair.algebra_b)):
+            over = bim.as_right_op_module()
+            if over is regular_module(over.algebra):
+                continue
+            for x in module_corpus(side, minimum=0):
+                ambient, rels = _relation_quotient_inputs(bim, x)
+                acts, proj = conjugated_quotient(ambient, rels)
+                t = frobenius._tensor(bim, x)
+                assert (list(t.module.action), t.proj) == (acts, proj)
+                seen += 1
+    assert seen > 0
+
+
+def test_units_are_the_sums_of_pure_tensors():
+    for pair in _pairs():
+        for x in module_corpus(pair.algebra_a, minimum=0):
+            assert pair.unit(x).matrix == pure_tensor_unit(pair, x)
 
 
 # --- work counts ----------------------------------------------------------------

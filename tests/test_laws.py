@@ -45,7 +45,13 @@ from gorhom.frobenius import (
     hom_to_regular,
     restriction_bimodule,
 )
-from gorhom.homology import gorenstein_profile, homology_dims, resolve, totalize_quasi_bicomplex
+from gorhom.homology import (
+    gorenstein_profile,
+    homology_dims,
+    resolve,
+    star_module,
+    totalize_quasi_bicomplex,
+)
 from gorhom.modrep import (
     Module,
     ModHom,
@@ -57,6 +63,7 @@ from gorhom.modrep import (
     hom_space,
     quotient_module,
     radical_submodule_basis,
+    regular_module,
     socle_basis,
     submodule,
 )
@@ -414,6 +421,9 @@ def test_trusted_constructions_pass_the_full_basis_checks(name, op):
             assert full_basis_intertwines(dual.source, dual.target, dual.matrix)
         for f in resolve(m, 2).maps:
             assert full_basis_intertwines(f.source, f.target, f.matrix)
+    # Hom_A(A, A) in the basis of the right multiplications, built unchecked
+    for h in star_module(regular_module(a))[1]:
+        assert full_basis_intertwines(h.source, h.target, h.matrix)
 
 
 @pytest.mark.parametrize("name, op", ALGEBRAS)
@@ -434,7 +444,8 @@ def test_submodule_and_quotient_reject_what_is_not_stable_or_independent(name, o
 
 @pytest.mark.parametrize("name", BIMODULES)
 def test_hom_to_regular_bases_intertwine_on_every_basis_element(name):
-    # over the regular module the basis is the trusted right multiplications
+    # over the regular module the basis is star_module's trusted right
+    # multiplications
     bim = _bimodule(name)
     for side in ("left", "right"):
         basis = hom_to_regular(bim, side)[1]

@@ -288,15 +288,14 @@ TRUSTED_SITES = [
     "algebra.truncated_extension",
     "frobenius.Bimodule.as_tensor_module",
     "frobenius._tensor.build",
-    "frobenius.hom_to_regular.build",
     "homology.resolve",
+    "homology.star_module.build",
     "modrep.cover_envelope.build",
     "modrep.direct_sum",
     "modrep.dual_hom",
     "modrep.dual_module.build",
     "modrep.factor_through",
     "modrep.hom_space",
-    "modrep.quotient_module",
     "modrep.submodule",
     "modrep.zero_module",
 ]
