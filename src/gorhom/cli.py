@@ -1,7 +1,9 @@
 """Command-line front end: file ingestion, verification suites, reports.
 
 Exit codes: 0 when every asserted property in the run passed, 1 when a
-property failed (the report names the violated law), 2 on input errors.
+property failed (the report names the violated law), 2 on input errors,
+including an --out that cannot be written.  `command` is the one place
+where this contract lives: each command's body only returns its report.
 Identical configurations (including the seed) produce byte-identical
 reports: nothing here depends on time, environment, or dict order.
 Each command imports the layers it uses in its own body, so a short
@@ -11,6 +13,7 @@ command does not pay for loading the others.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import sys
@@ -67,14 +70,6 @@ def emit(report: dict, fmt: str, out) -> None:
         click.echo(text, nl=False)
 
 
-def finish(report: dict, fmt: str, out) -> None:
-    emit(report, fmt, out)
-    passed = report.get("passed")
-    if passed is False:
-        sys.exit(1)
-    sys.exit(0)
-
-
 common_options = [
     click.option("--bound", default=20, show_default=True,
                  type=click.IntRange(min=1), help="resolution depth bound"),
@@ -85,389 +80,328 @@ common_options = [
 ]
 
 
-def with_common(f):
-    for opt in reversed(common_options):
-        f = opt(f)
-    return f
-
-
 @click.group()
 def main():
     """Exact-arithmetic workbench for Gorenstein homological algebra."""
 
 
-def _run(fn, fmt, out):
-    try:
-        report = fn()
-    except GorhomError as exc:
-        click.echo(f"input error: {exc}", err=True)
-        sys.exit(2)
-    except (OSError, json.JSONDecodeError) as exc:
-        click.echo(f"input error: {exc}", err=True)
-        sys.exit(2)
-    finish(report, fmt, out)
+def command(name: str, *params):
+    """Register `body` as the command `name`, taking `params` and then the
+    common options.  The body gets every parameter but --format and --out
+    and returns its report; the wrapper emits it and exits 1 when the
+    report's `passed` is False, 0 otherwise, and 2 with `input error: ...`
+    on stderr when the body or the writing of --out raises an input error."""
+
+    def register(body):
+        @functools.wraps(body)
+        def callback(fmt, out, **kwargs):
+            try:
+                report = body(**kwargs)
+                emit(report, fmt, out)
+            except (GorhomError, OSError, json.JSONDecodeError) as exc:
+                click.echo(f"input error: {exc}", err=True)
+                sys.exit(2)
+            sys.exit(1 if report.get("passed") is False else 0)
+
+        for param in reversed((*params, *common_options)):
+            callback = param(callback)
+        return main.command(name)(callback)
+
+    return register
 
 
-@main.command("algebra-info")
-@click.argument("path")
-@with_common
-def algebra_info(path, bound, seed, fmt, out):
+@command("algebra-info", click.argument("path"))
+def algebra_info(path, bound, seed):
     """Validate an .alg file and print its basic structure."""
     from .algebra import load_algebra
     from .modrep import structural_modules
 
-    def run():
-        a = load_algebra(resolve_input(path))
-        rad = a.radical_basis()
-        report = {
-            "title": f"algebra {path}",
-            "field": str(a.field),
-            "dimension": a.dim,
-            "basis": ", ".join(a.basis_labels),
-            "radical_dimension": rad.cols,
-            "local": a.is_local(),
-            "idempotents": (len(a.idempotents) if a.idempotents is not None else "none"),
-            "passed": True,
-        }
-        if a.primitive_idempotents() is not None:
-            s = structural_modules(a)
-            report["simple_dimensions"] = [m.dim for m in s.simples]
-            report["projective_dimensions"] = [m.dim for m in s.projectives]
-            report["injective_dimensions"] = [m.dim for m in s.injectives]
-        return report
-
-    _run(run, fmt, out)
+    a = load_algebra(resolve_input(path))
+    rad = a.radical_basis()
+    report = {
+        "title": f"algebra {path}",
+        "field": str(a.field),
+        "dimension": a.dim,
+        "basis": ", ".join(a.basis_labels),
+        "radical_dimension": rad.cols,
+        "local": a.is_local(),
+        "idempotents": (len(a.idempotents) if a.idempotents is not None else "none"),
+        "passed": True,
+    }
+    if a.primitive_idempotents() is not None:
+        s = structural_modules(a)
+        report["simple_dimensions"] = [m.dim for m in s.simples]
+        report["projective_dimensions"] = [m.dim for m in s.projectives]
+        report["injective_dimensions"] = [m.dim for m in s.injectives]
+    return report
 
 
-@main.command("module-info")
-@click.argument("path")
-@with_common
-def module_info(path, bound, seed, fmt, out):
+@command("module-info", click.argument("path"))
+def module_info(path, bound, seed):
     """Validate a .mod file and print dimensions and radical data."""
     from .modrep import load_module, radical_submodule_basis, socle_basis
 
-    def run():
-        m = load_module(resolve_input(path))
-        return {
-            "title": f"module {path}",
-            "dimension": m.dim,
-            "algebra_dimension": m.algebra.dim,
-            "radical_dimension": radical_submodule_basis(m).cols,
-            "socle_dimension": socle_basis(m).cols,
-            "passed": True,
-        }
-
-    _run(run, fmt, out)
+    m = load_module(resolve_input(path))
+    return {
+        "title": f"module {path}",
+        "dimension": m.dim,
+        "algebra_dimension": m.algebra.dim,
+        "radical_dimension": radical_submodule_basis(m).cols,
+        "socle_dimension": socle_basis(m).cols,
+        "passed": True,
+    }
 
 
-@main.command("profile")
-@click.argument("path")
-@with_common
-def profile_cmd(path, bound, seed, fmt, out):
+@command("profile", click.argument("path"))
+def profile_cmd(path, bound, seed):
     """Gorenstein profile of the algebra in an .alg file."""
     from .algebra import load_algebra
     from .homology import gorenstein_profile
 
-    def run():
-        a = load_algebra(resolve_input(path))
-        prof = gorenstein_profile(a, bound)
-        return {
-            "title": f"profile {path}",
-            "max-pd-of-injectives": str(prof.max_pd_injective),
-            "max-id-of-projectives": str(prof.max_id_projective),
-            "gorenstein-dim": (prof.gorenstein_dim if prof.certified
-                               else f"not certified within {bound}"),
-            "passed": prof.certified,
-        }
-
-    _run(run, fmt, out)
+    a = load_algebra(resolve_input(path))
+    prof = gorenstein_profile(a, bound)
+    return {
+        "title": f"profile {path}",
+        "max-pd-of-injectives": str(prof.max_pd_injective),
+        "max-id-of-projectives": str(prof.max_id_projective),
+        "gorenstein-dim": (prof.gorenstein_dim if prof.certified
+                           else f"not certified within {bound}"),
+        "passed": prof.certified,
+    }
 
 
-@main.command("gpd")
-@click.argument("path")
-@with_common
-def gpd_cmd(path, bound, seed, fmt, out):
+@command("gpd", click.argument("path"))
+def gpd_cmd(path, bound, seed):
     """Gorenstein projective dimension of the module in a .mod file."""
     from .homology import gorenstein_profile, gpd
     from .modrep import load_module
 
-    def run():
-        m = load_module(resolve_input(path))
-        prof = gorenstein_profile(m.algebra, bound)
-        value = gpd(m, prof)
-        return {"title": f"gpd {path}", "gpd": value,
-                "passed": isinstance(value, int)}
-
-    _run(run, fmt, out)
+    m = load_module(resolve_input(path))
+    prof = gorenstein_profile(m.algebra, bound)
+    value = gpd(m, prof)
+    return {"title": f"gpd {path}", "gpd": value,
+            "passed": isinstance(value, int)}
 
 
-@main.command("gid")
-@click.argument("path")
-@with_common
-def gid_cmd(path, bound, seed, fmt, out):
+@command("gid", click.argument("path"))
+def gid_cmd(path, bound, seed):
     """Gorenstein injective dimension of the module in a .mod file."""
     from .homology import gid, gorenstein_profile
     from .modrep import load_module
 
-    def run():
-        m = load_module(resolve_input(path))
-        prof = gorenstein_profile(m.algebra, bound)
-        value = gid(m, prof)
-        return {"title": f"gid {path}", "gid": value,
-                "passed": isinstance(value, int)}
-
-    _run(run, fmt, out)
+    m = load_module(resolve_input(path))
+    prof = gorenstein_profile(m.algebra, bound)
+    value = gid(m, prof)
+    return {"title": f"gid {path}", "gid": value,
+            "passed": isinstance(value, int)}
 
 
-@main.command("resolve")
-@click.argument("path")
-@click.option("--direction", default="projective",
-              type=click.Choice(["projective", "injective"]), show_default=True)
-@with_common
-def resolve_cmd(path, direction, bound, seed, fmt, out):
+@command("resolve", click.argument("path"),
+         click.option("--direction", default="projective",
+                      type=click.Choice(["projective", "injective"]), show_default=True))
+def resolve_cmd(path, direction, bound, seed):
     """Minimal (co)resolution of the module in a .mod file."""
     from .homology import resolve
     from .modrep import dual_module, load_module
 
-    def run():
-        m = load_module(resolve_input(path))
-        # the coresolution of m is D of the resolution of D(m): the same
-        # term dimensions, completeness and length
-        res = resolve(m if direction == "projective" else dual_module(m), bound)
-        return {
-            "title": f"{direction} resolution of {path}",
-            "term_dimensions": [t.dim for t in res.terms],
-            "complete": res.complete,
-            "length": (res.depth() if res.complete else f">= {bound}"),
-            "passed": True,
-        }
-
-    _run(run, fmt, out)
+    m = load_module(resolve_input(path))
+    # the coresolution of m is D of the resolution of D(m): the same
+    # term dimensions, completeness and length
+    res = resolve(m if direction == "projective" else dual_module(m), bound)
+    return {
+        "title": f"{direction} resolution of {path}",
+        "term_dimensions": [t.dim for t in res.terms],
+        "complete": res.complete,
+        "length": (res.depth() if res.complete else f">= {bound}"),
+        "passed": True,
+    }
 
 
-@main.command("totalize")
-@click.argument("path")
-@with_common
-def totalize_cmd(path, bound, seed, fmt, out):
+@command("totalize", click.argument("path"))
+def totalize_cmd(path, bound, seed):
     """Run the quasi-bicomplex totalization pipeline on a .mod file."""
     from .homology import gorenstein_profile, totalize_quasi_bicomplex
     from .modrep import load_module
 
-    def run():
-        m = load_module(resolve_input(path))
-        prof = gorenstein_profile(m.algebra, bound)
-        result = totalize_quasi_bicomplex(m, prof)
-        bad = result.quasi_bicomplex.verify_identities()
-        qb = result.quasi_bicomplex
-        return {
-            "title": f"totalization of {path}",
-            "window_columns": qb.max_column + 1,
-            "window_rows": qb.max_row + 1,
-            "identities_violated": len(bad),
-            "witness": f"0 -> B0(dim {result.witness.left.dim}) -> "
-                       f"Z0(dim {result.witness.middle.dim}) -> M(dim {m.dim}) -> 0",
-            "b0_pd": str(result.b0_pd),
-            "z0_gorenstein_projective": result.z0_verdict.verdict,
-            "gpd_bound_matches": result.gpd_bound_matches,
-            "passed": (not bad and result.z0_verdict.verdict == "yes"
-                       and result.gpd_bound_matches),
-        }
-
-    _run(run, fmt, out)
+    m = load_module(resolve_input(path))
+    prof = gorenstein_profile(m.algebra, bound)
+    result = totalize_quasi_bicomplex(m, prof)
+    bad = result.quasi_bicomplex.verify_identities()
+    qb = result.quasi_bicomplex
+    return {
+        "title": f"totalization of {path}",
+        "window_columns": qb.max_column + 1,
+        "window_rows": qb.max_row + 1,
+        "identities_violated": len(bad),
+        "witness": f"0 -> B0(dim {result.witness.left.dim}) -> "
+                   f"Z0(dim {result.witness.middle.dim}) -> M(dim {m.dim}) -> 0",
+        "b0_pd": str(result.b0_pd),
+        "z0_gorenstein_projective": result.z0_verdict.verdict,
+        "gpd_bound_matches": result.gpd_bound_matches,
+        "passed": (not bad and result.z0_verdict.verdict == "yes"
+                   and result.gpd_bound_matches),
+    }
 
 
-@main.command("frobenius-verify")
-@click.argument("path")
-@with_common
-def frobenius_verify(path, bound, seed, fmt, out):
+@command("frobenius-verify", click.argument("path"))
+def frobenius_verify(path, bound, seed):
     """Certify an .ext or .bimod file as Frobenius (or not)."""
     from .frobenius import is_frobenius_bimodule, is_frobenius_extension, load_bimodule
     from .frobenius import load_extension
 
-    def run():
-        p = resolve_input(path)
-        if p.suffix == ".bimod":
-            verdict = is_frobenius_bimodule(load_bimodule(p), seed=seed)
-        else:
-            verdict = is_frobenius_extension(load_extension(p), seed=seed)
-        return {
-            "title": f"frobenius verification of {path}",
-            "verdict": verdict.verdict,
-            "obstruction": verdict.obstruction or "",
-            "witness": "isomorphism found" if verdict.witness is not None else "",
-            "passed": verdict.verdict != "inconclusive",
-        }
-
-    _run(run, fmt, out)
+    p = resolve_input(path)
+    if p.suffix == ".bimod":
+        verdict = is_frobenius_bimodule(load_bimodule(p), seed=seed)
+    else:
+        verdict = is_frobenius_extension(load_extension(p), seed=seed)
+    return {
+        "title": f"frobenius verification of {path}",
+        "verdict": verdict.verdict,
+        "obstruction": verdict.obstruction or "",
+        "witness": "isomorphism found" if verdict.witness is not None else "",
+        "passed": verdict.verdict != "inconclusive",
+    }
 
 
-@main.command("transfer-check")
-@click.argument("path")
-@with_common
-def transfer_check(path, bound, seed, fmt, out):
+@command("transfer-check", click.argument("path"))
+def transfer_check(path, bound, seed):
     """Dimension-transfer table across the extension in an .ext file."""
     from . import corpus as corpus_mod
     from .frobenius import load_extension, verify_gpd_transfer
 
-    def run():
-        ext = load_extension(resolve_input(path))
-        mods = corpus_mod.module_corpus(ext.total, minimum=8)
-        report = verify_gpd_transfer(ext, mods, bound=bound, seed=seed)
-        return {
-            "title": f"transfer check {path}",
-            "law": "gpd is preserved by restriction along a Frobenius extension",
-            "all_equal": report.all_equal,
-            "induction_direction_checked": report.ind_checked,
-            "rows": [{k: str(v) for k, v in row.items()} for row in report.rows],
-            "passed": report.all_equal,
-        }
-
-    _run(run, fmt, out)
+    ext = load_extension(resolve_input(path))
+    mods = corpus_mod.module_corpus(ext.total, minimum=8)
+    report = verify_gpd_transfer(ext, mods, bound=bound, seed=seed)
+    return {
+        "title": f"transfer check {path}",
+        "law": "gpd is preserved by restriction along a Frobenius extension",
+        "all_equal": report.all_equal,
+        "induction_direction_checked": report.ind_checked,
+        "rows": [{k: str(v) for k, v in row.items()} for row in report.rows],
+        "passed": report.all_equal,
+    }
 
 
-@main.command("glgdim-check")
-@click.argument("path")
-@with_common
-def glgdim_check(path, bound, seed, fmt, out):
+@command("glgdim-check", click.argument("path"))
+def glgdim_check(path, bound, seed):
     """Global Gorenstein dimensions on both sides of an .ext file agree."""
     from .frobenius import global_gdim_transfer, load_extension
 
-    def run():
-        ext = load_extension(resolve_input(path))
-        g_base, g_total, equal = global_gdim_transfer(ext, bound=bound)
-        return {
-            "title": f"global dimension comparison {path}",
-            "law": "faithful pairs preserve the global Gorenstein dimension",
-            "base": g_base,
-            "total": g_total,
-            "passed": equal,
-        }
-
-    _run(run, fmt, out)
+    ext = load_extension(resolve_input(path))
+    g_base, g_total, equal = global_gdim_transfer(ext, bound=bound)
+    return {
+        "title": f"global dimension comparison {path}",
+        "law": "faithful pairs preserve the global Gorenstein dimension",
+        "base": g_base,
+        "total": g_total,
+        "passed": equal,
+    }
 
 
-@main.command("counterexample-product")
-@click.option("--block", default="f2", show_default=True,
-              help="bundled name of the harmless factor")
-@click.option("--other", default="a2", show_default=True,
-              help="bundled name of the factor carrying the bad module")
-@with_common
-def counterexample_cmd(block, other, bound, seed, fmt, out):
+@command("counterexample-product",
+         click.option("--block", default="f2", show_default=True,
+                      help="bundled name of the harmless factor"),
+         click.option("--other", default="a2", show_default=True,
+                      help="bundled name of the factor carrying the bad module"))
+def counterexample_cmd(block, other, bound, seed):
     """Certify the product-projection counterexample on bundled data."""
     from . import corpus as corpus_mod
     from .frobenius import counterexample_product
 
-    def run():
-        b = corpus_mod.corpus_algebra(block)
-        bprime = corpus_mod.corpus_algebra(other)
-        bad = corpus_mod.bad_module_for_counterexample()
-        report = counterexample_product(b, bprime, bad, bound=bound)
-        return {
-            "title": f"product counterexample ({block} x {other})",
-            "law": "faithfulness is necessary for reflecting Gorenstein projectives",
-            "pair_verified": report.pair_verified,
-            "projected_is_gp": report.projected_is_gp,
-            "object_is_gp": report.object_is_gp,
-            "unit_mono_at_object": report.unit_mono_at_object,
-            "notes": "; ".join(report.notes),
-            "passed": report.passed,
-        }
-
-    _run(run, fmt, out)
+    b = corpus_mod.corpus_algebra(block)
+    bprime = corpus_mod.corpus_algebra(other)
+    bad = corpus_mod.bad_module_for_counterexample()
+    report = counterexample_product(b, bprime, bad, bound=bound)
+    return {
+        "title": f"product counterexample ({block} x {other})",
+        "law": "faithfulness is necessary for reflecting Gorenstein projectives",
+        "pair_verified": report.pair_verified,
+        "projected_is_gp": report.projected_is_gp,
+        "object_is_gp": report.object_is_gp,
+        "unit_mono_at_object": report.unit_mono_at_object,
+        "notes": "; ".join(report.notes),
+        "passed": report.passed,
+    }
 
 
-@main.command("triequiv-check")
-@click.argument("path")
-@with_common
-def triequiv_check(path, bound, seed, fmt, out):
+@command("triequiv-check", click.argument("path"))
+def triequiv_check(path, bound, seed):
     """Unit/counit conditions for the pair in an .ext or .bimod file."""
     from . import corpus as corpus_mod
     from .frobenius import (BimodulePair, ExtensionPair, load_bimodule, load_extension,
                             tri_equiv_conditions)
 
-    def run():
-        p = resolve_input(path)
-        if p.suffix == ".bimod":
-            pair = BimodulePair(load_bimodule(p))
-        else:
-            pair = ExtensionPair(load_extension(p))
-        corpus_a = corpus_mod.module_corpus(pair.algebra_a, minimum=4)[:4]
-        corpus_b = corpus_mod.module_corpus(pair.algebra_b, minimum=4)[:4]
-        rep = tri_equiv_conditions(pair, corpus_a, corpus_b, bound=bound)
-        return {
-            "title": f"stable-category conditions for {path}",
-            "law": "unit cokernels and counit kernels govern the induced equivalences",
-            "stable_gp_condition": rep.stable_gp_condition,
-            "singularity_condition": rep.singularity_condition,
-            "defect_condition": rep.defect_condition,
-            "both_projective_condition": rep.both_projective_condition,
-            "stable_hom_match_forward": rep.stable_hom_f_match,
-            "stable_hom_match_backward": rep.stable_hom_g_match,
-            "rows": ([{k: str(v) for k, v in r.items()} for r in rep.unit_rows]
-                     + [{k: str(v) for k, v in r.items()} for r in rep.counit_rows]),
-            "passed": True,
-        }
-
-    _run(run, fmt, out)
+    p = resolve_input(path)
+    if p.suffix == ".bimod":
+        pair = BimodulePair(load_bimodule(p))
+    else:
+        pair = ExtensionPair(load_extension(p))
+    corpus_a = corpus_mod.module_corpus(pair.algebra_a, minimum=4)[:4]
+    corpus_b = corpus_mod.module_corpus(pair.algebra_b, minimum=4)[:4]
+    rep = tri_equiv_conditions(pair, corpus_a, corpus_b, bound=bound)
+    return {
+        "title": f"stable-category conditions for {path}",
+        "law": "unit cokernels and counit kernels govern the induced equivalences",
+        "stable_gp_condition": rep.stable_gp_condition,
+        "singularity_condition": rep.singularity_condition,
+        "defect_condition": rep.defect_condition,
+        "both_projective_condition": rep.both_projective_condition,
+        "stable_hom_match_forward": rep.stable_hom_f_match,
+        "stable_hom_match_backward": rep.stable_hom_g_match,
+        "rows": ([{k: str(v) for k, v in r.items()} for r in rep.unit_rows]
+                 + [{k: str(v) for k, v in r.items()} for r in rep.counit_rows]),
+        "passed": True,
+    }
 
 
-@main.command("complex-check")
-@click.argument("path", required=False)
-@with_common
-def complex_check(path, bound, seed, fmt, out):
+@command("complex-check", click.argument("path", required=False))
+def complex_check(path, bound, seed):
     """Componentwise verdicts for a .cpx file, or the bundled complex suite."""
     from . import suite as suite_mod
     from .dgcplx import componentwise_gp_check
     from .homology import gorenstein_profile, load_complex
 
-    def run():
-        if path is not None:
-            c = load_complex(resolve_input(path))
-            prof = gorenstein_profile(c.algebra, bound)
-            rep = componentwise_gp_check(c, prof)
-            return {
-                "title": f"componentwise check {path}",
-                "per_degree": {str(k): v for k, v in sorted(rep.per_degree.items())},
-                "all_gorenstein_projective": rep.all_gp,
-                "note": rep.note,
-                "passed": rep.passed,
-            }
-        result = suite_mod.check_complex_pair(bound=bound, seed=seed)
+    if path is not None:
+        c = load_complex(resolve_input(path))
+        prof = gorenstein_profile(c.algebra, bound)
+        rep = componentwise_gp_check(c, prof)
         return {
-            "title": "bundled complex suite",
-            "law": result.law,
-            "details": "; ".join(result.details),
-            "passed": result.passed,
+            "title": f"componentwise check {path}",
+            "per_degree": {str(k): v for k, v in sorted(rep.per_degree.items())},
+            "all_gorenstein_projective": rep.all_gp,
+            "note": rep.note,
+            "passed": rep.passed,
         }
+    result = suite_mod.check_complex_pair(bound=bound, seed=seed)
+    return {
+        "title": "bundled complex suite",
+        "law": result.law,
+        "details": "; ".join(result.details),
+        "passed": result.passed,
+    }
 
-    _run(run, fmt, out)
 
-
-@main.command("suite")
-@with_common
-def suite_cmd(bound, seed, fmt, out):
+@command("suite")
+def suite_cmd(bound, seed):
     """Run every acceptance property over the bundled corpus."""
     from . import suite as suite_mod
 
-    def run():
-        results = suite_mod.run_all(bound=bound, seed=seed)
-        rows = []
-        for r in results:
-            rows.append({"check": r.name, "law": r.law,
-                         "result": "pass" if r.passed else "FAIL"})
-        failed = [r for r in results if not r.passed]
-        report = {
-            "title": f"verification suite (bound={bound}, seed={seed})",
-            "checks": len(results),
-            "failures": len(failed),
-            "rows": rows,
-            "passed": not failed,
-        }
-        if failed:
-            report["violated"] = "; ".join(f"{r.name}: {r.law}" for r in failed)
-        return report
-
-    _run(run, fmt, out)
+    results = suite_mod.run_all(bound=bound, seed=seed)
+    rows = []
+    for r in results:
+        rows.append({"check": r.name, "law": r.law,
+                     "result": "pass" if r.passed else "FAIL"})
+    failed = [r for r in results if not r.passed]
+    report = {
+        "title": f"verification suite (bound={bound}, seed={seed})",
+        "checks": len(results),
+        "failures": len(failed),
+        "rows": rows,
+        "passed": not failed,
+    }
+    if failed:
+        report["violated"] = "; ".join(f"{r.name}: {r.law}" for r in failed)
+    return report
 
 
 if __name__ == "__main__":

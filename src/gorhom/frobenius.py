@@ -302,8 +302,11 @@ def _tensor(bim: Bimodule, x: Module) -> _Tensor:
             cols.extend(c for c in zip(*rel.data) if any(c))
         rel_basis = column_space_basis(Mat.from_cols(field, cols, dm * dx))
         quot, proj = quotient_module(ambient, rel_basis)
-        section = solve(proj.matrix, Mat.identity(field, quot.dim)).particular
-        if section is None:
+        # each row of proj is a kernel vector, 1 at its own free coordinate and
+        # 0 at the other free ones and past it: those unit vectors are a section
+        section = Mat.identity(field, dm * dx).select_cols(
+            max((j for j, c in enumerate(row) if c), default=0) for row in proj.matrix.data)
+        if proj.matrix * section != Mat.identity(field, quot.dim):
             raise PropertyViolation("quotient projection has no section")
         return _Tensor(quot, proj.matrix, section)
 

@@ -12,7 +12,11 @@ from gorhom.modrep import Module
 @pytest.fixture()
 def retained_bytes():
     """measure(call, repeats): the bytes still allocated per call after
-    `repeats` calls of a warmed-up call and a garbage collection.
+    `repeats` calls of a warmed-up call and a garbage collection: the
+    median such figure over three consecutive batches of `repeats` calls.
+    A one-off, such as the first growth of a long-lived memo table or a
+    call that finds its module already interned, lands in one batch only,
+    which the median ignores; a per-call leak shows in all three.
 
     Before the calls, modules of 2048 new contents are built and dropped
     while traced.  Each takes a new slot of the module intern table, whose
@@ -30,14 +34,16 @@ def retained_bytes():
             for c in range(1, 2049):
                 Module(dual, [one, Mat(dual.field, [[0, 0], [c, 0]])])
             gc.collect()
-            before = tracemalloc.get_traced_memory()[0]
-            for _ in range(repeats):
-                call()
-            gc.collect()
-            after = tracemalloc.get_traced_memory()[0]
+            totals = [tracemalloc.get_traced_memory()[0]]
+            for _ in range(3):
+                for _ in range(repeats):
+                    call()
+                gc.collect()
+                totals.append(tracemalloc.get_traced_memory()[0])
         finally:
             tracemalloc.stop()
-        return (after - before) / repeats
+        batches = sorted(after - before for before, after in zip(totals, totals[1:]))
+        return batches[1] / repeats
 
     return measure
 

@@ -159,9 +159,61 @@ def test_a_wrong_table_entry_exits_2_naming_the_law(runner, tmp_path, command, c
     assert f"input error: {law}" in result.output
 
 
-def test_missing_file_exits_2(runner):
-    result = runner.invoke(main, ["gpd", "definitely_not_there.mod"])
+# one cheap valid invocation of every command: the arguments after its name
+# (a command missing here fails the tests below with a KeyError)
+CHEAP_INVOCATIONS = {
+    "algebra-info": ["f2.alg"], "module-info": ["a2_s1.mod"], "profile": ["a2.alg"],
+    "gpd": ["a2_s1.mod"], "gid": ["a2_s1.mod"], "resolve": ["a2_s1.mod"],
+    "totalize": ["a2_s1.mod"], "frobenius-verify": ["id_f2.ext"],
+    "transfer-check": ["id_f2.ext"], "glgdim-check": ["id_f2.ext"],
+    "counterexample-product": [], "triequiv-check": ["id_f2.ext"],
+    "complex-check": ["a2_stalk.cpx"], "suite": ["--bound", "1"],
+}
+PATH_COMMANDS = sorted(name for name, cmd in main.commands.items()
+                       if any(p.name == "path" for p in cmd.params))
+
+
+@pytest.mark.parametrize("name", PATH_COMMANDS)
+def test_a_missing_file_exits_2_with_nothing_on_stdout(runner, name):
+    result = runner.invoke(main, [name, "definitely_not_there.dat"])
     assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("input error: no such file: definitely_not_there.dat")
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("name", sorted(main.commands))
+def test_an_unwritable_out_exits_2(runner, tmp_path, name):
+    target = tmp_path / "no_such_directory" / "report.txt"
+    result = runner.invoke(main, [name, *CHEAP_INVOCATIONS[name], "--out", str(target)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("input error:")
+    assert result.stdout == ""
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("name", sorted(main.commands))
+def test_the_exit_code_is_1_exactly_when_the_report_failed(runner, name):
+    result = runner.invoke(main, [name, *CHEAP_INVOCATIONS[name], "--format", "json"])
+    report = json.loads(result.stdout)
+    assert result.exit_code == (1 if report["passed"] is False else 0)
+
+
+def test_an_uncertified_profile_exits_1(runner, tmp_path):
+    # k<x,y>/(all paths of length 2) is not Gorenstein: no bound certifies it
+    from gorhom.algebra import Quiver, path_algebra, save_algebra
+    from gorhom.exactlin import FieldSpec
+
+    q = Quiver(1, arrows=((0, 0, "x"), (0, 0, "y")),
+               relations=tuple(((pair, 1),) for pair in
+                               (("x", "x"), ("x", "y"), ("y", "x"), ("y", "y"))))
+    save_algebra(path_algebra(q, FieldSpec(2)), tmp_path / "two_loops.alg")
+    result = runner.invoke(main, ["profile", str(tmp_path / "two_loops.alg"), "--bound", "3",
+                                  "--format", "json"])
+    assert json.loads(result.stdout)["passed"] is False
+    assert result.exit_code == 1
+    assert result.stderr == ""
 
 
 def test_byte_identical_reports(runner):

@@ -3,8 +3,9 @@ elimination: the submodule actions from one solve against the basis, and
 the actions on a hom basis (Hom(m, A), coinduction, Hom into the regular
 module over a bimodule) from one hom_coordinates solve.  Each construction
 is built once: a quotient is D of a submodule of the dual, the socle is
-read off the radical's action on the dual, and a pair's unit is one matrix
-formula over the dual basis.
+read off the radical's action on the dual, a pair's unit is one matrix
+formula over the dual basis, and a tensor quotient's section is read off
+its projection.
 
 The constructions they replaced live on here as oracles and must give
 identical matrices; the work counts check that each family is one solve.
@@ -239,6 +240,31 @@ def test_units_are_the_sums_of_pure_tensors():
             assert pair.unit(x).matrix == pure_tensor_unit(pair, x)
 
 
+def test_tensor_sections_give_the_tensor_homs_of_the_solved_ones():
+    # a section is read only through classes, so the one read off the
+    # projection and the one solved for give the same M ⊗_R f
+    differ = 0
+    for pair in _pairs():
+        for bim, side in ((pair.m, pair.algebra_a), (pair._dual()[0], pair.algebra_b)):
+            over = bim.as_right_op_module()
+            if over is regular_module(over.algebra):
+                continue
+            corpus = module_corpus(side, minimum=0)
+            for x in corpus:
+                t = frobenius._tensor(bim, x)
+                eye = Mat.identity(t.proj.field, t.module.dim)
+                solved = solve(t.proj, eye).particular
+                assert t.proj * t.section == eye == t.proj * solved
+                differ += t.section != solved
+                eye_m = Mat.identity(t.proj.field, bim.dim)
+                for y in corpus:
+                    into = frobenius._tensor(bim, y).proj
+                    for f in hom_space(x, y):
+                        via_solved = into * kron(eye_m, f.matrix) * solved
+                        assert frobenius._tensor_hom(bim, f).matrix == via_solved
+    assert differ > 0
+
+
 # --- work counts ----------------------------------------------------------------
 
 
@@ -282,6 +308,19 @@ def test_star_and_coinduce_solve_once_for_their_action_family(monkeypatch, in_ne
     del solves[:]
     coinduce(ext, x)
     assert len(solves) == 1
+
+
+def test_a_tensor_quotient_solves_for_no_section(monkeypatch, in_new_basis):
+    # new content, so no tensor memo; the duals are built before counting
+    fresh = [(bim, in_new_basis(regular_module(side))[0]) for pair in _pairs()
+             for bim, side in ((pair.m, pair.algebra_a), (pair._dual()[0], pair.algebra_b))
+             if side.dim > 1]
+    quotients = _counting(monkeypatch, frobenius, "quotient_module")
+    solves = _counting(monkeypatch, frobenius, "solve")
+    for bim, x in fresh:
+        frobenius._tensor(bim, x)
+    assert len(quotients) > 0
+    assert solves == []
 
 
 @pytest.mark.parametrize("name", ["f2", "a3", "m2f2x2"])

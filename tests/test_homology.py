@@ -121,11 +121,16 @@ def test_a_deeper_cached_resolution_is_cut_to_the_depth_asked(a2, dual_numbers):
 
 
 def _counting_covers(monkeypatch) -> list:
-    """A list that gains one entry per projective cover built: outside the
-    memoized structural_modules, only the cover build calls top_of."""
-    built = []
-    top_of = modrep.top_of
-    monkeypatch.setattr(modrep, "top_of", lambda m: built.append(m) or top_of(m))
+    """A list that gains one entry per projective cover built: each run of
+    the build that cover_envelope memoizes under its "cover" tag."""
+    built, memo = [], modrep.memo
+
+    def counting(holder, tag, other, build):
+        if tag != "cover":
+            return memo(holder, tag, other, build)
+        return memo(holder, tag, other, lambda: built.append(holder) or build())
+
+    monkeypatch.setattr(modrep, "memo", counting)
     return built
 
 
