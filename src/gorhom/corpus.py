@@ -24,6 +24,7 @@ from .algebra import (
     truncated_extension,
 )
 from .dgcplx import functor_F
+from .errors import InputShapeError
 from .exactlin import FieldSpec, Mat
 from .frobenius import Bimodule, RingExtension, column_bimodule, identity_extension
 from .homology import ComplexObj
@@ -95,7 +96,7 @@ def corpus_algebra(name: str) -> Algebra:
     elif name == "prod_f2_a2":
         a = product_algebra(corpus_algebra("f2"), corpus_algebra("a2"))
     else:
-        raise KeyError(f"unknown corpus algebra {name!r}")
+        raise InputShapeError(f"unknown corpus algebra {name!r}")
     _algebras[name] = a
     return a
 
@@ -134,7 +135,7 @@ def corpus_extension(name: str) -> RingExtension:
         total, emb = truncated_extension(base, 2)
         ext = RingExtension(base, total, emb)
     else:
-        raise KeyError(f"unknown corpus extension {name!r}")
+        raise InputShapeError(f"unknown corpus extension {name!r}")
     _extensions[name] = ext
     return ext
 
@@ -156,7 +157,7 @@ def corpus_bimodule(name: str) -> Bimodule:
         s = corpus_algebra("m2f2x2")
         bm = column_bimodule(r, 2, s)
     else:
-        raise KeyError(f"unknown corpus bimodule {name!r}")
+        raise InputShapeError(f"unknown corpus bimodule {name!r}")
     _bimodules[name] = bm
     return bm
 

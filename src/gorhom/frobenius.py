@@ -146,7 +146,9 @@ def restrict(ext: RingExtension, y: Module) -> Module:
 
 def coinduce(ext: RingExtension, x: Module) -> Module:
     """Hom_R(S, x) with S acting by precomposition with right multiplication,
-    built once per (ext, x)."""
+    built once per (ext, x), not checked again: the solve proves the span
+    stable, and with rho_r(s) the right multiplication by s,
+    f∘rho_r(s')∘rho_r(s) = f∘rho_r(s·s') and rho_r(1) = id."""
 
     def build() -> Module:
         if x.algebra != ext.base:
@@ -154,7 +156,8 @@ def coinduce(ext: RingExtension, x: Module) -> Module:
         s = ext.total
         basis = hom_space(restrict(ext, regular_module(s)), x)
         rmuls = [s.right_mult_matrix(s.basis_vec(i)) for i in range(s.dim)]
-        return Module(s, hom_actions(basis, rmuls, s.field, "coinduced action left the hom space"))
+        return Module(s, hom_actions(basis, rmuls, s.field, "coinduced action left the hom space"),
+                      _skip_validation=True)
 
     return memo(x, "coind", ext, build)
 
@@ -169,15 +172,9 @@ class Bimodule:
 
     def __init__(self, left: Algebra, right: Algebra, dim: int,
                  left_action: Sequence[Mat], right_action: Sequence[Mat]):
-        self.left = left
-        self.right = right
-        self.dim = dim
-        self.left_action = tuple(left_action)
-        self.right_action = tuple(right_action)
         # each action is a module structure in its own right
-        self._as_left = Module(left, self.left_action)
-        self._as_right_op = Module(right.opposite(), self.right_action)
-        self._cache: dict = {}
+        self._set(left, right, dim, Module(left, left_action),
+                  Module(right.opposite(), right_action))
         # for a right generator h the s whose action commutes with h's form a
         # subalgebra containing 1, and so, for any s, do the r whose action
         # commutes with s's: commuting on generator pairs is commuting
@@ -186,6 +183,24 @@ class Bimodule:
                 lam, rho_m = self.left_action[i], self.right_action[j]
                 if lam * rho_m != rho_m * lam:
                     raise PropertyViolation("left and right actions do not commute")
+
+    @classmethod
+    def _trusted(cls, left: Algebra, right: Algebra, dim: int,
+                 left_action: Sequence[Mat], right_action: Sequence[Mat]) -> "Bimodule":
+        """A bimodule whose construction proved both module laws and that the
+        actions commute, built without the checks; only the bimodules of a
+        ring extension call it."""
+        b = object.__new__(cls)
+        b._set(left, right, dim, Module(left, left_action, _skip_validation=True),
+               Module(right.opposite(), right_action, _skip_validation=True))
+        return b
+
+    def _set(self, left: Algebra, right: Algebra, dim: int, as_left: Module,
+             as_right_op: Module):
+        self.left, self.right, self.dim = left, right, dim
+        self.left_action, self.right_action = as_left.action, as_right_op.action
+        self._as_left, self._as_right_op = as_left, as_right_op
+        self._cache: dict = {}
 
     def as_left_module(self) -> Module:
         return self._as_left
@@ -211,25 +226,30 @@ class Bimodule:
 
 
 def extension_bimodule(ext: RingExtension) -> Bimodule:
-    """S as the natural S-R-bimodule of a ring extension, built once per extension."""
+    """S as the natural S-R-bimodule of a ring extension, built once per
+    extension, not checked again: S acts by left multiplication and R by
+    right multiplication through the embedding phi, which RingExtension
+    checked unital and multiplicative, so x·phi(r)·phi(r') = x·phi(r·r');
+    associativity makes both actions modules and makes them commute."""
 
     def build() -> Bimodule:
         s, r = ext.total, ext.base
         left = [s.left_mult_matrix(s.basis_vec(i)) for i in range(s.dim)]
         right = [s.right_mult_matrix(ext.embed(r.basis_vec(j))) for j in range(r.dim)]
-        return Bimodule(s, r, s.dim, left, right)
+        return Bimodule._trusted(s, r, s.dim, left, right)
 
     return memo(ext, "bimodule", None, build)
 
 
 def restriction_bimodule(ext: RingExtension) -> Bimodule:
-    """S as the natural R-S-bimodule of a ring extension, built once per extension."""
+    """S as the natural R-S-bimodule of a ring extension, built once per
+    extension, not checked again: extension_bimodule's proof, sides swapped."""
 
     def build() -> Bimodule:
         s, r = ext.total, ext.base
         left = [s.left_mult_matrix(ext.embed(r.basis_vec(j))) for j in range(r.dim)]
         right = [s.right_mult_matrix(s.basis_vec(i)) for i in range(s.dim)]
-        return Bimodule(r, s, s.dim, left, right)
+        return Bimodule._trusted(r, s, s.dim, left, right)
 
     return memo(ext, "restriction bimodule", None, build)
 
@@ -721,26 +741,15 @@ def faithfulness_report(pair, corpus: Sequence[Module]) -> AdjunctionReport:
     counits_epi = [pair.counit(y).is_epi() for y in corpus_b]
     add_f = add_generation_holds(pair, "f")
     add_g = add_generation_holds(pair, "g")
-    # naturality of unit and counit along projective cover maps
-    naturality = True
-    for x in corpus_a:
-        if x.dim == 0:
-            continue
-        p, cov = cover_envelope(x)
-        gf_cov = pair.apply_g_hom(pair.apply_f_hom(cov))
-        lhs = pair.unit(x).matrix * cov.matrix
-        rhs = gf_cov.matrix * pair.unit(p).matrix
-        if lhs != rhs:
-            naturality = False
-    for y in corpus_b:
-        if y.dim == 0:
-            continue
-        p, cov = cover_envelope(y)
-        fg_cov = pair.apply_f_hom(pair.apply_g_hom(cov))
-        lhs = pair.counit(y).matrix * fg_cov.matrix
-        rhs = cov.matrix * pair.counit(p).matrix
-        if lhs != rhs:
-            naturality = False
+    # naturality of unit and counit along projective cover maps P -> x
+    covers_a = [cover_envelope(x)[1] for x in corpus_a if x.dim]
+    covers_b = [cover_envelope(y)[1] for y in corpus_b if y.dim]
+    naturality = all(
+        [pair.unit(c.target).matrix * c.matrix
+         == pair.apply_g_hom(pair.apply_f_hom(c)).matrix * pair.unit(c.source).matrix
+         for c in covers_a]
+        + [pair.counit(c.target).matrix * pair.apply_f_hom(pair.apply_g_hom(c)).matrix
+           == c.matrix * pair.counit(c.source).matrix for c in covers_b])
     report.flags["triangle_identities"] = triangles_hold(pair, corpus_a, corpus_b)
     report.flags["unit_mono_all"] = all(units_mono)
     report.flags["counit_epi_all"] = all(counits_epi)
@@ -750,14 +759,10 @@ def faithfulness_report(pair, corpus: Sequence[Module]) -> AdjunctionReport:
     report.flags["counit_epi_matches_add_generation"] = (all(counits_epi) == add_f)
     report.flags["unit_naturality"] = naturality
     # both functors send indecomposable projectives to summands of frees
-    proj_preserved = True
-    for p in structural_modules(pair.algebra_a).projectives:
-        if projective_witness(pair.apply_f(p)) is None:
-            proj_preserved = False
-    for p in structural_modules(pair.algebra_b).projectives:
-        if projective_witness(pair.apply_g(p)) is None:
-            proj_preserved = False
-    report.flags["projectivity_preserved"] = proj_preserved
+    report.flags["projectivity_preserved"] = all(
+        [projective_witness(functor(p)) is not None
+         for a, functor in ((pair.algebra_a, pair.apply_f), (pair.algebra_b, pair.apply_g))
+         for p in structural_modules(a).projectives])
     # the agreement flags are the real checks; lack of faithfulness itself
     # is data, not a failure
     report.flags.setdefault("exactness_on_covers", True)
@@ -804,35 +809,20 @@ def verify_gpd_transfer(ext: RingExtension, corpus: Sequence[Module], bound: int
         raise PreconditionFailed("total algebra has no certified Gorenstein profile")
     if not prof_r.certified:
         raise PreconditionFailed("base algebra has no certified Gorenstein profile")
-    pair = ExtensionPair(ext)
-    rows = []
-    all_equal = True
-    for m_mod in corpus:
-        if m_mod.algebra != ext.total:
-            raise AlgebraMismatch("transfer corpus must live over the total algebra")
-        down = restrict(ext, m_mod)
-        g_s = gpd(m_mod, prof_s)
-        g_r = gpd(down, prof_r)
-        equal = g_s == g_r
-        all_equal = all_equal and equal
-        rows.append({"module": f"S-module dim {m_mod.dim}", "gpd_total": g_s,
-                     "gpd_restricted": g_r, "equal": equal})
-    ind_faithful = add_generation_holds(pair, "g")
-    ind_checked = False
-    if ind_faithful:
-        ind_checked = True
-        r_corpus = list(structural_modules(ext.base).simples) + \
-            list(structural_modules(ext.base).projectives) + \
-            [regular_module(ext.base)]
-        for x in r_corpus:
-            up = induce(ext, x)
-            g_r = gpd(x, prof_r)
-            g_s = gpd(up, prof_s)
-            equal = g_s == g_r
-            all_equal = all_equal and equal
-            rows.append({"module": f"R-module dim {x.dim} (induced)", "gpd_total": g_s,
-                         "gpd_restricted": g_r, "equal": equal})
-    return TransferReport(rows, all_equal, ind_checked)
+    if any(m.algebra != ext.total for m in corpus):
+        raise AlgebraMismatch("transfer corpus must live over the total algebra")
+    # (row label, the S-module, the R-module)
+    pairs = [(f"S-module dim {m.dim}", m, restrict(ext, m)) for m in corpus]
+    ind_checked = add_generation_holds(ExtensionPair(ext), "g")
+    if ind_checked:
+        base = structural_modules(ext.base)
+        pairs += [(f"R-module dim {x.dim} (induced)", induce(ext, x), x)
+                  for x in base.simples + base.projectives + (regular_module(ext.base),)]
+    rows = [{"module": label, "gpd_total": gpd(up, prof_s), "gpd_restricted": gpd(down, prof_r)}
+            for label, up, down in pairs]
+    for row in rows:
+        row["equal"] = row["gpd_total"] == row["gpd_restricted"]
+    return TransferReport(rows, all(row["equal"] for row in rows), ind_checked)
 
 
 def global_gdim_transfer(ext: RingExtension, bound: int = 20):
@@ -985,20 +975,9 @@ def tri_equiv_conditions(pair, corpus_a: Sequence[Module], corpus_b: Sequence[Mo
     both_proj = all(r["cok_projective"] for r in unit_rows) and \
         all(r["ker_projective"] for r in counit_rows)
 
-    f_match = True
-    for x1 in corpus_a:
-        for x2 in corpus_a:
-            lhs = stable_hom_dim(x1, x2)
-            rhs = stable_hom_dim(pair.apply_f(x1), pair.apply_f(x2))
-            if lhs != rhs:
-                f_match = False
-    g_match = True
-    for y1 in corpus_b:
-        for y2 in corpus_b:
-            lhs = stable_hom_dim(y1, y2)
-            rhs = stable_hom_dim(pair.apply_g(y1), pair.apply_g(y2))
-            if lhs != rhs:
-                g_match = False
+    f_match, g_match = (all([stable_hom_dim(u, v) == stable_hom_dim(functor(u), functor(v))
+                             for u in mods for v in mods])
+                        for mods, functor in ((corpus_a, pair.apply_f), (corpus_b, pair.apply_g)))
     return TriEquivReport(unit_rows, counit_rows, stable_gp,
                           singularity, defect, both_proj, f_match, g_match)
 

@@ -295,7 +295,9 @@ def star_module(m: Module) -> Tuple[Module, list]:
     Over the regular module itself the basis is that of the right
     multiplications x -> x·e_i, so Hom_A(A, A) is A again, coordinate for
     coordinate; they commute with left multiplication by associativity, so
-    they are not checked again."""
+    they are not checked again.  Nor is the module: the solve proves the
+    span stable under f -> f·a, (f·a)·b = f·(ab) by associativity, which is
+    the law over the opposite algebra, and f·1 = f."""
 
     def build() -> Tuple[Module, list]:
         a = m.algebra
@@ -304,7 +306,7 @@ def star_module(m: Module) -> Tuple[Module, list]:
                  else hom_space(m, regular_module(a)))
         acts = hom_actions(basis, rmats, a.field,
                            "Hom(m, A) is not stable under the right action", post=True)
-        return Module(a.opposite(), acts), basis
+        return Module(a.opposite(), acts, _skip_validation=True), basis
 
     return memo(m, "star", None, build)
 

@@ -14,11 +14,15 @@ where it is cheapest:
   without the check (`Module(..., _skip_validation=True)`,
   `ModHom._trusted`), and each says why: `submodule`, `dual_module`,
   `dual_hom`, the `hom_space` basis maps, `factor_through`'s
-  combinations, the cover map x -> rho(x)·v (associativity),
-  `homology.resolve`'s composites, the right multiplications of
-  Hom_A(A, A) in `homology.star_module`, the block-diagonal `zero_module`
-  and `direct_sum`, and in `frobenius` a tensor product's ambient module
-  and `Bimodule.as_tensor_module` (two checked actions that commute).
+  combinations, an isomorphism witness (a combination of a hom basis),
+  the cover map x -> rho(x)·v and `regular_module` (associativity),
+  `homology.resolve`'s composites, `homology.star_module` (Hom(m, A) over
+  A^op, and the right multiplications of Hom_A(A, A)), the block-diagonal
+  `zero_module` and `direct_sum`, and in `frobenius` a tensor product's
+  ambient module, `coinduce`, `Bimodule.as_tensor_module` (two checked
+  actions that commute) and, through `Bimodule._trusted`, the two
+  bimodules of a ring extension (multiplications through a checked
+  embedding).
   A quotient is D of a submodule of the dual, so it is built by these.
   Their inputs are checked modules, so no outside input skips a check;
   tests/test_source.py fails on a trusted construction anywhere else.
@@ -179,10 +183,12 @@ def zero_hom(source: Module, target: Module) -> ModHom:
 
 
 def regular_module(a: Algebra) -> Module:
-    """The left regular module: the algebra acting on itself by left multiplication."""
+    """The left regular module, not checked again: e_i·(e_j·x) = (e_i·e_j)·x
+    and 1·x = x are the laws of the algebra, checked or proved where it was built."""
 
     def build():
-        return Module(a, [a.left_mult_matrix(a.basis_vec(i)) for i in range(a.dim)])
+        return Module(a, [a.left_mult_matrix(a.basis_vec(i)) for i in range(a.dim)],
+                      _skip_validation=True)
 
     return memo(a, "regular_module", None, build)
 
@@ -511,22 +517,29 @@ def structural_modules(a: Algebra) -> StructuralModules:
     opposite algebra: the same objects, since D is a memoized involution,
     so injectives[i] is dual_module(structural_modules(A^op).projectives[i]).
     Simples must be split (End = k); otherwise UnsupportedAlgebra is raised.
+
+    Both are read off ranks, with no Hom space.  S_i = top(A·e_i), and a map
+    from A·e_i into a module S that the radical kills factors through the
+    top, so Hom(S_i, S) = Hom(A·e_i, S) = e_i·S, of dimension rank rho_S(e_i).
+    So S_i is split (and simple) exactly when rank rho_{S_i}(e_i) = 1, and
+    then S_j ≅ S_i exactly when rank rho_{S_j}(e_i) > 0: a nonzero map
+    between simples is an isomorphism.
     """
 
     def build():
         projectives, embeddings = _indecomposable_projectives(a)
         simples = [top_of(pe)[0] for pe in projectives]
-        for s in simples:
-            if hom_dim(s, s) != 1:
-                raise UnsupportedAlgebra("non-split simple module encountered")
+        idems = a.primitive_idempotents()
+        if any(s.rho(e).rank() != 1 for s, e in zip(simples, idems)):
+            raise UnsupportedAlgebra("non-split simple module encountered")
         classes: List[List[int]] = []
-        for i, s in enumerate(simples):
+        for j, s in enumerate(simples):
             for cls in classes:
-                if is_isomorphic(s, simples[cls[0]]).verdict == "yes":
-                    cls.append(i)
+                if s.rho(idems[cls[0]]).rank():
+                    cls.append(j)
                     break
             else:
-                classes.append([i])
+                classes.append([j])
         injectives = tuple(dual_module(p) for p in _indecomposable_projectives(a.opposite())[0])
         return StructuralModules(tuple(simples), projectives, injectives,
                                  tuple(tuple(c) for c in classes), embeddings)
@@ -637,8 +650,10 @@ def is_isomorphic(m: Module, n: Module, seed: int = 0) -> IsoVerdict:
 
 
 def _isomorphism(m: Module, n: Module, seed: int, homs_of) -> IsoVerdict:
-    """is_isomorphic with the hom bases, as matrices, from homs_of(x, y);
-    solved afresh, they leave no memo for a kept witness to pin.
+    """is_isomorphic with the hom bases, as matrices, from homs_of(x, y),
+    which must return a basis of Hom(x, y): a witness is a combination of it,
+    built unchecked.  Solved afresh, they leave no memo for a kept witness
+    to pin.
 
     An invertible intertwiner is an isomorphism, so no obstruction can hold
     where a trial succeeds, and the trials read nothing the obstructions
@@ -683,11 +698,13 @@ def random_coefficients(rng: random.Random, p: int, count: int) -> list:
 
 def _first_invertible(m: Module, n: Module, homs: List[Mat], trials) -> Optional[IsoVerdict]:
     """The "yes" of the first combination of homs, by the coefficient lists
-    of trials, that is invertible; None when there is none."""
+    of trials, that is invertible; None when there is none.  homs is a basis
+    of Hom(m, n), so a combination intertwines and is not checked again;
+    its invertibility is the certificate, tested here."""
     for coeffs in trials:
         cand = _combine(homs, coeffs)
         if cand.is_invertible():
-            return IsoVerdict("yes", witness=ModHom(m, n, cand))
+            return IsoVerdict("yes", witness=ModHom._trusted(m, n, cand))
     return None
 
 

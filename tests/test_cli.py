@@ -381,6 +381,15 @@ def test_counterexample_product_exits_zero(runner):
     assert "passed: True" in result.output
 
 
+@pytest.mark.parametrize("option", ["--block", "--other"])
+def test_an_unknown_corpus_name_exits_2(runner, option):
+    result = runner.invoke(main, ["counterexample-product", option, "zz"])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr == "input error: unknown corpus algebra 'zz'\n"
+    assert result.stdout == ""
+
+
 def test_glgdim_check(runner):
     result = runner.invoke(main, ["glgdim-check", "f3_f3c3.ext"])
     assert result.exit_code == 0

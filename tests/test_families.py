@@ -4,8 +4,8 @@ the actions on a hom basis (Hom(m, A), coinduction, Hom into the regular
 module over a bimodule) from one hom_coordinates solve.  Each construction
 is built once: a quotient is D of a submodule of the dual, the socle is
 read off the radical's action on the dual, a pair's unit is one matrix
-formula over the dual basis, and a tensor quotient's section is read off
-its projection.
+formula over the dual basis, a tensor quotient's section is read off its
+projection, and the simples are classified by ranks, with no Hom space.
 
 The constructions they replaced live on here as oracles and must give
 identical matrices; the work counts check that each family is one solve.
@@ -13,9 +13,11 @@ identical matrices; the work counts check that each family is one solve.
 
 import pytest
 
+from test_kupisch import F2, NAKAYAMA
 from test_laws import ALGEBRAS, _algebra
 
 from gorhom import exactlin, frobenius, modrep
+from gorhom.algebra import Algebra, path_algebra
 from gorhom.corpus import (
     EXTENSION_NAMES,
     corpus_algebra,
@@ -23,6 +25,7 @@ from gorhom.corpus import (
     corpus_extension,
     module_corpus,
 )
+from gorhom.errors import UnsupportedAlgebra
 from gorhom.exactlin import Mat, kron, rref, solve
 from gorhom.frobenius import (
     BimodulePair,
@@ -39,13 +42,16 @@ from gorhom.modrep import (
     column_space_basis,
     cover_envelope,
     hom_coordinates,
+    hom_dim,
     hom_space,
+    is_isomorphic,
     quotient_module,
     radical_submodule_basis,
     regular_module,
     socle_basis,
     structural_modules,
     submodule,
+    top_of,
     zero_module,
 )
 
@@ -265,6 +271,61 @@ def test_tensor_sections_give_the_tensor_homs_of_the_solved_ones():
     assert differ > 0
 
 
+# --- the simples by ranks --------------------------------------------------------
+
+
+def hom_classified_simples(a) -> tuple:
+    """Whether every simple top(A·e_i) is split, and then their classes: by
+    one End solve per simple and one isomorphism search per pair of
+    simples, the loop the ranks replaced; (False, None) when one is not."""
+    simples = [top_of(p)[0] for p in modrep._indecomposable_projectives(a)[0]]
+    if any(hom_dim(s, s) != 1 for s in simples):
+        return False, None
+    classes = []
+    for i, s in enumerate(simples):
+        for cls in classes:
+            if is_isomorphic(s, simples[cls[0]]).verdict == "yes":
+                cls.append(i)
+                break
+        else:
+            classes.append([i])
+    return True, tuple(tuple(c) for c in classes)
+
+
+def f4() -> Algebra:
+    """F_4 over F_2: basis 1, w with w² = w + 1.  Its one simple module is
+    F_4 itself, with End = F_4, so it is not split."""
+    return Algebra(F2, ["1", "w"], [[(1, 0), (0, 1)], [(0, 1), (1, 1)]], (1, 0),
+                   idempotents=[(1, 0)])
+
+
+SIMPLES = ALGEBRAS + [(name, "kupisch") for name in NAKAYAMA] + [("f4", "field")]
+
+
+def _fresh_algebra(name, op):
+    """A new algebra object, so nothing is memoized on it yet: a copy of the
+    corpus algebra (or its opposite), a Kupisch algebra, or F_4."""
+    if op == "field":
+        return f4()
+    if op == "kupisch":
+        return path_algebra(NAKAYAMA[name][0], F2)
+    a = corpus_algebra(name)
+    copy = Algebra(a.field, a.basis_labels, a.table, a.unit, idempotents=a.idempotents)
+    return copy.opposite() if op else copy
+
+
+@pytest.mark.parametrize("name, op", SIMPLES)
+def test_simples_by_ranks_are_the_hom_classified_ones(name, op):
+    a = _fresh_algebra(name, op)
+    split, classes = hom_classified_simples(a)
+    if not split:
+        with pytest.raises(UnsupportedAlgebra, match="^non-split simple module encountered$"):
+            structural_modules(a)
+    else:
+        assert structural_modules(a).simple_classes == classes
+    assert split == (name != "f4")
+
+
 # --- work counts ----------------------------------------------------------------
 
 
@@ -291,6 +352,15 @@ def test_a_submodule_is_one_elimination_whatever_the_algebra_dimension(monkeypat
         del solves[:], rrefs[:]
         submodule(reg, emb)
         assert (len(solves), len(rrefs)) == (1, 1)
+
+
+def test_structural_modules_solve_no_hom_space_and_search_no_isomorphism(monkeypatch):
+    fresh = [_fresh_algebra(name, op) for name, op in SIMPLES if op != "field"]
+    homs = _counting(monkeypatch, modrep, "_hom_space_matrices")
+    searches = _counting(monkeypatch, modrep, "_isomorphism")
+    for a in fresh:
+        structural_modules(a)
+    assert (len(homs), len(searches)) == (0, 0)
 
 
 def test_star_and_coinduce_solve_once_for_their_action_family(monkeypatch, in_new_basis):

@@ -1,5 +1,6 @@
 import gc
 import re
+import weakref
 from itertools import count
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from gorhom.frobenius import (
     faithfulness_report,
     frobenius_system,
     global_gdim_transfer,
+    hom_to_regular,
     identity_extension,
     induce,
     is_frobenius_bimodule,
@@ -398,8 +400,11 @@ def test_second_application_builds_nothing(monkeypatch, ext_f2_f2c2, f2, a2, f2c
         (pr.apply_f, regular_module(pr.algebra_a)), (pr.apply_g, k),
     ]
     built = []
-    for name in ("Module", "Bimodule", "quotient_module"):
+    for name in ("Module", "quotient_module"):
         monkeypatch.setattr(frobenius, name, _counting(built, name, getattr(frobenius, name)))
+    # every bimodule, checked or trusted, is set up by Bimodule._set
+    monkeypatch.setattr(frobenius.Bimodule, "_set",
+                        _counting(built, "Bimodule", frobenius.Bimodule._set))
     first = [apply(x) for apply, x in applications]
     assert built
     built.clear()
@@ -478,6 +483,24 @@ def _in_new_basis(bim, rebase, seed):
                     [t_inv * a * t for a in bim.right_action])
 
 
+def _seeds_of_new_duals(bim, rebase, count_wanted):
+    """The first count_wanted seeds whose _in_new_basis bimodules have two
+    duals (Hom into the regular module on each side) of contents no earlier
+    seed gave, so a certification in such a basis builds dual modules that
+    none before it interned.  New bases need not give new duals: Hom_S(M, S)
+    is fixed by the span of its hom basis, and many bases share a span."""
+    seeds, seen = [], set()
+    for seed in count(1):
+        fresh = _in_new_basis(bim, rebase, seed)
+        keys = [tuple(a.data for a in hom_to_regular(fresh, side)[0].as_tensor_module().action)
+                for side in ("left", "right")]
+        if seen.isdisjoint(keys):
+            seeds.append(seed)
+            if len(seeds) == count_wanted:
+                return seeds
+        seen.update(keys)
+
+
 def test_certifying_fresh_bimodules_retains_no_memory(retained_bytes, in_new_basis):
     # the summand test memoizes Hom(A, q) on the long-lived regular module A
     # for q; an entry that outlived q held every fresh bimodule's module q
@@ -509,18 +532,21 @@ def test_a_first_certification_keeps_only_its_witness(retained_bytes, in_new_bas
     # modules, and the isomorphism search leaves no memo on them: keeping
     # the verdict costs no more than keeping the witness's matrices (with
     # the search's hom memos it cost 6-9 KB more).  Each call certifies the
-    # bimodule in a new basis, so its dual modules are new objects, not
-    # ones an earlier call interned
+    # bimodule in a basis that gives new duals, so its dual modules are new
+    # objects, not ones an earlier call interned: a witness module seen
+    # before and still alive would allocate less, and fails the test instead
     bim = extension_bimodule(load_extension(DATA / "a2_a2t2.ext"))
-    seeds, kept = count(1), []
+    # two measurements of a warm-up call and three batches of 3 calls
+    seeds, kept, seen = iter(_seeds_of_new_duals(bim, in_new_basis, 20)), [], weakref.WeakSet()
 
     def first_certification():
-        return is_frobenius_bimodule(_in_new_basis(bim, in_new_basis, next(seeds)))
+        v = is_frobenius_bimodule(_in_new_basis(bim, in_new_basis, next(seeds)))
+        assert v.witness.source not in seen and v.witness.target not in seen
+        seen.update((v.witness.source, v.witness.target))
+        return v
 
     def keep_verdict():
-        v = first_certification()
-        assert all(v.witness.source is not k.witness.source for k in kept)
-        kept.append(v)
+        kept.append(first_certification())
 
     def keep_matrices():
         w = first_certification().witness

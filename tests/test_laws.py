@@ -41,8 +41,10 @@ from gorhom.exactlin import Mat, kron, rref, unvec
 from gorhom.frobenius import (
     Bimodule,
     RingExtension,
+    coinduce,
     extension_bimodule,
     hom_to_regular,
+    is_frobenius_bimodule,
     restriction_bimodule,
 )
 from gorhom.homology import (
@@ -61,6 +63,7 @@ from gorhom.modrep import (
     dual_hom,
     dual_module,
     hom_space,
+    is_isomorphic,
     quotient_module,
     radical_submodule_basis,
     regular_module,
@@ -424,6 +427,35 @@ def test_trusted_constructions_pass_the_full_basis_checks(name, op):
     # Hom_A(A, A) in the basis of the right multiplications, built unchecked
     for h in star_module(regular_module(a))[1]:
         assert full_basis_intertwines(h.source, h.target, h.matrix)
+
+
+@pytest.mark.parametrize("name, op", ALGEBRAS)
+def test_what_the_multiplication_makes_passes_the_full_basis_checks(name, op):
+    # the regular module is left multiplication, Hom(m, A) over A^op is
+    # right multiplication after the map, and a witness of m ≅ m is a
+    # combination of an End basis: all built unchecked
+    a = _algebra(name, op)
+    assert full_basis_module_law(a, regular_module(a).action)
+    for m in module_corpus(a, minimum=0):
+        assert full_basis_module_law(a.opposite(), star_module(m)[0].action), m
+        witness = is_isomorphic(m, m).witness
+        assert witness.is_iso() and full_basis_intertwines(m, m, witness.matrix), m
+
+
+@pytest.mark.parametrize("name", EXTENSION_NAMES)
+def test_coinduction_and_the_extension_bimodules_pass_the_full_basis_checks(name):
+    # Coind(x) is precomposition with right multiplication, and the two
+    # bimodules are multiplications through the checked embedding: all
+    # built unchecked, as is the search's witness on them
+    ext = corpus_extension(name)
+    for x in module_corpus(ext.base, minimum=0):
+        assert full_basis_module_law(ext.total, coinduce(ext, x).action), x
+    for bim in (extension_bimodule(ext), restriction_bimodule(ext)):
+        assert full_basis_module_law(bim.left, bim.left_action)
+        assert full_basis_module_law(bim.right.opposite(), bim.right_action)
+        assert full_basis_commute(bim.left_action, bim.right_action)
+        witness = is_frobenius_bimodule(bim, seed=1).witness
+        assert full_basis_intertwines(witness.source, witness.target, witness.matrix)
 
 
 @pytest.mark.parametrize("name, op", ALGEBRAS)

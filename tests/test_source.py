@@ -272,7 +272,10 @@ def test_the_reference_scan_sees_names_attributes_and_strings():
 # constructions that proved the law themselves (see the modrep module
 # docstring), the empty module, direct sums, projective covers, the right
 # multiplications of Hom_A(A, A), the tensor construction's ambient
-# module and a bimodule's tensor module.  And the constructors that give an
+# module and a bimodule's tensor module; and what a checked algebra's own
+# multiplication makes: the regular module, Hom(m, A) over A^op, Coind(x),
+# the two bimodules of a ring extension, and an isomorphism witness
+# combined from a hom basis.  And the constructors that give an
 # Algebra its radical, each stating the theorem that proves it
 # (group_algebra passes on the radical its first construction computed, and
 # an opposite its original's).  No document or outside input reaches any
@@ -286,16 +289,22 @@ TRUSTED_SITES = [
     "algebra.path_algebra",
     "algebra.product_algebra",
     "algebra.truncated_extension",
+    "frobenius.Bimodule._trusted",
     "frobenius.Bimodule.as_tensor_module",
     "frobenius._tensor.build",
+    "frobenius.coinduce.build",
+    "frobenius.extension_bimodule.build",
+    "frobenius.restriction_bimodule.build",
     "homology.resolve",
     "homology.star_module.build",
+    "modrep._first_invertible",
     "modrep.cover_envelope.build",
     "modrep.direct_sum",
     "modrep.dual_hom",
     "modrep.dual_module.build",
     "modrep.factor_through",
     "modrep.hom_space",
+    "modrep.regular_module.build",
     "modrep.submodule",
     "modrep.zero_module",
 ]
