@@ -32,7 +32,6 @@ from __future__ import annotations
 import json
 import threading
 import weakref
-from dataclasses import dataclass
 from operator import mul
 from pathlib import Path
 from typing import Optional, Sequence
@@ -44,7 +43,7 @@ from .errors import (
     NotAGroup,
     PropertyViolation,
 )
-from .exactlin import FieldSpec, Mat, rref, solve
+from .exactlin import FieldSpec, Mat, Record, rref, solve
 
 Vector = tuple
 
@@ -469,8 +468,7 @@ def _int_matmul(a, b):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Quiver:
+class Quiver(Record):
     """A finite quiver with relations given as combinations of parallel paths.
 
     Arrows are (source, target, label) with 0-based vertices and string
@@ -479,19 +477,19 @@ class Quiver:
     paths of one common length >= 2.
     """
 
-    vertex_count: int
-    arrows: tuple = ()
-    relations: tuple = ()
+    __slots__ = ("vertex_count", "arrows", "relations")
 
-    def __post_init__(self):
-        for s, t, _lbl in self.arrows:
-            if not (0 <= s < self.vertex_count and 0 <= t < self.vertex_count):
+    def __init__(self, vertex_count: int, arrows: tuple = (), relations: tuple = ()):
+        for s, t, _lbl in arrows:
+            if not (0 <= s < vertex_count and 0 <= t < vertex_count):
                 raise InputShapeError("arrow endpoint outside vertex range")
-        labels = [lbl for _, _, lbl in self.arrows]
+        labels = [lbl for _, _, lbl in arrows]
         if not all(isinstance(lbl, str) for lbl in labels):
             raise InputShapeError(f"arrow labels must be strings, got {labels!r}")
         if len(set(labels)) != len(labels):
             raise InputShapeError("arrow labels must be distinct")
+        for name, value in zip(self.__slots__, (vertex_count, arrows, relations)):
+            object.__setattr__(self, name, value)
 
 
 # The most cells (ideal rows times candidate paths) one level of

@@ -2,41 +2,33 @@
 
 Exit codes: 0 when every asserted property in the run passed, 1 when a
 property failed (the report names the violated law), 2 on input errors,
-including an --out that cannot be written.  `command` is the one place
-where this contract lives: each command's body only returns its report.
-Identical configurations (including the seed) produce byte-identical
-reports: nothing here depends on time, environment, or dict order.
-Each command imports the layers it uses in its own body, so a short
-command does not pay for loading the others.
+including an --out that cannot be written, and on usage errors.
+`command` is the one place where this contract lives: each command's body
+only returns its report.  Identical configurations (including the seed)
+produce byte-identical reports: nothing here depends on time,
+environment, or dict order.  Start-up is most of a short command's time,
+so the package imports only the standard library, main builds the parser
+of the one command it runs, and each command imports its layers in its
+own body.
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
-import functools
 import io
 import json
 import sys
-from importlib import resources
 from pathlib import Path
-
-import click
 
 from .errors import GorhomError, InputShapeError
 
 
-def _data_dir() -> Path:
-    return Path(str(resources.files("gorhom") / "data"))
-
-
 def resolve_input(path: str) -> Path:
     """Find an input file on disk or among the bundled corpus files."""
-    p = Path(path)
-    if p.exists():
-        return p
-    bundled = _data_dir() / path
-    if bundled.exists():
-        return bundled
+    for p in (Path(path), Path(__file__).parent / "data" / path):
+        if p.exists():
+            return p
     raise InputShapeError(f"no such file: {path} (also not bundled)")
 
 
@@ -47,70 +39,96 @@ def emit(report: dict, fmt: str, out) -> None:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["section", "key", "value"])
-        for key, value in sorted(report.items()):
-            if key == "rows":
-                continue
-            writer.writerow(["meta", key, value])
-        for i, row in enumerate(report.get("rows", [])):
-            for key in sorted(row):
-                writer.writerow([f"row{i}", key, row[key]])
+        writer.writerows(["meta", key, value] for key, value in sorted(report.items())
+                         if key != "rows")
+        writer.writerows([f"row{i}", key, row[key]]
+                         for i, row in enumerate(report.get("rows", [])) for key in sorted(row))
         text = buf.getvalue()
     else:
         lines = [str(report.get("title", "report"))]
-        for key, value in report.items():
-            if key in ("title", "rows"):
-                continue
-            lines.append(f"  {key}: {value}")
-        for row in report.get("rows", []):
-            lines.append("  - " + "  ".join(f"{k}={row[k]}" for k in sorted(row)))
+        lines += [f"  {key}: {value}" for key, value in report.items()
+                  if key not in ("title", "rows")]
+        lines += ["  - " + "  ".join(f"{k}={row[k]}" for k in sorted(row))
+                  for row in report.get("rows", [])]
         text = "\n".join(lines) + "\n"
     if out is not None:
         Path(out).write_text(text)
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
 
 
-common_options = [
-    click.option("--bound", default=20, show_default=True,
-                 type=click.IntRange(min=1), help="resolution depth bound"),
-    click.option("--seed", default=0, show_default=True, help="seed for randomized searches"),
-    click.option("--format", "fmt", default="text",
-                 type=click.Choice(["text", "csv", "json"]), show_default=True),
-    click.option("--out", default=None, help="write the report to a file"),
-]
+def param(*names, **spec):
+    """One parameter of a command: the arguments of argparse's add_argument."""
+    return names, spec
 
 
-@click.group()
-def main():
-    """Exact-arithmetic workbench for Gorenstein homological algebra."""
+def _bound(text: str) -> int:
+    """The type of --bound: an integer of at least 1."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer of at least 1")
+    return int(text)
+
+
+PATH = param("path", help="the input file, on disk or among the bundled files")
+COMMON_PARAMS = (
+    param("--bound", default=20, type=_bound, help="resolution depth bound"),
+    param("--seed", default=0, type=int, help="seed for randomized searches"),
+    param("--format", dest="fmt", default="text", choices=("text", "csv", "json"),
+          help="report format"),
+    param("--out", help="write the report to a file"),
+)
+
+COMMANDS = {}  # name -> (runner, help, params), in registration order
 
 
 def command(name: str, *params):
     """Register `body` as the command `name`, taking `params` and then the
     common options.  The body gets every parameter but --format and --out
-    and returns its report; the wrapper emits it and exits 1 when the
+    and returns its report; the runner emits it and exits 1 when the
     report's `passed` is False, 0 otherwise, and 2 with `input error: ...`
     on stderr when the body or the writing of --out raises an input error."""
 
     def register(body):
-        @functools.wraps(body)
-        def callback(fmt, out, **kwargs):
+        def run(fmt, out, **kwargs):
             try:
                 report = body(**kwargs)
                 emit(report, fmt, out)
             except (GorhomError, OSError, json.JSONDecodeError) as exc:
-                click.echo(f"input error: {exc}", err=True)
+                sys.stderr.write(f"input error: {exc}\n")
                 sys.exit(2)
             sys.exit(1 if report.get("passed") is False else 0)
 
-        for param in reversed((*params, *common_options)):
-            callback = param(callback)
-        return main.command(name)(callback)
+        COMMANDS[name] = (run, body.__doc__, (*params, *COMMON_PARAMS))
+        return body
 
     return register
 
 
-@command("algebra-info", click.argument("path"))
+def main(args=None, prog_name: str = "gorhom"):
+    """Run the command that `args` (by default sys.argv[1:]) names and exit
+    with its code; a usage error exits 2 with argparse's message on stderr."""
+    args = sys.argv[1:] if args is None else list(args)
+    group = argparse.ArgumentParser(
+        prog=prog_name, allow_abbrev=False,
+        description="Exact-arithmetic workbench for Gorenstein homological algebra.",
+        epilog="commands:\n" + "\n".join(f"  {name:24}{doc.splitlines()[0]}"
+                                          for name, (_, doc, _) in COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    group.add_argument("command", choices=COMMANDS, metavar="COMMAND")
+    name = group.parse_args(args[:1]).command
+    run, doc, params = COMMANDS[name]
+    parser = argparse.ArgumentParser(prog=f"{prog_name} {name}", description=doc,
+                                     allow_abbrev=False,
+                                     formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    for names, spec in params:
+        parser.add_argument(*names, **spec)
+    run(**vars(parser.parse_args(args[1:])))
+
+
+main.main = main  # click's spelling, main.main(args=..., prog_name=...): perfbench/worker.py
+
+
+@command("algebra-info", PATH)
 def algebra_info(path, bound, seed):
     """Validate an .alg file and print its basic structure."""
     from .algebra import load_algebra
@@ -136,7 +154,7 @@ def algebra_info(path, bound, seed):
     return report
 
 
-@command("module-info", click.argument("path"))
+@command("module-info", PATH)
 def module_info(path, bound, seed):
     """Validate a .mod file and print dimensions and radical data."""
     from .modrep import load_module, radical_submodule_basis, socle_basis
@@ -152,14 +170,13 @@ def module_info(path, bound, seed):
     }
 
 
-@command("profile", click.argument("path"))
+@command("profile", PATH)
 def profile_cmd(path, bound, seed):
     """Gorenstein profile of the algebra in an .alg file."""
     from .algebra import load_algebra
     from .homology import gorenstein_profile
 
-    a = load_algebra(resolve_input(path))
-    prof = gorenstein_profile(a, bound)
+    prof = gorenstein_profile(load_algebra(resolve_input(path)), bound)
     return {
         "title": f"profile {path}",
         "max-pd-of-injectives": str(prof.max_pd_injective),
@@ -170,35 +187,31 @@ def profile_cmd(path, bound, seed):
     }
 
 
-@command("gpd", click.argument("path"))
+@command("gpd", PATH)
 def gpd_cmd(path, bound, seed):
     """Gorenstein projective dimension of the module in a .mod file."""
     from .homology import gorenstein_profile, gpd
     from .modrep import load_module
 
     m = load_module(resolve_input(path))
-    prof = gorenstein_profile(m.algebra, bound)
-    value = gpd(m, prof)
-    return {"title": f"gpd {path}", "gpd": value,
-            "passed": isinstance(value, int)}
+    value = gpd(m, gorenstein_profile(m.algebra, bound))
+    return {"title": f"gpd {path}", "gpd": value, "passed": isinstance(value, int)}
 
 
-@command("gid", click.argument("path"))
+@command("gid", PATH)
 def gid_cmd(path, bound, seed):
     """Gorenstein injective dimension of the module in a .mod file."""
     from .homology import gid, gorenstein_profile
     from .modrep import load_module
 
     m = load_module(resolve_input(path))
-    prof = gorenstein_profile(m.algebra, bound)
-    value = gid(m, prof)
-    return {"title": f"gid {path}", "gid": value,
-            "passed": isinstance(value, int)}
+    value = gid(m, gorenstein_profile(m.algebra, bound))
+    return {"title": f"gid {path}", "gid": value, "passed": isinstance(value, int)}
 
 
-@command("resolve", click.argument("path"),
-         click.option("--direction", default="projective",
-                      type=click.Choice(["projective", "injective"]), show_default=True))
+@command("resolve", PATH,
+         param("--direction", default="projective", choices=("projective", "injective"),
+               help="a projective resolution, or an injective coresolution"))
 def resolve_cmd(path, direction, bound, seed):
     """Minimal (co)resolution of the module in a .mod file."""
     from .homology import resolve
@@ -217,15 +230,14 @@ def resolve_cmd(path, direction, bound, seed):
     }
 
 
-@command("totalize", click.argument("path"))
+@command("totalize", PATH)
 def totalize_cmd(path, bound, seed):
     """Run the quasi-bicomplex totalization pipeline on a .mod file."""
     from .homology import gorenstein_profile, totalize_quasi_bicomplex
     from .modrep import load_module
 
     m = load_module(resolve_input(path))
-    prof = gorenstein_profile(m.algebra, bound)
-    result = totalize_quasi_bicomplex(m, prof)
+    result = totalize_quasi_bicomplex(m, gorenstein_profile(m.algebra, bound))
     bad = result.quasi_bicomplex.verify_identities()
     qb = result.quasi_bicomplex
     return {
@@ -243,11 +255,11 @@ def totalize_cmd(path, bound, seed):
     }
 
 
-@command("frobenius-verify", click.argument("path"))
+@command("frobenius-verify", PATH)
 def frobenius_verify(path, bound, seed):
     """Certify an .ext or .bimod file as Frobenius (or not)."""
-    from .frobenius import is_frobenius_bimodule, is_frobenius_extension, load_bimodule
-    from .frobenius import load_extension
+    from .frobenius import (is_frobenius_bimodule, is_frobenius_extension, load_bimodule,
+                            load_extension)
 
     p = resolve_input(path)
     if p.suffix == ".bimod":
@@ -263,7 +275,7 @@ def frobenius_verify(path, bound, seed):
     }
 
 
-@command("transfer-check", click.argument("path"))
+@command("transfer-check", PATH)
 def transfer_check(path, bound, seed):
     """Dimension-transfer table across the extension in an .ext file."""
     from . import corpus as corpus_mod
@@ -282,7 +294,7 @@ def transfer_check(path, bound, seed):
     }
 
 
-@command("glgdim-check", click.argument("path"))
+@command("glgdim-check", PATH)
 def glgdim_check(path, bound, seed):
     """Global Gorenstein dimensions on both sides of an .ext file agree."""
     from .frobenius import global_gdim_transfer, load_extension
@@ -299,19 +311,17 @@ def glgdim_check(path, bound, seed):
 
 
 @command("counterexample-product",
-         click.option("--block", default="f2", show_default=True,
-                      help="bundled name of the harmless factor"),
-         click.option("--other", default="a2", show_default=True,
-                      help="bundled name of the factor carrying the bad module"))
+         param("--block", default="f2", help="bundled name of the harmless factor"),
+         param("--other", default="a2",
+               help="bundled name of the factor carrying the bad module"))
 def counterexample_cmd(block, other, bound, seed):
     """Certify the product-projection counterexample on bundled data."""
     from . import corpus as corpus_mod
     from .frobenius import counterexample_product
 
-    b = corpus_mod.corpus_algebra(block)
-    bprime = corpus_mod.corpus_algebra(other)
-    bad = corpus_mod.bad_module_for_counterexample()
-    report = counterexample_product(b, bprime, bad, bound=bound)
+    report = counterexample_product(corpus_mod.corpus_algebra(block),
+                                    corpus_mod.corpus_algebra(other),
+                                    corpus_mod.bad_module_for_counterexample(), bound=bound)
     return {
         "title": f"product counterexample ({block} x {other})",
         "law": "faithfulness is necessary for reflecting Gorenstein projectives",
@@ -324,7 +334,7 @@ def counterexample_cmd(block, other, bound, seed):
     }
 
 
-@command("triequiv-check", click.argument("path"))
+@command("triequiv-check", PATH)
 def triequiv_check(path, bound, seed):
     """Unit/counit conditions for the pair in an .ext or .bimod file."""
     from . import corpus as corpus_mod
@@ -348,36 +358,35 @@ def triequiv_check(path, bound, seed):
         "both_projective_condition": rep.both_projective_condition,
         "stable_hom_match_forward": rep.stable_hom_f_match,
         "stable_hom_match_backward": rep.stable_hom_g_match,
-        "rows": ([{k: str(v) for k, v in r.items()} for r in rep.unit_rows]
-                 + [{k: str(v) for k, v in r.items()} for r in rep.counit_rows]),
+        "rows": [{k: str(v) for k, v in r.items()} for r in rep.unit_rows + rep.counit_rows],
         "passed": True,
     }
 
 
-@command("complex-check", click.argument("path", required=False))
+@command("complex-check", param("path", nargs="?", help="a .cpx file; the bundled suite if none"))
 def complex_check(path, bound, seed):
     """Componentwise verdicts for a .cpx file, or the bundled complex suite."""
-    from . import suite as suite_mod
+    if path is None:
+        from . import suite as suite_mod
+
+        result = suite_mod.check_complex_pair(bound=bound, seed=seed)
+        return {
+            "title": "bundled complex suite",
+            "law": result.law,
+            "details": "; ".join(result.details),
+            "passed": result.passed,
+        }
     from .dgcplx import componentwise_gp_check
     from .homology import gorenstein_profile, load_complex
 
-    if path is not None:
-        c = load_complex(resolve_input(path))
-        prof = gorenstein_profile(c.algebra, bound)
-        rep = componentwise_gp_check(c, prof)
-        return {
-            "title": f"componentwise check {path}",
-            "per_degree": {str(k): v for k, v in sorted(rep.per_degree.items())},
-            "all_gorenstein_projective": rep.all_gp,
-            "note": rep.note,
-            "passed": rep.passed,
-        }
-    result = suite_mod.check_complex_pair(bound=bound, seed=seed)
+    c = load_complex(resolve_input(path))
+    rep = componentwise_gp_check(c, gorenstein_profile(c.algebra, bound))
     return {
-        "title": "bundled complex suite",
-        "law": result.law,
-        "details": "; ".join(result.details),
-        "passed": result.passed,
+        "title": f"componentwise check {path}",
+        "per_degree": {str(k): v for k, v in sorted(rep.per_degree.items())},
+        "all_gorenstein_projective": rep.all_gp,
+        "note": rep.note,
+        "passed": rep.passed,
     }
 
 
@@ -387,10 +396,8 @@ def suite_cmd(bound, seed):
     from . import suite as suite_mod
 
     results = suite_mod.run_all(bound=bound, seed=seed)
-    rows = []
-    for r in results:
-        rows.append({"check": r.name, "law": r.law,
-                     "result": "pass" if r.passed else "FAIL"})
+    rows = [{"check": r.name, "law": r.law, "result": "pass" if r.passed else "FAIL"}
+            for r in results]
     failed = [r for r in results if not r.passed]
     report = {
         "title": f"verification suite (bound={bound}, seed={seed})",

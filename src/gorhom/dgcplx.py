@@ -27,8 +27,7 @@ complex-level verdict rests on the faithful-Frobenius transfer through U.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List, NamedTuple, Sequence
 
 from .errors import InputShapeError, PreconditionFailed, PropertyViolation
 from .exactlin import Mat, block_matrix
@@ -218,7 +217,7 @@ def check_frobenius_pair_FU(corpus_graded: Sequence[ComplexObj],
                    == Mat.identity(src.algebra.field, src.component(p).dim)
                    for p in src.support())
 
-    report = AdjunctionReport()
+    report = AdjunctionReport({})
     triangles = True
     units_mono = True
     counits_epi = True
@@ -286,8 +285,7 @@ def check_frobenius_pair_FU(corpus_graded: Sequence[ComplexObj],
     return report
 
 
-@dataclass
-class ComponentwiseGpReport:
+class ComponentwiseGpReport(NamedTuple):
     per_degree: Dict[int, str]
     all_gp: bool
     note: str

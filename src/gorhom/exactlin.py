@@ -31,12 +31,11 @@ format uses for its matrices (`mat_to_flat`, `mat_from_flat`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import isqrt
 from operator import mul
-from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import InputShapeError
 
@@ -58,22 +57,50 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class Record:
+    """A frozen record that checks its fields or that a report shows: a
+    subclass names its fields in __slots__ and sets them in its __init__
+    through object.__setattr__.  Equality, hash and repr go by field."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class FieldSpec(Record):
     """The ground field: F_p for a prime p, or the rationals when 0."""
 
-    characteristic: int = 0
+    __slots__ = ("characteristic",)
 
-    def __post_init__(self):
-        p = self.characteristic
-        if p == 0:
-            return
-        if p < 0 or p >= (1 << 31) or not _is_prime(p):
+    def __init__(self, characteristic: int = 0):
+        p = characteristic
+        if p and not (0 < p < (1 << 31) and _is_prime(p)):
             raise ValueError(f"characteristic must be 0 or a prime < 2^31, got {p}")
+        object.__setattr__(self, "characteristic", p)
 
-    @property
-    def p(self) -> int:
-        return self.characteristic
+    def __eq__(self, other):  # Mat.__eq__ asks this of every pair it compares
+        if other.__class__ is FieldSpec:
+            return self.characteristic == other.characteristic
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.characteristic,))
 
     def zero(self) -> Scalar:
         return 0 if self.characteristic else Fraction(0)
@@ -106,10 +133,6 @@ class FieldSpec:
     def add(self, a: Scalar, b: Scalar) -> Scalar:
         p = self.characteristic
         return (a + b) % p if p else a + b
-
-    def sub(self, a: Scalar, b: Scalar) -> Scalar:
-        p = self.characteristic
-        return (a - b) % p if p else a - b
 
     def mul(self, a: Scalar, b: Scalar) -> Scalar:
         p = self.characteristic
@@ -147,7 +170,7 @@ class FieldSpec:
         return f"F_{self.characteristic}" if self.characteristic else "Q"
 
 
-class Mat:
+class Mat(Record):
     """An immutable dense matrix over a fixed FieldSpec.
 
     Entries live in canonical form: residues in [0, p) for F_p, Fractions
@@ -188,9 +211,6 @@ class Mat:
         _set_cols(m, cols)
         _set_data(m, rows)
         return m
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("Mat is immutable")
 
     # -- constructors -------------------------------------------------------
 
@@ -354,8 +374,7 @@ _set_field, _set_rows, _set_cols, _set_data = (
     Mat.__dict__[name].__set__ for name in Mat.__slots__)
 
 
-@dataclass(frozen=True)
-class RrefResult:
+class RrefResult(NamedTuple):
     matrix: Mat
     pivots: tuple
     rank: int
@@ -433,8 +452,7 @@ def _rref_gf2(m: Mat) -> RrefResult:
     return RrefResult(Mat._from_canonical(m.field, data, ncols), tuple(pivots), len(pivots))
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     """Solution of a x = b: a particular solution (or None when some column
     of b is inconsistent) plus a kernel basis."""
 

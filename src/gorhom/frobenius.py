@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -349,8 +348,7 @@ def _tensor_hom(bim: Bimodule, f: ModHom) -> ModHom:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DualBasis:
+class DualBasis(NamedTuple):
     """Pairs (element column, functional matrix) with v = sum rho(f_t(v))·m_t."""
 
     elements: tuple      # columns in the module
@@ -700,9 +698,8 @@ def product_pairs(b: Algebra, bprime: Algebra) -> Tuple[BimodulePair, BimodulePa
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AdjunctionReport:
-    flags: Dict[str, bool] = dc_field(default_factory=dict)
+class AdjunctionReport(NamedTuple):
+    flags: Dict[str, bool]
 
     @property
     def passed(self) -> bool:
@@ -734,7 +731,7 @@ def faithfulness_report(pair, corpus: Sequence[Module]) -> AdjunctionReport:
     the G-side add-generation verdict (two characterizations of F being
     faithful).
     """
-    report = AdjunctionReport()
+    report = AdjunctionReport({})
     corpus_a = [m for m in corpus if m.algebra == pair.algebra_a]
     corpus_b = [m for m in corpus if m.algebra == pair.algebra_b]
     units_mono = [pair.unit(x).is_mono() for x in corpus_a]
@@ -784,8 +781,7 @@ def faithfulness_report(pair, corpus: Sequence[Module]) -> AdjunctionReport:
     return report
 
 
-@dataclass
-class TransferReport:
+class TransferReport(NamedTuple):
     rows: List[dict]
     all_equal: bool
     ind_checked: bool
@@ -840,8 +836,7 @@ def global_gdim_transfer(ext: RingExtension, bound: int = 20):
         prof_r.gorenstein_dim == prof_s.gorenstein_dim
 
 
-@dataclass
-class CounterexampleReport:
+class CounterexampleReport(NamedTuple):
     pair_verified: bool
     projected_is_gp: bool
     object_is_gp: bool
@@ -899,8 +894,7 @@ def counterexample_product(b: Algebra, bprime: Algebra, bad_module: Module,
                                 object_gp.verdict == "yes", unit_mono, add_b, notes)
 
 
-@dataclass
-class TriEquivReport:
+class TriEquivReport(NamedTuple):
     unit_rows: List[dict]
     counit_rows: List[dict]
     stable_gp_condition: bool

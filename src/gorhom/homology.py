@@ -32,9 +32,8 @@ and extracts the short exact sequence 0 -> B^0 -> Z^0 -> M -> 0 witnessing Gpd(M
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .algebra import Algebra, algebra_to_json, json_int, memo, resolve_algebra_ref
 from .errors import (
@@ -44,7 +43,7 @@ from .errors import (
     ProfileNotCertified,
     PropertyViolation,
 )
-from .exactlin import Mat, block_matrix, mat_from_flat, mat_to_flat, rref, solve
+from .exactlin import Mat, Record, block_matrix, mat_from_flat, mat_to_flat, rref, solve
 from .modrep import (
     ModHom,
     Module,
@@ -70,11 +69,14 @@ from .modrep import (
 )
 
 
-@dataclass(frozen=True)
-class AtLeast:
-    """A lower bound returned when a dimension is not detected within bound."""
+class AtLeast(Record):
+    """A lower bound returned when a dimension is not detected within bound.
+    Not a tuple: a report writes it through str, in JSON too."""
 
-    bound: int
+    __slots__ = ("bound",)
+
+    def __init__(self, bound: int):
+        object.__setattr__(self, "bound", bound)
 
     def __str__(self):
         return f">= {self.bound}"
@@ -88,8 +90,7 @@ Dim = Union[int, AtLeast]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Resolution:
+class Resolution(NamedTuple):
     """An augmented minimal projective resolution.
 
     terms[k] sits k steps from the module, maps[k]: terms[k+1] -> terms[k],
@@ -232,8 +233,7 @@ def projective_dimension(m: Module, bound: int) -> Dim:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GorensteinProfile:
+class GorensteinProfile(NamedTuple):
     """max pd over indecomposable injectives, max id over indecomposable
     projectives, and their common value when both are finite within bound."""
 
@@ -278,8 +278,7 @@ def gorenstein_profile(a: Algebra, bound: int = 20) -> GorensteinProfile:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GpVerdict:
+class GpVerdict(NamedTuple):
     verdict: str  # "yes" | "no" | "unknown-at-depth"
     detail: str = ""
 
@@ -613,8 +612,7 @@ def load_complex(path, algebra: Optional[Algebra] = None) -> ComplexObj:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class QuasiBicomplex:
+class QuasiBicomplex(NamedTuple):
     """Bigraded projectives P^{i,j} with maps d_l of bidegree (l, -l+1).
 
     maps[l][(i, j)] sends P^{i,j} to P^{i+l, j-l+1}; the defining
@@ -654,8 +652,7 @@ class QuasiBicomplex:
         return bad
 
 
-@dataclass(frozen=True)
-class TotalizationResult:
+class TotalizationResult(NamedTuple):
     quasi_bicomplex: QuasiBicomplex
     total: ComplexObj
     witness: ShortExactSequence

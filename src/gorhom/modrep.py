@@ -51,14 +51,14 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from itertools import product as iter_product
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import Algebra, algebra_to_json, interned, json_int, memo, resolve_algebra_ref
 from .errors import AlgebraMismatch, InputShapeError, PropertyViolation, UnsupportedAlgebra
-from .exactlin import Mat, block_matrix, kron, mat_from_flat, mat_to_flat, rref, solve, unvec, vec
+from .exactlin import (Mat, Record, block_matrix, kron, mat_from_flat, mat_to_flat, rref, solve,
+                       unvec, vec)
 
 
 class Module:
@@ -124,13 +124,16 @@ class Module:
         return f"Module(dim={self.dim} over {self.algebra!r})"
 
 
-@dataclass(frozen=True)
-class ModHom:
+class ModHom(Record):
     """A module homomorphism; the matrix maps source coordinates to target ones."""
 
-    source: Module
-    target: Module
-    matrix: Mat
+    __slots__ = ("source", "target", "matrix")
+
+    def __init__(self, source: Module, target: Module, matrix: Mat):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "matrix", matrix)
+        self.__post_init__()  # its own method: a layer trace counts checked homs by it
 
     def __post_init__(self):
         """Intertwining on the generators: the x with f·rho(x) = rho(x)·f
@@ -397,25 +400,17 @@ def direct_sum(mods: Sequence[Module]) -> Module:
     return out
 
 
-@dataclass(frozen=True)
-class ShortExactSequence:
+class ShortExactSequence(Record):
     """0 -> left -> middle -> right -> 0, validated exactly on construction."""
 
-    left: Module
-    middle: Module
-    right: Module
-    incl: ModHom
-    proj: ModHom
+    __slots__ = ("left", "middle", "right", "incl", "proj")
 
-    def __post_init__(self):
-        ok = (
-            self.incl.is_mono()
-            and self.proj.is_epi()
-            and (self.proj.matrix * self.incl.matrix).is_zero()
-            and self.left.dim + self.right.dim == self.middle.dim
-        )
-        if not ok:
+    def __init__(self, left: Module, middle: Module, right: Module, incl: ModHom, proj: ModHom):
+        if not (incl.is_mono() and proj.is_epi() and (proj.matrix * incl.matrix).is_zero()
+                and left.dim + right.dim == middle.dim):
             raise PropertyViolation("sequence is not short exact")
+        for name, value in zip(self.__slots__, (left, middle, right, incl, proj)):
+            object.__setattr__(self, name, value)
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +470,7 @@ def top_of(m: Module) -> Tuple[Module, ModHom]:
     return quotient_module(m, radical_submodule_basis(m))
 
 
-@dataclass(frozen=True)
-class StructuralModules:
+class StructuralModules(NamedTuple):
     simples: tuple
     projectives: tuple
     injectives: tuple
@@ -620,8 +614,7 @@ def stable_hom_dim(m: Module, n: Module) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IsoVerdict:
+class IsoVerdict(NamedTuple):
     verdict: str                    # "yes" | "no" | "inconclusive"
     witness: Optional[ModHom] = None
     obstruction: Optional[str] = None

@@ -9,9 +9,8 @@ to the exact property that broke.  All checks are deterministic given
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Callable, List
+from typing import Callable, List, NamedTuple
 
 from . import corpus
 from .dgcplx import check_frobenius_pair_FU, componentwise_gp_check
@@ -43,12 +42,11 @@ from .homology import (
 from .modrep import Module, is_isomorphic, regular_module, structural_modules
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     law: str
     passed: bool
-    details: List[str] = dc_field(default_factory=list)
+    details: List[str]
 
 
 def check_gorenstein_balance(bound: int = 20, seed: int = 0) -> CheckResult:
@@ -358,15 +356,9 @@ def check_oracles(bound: int = 20, seed: int = 0) -> CheckResult:
 
 
 ALL_CHECKS: List[Callable[..., CheckResult]] = [
-    check_gorenstein_balance,
-    check_gpd_transfer,
-    check_totalization,
-    check_adjunction_diagnostics,
-    check_frobenius_certification,
-    check_counterexample,
-    check_tri_equiv,
-    check_complex_pair,
-    check_oracles,
+    check_gorenstein_balance, check_gpd_transfer, check_totalization,
+    check_adjunction_diagnostics, check_frobenius_certification, check_counterexample,
+    check_tri_equiv, check_complex_pair, check_oracles,
 ]
 
 

@@ -1,6 +1,9 @@
 import gc
+import io
 import random
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
+from types import SimpleNamespace
 
 import pytest
 
@@ -72,3 +75,40 @@ def in_new_basis():
         raise AssertionError(f"no basis gives {m!r} new content")
 
     return rebase
+
+
+class _Tee(io.StringIO):
+    """A captured stream that also writes into `mixed`, the two streams
+    interleaved as a terminal shows them."""
+
+    def __init__(self, mixed: io.StringIO):
+        super().__init__()
+        self._mixed = mixed
+
+    def write(self, text: str) -> int:
+        self._mixed.write(text)
+        return super().write(text)
+
+
+class CliRunner:
+    """Runs a command-line entry point in this process.  The result holds
+    its exit code, stdout, stderr, both interleaved (`output`), and the
+    SystemExit of a nonzero exit (`exception`, None on exit 0)."""
+
+    def invoke(self, main, args) -> SimpleNamespace:
+        mixed = io.StringIO()
+        out, err = _Tee(mixed), _Tee(mixed)
+        code, exception = 0, None
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                main(list(args))
+            except SystemExit as exc:
+                if exc.code:
+                    code, exception = exc.code, exc
+        return SimpleNamespace(exit_code=code, exception=exception, stdout=out.getvalue(),
+                               stderr=err.getvalue(), output=mixed.getvalue())
+
+
+@pytest.fixture()
+def runner():
+    return CliRunner()

@@ -6,8 +6,6 @@ integer or exact matrix equalities; nothing here is approximate.
 
 from pathlib import Path
 
-from click.testing import CliRunner
-
 import gorhom
 from gorhom import suite
 from gorhom.corpus import export_data
@@ -50,10 +48,10 @@ def test_criterion_5_frobenius_certification():
     report(5, suite.check_frobenius_certification(bound=20, seed=0))
 
 
-def test_criterion_6_faithfulness_necessity():
+def test_criterion_6_faithfulness_necessity(runner):
     report(6, suite.check_counterexample(bound=20, seed=0))
     # the CLI check exits 0
-    result = CliRunner().invoke(cli_main, ["counterexample-product"])
+    result = runner.invoke(cli_main, ["counterexample-product"])
     assert result.exit_code == 0
 
 

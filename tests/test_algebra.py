@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import re
 from pathlib import Path
@@ -718,7 +717,7 @@ def test_radical_failures_name_the_algebra(monkeypatch):
             algebra._radical_generic(wrong)
     solve = algebra.solve
     monkeypatch.setattr(algebra, "solve",
-                        lambda a, b: dataclasses.replace(solve(a, b), particular=None))
+                        lambda a, b: solve(a, b)._replace(particular=None))
     with pytest.raises(PropertyViolation, match=f"leaves the trace ideal.*{named}"):
         algebra._radical_generic(wrong)
 

@@ -6,15 +6,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import gorhom
+from gorhom import cli
 from gorhom.cli import main
-
-
-@pytest.fixture()
-def runner():
-    return CliRunner()
 
 
 def test_profile_bundled_a2(runner):
@@ -169,8 +164,8 @@ CHEAP_INVOCATIONS = {
     "counterexample-product": [], "triequiv-check": ["id_f2.ext"],
     "complex-check": ["a2_stalk.cpx"], "suite": ["--bound", "1"],
 }
-PATH_COMMANDS = sorted(name for name, cmd in main.commands.items()
-                       if any(p.name == "path" for p in cmd.params))
+PATH_COMMANDS = sorted(name for name, (_run, _help, params) in cli.COMMANDS.items()
+                       if ("path",) in [names for names, _spec in params])
 
 
 @pytest.mark.parametrize("name", PATH_COMMANDS)
@@ -182,7 +177,7 @@ def test_a_missing_file_exits_2_with_nothing_on_stdout(runner, name):
     assert result.stdout == ""
 
 
-@pytest.mark.parametrize("name", sorted(main.commands))
+@pytest.mark.parametrize("name", sorted(cli.COMMANDS))
 def test_an_unwritable_out_exits_2(runner, tmp_path, name):
     target = tmp_path / "no_such_directory" / "report.txt"
     result = runner.invoke(main, [name, *CHEAP_INVOCATIONS[name], "--out", str(target)])
@@ -193,7 +188,7 @@ def test_an_unwritable_out_exits_2(runner, tmp_path, name):
     assert not target.parent.exists()
 
 
-@pytest.mark.parametrize("name", sorted(main.commands))
+@pytest.mark.parametrize("name", sorted(cli.COMMANDS))
 def test_the_exit_code_is_1_exactly_when_the_report_failed(runner, name):
     result = runner.invoke(main, [name, *CHEAP_INVOCATIONS[name], "--format", "json"])
     report = json.loads(result.stdout)
@@ -405,20 +400,80 @@ def test_out_writes_file(runner, tmp_path):
     assert doc["gorenstein-dim"] == 0
 
 
-def test_algebra_info_loads_only_the_layers_it_uses():
-    # each command imports its own layers, so a fresh process running
-    # algebra-info never loads the homological or Frobenius layers
+def _newly_loaded_modules(argv) -> set:
+    """The modules a fresh process loads from the import of gorhom.cli on,
+    running main(argv); a site hook's imports are older."""
     script = ("import sys\n"
+              "before = set(sys.modules)\n"
               "from gorhom.cli import main\n"
               "try:\n"
-              "    main(['algebra-info', 'f2.alg'])\n"
+              f"    main({argv!r})\n"
               "except SystemExit as exc:\n"
               "    assert exc.code == 0, exc.code\n"
-              "print(' '.join(sorted(m for m in sys.modules if m.startswith('gorhom'))))\n")
+              "print(' '.join(sorted(set(sys.modules) - before)))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(gorhom.__file__).parent.parent))
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, check=True)
-    loaded = set(done.stdout.splitlines()[-1].split())
+    return set(done.stdout.splitlines()[-1].split())
+
+
+def test_algebra_info_loads_only_the_layers_it_uses():
+    # each command imports its own layers, so a fresh process running
+    # algebra-info never loads the homological or Frobenius layers
+    loaded = _newly_loaded_modules(["algebra-info", "f2.alg"])
     assert "gorhom.algebra" in loaded and "gorhom.modrep" in loaded
     for layer in ("frobenius", "homology", "dgcplx", "corpus", "suite"):
         assert f"gorhom.{layer}" not in loaded
+
+
+def test_complex_check_of_a_file_loads_neither_the_suite_nor_the_corpus():
+    loaded = _newly_loaded_modules(["complex-check", "a2_stalk.cpx"])
+    assert "gorhom.dgcplx" in loaded and "gorhom.homology" in loaded
+    assert "gorhom.suite" not in loaded and "gorhom.corpus" not in loaded
+
+
+@pytest.mark.parametrize("argv", [["algebra-info", "f2.alg"], ["gpd", "a2_s1.mod"],
+                                  ["frobenius-verify", "f2_f2c2.ext"]])
+def test_a_command_imports_neither_click_nor_dataclasses_nor_inspect(argv):
+    # start-up is most of a short command's time: the package and its
+    # command line load no third-party module and no dataclasses, whose
+    # import pulls in inspect
+    loaded = _newly_loaded_modules(argv)
+    assert "gorhom.cli" in loaded
+    assert not {"click", "dataclasses", "inspect"} & loaded
+
+
+@pytest.mark.parametrize("name", [None, *cli.COMMANDS])
+def test_help_exits_0_and_names_every_parameter(runner, name):
+    result = runner.invoke(main, ["--help"] if name is None else [name, "--help"])
+    assert result.exit_code == 0
+    assert result.stderr == ""
+    if name is None:
+        assert all(command in result.stdout for command in cli.COMMANDS)
+    else:
+        _run, _help, params = cli.COMMANDS[name]
+        assert all(names[0] in result.stdout for names, _spec in params)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bogus"], [], ["gpd", "a2_s1.mod", "--bogus"], ["gpd", "a2_s1.mod", "--bound", "0"],
+    ["gpd", "a2_s1.mod", "--bound", "x"], ["gpd", "a2_s1.mod", "--format", "xml"],
+    ["gpd", "a2_s1.mod", "--format", "xml", "--format", "json"],
+    ["resolve", "a2_s1.mod", "--direction", "sideways"], ["gpd"],
+])
+def test_a_usage_error_exits_2_with_nothing_on_stdout(runner, argv):
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert "usage: gorhom" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_main_keeps_the_keyword_spelling_the_benchmark_worker_calls(capsys):
+    # perfbench/worker.py runs its traced cli commands as
+    # main.main(args=[...], prog_name="gorhom")
+    with pytest.raises(SystemExit) as done:
+        main.main(args=["gpd", "a2_s1.mod", "--format", "json"], prog_name="gorhom")
+    assert done.value.code == 0
+    assert json.loads(capsys.readouterr().out)["gpd"] == 1

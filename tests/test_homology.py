@@ -1,4 +1,3 @@
-import dataclasses
 import re
 from itertools import count
 
@@ -198,10 +197,10 @@ def test_a_resolution_with_a_zero_map_is_rejected(dual_numbers, direction, law):
     assert resolution_defects(res) == []
     maps = list(res.maps)
     maps[1] = zero_hom(maps[1].source, maps[1].target)
-    defects = resolution_defects(dataclasses.replace(res, maps=tuple(maps)))
+    defects = resolution_defects(res._replace(maps=tuple(maps)))
     assert any(re.match(law, d) for d in defects)
     aug = zero_hom(res.augmentation.source, res.augmentation.target)
-    defects = resolution_defects(dataclasses.replace(res, augmentation=aug))
+    defects = resolution_defects(res._replace(augmentation=aug))
     assert any("must be epi" in d for d in defects)
 
 

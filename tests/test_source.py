@@ -168,7 +168,7 @@ def test_the_cache_scan_sees_reads_and_writes_but_not_initializers():
 def defined_functions(tree):
     """(line, name) of every module-level function and method, except
     dunders and functions under a decorator call such as
-    `@main.command("suite")`, which registers them where nothing names them."""
+    `@command("suite")`, which registers them where nothing names them."""
     tops = list(tree.body)
     tops += [node for cls in tree.body if isinstance(cls, ast.ClassDef) for node in cls.body]
     return [(fn.lineno, fn.name) for fn in tops
