@@ -861,6 +861,8 @@ def counterexample_product(b: Algebra, bprime: Algebra, bad_module: Module,
     projective while X is not; (Pr, Inc) is still a classical Frobenius
     pair, but Pr is not faithful.
     """
+    if bad_module.algebra != bprime:
+        raise AlgebraMismatch("the designated module is not a module over B'")
     prof_bp = gorenstein_profile(bprime, bound)
     bad_verdict = is_gorenstein_projective(bad_module, prof_bp)
     if bad_verdict.verdict != "no":

@@ -18,7 +18,9 @@ dimension.  Over a certified d-Gorenstein algebra, Gorenstein projectivity
 is decided by vanishing of Ext^i(-, A) for 1 <= i <= d, and every "yes" is
 cross-checked against the definition: the module is totally reflexive (its
 evaluation into the double A-dual is an isomorphism, and Ext^i(m, A) and
-Ext^i(Hom(m, A), A) vanish) in a finite window of degrees.
+Ext^i(Hom(m, A), A) vanish) in a finite window of degrees.  Gpd(m) is the
+largest i <= d with Ext^i(m, A) != 0, certified by that test on the syzygy
+at stage i, and Gid(m) = Gpd(D(m)).  Each Ext degree is computed once.
 
 The totalization routine builds, for a module M over a d-Gorenstein
 algebra, the bigraded array of projective resolutions of an injective
@@ -37,6 +39,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .algebra import Algebra, algebra_to_json, json_int, memo, resolve_algebra_ref
 from .errors import (
+    AlgebraMismatch,
     InputShapeError,
     LiftFailed,
     NoHomotopy,
@@ -187,17 +190,21 @@ def resolve(m: Module, depth: int) -> Resolution:
 
 def ext_dim(m: Module, n: Module, i: int) -> int:
     """dim Ext^i(m, n): dim H^i of Hom(P, n) for the minimal projective
-    resolution P of m."""
+    resolution P of m, computed once per m, n and degree."""
     if i < 0:
         raise InputShapeError("Ext degree must be >= 0")
     if i == 0:
         return hom_dim(m, n)
-    res = resolve(m, i + 1)
-    if res.complete and i > res.depth():
-        return 0
-    homs = [[h.matrix for h in hom_space(res.term(k), n)] for k in (i - 1, i)]
-    deltas = [hom_delta(h, res.map_from(k + 1)) for h, k in zip(homs, (i - 1, i))]
-    return homology_dims([len(h) for h in homs], deltas)[1]
+
+    def build() -> int:
+        res = resolve(m, i + 1)
+        if res.complete and i > res.depth():
+            return 0
+        homs = [[h.matrix for h in hom_space(res.term(k), n)] for k in (i - 1, i)]
+        deltas = [hom_delta(h, res.map_from(k + 1)) for h, k in zip(homs, (i - 1, i))]
+        return homology_dims([len(h) for h in homs], deltas)[1]
+
+    return memo(m, ("ext", i), n, build)
 
 
 def ext_dim_injective(m: Module, n: Module, i: int) -> int:
@@ -209,8 +216,6 @@ def ext_dim_injective(m: Module, n: Module, i: int) -> int:
     Hom_A(m, D(P)) is Hom_{A^op}(P, D(m)) transposed, so this is
     Ext^i(D(n), D(m)) over the opposite algebra.
     """
-    if i < 0:
-        raise InputShapeError("Ext degree must be >= 0")
     if i == 0:
         return hom_dim(m, n)
     return ext_dim(dual_module(n), dual_module(m), i)
@@ -235,40 +240,43 @@ def projective_dimension(m: Module, bound: int) -> Dim:
 
 class GorensteinProfile(NamedTuple):
     """max pd over indecomposable injectives, max id over indecomposable
-    projectives, and their common value when both are finite within bound."""
+    projectives, their common value when both are finite within bound, and
+    the algebra whose modules it serves."""
 
     max_pd_injective: Dim
     max_id_projective: Dim
     gorenstein_dim: Optional[int]
     bound: int
+    algebra: Algebra
 
     @property
     def certified(self) -> bool:
         return self.gorenstein_dim is not None
 
+    def check_module(self, m: Module) -> None:
+        if m.algebra != self.algebra:
+            raise AlgebraMismatch("the module is not over the algebra of the Gorenstein profile")
+
 
 def gorenstein_profile(a: Algebra, bound: int = 20) -> GorensteinProfile:
     """Compute the profile; asserts equality of the two suprema when finite."""
 
+    def sup(mods) -> Dim:
+        dims = [projective_dimension(x, bound) for x in mods]
+        return max(dims, default=0) if all(isinstance(x, int) for x in dims) else AtLeast(bound)
+
     def build():
         s = structural_modules(a)
-        pds = [projective_dimension(i_mod, bound) for i_mod in s.injectives]
-        ids = [projective_dimension(dual_module(p_mod), bound) for p_mod in s.projectives]
-        spdi: Dim = max((x for x in pds if isinstance(x, int)), default=0)
-        sidp: Dim = max((x for x in ids if isinstance(x, int)), default=0)
-        if any(not isinstance(x, int) for x in pds):
-            spdi = AtLeast(bound)
-        if any(not isinstance(x, int) for x in ids):
-            sidp = AtLeast(bound)
+        spdi = sup(s.injectives)
+        sidp = sup(dual_module(p_mod) for p_mod in s.projectives)
         gdim = None
         if isinstance(spdi, int) and isinstance(sidp, int):
             if spdi != sidp:
                 raise PropertyViolation(
                     f"finite suprema disagree: max pd of injectives {spdi} != "
-                    f"max id of projectives {sidp}"
-                )
+                    f"max id of projectives {sidp}")
             gdim = spdi
-        return GorensteinProfile(spdi, sidp, gdim, bound)
+        return GorensteinProfile(spdi, sidp, gdim, bound, a)
 
     return memo(a, ("profile", bound), None, build)
 
@@ -310,19 +318,18 @@ def star_module(m: Module) -> Tuple[Module, list]:
     return memo(m, "star", None, build)
 
 
-def evaluation_to_double_star(m: Module) -> Tuple[ModHom, Module]:
+def evaluation_to_double_star(m: Module) -> ModHom:
     """The natural map m -> Hom_op(Hom(m, A), A_op), in explicit bases."""
-    a = m.algebra
-    field = a.field
+    field = m.algebra.field
     star_m, basis = star_module(m)
     star2, basis2 = star_module(star_m)
     # ev_x : star_m -> A, f -> f(x) for the basis vectors x = e_c of m, as
     # matrices over the star_m basis: column t is column c of basis[t]
-    ev_mats = [Mat.from_cols(field, [h.matrix.col(c) for h in basis], a.dim)
+    ev_mats = [Mat.from_cols(field, [h.matrix.col(c) for h in basis], m.algebra.dim)
                for c in range(m.dim)]
     mat = hom_coordinates(ev_mats, basis2, field,
                           "evaluation map leaves the double-star hom space")
-    return ModHom(m, star2, mat), star2
+    return ModHom(m, star2, mat)
 
 
 def is_projective(m: Module) -> bool:
@@ -342,6 +349,7 @@ def is_gorenstein_projective(m: Module, profile: GorensteinProfile) -> GpVerdict
     Without certification, Ext-vanishing up to the profile bound yields
     only "unknown-at-depth", while a nonzero Ext certifies "no".
     """
+    profile.check_module(m)
     return memo(m, ("is_gp", profile.gorenstein_dim, profile.bound), None,
                 lambda: _is_gp_uncached(m, profile))
 
@@ -395,8 +403,7 @@ def _totally_reflexive_check(m: Module, window: int) -> None:
     Gorenstein projective, and one of finite projective dimension is
     projective (r = 0).
     """
-    ev, _ = evaluation_to_double_star(m)
-    if not ev.is_iso():
+    if not evaluation_to_double_star(m).is_iso():
         raise PropertyViolation(
             "not totally reflexive: evaluation to the double star is not an isomorphism")
     star_m, _ = star_module(m)
@@ -412,9 +419,19 @@ def _totally_reflexive_check(m: Module, window: int) -> None:
 def gpd(m: Module, profile: GorensteinProfile):
     """Gorenstein projective dimension over a certified algebra, else "unknown".
 
-    Computed as the first syzygy stage passing the membership test, and
-    cross-checked against the Ext-support formula max{i : Ext^i(m, A) != 0}.
+    Over a d-Gorenstein algebra A it is the Ext support s, the largest
+    1 <= i <= d with Ext^i(m, A) != 0, or 0 (Holm, "Gorenstein homological
+    dimensions", JPAA 189, 2004, Thm 2.20).  Dimension shifting along
+    0 -> Ω^{k+1} m -> P_k -> Ω^k m -> 0 gives Ext^i(Ω^n m, A) = Ext^{n+i}(m, A)
+    for i >= 1, and Ext^j(m, A) = 0 for j > d = id A: so Ω^s m passes the
+    Ext test, and Ω^n m fails it in degree s - n for n < s, while Gpd(m) is
+    the least n with Ω^n m Gorenstein projective.  A search for that n reads
+    those Ext groups off the same memoized covers, maps and hom bases, so
+    it would check nothing; the membership test of Ω^s m, with its
+    total-reflexivity cross-check, does, and a verdict other than "yes"
+    raises PropertyViolation.
     """
+    profile.check_module(m)
     if not profile.certified:
         return "unknown"
     return memo(m, ("gpd", profile.gorenstein_dim, profile.bound), None,
@@ -422,43 +439,27 @@ def gpd(m: Module, profile: GorensteinProfile):
 
 
 def _gpd_uncached(m: Module, profile: GorensteinProfile) -> int:
-    d = profile.gorenstein_dim
     reg = regular_module(m.algebra)
-    value = None
-    stage = m
-    res = resolve(m, d) if d else None
-    for n in range(d + 1):
-        if n > 0:
-            stage = res.syzygies[n - 1] if n - 1 < len(res.syzygies) else zero_module(m.algebra)
-        if is_gorenstein_projective(stage, profile):
-            value = n
-            break
-    if value is None:
+    s = max((i for i in range(1, profile.gorenstein_dim + 1) if ext_dim(m, reg, i)), default=0)
+    stage = resolve(m, s).syzygies[s - 1] if s else m
+    verdict = is_gorenstein_projective(stage, profile)
+    if verdict.verdict != "yes":
         raise PropertyViolation(
-            f"no Gorenstein projective syzygy within the Gorenstein dimension {d}"
-        )
-    support = 0
-    for i in range(1, d + 1):
-        if ext_dim(m, reg, i):
-            support = i
-    if support != value:
-        raise PropertyViolation(
-            f"syzygy-based value {value} disagrees with Ext support {support}"
-        )
-    return value
+            f"the syzygy at the Ext support {s} is not Gorenstein projective: {verdict.detail}")
+    return s
 
 
 def gid(m: Module, profile: GorensteinProfile):
-    """Gorenstein injective dimension: gpd of the dual over the opposite algebra."""
+    """Gorenstein injective dimension: Gpd(D(m)) over the opposite algebra.
+
+    The opposite profile is not compared with this one: it reads its two
+    numbers off the same memoized resolutions, of D(P) for A's projectives
+    P and of A's injectives, which structural_modules builds as D(Q) for
+    A^op's projectives Q, so it mirrors this profile by construction."""
+    profile.check_module(m)
     if not profile.certified:
         return "unknown"
-    op_profile = gorenstein_profile(m.algebra.opposite(), profile.bound)
-    if op_profile.certified:
-        if (isinstance(profile.max_pd_injective, int)
-                and isinstance(op_profile.max_id_projective, int)
-                and profile.max_pd_injective != op_profile.max_id_projective):
-            raise PropertyViolation("opposite profile does not mirror the original")
-    return gpd(dual_module(m), op_profile)
+    return gpd(dual_module(m), gorenstein_profile(m.algebra.opposite(), profile.bound))
 
 
 # ---------------------------------------------------------------------------
@@ -626,9 +627,6 @@ class QuasiBicomplex(NamedTuple):
     components: Dict[Tuple[int, int], Module]
     maps: Dict[int, Dict[Tuple[int, int], Mat]]
 
-    def component(self, i: int, j: int) -> Optional[Module]:
-        return self.components.get((i, j))
-
     def map_at(self, l: int, i: int, j: int) -> Optional[Mat]:
         return self.maps.get(l, {}).get((i, j))
 
@@ -675,6 +673,7 @@ def totalize_quasi_bicomplex(m: Module, profile: GorensteinProfile) -> Totalizat
     0 -> B^0 -> Z^0 -> m -> 0 with pd(B^0) <= m^-1 and Z^0 Gorenstein
     projective.
     """
+    profile.check_module(m)
     if not profile.certified:
         raise ProfileNotCertified("totalization requires a certified Gorenstein profile")
     a = m.algebra
@@ -696,10 +695,8 @@ def totalize_quasi_bicomplex(m: Module, profile: GorensteinProfile) -> Totalizat
     # Horizontal lifts d_h and the signed d_1.
     dh: Dict[int, List[Mat]] = {}
     for i in range(ncols - 1):
-        if i < len(dres.maps):
-            partial = dual_hom(dres.maps[i])
-        else:
-            partial = zero_hom(inj_terms[i], inj_terms[i + 1])
+        partial = (dual_hom(dres.maps[i]) if i < len(dres.maps)
+                   else zero_hom(inj_terms[i], inj_terms[i + 1]))
         lift = lift_chain_map(partial, rows[i], rows[i + 1])
         dh[i] = [h.matrix for h in lift]
 
@@ -751,10 +748,8 @@ def totalize_quasi_bicomplex(m: Module, profile: GorensteinProfile) -> Totalizat
     totals: Dict[int, Module] = {}
     for s in degrees:
         blocks[s] = [(i, s - i) for i in range(ncols) if (i, s - i) in components]
-        if blocks[s]:
-            totals[s] = direct_sum([components[key] for key in blocks[s]])
-        else:
-            totals[s] = zero_module(a)
+        totals[s] = (direct_sum([components[key] for key in blocks[s]]) if blocks[s]
+                     else zero_module(a))
 
     diffs: Dict[int, ModHom] = {}
     for s in degrees[:-1]:

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 import gorhom
 from gorhom import cli
 from gorhom.cli import main
+from gorhom.corpus import ALGEBRA_NAMES
 
 
 def test_profile_bundled_a2(runner):
@@ -50,8 +52,12 @@ WRONG_TYPES = (
     + [("f2.alg", "idempotents", [["1", "1"]])]
 )
 
-COMMANDS = {".alg": "algebra-info", ".mod": "module-info", ".cpx": "complex-check",
-            ".ext": "frobenius-verify", ".bimod": "frobenius-verify"}
+# the commands that read each kind of bundled document, the validating one first
+READERS = {".alg": ["algebra-info", "profile"],
+           ".mod": ["module-info", "gpd", "gid", "resolve", "totalize"],
+           ".ext": ["frobenius-verify", "transfer-check", "glgdim-check", "triequiv-check"],
+           ".bimod": ["frobenius-verify", "triequiv-check"],
+           ".cpx": ["complex-check"]}
 
 
 def _bundled_copy(tmp_path) -> Path:
@@ -66,7 +72,7 @@ def test_wrong_typed_field_exits_2(runner, tmp_path, name, field, value):
     doc = json.loads(bad.read_text())
     doc[field] = value
     bad.write_text(json.dumps(doc))
-    result = runner.invoke(main, [COMMANDS[bad.suffix], str(bad)])
+    result = runner.invoke(main, [READERS[bad.suffix][0], str(bad)])
     assert result.exit_code == 2
     assert "input error" in result.output
 
@@ -90,14 +96,14 @@ def test_extra_matrix_entry_exits_2(runner, tmp_path, name, path):
     target = _bundled_copy(tmp_path) / name
     if name == "a2_f.cpx":   # F of a simple over a2: components in degrees 0 and 1
         save_complex(complex_corpus()[4], target, algebra_ref="a2.alg")
-    assert runner.invoke(main, [COMMANDS[target.suffix], str(target)]).exit_code == 0
+    assert runner.invoke(main, [READERS[target.suffix][0], str(target)]).exit_code == 0
     doc = json.loads(target.read_text())
     flat = doc
     for key in path:
         flat = flat[key]
     flat.append("0")
     target.write_text(json.dumps(doc))
-    result = runner.invoke(main, [COMMANDS[target.suffix], str(target)])
+    result = runner.invoke(main, [READERS[target.suffix][0], str(target)])
     assert result.exit_code == 2
     assert "input error" in result.output
 
@@ -385,6 +391,17 @@ def test_an_unknown_corpus_name_exits_2(runner, option):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("other", [name for name in ALGEBRA_NAMES if name != "a2"])
+def test_a_bad_module_over_another_factor_exits_2(runner, other):
+    # the designated module is the a2 simple, so every other factor is a
+    # mismatch, named before any profile is computed
+    result = runner.invoke(main, ["counterexample-product", "--other", other])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr == "input error: the designated module is not a module over B'\n"
+    assert result.stdout == ""
+
+
 def test_glgdim_check(runner):
     result = runner.invoke(main, ["glgdim-check", "f3_f3c3.ext"])
     assert result.exit_code == 0
@@ -477,3 +494,54 @@ def test_main_keeps_the_keyword_spelling_the_benchmark_worker_calls(capsys):
         main.main(args=["gpd", "a2_s1.mod", "--format", "json"], prog_name="gorhom")
     assert done.value.code == 0
     assert json.loads(capsys.readouterr().out)["gpd"] == 1
+
+
+# --- seeded document fuzz ---------------------------------------------------------
+
+FUZZ_VALUES = [None, -1, 0, 1.5, True, "x", "1/0", [], {}, 10 ** 6]
+
+
+def mutated(doc, rng):
+    """A copy of a JSON document with one slot changed: a key dropped, its
+    value swapped for one of FUZZ_VALUES, or a list entry dropped or
+    duplicated.  The slot is found by walking down from the root, going on
+    into a nonempty container with even odds."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    while True:
+        key = rng.choice(list(node) if isinstance(node, dict) else range(len(node)))
+        child = node[key]
+        if not (isinstance(child, (dict, list)) and child and rng.random() < 0.5):
+            break
+        node = child
+    edit = rng.choice(["drop", "swap"] + (["duplicate"] if isinstance(node, list) else []))
+    if edit == "drop":
+        del node[key]
+    elif edit == "swap":
+        node[key] = rng.choice(FUZZ_VALUES)
+    else:
+        node.insert(key, node[key])
+    return doc
+
+
+@pytest.mark.parametrize("suffix", sorted(READERS))
+def test_a_mutated_document_exits_0_1_or_2_without_a_traceback(runner, tmp_path, suffix):
+    # 1-3 mutants of each bundled document, written next to the bundled
+    # files so that their algebra references resolve, through every command
+    # that reads them; an input error writes nothing on stdout
+    rng, data, faults = random.Random(0), _bundled_copy(tmp_path), []
+    for path in sorted(data.glob("*" + suffix)):
+        doc = json.loads(path.read_text())
+        for k in range(rng.randint(1, 3)):
+            mutant = data / f"mutant{k}_{path.name}"
+            mutant.write_text(json.dumps(mutated(doc, rng)))
+            for command in READERS[suffix]:
+                case = f"{command} {mutant.name}"
+                try:
+                    result = runner.invoke(main, [command, str(mutant), "--bound", "4"])
+                except Exception as exc:  # noqa: BLE001 - every escape is a finding
+                    faults.append(f"{case}: {exc!r}")
+                    continue
+                if result.exit_code not in (0, 1, 2) or (result.exit_code == 2 and result.stdout):
+                    faults.append(f"{case}: exit {result.exit_code}, stdout {result.stdout!r}")
+    assert faults == []

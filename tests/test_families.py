@@ -6,14 +6,16 @@ is built once: a quotient is D of a submodule of the dual, the socle is
 read off the radical's action on the dual, a pair's unit is one matrix
 formula over the dual basis, a tensor quotient's section is read off its
 projection, and the simples are classified by ranks, with no Hom space.
+Gpd is read off the Ext support, with no search over the syzygies.
 
 The constructions they replaced live on here as oracles and must give
-identical matrices; the work counts check that each family is one solve.
+identical matrices and values; the work counts check that each family is
+one solve.
 """
 
 import pytest
 
-from test_kupisch import F2, NAKAYAMA
+from test_kupisch import F2, NAKAYAMA, nakayama, uniserial
 from test_laws import ALGEBRAS, _algebra
 
 from gorhom import exactlin, frobenius, modrep
@@ -37,10 +39,18 @@ from gorhom.frobenius import (
     restrict,
     restriction_bimodule,
 )
-from gorhom.homology import resolve, star_module
+from gorhom.homology import (
+    gid,
+    gorenstein_profile,
+    gpd,
+    is_gorenstein_projective,
+    resolve,
+    star_module,
+)
 from gorhom.modrep import (
     column_space_basis,
     cover_envelope,
+    dual_module,
     hom_coordinates,
     hom_dim,
     hom_space,
@@ -324,6 +334,48 @@ def test_simples_by_ranks_are_the_hom_classified_ones(name, op):
     else:
         assert structural_modules(a).simple_classes == classes
     assert split == (name != "f4")
+
+
+# --- Gpd and Gid by the syzygy search ---------------------------------------------
+
+
+def syzygy_search_gpd(m, profile) -> int:
+    """The first n <= d whose syzygy Ω^n m passes the Gorenstein projective
+    test, the zero module past a complete resolution: the search gpd ran
+    before it read the Ext support."""
+    d = profile.gorenstein_dim
+    stages = (m,) + (resolve(m, d).syzygies if d else ())
+    for n in range(d + 1):
+        stage = stages[n] if n < len(stages) else zero_module(m.algebra)
+        if is_gorenstein_projective(stage, profile).verdict == "yes":
+            return n
+    raise AssertionError(f"no Gorenstein projective syzygy within the Gorenstein dimension {d}")
+
+
+def syzygy_search_gid(m, profile) -> int:
+    """The search on D(m) under the opposite profile, which gid once checked
+    for mirroring this one."""
+    op = gorenstein_profile(m.algebra.opposite(), profile.bound)
+    assert op.max_id_projective == profile.max_pd_injective
+    return syzygy_search_gpd(dual_module(m), op)
+
+
+@pytest.mark.parametrize("name, op", ALGEBRAS)
+def test_gpd_and_gid_are_the_syzygy_search(name, op):
+    a = _algebra(name, op)
+    prof = gorenstein_profile(a)
+    for m in module_corpus(a, minimum=0):
+        assert (gpd(m, prof), gid(m, prof)) == (syzygy_search_gpd(m, prof),
+                                                syzygy_search_gid(m, prof))
+
+
+@pytest.mark.parametrize("name", NAKAYAMA)
+def test_gpd_and_gid_of_every_kupisch_indecomposable_are_the_syzygy_search(name):
+    a, prof, oracle = nakayama(name)
+    for x in oracle.modules():
+        m = uniserial(a, *x)
+        assert (gpd(m, prof), gid(m, prof)) == (syzygy_search_gpd(m, prof),
+                                                syzygy_search_gid(m, prof)), x
 
 
 # --- work counts ----------------------------------------------------------------

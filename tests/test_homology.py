@@ -3,6 +3,8 @@ from itertools import count
 
 import pytest
 
+from test_families import _counting
+from test_kupisch import NAKAYAMA, uniserial
 from test_laws import resolution_defects
 
 from gorhom import corpus, homology, modrep
@@ -12,7 +14,13 @@ from gorhom.algebra import (
     path_algebra,
     truncated_extension,
 )
-from gorhom.errors import InputShapeError, NoHomotopy, ProfileNotCertified, PropertyViolation
+from gorhom.errors import (
+    AlgebraMismatch,
+    InputShapeError,
+    NoHomotopy,
+    ProfileNotCertified,
+    PropertyViolation,
+)
 from gorhom.exactlin import FieldSpec, Mat, rref
 from gorhom.homology import (
     AtLeast,
@@ -403,6 +411,33 @@ def test_gid_values(a2, dual_numbers):
     s2 = simple_at(a2, "e2")
     assert gid(s2, prof_a2) == 1
     assert projective_dimension(dual_module(s2), 10) == 1
+
+
+def test_gpd_tests_only_the_syzygy_at_the_ext_support(monkeypatch):
+    # a new k223 algebra object, so none of its modules has a memo yet; the
+    # uniserial (0, 1) has gpd 3, and a search for the first Gorenstein
+    # projective syzygy tested all four of m, Ω^1 m, Ω^2 m and Ω^3 m
+    a = path_algebra(NAKAYAMA["k223"][0], F2)
+    prof = gorenstein_profile(a)
+    m = uniserial(a, 0, 1)
+    tested = _counting(monkeypatch, homology, "_is_gp_uncached")
+    assert gpd(m, prof) == 3
+    assert [x for x, _prof in tested] == [resolve(m, 3).syzygies[2]]
+
+
+def test_a_repeated_ext_solves_nothing(monkeypatch, a2, in_new_basis):
+    s1, n = simple_at(a2, "e1"), in_new_basis(regular_module(a2))[0]
+    first = [ext_dim(s1, n, i) for i in (1, 2)]
+    deltas = _counting(monkeypatch, homology, "hom_delta")
+    assert [ext_dim(s1, n, i) for i in (1, 2)] == first
+    assert deltas == []
+
+
+@pytest.mark.parametrize("call", [gpd, gid, is_gorenstein_projective, totalize_quasi_bicomplex])
+def test_a_profile_serves_only_modules_over_its_algebra(a2, call):
+    f2_profile = gorenstein_profile(corpus.corpus_algebra("f2"))
+    with pytest.raises(AlgebraMismatch, match="^the module is not over the algebra of the "):
+        call(simple_at(a2, "e1"), f2_profile)
 
 
 def test_lift_identity_chain_map(a2):

@@ -166,12 +166,13 @@ def test_the_cache_scan_sees_reads_and_writes_but_not_initializers():
 
 
 def defined_functions(tree):
-    """(line, name) of every module-level function and method, except
-    dunders and functions under a decorator call such as
+    """(line, name, is_method) of every module-level function and method,
+    except dunders and functions under a decorator call such as
     `@command("suite")`, which registers them where nothing names them."""
-    tops = list(tree.body)
-    tops += [node for cls in tree.body if isinstance(cls, ast.ClassDef) for node in cls.body]
-    return [(fn.lineno, fn.name) for fn in tops
+    tops = [(node, False) for node in tree.body]
+    tops += [(node, True) for cls in tree.body if isinstance(cls, ast.ClassDef)
+             for node in cls.body]
+    return [(fn.lineno, fn.name, method) for fn, method in tops
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
             and not (fn.name.startswith("__") and fn.name.endswith("__"))
             and not any(isinstance(d, ast.Call) for d in fn.decorator_list)]
@@ -188,20 +189,22 @@ def docstring_nodes(tree):
 
 
 def mentioned_names(tree):
-    """Every identifier a Name, an Attribute or a word of a string constant
-    names.  Docstrings are prose and name nothing: a word such as "compose"
-    in one would hide an unused function of that name."""
+    """The identifiers that a Name names, and those that an Attribute or a
+    word of a string constant names.  Only the second reach a method: a
+    local `p = ...` does not call a method p.  Docstrings are prose and
+    name nothing: a word such as "compose" in one would hide an unused
+    function of that name."""
     docstrings = docstring_nodes(tree)
-    names = set()
+    names, attributes = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            attributes.add(node.attr)
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and id(node) not in docstrings):
-            names.update(re.findall(r"\w+", node.value))
-    return names
+            attributes.update(re.findall(r"\w+", node.value))
+    return names, attributes
 
 
 # Functions no code in the package or the benchmark calls, kept as library
@@ -214,14 +217,17 @@ LIBRARY_API = {
 
 
 def unreferenced_functions(sources, readers) -> list:
-    """`file:line name` for every function of sources that no reader mentions."""
-    mentioned = set()
+    """`file:line name` for every function of sources that no reader
+    mentions, and every method that no reader's attribute or string names."""
+    names, attributes = set(), set()
     for path in readers:
-        mentioned |= mentioned_names(ast.parse(path.read_text(), str(path)))
+        path_names, path_attributes = mentioned_names(ast.parse(path.read_text(), str(path)))
+        names |= path_names
+        attributes |= path_attributes
     return [f"{path.name}:{line} {name}"
             for path in sources
-            for line, name in defined_functions(ast.parse(path.read_text(), str(path)))
-            if name not in mentioned]
+            for line, name, method in defined_functions(ast.parse(path.read_text(), str(path)))
+            if name not in attributes and (method or name not in names)]
 
 
 def test_every_function_is_referred_to():
@@ -261,11 +267,26 @@ def test_the_reference_scan_sees_names_attributes_and_strings():
         "called()\n"
         "C().method()\n"
         "PATCH = ('mod', 'patched')\n")
-    defined = [name for _line, name in defined_functions(tree)]
+    defined = [name for _line, name, _method in defined_functions(tree)]
     assert defined == ["called", "patched", "unused", "documented", "method", "dead_method"]
-    mentioned = mentioned_names(tree)
-    assert [name for name in defined if name not in mentioned] == [
+    names, attributes = mentioned_names(tree)
+    assert [name for name in defined if name not in names | attributes] == [
         "unused", "documented", "dead_method"]
+
+
+def test_a_local_of_a_method_name_does_not_refer_to_the_method(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text(
+        "class Field:\n"
+        "    def p(self): pass\n"
+        "    def called(self): pass\n"
+        "    def patched(self): pass\n"
+        "def characteristic(field):\n"
+        "    p = field.called()\n"
+        "    return p\n"
+        "PATCH = ('Field', 'patched')\n"
+        "characteristic(Field())\n")
+    assert unreferenced_functions([lib], [lib]) == ["lib.py:2 p"]
 
 
 # The functions that build a Module or ModHom without checking its law: the
