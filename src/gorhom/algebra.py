@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 import threading
 import weakref
+from contextlib import contextmanager
 from operator import mul
 from pathlib import Path
 from typing import Optional, Sequence
@@ -713,27 +714,20 @@ def group_algebra(mult_table: Sequence[Sequence[int]], field: FieldSpec) -> Alge
         for i in range(n)
     ]
     unit = tuple(one if k == identity else zero for k in range(n))
-    labels = [f"g{i}" for i in range(n)]
-    a = Algebra(
+    # F[G] is local, the unit its one primitive idempotent, exactly when G is
+    # trivial or a p-group, p = char F (an element of order q != p makes a
+    # nontrivial idempotent); the radical is the generic one, computed lazily
+    p, order = field.characteristic, n
+    while p and order % p == 0:
+        order //= p
+    return Algebra(
         field,
-        labels,
+        [f"g{i}" for i in range(n)],
         table,
         unit,
+        idempotents=[unit] if order == 1 else None,
         provenance={"kind": "group_algebra", "order": n},
     )
-    # Local group algebras (e.g. F_p[P] for a p-group) carry the unit as
-    # their one primitive idempotent; otherwise idempotent data is absent.
-    if a.is_local():
-        return Algebra(
-            field,
-            labels,
-            table,
-            unit,
-            idempotents=[unit],
-            provenance={"kind": "group_algebra", "order": n},
-            _closed_radical=a.radical_basis(),
-        )
-    return a
 
 
 def cyclic_group_table(n: int):
@@ -955,50 +949,73 @@ def algebra_to_json(a: Algebra) -> dict:
     return doc
 
 
-def json_int(value, what: str) -> int:
-    """A document field that must be a JSON integer (not a bool or a float)."""
+def json_int(value, what: str, minimum: Optional[int] = None) -> int:
+    """A document field that must be a JSON integer (not a bool or a
+    float), at least minimum when one is given."""
     if type(value) is not int:
         raise InputShapeError(f"{what} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise InputShapeError(f"{what} must be at least {minimum}, got {value}")
     return value
 
 
-def _json_list(value, what: str, depth: int = 1) -> list:
+def json_list(value, what: str, depth: int = 1) -> list:
     """A document field that must be a list of lists, `depth` levels deep."""
     if not isinstance(value, list):
         raise InputShapeError(f"{what} must be a list nested {depth} deep")
     if depth > 1:
         for v in value:
-            _json_list(v, what, depth - 1)
+            json_list(v, what, depth - 1)
     return value
 
 
-def algebra_from_json(doc: dict) -> Algebra:
+def json_object(value, what: str) -> dict:
+    """A document field that must be a JSON object."""
+    if not isinstance(value, dict):
+        raise InputShapeError(f"{what} must be an object")
+    return value
+
+
+@contextmanager
+def document(kind: str, doc):
+    """The scope of a loader of `kind` documents: doc must be an object,
+    and a missing key or a value of the wrong shape in it is an
+    InputShapeError, a missing key named as the field it is."""
+    json_object(doc, f"a {kind} document")
     try:
-        field = FieldSpec(json_int(doc["field"]["char"], "field char"))
-        basis = _json_list(doc["basis"], "basis")
-        table = _json_list(doc["table"], "table", 3)
-        unit = _json_list(doc["unit"], "unit")
-        idempotents = doc.get("idempotents")
-        provenance = doc.get("provenance")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputShapeError(f"malformed algebra document: {exc}") from exc
+        yield
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        what = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        raise InputShapeError(f"malformed {kind} document: {what}") from exc
+
+
+def algebra_from_json(doc: dict) -> Algebra:
+    with document("algebra", doc):
+        field = FieldSpec(json_int(json_object(doc["field"], "field")["char"], "field char"))
+        basis = json_list(doc["basis"], "basis")
+        table = json_list(doc["table"], "table", 3)
+        unit = json_list(doc["unit"], "unit")
+        idempotents, provenance = doc.get("idempotents"), doc.get("provenance")
     if not all(isinstance(label, str) for label in basis):
         raise InputShapeError("basis labels must be strings")
     if idempotents is not None:
-        _json_list(idempotents, "idempotents", 2)
-    if provenance is not None and not isinstance(provenance, dict):
-        raise InputShapeError("provenance must be an object")
+        json_list(idempotents, "idempotents", 2)
+    if provenance is not None:
+        json_object(provenance, "provenance")
     return Algebra(field, basis, table, unit, idempotents=idempotents, provenance=provenance)
 
 
-def resolve_algebra_ref(ref, base_dir: Optional[Path] = None) -> Algebra:
-    """The algebra a document names: an inline algebra document, or the
-    path of an .alg file, relative paths taken from base_dir."""
+def resolve_algebra_ref(doc: dict, key: str, base_dir: Optional[Path] = None) -> Algebra:
+    """The algebra doc[key] names: an inline algebra document, or the path
+    of an .alg file, relative paths taken from base_dir."""
+    ref = doc[key]
     if isinstance(ref, str):
         path = Path(ref)
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
         return load_algebra(path)
+    if not isinstance(ref, dict):
+        raise InputShapeError(f"{key} must be an algebra document or the path of one")
     return algebra_from_json(ref)
 
 
@@ -1019,16 +1036,14 @@ def quiver_to_json(q: Quiver) -> dict:
 
 
 def quiver_from_json(doc: dict) -> Quiver:
-    try:
+    with document("quiver", doc):
         return Quiver(
             json_int(doc["vertices"], "vertices"),
             tuple((json_int(s, "arrow source"), json_int(t, "arrow target"), lbl)
-                  for s, t, lbl in doc.get("arrows", [])),
-            tuple(tuple((tuple(_json_list(p, "relation path")), c) for p, c in rel)
-                  for rel in doc.get("relations", [])),
+                  for s, t, lbl in json_list(doc.get("arrows", []), "arrows")),
+            tuple(tuple((tuple(json_list(p, "relation path")), c) for p, c in rel)
+                  for rel in json_list(doc.get("relations", []), "relations", 2)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputShapeError(f"malformed quiver document: {exc}") from exc
 
 
 def save_quiver(q: Quiver, path) -> None:

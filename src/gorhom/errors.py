@@ -30,10 +30,6 @@ class AlgebraMismatch(GorhomError):
     """Two modules expected over the same algebra live over different ones."""
 
 
-class LiftFailed(GorhomError):
-    """A chain-map lift was requested with violated preconditions."""
-
-
 class NoHomotopy(GorhomError):
     """The null-homotopy system is inconsistent."""
 

@@ -39,7 +39,9 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from .algebra import (
     Algebra,
     algebra_to_json,
+    document,
     json_int,
+    json_list,
     memo,
     product_algebra,
     resolve_algebra_ref,
@@ -992,13 +994,11 @@ def extension_to_json(ext: RingExtension, base_ref=None, total_ref=None) -> dict
 
 
 def extension_from_json(doc: dict, base_dir: Optional[Path] = None) -> RingExtension:
-    try:
-        base = resolve_algebra_ref(doc["base"], base_dir)
-        total = resolve_algebra_ref(doc["total"], base_dir)
+    with document("extension", doc):
+        base = resolve_algebra_ref(doc, "base", base_dir)
+        total = resolve_algebra_ref(doc, "total", base_dir)
         emb = mat_from_flat(base.field, doc["embedding"], total.dim, base.dim)
         return RingExtension(base, total, emb)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise InputShapeError(f"malformed extension document: {exc}") from exc
 
 
 def save_extension(ext: RingExtension, path, base_ref=None, total_ref=None) -> None:
@@ -1021,17 +1021,15 @@ def bimodule_to_json(bm: Bimodule, left_ref=None, right_ref=None) -> dict:
 
 
 def bimodule_from_json(doc: dict, base_dir: Optional[Path] = None) -> Bimodule:
-    try:
-        left = resolve_algebra_ref(doc["left"], base_dir)
-        right = resolve_algebra_ref(doc["right"], base_dir)
-        dim = json_int(doc["dim"], "dim")
+    with document("bimodule", doc):
+        left = resolve_algebra_ref(doc, "left", base_dir)
+        right = resolve_algebra_ref(doc, "right", base_dir)
+        dim = json_int(doc["dim"], "dim", minimum=0)
 
-        def mats(flats):
-            return [mat_from_flat(left.field, flat, dim, dim) for flat in flats]
+        def mats(key):
+            return [mat_from_flat(left.field, flat, dim, dim) for flat in json_list(doc[key], key)]
 
-        return Bimodule(left, right, dim, mats(doc["leftAction"]), mats(doc["rightAction"]))
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise InputShapeError(f"malformed bimodule document: {exc}") from exc
+        return Bimodule(left, right, dim, mats("leftAction"), mats("rightAction"))
 
 
 def save_bimodule(bm: Bimodule, path, left_ref=None, right_ref=None) -> None:

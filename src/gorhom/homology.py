@@ -24,8 +24,9 @@ at stage i, and Gid(m) = Gpd(D(m)).  Each Ext degree is computed once.
 
 The totalization routine builds, for a module M over a d-Gorenstein
 algebra, the bigraded array of projective resolutions of an injective
-coresolution of M, endows it with the degree-(l, -l+1) maps obtained by
-iterated null-homotopies (lifts and homotopies are solved degree by
+coresolution of M, endows it with the degree-(l, -l+1) maps d_l, l >= 1,
+each obtained by one null-homotopy recursion (d_1 is the homotopy whose
+first entry is the coresolution map; every homotopy is solved degree by
 degree, one modrep.factor_through each), forms the total complex and
 checks D∘D = 0 there, which is every identity sum d_i d_{l-i} = 0 at once,
 and extracts the short exact sequence 0 -> B^0 -> Z^0 -> M -> 0 witnessing Gpd(M) <= d.
@@ -37,11 +38,11 @@ import json
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .algebra import Algebra, algebra_to_json, json_int, memo, resolve_algebra_ref
+from .algebra import (Algebra, algebra_to_json, document, json_int, json_list, memo,
+                      resolve_algebra_ref)
 from .errors import (
     AlgebraMismatch,
     InputShapeError,
-    LiftFailed,
     NoHomotopy,
     ProfileNotCertified,
     PropertyViolation,
@@ -55,7 +56,6 @@ from .modrep import (
     component_to_json,
     cover_envelope,
     direct_sum,
-    dual_hom,
     dual_module,
     factor_through,
     hom_actions,
@@ -463,53 +463,35 @@ def gid(m: Module, profile: GorensteinProfile):
 
 
 # ---------------------------------------------------------------------------
-# Chain-map lifting and null-homotopies
+# Null-homotopies
 # ---------------------------------------------------------------------------
 
 
-def lift_chain_map(f: ModHom, source: Resolution, target: Resolution) -> List[ModHom]:
-    """Lift f between the augmented objects to a chain map of projective
-    resolutions (the comparison theorem), one factor_through per degree:
-    d_k·f_k = f_{k-1}·d_k, with d_k the map leaving terms[k] and f_{-1} = f.
-    factor_through verifies every square exactly; exactness of the target
-    resolution makes each solve succeed whenever the preconditions hold.
-    """
-    lifts: List[ModHom] = []
-    for k in range(max(len(source.terms), len(target.terms))):
-        rhs = (lifts[-1].matrix if lifts else f.matrix) * source.map_from(k)
-        lift = factor_through(source.term(k), target.term(k), target.map_from(k), rhs)
-        if lift is None:
-            raise LiftFailed(f"lift is not solvable at stage {k}")
-        lifts.append(lift)
-    return lifts
-
-
-def nullhomotopy(chain_map: Sequence, source: Resolution, target: Resolution,
+def nullhomotopy(chain_map: Sequence[Optional[Mat]], source: Resolution, target: Resolution,
                  target_shift: int = 0) -> List[Mat]:
     """Solve chain_map = d∘s + s∘d degreewise, or raise NoHomotopy.
 
-    chain_map[k] maps source.terms[k] to target.terms[k + target_shift]
-    (entries may be ModHoms or raw matrices; missing/short entries are
-    zero).  The homotopy s[k]: source.terms[k] -> terms[k+target_shift+1]
-    is one factor_through per degree, d·s[k] = chain_map[k] - s[k-1]·d,
-    which factor_through asserts exactly: that is the identity in degree k.
-    An inconsistent system signals a violated precondition upstream and
-    raises NoHomotopy.
+    chain_map[k] is the matrix of a map source.terms[k] ->
+    target.terms[k + target_shift]; a missing or None entry is zero.  With
+    target_shift = -1, entry 0 maps into the augmented object, which no
+    zero default can shape, so it must be given, and s[k] is (-1)^k times
+    the k-th map of a chain map lifting it.  The homotopy s[k]:
+    source.terms[k] -> target.terms[k + target_shift + 1] is one
+    factor_through per degree, d·s[k] = chain_map[k] - s[k-1]·d with d the
+    map leaving the target term (the augmentation at degree 0), which
+    factor_through asserts exactly: that is the identity in degree k.  An
+    inconsistent system signals a violated precondition upstream and raises
+    NoHomotopy.
     """
     field = source.augmented.algebra.field
-    t = target_shift
-
-    def phi(k: int) -> Mat:
-        if k < len(chain_map) and chain_map[k] is not None:
-            entry = chain_map[k]
-            return entry.matrix if isinstance(entry, ModHom) else entry
-        return Mat.zeros(field, target.term(k + t).dim, source.term(k).dim)
-
     s: List[Mat] = []
     for k in range(len(source.terms)):
-        rhs = phi(k) - s[-1] * source.map_from(k) if s else phi(k)
-        sol = factor_through(source.term(k), target.term(k + t + 1),
-                             target.map_from(k + t + 1), rhs)
+        phi = chain_map[k] if k < len(chain_map) else None
+        if phi is None:
+            phi = Mat.zeros(field, target.term(k + target_shift).dim, source.term(k).dim)
+        rhs = phi - s[-1] * source.map_from(k) if s else phi
+        sol = factor_through(source.term(k), target.term(k + target_shift + 1),
+                             target.map_from(k + target_shift + 1), rhs)
         if sol is None:
             raise NoHomotopy(f"homotopy system inconsistent at stage {k}")
         s.append(sol.matrix)
@@ -573,19 +555,26 @@ def complex_to_json(c: ComplexObj, algebra_ref: Optional[str] = None) -> dict:
 
 def json_support(doc: dict) -> int:
     """The first degree of a complex document, whose support [lo, hi] must
-    count its components exactly."""
-    lo, hi = (json_int(x, "support") for x in doc["support"])
-    if hi - lo + 1 != len(doc["components"]):
-        raise InputShapeError(
-            f"support [{lo}, {hi}] does not match {len(doc['components'])} components")
+    count its components exactly, with one differential or none between
+    each two of them."""
+    support = json_list(doc["support"], "support")
+    count = len(json_list(doc["components"], "components"))
+    maps = len(json_list(doc["differentials"], "differentials"))
+    if len(support) != 2:
+        raise InputShapeError("support must be a pair [lo, hi]")
+    lo, hi = (json_int(x, "support") for x in support)
+    if hi - lo + 1 != count:
+        raise InputShapeError(f"support [{lo}, {hi}] does not match {count} components")
+    if maps >= max(count, 1):
+        raise InputShapeError(f"too many differentials: {maps} for {count} components")
     return lo
 
 
 def complex_from_json(doc: dict, algebra: Optional[Algebra] = None,
                       base_dir: Optional[Path] = None) -> ComplexObj:
-    try:
+    with document("complex", doc):
         if algebra is None:
-            algebra = resolve_algebra_ref(doc["algebra"], base_dir)
+            algebra = resolve_algebra_ref(doc, "algebra", base_dir)
         lo = json_support(doc)
         comps = {lo + k: module_from_json(comp, algebra=algebra)
                  for k, comp in enumerate(doc["components"])}
@@ -595,8 +584,6 @@ def complex_from_json(doc: dict, algebra: Optional[Algebra] = None,
             src, tgt = comps[n], comps[n + 1]
             diffs[n] = ModHom(src, tgt, mat_from_flat(algebra.field, flat, tgt.dim, src.dim))
         return ComplexObj(algebra, comps, diffs)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputShapeError(f"malformed complex document: {exc}") from exc
 
 
 def save_complex(c: ComplexObj, path, algebra_ref: Optional[str] = None) -> None:
@@ -618,8 +605,9 @@ class QuasiBicomplex(NamedTuple):
 
     maps[l][(i, j)] sends P^{i,j} to P^{i+l, j-l+1}; the defining
     identities sum_{a=0}^{l} d_a ∘ d_{l-a} = 0 hold in the whole window.
-    totalize_quasi_bicomplex checks them as D∘D = 0 on the total complex;
-    verify_identities checks them one by one.
+    totalize_quasi_bicomplex builds each d_l, l >= 1, from composite_sum
+    over 1 <= a <= l-1 and checks the identities as D∘D = 0 on the total
+    complex; verify_identities checks them one by one.
     """
 
     max_column: int
@@ -630,24 +618,22 @@ class QuasiBicomplex(NamedTuple):
     def map_at(self, l: int, i: int, j: int) -> Optional[Mat]:
         return self.maps.get(l, {}).get((i, j))
 
+    def composite_sum(self, l: int, i: int, j: int, degrees: range) -> Optional[Mat]:
+        """sum of d_a ∘ d_{l-a} out of P^{i,j} over a in degrees, or None
+        when no composite is defined there."""
+        acc = None
+        for a_deg in degrees:
+            first = self.map_at(l - a_deg, i, j)
+            second = self.map_at(a_deg, i + l - a_deg, j - (l - a_deg) + 1)
+            if first is not None and second is not None:
+                acc = second * first if acc is None else acc + second * first
+        return acc
+
     def verify_identities(self) -> List[tuple]:
         """Return the list of (l, i, j) where sum d_a d_{l-a} != 0 (expected empty)."""
-        bad = []
-        max_l = 2 * (self.max_row + 2)
-        for l in range(max_l + 1):
-            for i, j in self.components:
-                acc = None
-                for a_deg in range(l + 1):
-                    first = self.map_at(l - a_deg, i, j)
-                    mid_i, mid_j = i + l - a_deg, j - (l - a_deg) + 1
-                    second = self.map_at(a_deg, mid_i, mid_j)
-                    if first is None or second is None:
-                        continue
-                    term = second * first
-                    acc = term if acc is None else acc + term
-                if acc is not None and not acc.is_zero():
-                    bad.append((l, i, j))
-        return bad
+        return [(l, i, j) for l in range(2 * (self.max_row + 2) + 1) for i, j in self.components
+                if (acc := self.composite_sum(l, i, j, range(l + 1))) is not None
+                and not acc.is_zero()]
 
 
 class TotalizationResult(NamedTuple):
@@ -663,15 +649,21 @@ def totalize_quasi_bicomplex(m: Module, profile: GorensteinProfile) -> Totalizat
     """Realize the totalization argument bounding Gpd(m) by the profile.
 
     Builds the injective coresolution of m to degree m^+1, as D of the
-    projective resolution of D(m) over the opposite algebra, projective
-    resolutions of each injective term, the horizontal lifts with signs
-    d_1^{i,j} = (-1)^j d_h^{i,j}, and the higher d_l via successive
-    null-homotopies; checks that the total differential D squares to zero,
-    which is every window identity at once (the block of D² from P^{i,j}
-    to P^{i+l,j-l+2} is sum_a d_a d_{l-a}); checks H^0 ≅ m and vanishing
-    elsewhere in the window; and returns the short exact sequence
-    0 -> B^0 -> Z^0 -> m -> 0 with pd(B^0) <= m^-1 and Z^0 Gorenstein
-    projective.
+    projective resolution of D(m) over the opposite algebra, and the
+    projective resolutions of its terms, the rows, whose maps are d_0.
+    Every d_l, l >= 1, then comes from one induction (Wall, "Resolutions
+    for extensions of groups", Proc. Cambridge Philos. Soc. 57, 1961), one
+    null-homotopy per column: d_0 d_l + d_l d_0 = -sum_{a=1}^{l-1} d_a
+    d_{l-a}, the composite_sum of the maps already built.  For l = 1 the
+    sum is empty and the homotopy starts from -∂·ε into I^{i+1}, with ∂
+    the coresolution map and ε the row's augmentation, so d_1^{i,j} is
+    (-1)^j times the lift of ∂ (factor_through's particular solution is
+    linear in its right side).  Checks that the total differential D
+    squares to zero, which is every window identity at once (the block of
+    D² from P^{i,j} to P^{i+l,j-l+2} is sum_a d_a d_{l-a}); checks H^0 ≅ m
+    and vanishing elsewhere in the window; and returns the short exact
+    sequence 0 -> B^0 -> Z^0 -> m -> 0 with pd(B^0) <= m^-1 and Z^0
+    Gorenstein projective.
     """
     profile.check_module(m)
     if not profile.certified:
@@ -682,54 +674,25 @@ def totalize_quasi_bicomplex(m: Module, profile: GorensteinProfile) -> Totalizat
     ncols = mhat + 2
 
     dres = resolve(dual_module(m), ncols - 1)
-    inj_terms = [dual_module(dres.term(i)) for i in range(ncols)]
-    rows: List[Resolution] = []
-    for i, inj in enumerate(inj_terms):
-        r = resolve(inj, mhat)
+    rows = [resolve(dual_module(dres.term(i)), mhat) for i in range(ncols)]
+    for i, r in enumerate(rows):
         if not r.complete:
             raise PropertyViolation(
-                f"injective term {i} has projective dimension above the certified bound"
-            )
-        rows.append(r)
+                f"injective term {i} has projective dimension above the certified bound")
 
-    # Horizontal lifts d_h and the signed d_1.
-    dh: Dict[int, List[Mat]] = {}
-    for i in range(ncols - 1):
-        partial = (dual_hom(dres.maps[i]) if i < len(dres.maps)
-                   else zero_hom(inj_terms[i], inj_terms[i + 1]))
-        lift = lift_chain_map(partial, rows[i], rows[i + 1])
-        dh[i] = [h.matrix for h in lift]
+    components = {(i, -k): t for i, r in enumerate(rows) for k, t in enumerate(r.terms)}
+    # d_0^{i, -(k+1)}: terms[k+1] -> terms[k]
+    dmaps: Dict[int, Dict[Tuple[int, int], Mat]] = {
+        0: {(i, -(k + 1)): f.matrix for i, r in enumerate(rows) for k, f in enumerate(r.maps)}}
+    qb = QuasiBicomplex(ncols - 1, mhat, components, dmaps)
 
-    dmaps: Dict[int, Dict[Tuple[int, int], Mat]] = {0: {}, 1: {}}
-    components: Dict[Tuple[int, int], Module] = {}
-    for i in range(ncols):
-        for k in range(len(rows[i].terms)):
-            components[(i, -k)] = rows[i].term(k)
-    for i in range(ncols):
-        for k in range(len(rows[i].maps)):
-            # d_0^{i, -(k+1)}: terms[k+1] -> terms[k]
-            dmaps[0][(i, -(k + 1))] = rows[i].maps[k].matrix
-    for i in range(ncols - 1):
-        for k, mat in enumerate(dh[i]):
-            sign = field.one() if k % 2 == 0 else field.neg(field.one())
-            dmaps[1][(i, -k)] = mat.scale(sign)
-
-    # Higher maps by null-homotopy: d_0 d_l + (sum_{a=1}^{l-1} d_a d_{l-a}) + d_l d_0 = 0.
-    for l in range(2, mhat + 2):
+    # d_0 d_l + d_l d_0 = -sum_{a=1}^{l-1} d_a d_{l-a}; for l = 1, -∂·ε into I^{i+1}
+    for l in range(1, mhat + 2):
         dmaps[l] = {}
         for i in range(ncols - l):
-            cmap: List[Optional[Mat]] = []
-            for k in range(len(rows[i].terms)):
-                tgt = rows[i + l].term(k + l - 2)
-                acc = Mat.zeros(field, tgt.dim, rows[i].term(k).dim)
-                for a_deg in range(1, l):
-                    first = dmaps.get(l - a_deg, {}).get((i, -k))
-                    mid_k = k + (l - a_deg) - 1
-                    second = dmaps.get(a_deg, {}).get((i + l - a_deg, -mid_k))
-                    if first is None or second is None:
-                        continue
-                    acc = acc + second * first
-                cmap.append(acc)
+            cmap = [qb.composite_sum(l, i, -k, range(1, l)) for k in range(len(rows[i].terms))]
+            if l == 1:
+                cmap[0] = -(dres.map_from(i + 1).transpose() * rows[i].augmentation.matrix)
             try:
                 s = nullhomotopy(cmap, rows[i], rows[i + l], target_shift=l - 2)
             except NoHomotopy as exc:
@@ -740,27 +703,20 @@ def totalize_quasi_bicomplex(m: Module, profile: GorensteinProfile) -> Totalizat
                 if mat.rows and mat.cols:
                     dmaps[l][(i, -k)] = -mat
 
-    qb = QuasiBicomplex(ncols - 1, mhat, components, dmaps)
-
     # Total complex Q^s = ⊕_{i+j=s} P^{i,j}, differential sum of d_l blocks.
     degrees = range(-mhat, ncols)
-    blocks: Dict[int, List[Tuple[int, int]]] = {}
-    totals: Dict[int, Module] = {}
-    for s in degrees:
-        blocks[s] = [(i, s - i) for i in range(ncols) if (i, s - i) in components]
-        totals[s] = (direct_sum([components[key] for key in blocks[s]]) if blocks[s]
-                     else zero_module(a))
+    blocks = {s: [(i, s - i) for i in range(ncols) if (i, s - i) in components] for s in degrees}
+    totals = {s: direct_sum([components[key] for key in blocks[s]]) if blocks[s]
+              else zero_module(a) for s in degrees}
 
     diffs: Dict[int, ModHom] = {}
     for s in degrees[:-1]:
         target_pos = {key: n for n, key in enumerate(blocks[s + 1])}
         parts = {}
         for n, (i, j) in enumerate(blocks[s]):
-            for l in range(0, mhat + 2):
-                t = target_pos.get((i + l, j - l + 1))
-                mat = dmaps.get(l, {}).get((i, j))
-                if t is not None and mat is not None:
-                    parts[(t, n)] = mat
+            for l, maps in dmaps.items():
+                if (i, j) in maps and (i + l, j - l + 1) in target_pos:
+                    parts[(target_pos[(i + l, j - l + 1)], n)] = maps[(i, j)]
         d = block_matrix(field, [components[key].dim for key in blocks[s + 1]],
                          [components[key].dim for key in blocks[s]], parts)
         diffs[s] = ModHom(totals[s], totals[s + 1], d)
@@ -777,21 +733,15 @@ def totalize_quasi_bicomplex(m: Module, profile: GorensteinProfile) -> Totalizat
             raise PropertyViolation(f"H^{s} of the total complex is nonzero")
 
     # Witness sequence 0 -> B^0 -> Z^0 -> m -> 0.
-    d0 = total.differential(0).matrix
-    dm1 = total.differential(-1).matrix
-    z0_basis = d0.kernel_basis()
+    z0_basis = total.differential(0).matrix.kernel_basis()
     z0_mod, _ = submodule(totals[0], z0_basis)
-    b0_basis = column_space_basis(dm1)
+    b0_basis = column_space_basis(total.differential(-1).matrix)
     b0_mod, _ = submodule(totals[0], b0_basis)
 
-    # Map Z^0 -> m: project to the P^{0,0} block, which comes first in Q^0,
-    # apply the row augmentation, then pull back through the coresolution
-    # augmentation m -> I^0.
-    p00 = components.get((0, 0))
-    if p00 is None:
-        raise PropertyViolation("the (0,0) corner of the window is missing")
-    to_p00 = Mat.identity(field, totals[0].dim).select_rows(range(p00.dim))
-    into_i0 = rows[0].augmentation.matrix * to_p00 * z0_basis
+    # Map Z^0 -> m: project to the P^{0,0} block, which comes first in Q^0
+    # (every row has a term 0), apply the row augmentation, then pull back
+    # through the coresolution augmentation m -> I^0.
+    into_i0 = rows[0].augmentation.matrix * z0_basis.select_rows(range(rows[0].terms[0].dim))
     back = solve(dres.augmentation.matrix.transpose(), into_i0)
     if back.particular is None:
         raise PropertyViolation("Z^0 does not land in the image of m inside I^0")

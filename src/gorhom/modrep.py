@@ -55,7 +55,8 @@ from itertools import product as iter_product
 from pathlib import Path
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .algebra import Algebra, algebra_to_json, interned, json_int, memo, resolve_algebra_ref
+from .algebra import (Algebra, algebra_to_json, document, interned, json_int, json_list, memo,
+                      resolve_algebra_ref)
 from .errors import AlgebraMismatch, InputShapeError, PropertyViolation, UnsupportedAlgebra
 from .exactlin import (Mat, Record, block_matrix, kron, mat_from_flat, mat_to_flat, rref, solve,
                        unvec, vec)
@@ -738,14 +739,12 @@ def module_to_json(m: Module, algebra_ref: Optional[str] = None) -> dict:
 def module_from_json(doc: dict, base_dir: Optional[Path] = None,
                      algebra: Optional[Algebra] = None) -> Module:
     """Read a .mod document, or a component document when the algebra is given."""
-    try:
+    with document("module", doc):
         if algebra is None:
-            algebra = resolve_algebra_ref(doc["algebra"], base_dir)
-        dim = json_int(doc["dim"], "dim")
+            algebra = resolve_algebra_ref(doc, "algebra", base_dir)
+        dim = json_int(doc["dim"], "dim", minimum=0)
         return Module(algebra, [mat_from_flat(algebra.field, flat, dim, dim)
-                                for flat in doc["action"]])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputShapeError(f"malformed module document: {exc}") from exc
+                                for flat in json_list(doc["action"], "action")])
 
 
 def save_module(m: Module, path, algebra_ref: Optional[str] = None) -> None:

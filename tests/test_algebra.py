@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from test_families import _counting
 from test_kupisch import NAKAYAMA
 from test_laws import same_column_space
 
@@ -202,6 +203,29 @@ def test_f3c3_radical_dimension():
     a = group_algebra(cyclic_group_table(3), F3)
     assert a.radical_basis().cols == 2
     assert a.is_local()
+
+
+GROUPS = [(f"C{n}", cyclic_group_table(n)) for n in range(1, 9)]
+GROUPS += [("S3", symmetric_group_table(3))]
+
+
+@pytest.mark.parametrize("field", [F2, F3, FieldSpec(5), F7, QQ], ids=str)
+def test_a_group_algebra_is_local_by_its_order_as_its_generic_radical_says(field):
+    # F[G] is local exactly when G is trivial or a p-group, p = char F
+    for name, table in GROUPS:
+        a = group_algebra(table, field)
+        local = a.dim - algebra._radical_generic(a).cols == 1
+        assert a.idempotents == ((a.unit,) if local else None), name
+
+
+@pytest.mark.parametrize("table, field", [(cyclic_group_table(2), F2),
+                                          (cyclic_group_table(3), F3),
+                                          (symmetric_group_table(3), F7)],
+                         ids=["f2c2", "f3c3", "f7s3"])
+def test_a_group_algebra_is_built_once(monkeypatch, table, field):
+    built = _counting(monkeypatch, Algebra, "__init__")
+    group_algebra(table, field)
+    assert len(built) == 1
 
 
 def test_not_a_group():

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -75,6 +76,51 @@ def test_wrong_typed_field_exits_2(runner, tmp_path, name, field, value):
     result = runner.invoke(main, [READERS[bad.suffix][0], str(bad)])
     assert result.exit_code == 2
     assert "input error" in result.output
+
+
+# (file, field, value, what the input error says): each names the field, not
+# the Python type that met the wrong value
+NAMED_FIELDS = (
+    [("a2.alg", "field", v, "field must be an object") for v in (2, True, 1.5, None, [], "2")]
+    + [("a2.alg", "field", {}, "missing field 'char'")]
+    + [(name, key, v, f"{key} must be an algebra document or the path of one")
+       for name, key in (("a2_s1.mod", "algebra"), ("f2_f2c2.ext", "base"),
+                         ("f2_f2c2.ext", "total"), ("morita_col.bimod", "left"),
+                         ("a2_stalk.cpx", "algebra"))
+       for v in (5, 1.5, [])]
+    + [("a2_s1.mod", "action", 1.5, "action must be a list"),
+       ("morita_col.bimod", "rightAction", 2, "rightAction must be a list"),
+       ("a2_stalk.cpx", "components", 1, "components must be a list"),
+       ("a2_stalk.cpx", "support", [0, 0, 0], "support must be a pair"),
+       ("a2_stalk.cpx", "differentials", [[]], "too many differentials: 1 for 1 components"),
+       ("a2_s1.mod", "dim", -1, "dim must be at least 0, got -1"),
+       ("morita_col.bimod", "dim", -1, "dim must be at least 0, got -1")]
+)
+
+
+@pytest.mark.parametrize("name, field, value, message", NAMED_FIELDS)
+def test_a_wrong_field_exits_2_naming_it(runner, tmp_path, name, field, value, message):
+    bad = _bundled_copy(tmp_path) / name
+    doc = json.loads(bad.read_text())
+    doc[field] = value
+    bad.write_text(json.dumps(doc))
+    result = runner.invoke(main, [READERS[bad.suffix][0], str(bad)])
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert message in result.stderr
+
+
+@pytest.mark.parametrize("name, field", [("a2.alg", "field"), ("a2_s1.mod", "dim"),
+                                         ("f2_f2c2.ext", "total"),
+                                         ("morita_col.bimod", "leftAction"),
+                                         ("a2_stalk.cpx", "differentials")])
+def test_a_missing_field_exits_2_naming_it(runner, tmp_path, name, field):
+    bad = _bundled_copy(tmp_path) / name
+    doc = json.loads(bad.read_text())
+    del doc[field]
+    bad.write_text(json.dumps(doc))
+    result = runner.invoke(main, [READERS[bad.suffix][0], str(bad)])
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert f"document: missing field '{field}'" in result.stderr
 
 
 # (file, path to a flat row-major matrix list inside the document)
@@ -499,6 +545,7 @@ def test_main_keeps_the_keyword_spelling_the_benchmark_worker_calls(capsys):
 # --- seeded document fuzz ---------------------------------------------------------
 
 FUZZ_VALUES = [None, -1, 0, 1.5, True, "x", "1/0", [], {}, 10 ** 6]
+PYTHON_WORDING = "object is not|indices must be"
 
 
 def mutated(doc, rng):
@@ -544,4 +591,7 @@ def test_a_mutated_document_exits_0_1_or_2_without_a_traceback(runner, tmp_path,
                     continue
                 if result.exit_code not in (0, 1, 2) or (result.exit_code == 2 and result.stdout):
                     faults.append(f"{case}: exit {result.exit_code}, stdout {result.stdout!r}")
+                # an input error names the field, not the Python type it met
+                if result.exit_code == 2 and re.search(PYTHON_WORDING, result.stderr):
+                    faults.append(f"{case}: {result.stderr.strip()}")
     assert faults == []

@@ -6,7 +6,8 @@ is built once: a quotient is D of a submodule of the dual, the socle is
 read off the radical's action on the dual, a pair's unit is one matrix
 formula over the dual basis, a tensor quotient's section is read off its
 projection, and the simples are classified by ranks, with no Hom space.
-Gpd is read off the Ext support, with no search over the syzygies.
+Gpd is read off the Ext support, with no search over the syzygies, and
+the totalization's d_1 is its first null-homotopy, with no chain-map lift.
 
 The constructions they replaced live on here as oracles and must give
 identical matrices and values; the work counts check that each family is
@@ -18,7 +19,7 @@ import pytest
 from test_kupisch import F2, NAKAYAMA, nakayama, uniserial
 from test_laws import ALGEBRAS, _algebra
 
-from gorhom import exactlin, frobenius, modrep
+from gorhom import exactlin, frobenius, homology, modrep
 from gorhom.algebra import Algebra, path_algebra
 from gorhom.corpus import (
     EXTENSION_NAMES,
@@ -46,11 +47,14 @@ from gorhom.homology import (
     is_gorenstein_projective,
     resolve,
     star_module,
+    totalize_quasi_bicomplex,
 )
 from gorhom.modrep import (
     column_space_basis,
     cover_envelope,
+    dual_hom,
     dual_module,
+    factor_through,
     hom_coordinates,
     hom_dim,
     hom_space,
@@ -62,6 +66,7 @@ from gorhom.modrep import (
     structural_modules,
     submodule,
     top_of,
+    zero_hom,
     zero_module,
 )
 
@@ -378,6 +383,59 @@ def test_gpd_and_gid_of_every_kupisch_indecomposable_are_the_syzygy_search(name)
                                                 syzygy_search_gid(m, prof)), x
 
 
+# --- d_1 by chain-map lifting ------------------------------------------------------
+
+
+def lift_chain_map(f, source, target) -> list:
+    """Lift f between the augmented objects to a chain map of projective
+    resolutions (the comparison theorem), one factor_through per degree:
+    d_k·f_k = f_{k-1}·d_k, with d_k the map leaving terms[k] and f_{-1} = f.
+    The totalization built d_1 from these lifts before d_1 became its first
+    null-homotopy."""
+    lifts = []
+    for k in range(max(len(source.terms), len(target.terms))):
+        rhs = (lifts[-1].matrix if lifts else f.matrix) * source.map_from(k)
+        lift = factor_through(source.term(k), target.term(k), target.map_from(k), rhs)
+        assert lift is not None, f"lift is not solvable at stage {k}"
+        lifts.append(lift)
+    return lifts
+
+
+def lifted_d1(m, profile) -> dict:
+    """The nonempty blocks of d_1 as the lifts built them: in column i, the
+    lift of the coresolution map I^i -> I^{i+1} times (-1)^k in row -k."""
+    d = profile.gorenstein_dim
+    dres = resolve(dual_module(m), d + 1)
+    rows = [resolve(dual_module(dres.term(i)), d) for i in range(d + 2)]
+    blocks = {}
+    for i in range(d + 1):
+        partial = (dual_hom(dres.maps[i]) if i < len(dres.maps)
+                   else zero_hom(rows[i].augmented, rows[i + 1].augmented))
+        for k, h in enumerate(lift_chain_map(partial, rows[i], rows[i + 1])):
+            if h.matrix.rows and h.matrix.cols:
+                blocks[(i, -k)] = -h.matrix if k % 2 else h.matrix
+    return blocks
+
+
+def _assert_d1_is_lifted(prof, modules) -> None:
+    for m in modules:
+        d1 = totalize_quasi_bicomplex(m, prof).quasi_bicomplex.maps[1]
+        assert {key: mat for key, mat in d1.items() if mat.rows and mat.cols} == \
+            lifted_d1(m, prof), m
+
+
+@pytest.mark.parametrize("name, op", ALGEBRAS)
+def test_d1_is_the_signed_lift_of_the_coresolution(name, op):
+    a = _algebra(name, op)
+    _assert_d1_is_lifted(gorenstein_profile(a), module_corpus(a, minimum=0))
+
+
+@pytest.mark.parametrize("name", NAKAYAMA)
+def test_d1_of_every_kupisch_indecomposable_is_the_signed_lift(name):
+    a, prof, oracle = nakayama(name)
+    _assert_d1_is_lifted(prof, [uniserial(a, *x) for x in oracle.modules()])
+
+
 # --- work counts ----------------------------------------------------------------
 
 
@@ -391,6 +449,21 @@ def _counting(monkeypatch, module, name) -> list:
 
     monkeypatch.setattr(module, name, count)
     return calls
+
+
+@pytest.mark.parametrize("name", ["f2", "a2", "k32", "k223", "k33344"])
+def test_every_d_l_is_one_null_homotopy_per_column(monkeypatch, name):
+    # d_l for 1 <= l <= d+1 in the columns 0 .. d+1-l: (d+1)(d+2)/2 homotopies
+    if name in NAKAYAMA:
+        a, prof, _oracle = nakayama(name)
+        m = uniserial(a, 0, 1)
+    else:
+        a = corpus_algebra(name)
+        prof, m = gorenstein_profile(a), module_corpus(a)[0]
+    calls = _counting(monkeypatch, homology, "nullhomotopy")
+    totalize_quasi_bicomplex(m, prof)
+    d = prof.gorenstein_dim
+    assert len(calls) == (d + 1) * (d + 2) // 2
 
 
 @pytest.mark.parametrize("name", ["f2", "f2x3", "a3", "a2t2", "m2f2x2"])

@@ -3,7 +3,7 @@ from itertools import count
 
 import pytest
 
-from test_families import _counting
+from test_families import _counting, lift_chain_map
 from test_kupisch import NAKAYAMA, uniserial
 from test_laws import resolution_defects
 
@@ -31,7 +31,6 @@ from gorhom.homology import (
     gorenstein_profile,
     gpd,
     is_gorenstein_projective,
-    lift_chain_map,
     load_complex,
     nullhomotopy,
     projective_dimension,

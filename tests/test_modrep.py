@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from test_families import lift_chain_map
 from test_laws import full_basis_hom_matrices
 
 import gorhom
@@ -606,7 +607,7 @@ def test_maps_out_of_a_resolution_term_build_no_kron_system(monkeypatch, name, i
         for t in res.terms:
             # dim Hom(A·e, N) = dim e·N
             assert hom_dim(t, copy) == sum(copy.rho(idems[i]).rank() for i in t._summands)
-        lifts = homology.lift_chain_map(ModHom(m, copy, iso), res, res_copy)
+        lifts = lift_chain_map(ModHom(m, copy, iso), res, res_copy)
         assert all(f.is_iso() for f in lifts)
 
 

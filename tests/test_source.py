@@ -297,15 +297,13 @@ def test_a_local_of_a_method_name_does_not_refer_to_the_method(tmp_path):
 # multiplication makes: the regular module, Hom(m, A) over A^op, Coind(x),
 # the two bimodules of a ring extension, and an isomorphism witness
 # combined from a hom basis.  And the constructors that give an
-# Algebra its radical, each stating the theorem that proves it
-# (group_algebra passes on the radical its first construction computed, and
-# an opposite its original's).  No document or outside input reaches any
+# Algebra its radical, each stating the theorem that proves it (an opposite
+# passes on its original's).  No document or outside input reaches any
 # other.
 TRUSTED_SITES = [
     "algebra.Algebra.opposite.build",
     "algebra._tensor_algebra",
     "algebra.field_algebra",
-    "algebra.group_algebra",
     "algebra.matrix_algebra",
     "algebra.path_algebra",
     "algebra.product_algebra",
