@@ -959,10 +959,12 @@ def json_int(value, what: str, minimum: Optional[int] = None) -> int:
     return value
 
 
-def json_list(value, what: str, depth: int = 1) -> list:
-    """A document field that must be a list of lists, `depth` levels deep."""
-    if not isinstance(value, list):
-        raise InputShapeError(f"{what} must be a list nested {depth} deep")
+def json_list(value, what: str, depth: int = 1, names: Sequence[str] = ()) -> list:
+    """A document field that must be a list of lists, `depth` levels deep,
+    or, when names are given, a list of one entry per name."""
+    if not isinstance(value, list) or (names and len(value) != len(names)):
+        shape = f"[{', '.join(names)}]" if names else f"nested {depth} deep"
+        raise InputShapeError(f"{what} must be a list {shape}")
     if depth > 1:
         for v in value:
             json_list(v, what, depth - 1)
@@ -1013,7 +1015,10 @@ def resolve_algebra_ref(doc: dict, key: str, base_dir: Optional[Path] = None) ->
         path = Path(ref)
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
-        return load_algebra(path)
+        try:
+            return load_algebra(path)
+        except OSError as exc:
+            raise InputShapeError(f"{key}: cannot read {path}: {exc.strerror}") from exc
     if not isinstance(ref, dict):
         raise InputShapeError(f"{key} must be an algebra document or the path of one")
     return algebra_from_json(ref)
@@ -1040,8 +1045,11 @@ def quiver_from_json(doc: dict) -> Quiver:
         return Quiver(
             json_int(doc["vertices"], "vertices"),
             tuple((json_int(s, "arrow source"), json_int(t, "arrow target"), lbl)
-                  for s, t, lbl in json_list(doc.get("arrows", []), "arrows")),
-            tuple(tuple((tuple(json_list(p, "relation path")), c) for p, c in rel)
+                  for s, t, lbl in (json_list(x, "an arrow", names=("source", "target", "label"))
+                                    for x in json_list(doc.get("arrows", []), "arrows"))),
+            tuple(tuple((tuple(json_list(p, "relation path")), c)
+                        for p, c in (json_list(x, "a relation term", names=("path", "coefficient"))
+                                     for x in rel))
                   for rel in json_list(doc.get("relations", []), "relations", 2)),
         )
 

@@ -22,14 +22,14 @@ Ext^i(Hom(m, A), A) vanish) in a finite window of degrees.  Gpd(m) is the
 largest i <= d with Ext^i(m, A) != 0, certified by that test on the syzygy
 at stage i, and Gid(m) = Gpd(D(m)).  Each Ext degree is computed once.
 
-The totalization routine builds, for a module M over a d-Gorenstein
-algebra, the bigraded array of projective resolutions of an injective
-coresolution of M, endows it with the degree-(l, -l+1) maps d_l, l >= 1,
-each obtained by one null-homotopy recursion (d_1 is the homotopy whose
-first entry is the coresolution map; every homotopy is solved degree by
-degree, one modrep.factor_through each), forms the total complex and
-checks D∘D = 0 there, which is every identity sum d_i d_{l-i} = 0 at once,
-and extracts the short exact sequence 0 -> B^0 -> Z^0 -> M -> 0 witnessing Gpd(M) <= d.
+The totalization routine builds, for M over a d-Gorenstein algebra, the
+projective resolutions of an injective coresolution of M, each row summed
+from the profile's resolutions of the indecomposable injectives, gives
+them the maps d_l, l >= 1, from one null-homotopy recursion (d_1 starts
+from the coresolution map; each step is one modrep.factor_through), checks
+D∘D = 0 on the total complex, every identity sum d_i d_{l-i} = 0 at once,
+and extracts 0 -> B^0 -> Z^0 -> M -> 0 witnessing Gpd(M) <= d; with B^0 = 0,
+Z^0 ≅ M, and M's own Gorenstein projectivity verdict serves for Z^0.
 """
 
 from __future__ import annotations
@@ -142,11 +142,13 @@ def homology_dims(dims: Sequence[int], mats: Sequence[Mat]) -> List[int]:
 
 
 def syzygy(m: Module) -> Tuple[Module, ModHom]:
-    """The kernel of m's projective cover with its inclusion into the
-    cover, built once per module."""
+    """The kernel of m's projective cover with its inclusion into the cover,
+    built once per module; zero when m is its own cover (an epi onto itself)."""
 
     def build() -> Tuple[Module, ModHom]:
         p, cov = cover_envelope(m)
+        if p is m:
+            return zero_module(m.algebra), zero_hom(zero_module(m.algebra), m)
         return submodule(p, cov.matrix.kernel_basis())
 
     return memo(m, "syzygy", None, build)
@@ -181,6 +183,34 @@ def resolve(m: Module, depth: int) -> Resolution:
             break
     return Resolution(m, tuple(terms), tuple(maps),
                       cover_envelope(m)[1], tuple(syzygies), current.dim == 0)
+
+
+def resolve_injective_sum(q: Module, depth: int) -> Resolution:
+    """A minimal resolution of D(q) to depth, for a recorded sum q of
+    structural projectives over A^op: D(q) is the sum of the injectives
+    D(A^op·e_j), j in q._summands, and this is the block-diagonal sum of
+    their memoized resolutions.  A direct sum of minimal resolutions is a
+    minimal resolution, exact by construction as resolve's own are; its
+    terms are direct_sums, so they stay recorded sums."""
+    if q.dim == 0:  # past the end of a coresolution
+        return resolve(dual_module(q), depth)
+    a = q.algebra.opposite()
+    parts = [resolve(structural_modules(a).injectives[j], depth) for j in q._summands]
+
+    def leaving(k: int) -> Mat:
+        mats = [r.map_from(k) for r in parts]
+        return block_matrix(a.field, [x.rows for x in mats], [x.cols for x in mats],
+                            {(b, b): x for b, x in enumerate(mats)})
+
+    n = max(len(r.terms) for r in parts)
+    terms = tuple(direct_sum([r.terms[k] for r in parts if k < len(r.terms)]) for k in range(n))
+    # a part that stopped early ends in its zero syzygy
+    syzygies = tuple(direct_sum([r.syzygies[min(k, len(r.syzygies) - 1)] for r in parts])
+                     for k in range(n))
+    maps = tuple(ModHom._trusted(terms[k], terms[k - 1], leaving(k)) for k in range(1, n))
+    return Resolution(dual_module(q), terms, maps,
+                      ModHom._trusted(terms[0], dual_module(q), leaving(0)), syzygies,
+                      all(r.complete for r in parts))
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +258,7 @@ def projective_dimension(m: Module, bound: int) -> Dim:
     if bound < 1:
         raise InputShapeError("bound must be >= 1")
     res = resolve(m, bound)
-    if res.complete:
-        return res.depth()
-    return AtLeast(bound)
+    return res.depth() if res.complete else AtLeast(bound)
 
 
 # ---------------------------------------------------------------------------
@@ -333,11 +361,9 @@ def evaluation_to_double_star(m: Module) -> ModHom:
 
 
 def is_projective(m: Module) -> bool:
-    """A module is projective iff its projective cover map is an isomorphism."""
-    if m.dim == 0:
-        return True
-    _, cov = cover_envelope(m)
-    return cov.is_iso()
+    """Zero and a recorded sum of projectives are projective; any other
+    module is iff its projective cover map is an isomorphism."""
+    return m.dim == 0 or m._summands is not None or cover_envelope(m)[1].is_iso()
 
 
 def is_gorenstein_projective(m: Module, profile: GorensteinProfile) -> GpVerdict:
@@ -649,9 +675,9 @@ def totalize_quasi_bicomplex(m: Module, profile: GorensteinProfile) -> Totalizat
     """Realize the totalization argument bounding Gpd(m) by the profile.
 
     Builds the injective coresolution of m to degree m^+1, as D of the
-    projective resolution of D(m) over the opposite algebra, and the
-    projective resolutions of its terms, the rows, whose maps are d_0.
-    Every d_l, l >= 1, then comes from one induction (Wall, "Resolutions
+    projective resolution of D(m) over the opposite algebra, and the rows,
+    the resolutions of its terms (resolve_injective_sum), whose maps are
+    d_0.  Every d_l, l >= 1, then comes from one induction (Wall, "Resolutions
     for extensions of groups", Proc. Cambridge Philos. Soc. 57, 1961), one
     null-homotopy per column: d_0 d_l + d_l d_0 = -sum_{a=1}^{l-1} d_a
     d_{l-a}, the composite_sum of the maps already built.  For l = 1 the
@@ -663,18 +689,18 @@ def totalize_quasi_bicomplex(m: Module, profile: GorensteinProfile) -> Totalizat
     D² from P^{i,j} to P^{i+l,j-l+2} is sum_a d_a d_{l-a}); checks H^0 ≅ m
     and vanishing elsewhere in the window; and returns the short exact
     sequence 0 -> B^0 -> Z^0 -> m -> 0 with pd(B^0) <= m^-1 and Z^0
-    Gorenstein projective.
+    Gorenstein projective: when B^0 = 0 the epi Z^0 -> m is an isomorphism,
+    so m's own memoized verdict is Z^0's.
     """
     profile.check_module(m)
     if not profile.certified:
         raise ProfileNotCertified("totalization requires a certified Gorenstein profile")
     a = m.algebra
-    field = a.field
     mhat = profile.gorenstein_dim
     ncols = mhat + 2
 
     dres = resolve(dual_module(m), ncols - 1)
-    rows = [resolve(dual_module(dres.term(i)), mhat) for i in range(ncols)]
+    rows = [resolve_injective_sum(dres.term(i), mhat) for i in range(ncols)]
     for i, r in enumerate(rows):
         if not r.complete:
             raise PropertyViolation(
@@ -717,7 +743,7 @@ def totalize_quasi_bicomplex(m: Module, profile: GorensteinProfile) -> Totalizat
             for l, maps in dmaps.items():
                 if (i, j) in maps and (i + l, j - l + 1) in target_pos:
                     parts[(target_pos[(i + l, j - l + 1)], n)] = maps[(i, j)]
-        d = block_matrix(field, [components[key].dim for key in blocks[s + 1]],
+        d = block_matrix(a.field, [components[key].dim for key in blocks[s + 1]],
                          [components[key].dim for key in blocks[s]], parts)
         diffs[s] = ModHom(totals[s], totals[s + 1], d)
 
@@ -757,7 +783,7 @@ def totalize_quasi_bicomplex(m: Module, profile: GorensteinProfile) -> Totalizat
     b0_pd: Dim = 0 if b0_mod.dim == 0 else projective_dimension(b0_mod, max(1, mhat))
     if b0_mod.dim and not (isinstance(b0_pd, int) and b0_pd <= mhat - 1):
         raise PropertyViolation(f"pd(B^0) = {b0_pd} exceeds {mhat - 1}")
-    z0_verdict = is_gorenstein_projective(z0_mod, profile)
+    z0_verdict = is_gorenstein_projective(z0_mod if b0_mod.dim else m, profile)
     if z0_verdict.verdict != "yes":
         raise PropertyViolation("Z^0 failed the Gorenstein projective test")
     independent = gpd(m, profile)

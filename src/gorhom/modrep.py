@@ -15,9 +15,10 @@ where it is cheapest:
   `ModHom._trusted`), and each says why: `submodule`, `dual_module`,
   `dual_hom`, the `hom_space` basis maps, `factor_through`'s
   combinations, an isomorphism witness (a combination of a hom basis),
-  the cover map x -> rho(x)·v and `regular_module` (associativity),
-  `homology.resolve`'s composites, `homology.star_module` (Hom(m, A) over
-  A^op, and the right multiplications of Hom_A(A, A)), the block-diagonal
+  the cover map x -> rho(x)·v and `regular_module` (associativity), the
+  identity cover, `homology.resolve`'s composites and block-diagonal sums
+  (`resolve_injective_sum`), `homology.star_module` (Hom(m, A) over A^op,
+  and the right multiplications of Hom_A(A, A)), the block-diagonal
   `zero_module` and `direct_sum`, and in `frobenius` a tensor product's
   ambient module, `coinduce`, `Bimodule.as_tensor_module` (two checked
   actions that commute) and, through `Bimodule._trusted`, the two
@@ -544,7 +545,8 @@ def structural_modules(a: Algebra) -> StructuralModules:
 
 def cover_envelope(m: Module) -> Tuple[Module, ModHom]:
     """The projective cover P -> m, computed once per module: an epi whose
-    kernel lies in rad(P), both checked here.
+    kernel lies in rad(P), both checked here.  A recorded sum of projectives
+    (zero too) is its own cover: the identity, an epi with zero kernel.
 
     P has a summand A·e_i with the map x -> rho_m(x)·v for each lift v of a
     basis vector of e_i·top(m), a hom by associativity, built trusted.  Given
@@ -558,11 +560,10 @@ def cover_envelope(m: Module) -> Tuple[Module, ModHom]:
 
     def build() -> Tuple[Module, ModHom]:
         a = m.algebra
+        if m.dim == 0 or m._summands is not None:
+            return m, ModHom._trusted(m, m, Mat.identity(a.field, m.dim))
         structural = structural_modules(a)
         idems = a.primitive_idempotents()
-        if m.dim == 0:
-            z = zero_module(a)
-            return z, zero_hom(z, m)
         top, pi_top = top_of(m)
         summands, blocks = [], []
         # one idempotent per isomorphism class of simples, so multiplicities

@@ -531,6 +531,21 @@ def test_quiver_documents_reject_numbers_labels_and_paths_of_the_wrong_type(chan
         quiver_from_json({**good, **change})
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"vertices": 1, "arrows": [5]}, "an arrow must be a list [source, target, label]"),
+    ({"vertices": 1, "arrows": [[0, 0]]}, "an arrow must be a list [source, target, label]"),
+    ({"vertices": 1, "relations": [[5]]}, "a relation term must be a list [path, coefficient]"),
+    ({"vertices": 1, "arrows": [[0, 0, "a"]], "relations": [[[["a"], "1", 3]]]},
+     "a relation term must be a list [path, coefficient]"),
+], ids=repr)
+def test_a_malformed_arrow_or_relation_term_is_named_as_the_document_names_it(doc, message):
+    # these were once answered in Python's words: "cannot unpack
+    # non-iterable int object", "not enough values to unpack", "too many"
+    with pytest.raises(InputShapeError) as info:
+        quiver_from_json(doc)
+    assert str(info.value).startswith(message)
+
+
 def test_rational_path_algebra():
     a = path_algebra(a2_quiver(), QQ)
     assert a.dim == 3

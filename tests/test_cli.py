@@ -123,6 +123,21 @@ def test_a_missing_field_exits_2_naming_it(runner, tmp_path, name, field):
     assert f"document: missing field '{field}'" in result.stderr
 
 
+@pytest.mark.parametrize("name, field", [("a2_s1.mod", "algebra"), ("f2_f2c2.ext", "base"),
+                                         ("f2_f2c2.ext", "total"), ("morita_col.bimod", "left"),
+                                         ("morita_col.bimod", "right"),
+                                         ("a2_stalk.cpx", "algebra")])
+def test_a_missing_algebra_file_exits_2_naming_its_field(runner, tmp_path, name, field):
+    bad = _bundled_copy(tmp_path) / name
+    doc = json.loads(bad.read_text())
+    doc[field] = "no_such.alg"
+    bad.write_text(json.dumps(doc))
+    result = runner.invoke(main, [READERS[bad.suffix][0], str(bad)])
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == (f"input error: {field}: cannot read {tmp_path / 'no_such.alg'}: "
+                             "No such file or directory\n")
+
+
 # (file, path to a flat row-major matrix list inside the document)
 FLAT_MATRICES = [
     ("a2_s1.mod", ("action", 1)),
@@ -545,7 +560,7 @@ def test_main_keeps_the_keyword_spelling_the_benchmark_worker_calls(capsys):
 # --- seeded document fuzz ---------------------------------------------------------
 
 FUZZ_VALUES = [None, -1, 0, 1.5, True, "x", "1/0", [], {}, 10 ** 6]
-PYTHON_WORDING = "object is not|indices must be"
+PYTHON_WORDING = "object is not|indices must be|Errno"
 
 
 def mutated(doc, rng):

@@ -5,11 +5,14 @@ import pytest
 
 from test_families import _counting, lift_chain_map
 from test_kupisch import NAKAYAMA, uniserial
+from test_kupisch import nakayama as kupisch
 from test_laws import resolution_defects
 
 from gorhom import corpus, homology, modrep
 from gorhom.algebra import (
     Quiver,
+    algebra_from_json,
+    algebra_to_json,
     field_algebra,
     path_algebra,
     truncated_extension,
@@ -126,17 +129,17 @@ def test_a_deeper_cached_resolution_is_cut_to_the_depth_asked(a2, dual_numbers):
     assert (len(res.terms), res.complete) == (1, False)
 
 
-def _counting_covers(monkeypatch) -> list:
-    """A list that gains one entry per projective cover built: each run of
-    the build that cover_envelope memoizes under its "cover" tag."""
-    built, memo = [], modrep.memo
+def _counting_builds(monkeypatch, module, kind) -> list:
+    """A list that gains the holder of each build that module memoizes
+    under the tag kind, or a tag tuple that starts with it."""
+    built, memo = [], module.memo
 
     def counting(holder, tag, other, build):
-        if tag != "cover":
+        if (tag[0] if isinstance(tag, tuple) else tag) != kind:
             return memo(holder, tag, other, build)
         return memo(holder, tag, other, lambda: built.append(holder) or build())
 
-    monkeypatch.setattr(modrep, "memo", counting)
+    monkeypatch.setattr(module, "memo", counting)
     return built
 
 
@@ -149,7 +152,7 @@ def test_a_deeper_resolution_walks_on_from_the_steps_built(monkeypatch):
     a = path_algebra(Quiver(6, arrows=arrows, relations=relations), F2)
     k = structural_modules(a).simples[0]
     resolve(k, 2)
-    built = _counting_covers(monkeypatch)
+    built = _counting_builds(monkeypatch, modrep, "cover")
     assert len(resolve(k, 5).terms) == 6
     assert len(built) == 3
 
@@ -157,7 +160,7 @@ def test_a_deeper_resolution_walks_on_from_the_steps_built(monkeypatch):
 def test_a_second_injective_resolution_builds_no_cover(monkeypatch, a2, in_new_basis):
     s1 = simple_at(a2, "e1")
     fresh = in_new_basis(regular_module(a2))[0]
-    built = _counting_covers(monkeypatch)
+    built = _counting_builds(monkeypatch, modrep, "cover")
     first = [ext_dim_injective(s1, fresh, i) for i in range(1, 4)]
     assert built
     built.clear()
@@ -548,6 +551,86 @@ def test_totalize_whole_structural_corpus(a2, dual_numbers, nakayama):
             assert result.z0_verdict.verdict == "yes"
             assert result.gpd_bound_matches
 
+
+
+# --- rows from the profile's resolutions --------------------------------------
+
+
+@pytest.fixture(scope="module")
+def cold_totalizations():
+    """Totalize every module_corpus module of new copies of the Gorenstein
+    corpus algebras and their opposites, and every indecomposable of new
+    k32, k223 and k54 objects, so that no memo is warm: (module, profile,
+    result, the holders of the "cover" and of the "is_gp" builds it made)
+    for each."""
+    pairs = []
+    for name in corpus.GORENSTEIN_NAMES:
+        a = algebra_from_json(algebra_to_json(corpus.corpus_algebra(name)))
+        for b in (a, a.opposite()):
+            pairs += [(m, gorenstein_profile(b)) for m in corpus.module_corpus(b, minimum=0)]
+    for name in ("k32", "k223", "k54"):
+        a = path_algebra(NAKAYAMA[name][0], F2)
+        pairs += [(uniserial(a, *x), gorenstein_profile(a)) for x in kupisch(name)[2].modules()]
+    done = []
+    with pytest.MonkeyPatch.context() as mp:
+        covers = _counting_builds(mp, modrep, "cover")
+        tested = _counting_builds(mp, homology, "is_gp")
+        for m, prof in pairs:
+            covers.clear()
+            tested.clear()
+            result = totalize_quasi_bicomplex(m, prof)
+            done.append((m, prof, result, list(covers), list(tested)))
+    return done
+
+
+def test_every_row_is_the_sum_of_the_injectives_resolutions(cold_totalizations):
+    # the row of I^i = D(dres.term(i)) has the terms of I^i's own
+    # resolution, its summands ordered by I^i's summands rather than by
+    # their classes (over nak2, P_1 + P_0 where the cover of I_0 + I_1 is
+    # P_0 + P_1), so the matrices may differ in basis
+    for m, prof, *_ in cold_totalizations:
+        d = prof.gorenstein_dim
+        dres = resolve(dual_module(m), d + 1)
+        for i in range(d + 2):
+            row = homology.resolve_injective_sum(dres.term(i), d)
+            direct = resolve(dual_module(dres.term(i)), d)
+            assert (row.augmented, row.complete) == (direct.augmented, direct.complete)
+            assert all(t._summands is not None for t in row.terms if t.dim)
+            assert ([sorted(t._summands or ()) for t in row.terms]
+                    == [sorted(t._summands or ()) for t in direct.terms]), (m, i)
+            assert resolution_defects(row) == [], (m, i)
+
+
+def test_a_projective_sum_is_its_own_cover_with_no_top(monkeypatch):
+    # a new k223 algebra object, so the sum has no memo yet
+    a = path_algebra(NAKAYAMA["k223"][0], F2)
+    p0, _p1, p2 = structural_modules(a).projectives
+    p = modrep.direct_sum([p2, p0, p2])
+    tops = _counting(monkeypatch, modrep, "top_of")
+    cover, cov = modrep.cover_envelope(p)
+    assert tops == []
+    assert cover is p and cov.matrix == Mat.identity(F2, p.dim)
+    assert homology.syzygy(p)[0].dim == 0
+
+
+def test_totalizing_covers_no_sum_of_injectives(cold_totalizations):
+    # each row resolves the indecomposable injectives the profile resolved,
+    # so no I^i with two or more summands is covered again
+    assert any(covers for *_, covers, _tested in cold_totalizations)
+    for m, _prof, _result, covers, _tested in cold_totalizations:
+        assert not [h for h in covers
+                    if h.algebra is m.algebra and len(dual_module(h)._summands or ()) >= 2], m
+
+
+def test_z0_is_read_through_omega_when_b0_vanishes(cold_totalizations):
+    # Z^0 -> M is then an isomorphism, so M's own memoized verdict serves;
+    # a fresh test of Z^0 agrees with it
+    read = [(m, prof, result, tested) for m, prof, result, _covers, tested in cold_totalizations
+            if result.witness.left.dim == 0]
+    assert read
+    for m, prof, result, tested in read:
+        assert not any(h is result.witness.middle and h is not m for h in tested), m
+        assert homology._is_gp_uncached(result.witness.middle, prof) == result.z0_verdict
 
 
 # (dim B^0, dim Z^0, pd B^0) of the witness 0 -> B^0 -> Z^0 -> M -> 0 for

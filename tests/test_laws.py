@@ -11,9 +11,11 @@ every basis element, the exactness of every resolution, the identities of
 every homotopy and contraction, the short exact sequences of a
 factorization, the socle of an envelope, the intertwining system out of a
 projective (now solved by Yoneda), the intertwining and superfluous
-kernel of a cover, the laws of opposites, tensor algebras and the tensor
-modules of bimodules (built unchecked from checked parts), and the radical
-series walked through submodules (now read in the module's coordinates).
+kernel of a cover (the identity, for a recorded sum of projectives), the
+block-diagonal maps of a totalization row, the laws of opposites, tensor
+algebras and the tensor modules of bimodules (built unchecked from checked
+parts), and the radical series walked through submodules (now read in the
+module's coordinates).
 """
 
 from itertools import product as iter_product
@@ -24,7 +26,8 @@ from test_kupisch import NAKAYAMA, nakayama
 
 from gorhom import algebra as algebra_mod
 from gorhom import frobenius, homology, modrep, suite
-from gorhom.algebra import Algebra, load_algebra, tensor_algebra
+from gorhom.algebra import (Algebra, algebra_from_json, algebra_to_json, load_algebra,
+                            tensor_algebra)
 from gorhom.corpus import (
     ALGEBRA_NAMES,
     EXTENSION_NAMES,
@@ -51,6 +54,7 @@ from gorhom.homology import (
     gorenstein_profile,
     homology_dims,
     resolve,
+    resolve_injective_sum,
     star_module,
     totalize_quasi_bicomplex,
 )
@@ -655,6 +659,27 @@ def test_every_cover_intertwines_with_a_superfluous_kernel(name, op):
         for x in (m,) + resolve(m, 3).syzygies:
             if x.dim:
                 assert cover_defects(x) == [], x
+
+
+@pytest.mark.parametrize("name, op", RESOLVED)
+def test_summed_rows_and_identity_covers_pass_the_full_basis_checks(name, op):
+    # a totalization row is the block-diagonal sum of the injectives'
+    # resolutions, and a recorded sum of projectives covers itself by the
+    # identity: all built unchecked.  A new algebra object, so that no sum
+    # was covered before it was recorded
+    a = algebra_from_json(algebra_to_json(_resolved_algebra(name, op)))
+    d = gorenstein_profile(a).gorenstein_dim
+    for m in module_corpus(a, minimum=0):
+        dres = resolve(dual_module(m), d + 1)
+        for i in range(d + 2):
+            row = resolve_injective_sum(dres.term(i), d)
+            for f in (row.augmentation,) + row.maps:
+                assert full_basis_intertwines(f.source, f.target, f.matrix), (m, i)
+            for t in row.terms + dres.terms:
+                if t._summands is not None:
+                    p, cov = cover_envelope(t)
+                    assert p is t and cov.matrix == Mat.identity(a.field, t.dim)
+                    assert cover_defects(t) == [], t
 
 
 # --- the radical series, read in place ----------------------------------------------

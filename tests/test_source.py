@@ -315,6 +315,7 @@ TRUSTED_SITES = [
     "frobenius.extension_bimodule.build",
     "frobenius.restriction_bimodule.build",
     "homology.resolve",
+    "homology.resolve_injective_sum",
     "homology.star_module.build",
     "modrep._first_invertible",
     "modrep.cover_envelope.build",
