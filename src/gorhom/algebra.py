@@ -215,17 +215,11 @@ class Algebra:
 
         def build():
             table = [[self.table[j][i] for j in range(self.dim)] for i in range(self.dim)]
-            op = Algebra(
-                self.field,
-                self.basis_labels,
-                table,
-                self.unit,
-                idempotents=self.idempotents,
-                provenance={"kind": "opposite", "of": self.provenance.get("kind", "?")},
-                # rad(A^op) is rad(A): asked of A when first needed, computed once
-                _closed_radical=self.radical_basis,
-                _skip_validation=True,
-            )
+            op = Algebra(self.field, self.basis_labels, table, self.unit,
+                         idempotents=self.idempotents,
+                         provenance={"kind": "opposite", "of": self.provenance.get("kind", "?")},
+                         # rad(A^op) is rad(A): asked of A when first needed, computed once
+                         _closed_radical=self.radical_basis, _skip_validation=True)
             memo(op, "opposite", None, lambda: self)
             return op
 
@@ -384,10 +378,8 @@ def _radical_generic(a: Algebra) -> Mat:
 
     if p == 0:
         lmats = [a.left_mult_matrix(a.basis_vec(i)) for i in range(n)]
-        gram = [
-            [_trace(lmats[i] * lmats[j]) for j in range(n)]
-            for i in range(n)
-        ]
+        # the trace form: entry (i, j) is Tr(L_i·L_j)
+        gram = [[sum(row[k] for k, row in enumerate((x * y).data)) for y in lmats] for x in lmats]
         return Mat(field, gram).kernel_basis()
 
     levels = 0
@@ -435,13 +427,6 @@ def _int_left_mult(a: Algebra, x) -> list:
                 for m, c in cell:
                     z[m][j] += xk * c
     return [[e % p for e in row] for row in z]
-
-
-def _trace(m: Mat):
-    tot = m.field.zero()
-    for i in range(m.rows):
-        tot = m.field.add(tot, m.entry(i, i))
-    return tot
 
 
 def _int_matrix_power_trace(m, e: int) -> int:

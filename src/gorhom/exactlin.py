@@ -20,7 +20,10 @@ by construction; it sets the four slots through their slot descriptors,
 as `Mat.__setattr__` raises.  `Mat.from_cols` is trusted the same way and
 takes columns of canonical entries, such as columns of other matrices.
 Over F_2, whose entries are the ints 0 and 1, `rref` packs each row into
-one int by a byte translation and eliminates by xor.
+one int by a byte translation and eliminates by xor.  Nothing is built to
+be thrown away: `pivot_columns` (and so a rank) skips the reduced matrix,
+unpacking no row over F_2, and `kernel_basis` reads the kernel off the RREF
+of the matrix alone, by the kernel assembly `solve` uses on [a | b].
 
 Matrix layout lives here and nowhere else: slicing (`select_rows`,
 `select_cols`), block assembly (`block_matrix`, of which a block-diagonal
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import isqrt
+from math import isqrt, lcm
 from operator import mul
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -43,18 +46,7 @@ Scalar = Union[int, Fraction]
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f <= isqrt(n):
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n > 1 and (n < 4 or n % 2 == 1 and all(n % f for f in range(3, isqrt(n) + 1, 2)))
 
 
 class Record:
@@ -205,7 +197,7 @@ class Mat(Record):
     def _from_canonical(cls, field: FieldSpec, rows: tuple, cols: int) -> "Mat":
         """Wrap `rows`, a tuple of `cols`-long tuples of canonical entries,
         without coercing or checking them."""
-        m = object.__new__(cls)
+        m = _new(cls)
         _set_field(m, field)
         _set_rows(m, len(rows))
         _set_cols(m, cols)
@@ -316,7 +308,10 @@ class Mat(Record):
         p = self.field.characteristic
         bt = list(zip(*other.data))  # columns of other
         if p:
-            out = tuple([tuple([sum(map(mul, row, bc)) % p for bc in bt]) for row in self.data])
+            out = []
+            for row in self.data:
+                out.append(tuple([sum(map(mul, row, bc)) % p for bc in bt]))
+            out = tuple(out)
         else:
             zero = Fraction(0)
             out = tuple([tuple([sum(map(mul, row, bc), zero) for bc in bt]) for row in self.data])
@@ -353,10 +348,11 @@ class Mat(Record):
     # -- derived queries -------------------------------------------------------
 
     def rank(self) -> int:
-        return rref(self).rank
+        return len(pivot_columns(self))
 
     def kernel_basis(self) -> "Mat":
-        return solve(self, Mat.zeros(self.field, self.rows, 0)).kernel
+        red = rref(self)
+        return _kernel(red.matrix.data, red.pivots, self.field, self.cols)
 
     def inverse(self) -> "Mat":
         if self.rows != self.cols:
@@ -367,9 +363,10 @@ class Mat(Record):
         return res.particular
 
     def is_invertible(self) -> bool:
-        return self.rows == self.cols and self.rank() == self.rows
+        return self.rows == self.cols and len(pivot_columns(self)) == self.rows
 
 
+_new = object.__new__
 _set_field, _set_rows, _set_cols, _set_data = (
     Mat.__dict__[name].__set__ for name in Mat.__slots__)
 
@@ -424,22 +421,25 @@ _PACK = bytes.maketrans(b"\x00\x01", b"01")
 _UNPACK = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _rref_gf2(m: Mat) -> RrefResult:
-    # Rows packed into ints, bit j = column j; elimination is xor.  The
-    # reversed row's bytes, read as binary digits, are the packed int.
-    nrows, ncols = m.rows, m.cols
-    if not ncols or not nrows:
-        return RrefResult(m, (), 0)
+def _eliminate_gf2(m: Mat) -> Tuple[list, tuple]:
+    """The reduced rows of m, m.cols > 0, over F_2 packed into ints, bit j =
+    column j, and the pivot columns.  The reversed row's bytes, read as
+    binary digits, are the packed int."""
+    nrows = m.rows
     packed = [int(bytes(row[::-1]).translate(_PACK), 2) for row in m.data]
     pivots = []
     r = 0
-    for c in range(ncols):
+    for c in range(m.cols):
         bit = 1 << c
-        pr = next((i for i in range(r, nrows) if packed[i] & bit), None)
-        if pr is None:
+        for pr in range(r, nrows):
+            if packed[pr] & bit:
+                break
+        else:
             continue
-        packed[r], packed[pr] = packed[pr], packed[r]
-        prow = packed[r]
+        prow = packed[pr]
+        if pr != r:
+            packed[pr] = packed[r]
+            packed[r] = prow
         for i in range(nrows):
             if i != r and packed[i] & bit:
                 packed[i] ^= prow
@@ -447,9 +447,24 @@ def _rref_gf2(m: Mat) -> RrefResult:
         r += 1
         if r == nrows:
             break
-    width = f"0{ncols}b"
+    return packed, tuple(pivots)
+
+
+def _rref_gf2(m: Mat) -> RrefResult:
+    if not m.cols or not m.rows:
+        return RrefResult(m, (), 0)
+    packed, pivots = _eliminate_gf2(m)
+    width = f"0{m.cols}b"
     data = tuple([tuple(format(acc, width).encode().translate(_UNPACK)[::-1]) for acc in packed])
-    return RrefResult(Mat._from_canonical(m.field, data, ncols), tuple(pivots), len(pivots))
+    return RrefResult(Mat._from_canonical(m.field, data, m.cols), pivots, len(pivots))
+
+
+def pivot_columns(m: Mat) -> tuple:
+    """rref(m).pivots, without the reduced matrix: over F_2 the packed
+    elimination alone, with no row unpacked."""
+    if m.field.characteristic == 2:
+        return _eliminate_gf2(m)[1] if m.cols else ()
+    return rref(m).pivots
 
 
 class SolveResult(NamedTuple):
@@ -458,6 +473,28 @@ class SolveResult(NamedTuple):
 
     particular: Optional[Mat]
     kernel: Mat
+
+
+def _kernel(rows: tuple, pivots: Sequence[int], field: FieldSpec, n: int) -> Mat:
+    """The kernel basis of the first n columns of RREF rows with these pivots
+    there, one column per free variable, built row by row: a pivot
+    coordinate's row is minus its RREF row at the free columns (over F_2,
+    that row), a free coordinate's row a unit vector."""
+    pivot_row = dict(zip(pivots, rows))
+    free = [c for c in range(n) if c not in pivot_row]
+    zero, one, p = field.zero(), field.one(), field.characteristic
+    out = []
+    for c in range(n):
+        row = pivot_row.get(c)
+        if row is None:
+            out.append(tuple([one if f == c else zero for f in free]))
+        elif p == 2:
+            out.append(tuple([row[f] for f in free]))
+        elif p:
+            out.append(tuple([-row[f] % p for f in free]))
+        else:
+            out.append(tuple([-row[f] for f in free]))
+    return Mat._from_canonical(field, tuple(out), len(free))
 
 
 def solve(a: Mat, b: Mat) -> SolveResult:
@@ -473,23 +510,14 @@ def solve(a: Mat, b: Mat) -> SolveResult:
     rows = aug.matrix.data
     n = a.cols
     pivots = [c for c in aug.pivots if c < n]
-    pivot_row = {c: r_i for r_i, c in enumerate(pivots)}
-    free = [c for c in range(n) if c not in pivot_row]
-
-    # Kernel basis, one column per free variable, built row by row: a pivot
-    # coordinate's row is minus its RREF row at the free columns, a free
-    # coordinate's row a unit vector.
-    zero, one, neg = field.zero(), field.one(), field.neg
-    kernel = Mat._from_canonical(field, tuple([
-        tuple([neg(rows[pivot_row[c]][f]) for f in free]) if c in pivot_row
-        else tuple([one if f == c else zero for f in free]) for c in range(n)]), len(free))
     particular = None
     if len(pivots) == aug.rank:  # no pivot in b: every column is consistent
-        zeros = (zero,) * b.cols
+        pivot_row = dict(zip(pivots, rows))
+        zeros = (field.zero(),) * b.cols
         particular = Mat._from_canonical(
-            field, tuple([rows[pivot_row[c]][n:] if c in pivot_row else zeros
-                          for c in range(n)]), b.cols)
-    return SolveResult(particular, kernel)
+            field, tuple([pivot_row[c][n:] if c in pivot_row else zeros for c in range(n)]),
+            b.cols)
+    return SolveResult(particular, _kernel(rows, pivots, field, n))
 
 
 def fraction_free_rank(m: Mat) -> int:
@@ -511,9 +539,7 @@ def fraction_free_rank(m: Mat) -> int:
     else:
         rows = []
         for row in m.data:
-            den = 1
-            for x in row:
-                den = den * x.denominator // _gcd(den, x.denominator)
+            den = lcm(*[x.denominator for x in row])
             rows.append([int(x * den) for x in row])
 
         def div(x, d):
@@ -542,12 +568,6 @@ def fraction_free_rank(m: Mat) -> int:
         if r == nrows:
             break
     return rank
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a) or 1
 
 
 def kron(a: Mat, b: Mat) -> Mat:

@@ -40,36 +40,13 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .algebra import (Algebra, algebra_to_json, document, json_int, json_list, memo,
                       resolve_algebra_ref)
-from .errors import (
-    AlgebraMismatch,
-    InputShapeError,
-    NoHomotopy,
-    ProfileNotCertified,
-    PropertyViolation,
-)
-from .exactlin import Mat, Record, block_matrix, mat_from_flat, mat_to_flat, rref, solve
-from .modrep import (
-    ModHom,
-    Module,
-    ShortExactSequence,
-    column_space_basis,
-    component_to_json,
-    cover_envelope,
-    direct_sum,
-    dual_module,
-    factor_through,
-    hom_actions,
-    hom_coordinates,
-    hom_delta,
-    hom_dim,
-    hom_space,
-    module_from_json,
-    regular_module,
-    structural_modules,
-    submodule,
-    zero_hom,
-    zero_module,
-)
+from .errors import (AlgebraMismatch, InputShapeError, NoHomotopy, ProfileNotCertified,
+                     PropertyViolation)
+from .exactlin import Mat, Record, block_matrix, mat_from_flat, mat_to_flat, pivot_columns, solve
+from .modrep import (ModHom, Module, ShortExactSequence, column_space_basis, component_to_json,
+                     cover_envelope, direct_sum, dual_module, factor_through, hom_actions,
+                     hom_coordinates, hom_delta, hom_dim, hom_space, module_from_json,
+                     regular_module, structural_modules, submodule, zero_hom, zero_module)
 
 
 class AtLeast(Record):
@@ -133,7 +110,7 @@ def homology_dims(dims: Sequence[int], mats: Sequence[Mat]) -> List[int]:
     complex whose map mats[i] joins spot i and spot i+1, pointing either
     way; maps past the end of mats count as rank 0.  Each rank is computed
     once.  A spot is exact exactly when its entry is 0."""
-    ranks = [rref(m).rank for m in mats]
+    ranks = [len(pivot_columns(m)) for m in mats]
 
     def rank(i: int) -> int:
         return ranks[i] if 0 <= i < len(ranks) else 0

@@ -13,7 +13,7 @@ where it is cheapest:
 * Constructions that proved the law themselves build their result
   without the check (`Module(..., _skip_validation=True)`,
   `ModHom._trusted`), and each says why: `submodule`, `dual_module`,
-  `dual_hom`, the `hom_space` basis maps, `factor_through`'s
+  `dual_hom`, `zero_hom`, the `hom_space` basis maps, `factor_through`'s
   combinations, an isomorphism witness (a combination of a hom basis),
   the cover map x -> rho(x)·v and `regular_module` (associativity), the
   identity cover, `homology.resolve`'s composites and block-diagonal sums
@@ -38,8 +38,10 @@ so what is memoized on a module is built once per content; a module is
 interned only once checked, so one that failed is never returned.
 
 Hom out of a sum of structural projectives A·e_i, every term of a
-resolution, is found by Yoneda: Hom(A·e_i, N) = e_i·N.  Other Hom spaces,
-kernels and cokernels reduce to exact kernel computations in `exactlin`.
+resolution, is found by Yoneda: Hom(A·e_i, N) = e_i·N, its canonical basis
+memoized on N once per i, and a sum's basis is its summands' bases side by
+side.  Other Hom spaces, kernels and cokernels reduce to exact kernel
+computations in `exactlin`.
 An injective envelope is D of the projective cover of the dual, and a
 quotient m/U is D of the annihilator of U in D(m).  Finding f
 in Hom(X, Y) with g·f = rhs (a lift, a homotopy) is one solve over a hom
@@ -59,8 +61,8 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from .algebra import (Algebra, algebra_to_json, document, interned, json_int, json_list, memo,
                       resolve_algebra_ref)
 from .errors import AlgebraMismatch, InputShapeError, PropertyViolation, UnsupportedAlgebra
-from .exactlin import (Mat, Record, block_matrix, kron, mat_from_flat, mat_to_flat, rref, solve,
-                       unvec, vec)
+from .exactlin import (Mat, Record, block_matrix, kron, mat_from_flat, mat_to_flat, pivot_columns,
+                       rref, solve, unvec, vec)
 
 
 class Module:
@@ -184,7 +186,10 @@ def zero_module(a: Algebra) -> Module:
 
 
 def zero_hom(source: Module, target: Module) -> ModHom:
-    return ModHom(source, target, Mat.zeros(source.algebra.field, target.dim, source.dim))
+    """The zero map, not checked again: 0·rho(x) = 0 = rho(x)·0."""
+    if source.algebra != target.algebra:
+        raise AlgebraMismatch("hom between modules over different algebras")
+    return ModHom._trusted(source, target, Mat.zeros(source.algebra.field, target.dim, source.dim))
 
 
 def regular_module(a: Algebra) -> Module:
@@ -215,36 +220,48 @@ def _yoneda(n: Module, emb: Mat, w: Mat) -> List[Mat]:
     return [out.select_rows(range(t * n.dim, (t + 1) * n.dim)) for t in range(w.cols)]
 
 
+def _yoneda_basis(n: Module, i: int) -> List[Mat]:
+    """The canonical basis of Hom(A·e_i, n), built once per (n, i): the
+    Yoneda maps of a basis of e_i·n, by one reversed RREF, independent."""
+
+    def build() -> List[Mat]:
+        a = n.algebra
+        emb = _indecomposable_projectives(a)[1][i]
+        maps = _yoneda(n, emb, column_space_basis(n.rho(a.primitive_idempotents()[i])))
+        red = rref(Mat.from_cols(a.field, [vec(f).col(0)[::-1] for f in maps],
+                                 emb.cols * n.dim).transpose())
+        if red.rank != len(maps):
+            raise PropertyViolation("the Yoneda maps out of a projective are dependent")
+        return [unvec(a.field, red.matrix.row(r)[::-1], n.dim, emb.cols)
+                for r in reversed(range(red.rank))]
+
+    return memo(n, ("yoneda", i), None, build)
+
+
 def _hom_space_matrices(m: Module, n: Module) -> List[Mat]:
     """A basis of Hom(m, n) as matrices: the kernel basis of the equations
     f·rho_m(g) = rho_n(g)·f for every generator g, in the unknowns vec(f).
 
-    Out of a sum of structural projectives it is found by Yoneda: the maps
-    A·e_i -> n are x -> rho_n(x)·w for w in e_i·n, so dim Hom = sum rank
-    rho_n(e_i) (asserted).  A kernel basis vector is 1 at its free
-    coordinate, 0 at the others and elsewhere nonzero only before it: with
-    the coordinates reversed the basis is the RREF of any spanning set.
-    Any other source solves the system, here only; it has the row space,
-    so the kernel basis, of the system over every basis element."""
+    Out of a sum of structural projectives over n's own algebra object it is
+    found by Yoneda: the maps A·e_i -> n are x -> rho_n(x)·w for w in e_i·n,
+    so dim Hom = sum rank rho_n(e_i) (asserted).  A kernel basis vector is 1
+    at its free coordinate, 0 at the others and elsewhere nonzero only
+    before it: with the coordinates reversed the basis is the RREF of any
+    spanning set.  Different summands have disjoint vec coordinates, so
+    that RREF is the union of the summands' RREFs, read back in summand
+    order, and it is independent exactly when each part is: each summand's
+    _yoneda_basis, padded into its columns.  Any other source solves the
+    system, here only; it has the row space, so the kernel basis, of the
+    system over every basis element."""
     if m.algebra != n.algebra:
         raise AlgebraMismatch("hom space requires modules over one algebra")
     if m.dim == 0 or n.dim == 0:
         return []
     field = m.algebra.field
-    if m._summands is not None:
-        idems = m.algebra.primitive_idempotents()
-        embeddings = _indecomposable_projectives(m.algebra)[1]
-        rows, before, zero = [], 0, (field.zero(),) * n.dim
-        for i in m._summands:
-            after = m.dim - before - embeddings[i].cols
-            rows += [zero * after + vec(f).col(0)[::-1] + zero * before
-                     for f in _yoneda(n, embeddings[i], column_space_basis(n.rho(idems[i])))]
-            before = m.dim - after
-        red = rref(Mat.from_cols(field, rows, m.dim * n.dim).transpose())
-        if red.rank != len(rows):
-            raise PropertyViolation("the Yoneda maps out of a projective are dependent")
-        return [unvec(field, red.matrix.row(r)[::-1], n.dim, m.dim)
-                for r in reversed(range(red.rank))]
+    if m._summands is not None and m.algebra is n.algebra:
+        dims = [_indecomposable_projectives(m.algebra)[1][i].cols for i in m._summands]
+        return [block_matrix(field, [n.dim], dims, {(0, j): f})
+                for j, i in enumerate(m._summands) for f in _yoneda_basis(n, i)]
     eye_m, eye_n = Mat.identity(field, m.dim), Mat.identity(field, n.dim)
     # no generators (the ground field itself): no equations, all of Hom_k(m, n)
     system = Mat.zeros(field, 0, m.dim * n.dim)
@@ -338,8 +355,7 @@ def hom_actions(basis: Sequence[ModHom], ops: Sequence[Mat], field, law: str,
 
 def column_space_basis(m: Mat) -> Mat:
     """Deterministic basis of the column space: the pivot columns themselves."""
-    piv = rref(m).pivots
-    return m.select_cols(piv)
+    return m.select_cols(pivot_columns(m))
 
 
 def submodule(m: Module, basis: Mat) -> Tuple[Module, ModHom]:
@@ -608,7 +624,7 @@ def stable_hom_dim(m: Module, n: Module) -> int:
         return 0
     p_n, cov = cover_envelope(n)
     lifts = [h.matrix for h in hom_space(m, p_n)]
-    return len(homs) - rref(hom_delta(lifts, cov.matrix, post=True)).rank
+    return len(homs) - len(pivot_columns(hom_delta(lifts, cov.matrix, post=True)))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gorhom import exactlin
 from gorhom.errors import InputShapeError
 from gorhom.exactlin import (
     FieldSpec,
@@ -14,12 +15,15 @@ from gorhom.exactlin import (
     kron,
     mat_from_flat,
     mat_to_flat,
+    pivot_columns,
     rref,
     solve,
 )
+from gorhom.modrep import column_space_basis
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
+F7 = FieldSpec(7)
 F101 = FieldSpec(101)
 QQ = FieldSpec(0)
 
@@ -481,6 +485,58 @@ def test_solve_meets_its_contract_and_the_per_column_assembly(system):
             assert all(x == field.zero() for x in res.particular.row(c))
     _assert_canonical(res.particular)
     _assert_canonical(res.kernel)
+
+
+# -- what a caller reads, without what it throws away ---------------------------
+
+
+@st.composite
+def shaped_matrices(draw):
+    """A matrix over F_2, F_3, F_7 or Q with 0 to 5 rows and columns: raw
+    entries, or a product through 0 to 2 columns, of low rank."""
+    field = draw(st.sampled_from([F2, F3, F7, QQ]))
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        return _raw_matrix(draw, field, rows, cols)
+    inner = draw(st.integers(0, 2))
+    return _raw_matrix(draw, field, rows, inner) * _raw_matrix(draw, field, inner, cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shaped_matrices(), st.data())
+def test_pivots_ranks_kernels_and_products_agree_with_their_full_routes(m, data):
+    assert pivot_columns(m) == rref(m).pivots
+    assert m.rank() == fraction_free_rank(m)
+    assert m.is_invertible() == (m.rows == m.cols == fraction_free_rank(m))
+    kernel = m.kernel_basis()
+    assert kernel == solve(m, Mat.zeros(m.field, m.rows, 0)).kernel
+    assert kernel.data == per_column_solve(m, Mat.zeros(m.field, m.rows, 0))[1]
+    assert (kernel.rows, kernel.cols) == (m.cols, m.cols - m.rank())
+    _assert_canonical(kernel)
+    other = _raw_matrix(data.draw, m.field, m.cols, data.draw(st.integers(0, 5)))
+    assert m * other == _naive_product(m, other)
+
+
+def test_ranks_and_column_spaces_over_f2_unpack_no_rows(monkeypatch):
+    calls = []
+    gf2 = exactlin._rref_gf2
+    monkeypatch.setattr(exactlin, "_rref_gf2", lambda m: calls.append(m) or gf2(m))
+    m = Mat(F2, [[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    assert m.rank() == 2 and not m.is_invertible()
+    assert column_space_basis(m) == m.select_cols([0, 1])
+    assert calls == []
+    rref(m)  # the count does see the reduced matrix
+    assert calls == [m]
+
+
+def test_a_kernel_basis_solves_no_system(monkeypatch):
+    calls = []
+    monkeypatch.setattr(exactlin, "solve", lambda a, b: calls.append(a) or solve(a, b))
+    for field in FIELDS:
+        m = Mat(field, [[1, 2, 0], [2, 4, 0]])
+        kernel = m.kernel_basis()
+        assert kernel.cols == 2 and (m * kernel).is_zero()
+    assert calls == []
 
 
 def test_trusted_matrices_stay_immutable():

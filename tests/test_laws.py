@@ -12,6 +12,8 @@ every homotopy and contraction, the short exact sequences of a
 factorization, the socle of an envelope, the intertwining system out of a
 projective (now solved by Yoneda), the intertwining and superfluous
 kernel of a cover (the identity, for a recorded sum of projectives), the
+whole-sum Yoneda route out of a sum of projectives (now assembled from
+memoized summand blocks), the intertwining of a zero map, the
 block-diagonal maps of a totalization row, the laws of opposites, tensor
 algebras and the tensor modules of bimodules (built unchecked from checked
 parts), and the radical series walked through submodules (now read in the
@@ -22,7 +24,7 @@ from itertools import product as iter_product
 
 import pytest
 
-from test_kupisch import NAKAYAMA, nakayama
+from test_kupisch import NAKAYAMA, nakayama, uniserial
 
 from gorhom import algebra as algebra_mod
 from gorhom import frobenius, homology, modrep, suite
@@ -40,7 +42,7 @@ from gorhom.corpus import (
 )
 from gorhom.dgcplx import is_contractible
 from gorhom.errors import InputShapeError, PropertyViolation
-from gorhom.exactlin import Mat, kron, rref, unvec
+from gorhom.exactlin import Mat, kron, rref, unvec, vec
 from gorhom.frobenius import (
     Bimodule,
     RingExtension,
@@ -59,11 +61,12 @@ from gorhom.homology import (
     totalize_quasi_bicomplex,
 )
 from gorhom.modrep import (
-    Module,
     ModHom,
+    Module,
     ShortExactSequence,
     column_space_basis,
     cover_envelope,
+    direct_sum,
     dual_hom,
     dual_module,
     hom_space,
@@ -72,7 +75,10 @@ from gorhom.modrep import (
     radical_submodule_basis,
     regular_module,
     socle_basis,
+    structural_modules,
     submodule,
+    zero_hom,
+    zero_module,
 )
 
 
@@ -635,6 +641,94 @@ def test_yoneda_hom_bases_equal_the_kron_kernel(name, op):
     for t, n in iter_product(terms, targets):
         kron_basis = full_basis_hom_matrices(t, n, a.generators())
         assert [h.matrix for h in hom_space(t, n)] == kron_basis, (t._summands, n)
+
+
+def whole_sum_yoneda_matrices(m, n) -> list:
+    """Hom(m, n) out of a recorded sum m of structural projectives, the
+    Yoneda maps of every summand canonicalized together by one reversed
+    RREF of the whole sum: the route each pair took before the summands'
+    blocks were memoized."""
+    field = m.algebra.field
+    if m.dim == 0 or n.dim == 0:
+        return []
+    idems, embeddings = m.algebra.primitive_idempotents(), structural_modules(m.algebra).embeddings
+    rows, before, zero = [], 0, (field.zero(),) * n.dim
+    for i in m._summands:
+        after = m.dim - before - embeddings[i].cols
+        rows += [zero * after + vec(f).col(0)[::-1] + zero * before
+                 for f in modrep._yoneda(n, embeddings[i], column_space_basis(n.rho(idems[i])))]
+        before = m.dim - after
+    red = rref(Mat.from_cols(field, rows, m.dim * n.dim).transpose())
+    assert red.rank == len(rows)
+    return [unvec(field, red.matrix.row(r)[::-1], n.dim, m.dim) for r in reversed(range(red.rank))]
+
+
+def _projective_sums(a) -> list:
+    """The structural projectives, their sum, the reversed sum, and a sum
+    with a repeated summand."""
+    ps = list(structural_modules(a).projectives)
+    return ps + [direct_sum(ps), direct_sum(ps[::-1]), direct_sum([ps[0], ps[0]] + ps[-1:])]
+
+
+def _hom_targets(a) -> list:
+    """The corpus, the injectives and the duals of the opposite's corpus."""
+    return (module_corpus(a, minimum=0) + list(structural_modules(a).injectives)
+            + [dual_module(x) for x in module_corpus(a.opposite(), minimum=0)])
+
+
+@pytest.mark.parametrize("name, op", ALGEBRAS + [(name, "kupisch")
+                                                 for name in ("k32", "k223", "k54")])
+def test_hom_out_of_projective_sums_is_the_whole_sum_yoneda_route(name, op):
+    a = _resolved_algebra(name, op)
+    targets = _hom_targets(a)
+    if op == "kupisch":
+        targets += [uniserial(a, *x) for x in nakayama(name)[2].modules()]
+    if name == "m2f2x2":  # two idempotents, one projective: its record is the first
+        assert [p._summands for p in structural_modules(a).projectives] == [(0,), (0,)]
+    for src, n in iter_product(_projective_sums(a), targets):
+        assert [h.matrix for h in hom_space(src, n)] == whole_sum_yoneda_matrices(src, n), (
+            src._summands, n)
+
+
+def test_each_yoneda_block_is_built_once_per_target_and_idempotent(monkeypatch):
+    # new algebra objects, so that no hom space is memoized: the projectives
+    # and their sums share one block per (target, idempotent)
+    yoneda, calls = modrep._yoneda, []
+    for name, op in ALGEBRAS:
+        a = algebra_from_json(algebra_to_json(_algebra(name, op)))
+        sources, targets = _projective_sums(a), _hom_targets(a)
+        monkeypatch.setattr(modrep, "_yoneda",
+                            lambda n, emb, w: calls.append((n, emb)) or yoneda(n, emb, w))
+        for src, n in iter_product(sources, targets):
+            hom_space(src, n)
+        monkeypatch.setattr(modrep, "_yoneda", yoneda)
+    keys = [(id(n), id(emb)) for n, emb in calls]
+    assert keys and len(set(keys)) == len(keys)
+
+
+@pytest.mark.parametrize("name, op", ALGEBRAS)
+def test_zero_maps_intertwine_on_every_basis_element(name, op):
+    # built unchecked: 0·rho(x) = 0 = rho(x)·0
+    mods = module_corpus(_algebra(name, op), minimum=0)
+    for m, n in iter_product(mods, mods):
+        z = zero_hom(m, n)
+        assert z.is_zero() and (z.matrix.rows, z.matrix.cols) == (n.dim, m.dim)
+        assert full_basis_intertwines(m, n, z.matrix), (m, n)
+
+
+def test_a_zero_map_finds_no_generators(monkeypatch, tmp_path):
+    # a loaded algebra found its generators to check itself; its opposite,
+    # built unchecked, has not, and a zero map over it needs none
+    from gorhom.algebra import save_algebra
+
+    save_algebra(corpus_algebra("a2t2"), tmp_path / "a2t2.alg")
+    op = load_algebra(tmp_path / "a2t2.alg").opposite()
+    calls = []
+    greedy = algebra_mod._greedy_generators
+    monkeypatch.setattr(algebra_mod, "_greedy_generators",
+                        lambda a: calls.append(a) or greedy(a))
+    z = zero_hom(zero_module(op), regular_module(op))
+    assert z.matrix == Mat.zeros(op.field, op.dim, 0) and calls == []
 
 
 def cover_defects(m) -> list:

@@ -166,13 +166,14 @@ def test_the_cache_scan_sees_reads_and_writes_but_not_initializers():
 
 
 def defined_functions(tree):
-    """(line, name, is_method) of every module-level function and method,
-    except dunders and functions under a decorator call such as
-    `@command("suite")`, which registers them where nothing names them."""
-    tops = [(node, False) for node in tree.body]
-    tops += [(node, True) for cls in tree.body if isinstance(cls, ast.ClassDef)
+    """(line, name, owner) of every module-level function, whose owner is
+    None, and every method, whose owner is its class's name, except dunders
+    and functions under a decorator call such as `@command("suite")`, which
+    registers them where nothing names them."""
+    tops = [(node, None) for node in tree.body]
+    tops += [(node, cls.name) for cls in tree.body if isinstance(cls, ast.ClassDef)
              for node in cls.body]
-    return [(fn.lineno, fn.name, method) for fn, method in tops
+    return [(fn.lineno, fn.name, owner) for fn, owner in tops
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
             and not (fn.name.startswith("__") and fn.name.endswith("__"))
             and not any(isinstance(d, ast.Call) for d in fn.decorator_list)]
@@ -188,23 +189,45 @@ def docstring_nodes(tree):
             and isinstance(node.body[0].value.value, str)}
 
 
-def mentioned_names(tree):
-    """The identifiers that a Name names, and those that an Attribute or a
-    word of a string constant names.  Only the second reach a method: a
-    local `p = ...` does not call a method p.  Docstrings are prose and
-    name nothing: a word such as "compose" in one would hide an unused
-    function of that name."""
+def class_bases(tree) -> dict:
+    """The name of every class of tree -> the names of its bases."""
+    return {node.name: [getattr(b, "id", getattr(b, "attr", None)) for b in node.bases]
+            for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+
+
+def mentioned_names(tree, classes=()):
+    """The identifiers that a Name names; those that an Attribute or a word
+    of a string constant names; and the (class, identifier) pairs of the
+    attributes of `self` or `cls` inside a class, and of a name in classes.
+    Only the second and third reach a method, and a pair only the methods of
+    its class and of that class's bases: a local `p = ...` does not call a
+    method p, nor `self.component` another class's `component`.  Docstrings
+    are prose and name nothing: a word such as "compose" in one would hide
+    an unused function of that name."""
     docstrings = docstring_nodes(tree)
-    names, attributes = set(), set()
-    for node in ast.walk(tree):
+    names, attributes, qualified = set(), set(), set()
+
+    def visit(node, owner):
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            attributes.add(node.attr)
+            base = getattr(node.value, "id", None)
+            if base in ("self", "cls") and owner is not None:
+                qualified.add((owner, node.attr))
+            elif base in classes:
+                qualified.add((base, node.attr))
+            else:
+                attributes.add(node.attr)
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and id(node) not in docstrings):
             attributes.update(re.findall(r"\w+", node.value))
-    return names, attributes
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return names, attributes, qualified
 
 
 # Functions no code in the package or the benchmark calls, kept as library
@@ -218,16 +241,29 @@ LIBRARY_API = {
 
 def unreferenced_functions(sources, readers) -> list:
     """`file:line name` for every function of sources that no reader
-    mentions, and every method that no reader's attribute or string names."""
-    names, attributes = set(), set()
+    mentions, and every method that no reader's attribute or string names
+    and no reader's `self.name` or `Class.name` reaches from its class or a
+    subclass."""
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in [*sources, *readers]}
+    bases = {}
+    for tree in trees.values():
+        bases.update(class_bases(tree))
+    names, attributes, reached = set(), set(), set()
     for path in readers:
-        path_names, path_attributes = mentioned_names(ast.parse(path.read_text(), str(path)))
+        path_names, path_attributes, qualified = mentioned_names(trees[path], bases)
         names |= path_names
         attributes |= path_attributes
+        for cls, name in qualified:
+            lineage = [cls]
+            while lineage:
+                cls = lineage.pop()
+                reached.add((cls, name))
+                lineage += bases.get(cls, [])
     return [f"{path.name}:{line} {name}"
             for path in sources
-            for line, name, method in defined_functions(ast.parse(path.read_text(), str(path)))
-            if name not in attributes and (method or name not in names)]
+            for line, name, owner in defined_functions(trees[path])
+            if name not in attributes and (owner, name) not in reached
+            and (owner is not None or name not in names)]
 
 
 def test_every_function_is_referred_to():
@@ -269,9 +305,32 @@ def test_the_reference_scan_sees_names_attributes_and_strings():
         "PATCH = ('mod', 'patched')\n")
     defined = [name for _line, name, _method in defined_functions(tree)]
     assert defined == ["called", "patched", "unused", "documented", "method", "dead_method"]
-    names, attributes = mentioned_names(tree)
+    names, attributes, _qualified = mentioned_names(tree)
     assert [name for name in defined if name not in names | attributes] == [
         "unused", "documented", "dead_method"]
+
+
+def test_self_and_class_attributes_reach_only_their_class_and_its_bases(tmp_path):
+    # Bicomplex.component and Bicomplex.shape share their names with methods
+    # that Complex calls through self and cls, and nothing calls them;
+    # Bicomplex.size is reached by an attribute of another object
+    lib = tmp_path / "lib.py"
+    lib.write_text(
+        "class Base:\n"
+        "    def shape(self): pass\n"
+        "class Complex(Base):\n"
+        "    def component(self): pass\n"
+        "    def size(self):\n"
+        "        return self.component(), self.shape()\n"
+        "    @classmethod\n"
+        "    def make(cls): return cls.build()\n"
+        "    def build(self): pass\n"
+        "class Bicomplex:\n"
+        "    def component(self): pass\n"
+        "    def shape(self): pass\n"
+        "    def size(self): pass\n"
+        "Complex.make().size()\n")
+    assert unreferenced_functions([lib], [lib]) == ["lib.py:11 component", "lib.py:12 shape"]
 
 
 def test_a_local_of_a_method_name_does_not_refer_to_the_method(tmp_path):
@@ -291,10 +350,11 @@ def test_a_local_of_a_method_name_does_not_refer_to_the_method(tmp_path):
 
 # The functions that build a Module or ModHom without checking its law: the
 # constructions that proved the law themselves (see the modrep module
-# docstring), the empty module, direct sums, projective covers, the right
-# multiplications of Hom_A(A, A), the tensor construction's ambient
-# module and a bimodule's tensor module; and what a checked algebra's own
-# multiplication makes: the regular module, Hom(m, A) over A^op, Coind(x),
+# docstring), the empty module, the zero map, direct sums, projective
+# covers, the right multiplications of Hom_A(A, A), the tensor
+# construction's ambient module and a bimodule's tensor module; and what a
+# checked algebra's own multiplication makes: the regular module, Hom(m, A)
+# over A^op, Coind(x),
 # the two bimodules of a ring extension, and an isomorphism witness
 # combined from a hom basis.  And the constructors that give an
 # Algebra its radical, each stating the theorem that proves it (an opposite
@@ -326,6 +386,7 @@ TRUSTED_SITES = [
     "modrep.hom_space",
     "modrep.regular_module.build",
     "modrep.submodule",
+    "modrep.zero_hom",
     "modrep.zero_module",
 ]
 
