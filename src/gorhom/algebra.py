@@ -814,21 +814,15 @@ def product_algebra(a: Algebra, b: Algebra) -> Algebra:
     zero = field.zero()
 
     def embed_a(v):
-        return tuple(v) + tuple(zero for _ in range(db))
+        return tuple(v) + (zero,) * db
 
     def embed_b(v):
-        return tuple(zero for _ in range(da)) + tuple(v)
+        return (zero,) * da + tuple(v)
 
     labels = [f"({lbl},0)" for lbl in a.basis_labels] + [f"(0,{lbl})" for lbl in b.basis_labels]
-    table = [[None] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(dim):
-            if i < da and j < da:
-                table[i][j] = embed_a(a.table[i][j])
-            elif i >= da and j >= da:
-                table[i][j] = embed_b(b.table[i - da][j - da])
-            else:
-                table[i][j] = tuple(zero for _ in range(dim))
+    # the two diagonal blocks are a's and b's tables; a product across them is 0
+    table = ([list(map(embed_a, row)) + [(zero,) * dim] * db for row in a.table]
+             + [[(zero,) * dim] * da + list(map(embed_b, row)) for row in b.table])
 
     unit = tuple(a.unit) + tuple(b.unit)
     idems = None

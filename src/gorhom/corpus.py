@@ -35,7 +35,6 @@ from .modrep import (
     regular_module,
     structural_modules,
     submodule,
-    top_of,
 )
 
 F2 = FieldSpec(2)
@@ -188,10 +187,8 @@ def module_corpus(a: Algebra, minimum: int = 8) -> List[Module]:
 
 def bad_module_for_counterexample() -> Module:
     """The simple at the source vertex of A2: not Gorenstein projective."""
-    a2 = corpus_algebra("a2")
-    s = structural_modules(a2)
-    p1 = next(p for p in s.projectives if p.dim == 2)
-    return top_of(p1)[0]
+    s = structural_modules(corpus_algebra("a2"))
+    return next(top for top, p in zip(s.simples, s.projectives) if p.dim == 2)
 
 
 def complex_corpus() -> List[ComplexObj]:

@@ -116,10 +116,8 @@ def functor_U_hom(f: ChainMap) -> ChainMap:
 def shift_sigma(c: ComplexObj) -> ComplexObj:
     """Σ: components shift down by one, differentials change sign."""
     comps = {p: c.component(p + 1) for p in range(c.lo - 1, c.hi)}
-    diffs = {}
-    for p in range(c.lo - 1, c.hi - 1):
-        d = c.differential(p + 1)
-        diffs[p] = ModHom(comps[p], comps[p + 1], -d.matrix)
+    diffs = {p: ModHom(comps[p], comps[p + 1], -c.differential(p + 1).matrix)
+             for p in range(c.lo - 1, c.hi - 1)}
     return ComplexObj(c.algebra, comps, diffs)
 
 
@@ -140,10 +138,9 @@ def counit_FU(y: ComplexObj) -> ChainMap:
     """eps: F U Y -> Y, (y, z) -> y + d(z)."""
     field = y.algebra.field
     fuy = functor_F(functor_U(y))
-    mats = {}
-    for p in fuy.support():
-        # (F U Y)^p = Y^p ⊕ Y^{p-1}
-        mats[p] = Mat.identity(field, y.component(p).dim).hstack(y.differential(p - 1).matrix)
+    # (F U Y)^p = Y^p ⊕ Y^{p-1}
+    mats = {p: Mat.identity(field, y.component(p).dim).hstack(y.differential(p - 1).matrix)
+            for p in fuy.support()}
     return ChainMap(fuy, y, mats)
 
 
@@ -151,10 +148,9 @@ def unit_U_SigmaF(y: ComplexObj) -> ChainMap:
     """eta': Y -> Σ F U Y, y -> (-d y, y)."""
     field = y.algebra.field
     sfu = shift_sigma(functor_F(functor_U(y)))
-    mats = {}
-    for p in y.support():
-        # (Σ F U Y)^p = (F U Y)^{p+1} = Y^{p+1} ⊕ Y^p
-        mats[p] = (-y.differential(p).matrix).vstack(Mat.identity(field, y.component(p).dim))
+    # (Σ F U Y)^p = (F U Y)^{p+1} = Y^{p+1} ⊕ Y^p
+    mats = {p: (-y.differential(p).matrix).vstack(Mat.identity(field, y.component(p).dim))
+            for p in y.support()}
     return ChainMap(y, sfu, mats)
 
 
@@ -305,9 +301,7 @@ def componentwise_gp_check(c: ComplexObj, profile: GorensteinProfile) -> Compone
     """
     if not profile.certified:
         raise PreconditionFailed("componentwise check needs a certified profile")
-    per = {}
-    for p in c.support():
-        per[p] = is_gorenstein_projective(c.component(p), profile).verdict
+    per = {p: is_gorenstein_projective(c.component(p), profile).verdict for p in c.support()}
     return ComponentwiseGpReport(
         per,
         all(v == "yes" for v in per.values()),

@@ -219,11 +219,8 @@ class Bimodule:
         lambda(s·s')·rho(r *op r'), the action of (s ⊗ r)(s' ⊗ r'), and
         1 ⊗ 1 acts as the identity."""
         t = tensor_algebra(self.left, self.right.opposite())
-        acts = []
-        for i in range(self.left.dim):
-            for j in range(self.right.dim):
-                acts.append(self.left_action[i] * self.right_action[j])
-        return Module(t, acts, _skip_validation=True)
+        return Module(t, [lam * rho for lam in self.left_action for rho in self.right_action],
+                      _skip_validation=True)
 
 
 def extension_bimodule(ext: RingExtension) -> Bimodule:
@@ -927,36 +924,29 @@ def tri_equiv_conditions(pair, corpus_a: Sequence[Module], corpus_b: Sequence[Mo
         raise PreconditionFailed("G is not faithful on the projectives (add test)")
     prof_a = gorenstein_profile(pair.algebra_a, bound)
     prof_b = gorenstein_profile(pair.algebra_b, bound)
-    unit_rows = []
+
+    def defect_row(side: str, x: Module, defect: Module, prof, kind: str, own: str) -> dict:
+        """x's row: the dimensions of defect, its cokernel (kind "cok") or
+        kernel ("ker"), and x's own Gorenstein projectivity verdict."""
+        return {"object": f"{side} dim {x.dim}", f"{kind}_dim": defect.dim,
+                f"{kind}_pd": projective_dimension(defect, bound) if defect.dim else 0,
+                f"{kind}_projective": is_projective(defect),
+                f"{kind}_gpd": gpd(defect, prof) if prof.certified else "unknown",
+                own: is_gorenstein_projective(x, prof).verdict}
+
+    unit_rows, counit_rows = [], []
     for x in corpus_a:
         eta = pair.unit(x)
         if not eta.is_mono():
             raise PropertyViolation("unit is not mono despite faithfulness")
         cok = quotient_module(eta.target, column_space_basis(eta.matrix))[0]
-        row = {
-            "object": f"A dim {x.dim}",
-            "cok_dim": cok.dim,
-            "cok_pd": projective_dimension(cok, bound) if cok.dim else 0,
-            "cok_projective": is_projective(cok),
-            "cok_gpd": gpd(cok, prof_a) if prof_a.certified else "unknown",
-            "x_gp": is_gorenstein_projective(x, prof_a).verdict,
-        }
-        unit_rows.append(row)
-    counit_rows = []
+        unit_rows.append(defect_row("A", x, cok, prof_a, "cok", "x_gp"))
     for y in corpus_b:
         eps = pair.counit(y)
         if not eps.is_epi():
             raise PropertyViolation("counit is not epi despite faithfulness")
         ker = submodule(eps.source, eps.matrix.kernel_basis())[0]
-        row = {
-            "object": f"B dim {y.dim}",
-            "ker_dim": ker.dim,
-            "ker_pd": projective_dimension(ker, bound) if ker.dim else 0,
-            "ker_projective": is_projective(ker),
-            "ker_gpd": gpd(ker, prof_b) if prof_b.certified else "unknown",
-            "y_gp": is_gorenstein_projective(y, prof_b).verdict,
-        }
-        counit_rows.append(row)
+        counit_rows.append(defect_row("B", y, ker, prof_b, "ker", "y_gp"))
 
     stable_gp = all(
         (row["x_gp"] != "yes") or

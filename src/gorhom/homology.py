@@ -23,13 +23,14 @@ largest i <= d with Ext^i(m, A) != 0, certified by that test on the syzygy
 at stage i, and Gid(m) = Gpd(D(m)).  Each Ext degree is computed once.
 
 The totalization routine builds, for M over a d-Gorenstein algebra, the
-projective resolutions of an injective coresolution of M, each row summed
-from the profile's resolutions of the indecomposable injectives, gives
-them the maps d_l, l >= 1, from one null-homotopy recursion (d_1 starts
-from the coresolution map; each step is one modrep.factor_through), checks
-D∘D = 0 on the total complex, every identity sum d_i d_{l-i} = 0 at once,
-and extracts 0 -> B^0 -> Z^0 -> M -> 0 witnessing Gpd(M) <= d; with B^0 = 0,
-Z^0 ≅ M, and M's own Gorenstein projectivity verdict serves for Z^0.
+projective resolutions of an injective coresolution of M, each row built
+once per injective term as the sum of the profile's resolutions of the
+indecomposable injectives, gives them the maps d_l, l >= 1, from one
+null-homotopy recursion (d_1 starts from the coresolution map; each step
+is one modrep.factor_through), checks D∘D = 0 on the total complex, every
+identity sum d_i d_{l-i} = 0 at once, and extracts 0 -> B^0 -> Z^0 -> M -> 0
+witnessing Gpd(M) <= d; with B^0 = 0, Z^0 ≅ M, and M's own Gorenstein
+projectivity verdict serves for Z^0.
 """
 
 from __future__ import annotations
@@ -164,30 +165,36 @@ def resolve(m: Module, depth: int) -> Resolution:
 
 def resolve_injective_sum(q: Module, depth: int) -> Resolution:
     """A minimal resolution of D(q) to depth, for a recorded sum q of
-    structural projectives over A^op: D(q) is the sum of the injectives
-    D(A^op·e_j), j in q._summands, and this is the block-diagonal sum of
-    their memoized resolutions.  A direct sum of minimal resolutions is a
-    minimal resolution, exact by construction as resolve's own are; its
-    terms are direct_sums, so they stay recorded sums."""
+    structural projectives over A^op, built once per (q, depth): D(q) is
+    the sum of the injectives D(A^op·e_j), j in q._summands, and this is
+    the block-diagonal sum of their memoized resolutions.  A direct sum of
+    minimal resolutions is a minimal resolution, exact by construction as
+    resolve's own are; its terms are direct_sums, so they stay recorded
+    sums.  q's record is set once and never changes, and the terms are
+    interned, so the value depends on q and depth alone."""
     if q.dim == 0:  # past the end of a coresolution
         return resolve(dual_module(q), depth)
-    a = q.algebra.opposite()
-    parts = [resolve(structural_modules(a).injectives[j], depth) for j in q._summands]
 
-    def leaving(k: int) -> Mat:
-        mats = [r.map_from(k) for r in parts]
-        return block_matrix(a.field, [x.rows for x in mats], [x.cols for x in mats],
-                            {(b, b): x for b, x in enumerate(mats)})
+    def build() -> Resolution:
+        a = q.algebra.opposite()
+        parts = [resolve(structural_modules(a).injectives[j], depth) for j in q._summands]
 
-    n = max(len(r.terms) for r in parts)
-    terms = tuple(direct_sum([r.terms[k] for r in parts if k < len(r.terms)]) for k in range(n))
-    # a part that stopped early ends in its zero syzygy
-    syzygies = tuple(direct_sum([r.syzygies[min(k, len(r.syzygies) - 1)] for r in parts])
-                     for k in range(n))
-    maps = tuple(ModHom._trusted(terms[k], terms[k - 1], leaving(k)) for k in range(1, n))
-    return Resolution(dual_module(q), terms, maps,
-                      ModHom._trusted(terms[0], dual_module(q), leaving(0)), syzygies,
-                      all(r.complete for r in parts))
+        def leaving(k: int) -> Mat:
+            mats = [r.map_from(k) for r in parts]
+            return block_matrix(a.field, [x.rows for x in mats], [x.cols for x in mats],
+                                {(b, b): x for b, x in enumerate(mats)})
+
+        n = max(len(r.terms) for r in parts)
+        terms = tuple(direct_sum([r.terms[k] for r in parts if k < len(r.terms)]) for k in range(n))
+        # a part that stopped early ends in its zero syzygy
+        syzygies = tuple(direct_sum([r.syzygies[min(k, len(r.syzygies) - 1)] for r in parts])
+                         for k in range(n))
+        maps = tuple(ModHom._trusted(terms[k], terms[k - 1], leaving(k)) for k in range(1, n))
+        return Resolution(dual_module(q), terms, maps,
+                          ModHom._trusted(terms[0], dual_module(q), leaving(0)), syzygies,
+                          all(r.complete for r in parts))
+
+    return memo(q, ("injective_sum", depth), None, build)
 
 
 # ---------------------------------------------------------------------------

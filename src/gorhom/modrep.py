@@ -43,8 +43,9 @@ memoized on N once per i, and a sum's basis is its summands' bases side by
 side.  Other Hom spaces, kernels and cokernels reduce to exact kernel
 computations in `exactlin`.
 An injective envelope is D of the projective cover of the dual, and a
-quotient m/U is D of the annihilator of U in D(m).  Finding f
-in Hom(X, Y) with g·f = rhs (a lift, a homotopy) is one solve over a hom
+quotient m/U is D of the annihilator of U in D(m); a cover reads the top
+m/rad m in those coordinates and builds no quotient.  Finding f in
+Hom(X, Y) with g·f = rhs (a lift, a homotopy) is one solve over a hom
 basis, factor_through.  Right modules are handled as left modules over the
 opposite algebra throughout, and the standard duality D = Hom_k(-, k)
 transposes action matrices.
@@ -405,9 +406,13 @@ def quotient_module(m: Module, basis: Mat) -> Tuple[Module, ModHom]:
 
 def direct_sum(mods: Sequence[Module]) -> Module:
     """Block-diagonal direct sum; summand b holds the coordinates after
-    those of the summands before it."""
+    those of the summands before it.  A sum of one module is that module,
+    with no block built: its one block is its own action, so interning the
+    sum would return it, and its record cannot change."""
     if not mods:
         raise InputShapeError("direct sum of nothing; use zero_module")
+    if len(mods) == 1:
+        return mods[0]
     a = mods[0].algebra
     dims = [m.dim for m in mods]
     acts = [block_matrix(a.field, dims, dims, {(b, b): m.action[i] for b, m in enumerate(mods)})
@@ -569,6 +574,14 @@ def cover_envelope(m: Module) -> Tuple[Module, ModHom]:
     the epi, the kernel K lies in rad(P) exactly when P/rad P -> m/rad m,
     onto with kernel (K + rad P)/rad P, is injective: when dims agree.
 
+    No top module is built: with U the annihilator of rad m in D(m), the
+    kernel of R^T for R = radical_submodule_basis(m), the projection onto
+    the top is U^T, its dimension U.cols, and e acts on it by X^T where
+    U·X = rho_m(e)^T·U.  These are top_of's: quotient_module builds D of
+    the submodule U of D(m), whose action X solves that equation uniquely
+    (U is independent), so its projection, D of the inclusion, is U^T and
+    its action X^T.  An inconsistent solve means rad m is not stable.
+
     The injective envelope of m is D of the cover of D(m) over the
     opposite algebra, dual_hom(cover_envelope(dual_module(m))[1]): D turns
     the epi into a mono and the superfluous kernel into an essential image.
@@ -580,18 +593,22 @@ def cover_envelope(m: Module) -> Tuple[Module, ModHom]:
             return m, ModHom._trusted(m, m, Mat.identity(a.field, m.dim))
         structural = structural_modules(a)
         idems = a.primitive_idempotents()
-        top, pi_top = top_of(m)
+        ann = radical_submodule_basis(m).transpose().kernel_basis()
+        proj = ann.transpose()
         summands, blocks = [], []
         # one idempotent per isomorphism class of simples, so multiplicities
         # are not double-counted when distinct idempotents share their top;
         # a class's generators lift a basis of e·top(m) into e·m
         for rep in (cls[0] for cls in structural.simple_classes):
-            img = column_space_basis(top.rho(idems[rep]))
             e_m, gens = m.rho(idems[rep]), []
+            x = solve(ann, e_m.transpose() * ann).particular  # e acts on the top by X^T
+            if x is None:
+                raise PropertyViolation("the radical of the module is not action-stable")
+            img = column_space_basis(x.transpose())
             for c in range(img.cols):
                 t_vec = Mat.col_vector(a.field, img.col(c))
-                v = e_m * solve(pi_top.matrix, t_vec).particular
-                if pi_top.matrix * v != t_vec:
+                v = e_m * solve(proj, t_vec).particular
+                if proj * v != t_vec:
                     raise PropertyViolation("projective cover lift left the idempotent slice")
                 gens.append(v.col(0))
             summands += [rep] * img.cols
@@ -603,7 +620,7 @@ def cover_envelope(m: Module) -> Tuple[Module, ModHom]:
         cover_map = ModHom._trusted(big, m, Mat.from_cols(a.field, cols))
         if not cover_map.is_epi():
             raise PropertyViolation("projective cover map is not epi")
-        if sum(structural.simples[i].dim for i in summands) != top.dim:
+        if sum(structural.simples[i].dim for i in summands) != ann.cols:
             raise PropertyViolation("projective cover kernel is not superfluous")
         return big, cover_map
 

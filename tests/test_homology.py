@@ -197,6 +197,50 @@ def test_ext_into_fresh_targets_retains_no_memory(a2, retained_bytes, in_new_bas
     assert retained_bytes(ext_fresh, 20) < 100
 
 
+def test_totalizing_fresh_modules_retains_no_memory(a2, retained_bytes, in_new_basis):
+    # each row is memoized on its injective term, a sum of projectives over
+    # A^op; each call's module is A in a basis of its own, so no call finds
+    # the memos of an earlier one, and a row kept per module would show here
+    prof, reg, seeds = gorenstein_profile(a2), regular_module(a2), count(1)
+
+    def totalize_fresh():
+        return totalize_quasi_bicomplex(in_new_basis(reg, next(seeds))[0], prof).b0_pd
+
+    assert retained_bytes(totalize_fresh, 20) < 100
+
+
+def test_each_injective_sum_row_is_built_once(monkeypatch):
+    # new algebra objects, so that every row is cold; a row is asked for
+    # again by each module whose coresolution has that term
+    asked = _counting(monkeypatch, homology, "resolve_injective_sum")
+    built = _counting_builds(monkeypatch, homology, "injective_sum")
+    for name in corpus.GORENSTEIN_NAMES:
+        a = algebra_from_json(algebra_to_json(corpus.corpus_algebra(name)))
+        prof = gorenstein_profile(a)
+        for m in corpus.module_corpus(a):
+            totalize_quasi_bicomplex(m, prof)
+    rows = {(id(q), depth) for q, depth in asked if q.dim}
+    assert len(asked) > len(rows) == len(built)
+    assert {id(q) for q in built} == {q_id for q_id, _depth in rows}
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "nak2", "a2t2", "prod_f2_a2"])
+def test_a_rebuilt_injective_sum_row_is_the_row(name):
+    # the memo rule: deleting the entry changes no term and no map
+    a = corpus.corpus_algebra(name)
+    d = gorenstein_profile(a).gorenstein_dim
+    for m in corpus.module_corpus(a):
+        for q in resolve(dual_module(m), d + 1).terms:
+            first = homology.resolve_injective_sum(q, d)
+            del q._cache[("injective_sum", d)]
+            again = homology.resolve_injective_sum(q, d)
+            assert again is not first and again.complete == first.complete
+            assert all(x is y for x, y in zip(again.terms + again.syzygies,
+                                              first.terms + first.syzygies, strict=True))
+            assert [f.matrix for f in (again.augmentation,) + again.maps] == [
+                f.matrix for f in (first.augmentation,) + first.maps]
+
+
 # `direction` only names the case: every resolution is projective
 @pytest.mark.parametrize("direction, law", [("projective", "^resolution is not exact")])
 def test_a_resolution_with_a_zero_map_is_rejected(dual_numbers, direction, law):

@@ -12,14 +12,16 @@ every homotopy and contraction, the short exact sequences of a
 factorization, the socle of an envelope, the intertwining system out of a
 projective (now solved by Yoneda), the intertwining and superfluous
 kernel of a cover (the identity, for a recorded sum of projectives), the
-whole-sum Yoneda route out of a sum of projectives (now assembled from
-memoized summand blocks), the intertwining of a zero map, the
-block-diagonal maps of a totalization row, the laws of opposites, tensor
-algebras and the tensor modules of bimodules (built unchecked from checked
-parts), and the radical series walked through submodules (now read in the
-module's coordinates).
+cover built through the top module (now read through the annihilator of
+the radical), the whole-sum Yoneda route out of a sum of projectives (now
+assembled from memoized summand blocks), the intertwining of a zero map,
+the block-diagonal maps of a totalization row, the laws of opposites,
+tensor algebras and the tensor modules of bimodules (built unchecked from
+checked parts), and the radical series walked through submodules (now
+read in the module's coordinates).
 """
 
+import random
 from itertools import product as iter_product
 
 import pytest
@@ -42,7 +44,7 @@ from gorhom.corpus import (
 )
 from gorhom.dgcplx import is_contractible
 from gorhom.errors import InputShapeError, PropertyViolation
-from gorhom.exactlin import Mat, kron, rref, unvec, vec
+from gorhom.exactlin import Mat, kron, rref, solve, unvec, vec
 from gorhom.frobenius import (
     Bimodule,
     RingExtension,
@@ -77,6 +79,7 @@ from gorhom.modrep import (
     socle_basis,
     structural_modules,
     submodule,
+    top_of,
     zero_hom,
     zero_module,
 )
@@ -774,6 +777,54 @@ def test_summed_rows_and_identity_covers_pass_the_full_basis_checks(name, op):
                     p, cov = cover_envelope(t)
                     assert p is t and cov.matrix == Mat.identity(a.field, t.dim)
                     assert cover_defects(t) == [], t
+
+
+def top_module_cover(m):
+    """The cover of m, (P, matrix), as it was built through the top module:
+    top_of's quotient, its action read for one idempotent per simple class
+    and its projection solved for every lift (no check repeated)."""
+    a = m.algebra
+    if m.dim == 0 or m._summands is not None:
+        return m, Mat.identity(a.field, m.dim)
+    structural, idems = structural_modules(a), a.primitive_idempotents()
+    top, pi_top = top_of(m)
+    summands, blocks = [], []
+    for rep in (cls[0] for cls in structural.simple_classes):
+        img, e_m = column_space_basis(top.rho(idems[rep])), m.rho(idems[rep])
+        gens = [(e_m * solve(pi_top.matrix, Mat.col_vector(a.field, img.col(c))).particular).col(0)
+                for c in range(img.cols)]
+        summands += [rep] * img.cols
+        blocks += modrep._yoneda(m, structural.embeddings[rep], Mat.from_cols(a.field, gens, m.dim))
+    cols = [col for block in blocks for col in zip(*block.data)]
+    return direct_sum([structural.projectives[i] for i in summands]), Mat.from_cols(a.field, cols)
+
+
+def _rebased_sums(mods, rebase, count: int = 6) -> list:
+    """Seeded random-basis sums of seeded random pairs of mods; a sum that
+    no basis changes (every action a scalar) is left out."""
+    out = []
+    for seed in range(count):
+        try:
+            out.append(rebase(direct_sum(random.Random(seed).choices(mods, k=2)), seed)[0])
+        except AssertionError:
+            pass
+    return out
+
+
+@pytest.mark.parametrize("name, op", ALGEBRAS + [(name, "kupisch")
+                                                 for name in ("k32", "k223", "k54")])
+def test_covers_through_the_annihilator_are_the_top_module_covers(name, op, in_new_basis):
+    # a new algebra object, so that no cover was built before this test:
+    # each module's record is the one both covers read
+    a = algebra_from_json(algebra_to_json(_resolved_algebra(name, op)))
+    mods = _hom_targets(a)
+    if op == "kupisch":
+        mods += [uniserial(a, *x) for x in nakayama(name)[2].modules()]
+    mods += _rebased_sums([x for x in mods if x.dim], in_new_basis)
+    for m in mods:
+        old_p, old_matrix = top_module_cover(m)
+        p, cov = cover_envelope(m)
+        assert p is old_p and p._summands == old_p._summands and cov.matrix == old_matrix, m
 
 
 # --- the radical series, read in place ----------------------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from test_families import lift_chain_map
+from test_families import _counting, lift_chain_map
 from test_laws import full_basis_hom_matrices
 
 import gorhom
@@ -232,6 +232,24 @@ def test_cover_of_simple_over_a2(a2):
     rad = radical_submodule_basis(cover)
     stacked = rad.hstack(ker)
     assert stacked.rank() == rad.rank()
+
+
+def test_a_cold_cover_builds_no_top_module(monkeypatch, a2, in_new_basis):
+    # the top is read through the annihilator of the radical: only the
+    # simples, built once per algebra, are quotient modules
+    m = in_new_basis(direct_sum(list(structural_modules(a2).simples)))[0]
+    quotients = _counting(monkeypatch, modrep, "quotient_module")
+    p, cov = cover_envelope(m)
+    assert cov.is_epi() and p.dim > m.dim
+    assert quotients == []
+
+
+def test_a_sum_of_one_module_is_that_module(monkeypatch):
+    mods = module_corpus(corpus_algebra("a2"), minimum=0)
+    records = [m._summands for m in mods]
+    blocks = _counting(monkeypatch, modrep, "block_matrix")
+    assert all(direct_sum([m]) is m for m in mods)
+    assert blocks == [] and [m._summands for m in mods] == records
 
 
 def test_envelope_of_simple_over_f2c2_is_regular(f2c2):

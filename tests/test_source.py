@@ -375,7 +375,7 @@ TRUSTED_SITES = [
     "frobenius.extension_bimodule.build",
     "frobenius.restriction_bimodule.build",
     "homology.resolve",
-    "homology.resolve_injective_sum",
+    "homology.resolve_injective_sum.build",
     "homology.star_module.build",
     "modrep._first_invertible",
     "modrep.cover_envelope.build",
