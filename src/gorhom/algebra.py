@@ -725,14 +725,7 @@ def symmetric_group_table(n: int):
 
     perms = list(permutations(range(n)))
     idx = {p: i for i, p in enumerate(perms)}
-    table = []
-    for p in perms:
-        row = []
-        for q in perms:
-            comp = tuple(p[q[i]] for i in range(n))
-            row.append(idx[comp])
-        table.append(row)
-    return table
+    return [[idx[tuple(p[i] for i in q)] for q in perms] for p in perms]
 
 
 # ---------------------------------------------------------------------------

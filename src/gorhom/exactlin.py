@@ -6,9 +6,15 @@ runs are bit-reproducible.  Matrices are immutable tuples-of-tuples; all
 operations are pure functions returning new values, which makes them safe
 to call from concurrent tasks without coordination.
 
-Everything is dense: the matrices in this project stay well below 1000
-rows, so clarity wins over asymptotics.  Row reduction picks the first
-nonzero entry as pivot, deterministically.
+Storage is dense: the matrices in this project stay well below 1000
+rows, so clarity wins over asymptotics.  But they are sparse, and two
+kernels skip zeros: a product combines rows (Gustavson 1978) and
+`kron_difference` builds the stacked Hom and tensor systems
+kron(a, I) - kron(I, b) from the nonzero entries of a and b.  Every
+result row is a new tuple, never an operand's row nor another row of
+the result, so what a result keeps alive does not depend on its
+operands.  Row reduction picks the first nonzero entry as pivot,
+deterministically.
 
 Canonical form is an invariant of every `Mat`: entries are ints in
 [0, p) over F_p and `Fraction`s over Q.  The public constructor `Mat(...)`
@@ -37,7 +43,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import isqrt, lcm
-from operator import mul
+from operator import add, sub, xor
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import InputShapeError
@@ -143,10 +149,11 @@ class FieldSpec(Record):
         return 1 / a
 
     def parse(self, text: str) -> Scalar:
-        """Parse the scalar text encoding: "num/den" or "num"."""
+        """Parse the scalar text encoding: "num/den" or "num", an int
+        coerced as one, with no Fraction built."""
         try:
             num, slash, den = text.strip().partition("/")
-            value = Fraction(int(num), int(den) if slash else 1)
+            value = Fraction(int(num), int(den)) if slash else int(num)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputShapeError(f"not a scalar: {text!r}") from exc
         return self.coerce(value)
@@ -247,8 +254,7 @@ class Mat(Record):
         return f"Mat[{self.rows}x{self.cols}]({body})"
 
     def is_zero(self) -> bool:
-        z = self.field.zero()
-        return all(x == z for row in self.data for x in row)
+        return not any(map(any, self.data))
 
     def entry(self, i: int, j: int) -> Scalar:
         return self.data[i][j]
@@ -261,33 +267,21 @@ class Mat(Record):
 
     # -- arithmetic ----------------------------------------------------------
 
-    def __add__(self, other: "Mat") -> "Mat":
+    def _entrywise(self, op, other: "Mat") -> "Mat":
         self._same_shape(other)
         p = self.field.characteristic
-        if p:
-            rows = tuple(tuple([(a + b) % p for a, b in zip(r, s)])
-                         for r, s in zip(self.data, other.data))
-        else:
-            rows = tuple(tuple([a + b for a, b in zip(r, s)]) for r, s in zip(self.data, other.data))
+        rows = tuple([tuple([x % p for x in map(op, r, s)] if p else list(map(op, r, s)))
+                      for r, s in zip(self.data, other.data)])
         return Mat._from_canonical(self.field, rows, self.cols)
+
+    def __add__(self, other: "Mat") -> "Mat":
+        return self._entrywise(add, other)
 
     def __sub__(self, other: "Mat") -> "Mat":
-        self._same_shape(other)
-        p = self.field.characteristic
-        if p:
-            rows = tuple(tuple([(a - b) % p for a, b in zip(r, s)])
-                         for r, s in zip(self.data, other.data))
-        else:
-            rows = tuple(tuple([a - b for a, b in zip(r, s)]) for r, s in zip(self.data, other.data))
-        return Mat._from_canonical(self.field, rows, self.cols)
+        return self._entrywise(sub, other)
 
     def __neg__(self) -> "Mat":
-        p = self.field.characteristic
-        if p:
-            rows = tuple(tuple([(-a) % p for a in r]) for r in self.data)
-        else:
-            rows = tuple(tuple([-a for a in r]) for r in self.data)
-        return Mat._from_canonical(self.field, rows, self.cols)
+        return self.scale(-1)
 
     def scale(self, c) -> "Mat":
         c = self.field.coerce(c)
@@ -299,23 +293,31 @@ class Mat(Record):
         return Mat._from_canonical(self.field, rows, self.cols)
 
     def __mul__(self, other: "Mat") -> "Mat":
+        """Row i of the product is the sum of a_ij·(row j of other) over the
+        nonzero a_ij of row i (over F_2 the parity of the rows it selects),
+        each row a new tuple made from a list, zero rows too, so a result
+        shares no row object (rows made by tuple(map(...)) made the bytes a
+        certification retains vary with the basis)."""
         if not isinstance(other, Mat):
             return NotImplemented
         if self.cols != other.rows:
             raise InputShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        if self.rows == 0 or other.cols == 0 or self.cols == 0:
-            return Mat.zeros(self.field, self.rows, other.cols)
-        p = self.field.characteristic
-        bt = list(zip(*other.data))  # columns of other
-        if p:
-            out = []
-            for row in self.data:
-                out.append(tuple([sum(map(mul, row, bc)) % p for bc in bt]))
-            out = tuple(out)
-        else:
-            zero = Fraction(0)
-            out = tuple([tuple([sum(map(mul, row, bc), zero) for bc in bt]) for row in self.data])
-        return Mat._from_canonical(self.field, out, other.cols)
+        p, rows, zero = self.field.characteristic, other.data, self.field.zero()
+        out = []
+        for row in self.data:
+            acc = (zero,) * other.cols
+            if p == 2:
+                for a, b in zip(row, rows):
+                    if a:
+                        acc = list(map(xor, acc, b))
+            else:
+                for a, b in zip(row, rows):
+                    if a:
+                        acc = [x + a * y for x, y in zip(acc, b)]
+                if p and acc.__class__ is list:
+                    acc = [x % p for x in acc]
+            out.append(tuple(acc))
+        return Mat._from_canonical(self.field, tuple(out), other.cols)
 
     def transpose(self) -> "Mat":
         if self.rows == 0 or self.cols == 0:
@@ -478,8 +480,8 @@ class SolveResult(NamedTuple):
 def _kernel(rows: tuple, pivots: Sequence[int], field: FieldSpec, n: int) -> Mat:
     """The kernel basis of the first n columns of RREF rows with these pivots
     there, one column per free variable, built row by row: a pivot
-    coordinate's row is minus its RREF row at the free columns (over F_2,
-    that row), a free coordinate's row a unit vector."""
+    coordinate's row is minus its RREF row at the free columns, a free
+    coordinate's row a unit vector."""
     pivot_row = dict(zip(pivots, rows))
     free = [c for c in range(n) if c not in pivot_row]
     zero, one, p = field.zero(), field.one(), field.characteristic
@@ -488,8 +490,6 @@ def _kernel(rows: tuple, pivots: Sequence[int], field: FieldSpec, n: int) -> Mat
         row = pivot_row.get(c)
         if row is None:
             out.append(tuple([one if f == c else zero for f in free]))
-        elif p == 2:
-            out.append(tuple([row[f] for f in free]))
         elif p:
             out.append(tuple([-row[f] % p for f in free]))
         else:
@@ -548,7 +548,6 @@ def fraction_free_rank(m: Mat) -> int:
             return q
 
     nrows, ncols = len(rows), len(rows[0])
-    rank = 0
     prev = 1
     r = 0
     for c in range(ncols):
@@ -560,14 +559,11 @@ def fraction_free_rank(m: Mat) -> int:
         for i in range(r + 1, nrows):
             fi = rows[i][c]
             rows[i] = [div(piv * rows[i][j] - fi * rows[r][j], prev) for j in range(ncols)]
-            if p:
-                rows[i] = [x % p for x in rows[i]]
         prev = piv
-        rank += 1
         r += 1
         if r == nrows:
             break
-    return rank
+    return r
 
 
 def kron(a: Mat, b: Mat) -> Mat:
@@ -578,6 +574,30 @@ def kron(a: Mat, b: Mat) -> Mat:
     else:
         out = [tuple([x * y for x in ar for y in br]) for ar in a.data for br in b.data]
     return Mat._from_canonical(a.field, tuple(out), a.cols * b.cols)
+
+
+def kron_difference(field: FieldSpec, m: int, n: int, pairs: Iterable[Tuple[Mat, Mat]]) -> Mat:
+    """kron(a, I_n) - kron(I_m, b) for each pair of an m x m matrix a and an
+    n x n matrix b, stacked in order (0 x mn for no pairs), built from the
+    nonzero entries: row i·n + k holds a_ij at column j·n + k and -b_kl at
+    column i·n + l."""
+    p, zero = field.characteristic, field.zero()
+    out = []
+    for a, b in pairs:
+        if a.rows != m or a.cols != m or b.rows != n or b.cols != n:
+            raise InputShapeError(f"kron_difference: need {m}x{m} and {n}x{n} matrices")
+        minus_b = [[(l, -c % p if p else -c) for l, c in enumerate(row) if c] for row in b.data]
+        for i, arow in enumerate(a.data):
+            a_terms = [(j * n, c) for j, c in enumerate(arow) if c]
+            for k, b_terms in enumerate(minus_b):
+                row = [zero] * (m * n)
+                for jn, c in a_terms:
+                    row[jn + k] = c
+                for l, c in b_terms:
+                    x = row[i * n + l] + c
+                    row[i * n + l] = x % p if p else x
+                out.append(tuple(row))
+    return Mat._from_canonical(field, tuple(out), m * n)
 
 
 def vec(m: Mat) -> Mat:

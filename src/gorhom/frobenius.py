@@ -13,11 +13,11 @@ free S-module.  The pairs the package uses are four bimodules:
 * (inclusion, projection): B as a (B x B')-B-bimodule.
 
 There is one tensor construction: M ⊗_R x is the quotient of M ⊗_k x by
-the balancing relations.  When M's right side is the regular R-module (one
-object, as modules are interned), M ⊗_R x is x itself with S acting
-through M's left action, and Hom into the regular module is
-homology.star_module, which writes Hom_A(A, A) in the basis of right
-multiplications, so the G of (induction, restriction) and the F of
+the balancing relations of R's generators.  When M's right side is the
+regular R-module (one object, as modules are interned), M ⊗_R x is x
+itself with S acting through M's left action, and Hom into the regular
+module is homology.star_module, which writes Hom_A(A, A) in the basis of
+right multiplications, so the G of (induction, restriction) and the F of
 (restriction, coinduction) are restriction exactly.
 BimodulePair.check_triangles is the one check of the triangle identities,
 as exact matrix equalities, and is_frobenius_bimodule certifies any pair,
@@ -53,7 +53,7 @@ from .errors import (
     PreconditionFailed,
     PropertyViolation,
 )
-from .exactlin import Mat, block_matrix, kron, mat_from_flat, mat_to_flat, solve, vec
+from .exactlin import Mat, block_matrix, kron, kron_difference, mat_from_flat, mat_to_flat, solve, vec
 from .homology import (
     gorenstein_profile,
     gpd,
@@ -292,6 +292,13 @@ def _tensor(bim: Bimodule, x: Module) -> _Tensor:
     """M ⊗_R x: the quotient of M ⊗_k x by m·r ⊗ v - m ⊗ r·v, with its
     projection and section, built once per (M, x).
 
+    The relations of the generators r of R (Algebra.generators) suffice:
+    m·r1r2 ⊗ v - m ⊗ r1r2·v = [(m·r1)·r2 ⊗ v - (m·r1) ⊗ r2·v]
+    + [m·r1 ⊗ r2·v - m ⊗ r1·(r2·v)], so the r whose relations lie in their
+    span form a subalgebra containing 1.  quotient_module reads only that
+    span, by the RREF of its annihilator.  The relations are the rows of
+    kron(rho_M(r)^T, I) - kron(I, rho_x(r)^T), one exactlin.kron_difference.
+
     When M is literally R_R, m ⊗ v -> m·v identifies M ⊗_R x with x, on
     which s acts as rho_x(s·1); the section is v -> 1 ⊗ v."""
 
@@ -309,17 +316,13 @@ def _tensor(bim: Bimodule, x: Module) -> _Tensor:
             proj = block_matrix(field, [dx], [dx] * dm,
                                 {(0, a): act for a, act in enumerate(x.action)})
             return _Tensor(Module(out_alg, acts), proj, kron(unit, Mat.identity(field, dx)))
-        ambient_actions = [kron(bim.left_action[i], Mat.identity(field, dx))
-                           for i in range(out_alg.dim)]
-        ambient = Module(out_alg, ambient_actions, _skip_validation=True)
-        # column a*dx + b of kron(mr, 1) - kron(1, xr) is m_a·r ⊗ v_b - m_a ⊗ r·v_b
-        eye_m, eye_x = Mat.identity(field, dm), Mat.identity(field, dx)
-        cols = []
-        for mr, xr in zip(bim.right_action, x.action):
-            rel = kron(mr, eye_x) - kron(eye_m, xr)
-            cols.extend(c for c in zip(*rel.data) if any(c))
-        rel_basis = column_space_basis(Mat.from_cols(field, cols, dm * dx))
-        quot, proj = quotient_module(ambient, rel_basis)
+        ambient = Module(out_alg, [kron(lam, Mat.identity(field, dx)) for lam in bim.left_action],
+                         _skip_validation=True)
+        # row a*dx + b for generator r is m_a·r ⊗ v_b - m_a ⊗ r·v_b
+        rels = kron_difference(field, dm, dx, [
+            (bim.right_action[g].transpose(), x.action[g].transpose())
+            for g in act_alg.generators()])
+        quot, proj = quotient_module(ambient, column_space_basis(rels.transpose()))
         # each row of proj is a kernel vector, 1 at its own free coordinate and
         # 0 at the other free ones and past it: those unit vectors are a section
         section = Mat.identity(field, dm * dx).select_cols(
@@ -395,10 +398,7 @@ def projective_witness(m: Module) -> Optional[DualBasis]:
             return None
         pairs, coeffs = found
         pieces = [(p.scale(c), q) for (p, q), c in zip(pairs, coeffs.col(0)) if c != 0]
-    acc = Mat.zeros(field, m.dim, m.dim)
-    for p, q in pieces:
-        acc = acc + p * q
-    if acc != Mat.identity(field, m.dim):
+    if sum((p * q for p, q in pieces), Mat.zeros(field, m.dim, m.dim)) != Mat.identity(field, m.dim):
         raise PropertyViolation("dual basis does not reassemble the identity")
     unit_col = Mat.col_vector(field, a.unit)
     return DualBasis(tuple(tuple((p * unit_col).col(0)) for p, _ in pieces),
@@ -611,10 +611,9 @@ class BimodulePair:
         gfx = _tensor(dual, fx.module)
         field = x.algebra.field
         eye = Mat.identity(field, x.dim)
-        mat = Mat.zeros(field, gfx.module.dim, x.dim)
-        for m_elt, f_coords in dual_basis:
-            inner = fx.proj * kron(Mat.from_cols(field, [m_elt]), eye)
-            mat = mat + gfx.proj * kron(Mat.from_cols(field, [f_coords]), inner)
+        mat = sum((gfx.proj * kron(Mat.from_cols(field, [f_coords]),
+                                   fx.proj * kron(Mat.from_cols(field, [m_elt]), eye))
+                   for m_elt, f_coords in dual_basis), Mat.zeros(field, gfx.module.dim, x.dim))
         return ModHom(x, gfx.module, mat)
 
     def counit(self, y: Module) -> ModHom:

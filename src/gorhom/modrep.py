@@ -40,8 +40,9 @@ interned only once checked, so one that failed is never returned.
 Hom out of a sum of structural projectives A·e_i, every term of a
 resolution, is found by Yoneda: Hom(A·e_i, N) = e_i·N, its canonical basis
 memoized on N once per i, and a sum's basis is its summands' bases side by
-side.  Other Hom spaces, kernels and cokernels reduce to exact kernel
-computations in `exactlin`.
+side.  Other Hom spaces are the kernel of the intertwining system that
+`exactlin.kron_difference` builds from the actions' nonzero entries;
+kernels and cokernels reduce to exact kernel computations in `exactlin`.
 An injective envelope is D of the projective cover of the dual, and a
 quotient m/U is D of the annihilator of U in D(m); a cover reads the top
 m/rad m in those coordinates and builds no quotient.  Finding f in
@@ -62,8 +63,8 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from .algebra import (Algebra, algebra_to_json, document, interned, json_int, json_list, memo,
                       resolve_algebra_ref)
 from .errors import AlgebraMismatch, InputShapeError, PropertyViolation, UnsupportedAlgebra
-from .exactlin import (Mat, Record, block_matrix, kron, mat_from_flat, mat_to_flat, pivot_columns,
-                       rref, solve, unvec, vec)
+from .exactlin import (Mat, Record, block_matrix, kron_difference, mat_from_flat, mat_to_flat,
+                       pivot_columns, rref, solve, unvec, vec)
 
 
 class Module:
@@ -109,11 +110,7 @@ class Module:
         a = self.algebra
         for i in a.generators():
             for j in range(a.dim):
-                lhs = self.action[i] * self.action[j]
-                rhs = Mat.zeros(a.field, self.dim, self.dim)
-                for k, c in a._nz[i][j]:
-                    rhs = rhs + self.action[k].scale(c)
-                if lhs != rhs:
+                if self.action[i] * self.action[j] != self.rho(a.table[i][j]):
                     raise PropertyViolation(
                         f"structure constants violated at ({a.basis_labels[i]}, {a.basis_labels[j]})"
                     )
@@ -252,8 +249,8 @@ def _hom_space_matrices(m: Module, n: Module) -> List[Mat]:
     that RREF is the union of the summands' RREFs, read back in summand
     order, and it is independent exactly when each part is: each summand's
     _yoneda_basis, padded into its columns.  Any other source solves the
-    system, here only; it has the row space, so the kernel basis, of the
-    system over every basis element."""
+    system over the generators, here only, built by kron_difference; it has
+    the row space, so the kernel basis, of the system over every element."""
     if m.algebra != n.algebra:
         raise AlgebraMismatch("hom space requires modules over one algebra")
     if m.dim == 0 or n.dim == 0:
@@ -263,12 +260,9 @@ def _hom_space_matrices(m: Module, n: Module) -> List[Mat]:
         dims = [_indecomposable_projectives(m.algebra)[1][i].cols for i in m._summands]
         return [block_matrix(field, [n.dim], dims, {(0, j): f})
                 for j, i in enumerate(m._summands) for f in _yoneda_basis(n, i)]
-    eye_m, eye_n = Mat.identity(field, m.dim), Mat.identity(field, n.dim)
     # no generators (the ground field itself): no equations, all of Hom_k(m, n)
-    system = Mat.zeros(field, 0, m.dim * n.dim)
-    for i in m.algebra.generators():
-        system = system.vstack(kron(m.action[i].transpose(), eye_n) - kron(eye_m, n.action[i]))
-    ker = system.kernel_basis()
+    ker = kron_difference(field, m.dim, n.dim, [(m.action[i].transpose(), n.action[i])
+                                                for i in m.algebra.generators()]).kernel_basis()
     return [unvec(field, ker.col(c), n.dim, m.dim) for c in range(ker.cols)]
 
 
@@ -296,10 +290,7 @@ def _combine(mats: Sequence[Mat], coeffs) -> Mat:
     terms = [(h, c) for h, c in zip(mats, coeffs) if c]
     if len(terms) == 1 and terms[0][1] == 1:
         return terms[0][0]
-    out = Mat.zeros(mats[0].field, mats[0].rows, mats[0].cols)
-    for h, c in terms:
-        out = out + h.scale(c)
-    return out
+    return sum((h.scale(c) for h, c in terms), Mat.zeros(mats[0].field, mats[0].rows, mats[0].cols))
 
 
 def factor_through(src: Module, tgt: Module, g: Mat, rhs: Mat) -> Optional[ModHom]:

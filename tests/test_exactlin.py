@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from gorhom.exactlin import (
     block_matrix,
     fraction_free_rank,
     kron,
+    kron_difference,
     mat_from_flat,
     mat_to_flat,
     pivot_columns,
@@ -60,6 +62,25 @@ def test_bad_scalars_raise_input_shape_error(field, bad):
         field.coerce(bad)
     with pytest.raises(InputShapeError):
         Mat(field, [[bad]])
+
+
+@pytest.mark.parametrize("field", [F2, F7, QQ], ids=str)
+def test_integer_text_is_coerced_as_an_int(field, monkeypatch):
+    # "num" is read as the int it is, equal to the Fraction num/1 it was read
+    # as before; over F_p no Fraction is built at all
+    for text in ["0", "1", "-1", " 12 ", "-205", "7"]:
+        assert field.parse(text) == field.coerce(Fraction(int(text)))
+    for text in ["x", "1.5", "1/0", "", "1/"]:
+        with pytest.raises(InputShapeError, match=f"not a scalar: {text!r}"):
+            field.parse(text)
+    if field.characteristic:
+        def no_fraction(*args):
+            raise AssertionError(f"Fraction{args} built")
+
+        monkeypatch.setattr(exactlin, "Fraction", no_fraction)
+        p = field.characteristic
+        assert [field.parse(t) for t in ["3", "-3", "10"]] == [3 % p, -3 % p, 10 % p]
+        assert Mat(field, [["1", "0"], ["-1", "2"]]).data == ((1, 0), (p - 1, 2 % p))
 
 
 def test_denominator_vanishing_mod_p_is_an_input_error():
@@ -544,3 +565,96 @@ def test_trusted_matrices_stay_immutable():
     for name in ("field", "rows", "cols", "data"):
         with pytest.raises(AttributeError):
             setattr(m, name, None)
+
+
+# -- the sparse kernels against their dense forms --------------------------------
+
+
+def dot_product(a: Mat, b: Mat) -> Mat:
+    """a·b entry by entry, each the dot product of a row of a and a column of
+    b: the product's formula before it combined rows."""
+    zero = a.field.zero()
+    return Mat(a.field, [[sum(map(mul, row, b.col(j)), zero) for j in range(b.cols)]
+                         for row in a.data], cols=b.cols)
+
+
+def _sparse_matrix(draw, field, rows, cols) -> Mat:
+    """Mostly zero raw entries, and one row all zero when there are rows."""
+    entry = st.sampled_from([0, 0, 0, 1]) | _raw_entry(field)
+    data = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows,
+                         max_size=rows))
+    if rows:
+        data[draw(st.integers(0, rows - 1))] = [0] * cols
+    return Mat(field, data, cols=cols)
+
+
+@st.composite
+def sparse_products(draw):
+    """a and b of shapes r x k and k x s, 0 to 6 each, over F_2, F_3, F_7 or Q."""
+    field = draw(st.sampled_from([F2, F3, F7, QQ]))
+    r, k, s = (draw(st.integers(0, 6)) for _ in range(3))
+    return _sparse_matrix(draw, field, r, k), _sparse_matrix(draw, field, k, s)
+
+
+def _assert_fresh_rows(result: Mat, *operands: Mat):
+    # no row is an operand's row or another row of the result; the empty
+    # tuple is one object in CPython, so only nonempty rows count
+    rows = [row for row in result.data if row]
+    assert len({id(row) for row in rows}) == len(rows)
+    assert all(row is not x for row in rows for m in operands for x in m.data)
+
+
+@settings(max_examples=400, deadline=None)
+@given(sparse_products())
+def test_the_row_combination_product_is_the_dot_product(ops):
+    a, b = ops
+    prod = a * b
+    assert prod == dot_product(a, b)
+    _assert_canonical(prod)
+    _assert_fresh_rows(prod, a, b)
+
+
+@pytest.mark.parametrize("field", [F2, F3, F7, QQ], ids=str)
+@pytest.mark.parametrize("r, k, s", [(0, 0, 0), (0, 3, 2), (2, 0, 3), (3, 2, 0), (1, 4, 1),
+                                     (4, 1, 4), (1, 1, 1), (1, 5, 3), (5, 3, 1)])
+def test_products_of_edge_shapes(field, r, k, s):
+    rng = random.Random(r * 100 + k * 10 + s)
+    p = field.characteristic or 5
+    a, b = (Mat(field, [[rng.randrange(p) for _ in range(c)] for _ in range(n)], cols=c)
+            for n, c in ((r, k), (k, s)))
+    for x, y in [(a, b), (Mat.identity(field, r), a), (a, Mat.identity(field, k)),
+                 (Mat.zeros(field, r, k), b)]:
+        prod = x * y
+        assert prod == dot_product(x, y) and (prod.rows, prod.cols) == (x.rows, y.cols)
+        _assert_fresh_rows(prod, x, y)
+    assert Mat.identity(field, r) * a == a and a * Mat.identity(field, k) == a
+
+
+@st.composite
+def kron_systems(draw):
+    """Sizes m and n, 0 to 4, and 0 to 3 pairs of an m x m and an n x n matrix."""
+    field = draw(st.sampled_from([F2, F3, F7, QQ]))
+    m, n = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    pairs = [(_sparse_matrix(draw, field, m, m), _sparse_matrix(draw, field, n, n))
+             for _ in range(draw(st.integers(0, 3)))]
+    return field, m, n, pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(kron_systems())
+def test_kron_difference_stacks_the_kron_differences(system):
+    field, m, n, pairs = system
+    expected = Mat.zeros(field, 0, m * n)
+    for a, b in pairs:
+        expected = expected.vstack(kron(a, Mat.identity(field, n)) - kron(Mat.identity(field, m), b))
+    got = kron_difference(field, m, n, pairs)
+    assert got == expected
+    _assert_canonical(got)
+
+
+def test_kron_difference_rejects_misfit_matrices():
+    a, b = Mat.identity(F3, 2), Mat.identity(F3, 3)
+    assert kron_difference(F3, 2, 3, [(a, b)]).is_zero()
+    for pair in [(b, b), (a, a), (Mat.zeros(F3, 2, 3), b)]:
+        with pytest.raises(InputShapeError):
+            kron_difference(F3, 2, 3, [pair])

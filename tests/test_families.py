@@ -227,8 +227,9 @@ def _pairs() -> list:
 
 
 def _relation_quotient_inputs(bim, x) -> tuple:
-    """The ambient module M ⊗_k x and the balancing relations' basis that
-    the tensor construction takes the quotient by."""
+    """The ambient module M ⊗_k x and a basis of the balancing relations of
+    every basis element of R, whose span the tensor construction reads off
+    the relations of R's generators alone."""
     field = bim.left.field
     eye_m, eye_x = Mat.identity(field, bim.dim), Mat.identity(field, x.dim)
     ambient = modrep.Module(bim.left, [kron(lam, eye_x) for lam in bim.left_action])
@@ -251,6 +252,9 @@ def test_tensor_quotients_are_the_conjugated_ones():
                 acts, proj = conjugated_quotient(ambient, rels)
                 t = frobenius._tensor(bim, x)
                 assert (list(t.module.action), t.proj) == (acts, proj)
+                # the generators' relations span every element's, so the
+                # quotient by all of them is the same interned module
+                assert t.module is quotient_module(ambient, rels)[0]
                 seen += 1
     assert seen > 0
 

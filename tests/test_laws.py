@@ -287,6 +287,21 @@ def test_generator_hom_bases_equal_the_full_basis_kernel(name, op):
         assert [h.matrix for h in hom_space(m, n)] == full_basis_hom_matrices(m, n)
 
 
+@pytest.mark.parametrize("name", GORENSTEIN_NAMES)
+def test_hom_systems_in_new_bases_equal_the_full_basis_kernel(name, in_new_basis):
+    # a corpus module of dimension > 1 in a seeded new basis has new content
+    # and no record of projective summands, so Hom out of it solves the
+    # system that kron_difference builds; a 1-dimensional module has no
+    # other basis and stays itself (Hom out of a recorded one is found by
+    # Yoneda), as every module over a field does
+    a = corpus_algebra(name)
+    mods = [in_new_basis(m, seed)[0] if m.dim > 1 else m
+            for seed, m in enumerate(module_corpus(a, minimum=0))]
+    assert any(m._summands is None for m in mods) == (a.dim > 1)
+    for m, n in iter_product(mods, mods):
+        assert modrep._hom_space_matrices(m, n) == full_basis_hom_matrices(m, n), (m, n)
+
+
 @pytest.mark.parametrize("name, op", ALGEBRAS)
 def test_single_entry_corruptions_get_the_full_basis_verdict(name, op):
     a = _algebra(name, op)

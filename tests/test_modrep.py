@@ -616,9 +616,9 @@ def test_maps_out_of_a_resolution_term_build_no_kron_system(monkeypatch, name, i
               for m in mods]
 
     def no_kron(*_args):
-        raise AssertionError("kron called")
+        raise AssertionError("kron_difference called")
 
-    monkeypatch.setattr(modrep, "kron", no_kron)
+    monkeypatch.setattr(modrep, "kron_difference", no_kron)
     idems = a.primitive_idempotents()
     for m, (copy, iso) in zip(mods, copies):
         res, res_copy = homology.resolve(m, 3), homology.resolve(copy, 3)
