@@ -1,12 +1,13 @@
 """Finite-dimensional associative unital algebras given by structure constants.
 
 An Algebra stores, for each pair of basis elements (e_i, e_j), the
-coordinate vector of the product e_i * e_j.  Construction validates the
-unit law on every basis element and associativity on the generators
+coordinate vector of the product e_i * e_j; multiplication matrices are
+read off it in modrep.regular_module, not here.  Construction validates
+the unit law on every basis element and associativity on the generators
 (Algebra.generators), which proves it everywhere, so a structure-constant
 bug in any constructor fails loudly rather than corrupting downstream
-homology.  The opposite and the tensor product of checked algebras
-inherit their laws, and are not checked again (see `Algebra`).
+homology.  The opposite and the tensor product of checked algebras inherit
+their laws, and are not checked again (see `Algebra`).
 
 Conventions
 -----------
@@ -52,11 +53,12 @@ Vector = tuple
 class Algebra:
     """A finite-dimensional associative unital algebra over FieldSpec.
 
-    table[i][j] is the coordinate vector of e_i * e_j.  The laws are
-    checked on construction, except under `_skip_validation`, which only
-    `opposite` and `_tensor_algebra` pass, each building from checked
-    algebras and saying why the laws carry over (tests/test_source.py);
-    their entries are taken as canonical, not coerced again.
+    table[i][j] is the coordinate vector of e_i * e_j, whose multiplication
+    matrices, the regular modules of A and A^op, only modrep builds.  The laws
+    are checked on construction, except under `_skip_validation`, which only
+    `opposite` and `_tensor_algebra` pass, each building from checked algebras
+    and saying why the laws carry over (tests/test_source.py); their entries
+    are taken as canonical, not coerced again.
     """
 
     def __init__(
@@ -125,16 +127,6 @@ class Algebra:
         if p:
             return tuple(x % p for x in acc)
         return tuple(acc)
-
-    def left_mult_matrix(self, v) -> Mat:
-        """Matrix of x -> v*x in the basis (column j is v*e_j)."""
-        cols = [self.mul_vec(v, self.basis_vec(j)) for j in range(self.dim)]
-        return Mat.from_cols(self.field, cols)
-
-    def right_mult_matrix(self, v) -> Mat:
-        """Matrix of x -> x*v in the basis (column j is e_j*v)."""
-        cols = [self.mul_vec(self.basis_vec(j), v) for j in range(self.dim)]
-        return Mat.from_cols(self.field, cols)
 
     # -- validation -----------------------------------------------------------
 
@@ -375,9 +367,10 @@ def _radical_generic(a: Algebra) -> Mat:
     field = a.field
     n = a.dim
     p = field.characteristic
+    # L_i, y -> e_i*y, has column j table[i][j]; entries in [0, p) lift to Z
+    lmats = [Mat.from_cols(field, row) for row in a.table]
 
     if p == 0:
-        lmats = [a.left_mult_matrix(a.basis_vec(i)) for i in range(n)]
         # the trace form: entry (i, j) is Tr(L_i·L_j)
         gram = [[sum(row[k] for k, row in enumerate((x * y).data)) for y in lmats] for x in lmats]
         return Mat(field, gram).kernel_basis()
@@ -392,7 +385,8 @@ def _radical_generic(a: Algebra) -> Mat:
         d = basis.cols
         if d == 0:
             break
-        zs = [_int_left_mult(a, basis.col(t)) for t in range(d)]
+        zs = [sum((lm.scale(c) for lm, c in zip(lmats, basis.col(t)) if c),
+                  Mat.zeros(field, n, n)).data for t in range(d)]
         g = []
         for z in zs:
             tr = _int_matrix_power_trace(z, q)
@@ -414,19 +408,6 @@ def _radical_generic(a: Algebra) -> Mat:
         ker = Mat._from_canonical(field, rows, d).kernel_basis()
         basis = basis * ker
     return basis
-
-
-def _int_left_mult(a: Algebra, x) -> list:
-    """The integer lift, entries in [0, p), of the matrix of y -> x*y: row m,
-    column j holds coordinate m of x*e_j, summed from the structure table."""
-    n, p = a.dim, a.field.characteristic
-    z = [[0] * n for _ in range(n)]
-    for k, xk in enumerate(x):
-        if xk:
-            for j, cell in enumerate(a._nz[k]):
-                for m, c in cell:
-                    z[m][j] += xk * c
-    return [[e % p for e in row] for row in z]
 
 
 def _int_matrix_power_trace(m, e: int) -> int:

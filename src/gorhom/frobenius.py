@@ -105,15 +105,14 @@ class RingExtension:
         self.embedding = embedding
         if embedding.rank() != base.dim:
             raise PropertyViolation("embedding is not injective")
-        if tuple((embedding * Mat.col_vector(base.field, base.unit)).col(0)) != total.unit:
+        if (embedding * Mat.from_cols(base.field, [base.unit])).col(0) != total.unit:
             raise PropertyViolation("embedding does not preserve the unit")
         # once phi(1) = 1, the x with phi(x·y) = phi(x)·phi(y) for all y form
         # a subalgebra containing 1, so the generators of R suffice
         for i in base.generators():
             for j in range(base.dim):
-                lhs = total.mul_vec(self.embed(base.basis_vec(i)), self.embed(base.basis_vec(j)))
-                rhs = self.embed(base.table[i][j])
-                if lhs != rhs:
+                lhs = total.mul_vec(embedding.col(i), embedding.col(j))
+                if lhs != self.embed(base.table[i][j]):
                     raise PropertyViolation(
                         f"embedding is not multiplicative at "
                         f"({base.basis_labels[i]}, {base.basis_labels[j]})"
@@ -121,7 +120,7 @@ class RingExtension:
         self._cache: dict = {}
 
     def embed(self, v) -> tuple:
-        return tuple((self.embedding * Mat.col_vector(self.base.field, v)).col(0))
+        return (self.embedding * Mat.from_cols(self.base.field, [v])).col(0)
 
     def __repr__(self):
         return f"RingExtension({self.base!r} -> {self.total!r})"
@@ -148,16 +147,16 @@ def restrict(ext: RingExtension, y: Module) -> Module:
 def coinduce(ext: RingExtension, x: Module) -> Module:
     """Hom_R(S, x) with S acting by precomposition with right multiplication,
     built once per (ext, x), not checked again: the solve proves the span
-    stable, and with rho_r(s) the right multiplication by s,
-    f∘rho_r(s')∘rho_r(s) = f∘rho_r(s·s') and rho_r(1) = id."""
+    stable, and with rho_r(s) = regular_module(S^op).rho(s) the right
+    multiplication by s, f∘rho_r(s')∘rho_r(s) = f∘rho_r(s·s'), rho_r(1) = id."""
 
     def build() -> Module:
         if x.algebra != ext.base:
             raise AlgebraMismatch("coinduce expects a module over the base algebra")
         s = ext.total
         basis = hom_space(restrict(ext, regular_module(s)), x)
-        rmuls = [s.right_mult_matrix(s.basis_vec(i)) for i in range(s.dim)]
-        return Module(s, hom_actions(basis, rmuls, s.field, "coinduced action left the hom space"),
+        return Module(s, hom_actions(basis, regular_module(s.opposite()).action, s.field,
+                                     "coinduced action left the hom space"),
                       _skip_validation=True)
 
     return memo(x, "coind", ext, build)
@@ -225,29 +224,29 @@ class Bimodule:
 
 def extension_bimodule(ext: RingExtension) -> Bimodule:
     """S as the natural S-R-bimodule of a ring extension, built once per
-    extension, not checked again: S acts by left multiplication and R by
-    right multiplication through the embedding phi, which RingExtension
-    checked unital and multiplicative, so x·phi(r)·phi(r') = x·phi(r·r');
+    extension, not checked again: S acts by left multiplication,
+    regular_module(S), and R by right multiplication through the embedding
+    phi, regular_module(S^op).rho(phi(r)), which RingExtension checked
+    unital and multiplicative, so x·phi(r)·phi(r') = x·phi(r·r');
     associativity makes both actions modules and makes them commute."""
 
     def build() -> Bimodule:
         s, r = ext.total, ext.base
-        left = [s.left_mult_matrix(s.basis_vec(i)) for i in range(s.dim)]
-        right = [s.right_mult_matrix(ext.embed(r.basis_vec(j))) for j in range(r.dim)]
-        return Bimodule._trusted(s, r, s.dim, left, right)
+        right = [regular_module(s.opposite()).rho(ext.embedding.col(j)) for j in range(r.dim)]
+        return Bimodule._trusted(s, r, s.dim, regular_module(s).action, right)
 
     return memo(ext, "bimodule", None, build)
 
 
 def restriction_bimodule(ext: RingExtension) -> Bimodule:
     """S as the natural R-S-bimodule of a ring extension, built once per
-    extension, not checked again: extension_bimodule's proof, sides swapped."""
+    extension, not checked again: extension_bimodule's reading and proof,
+    sides swapped."""
 
     def build() -> Bimodule:
         s, r = ext.total, ext.base
-        left = [s.left_mult_matrix(ext.embed(r.basis_vec(j))) for j in range(r.dim)]
-        right = [s.right_mult_matrix(s.basis_vec(i)) for i in range(s.dim)]
-        return Bimodule._trusted(r, s, s.dim, left, right)
+        left = [regular_module(s).rho(ext.embedding.col(j)) for j in range(r.dim)]
+        return Bimodule._trusted(r, s, s.dim, left, regular_module(s.opposite()).action)
 
     return memo(ext, "restriction bimodule", None, build)
 
@@ -311,7 +310,7 @@ def _tensor(bim: Bimodule, x: Module) -> _Tensor:
         dm, dx = bim.dim, x.dim
         over = bim.as_right_op_module()
         if over is regular_module(over.algebra):
-            unit = Mat.col_vector(field, act_alg.unit)
+            unit = Mat.from_cols(field, [act_alg.unit])
             acts = [x.rho((lam * unit).col(0)) for lam in bim.left_action]
             proj = block_matrix(field, [dx], [dx] * dm,
                                 {(0, a): act for a, act in enumerate(x.action)})
@@ -400,7 +399,7 @@ def projective_witness(m: Module) -> Optional[DualBasis]:
         pieces = [(p.scale(c), q) for (p, q), c in zip(pairs, coeffs.col(0)) if c != 0]
     if sum((p * q for p, q in pieces), Mat.zeros(field, m.dim, m.dim)) != Mat.identity(field, m.dim):
         raise PropertyViolation("dual basis does not reassemble the identity")
-    unit_col = Mat.col_vector(field, a.unit)
+    unit_col = Mat.from_cols(field, [a.unit])
     return DualBasis(tuple(tuple((p * unit_col).col(0)) for p, _ in pieces),
                      tuple(q for _, q in pieces))
 
@@ -423,7 +422,7 @@ def is_frobenius_extension(ext: RingExtension, seed: int = 0) -> IsoVerdict:
         system = frobenius_system(ext, seed)
         if system is None:
             return _frobenius_search(bim, seed)
-        return IsoVerdict("yes", witness=_system_witness(ext, system[0]))
+        return IsoVerdict("yes", witness=_system_witness(ext, system[2]))
 
     return memo(bim, ("frobenius", seed), None, build)
 
@@ -451,9 +450,10 @@ def _frobenius_search(m: Bimodule, seed: int) -> IsoVerdict:
     return iso
 
 
-def frobenius_system(ext: RingExtension, seed: int = 0) -> Optional[Tuple[Mat, list]]:
+def frobenius_system(ext: RingExtension, seed: int = 0) -> Optional[Tuple[Mat, list, list]]:
     """A Frobenius system (E, e_i, y_i) of R -> S, x_i being the basis e_i of
-    S, checked by check_frobenius_system; None when none is found.
+    S, checked by check_frobenius_system, as (E, [y_i], er), er[t] the
+    matrix of E(-·e_t); None when none is found.
 
     E is drawn, seeded, from the R-R-bimodule maps S -> R, at most
     MAX_RANDOM_TRIALS times.  A Frobenius homomorphism makes t -> E(-·t) a
@@ -466,16 +466,15 @@ def frobenius_system(ext: RingExtension, seed: int = 0) -> Optional[Tuple[Mat, l
     maps = _bimodule_maps(ext)
     if not maps or coinduce(ext, regular_module(r)).dim != s.dim:
         return None
-    rmul = [s.right_mult_matrix(s.basis_vec(k)) for k in range(s.dim)]
     rng, p = random.Random(seed), s.field.characteristic
     for _ in range(MAX_RANDOM_TRIALS):
         e = _combine(maps, random_coefficients(rng, p, len(maps)))
-        er = [e * m for m in rmul]   # er[t] is x -> E(x·e_t)
+        er = [e * m for m in regular_module(s.opposite()).action]
         if Mat.from_cols(s.field, [vec(x).col(0) for x in er]).rank() == s.dim:
             ys = _dual_elements(s, [ext.embedding * x for x in er])
             if ys is not None:
                 check_frobenius_system(ext, e, ys)
-                return e, ys
+                return e, ys, er
     return None
 
 
@@ -489,10 +488,10 @@ def _bimodule_maps(ext: RingExtension) -> List[Mat]:
     if not basis:
         return []
     system = Mat.zeros(r.field, 0, len(basis))
+    on_s, on_r = regular_module(s.opposite()), regular_module(r.opposite())
     for g in r.generators():
-        on_s = s.right_mult_matrix(ext.embed(r.basis_vec(g)))
-        on_r = r.right_mult_matrix(r.basis_vec(g))
-        system = system.vstack(hom_delta(basis, on_s) - hom_delta(basis, on_r, post=True))
+        system = system.vstack(hom_delta(basis, on_s.rho(ext.embedding.col(g)))
+                               - hom_delta(basis, on_r.action[g], post=True))
     ker = system.kernel_basis()
     return [_combine(basis, ker.col(c)) for c in range(ker.cols)]
 
@@ -501,13 +500,12 @@ def _dual_elements(s: Algebra, fr: List[Mat]) -> Optional[list]:
     """The y_i with sum_i e_i·E(y_i·e_k) = e_k = sum_i E(e_k·e_i)·y_i for
     every k, as coordinate tuples, from one solve in the coordinates of all
     the y_i; None when there are none.  fr[k] is t -> phi(E(t·e_k))."""
-    n = s.dim
+    n, left = s.dim, regular_module(s)
     blocks = {}
     for i in range(n):
-        lmul = s.left_mult_matrix(s.basis_vec(i))
         for k in range(n):
-            blocks[(k, i)] = lmul * fr[k]
-            blocks[(n + k, i)] = s.left_mult_matrix(fr[i].col(k))
+            blocks[(k, i)] = left.action[i] * fr[k]
+            blocks[(n + k, i)] = left.rho(fr[i].col(k))
     eye = vec(Mat.identity(s.field, n))
     sol = solve(block_matrix(s.field, [n] * (2 * n), [n] * n, blocks), eye.vstack(eye)).particular
     return None if sol is None else [sol.col(0)[i * n:(i + 1) * n] for i in range(n)]
@@ -521,13 +519,13 @@ def check_frobenius_system(ext: RingExtension, e: Mat, ys: Sequence) -> None:
     r, s = ext.base, ext.total
     field = s.field
     for g in r.generators():
-        x, y = ext.embed(r.basis_vec(g)), r.basis_vec(g)
-        if (e * s.left_mult_matrix(x) != r.left_mult_matrix(y) * e
-                or e * s.right_mult_matrix(x) != r.right_mult_matrix(y) * e):
-            raise PropertyViolation(f"E is not an R-R-bimodule map at {r.basis_labels[g]}")
+        x = ext.embedding.col(g)
+        for over_s, over_r in ((s, r), (s.opposite(), r.opposite())):
+            if e * regular_module(over_s).rho(x) != regular_module(over_r).action[g] * e:
+                raise PropertyViolation(f"E is not an R-R-bimodule map at {r.basis_labels[g]}")
 
     def fe(v) -> tuple:
-        return ext.embed((e * Mat.col_vector(field, v)).col(0))
+        return ext.embed((e * Mat.from_cols(field, [v])).col(0))
 
     for k in range(s.dim):
         t = s.basis_vec(k)
@@ -539,13 +537,12 @@ def check_frobenius_system(ext: RingExtension, e: Mat, ys: Sequence) -> None:
             raise PropertyViolation(f"the Frobenius system fails at {s.basis_labels[k]}")
 
 
-def _system_witness(ext: RingExtension, e: Mat) -> ModHom:
-    """S -> Coind(R) = Hom_R(S, R), t -> E(-·t), checked as a hom of
-    S-modules and as invertible."""
+def _system_witness(ext: RingExtension, er: List[Mat]) -> ModHom:
+    """S -> Coind(R) = Hom_R(S, R), t -> E(-·t), from the matrices er[t] of
+    E(-·e_t), checked as a hom of S-modules and as invertible."""
     s, r = ext.total, ext.base
     basis = hom_space(restrict(ext, regular_module(s)), regular_module(r))
-    mat = hom_coordinates([e * s.right_mult_matrix(s.basis_vec(t)) for t in range(s.dim)],
-                          basis, s.field, "E(-·t) is not a map of R-modules")
+    mat = hom_coordinates(er, basis, s.field, "E(-·t) is not a map of R-modules")
     witness = ModHom(regular_module(s), coinduce(ext, regular_module(r)), mat)
     if not witness.is_iso():
         raise PropertyViolation("t -> E(-·t) is not invertible")
@@ -673,9 +670,9 @@ def column_bimodule(r: Algebra, n: int, matrix_alg: Algebra) -> Bimodule:
     """The column bimodule R^n over (M_n(R), R): left matrix action, right scalars."""
     eye = Mat.identity(r.field, n)
     # E_uv ⊗ r_i sends column entry (v, j) to (u, r_i·r_j); r_j acts on the right
-    left = [kron(eye.select_cols([u]) * eye.select_rows([v]), r.left_mult_matrix(r.basis_vec(i)))
-            for u in range(n) for v in range(n) for i in range(r.dim)]
-    right = [kron(eye, r.right_mult_matrix(r.basis_vec(j))) for j in range(r.dim)]
+    left = [kron(eye.select_cols([u]) * eye.select_rows([v]), lam)
+            for u in range(n) for v in range(n) for lam in regular_module(r).action]
+    right = [kron(eye, rho) for rho in regular_module(r.opposite()).action]
     return Bimodule(matrix_alg, r, n * r.dim, left, right)
 
 
@@ -684,8 +681,7 @@ def product_pairs(b: Algebra, bprime: Algebra) -> Tuple[BimodulePair, BimodulePa
     pairs of e(B x B') as a B-(B x B')-bimodule and of B as a
     (B x B')-B-bimodule, where e = (1, 0) and B' acts by zero."""
     product = product_algebra(b, bprime)
-    left = [b.left_mult_matrix(b.basis_vec(i)) for i in range(b.dim)]
-    right = [b.right_mult_matrix(b.basis_vec(i)) for i in range(b.dim)]
+    left, right = list(regular_module(b).action), list(regular_module(b.opposite()).action)
     zeros = [Mat.zeros(b.field, b.dim, b.dim)] * bprime.dim
     return (BimodulePair(Bimodule(b, product, b.dim, left, right + zeros)),
             BimodulePair(Bimodule(product, b, b.dim, left + zeros, right)))

@@ -311,19 +311,21 @@ def star_module(m: Module) -> Tuple[Module, list]:
     multiplication after the map, with its hom basis, computed once per
     module.
 
-    Over the regular module itself the basis is that of the right
-    multiplications x -> x·e_i, so Hom_A(A, A) is A again, coordinate for
-    coordinate; they commute with left multiplication by associativity, so
-    they are not checked again.  Nor is the module: the solve proves the
-    span stable under f -> f·a, (f·a)·b = f·(ab) by associativity, which is
-    the law over the opposite algebra, and f·1 = f."""
+    Over the regular module itself the basis is the right multiplications
+    x -> x·e_j, which commute with left multiplication by associativity and
+    are not checked again, and Hom_A(A, A) is regular_module(A^op): e_i takes
+    the j-th to x -> x·(e_j·e_i), of coordinates table[j][i].  Nor is another
+    module checked: the solve proves the span stable under f -> f·a, (f·a)·b =
+    f·(ab) by associativity, which is the law over the opposite algebra, and
+    f·1 = f."""
 
     def build() -> Tuple[Module, list]:
         a = m.algebra
-        rmats = [a.right_mult_matrix(a.basis_vec(i)) for i in range(a.dim)]
-        basis = ([ModHom._trusted(m, m, r) for r in rmats] if m is regular_module(a)
-                 else hom_space(m, regular_module(a)))
-        acts = hom_actions(basis, rmats, a.field,
+        right = regular_module(a.opposite())
+        if m is regular_module(a):
+            return right, [ModHom._trusted(m, m, r) for r in right.action]
+        basis = hom_space(m, regular_module(a))
+        acts = hom_actions(basis, right.action, a.field,
                            "Hom(m, A) is not stable under the right action", post=True)
         return Module(a.opposite(), acts, _skip_validation=True), basis
 

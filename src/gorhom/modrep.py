@@ -191,12 +191,13 @@ def zero_hom(source: Module, target: Module) -> ModHom:
 
 
 def regular_module(a: Algebra) -> Module:
-    """The left regular module, not checked again: e_i·(e_j·x) = (e_i·e_j)·x
-    and 1·x = x are the laws of the algebra, checked or proved where it was built."""
+    """The left regular module, built once per algebra and, its laws being the
+    algebra's, not checked again: action i, e_i·-, has column j table[i][j],
+    so over a.opposite(), the transposed table, it holds a's right
+    multiplications, and .rho(v) multiplies by v."""
 
     def build():
-        return Module(a, [a.left_mult_matrix(a.basis_vec(i)) for i in range(a.dim)],
-                      _skip_validation=True)
+        return Module(a, [Mat.from_cols(a.field, row) for row in a.table], _skip_validation=True)
 
     return memo(a, "regular_module", None, build)
 
@@ -507,7 +508,7 @@ def _indecomposable_projectives(a: Algebra) -> Tuple[tuple, tuple]:
         if idems is None:
             raise UnsupportedAlgebra("structural modules need primitive idempotents")
         reg = regular_module(a)
-        embeddings = tuple(column_space_basis(a.right_mult_matrix(e)) for e in idems)
+        embeddings = tuple(column_space_basis(regular_module(a.opposite()).rho(e)) for e in idems)
         projectives = tuple(submodule(reg, emb)[0] for emb in embeddings)
         for i, p in enumerate(projectives):
             if p._summands is None:

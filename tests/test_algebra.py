@@ -6,7 +6,7 @@ import pytest
 
 from test_families import _counting
 from test_kupisch import NAKAYAMA
-from test_laws import same_column_space
+from test_laws import left_mult_oracle, same_column_space
 
 import gorhom
 from gorhom import algebra
@@ -169,10 +169,10 @@ def test_s3_over_f7_is_semisimple():
     # representation (7 does not divide 6, so the form is nondegenerate).
     gram = []
     for i in range(6):
-        li = a.left_mult_matrix(a.basis_vec(i))
+        li = left_mult_oracle(a, a.basis_vec(i))
         row = []
         for j in range(6):
-            lj = a.left_mult_matrix(a.basis_vec(j))
+            lj = left_mult_oracle(a, a.basis_vec(j))
             prod = li * lj
             row.append(sum(prod.entry(k, k) for k in range(6)) % 7)
         gram.append(row)
@@ -682,7 +682,7 @@ def _per_product_radical(a):
         for y in range(n):
             row = []
             for t in range(basis.cols):
-                lz = a.left_mult_matrix(a.mul_vec(basis.col(t), a.basis_vec(y)))
+                lz = left_mult_oracle(a, a.mul_vec(basis.col(t), a.basis_vec(y)))
                 tr = algebra._int_matrix_power_trace([[int(e) for e in r] for r in lz.data], q)
                 assert tr % q == 0
                 row.append((tr // q) % p)
@@ -723,6 +723,50 @@ def test_linear_radical_matches_per_product_evaluation():
     for a in algebras:
         expected, _ = _per_product_radical(a)
         assert same_column_space(algebra._radical_generic(a), expected), repr(a)
+
+
+def _int_left_mult(a, x) -> list:
+    """The integer lift, entries in [0, p), of the matrix of y -> x*y: row m,
+    column j holds coordinate m of x*e_j, summed from the structure table."""
+    n, p = a.dim, a.field.characteristic
+    z = [[0] * n for _ in range(n)]
+    for k, xk in enumerate(x):
+        if xk:
+            for j, cell in enumerate(a.table[k]):
+                for m, c in enumerate(cell):
+                    z[m][j] += xk * c
+    return [[e % p for e in row] for row in z]
+
+
+def _int_lift_radical(a):
+    """The linear p-power trace chain of algebra._radical_generic, each L_x
+    lifted entry by entry by _int_left_mult."""
+    field, n, p = a.field, a.dim, a.field.characteristic
+    levels = 0
+    while p ** (levels + 1) <= n:
+        levels += 1
+    basis = Mat.identity(field, n)
+    for i in range(levels + 1):
+        q, d = p ** i, basis.cols
+        if d == 0:
+            break
+        zs = [_int_left_mult(a, basis.col(t)) for t in range(d)]
+        g = [(algebra._int_matrix_power_trace(z, q) // q) % p for z in zs]
+        prods = Mat(field, [[z[m][y] for y in range(n) for z in zs] for m in range(n)])
+        coords = algebra.solve(basis, prods).particular
+        rows = [[sum(coords.entry(k, y * d + t) * g[k] for k in range(d)) for t in range(d)]
+                for y in range(n)]
+        basis = basis * Mat(field, rows, cols=d).kernel_basis()
+    return basis
+
+
+@pytest.mark.parametrize("a", [group_algebra(cyclic_group_table(2), F2),
+                               group_algebra(cyclic_group_table(3), F3),
+                               group_algebra(symmetric_group_table(3), F7),
+                               load_algebra(DATA / "a2t2.alg")],
+                         ids=["f2c2", "f3c3", "f7s3", "a2t2.alg"])
+def test_the_radical_read_off_the_table_is_the_integer_lift_chain(a):
+    assert a.radical_basis() == _int_lift_radical(a)
 
 
 def test_linear_radical_powers_once_per_basis_vector(monkeypatch):

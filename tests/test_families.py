@@ -17,7 +17,7 @@ one solve.
 import pytest
 
 from test_kupisch import F2, NAKAYAMA, nakayama, uniserial
-from test_laws import ALGEBRAS, _algebra
+from test_laws import ALGEBRAS, _algebra, right_mult_oracle
 
 from gorhom import exactlin, frobenius, homology, modrep
 from gorhom.algebra import Algebra, path_algebra
@@ -90,7 +90,7 @@ def per_operator_actions(basis, ops, field, post=False) -> list:
 
 
 def _right_mults(a) -> list:
-    return [a.right_mult_matrix(a.basis_vec(i)) for i in range(a.dim)]
+    return [right_mult_oracle(a, a.basis_vec(i)) for i in range(a.dim)]
 
 
 def _syzygy_inputs(a) -> list:

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from test_laws import right_mult_oracle
+
 import gorhom
 from gorhom import algebra, frobenius, modrep
 from gorhom.algebra import (
@@ -313,8 +315,10 @@ def test_a_corrupted_frobenius_system_is_refused(name):
     # a field base the y_i are the dual basis of the e_i under the form
     # (x, t) -> E(x·t), so every one-entry change of a y_i breaks one too
     ext = corpus_extension(name)
-    e, ys = frobenius_system(ext)
+    e, ys, er = frobenius_system(ext)
     frobenius.check_frobenius_system(ext, e, ys)
+    s = ext.total
+    assert er == [e * right_mult_oracle(s, s.basis_vec(t)) for t in range(s.dim)]
     field = e.field
     for r in range(e.rows):
         for c in range(e.cols):
@@ -553,7 +557,25 @@ def test_a_first_certification_keeps_only_its_witness(retained_bytes, in_new_bas
         kept.append((w.source.action, w.target.action, w.matrix))
 
     overhead = retained_bytes(keep_verdict, 3) - retained_bytes(keep_matrices, 3)
-    assert overhead < 2048
+    assert overhead < 1536
+
+
+def test_the_functors_multiply_by_reading_the_regular_modules(monkeypatch):
+    # coinduce, star_module and the two bimodules of an extension act by
+    # multiplications read off the structure tables, the regular modules of
+    # S and S^op, so building them multiplies no two elements; the loaded
+    # extension has checked its embedding by multiplication already
+    ext = load_extension(DATA / "a2_a2t2.ext")
+    corpus = module_corpus(ext.base)
+    calls = []
+    mul_vec = Algebra.mul_vec
+    monkeypatch.setattr(Algebra, "mul_vec", lambda *args: calls.append(args) or mul_vec(*args))
+    for x in corpus:
+        coinduce(ext, x)
+        star_module(x)
+    extension_bimodule(ext)
+    restriction_bimodule(ext)
+    assert calls == []
 
 
 def test_second_certification_builds_nothing(monkeypatch, ext_f2_f2c2):

@@ -18,7 +18,9 @@ assembled from memoized summand blocks), the intertwining of a zero map,
 the block-diagonal maps of a totalization row, the laws of opposites,
 tensor algebras and the tensor modules of bimodules (built unchecked from
 checked parts), and the radical series walked through submodules (now
-read in the module's coordinates).
+read in the module's coordinates), and the multiplication matrices built
+product by product (now read off the structure table as the regular
+modules of an algebra and of its opposite).
 """
 
 import random
@@ -71,6 +73,7 @@ from gorhom.modrep import (
     direct_sum,
     dual_hom,
     dual_module,
+    hom_actions,
     hom_space,
     is_isomorphic,
     quotient_module,
@@ -121,6 +124,16 @@ def full_basis_multiplicative(base, total, embedding) -> bool:
             and all(total.mul_vec(phi(base.basis_vec(i)), phi(base.basis_vec(j)))
                     == phi(base.table[i][j])
                     for i in range(base.dim) for j in range(base.dim)))
+
+
+def left_mult_oracle(a, v) -> Mat:
+    """The matrix of x -> v·x (column j is v·e_j), product by product."""
+    return Mat.from_cols(a.field, [a.mul_vec(v, a.basis_vec(j)) for j in range(a.dim)])
+
+
+def right_mult_oracle(a, v) -> Mat:
+    """The matrix of x -> x·v (column j is e_j·v), product by product."""
+    return Mat.from_cols(a.field, [a.mul_vec(a.basis_vec(j), v) for j in range(a.dim)])
 
 
 def same_column_space(a: Mat, b: Mat) -> bool:
@@ -239,7 +252,7 @@ def test_generators_are_found_once_per_algebra(monkeypatch, tmp_path, in_new_bas
                         lambda a: calls.append(a) or greedy(a))
     a = load_algebra(tmp_path / "a2t2.alg")
     assert calls == [a]
-    reg = Module(a, [a.left_mult_matrix(a.basis_vec(i)) for i in range(a.dim)])
+    reg = Module(a, [left_mult_oracle(a, a.basis_vec(i)) for i in range(a.dim)])
     in_new_basis(reg)
     assert calls == [a]
 
@@ -426,6 +439,25 @@ def test_algebras_built_unchecked_pass_the_full_basis_law(name):
     a = _trusted_algebra(name)
     assert full_basis_algebra_law(a.field, a.table, a.unit), a
     assert a.idempotents is None or full_basis_idempotent_law(a), a
+
+
+@pytest.mark.parametrize("name", list(dict.fromkeys(
+    TRUSTED_ALGEBRAS + [f"corpus {name}" for name in ALGEBRA_NAMES])))
+def test_the_regular_modules_of_a_and_its_opposite_are_its_multiplications(name):
+    # action i of each is read off the table, and star_module of the left
+    # regular module returns the right one as it is, with no solve
+    a = _trusted_algebra(name)
+    basis = [a.basis_vec(i) for i in range(a.dim)]
+    left, right = regular_module(a), regular_module(a.opposite())
+    assert left.action == tuple(left_mult_oracle(a, e) for e in basis)
+    assert right.action == tuple(right_mult_oracle(a, e) for e in basis)
+    v = tuple(random.Random(name).choice([a.field.zero(), a.field.one()]) for _ in basis)
+    assert left.rho(v) == left_mult_oracle(a, v) and right.rho(v) == right_mult_oracle(a, v)
+    star, homs = star_module(left)
+    assert star is right
+    assert [h.matrix for h in homs] == list(right.action)
+    assert list(star.action) == hom_actions(homs, [right_mult_oracle(a, e) for e in basis],
+                                            a.field, "left the hom space", post=True)
 
 
 @pytest.mark.parametrize("name", BIMODULES)
