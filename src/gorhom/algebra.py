@@ -193,9 +193,6 @@ class Algebra:
             return memo(self, "radical", None, lambda: _radical_generic(self))
         return rad() if callable(rad) else rad
 
-    def primitive_idempotents(self):
-        return self.idempotents
-
     def is_local(self) -> bool:
         return self.dim - self.radical_basis().cols == 1
 
@@ -311,9 +308,10 @@ def memo(holder, tag, other, build):
     deletes exactly that entry when `other` dies.  So no call site need
     choose where an entry lives, and a value must not refer to its
     `other` (it would keep `other`, and itself, alive as long as holder):
-    `modrep.hom_space` keeps the matrices and wraps them on each call.  No
-    tag is used both with and without an `other`, so an entry for None is
-    keyed by the bare tag, one key tuple less.
+    `modrep.hom_space` keeps and returns a tuple of matrices, not maps
+    that would name their target.  No tag is used both with and without an
+    `other`, so an entry for None is keyed by the bare tag, one key tuple
+    less.
 
     The lock guards the dictionaries only and is never held while build()
     runs; when two threads build the same entry, the first value stored is

@@ -146,7 +146,7 @@ def algebra_info(path, bound, seed):
         "idempotents": (len(a.idempotents) if a.idempotents is not None else "none"),
         "passed": True,
     }
-    if a.primitive_idempotents() is not None:
+    if a.idempotents is not None:
         s = structural_modules(a)
         report["simple_dimensions"] = [m.dim for m in s.simples]
         report["projective_dimensions"] = [m.dim for m in s.projectives]
@@ -311,19 +311,16 @@ def glgdim_check(path, bound, seed):
 
 
 @command("counterexample-product",
-         param("--block", default="f2", help="bundled name of the harmless factor"),
-         param("--other", default="a2",
-               help="bundled name of the factor carrying the bad module"))
-def counterexample_cmd(block, other, bound, seed):
+         param("--block", default="f2", help="bundled name of the harmless factor"))
+def counterexample_cmd(block, bound, seed):
     """Certify the product-projection counterexample on bundled data."""
     from . import corpus as corpus_mod
     from .frobenius import counterexample_product
 
-    report = counterexample_product(corpus_mod.corpus_algebra(block),
-                                    corpus_mod.corpus_algebra(other),
-                                    corpus_mod.bad_module_for_counterexample(), bound=bound)
+    bad = corpus_mod.bad_module_for_counterexample()  # over a2, the other factor
+    report = counterexample_product(corpus_mod.corpus_algebra(block), bad.algebra, bad, bound=bound)
     return {
-        "title": f"product counterexample ({block} x {other})",
+        "title": f"product counterexample ({block} x a2)",
         "law": "faithfulness is necessary for reflecting Gorenstein projectives",
         "pair_verified": report.pair_verified,
         "projected_is_gp": report.projected_is_gp,

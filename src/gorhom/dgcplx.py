@@ -186,7 +186,7 @@ def is_contractible(c: ComplexObj):
         s = factor_through(c.component(p), c.component(p - 1), c.differential(p - 1).matrix, rhs)
         if s is None:
             return False, None
-        homotopy[p] = s.matrix
+        homotopy[p] = s
     return True, homotopy
 
 

@@ -251,10 +251,10 @@ def restriction_bimodule(ext: RingExtension) -> Bimodule:
     return memo(ext, "restriction bimodule", None, build)
 
 
-def hom_to_regular(m: Bimodule, side: str) -> Tuple[Bimodule, list]:
+def hom_to_regular(m: Bimodule, side: str) -> Tuple[Bimodule, tuple]:
     """Hom into the regular module over one side of an S-R-bimodule M, as an
-    R-S-bimodule, with the hom basis its coordinates refer to, built once
-    per (M, side).
+    R-S-bimodule, with the basis of matrices its coordinates refer to,
+    built once per (M, side).
 
     side="left":  Hom_S(M, S),      (r·h·s)(x) = h(x·r)·s;
     side="right": Hom_{R^op}(M, R), (r·g·s)(x) = r·g(s·x).
@@ -263,7 +263,7 @@ def hom_to_regular(m: Bimodule, side: str) -> Tuple[Bimodule, list]:
     they are; the other side's action on M is precomposed.
     """
 
-    def build() -> Tuple[Bimodule, list]:
+    def build() -> Tuple[Bimodule, tuple]:
         over, pre = ((m.as_left_module(), m.right_action) if side == "left"
                      else (m.as_right_op_module(), m.left_action))
         star, basis = star_module(over)
@@ -367,8 +367,8 @@ def summand_witness(q: Module, gen: Module):
     field = q.algebra.field
     if q.dim == 0:
         return [], Mat.zeros(field, 0, 1)
-    downs = [h.matrix for h in hom_space(q, gen)]
-    pairs = [(p.matrix, h) for p in hom_space(gen, q) for h in downs]
+    downs = hom_space(q, gen)
+    pairs = [(p, h) for p in hom_space(gen, q) for h in downs]
     if not pairs:
         return None
     span = Mat.from_cols(field, [tuple(vec(p * h).col(0)) for p, h in pairs])
@@ -390,7 +390,7 @@ def projective_witness(m: Module) -> Optional[DualBasis]:
         pieces = [(Mat.identity(field, a.dim), Mat.identity(field, a.dim))]
     else:
         found = summand_witness(m, regular_module(a))
-        if a.primitive_idempotents() is not None:
+        if a.idempotents is not None:
             if (found is not None) != is_projective(m):
                 raise PropertyViolation("summand-of-free and cover tests disagree")
         if found is None:
@@ -484,7 +484,7 @@ def _bimodule_maps(ext: RingExtension) -> List[Mat]:
     E(x)·g for the generators g of R.  The r with E(x·phi(r)) = E(x)·r for
     every x form a subalgebra containing 1, so the generators suffice."""
     r, s = ext.base, ext.total
-    basis = [h.matrix for h in hom_space(restrict(ext, regular_module(s)), regular_module(r))]
+    basis = hom_space(restrict(ext, regular_module(s)), regular_module(r))
     if not basis:
         return []
     system = Mat.zeros(r.field, 0, len(basis))
@@ -570,13 +570,13 @@ class BimodulePair:
         self.algebra_b = m.left
         self.name = f"(M⊗-, N⊗-) of the ({m.left!r}, {m.right!r})-bimodule M"
 
-    def _dual(self) -> Tuple[Bimodule, list, list]:
+    def _dual(self) -> Tuple[Bimodule, tuple, list]:
         """N as an R-S-bimodule, the basis of Hom_S(M, S) it is written in,
         and the dual basis of M over S as pairs (element, functional in N's
         coordinates)."""
         m = self.m
 
-        def build() -> Tuple[Bimodule, list, list]:
+        def build() -> Tuple[Bimodule, tuple, list]:
             dual, n_basis = hom_to_regular(m, "left")
             basis = projective_witness(m.as_left_module())
             if basis is None:
@@ -620,7 +620,7 @@ class BimodulePair:
         fgy = _tensor(self.m, gy.module)
         field = y.algebra.field
         # E1 on M ⊗k N ⊗k y: block (a, u) is the action of h_u(m_a) in S
-        acts = [y.rho(h.matrix.col(a)) for a in range(self.m.dim) for h in n_basis]
+        acts = [y.rho(h.col(a)) for a in range(self.m.dim) for h in n_basis]
         e1 = block_matrix(field, [y.dim], [y.dim] * len(acts),
                           {(0, k): act for k, act in enumerate(acts)})
         # descend through N ⊗_S y: the ambient M ⊗k G(y) maps into M ⊗k N ⊗k y

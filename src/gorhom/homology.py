@@ -74,18 +74,17 @@ Dim = Union[int, AtLeast]
 class Resolution(NamedTuple):
     """An augmented minimal projective resolution.
 
-    terms[k] sits k steps from the module, maps[k]: terms[k+1] -> terms[k],
-    augmentation: terms[0] -> augmented, and syzygies[k] is the kernel of
-    the map leaving terms[k] (the (k+1)-st syzygy).  complete means the
-    last syzygy vanished.  There is no injective kind: the coresolution of
-    m is D applied to the resolution of D(m) over the opposite algebra.
+    terms[k] sits k steps from the module, maps[k] is the matrix of the map
+    terms[k+1] -> terms[k] and augmentation that of terms[0] -> augmented.
+    complete means the last syzygy vanished.  There is no injective kind:
+    the coresolution of m is D applied to the resolution of D(m) over the
+    opposite algebra.
     """
 
     augmented: Module
     terms: tuple
     maps: tuple
-    augmentation: ModHom
-    syzygies: tuple
+    augmentation: Mat
     complete: bool
 
     def depth(self) -> int:
@@ -100,9 +99,9 @@ class Resolution(NamedTuple):
         """The matrix of the map leaving terms[k]: the augmentation at k = 0,
         maps[k - 1] after it, and zero past the computed maps."""
         if k == 0:
-            return self.augmentation.matrix
+            return self.augmentation
         if k - 1 < len(self.maps):
-            return self.maps[k - 1].matrix
+            return self.maps[k - 1]
         return Mat.zeros(self.augmented.algebra.field, self.term(k - 1).dim, self.term(k).dim)
 
 
@@ -145,33 +144,30 @@ def resolve(m: Module, depth: int) -> Resolution:
     request walks on from the steps a shallower one built.
     """
     terms: List[Module] = []
-    maps: List[ModHom] = []
-    syzygies: List[Module] = []
+    maps: List[Mat] = []
     current = m
     incl: Optional[ModHom] = None  # current -> previous term
-    for k in range(depth + 1):
+    for _ in range(depth + 1):
         p, cov = cover_envelope(current)
         terms.append(p)
         if incl is not None:
-            # a composite of two homs: not checked again
-            maps.append(ModHom._trusted(p, terms[k - 1], incl.matrix * cov.matrix))
+            maps.append(incl.matrix * cov.matrix)
         current, incl = syzygy(current)
-        syzygies.append(current)
         if current.dim == 0:
             break
-    return Resolution(m, tuple(terms), tuple(maps),
-                      cover_envelope(m)[1], tuple(syzygies), current.dim == 0)
+    return Resolution(m, tuple(terms), tuple(maps), cover_envelope(m)[1].matrix, current.dim == 0)
 
 
 def resolve_injective_sum(q: Module, depth: int) -> Resolution:
     """A minimal resolution of D(q) to depth, for a recorded sum q of
     structural projectives over A^op, built once per (q, depth): D(q) is
     the sum of the injectives D(A^op·e_j), j in q._summands, and this is
-    the block-diagonal sum of their memoized resolutions.  A direct sum of
-    minimal resolutions is a minimal resolution, exact by construction as
-    resolve's own are; its terms are direct_sums, so they stay recorded
-    sums.  q's record is set once and never changes, and the terms are
-    interned, so the value depends on q and depth alone."""
+    the block-diagonal sum of their memoized resolutions: one direct_sum
+    per term and block-diagonal maps.  A direct sum of minimal resolutions
+    is a minimal resolution, exact by construction as resolve's own are;
+    its terms are direct_sums, so they stay recorded sums.  q's record is
+    set once and never changes, and the terms are interned, so the value
+    depends on q and depth alone."""
     if q.dim == 0:  # past the end of a coresolution
         return resolve(dual_module(q), depth)
 
@@ -186,13 +182,8 @@ def resolve_injective_sum(q: Module, depth: int) -> Resolution:
 
         n = max(len(r.terms) for r in parts)
         terms = tuple(direct_sum([r.terms[k] for r in parts if k < len(r.terms)]) for k in range(n))
-        # a part that stopped early ends in its zero syzygy
-        syzygies = tuple(direct_sum([r.syzygies[min(k, len(r.syzygies) - 1)] for r in parts])
-                         for k in range(n))
-        maps = tuple(ModHom._trusted(terms[k], terms[k - 1], leaving(k)) for k in range(1, n))
-        return Resolution(dual_module(q), terms, maps,
-                          ModHom._trusted(terms[0], dual_module(q), leaving(0)), syzygies,
-                          all(r.complete for r in parts))
+        return Resolution(dual_module(q), terms, tuple(leaving(k) for k in range(1, n)),
+                          leaving(0), all(r.complete for r in parts))
 
     return memo(q, ("injective_sum", depth), None, build)
 
@@ -214,7 +205,7 @@ def ext_dim(m: Module, n: Module, i: int) -> int:
         res = resolve(m, i + 1)
         if res.complete and i > res.depth():
             return 0
-        homs = [[h.matrix for h in hom_space(res.term(k), n)] for k in (i - 1, i)]
+        homs = [hom_space(res.term(k), n) for k in (i - 1, i)]
         deltas = [hom_delta(h, res.map_from(k + 1)) for h, k in zip(homs, (i - 1, i))]
         return homology_dims([len(h) for h in homs], deltas)[1]
 
@@ -306,24 +297,24 @@ class GpVerdict(NamedTuple):
         return self.verdict == "yes"
 
 
-def star_module(m: Module) -> Tuple[Module, list]:
+def star_module(m: Module) -> Tuple[Module, Tuple[Mat, ...]]:
     """Hom(m, A) as a module over the opposite algebra, A acting by right
-    multiplication after the map, with its hom basis, computed once per
-    module.
+    multiplication after the map, with its hom basis as matrices, computed
+    once per module.
 
     Over the regular module itself the basis is the right multiplications
-    x -> x·e_j, which commute with left multiplication by associativity and
-    are not checked again, and Hom_A(A, A) is regular_module(A^op): e_i takes
-    the j-th to x -> x·(e_j·e_i), of coordinates table[j][i].  Nor is another
-    module checked: the solve proves the span stable under f -> f·a, (f·a)·b =
-    f·(ab) by associativity, which is the law over the opposite algebra, and
-    f·1 = f."""
+    x -> x·e_j, regular_module(A^op).action, which commute with left
+    multiplication by associativity, and Hom_A(A, A) is regular_module(A^op):
+    e_i takes the j-th to x -> x·(e_j·e_i), of coordinates table[j][i].
+    Another module's is hom_space's basis, and the module is not checked:
+    the solve proves the span stable under f -> f·a, (f·a)·b = f·(ab) by
+    associativity, which is the law over the opposite algebra, and f·1 = f."""
 
-    def build() -> Tuple[Module, list]:
+    def build() -> Tuple[Module, Tuple[Mat, ...]]:
         a = m.algebra
         right = regular_module(a.opposite())
         if m is regular_module(a):
-            return right, [ModHom._trusted(m, m, r) for r in right.action]
+            return right, right.action
         basis = hom_space(m, regular_module(a))
         acts = hom_actions(basis, right.action, a.field,
                            "Hom(m, A) is not stable under the right action", post=True)
@@ -339,7 +330,7 @@ def evaluation_to_double_star(m: Module) -> ModHom:
     star2, basis2 = star_module(star_m)
     # ev_x : star_m -> A, f -> f(x) for the basis vectors x = e_c of m, as
     # matrices over the star_m basis: column t is column c of basis[t]
-    ev_mats = [Mat.from_cols(field, [h.matrix.col(c) for h in basis], m.algebra.dim)
+    ev_mats = [Mat.from_cols(field, [h.col(c) for h in basis], m.algebra.dim)
                for c in range(m.dim)]
     mat = hom_coordinates(ev_mats, basis2, field,
                           "evaluation map leaves the double-star hom space")
@@ -453,7 +444,9 @@ def gpd(m: Module, profile: GorensteinProfile):
 def _gpd_uncached(m: Module, profile: GorensteinProfile) -> int:
     reg = regular_module(m.algebra)
     s = max((i for i in range(1, profile.gorenstein_dim + 1) if ext_dim(m, reg, i)), default=0)
-    stage = resolve(m, s).syzygies[s - 1] if s else m
+    stage = m
+    for _ in range(s):
+        stage = syzygy(stage)[0]
     verdict = is_gorenstein_projective(stage, profile)
     if verdict.verdict != "yes":
         raise PropertyViolation(
@@ -506,7 +499,7 @@ def nullhomotopy(chain_map: Sequence[Optional[Mat]], source: Resolution, target:
                              target.map_from(k + target_shift + 1), rhs)
         if sol is None:
             raise NoHomotopy(f"homotopy system inconsistent at stage {k}")
-        s.append(sol.matrix)
+        s.append(sol)
     return s
 
 
@@ -695,7 +688,7 @@ def totalize_quasi_bicomplex(m: Module, profile: GorensteinProfile) -> Totalizat
     components = {(i, -k): t for i, r in enumerate(rows) for k, t in enumerate(r.terms)}
     # d_0^{i, -(k+1)}: terms[k+1] -> terms[k]
     dmaps: Dict[int, Dict[Tuple[int, int], Mat]] = {
-        0: {(i, -(k + 1)): f.matrix for i, r in enumerate(rows) for k, f in enumerate(r.maps)}}
+        0: {(i, -(k + 1)): f for i, r in enumerate(rows) for k, f in enumerate(r.maps)}}
     qb = QuasiBicomplex(ncols - 1, mhat, components, dmaps)
 
     # d_0 d_l + d_l d_0 = -sum_{a=1}^{l-1} d_a d_{l-a}; for l = 1, -∂·ε into I^{i+1}
@@ -704,7 +697,7 @@ def totalize_quasi_bicomplex(m: Module, profile: GorensteinProfile) -> Totalizat
         for i in range(ncols - l):
             cmap = [qb.composite_sum(l, i, -k, range(1, l)) for k in range(len(rows[i].terms))]
             if l == 1:
-                cmap[0] = -(dres.map_from(i + 1).transpose() * rows[i].augmentation.matrix)
+                cmap[0] = -(dres.map_from(i + 1).transpose() * rows[i].augmentation)
             try:
                 s = nullhomotopy(cmap, rows[i], rows[i + l], target_shift=l - 2)
             except NoHomotopy as exc:
@@ -753,8 +746,8 @@ def totalize_quasi_bicomplex(m: Module, profile: GorensteinProfile) -> Totalizat
     # Map Z^0 -> m: project to the P^{0,0} block, which comes first in Q^0
     # (every row has a term 0), apply the row augmentation, then pull back
     # through the coresolution augmentation m -> I^0.
-    into_i0 = rows[0].augmentation.matrix * z0_basis.select_rows(range(rows[0].terms[0].dim))
-    back = solve(dres.augmentation.matrix.transpose(), into_i0)
+    into_i0 = rows[0].augmentation * z0_basis.select_rows(range(rows[0].terms[0].dim))
+    back = solve(dres.augmentation.transpose(), into_i0)
     if back.particular is None:
         raise PropertyViolation("Z^0 does not land in the image of m inside I^0")
     omega = ModHom(z0_mod, m, back.particular)

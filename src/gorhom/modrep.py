@@ -1,7 +1,8 @@
 """Finite-dimensional left modules over structure-constant algebras.
 
 A Module stores one action matrix per algebra basis element, and a ModHom
-a matrix from source to target coordinates.  Each law is checked once,
+a matrix from source to target coordinates; a hom basis, a lift and a
+resolution differential are plain matrices.  Each law is checked once,
 where it is cheapest:
 
 * Modules and homs from outside (documents, callers, bimodules)
@@ -13,17 +14,14 @@ where it is cheapest:
 * Constructions that proved the law themselves build their result
   without the check (`Module(..., _skip_validation=True)`,
   `ModHom._trusted`), and each says why: `submodule`, `dual_module`,
-  `dual_hom`, `zero_hom`, the `hom_space` basis maps, `factor_through`'s
-  combinations, an isomorphism witness (a combination of a hom basis),
-  the cover map x -> rho(x)·v and `regular_module` (associativity), the
-  identity cover, `homology.resolve`'s composites and block-diagonal sums
-  (`resolve_injective_sum`), `homology.star_module` (Hom(m, A) over A^op,
-  and the right multiplications of Hom_A(A, A)), the block-diagonal
-  `zero_module` and `direct_sum`, and in `frobenius` a tensor product's
-  ambient module, `coinduce`, `Bimodule.as_tensor_module` (two checked
-  actions that commute) and, through `Bimodule._trusted`, the two
-  bimodules of a ring extension (multiplications through a checked
-  embedding).
+  `dual_hom`, `zero_hom`, an isomorphism witness (a combination of a hom
+  basis), the cover map x -> rho(x)·v and `regular_module`
+  (associativity), the identity cover, `homology.star_module` (Hom(m, A)
+  over A^op), the block-diagonal `zero_module` and `direct_sum`, and in
+  `frobenius` a tensor product's ambient module, `coinduce`,
+  `Bimodule.as_tensor_module` (two checked actions that commute) and,
+  through `Bimodule._trusted`, the two bimodules of a ring extension
+  (multiplications through a checked embedding).
   A quotient is D of a submodule of the dual, so it is built by these.
   Their inputs are checked modules, so no outside input skips a check;
   tests/test_source.py fails on a trusted construction anywhere else.
@@ -226,7 +224,7 @@ def _yoneda_basis(n: Module, i: int) -> List[Mat]:
     def build() -> List[Mat]:
         a = n.algebra
         emb = _indecomposable_projectives(a)[1][i]
-        maps = _yoneda(n, emb, column_space_basis(n.rho(a.primitive_idempotents()[i])))
+        maps = _yoneda(n, emb, column_space_basis(n.rho(a.idempotents[i])))
         red = rref(Mat.from_cols(a.field, [vec(f).col(0)[::-1] for f in maps],
                                  emb.cols * n.dim).transpose())
         if red.rank != len(maps):
@@ -237,7 +235,7 @@ def _yoneda_basis(n: Module, i: int) -> List[Mat]:
     return memo(n, ("yoneda", i), None, build)
 
 
-def _hom_space_matrices(m: Module, n: Module) -> List[Mat]:
+def _hom_space_matrices(m: Module, n: Module) -> Tuple[Mat, ...]:
     """A basis of Hom(m, n) as matrices: the kernel basis of the equations
     f·rho_m(g) = rho_n(g)·f for every generator g, in the unknowns vec(f).
 
@@ -255,24 +253,24 @@ def _hom_space_matrices(m: Module, n: Module) -> List[Mat]:
     if m.algebra != n.algebra:
         raise AlgebraMismatch("hom space requires modules over one algebra")
     if m.dim == 0 or n.dim == 0:
-        return []
+        return ()
     field = m.algebra.field
     if m._summands is not None and m.algebra is n.algebra:
         dims = [_indecomposable_projectives(m.algebra)[1][i].cols for i in m._summands]
-        return [block_matrix(field, [n.dim], dims, {(0, j): f})
-                for j, i in enumerate(m._summands) for f in _yoneda_basis(n, i)]
+        return tuple(block_matrix(field, [n.dim], dims, {(0, j): f})
+                     for j, i in enumerate(m._summands) for f in _yoneda_basis(n, i))
     # no generators (the ground field itself): no equations, all of Hom_k(m, n)
     ker = kron_difference(field, m.dim, n.dim, [(m.action[i].transpose(), n.action[i])
                                                 for i in m.algebra.generators()]).kernel_basis()
-    return [unvec(field, ker.col(c), n.dim, m.dim) for c in range(ker.cols)]
+    return tuple(unvec(field, ker.col(c), n.dim, m.dim) for c in range(ker.cols))
 
 
-def hom_space(m: Module, n: Module) -> List[ModHom]:
-    """A basis of Hom(m, n): solutions of the intertwining equations, or
-    combinations of Yoneda maps, which intertwine by associativity; so they
-    are not checked again."""
-    return [ModHom._trusted(m, n, mat)
-            for mat in memo(m, "hom", n, lambda: _hom_space_matrices(m, n))]
+def hom_space(m: Module, n: Module) -> Tuple[Mat, ...]:
+    """A basis of Hom(m, n) as matrices from m's coordinates to n's, built
+    once per (m, n): solutions of the intertwining equations, or
+    combinations of Yoneda maps, which intertwine by associativity.  The
+    memoized tuple itself is returned; it refers to neither module."""
+    return memo(m, "hom", n, lambda: _hom_space_matrices(m, n))
 
 
 def hom_dim(m: Module, n: Module) -> int:
@@ -294,27 +292,28 @@ def _combine(mats: Sequence[Mat], coeffs) -> Mat:
     return sum((h.scale(c) for h, c in terms), Mat.zeros(mats[0].field, mats[0].rows, mats[0].cols))
 
 
-def factor_through(src: Module, tgt: Module, g: Mat, rhs: Mat) -> Optional[ModHom]:
-    """An f in Hom(src, tgt) with g·f = rhs, or None when there is none.
+def factor_through(src: Module, tgt: Module, g: Mat, rhs: Mat) -> Optional[Mat]:
+    """The matrix of an f in Hom(src, tgt) with g·f = rhs, or None when
+    there is none.
 
-    One solve over the memoized hom basis h_t: hom_delta(basis, g,
+    One solve over hom_space's basis h_t: hom_delta(basis, g,
     post=True)·c = vec(rhs) and f = sum c_t·h_t.  f is a combination of
     solutions of the intertwining system, so it intertwines, and g·f = rhs
     is asserted exactly.
     """
-    basis = memo(src, "hom", tgt, lambda: _hom_space_matrices(src, tgt))
+    basis = hom_space(src, tgt)
     if not basis:
-        return zero_hom(src, tgt) if rhs.is_zero() else None
+        return Mat.zeros(src.algebra.field, tgt.dim, src.dim) if rhs.is_zero() else None
     coeffs = solve(hom_delta(basis, g, post=True), vec(rhs)).particular
     if coeffs is None:
         return None
-    f = ModHom._trusted(src, tgt, _combine(basis, coeffs.col(0)))
-    if g * f.matrix != rhs:
+    f = _combine(basis, coeffs.col(0))
+    if g * f != rhs:
         raise PropertyViolation("the factorization does not compose to the right side")
     return f
 
 
-def hom_coordinates(mats: Sequence[Mat], basis: Sequence[ModHom], field, law: str) -> Mat:
+def hom_coordinates(mats: Sequence[Mat], basis: Sequence[Mat], field, law: str) -> Mat:
     """The matrix whose columns are the coordinates of mats in the hom basis;
     raises PropertyViolation(law) when one of them leaves the hom space.
 
@@ -324,19 +323,19 @@ def hom_coordinates(mats: Sequence[Mat], basis: Sequence[ModHom], field, law: st
     if not mats:
         return Mat.zeros(field, len(basis), 0)
     rows = mats[0].rows * mats[0].cols
-    span = Mat.from_cols(field, [vec(h.matrix).col(0) for h in basis], rows)
+    span = Mat.from_cols(field, [vec(h).col(0) for h in basis], rows)
     coeffs = solve(span, Mat.from_cols(field, [vec(mat).col(0) for mat in mats], rows)).particular
     if coeffs is None:
         raise PropertyViolation(law)
     return coeffs
 
 
-def hom_actions(basis: Sequence[ModHom], ops: Sequence[Mat], field, law: str,
+def hom_actions(basis: Sequence[Mat], ops: Sequence[Mat], field, law: str,
                 post: bool = False) -> List[Mat]:
     """For each op, the matrix of h -> h∘op, or h -> op∘h when post, in the
     hom basis: one hom_coordinates solve, one block of columns per op."""
     k = len(basis)
-    mats = [op * h.matrix if post else h.matrix * op for op in ops for h in basis]
+    mats = [op * h if post else h * op for op in ops for h in basis]
     coeffs = hom_coordinates(mats, basis, field, law)
     return [coeffs.select_cols(range(t * k, (t + 1) * k)) for t in range(len(ops))]
 
@@ -504,7 +503,7 @@ def _indecomposable_projectives(a: Algebra) -> Tuple[tuple, tuple]:
     and keep the first record: Hom out of a module depends on its content."""
 
     def build() -> Tuple[tuple, tuple]:
-        idems = a.primitive_idempotents()
+        idems = a.idempotents
         if idems is None:
             raise UnsupportedAlgebra("structural modules need primitive idempotents")
         reg = regular_module(a)
@@ -538,7 +537,7 @@ def structural_modules(a: Algebra) -> StructuralModules:
     def build():
         projectives, embeddings = _indecomposable_projectives(a)
         simples = [top_of(pe)[0] for pe in projectives]
-        idems = a.primitive_idempotents()
+        idems = a.idempotents
         if any(s.rho(e).rank() != 1 for s, e in zip(simples, idems)):
             raise UnsupportedAlgebra("non-split simple module encountered")
         classes: List[List[int]] = []
@@ -584,7 +583,7 @@ def cover_envelope(m: Module) -> Tuple[Module, ModHom]:
         if m.dim == 0 or m._summands is not None:
             return m, ModHom._trusted(m, m, Mat.identity(a.field, m.dim))
         structural = structural_modules(a)
-        idems = a.primitive_idempotents()
+        idems = a.idempotents
         ann = radical_submodule_basis(m).transpose().kernel_basis()
         proj = ann.transpose()
         summands, blocks = [], []
@@ -632,8 +631,7 @@ def stable_hom_dim(m: Module, n: Module) -> int:
     if not homs:
         return 0
     p_n, cov = cover_envelope(n)
-    lifts = [h.matrix for h in hom_space(m, p_n)]
-    return len(homs) - len(pivot_columns(hom_delta(lifts, cov.matrix, post=True)))
+    return len(homs) - len(pivot_columns(hom_delta(hom_space(m, p_n), cov.matrix, post=True)))
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +664,7 @@ def is_isomorphic(m: Module, n: Module, seed: int = 0) -> IsoVerdict:
     computed, so a "yes" pays for its certificate only.  When randomized
     search fails and exhaustion is infeasible the verdict is "inconclusive".
     """
-    return _isomorphism(m, n, seed, lambda x, y: [h.matrix for h in hom_space(x, y)])
+    return _isomorphism(m, n, seed, hom_space)
 
 
 def _isomorphism(m: Module, n: Module, seed: int, homs_of) -> IsoVerdict:
@@ -716,7 +714,7 @@ def random_coefficients(rng: random.Random, p: int, count: int) -> list:
     return [rng.randrange(p) if p else rng.randint(-3, 3) for _ in range(count)]
 
 
-def _first_invertible(m: Module, n: Module, homs: List[Mat], trials) -> Optional[IsoVerdict]:
+def _first_invertible(m: Module, n: Module, homs: Sequence[Mat], trials) -> Optional[IsoVerdict]:
     """The "yes" of the first combination of homs, by the coefficient lists
     of trials, that is invertible; None when there is none.  homs is a basis
     of Hom(m, n), so a combination intertwines and is not checked again;

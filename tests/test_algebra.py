@@ -182,7 +182,7 @@ def test_s3_over_f7_is_semisimple():
 
 def test_s3_has_no_idempotent_data():
     a = group_algebra(symmetric_group_table(3), F7)
-    assert a.primitive_idempotents() is None
+    assert a.idempotents is None
     with pytest.raises(UnsupportedAlgebra):
         structural_modules(a)
 

@@ -17,7 +17,7 @@ one solve.
 import pytest
 
 from test_kupisch import F2, NAKAYAMA, nakayama, uniserial
-from test_laws import ALGEBRAS, _algebra, right_mult_oracle
+from test_laws import ALGEBRAS, _algebra, right_mult_oracle, syzygy_stages
 
 from gorhom import exactlin, frobenius, homology, modrep
 from gorhom.algebra import Algebra, path_algebra
@@ -50,9 +50,9 @@ from gorhom.homology import (
     totalize_quasi_bicomplex,
 )
 from gorhom.modrep import (
+    ModHom,
     column_space_basis,
     cover_envelope,
-    dual_hom,
     dual_module,
     factor_through,
     hom_coordinates,
@@ -66,7 +66,6 @@ from gorhom.modrep import (
     structural_modules,
     submodule,
     top_of,
-    zero_hom,
     zero_module,
 )
 
@@ -84,7 +83,7 @@ def per_element_submodule_actions(m, basis) -> list:
 def per_operator_actions(basis, ops, field, post=False) -> list:
     """The matrix of h -> h∘op (op∘h when post) in the hom basis, one
     hom_coordinates solve per op."""
-    return [hom_coordinates([op * h.matrix if post else h.matrix * op for h in basis],
+    return [hom_coordinates([op * h if post else h * op for h in basis],
                             basis, field, "left the hom space")
             for op in ops]
 
@@ -98,7 +97,7 @@ def _syzygy_inputs(a) -> list:
     the submodules a resolution builds."""
     out = []
     for m in module_corpus(a, minimum=0):
-        for x in (m,) + resolve(m, 2).syzygies:
+        for x in syzygy_stages(m, 3):
             if x.dim:
                 p, cov = cover_envelope(x)
                 out.append((p, cov.matrix.kernel_basis()))
@@ -285,8 +284,8 @@ def test_tensor_sections_give_the_tensor_homs_of_the_solved_ones():
                 for y in corpus:
                     into = frobenius._tensor(bim, y).proj
                     for f in hom_space(x, y):
-                        via_solved = into * kron(eye_m, f.matrix) * solved
-                        assert frobenius._tensor_hom(bim, f).matrix == via_solved
+                        via_solved = into * kron(eye_m, f) * solved
+                        assert frobenius._tensor_hom(bim, ModHom(x, y, f)).matrix == via_solved
     assert differ > 0
 
 
@@ -353,9 +352,7 @@ def syzygy_search_gpd(m, profile) -> int:
     test, the zero module past a complete resolution: the search gpd ran
     before it read the Ext support."""
     d = profile.gorenstein_dim
-    stages = (m,) + (resolve(m, d).syzygies if d else ())
-    for n in range(d + 1):
-        stage = stages[n] if n < len(stages) else zero_module(m.algebra)
+    for n, stage in enumerate(syzygy_stages(m, d)):
         if is_gorenstein_projective(stage, profile).verdict == "yes":
             return n
     raise AssertionError(f"no Gorenstein projective syzygy within the Gorenstein dimension {d}")
@@ -391,14 +388,14 @@ def test_gpd_and_gid_of_every_kupisch_indecomposable_are_the_syzygy_search(name)
 
 
 def lift_chain_map(f, source, target) -> list:
-    """Lift f between the augmented objects to a chain map of projective
-    resolutions (the comparison theorem), one factor_through per degree:
-    d_k·f_k = f_{k-1}·d_k, with d_k the map leaving terms[k] and f_{-1} = f.
-    The totalization built d_1 from these lifts before d_1 became its first
-    null-homotopy."""
+    """Lift the matrix f of a map between the augmented objects to a chain
+    map of projective resolutions (the comparison theorem), one
+    factor_through per degree: d_k·f_k = f_{k-1}·d_k, with d_k the map
+    leaving terms[k] and f_{-1} = f.  The totalization built d_1 from these
+    lifts before d_1 became its first null-homotopy."""
     lifts = []
     for k in range(max(len(source.terms), len(target.terms))):
-        rhs = (lifts[-1].matrix if lifts else f.matrix) * source.map_from(k)
+        rhs = (lifts[-1] if lifts else f) * source.map_from(k)
         lift = factor_through(source.term(k), target.term(k), target.map_from(k), rhs)
         assert lift is not None, f"lift is not solvable at stage {k}"
         lifts.append(lift)
@@ -413,11 +410,12 @@ def lifted_d1(m, profile) -> dict:
     rows = [resolve(dual_module(dres.term(i)), d) for i in range(d + 2)]
     blocks = {}
     for i in range(d + 1):
-        partial = (dual_hom(dres.maps[i]) if i < len(dres.maps)
-                   else zero_hom(rows[i].augmented, rows[i + 1].augmented))
+        # D of the coresolution map dres.maps[i], zero past the last one
+        partial = (dres.maps[i].transpose() if i < len(dres.maps) else
+                   Mat.zeros(m.algebra.field, rows[i + 1].augmented.dim, rows[i].augmented.dim))
         for k, h in enumerate(lift_chain_map(partial, rows[i], rows[i + 1])):
-            if h.matrix.rows and h.matrix.cols:
-                blocks[(i, -k)] = -h.matrix if k % 2 else h.matrix
+            if h.rows and h.cols:
+                blocks[(i, -k)] = -h if k % 2 else h
     return blocks
 
 

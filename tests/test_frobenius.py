@@ -22,8 +22,9 @@ from gorhom.algebra import (
     tensor_algebra,
     truncated_extension,
 )
-from gorhom.corpus import EXTENSION_NAMES, corpus_algebra, corpus_extension, module_corpus
-from gorhom.errors import PreconditionFailed, PropertyViolation
+from gorhom.corpus import (ALGEBRA_NAMES, EXTENSION_NAMES, bad_module_for_counterexample,
+                           corpus_algebra, corpus_extension, module_corpus)
+from gorhom.errors import AlgebraMismatch, PreconditionFailed, PropertyViolation
 from gorhom.exactlin import FieldSpec, Mat
 from gorhom.frobenius import (
     Bimodule,
@@ -458,7 +459,7 @@ def test_clearing_every_cache_changes_no_result(ext_f2_f2c2, f2, a2, f2c2):
             emap = dual_hom(cover_envelope(dual_module(m))[1])  # the envelope
             out += [cover.action, cmap.matrix, emap.target.action, emap.matrix]
             star, basis = star_module(m)
-            out += [star.action, [h.matrix for h in basis]]
+            out += [star.action, basis]
             out += [prof, is_gorenstein_projective(m, prof), gpd(m, prof)]
         return out
 
@@ -757,6 +758,14 @@ def test_counterexample_guards(f2, a2):
     p = s_a2.projectives[0]
     with pytest.raises(PreconditionFailed):
         counterexample_product(f2, a2, p, bound=10)
+
+
+@pytest.mark.parametrize("other", [name for name in ALGEBRA_NAMES if name != "a2"])
+def test_a_bad_module_over_another_factor_is_a_mismatch(f2, other):
+    # the designated module is an a2 simple, so every other factor is a
+    # mismatch, named before any profile is computed
+    with pytest.raises(AlgebraMismatch, match="^the designated module is not a module over B'$"):
+        counterexample_product(f2, corpus_algebra(other), bad_module_for_counterexample())
 
 
 def test_tri_equiv_identity_nakayama():

@@ -1,12 +1,13 @@
 import re
 from itertools import count
+from itertools import product as iter_product
 
 import pytest
 
 from test_families import _counting, lift_chain_map
 from test_kupisch import NAKAYAMA, uniserial
 from test_kupisch import nakayama as kupisch
-from test_laws import resolution_defects
+from test_laws import resolution_defects, syzygy_stages
 
 from gorhom import corpus, homology, modrep
 from gorhom.algebra import (
@@ -44,7 +45,6 @@ from gorhom.homology import (
 from gorhom.modrep import (
     ModHom,
     Module,
-    dual_hom,
     dual_module,
     hom_dim,
     hom_space,
@@ -111,8 +111,8 @@ def test_periodic_resolution_over_dual_numbers(dual_numbers):
     # Oracle: every differential is multiplication by x (rank 1), and every
     # syzygy is the simple again.
     for d in res.maps:
-        assert d.matrix.rank() == 1
-    for syz in res.syzygies:
+        assert d.rank() == 1
+    for syz in syzygy_stages(k, 5)[1:]:
         assert syz.dim == 1
         assert is_isomorphic(syz, k).verdict == "yes"
 
@@ -122,7 +122,7 @@ def test_a_deeper_cached_resolution_is_cut_to_the_depth_asked(a2, dual_numbers):
     k = structural_modules(dual_numbers).simples[0]
     resolve(k, 6)
     res = resolve(k, 2)
-    assert (len(res.terms), len(res.maps), len(res.syzygies), res.complete) == (3, 2, 3, False)
+    assert (len(res.terms), len(res.maps), res.complete) == (3, 2, False)
     s1 = simple_at(a2, "e1")
     assert resolve(s1, 5).complete
     res = resolve(s1, 0)
@@ -235,10 +235,8 @@ def test_a_rebuilt_injective_sum_row_is_the_row(name):
             del q._cache[("injective_sum", d)]
             again = homology.resolve_injective_sum(q, d)
             assert again is not first and again.complete == first.complete
-            assert all(x is y for x, y in zip(again.terms + again.syzygies,
-                                              first.terms + first.syzygies, strict=True))
-            assert [f.matrix for f in (again.augmentation,) + again.maps] == [
-                f.matrix for f in (first.augmentation,) + first.maps]
+            assert all(x is y for x, y in zip(again.terms, first.terms, strict=True))
+            assert (again.augmentation,) + again.maps == (first.augmentation,) + first.maps
 
 
 # `direction` only names the case: every resolution is projective
@@ -250,10 +248,10 @@ def test_a_resolution_with_a_zero_map_is_rejected(dual_numbers, direction, law):
     res = resolve(k, 3)
     assert resolution_defects(res) == []
     maps = list(res.maps)
-    maps[1] = zero_hom(maps[1].source, maps[1].target)
+    maps[1] = Mat.zeros(F2, maps[1].rows, maps[1].cols)
     defects = resolution_defects(res._replace(maps=tuple(maps)))
     assert any(re.match(law, d) for d in defects)
-    aug = zero_hom(res.augmentation.source, res.augmentation.target)
+    aug = Mat.zeros(F2, res.augmentation.rows, res.augmentation.cols)
     defects = resolution_defects(res._replace(augmentation=aug))
     assert any("must be epi" in d for d in defects)
 
@@ -292,7 +290,7 @@ def test_ext_vanishing_against_regular_over_dual_numbers(dual_numbers):
     x = a.basis_vec(1)
     xmat = reg.rho(x)
     comp_ranks = Mat.from_cols(
-        F2, [tuple((h.matrix * xmat).entry(i, j) for j in range(2) for i in range(2))
+        F2, [tuple((h * xmat).entry(i, j) for j in range(2) for i in range(2))
              for h in homs]).rank()
     assert len(homs) == 2 and comp_ranks == 1
     for i in range(1, 7):
@@ -468,7 +466,59 @@ def test_gpd_tests_only_the_syzygy_at_the_ext_support(monkeypatch):
     m = uniserial(a, 0, 1)
     tested = _counting(monkeypatch, homology, "_is_gp_uncached")
     assert gpd(m, prof) == 3
-    assert [x for x, _prof in tested] == [resolve(m, 3).syzygies[2]]
+    assert [x for x, _prof in tested] == [syzygy_stages(m, 3)[3]]
+
+
+def _counting_homs(monkeypatch) -> list:
+    """A list that gains an entry for every ModHom built, checked or not."""
+    built, trusted, check = [], modrep.ModHom._trusted, modrep.ModHom.__post_init__
+    monkeypatch.setattr(modrep.ModHom, "_trusted",
+                        classmethod(lambda _cls, *args: built.append(args) or trusted(*args)))
+    monkeypatch.setattr(modrep.ModHom, "__post_init__", lambda f: built.append(f) or check(f))
+    return built
+
+
+def test_hom_bases_lifts_and_resolutions_build_no_map(monkeypatch, a2):
+    # covers and syzygy inclusions are maps, built once per module: they are
+    # built first, with every stage held, so that what is counted is the hom
+    # bases, the lifts (identity lifts along each differential) and the
+    # resolutions alone
+    mods = corpus.module_corpus(a2, minimum=0)
+    _held = [syzygy_stages(m, 4) for m in mods]
+    built = _counting_homs(monkeypatch)
+    for m in mods:
+        res = resolve(m, 3)
+        for src, n in iter_product((m,) + res.terms, mods):
+            hom_space(src, n)
+        for k, t in enumerate(res.terms):
+            d = res.map_from(k)
+            assert modrep.factor_through(t, t, d, d) is not None
+    assert built == []
+
+
+def test_a_totalization_row_makes_one_direct_sum_per_term(monkeypatch):
+    # a new a2 object, so no row is memoized; the modules and results are
+    # held, so that a row is built once.  A row sums its parts' terms, one
+    # direct_sum each, and nothing else
+    a = algebra_from_json(algebra_to_json(corpus.corpus_algebra("a2")))
+    prof = gorenstein_profile(a)
+    mods = corpus.module_corpus(a, minimum=0)
+    sums = _counting(monkeypatch, homology, "direct_sum")
+    rows, row = [], homology.resolve_injective_sum
+
+    def counted_row(q, depth):
+        before = len(sums)
+        rows.append((q, row(q, depth), len(sums) - before))
+        return rows[-1][1]
+
+    monkeypatch.setattr(homology, "resolve_injective_sum", counted_row)
+    _held = [totalize_quasi_bicomplex(m, prof) for m in mods]
+    seen = set()
+    for q, r, n in rows:
+        # a repeated term is a memo hit; past the coresolution q is zero
+        assert n == (0 if id(r) in seen or not q.dim else len(r.terms)), (q, r)
+        seen.add(id(r))
+    assert len(seen) > 1
 
 
 def test_a_repeated_ext_solves_nothing(monkeypatch, a2, in_new_basis):
@@ -489,12 +539,11 @@ def test_a_profile_serves_only_modules_over_its_algebra(a2, call):
 def test_lift_identity_chain_map(a2):
     s1 = simple_at(a2, "e1")
     res = resolve(s1, 4)
-    lift = lift_chain_map(ModHom(s1, s1, Mat.identity(F2, s1.dim)), res, res)
+    lift = lift_chain_map(Mat.identity(F2, s1.dim), res, res)
     # any valid lift commutes with differentials and augmentations
-    assert res.augmentation.matrix * lift[0].matrix == res.augmentation.matrix
+    assert res.augmentation * lift[0] == res.augmentation
     for k in range(len(res.maps)):
-        assert (res.maps[k].matrix * lift[k + 1].matrix ==
-                lift[k].matrix * res.maps[k].matrix)
+        assert res.maps[k] * lift[k + 1] == lift[k] * res.maps[k]
 
 
 def test_lift_zero_chain_map(a2):
@@ -502,23 +551,21 @@ def test_lift_zero_chain_map(a2):
     s2 = simple_at(a2, "e2")
     res1 = resolve(s1, 4)
     res2 = resolve(s2, 4)
-    lift = lift_chain_map(zero_hom(s1, s2), res1, res2)
-    assert (res2.augmentation.matrix * lift[0].matrix).is_zero()
+    lift = lift_chain_map(Mat.zeros(F2, s2.dim, s1.dim), res1, res2)
+    assert (res2.augmentation * lift[0]).is_zero()
 
 
 def test_lift_of_coresolution_differential(a2):
     s2 = simple_at(a2, "e2")
     # the first differential I^0 -> I^1 of the injective coresolution of s2
-    d0 = dual_hom(resolve(dual_module(s2), 2).maps[0])
-    i0, i1 = d0.source, d0.target
-    r0 = resolve(i0, 3)
-    r1 = resolve(i1, 3)
+    dres = resolve(dual_module(s2), 2)
+    d0 = dres.maps[0].transpose()
+    r0 = resolve(dual_module(dres.terms[0]), 3)
+    r1 = resolve(dual_module(dres.terms[1]), 3)
     lift = lift_chain_map(d0, r0, r1)
-    assert (r1.augmentation.matrix * lift[0].matrix ==
-            d0.matrix * r0.augmentation.matrix)
+    assert r1.augmentation * lift[0] == d0 * r0.augmentation
     for k in range(min(len(r0.maps), len(r1.maps))):
-        assert (r1.maps[k].matrix * lift[k + 1].matrix ==
-                lift[k].matrix * r0.maps[k].matrix)
+        assert r1.maps[k] * lift[k + 1] == lift[k] * r0.maps[k]
 
 
 def test_nullhomotopy_of_zero_map(a2):
@@ -531,8 +578,8 @@ def test_nullhomotopy_of_zero_map(a2):
 def test_nullhomotopy_of_lifted_zero(dual_numbers):
     k = structural_modules(dual_numbers).simples[0]
     res = resolve(k, 3)
-    lift = lift_chain_map(zero_hom(k, k), res, res)
-    s = nullhomotopy([h.matrix for h in lift], res, res)
+    lift = lift_chain_map(Mat.zeros(F2, k.dim, k.dim), res, res)
+    s = nullhomotopy(lift, res, res)
     assert len(s) == len(res.terms)
 
 
@@ -705,7 +752,7 @@ def test_complex_serialization_roundtrip(tmp_path, a2):
     s1 = simple_at(a2, "e1")
     res = resolve(s1, 3)
     comps = {-k: t for k, t in enumerate(res.terms)}
-    diffs = {-(k + 1): res.maps[k] for k in range(len(res.maps))}
+    diffs = {-(k + 1): ModHom(res.terms[k + 1], res.terms[k], d) for k, d in enumerate(res.maps)}
     c = ComplexObj(a2, comps, diffs)
     assert c.cohomology_dim(0) == s1.dim  # H^0 = coker of the last map
     path = tmp_path / "res.cpx"

@@ -82,7 +82,7 @@ def test_regular_module_of_f2c2_is_indecomposable(f2c2):
         mat = Mat.zeros(F2, 2, 2)
         for h, c in zip(homs, coeffs):
             if c:
-                mat = mat + h.matrix
+                mat = mat + h
         sq = mat * mat
         is_idem = sq == mat
         if is_idem and not mat.is_zero() and mat != Mat.identity(F2, 2):
@@ -148,8 +148,8 @@ def test_cokernel_of_projective_inclusion_is_simple(a2):
     p1 = next(p for p in s.projectives if p.dim == 2)
     p2 = next(p for p in s.projectives if p.dim == 1)
     maps = hom_space(p2, p1)
-    incl = next(h for h in maps if h.is_mono())
-    cokernel = quotient_module(p1, column_space_basis(incl.matrix))[0]
+    incl = next(h for h in maps if h.kernel_basis().cols == 0)
+    cokernel = quotient_module(p1, column_space_basis(incl))[0]
     s1 = next(x for x in s.simples if hom_dim(x, top_of(p1)[0]))
     assert is_isomorphic(cokernel, s1).verdict == "yes"
 
@@ -293,7 +293,7 @@ def test_stable_end_of_simple_over_f2c2(f2c2):
     reg = regular_module(f2c2)
     ups = hom_space(k, reg)
     downs = hom_space(reg, k)
-    composites = {tuple((d.matrix * u.matrix).data) for u in ups for d in downs}
+    composites = {tuple((d * u).data) for u in ups for d in downs}
     assert composites == {((0,),)}
     assert stable_hom_dim(k, k) == 1
 
@@ -336,7 +336,7 @@ def obstruction_first_isomorphism(m, n, seed=0):
         return IsoVerdict("no", obstruction=f"dimensions differ: {m.dim} vs {n.dim}")
     if m.dim == 0:
         return IsoVerdict("yes", witness=zero_hom(m, n))
-    homs = [h.matrix for h in hom_space(m, n)]
+    homs = hom_space(m, n)
     if not homs:
         return IsoVerdict("no", obstruction="Hom(m, n) = 0")
     d_end_m, d_end_n, d_hom = hom_dim(m, m), hom_dim(n, n), len(homs)
@@ -423,8 +423,8 @@ def test_factorization_dimension_bookkeeping(a2, f2c2):
         reg = regular_module(a)
         for m in list(s.simples) + [reg]:
             for h in hom_space(reg, m):
-                image = column_space_basis(h.matrix)
-                kernel = submodule(reg, h.matrix.kernel_basis())[0]
+                image = column_space_basis(h)
+                kernel = submodule(reg, h.kernel_basis())[0]
                 assert kernel.dim + image.cols == reg.dim
                 assert image.cols + quotient_module(m, image)[0].dim == m.dim
 
@@ -472,14 +472,14 @@ def test_threads_storing_and_dropping_entries_keep_the_memo_consistent(a2, in_ne
     # module has, so they die and are built again
     reg = regular_module(a2)
     acts = in_new_basis(reg)[0].action
-    expected = [h.matrix for h in hom_space(reg, Module(a2, acts))]
+    expected = hom_space(reg, Module(a2, acts))
     gc.collect()
     entries = len(reg._cache)
     answers = []
 
     def work():
         for _ in range(200):
-            answers.append([h.matrix for h in hom_space(reg, Module(a2, acts))])
+            answers.append(hom_space(reg, Module(a2, acts)))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -506,10 +506,10 @@ def test_idempotent_count_matches_top_multiplicities(a2, f2c2):
     basic = [a2, f2c2, truncated_extension(a2, 2)[0]]
     for alg in basic:
         s = structural_modules(alg)
-        assert len(alg.primitive_idempotents()) == len(s.simple_classes)
+        assert len(alg.idempotents) == len(s.simple_classes)
     m2 = matrix_algebra(truncated_extension(field_algebra(F2), 2)[0], 2)
     s = structural_modules(m2)
-    assert len(m2.primitive_idempotents()) == 2
+    assert len(m2.idempotents) == 2
     assert len(s.simple_classes) == 1
     top_reg, _ = top_of(regular_module(m2))
     rep = s.simples[s.simple_classes[0][0]]
@@ -572,7 +572,7 @@ def assert_agrees_with_kron_oracle(calls):
     for src, tgt, g, rhs, f in calls:
         assert kron_factor_oracle(src, tgt, g, rhs) == (f is not None)
         if f is not None:
-            assert (f.source, f.target) == (src, tgt) and g * f.matrix == rhs
+            assert (f.rows, f.cols) == (tgt.dim, src.dim) and g * f == rhs
 
 
 @pytest.mark.parametrize("name", ["a2", "nak2", "a2t2"])
@@ -619,14 +619,14 @@ def test_maps_out_of_a_resolution_term_build_no_kron_system(monkeypatch, name, i
         raise AssertionError("kron_difference called")
 
     monkeypatch.setattr(modrep, "kron_difference", no_kron)
-    idems = a.primitive_idempotents()
+    idems = a.idempotents
     for m, (copy, iso) in zip(mods, copies):
         res, res_copy = homology.resolve(m, 3), homology.resolve(copy, 3)
         for t in res.terms:
             # dim Hom(A·e, N) = dim e·N
             assert hom_dim(t, copy) == sum(copy.rho(idems[i]).rank() for i in t._summands)
-        lifts = lift_chain_map(ModHom(m, copy, iso), res, res_copy)
-        assert all(f.is_iso() for f in lifts)
+        lifts = lift_chain_map(iso, res, res_copy)
+        assert all(f.is_invertible() for f in lifts)
 
 
 # --- interning ------------------------------------------------------------------
@@ -662,13 +662,13 @@ def test_interning_fresh_modules_retains_no_memory(a2, retained_bytes, in_new_ba
 def test_threads_building_one_content_get_checked_modules(a2, in_new_basis):
     reg = regular_module(a2)
     acts = in_new_basis(reg)[0].action
-    expected = [h.matrix for h in hom_space(reg, Module(a2, acts))]
+    expected = hom_space(reg, Module(a2, acts))
     built = []
 
     def work():
         for _ in range(50):
             m = Module(a2, acts)
-            built.append((m.dim, m.action, m._summands, [h.matrix for h in hom_space(reg, m)]))
+            built.append((m.dim, m.action, m._summands, hom_space(reg, m)))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -693,4 +693,4 @@ def test_projectives_of_one_content_keep_the_first_record(op):
     s = structural_modules(a)
     assert s.projectives[0] is s.projectives[1] and s.projectives[1]._summands == (0,)
     for p, n in iter_product(s.projectives, module_corpus(a, minimum=0)):
-        assert [h.matrix for h in hom_space(p, n)] == full_basis_hom_matrices(p, n, a.generators())
+        assert list(hom_space(p, n)) == full_basis_hom_matrices(p, n, a.generators())
