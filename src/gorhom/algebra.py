@@ -249,7 +249,7 @@ def _greedy_generators(a: Algebra) -> tuple:
         piv = next((k for k, x in enumerate(v) if x), None)
         if piv is None:
             return False
-        inv = a.field.inv(v[piv])
+        inv = pow(v[piv], -1, p) if p else 1 / v[piv]
         rows.append((piv, [(x * inv) % p for x in v] if p else [x * inv for x in v]))
         return True
 

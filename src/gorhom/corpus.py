@@ -228,34 +228,27 @@ def export_data(directory) -> List[str]:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written = []
+
+    def put(save, obj, name: str, **refs):
+        save(obj, directory / name, **refs)
+        written.append(name)
+
     for name in ALGEBRA_NAMES:
-        save_algebra(corpus_algebra(name), directory / f"{name}.alg")
-        written.append(f"{name}.alg")
+        put(save_algebra, corpus_algebra(name), f"{name}.alg")
     for qname, q in [("a2", a2_quiver()), ("a3", a3_quiver()), ("nak2", nakayama_quiver())]:
-        save_quiver(q, directory / f"{qname}.quiver")
-        written.append(f"{qname}.quiver")
+        put(save_quiver, q, f"{qname}.quiver")
     for name in EXTENSION_NAMES:
         ext = corpus_extension(name)
         base_name = next(n for n in ALGEBRA_NAMES if corpus_algebra(n) == ext.base)
         total_name = next(n for n in ALGEBRA_NAMES if corpus_algebra(n) == ext.total)
-        save_extension(ext, directory / f"{name}.ext",
-                       base_ref=f"{base_name}.alg", total_ref=f"{total_name}.alg")
-        written.append(f"{name}.ext")
-    save_bimodule(corpus_bimodule("morita_col"), directory / "morita_col.bimod",
-                  left_ref="m2f2x2.alg", right_ref="f2x2.alg")
-    written.append("morita_col.bimod")
+        put(save_extension, ext, f"{name}.ext",
+            base_ref=f"{base_name}.alg", total_ref=f"{total_name}.alg")
+    put(save_bimodule, corpus_bimodule("morita_col"), "morita_col.bimod",
+        left_ref="m2f2x2.alg", right_ref="f2x2.alg")
     # a few sample modules and a sample complex for the CLI
-    a2 = corpus_algebra("a2")
-    save_module(bad_module_for_counterexample(), directory / "a2_s1.mod",
-                algebra_ref="a2.alg")
-    written.append("a2_s1.mod")
-    save_module(regular_module(a2), directory / "a2_regular.mod", algebra_ref="a2.alg")
-    written.append("a2_regular.mod")
-    f2c2 = corpus_algebra("f2c2")
-    k = structural_modules(f2c2).simples[0]
-    save_module(k, directory / "f2c2_simple.mod", algebra_ref="f2c2.alg")
-    written.append("f2c2_simple.mod")
-    sample = complex_corpus()[0]
-    save_complex(sample, directory / "a2_stalk.cpx", algebra_ref="a2.alg")
-    written.append("a2_stalk.cpx")
+    put(save_module, bad_module_for_counterexample(), "a2_s1.mod", algebra_ref="a2.alg")
+    put(save_module, regular_module(corpus_algebra("a2")), "a2_regular.mod", algebra_ref="a2.alg")
+    put(save_module, structural_modules(corpus_algebra("f2c2")).simples[0], "f2c2_simple.mod",
+        algebra_ref="f2c2.alg")
+    put(save_complex, complex_corpus()[0], "a2_stalk.cpx", algebra_ref="a2.alg")
     return written

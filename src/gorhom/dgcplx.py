@@ -65,7 +65,7 @@ class ChainMap:
         return Mat.zeros(field, self.target.component(p).dim, self.source.component(p).dim)
 
     def is_mono(self) -> bool:
-        return all(self.mat(p).kernel_basis().cols == 0
+        return all(self.mat(p).rank() == self.source.component(p).dim
                    for p in self.source.support())
 
     def is_epi(self) -> bool:
@@ -213,27 +213,23 @@ def check_frobenius_pair_FU(corpus_graded: Sequence[ComplexObj],
                    == Mat.identity(src.algebra.field, src.component(p).dim)
                    for p in src.support())
 
-    report = AdjunctionReport({})
-    triangles = True
-    units_mono = True
-    counits_epi = True
-    f_contractible = True
-    exactness = True
+    flags = dict.fromkeys(("triangle_identities", "unit_FU_mono", "counit_sigma_epi",
+                           "F_image_projective", "exact_on_covers"), True)
 
     for x in corpus_graded:
         fx = functor_F(x)
         sfx = shift_sigma(fx)
         eta = unit_FU(x, fx)
-        units_mono &= eta.is_mono()
+        flags["unit_FU_mono"] &= eta.is_mono()
         # first triangle of (F, U): (eps F)(F eta) = id_{F X}
         f_eta = functor_F_hom(eta, fx, functor_F(eta.target))
-        triangles &= is_identity(counit_FU(fx), f_eta)
+        flags["triangle_identities"] &= is_identity(counit_FU(fx), f_eta)
         # second triangle of (U, ΣF): (ΣF eps')(eta' ΣF) = id_{ΣF X}, where
         # ΣF eps' at degree p is F eps' at degree p + 1
         epsp = counit_U_SigmaF(x, sfx)
         f_epsp = functor_F_hom(epsp, functor_F(epsp.source), fx)
-        triangles &= is_identity(f_epsp, unit_U_SigmaF(sfx), shift=1)
-        f_contractible &= is_contractible(fx)[0]
+        flags["triangle_identities"] &= is_identity(f_epsp, unit_U_SigmaF(sfx), shift=1)
+        flags["F_image_projective"] &= is_contractible(fx)[0]
 
         # exactness of F and U on the sequence 0 -> K -> P -> X -> 0 of
         # componentwise covers
@@ -257,28 +253,23 @@ def check_frobenius_pair_FU(corpus_graded: Sequence[ComplexObj],
                                    ModHom(fk.component(p), fp.component(p), f_ker.mat(p)),
                                    ModHom(fp.component(p), fx.component(p), f_cov.mat(p)))
             except PropertyViolation:
-                exactness = False
+                flags["exact_on_covers"] = False
         # F preserves projectivity: contractible with projective components
-        f_contractible &= is_contractible(fp)[0]
-        f_contractible &= all(is_projective(fp.component(p)) for p in fp.support())
+        flags["F_image_projective"] &= is_contractible(fp)[0]
+        flags["F_image_projective"] &= all(is_projective(fp.component(p)) for p in fp.support())
 
     for y in corpus_complexes:
         eps = counit_FU(y)
         uy = functor_U(y)
         # second triangle of (F, U): (U eps)(eta U) = id_{U Y}
-        triangles &= is_identity(eps, unit_FU(uy, eps.source))
+        flags["triangle_identities"] &= is_identity(eps, unit_FU(uy, eps.source))
         # first triangle of (U, ΣF): (eps' U)(U eta') = id_{U Y}
         etap = unit_U_SigmaF(y)
         epsp_uy = counit_U_SigmaF(uy, etap.target)
-        triangles &= is_identity(epsp_uy, functor_U_hom(etap))
-        counits_epi &= epsp_uy.is_epi()
+        flags["triangle_identities"] &= is_identity(epsp_uy, functor_U_hom(etap))
+        flags["counit_sigma_epi"] &= epsp_uy.is_epi()
 
-    report.flags["triangle_identities"] = triangles
-    report.flags["unit_FU_mono"] = units_mono
-    report.flags["counit_sigma_epi"] = counits_epi
-    report.flags["F_image_projective"] = f_contractible
-    report.flags["exact_on_covers"] = exactness
-    return report
+    return AdjunctionReport(flags)
 
 
 class ComponentwiseGpReport(NamedTuple):

@@ -29,7 +29,10 @@ Over F_2, whose entries are the ints 0 and 1, `rref` packs each row into
 one int by a byte translation and eliminates by xor.  Nothing is built to
 be thrown away: `pivot_columns` (and so a rank) skips the reduced matrix,
 unpacking no row over F_2, and `kernel_basis` reads the kernel off the RREF
-of the matrix alone, by the kernel assembly `solve` uses on [a | b].
+of the matrix alone, by the kernel assembly `solve` uses on [a | b].  Nor
+is anything eliminated twice: a kernel basis or a canonical hom basis has a
+unit row for every column, and `solve` against it reads the answer off
+those rows and checks it by one product.
 
 Matrix layout lives here and nowhere else: slicing (`select_rows`,
 `select_cols`), block assembly (`block_matrix`, of which a block-diagonal
@@ -139,14 +142,6 @@ class FieldSpec(Record):
     def neg(self, a: Scalar) -> Scalar:
         p = self.characteristic
         return (-a) % p if p else -a
-
-    def inv(self, a: Scalar) -> Scalar:
-        p = self.characteristic
-        if p:
-            return pow(a, -1, p)
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return 1 / a
 
     def parse(self, text: str) -> Scalar:
         """Parse the scalar text encoding: "num/den" or "num", an int
@@ -497,18 +492,38 @@ def _kernel(rows: tuple, pivots: Sequence[int], field: FieldSpec, n: int) -> Mat
     return Mat._from_canonical(field, tuple(out), len(free))
 
 
+def _unit_rows(a: Mat) -> Optional[list]:
+    """For each column c of a, the first row equal to e_c (its one nonzero
+    entry exactly 1); None once the rows left cannot cover the open columns."""
+    n, zero, one, first = a.cols, a.field.zero(), a.field.one(), {}
+    for i, row in enumerate(a.data):
+        if len(first) == n or a.rows - i < n - len(first):
+            break
+        if row.count(zero) == n - 1 and one in row:
+            first.setdefault(row.index(one), i)
+    return [first[c] for c in range(n)] if len(first) == n else None
+
+
 def solve(a: Mat, b: Mat) -> SolveResult:
     """Solve a x = b exactly for every column of b.
 
     kernel columns span ker(a); dim ker = cols(a) - rank(a).  The
     particular solution is the one with zeros in all free coordinates.
+
+    When every column c of a has a unit row e_c, as a kernel basis or a
+    canonical hom basis has, a has full column rank: the only candidate is
+    b read at those rows, and one product decides whether it solves, with
+    no elimination.  Otherwise [a | b] is row reduced.
     """
     if a.rows != b.rows:
         raise InputShapeError(f"solve: a has {a.rows} rows but b has {b.rows}")
-    field = a.field
+    field, n = a.field, a.cols
+    units = _unit_rows(a)
+    if units is not None:
+        x = Mat._from_canonical(field, tuple([tuple([*b.data[i]]) for i in units]), b.cols)
+        return SolveResult(x if (a * x).data == b.data else None, Mat.zeros(field, n, 0))
     aug = rref(a.hstack(b))
     rows = aug.matrix.data
-    n = a.cols
     pivots = [c for c in aug.pivots if c < n]
     particular = None
     if len(pivots) == aug.rank:  # no pivot in b: every column is consistent

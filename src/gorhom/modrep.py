@@ -163,7 +163,7 @@ class ModHom(Record):
         return f
 
     def is_mono(self) -> bool:
-        return self.matrix.kernel_basis().cols == 0
+        return self.matrix.rank() == self.source.dim
 
     def is_epi(self) -> bool:
         return self.matrix.rank() == self.target.dim
@@ -317,9 +317,8 @@ def hom_coordinates(mats: Sequence[Mat], basis: Sequence[Mat], field, law: str) 
     """The matrix whose columns are the coordinates of mats in the hom basis;
     raises PropertyViolation(law) when one of them leaves the hom space.
 
-    One solve for all of mats: when every column is consistent, the RREF of
-    [span | targets] gives each column the solution it gets alone, the one
-    with zero free coordinates."""
+    One solve for all of mats: the basis is independent, so each column has
+    one solution, which a canonical basis's unit rows give with no elimination."""
     if not mats:
         return Mat.zeros(field, len(basis), 0)
     rows = mats[0].rows * mats[0].cols

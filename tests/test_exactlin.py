@@ -3,7 +3,7 @@ from fractions import Fraction
 from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gorhom import exactlin
@@ -506,6 +506,99 @@ def test_solve_meets_its_contract_and_the_per_column_assembly(system):
             assert all(x == field.zero() for x in res.particular.row(c))
     _assert_canonical(res.particular)
     _assert_canonical(res.kernel)
+
+
+# -- systems against a left side with a unit row for every column -------------
+
+
+def _solve_counting_rrefs(a: Mat, b: Mat):
+    """solve(a, b) and the number of rref calls it made."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactlin, "rref", lambda m: calls.append(m) or rref(m))
+        res = solve(a, b)
+    return res, len(calls)
+
+
+@st.composite
+def kernel_systems(draw):
+    """A field, a raw a over it and K = kernel_basis(a), which holds a unit
+    row at every free coordinate, and X of K.cols rows."""
+    field = draw(st.sampled_from([F2, F3, QQ]))
+    a = _raw_matrix(draw, field, draw(st.integers(0, 4)), draw(st.integers(0, 6)))
+    k = a.kernel_basis()
+    return a, k, _raw_matrix(draw, field, k.cols, draw(st.integers(0, 3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_systems())
+def test_a_system_against_a_kernel_basis_is_read_off_its_unit_rows(system):
+    _a, k, x = system
+    y = k * x
+    res, rrefs = _solve_counting_rrefs(k, y)
+    assert rrefs == 0
+    assert res.particular.data == x.data == per_column_solve(k, y)[0]
+    assert (res.particular.rows, res.particular.cols) == (x.rows, x.cols)
+    assert res.kernel.data == per_column_solve(k, y)[1] and res.kernel.cols == 0
+    _assert_canonical(res.particular)
+    _assert_fresh_rows(res.particular, k, y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_systems(), st.data())
+def test_a_right_side_off_a_kernel_basis_span_has_no_solution(system, data):
+    a, k, x = system
+    pivots = rref(a).pivots
+    assume(pivots and x.cols)
+    # e_p at a pivot coordinate p has zero free coordinates, so it lies in
+    # the span only if it is zero: y_j + e_p is off the span
+    p, j = data.draw(st.sampled_from(pivots)), data.draw(st.integers(0, x.cols - 1))
+    y = k * x
+    cols = [y.col(c) for c in range(x.cols)]
+    cols[j] = tuple(a.field.add(v, a.field.one() if i == p else a.field.zero())
+                    for i, v in enumerate(cols[j]))
+    b = Mat.from_cols(a.field, cols, k.rows)
+    res, rrefs = _solve_counting_rrefs(k, b)
+    assert rrefs == 0
+    assert res.particular is None and per_column_solve(k, b)[0] is None
+    assert res.kernel.data == per_column_solve(k, b)[1]
+
+
+@st.composite
+def one_column_short(draw):
+    """a with a unit row for every column but a drawn c, its rows shuffled
+    among raw rows from which e_c is removed, and a b of a·y or raw columns."""
+    field = draw(st.sampled_from([F2, F3, QQ]))
+    n = draw(st.integers(1, 5))
+    c = draw(st.integers(0, n - 1))
+    unit = tuple(field.one() if i == c else field.zero() for i in range(n))
+    raw = [row if row != unit else (field.zero(),) * n
+           for row in _raw_matrix(draw, field, draw(st.integers(0, 3)), n).data]
+    rows = draw(st.permutations([tuple(field.one() if i == j else field.zero() for i in range(n))
+                                 for j in range(n) if j != c] + raw))
+    a = Mat(field, rows, cols=n)
+    k = draw(st.integers(0, 3))
+    b = a * _raw_matrix(draw, field, n, k)
+    return a, _raw_matrix(draw, field, a.rows, k) if draw(st.booleans()) else b
+
+
+@settings(max_examples=200, deadline=None)
+@given(one_column_short())
+def test_one_column_with_no_unit_row_takes_the_elimination_route(system):
+    a, b = system
+    res, rrefs = _solve_counting_rrefs(a, b)
+    particular, kernel = per_column_solve(a, b)
+    assert rrefs == 1
+    assert res.kernel.data == kernel
+    assert (None if res.particular is None else res.particular.data) == particular
+
+
+def test_a_row_whose_one_nonzero_entry_is_two_is_no_unit_row():
+    # over F_3, 2·x = 1 gives x = 2: reading b at that row would give 1
+    a = Mat(F3, [[2, 0], [0, 1]])
+    res, rrefs = _solve_counting_rrefs(a, Mat(F3, [[1], [1]]))
+    assert rrefs == 1
+    assert res.particular == Mat(F3, [[2], [1]]) and res.kernel.cols == 0
 
 
 # -- what a caller reads, without what it throws away ---------------------------

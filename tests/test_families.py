@@ -40,7 +40,9 @@ from gorhom.frobenius import (
     restrict,
     restriction_bimodule,
 )
+from gorhom.dgcplx import ChainMap
 from gorhom.homology import (
+    ComplexObj,
     gid,
     gorenstein_profile,
     gpd,
@@ -66,6 +68,7 @@ from gorhom.modrep import (
     structural_modules,
     submodule,
     top_of,
+    zero_hom,
     zero_module,
 )
 
@@ -478,7 +481,20 @@ def test_a_submodule_is_one_elimination_whatever_the_algebra_dimension(monkeypat
     for emb in embeddings:
         del solves[:], rrefs[:]
         submodule(reg, emb)
-        assert (len(solves), len(rrefs)) == (1, 1)
+        # an embedding has a unit row for every column: the solve eliminates nothing
+        assert (len(solves), len(rrefs)) == (1, 0)
+
+
+def test_injectivity_is_a_rank_with_no_kernel_built(monkeypatch):
+    a = corpus_algebra("a2")
+    reg = regular_module(a)
+    incl = submodule(reg, structural_modules(a).embeddings[0])[1]
+    stalk = ComplexObj(a, {0: reg}, {})
+    kernels = _counting(monkeypatch, exactlin, "_kernel")
+    assert incl.is_mono() and not zero_hom(reg, incl.source).is_mono()
+    assert ChainMap(stalk, stalk, {0: Mat.identity(a.field, reg.dim)}).is_mono()
+    assert not ChainMap(stalk, stalk, {}).is_mono()
+    assert kernels == []
 
 
 def test_structural_modules_solve_no_hom_space_and_search_no_isomorphism(monkeypatch):

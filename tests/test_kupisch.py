@@ -4,7 +4,8 @@ The corpus algebras all have Gorenstein dimension 0 or 1.  These cyclic
 Nakayama algebras over F_2 reach gpd 2, 3 and 4, total-reflexivity windows
 4 and 8, and the higher maps d_3, d_4 and d_5 of the totalization;
 kupisch.py predicts pd, gpd and the GP verdict of every indecomposable
-from the Kupisch series alone.
+from the Kupisch series alone, and so gpd of its induced module over
+A[x]/(x²), which the paper's theorem says a Frobenius extension keeps.
 """
 
 import functools
@@ -13,8 +14,9 @@ import pytest
 
 from kupisch import Kupisch
 
-from gorhom.algebra import Quiver, path_algebra
+from gorhom.algebra import Quiver, path_algebra, truncated_extension
 from gorhom.exactlin import FieldSpec, Mat
+from gorhom.frobenius import RingExtension, induce, is_frobenius_extension, verify_gpd_transfer
 from gorhom.homology import (
     AtLeast,
     gorenstein_profile,
@@ -142,3 +144,19 @@ def test_totalization_above_gorenstein_dimension_one(name, x):
     assert result.z0_verdict.verdict == "yes" and result.gpd_bound_matches
     assert result.witness.left.dim + m.dim == result.witness.middle.dim
     assert oracle.gpd(x) == prof.gorenstein_dim
+
+
+@pytest.mark.parametrize("name", ["k32", "k223"])
+def test_gpd_transfers_to_the_dual_numbers_at_gorenstein_dimension_two_and_three(name):
+    a, _prof, oracle = nakayama(name)
+    ext = RingExtension(a, *truncated_extension(a, 2))
+    assert is_frobenius_extension(ext).verdict == "yes"
+    xs = oracle.modules()
+    report = verify_gpd_transfer(ext, [induce(ext, uniserial(a, *x)) for x in xs], BOUND)
+    # the induced indecomposables, then the induced simples (vertex order),
+    # projectives and regular module that the transfer adds itself
+    n = len(oracle.lengths)
+    expected = [oracle.gpd(x) for x in xs] + [oracle.gpd((i, 1)) for i in range(n)] + [0] * (n + 1)
+    assert report.all_equal and report.ind_checked
+    assert [row["gpd_total"] for row in report.rows] == expected
+    assert max(expected) == oracle.gorenstein_dimension()
