@@ -42,9 +42,16 @@ F3 = FieldSpec(3)
 F7 = FieldSpec(7)
 QQ = FieldSpec(0)
 
-_algebras: Dict[str, Algebra] = {}
-_extensions: Dict[str, RingExtension] = {}
-_bimodules: Dict[str, Bimodule] = {}
+_built: Dict[tuple, object] = {}
+
+
+def _bundled(kind: str, builders: dict, name: str):
+    """The bundled object of this kind and name, built once by its builder."""
+    if (kind, name) not in _built:
+        if name not in builders:
+            raise InputShapeError(f"unknown corpus {kind} {name!r}")
+        _built[(kind, name)] = builders[name]()
+    return _built[(kind, name)]
 
 
 def a2_quiver() -> Quiver:
@@ -60,87 +67,50 @@ def nakayama_quiver() -> Quiver:
                   relations=(((("b", "a"), 1),), ((("a", "b"), 1),)))
 
 
-def corpus_algebra(name: str) -> Algebra:
-    """Build (once) a bundled algebra by name."""
-    if name in _algebras:
-        return _algebras[name]
-    if name == "f2":
-        a = field_algebra(F2)
-    elif name == "f3":
-        a = field_algebra(F3)
-    elif name == "f7":
-        a = field_algebra(F7)
-    elif name == "q":
-        a = field_algebra(QQ)
-    elif name == "f2x2":
-        a = truncated_extension(field_algebra(F2), 2)[0]
-    elif name == "f2x3":
-        a = truncated_extension(field_algebra(F2), 3)[0]
-    elif name == "f2c2":
-        a = group_algebra(cyclic_group_table(2), F2)
-    elif name == "f3c3":
-        a = group_algebra(cyclic_group_table(3), F3)
-    elif name == "f7s3":
-        a = group_algebra(symmetric_group_table(3), F7)
-    elif name == "a2":
-        a = path_algebra(a2_quiver(), F2)
-    elif name == "a3":
-        a = path_algebra(a3_quiver(), F2)
-    elif name == "nak2":
-        a = path_algebra(nakayama_quiver(), F2)
-    elif name == "a2t2":
-        a = truncated_extension(corpus_algebra("a2"), 2)[0]
-    elif name == "m2f2x2":
-        a = matrix_algebra(corpus_algebra("f2x2"), 2)
-    elif name == "prod_f2_a2":
-        a = product_algebra(corpus_algebra("f2"), corpus_algebra("a2"))
-    else:
-        raise InputShapeError(f"unknown corpus algebra {name!r}")
-    _algebras[name] = a
-    return a
-
-
-ALGEBRA_NAMES = ["f2", "f3", "f7", "q", "f2x2", "f2x3", "f2c2", "f3c3", "f7s3",
-                 "a2", "a3", "nak2", "a2t2", "m2f2x2", "prod_f2_a2"]
+_ALGEBRAS = {
+    "f2": lambda: field_algebra(F2),
+    "f3": lambda: field_algebra(F3),
+    "f7": lambda: field_algebra(F7),
+    "q": lambda: field_algebra(QQ),
+    "f2x2": lambda: truncated_extension(field_algebra(F2), 2)[0],
+    "f2x3": lambda: truncated_extension(field_algebra(F2), 3)[0],
+    "f2c2": lambda: group_algebra(cyclic_group_table(2), F2),
+    "f3c3": lambda: group_algebra(cyclic_group_table(3), F3),
+    "f7s3": lambda: group_algebra(symmetric_group_table(3), F7),
+    "a2": lambda: path_algebra(a2_quiver(), F2),
+    "a3": lambda: path_algebra(a3_quiver(), F2),
+    "nak2": lambda: path_algebra(nakayama_quiver(), F2),
+    "a2t2": lambda: truncated_extension(corpus_algebra("a2"), 2)[0],
+    "m2f2x2": lambda: matrix_algebra(corpus_algebra("f2x2"), 2),
+    "prod_f2_a2": lambda: product_algebra(corpus_algebra("f2"), corpus_algebra("a2")),
+}
+ALGEBRA_NAMES = list(_ALGEBRAS)
 
 # algebras whose Gorenstein profile is finite and which carry idempotents
-GORENSTEIN_NAMES = ["f2", "f3", "f7", "q", "f2x2", "f2x3", "f2c2", "f3c3",
-                    "a2", "a3", "nak2", "a2t2", "m2f2x2", "prod_f2_a2"]
+GORENSTEIN_NAMES = [name for name in ALGEBRA_NAMES if name != "f7s3"]
 
 
-def corpus_extension(name: str) -> RingExtension:
-    if name in _extensions:
-        return _extensions[name]
-    if name == "id_f2":
-        ext = identity_extension(corpus_algebra("f2"))
-    elif name == "id_nak2":
-        ext = identity_extension(corpus_algebra("nak2"))
-    elif name == "f2_f2c2":
-        base, total = corpus_algebra("f2"), corpus_algebra("f2c2")
-        ext = RingExtension(base, total, Mat(F2, [[1], [0]]))
-    elif name == "f3_f3c3":
-        base, total = corpus_algebra("f3"), corpus_algebra("f3c3")
-        ext = RingExtension(base, total, Mat(F3, [[1], [0], [0]]))
-    elif name == "f2_f2x2":
-        base = field_algebra(F2)
-        total, emb = truncated_extension(base, 2)
-        ext = RingExtension(base, total, emb)
-    elif name == "f2_f2x3":
-        base = field_algebra(F2)
-        total, emb = truncated_extension(base, 3)
-        ext = RingExtension(base, total, emb)
-    elif name == "a2_a2t2":
-        base = corpus_algebra("a2")
-        total, emb = truncated_extension(base, 2)
-        ext = RingExtension(base, total, emb)
-    else:
-        raise InputShapeError(f"unknown corpus extension {name!r}")
-    _extensions[name] = ext
-    return ext
+def corpus_algebra(name: str) -> Algebra:
+    """Build (once) a bundled algebra by name."""
+    return _bundled("algebra", _ALGEBRAS, name)
 
 
-EXTENSION_NAMES = ["id_f2", "id_nak2", "f2_f2c2", "f3_f3c3", "f2_f2x2",
-                   "f2_f2x3", "a2_a2t2"]
+def _truncated(base: Algebra, n: int) -> RingExtension:
+    return RingExtension(base, *truncated_extension(base, n))
+
+
+_EXTENSIONS = {
+    "id_f2": lambda: identity_extension(corpus_algebra("f2")),
+    "id_nak2": lambda: identity_extension(corpus_algebra("nak2")),
+    "f2_f2c2": lambda: RingExtension(corpus_algebra("f2"), corpus_algebra("f2c2"),
+                                     Mat(F2, [[1], [0]])),
+    "f3_f3c3": lambda: RingExtension(corpus_algebra("f3"), corpus_algebra("f3c3"),
+                                     Mat(F3, [[1], [0], [0]])),
+    "f2_f2x2": lambda: _truncated(field_algebra(F2), 2),
+    "f2_f2x3": lambda: _truncated(field_algebra(F2), 3),
+    "a2_a2t2": lambda: _truncated(corpus_algebra("a2"), 2),
+}
+EXTENSION_NAMES = list(_EXTENSIONS)
 
 TRANSFER_EXTENSIONS = ["f2_f2c2", "f3_f3c3", "f2_f2x3", "a2_a2t2"]
 
@@ -148,17 +118,13 @@ FROBENIUS_YES_EXTENSIONS = ["id_f2", "id_nak2", "f2_f2x2", "f2_f2x3",
                             "f2_f2c2", "f3_f3c3", "a2_a2t2"]
 
 
+def corpus_extension(name: str) -> RingExtension:
+    return _bundled("extension", _EXTENSIONS, name)
+
+
 def corpus_bimodule(name: str) -> Bimodule:
-    if name in _bimodules:
-        return _bimodules[name]
-    if name == "morita_col":
-        r = corpus_algebra("f2x2")
-        s = corpus_algebra("m2f2x2")
-        bm = column_bimodule(r, 2, s)
-    else:
-        raise InputShapeError(f"unknown corpus bimodule {name!r}")
-    _bimodules[name] = bm
-    return bm
+    return _bundled("bimodule", {"morita_col": lambda: column_bimodule(
+        corpus_algebra("f2x2"), 2, corpus_algebra("m2f2x2"))}, name)
 
 
 def module_corpus(a: Algebra, minimum: int = 8) -> List[Module]:

@@ -45,8 +45,8 @@ from .errors import (AlgebraMismatch, InputShapeError, NoHomotopy, ProfileNotCer
                      PropertyViolation)
 from .exactlin import Mat, Record, block_matrix, mat_from_flat, mat_to_flat, pivot_columns, solve
 from .modrep import (ModHom, Module, ShortExactSequence, column_space_basis, component_to_json,
-                     cover_envelope, direct_sum, dual_module, factor_through, hom_actions,
-                     hom_coordinates, hom_delta, hom_dim, hom_space, module_from_json,
+                     cover_envelope, direct_sum, dual_module, factor_through, generator_delta,
+                     hom_actions, hom_coordinates, hom_dim, hom_space, module_from_json,
                      regular_module, structural_modules, submodule, zero_hom, zero_module)
 
 
@@ -195,19 +195,26 @@ def resolve_injective_sum(q: Module, depth: int) -> Resolution:
 
 def ext_dim(m: Module, n: Module, i: int) -> int:
     """dim Ext^i(m, n): dim H^i of Hom(P, n) for the minimal projective
-    resolution P of m, computed once per m, n and degree."""
+    resolution P of m, computed once per m, n and degree.
+
+    In degree 0 it is the memoized hom_dim(m, n), as in ext_dim_injective.
+    Above it no hom basis is built: every term of P is a recorded sum of
+    structural projectives, so Hom(P_k, n) is read in Yoneda coordinates,
+    and phi -> phi∘d at the generators of the next term (generator_delta)."""
     if i < 0:
         raise InputShapeError("Ext degree must be >= 0")
     if i == 0:
         return hom_dim(m, n)
 
     def build() -> int:
+        if m.algebra != n.algebra:
+            raise AlgebraMismatch("Ext requires modules over one algebra")
         res = resolve(m, i + 1)
         if res.complete and i > res.depth():
             return 0
-        homs = [hom_space(res.term(k), n) for k in (i - 1, i)]
-        deltas = [hom_delta(h, res.map_from(k + 1)) for h, k in zip(homs, (i - 1, i))]
-        return homology_dims([len(h) for h in homs], deltas)[1]
+        deltas = [generator_delta(res.term(k), res.term(k + 1), res.map_from(k + 1), n)
+                  for k in (i - 1, i)]
+        return homology_dims([x.cols for x in deltas], deltas)[1]
 
     return memo(m, ("ext", i), n, build)
 
@@ -219,7 +226,8 @@ def ext_dim_injective(m: Module, n: Module, i: int) -> int:
     it resolves n, not m.  The coresolution of n is D(P) for P the
     projective resolution of D(n) over the opposite algebra, and
     Hom_A(m, D(P)) is Hom_{A^op}(P, D(m)) transposed, so this is
-    Ext^i(D(n), D(m)) over the opposite algebra.
+    Ext^i(D(n), D(m)) over the opposite algebra, in Yoneda coordinates
+    there.  In degree 0 both routes return the same memoized hom_dim(m, n).
     """
     if i == 0:
         return hom_dim(m, n)
@@ -429,7 +437,7 @@ def gpd(m: Module, profile: GorensteinProfile):
     for i >= 1, and Ext^j(m, A) = 0 for j > d = id A: so Ω^s m passes the
     Ext test, and Ω^n m fails it in degree s - n for n < s, while Gpd(m) is
     the least n with Ω^n m Gorenstein projective.  A search for that n reads
-    those Ext groups off the same memoized covers, maps and hom bases, so
+    those Ext groups off the same memoized covers, maps and Yoneda maps, so
     it would check nothing; the membership test of Ω^s m, with its
     total-reflexivity cross-check, does, and a verdict other than "yes"
     raises PropertyViolation.

@@ -38,9 +38,11 @@ interned only once checked, so one that failed is never returned.
 Hom out of a sum of structural projectives A·e_i, every term of a
 resolution, is found by Yoneda: Hom(A·e_i, N) = e_i·N, its canonical basis
 memoized on N once per i, and a sum's basis is its summands' bases side by
-side.  Other Hom spaces are the kernel of the intertwining system that
-`exactlin.kron_difference` builds from the actions' nonzero entries;
-kernels and cokernels reduce to exact kernel computations in `exactlin`.
+side; Ext needs no basis, and reads the Yoneda maps at the generators of
+the next term (generator_delta).  Other Hom spaces are the kernel of the
+intertwining system that `exactlin.kron_difference` builds from the
+actions' nonzero entries; kernels and cokernels reduce to exact kernel
+computations in `exactlin`.
 An injective envelope is D of the projective cover of the dual, and a
 quotient m/U is D of the annihilator of U in D(m); a cover reads the top
 m/rad m in those coordinates and builds no quotient.  Finding f in
@@ -116,9 +118,6 @@ class Module:
     def rho(self, v) -> Mat:
         """Action matrix of an algebra element (coordinate vector); action[i] for e_i."""
         return _combine(self.action, v)
-
-    def is_zero(self) -> bool:
-        return self.dim == 0
 
     def __repr__(self):
         return f"Module(dim={self.dim} over {self.algebra!r})"
@@ -205,16 +204,16 @@ def regular_module(a: Algebra) -> Module:
 # ---------------------------------------------------------------------------
 
 
-def _yoneda(n: Module, emb: Mat, w: Mat) -> List[Mat]:
+def _yoneda(n: Module, emb: Mat, w: Mat) -> Mat:
     """The maps A·e -> n, x -> rho_n(x)·w_t for the columns w_t of w (in e·n),
-    in the basis emb of A·e: column c of map t is sum_j emb[j][c]·(action[j]·w)_t,
-    each action[j]·w computed once and combined in one product."""
+    in the basis emb of A·e, stacked: map t is rows t·dim(n) on, and its
+    column c is sum_j emb[j][c]·(action[j]·w)_t, each action[j]·w computed
+    once and all combined in one product."""
     used = [j for j in range(emb.rows) if any(emb.row(j))]
     # row t·dim(n) + r, column j: entry (r, t) of action[j]·w
     prods = Mat.from_cols(emb.field, [vec(n.action[j] * w).col(0) for j in used],
                           n.dim * w.cols)
-    out = prods * emb.select_rows(used)
-    return [out.select_rows(range(t * n.dim, (t + 1) * n.dim)) for t in range(w.cols)]
+    return prods * emb.select_rows(used)
 
 
 def _yoneda_basis(n: Module, i: int) -> List[Mat]:
@@ -222,17 +221,44 @@ def _yoneda_basis(n: Module, i: int) -> List[Mat]:
     Yoneda maps of a basis of e_i·n, by one reversed RREF, independent."""
 
     def build() -> List[Mat]:
-        a = n.algebra
+        a, d = n.algebra, n.dim
         emb = _indecomposable_projectives(a)[1][i]
         maps = _yoneda(n, emb, column_space_basis(n.rho(a.idempotents[i])))
-        red = rref(Mat.from_cols(a.field, [vec(f).col(0)[::-1] for f in maps],
-                                 emb.cols * n.dim).transpose())
-        if red.rank != len(maps):
+        vecs = [vec(maps.select_rows(range(t, t + d))).col(0)[::-1] for t in range(0, maps.rows, d)]
+        red = rref(Mat.from_cols(a.field, vecs, emb.cols * d).transpose())
+        if red.rank != len(vecs):
             raise PropertyViolation("the Yoneda maps out of a projective are dependent")
-        return [unvec(a.field, red.matrix.row(r)[::-1], n.dim, emb.cols)
+        return [unvec(a.field, red.matrix.row(r)[::-1], d, emb.cols)
                 for r in reversed(range(red.rank))]
 
     return memo(n, ("yoneda", i), None, build)
+
+
+def generator_delta(p: Module, q: Module, d: Mat, n: Module) -> Mat:
+    """The matrix of phi -> phi∘d over Hom(p, n), read at q's generators,
+    for the matrix d of a map q -> p between recorded sums of structural
+    projectives over one algebra object; no hom basis is built.
+
+    A map out of q is fixed by its values at the generators e_c of its
+    summands A·e_c, so this has hom_delta's rank.  Its columns, dim Hom(p, n)
+    of them, are y·d_j·G read row by row, for the Yoneda maps y of each
+    summand A·e_j of p at the column space basis of rho_n(e_j), stacked once
+    per (n, algebra object, j), d_j the rows of d at that summand, and G the
+    generators' coordinates, built once per q."""
+    a, nd, src = p.algebra, n.dim, q._summands or ()
+    embs, gens = _indecomposable_projectives(a)[1:]
+    g = memo(q, "generator_columns", None, lambda: block_matrix(
+        a.field, [embs[j].cols for j in src], [1] * len(src),
+        {(c, c): gens[j] for c, j in enumerate(src)}))
+    dg, cols, start = d * g, [], 0
+    for j in p._summands:
+        ys = memo(n, ("yoneda_stack", j), a, lambda: _yoneda(
+            n, embs[j], column_space_basis(n.rho(a.idempotents[j]))))
+        out = ys * dg.select_rows(range(start, start + embs[j].cols))
+        cols += [[x for row in out.data[r:r + nd] for x in row]
+                 for r in range(0, out.rows, max(nd, 1))]
+        start += embs[j].cols
+    return Mat.from_cols(a.field, cols, nd * len(src))
 
 
 def _hom_space_matrices(m: Module, n: Module) -> Tuple[Mat, ...]:
@@ -495,13 +521,14 @@ class StructuralModules(NamedTuple):
     embeddings: tuple
 
 
-def _indecomposable_projectives(a: Algebra) -> Tuple[tuple, tuple]:
-    """The modules A·e for the primitive idempotents e, and the basis of
-    each inside the algebra as columns of algebra elements, built once per
-    algebra.  Equal ones, as A·E11 and A·E22 over m2f2x2, are one object
-    and keep the first record: Hom out of a module depends on its content."""
+def _indecomposable_projectives(a: Algebra) -> Tuple[tuple, tuple, tuple]:
+    """The modules A·e for the primitive idempotents e, the basis of each
+    inside the algebra as columns of algebra elements, and the coordinates
+    of e in that basis, built once per algebra.  Equal ones, as A·E11 and
+    A·E22 over m2f2x2, are one object and keep the first record: Hom out of
+    a module depends on its content."""
 
-    def build() -> Tuple[tuple, tuple]:
+    def build() -> Tuple[tuple, tuple, tuple]:
         idems = a.idempotents
         if idems is None:
             raise UnsupportedAlgebra("structural modules need primitive idempotents")
@@ -511,7 +538,8 @@ def _indecomposable_projectives(a: Algebra) -> Tuple[tuple, tuple]:
         for i, p in enumerate(projectives):
             if p._summands is None:
                 p._summands = (i,)
-        return projectives, embeddings
+        return projectives, embeddings, tuple(
+            solve(emb, Mat.from_cols(a.field, [e])).particular for emb, e in zip(embeddings, idems))
 
     return memo(a, "indecomposable_projectives", None, build)
 
@@ -534,7 +562,7 @@ def structural_modules(a: Algebra) -> StructuralModules:
     """
 
     def build():
-        projectives, embeddings = _indecomposable_projectives(a)
+        projectives, embeddings = _indecomposable_projectives(a)[:2]
         simples = [top_of(pe)[0] for pe in projectives]
         idems = a.idempotents
         if any(s.rho(e).rank() != 1 for s, e in zip(simples, idems)):
@@ -585,7 +613,7 @@ def cover_envelope(m: Module) -> Tuple[Module, ModHom]:
         idems = a.idempotents
         ann = radical_submodule_basis(m).transpose().kernel_basis()
         proj = ann.transpose()
-        summands, blocks = [], []
+        summands, cols = [], []
         # one idempotent per isomorphism class of simples, so multiplicities
         # are not double-counted when distinct idempotents share their top;
         # a class's generators lift a basis of e·top(m) into e·m
@@ -602,11 +630,11 @@ def cover_envelope(m: Module) -> Tuple[Module, ModHom]:
                     raise PropertyViolation("projective cover lift left the idempotent slice")
                 gens.append(v.col(0))
             summands += [rep] * img.cols
-            blocks += _yoneda(m, structural.embeddings[rep], Mat.from_cols(a.field, gens, m.dim))
+            ys = _yoneda(m, structural.embeddings[rep], Mat.from_cols(a.field, gens, m.dim))
+            cols += [col for t in range(0, ys.rows, m.dim) for col in zip(*ys.data[t:t + m.dim])]
         if not summands:
             raise PropertyViolation("nonzero module with zero top")
         big = direct_sum([structural.projectives[i] for i in summands])
-        cols = [col for block in blocks for col in zip(*block.data)]
         cover_map = ModHom._trusted(big, m, Mat.from_cols(a.field, cols))
         if not cover_map.is_epi():
             raise PropertyViolation("projective cover map is not epi")

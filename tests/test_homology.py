@@ -524,9 +524,36 @@ def test_a_totalization_row_makes_one_direct_sum_per_term(monkeypatch):
 def test_a_repeated_ext_solves_nothing(monkeypatch, a2, in_new_basis):
     s1, n = simple_at(a2, "e1"), in_new_basis(regular_module(a2))[0]
     first = [ext_dim(s1, n, i) for i in (1, 2)]
-    deltas = _counting(monkeypatch, homology, "hom_delta")
+    deltas = _counting(monkeypatch, homology, "generator_delta")
     assert [ext_dim(s1, n, i) for i in (1, 2)] == first
     assert deltas == []
+
+
+def test_ext_builds_no_hom_basis(monkeypatch):
+    # a new a2 object, so that A has no memo yet: Ext^1(s1, A) reads the
+    # maps of s1's resolution at their generators, in e_j·A
+    a = algebra_from_json(algebra_to_json(corpus.corpus_algebra("a2")))
+    s1, reg = corpus.module_corpus(a)[0], regular_module(a)
+    homs = [_counting(monkeypatch, x, "hom_space") for x in (modrep, homology)]
+    assert ext_dim(s1, reg, 1) == 1
+    assert homs == [[], []]
+    assert not [key for key in reg._cache if isinstance(key, tuple) and key[0] == "yoneda"]
+
+
+def test_ext_into_and_out_of_the_zero_module_vanishes(a2):
+    zero = homology.zero_module(a2)
+    for m in corpus.module_corpus(a2):
+        for i in (1, 2):
+            assert ext_dim(m, zero, i) == ext_dim(zero, m, i) == 0
+            assert ext_dim_injective(m, zero, i) == ext_dim_injective(zero, m, i) == 0
+
+
+def test_ext_rejects_modules_over_unequal_algebras(a2):
+    # a projective has no Ext in degree 1, but the algebras are still compared
+    f2 = field_algebra(F2)
+    for m in structural_modules(a2).projectives + structural_modules(a2).simples:
+        with pytest.raises(AlgebraMismatch, match="^Ext requires modules over one algebra"):
+            ext_dim(m, regular_module(f2), 1)
 
 
 @pytest.mark.parametrize("call", [gpd, gid, is_gorenstein_projective, totalize_quasi_bicomplex])

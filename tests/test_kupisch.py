@@ -16,16 +16,20 @@ from kupisch import Kupisch
 
 from gorhom.algebra import Quiver, path_algebra, truncated_extension
 from gorhom.exactlin import FieldSpec, Mat
-from gorhom.frobenius import RingExtension, induce, is_frobenius_extension, verify_gpd_transfer
+from gorhom.frobenius import (RingExtension, global_gdim_transfer, induce, is_frobenius_extension,
+                              verify_gpd_transfer)
 from gorhom.homology import (
     AtLeast,
+    ext_dim,
+    ext_dim_injective,
     gorenstein_profile,
     gpd,
     is_gorenstein_projective,
     projective_dimension,
     totalize_quasi_bicomplex,
 )
-from gorhom.modrep import quotient_module, radical_submodule_basis, structural_modules, submodule
+from gorhom.modrep import (quotient_module, radical_submodule_basis, regular_module,
+                           structural_modules, submodule)
 
 F2 = FieldSpec(2)
 BOUND = 20
@@ -146,11 +150,28 @@ def test_totalization_above_gorenstein_dimension_one(name, x):
     assert oracle.gpd(x) == prof.gorenstein_dim
 
 
-@pytest.mark.parametrize("name", ["k32", "k223"])
+@pytest.mark.parametrize("name", NAKAYAMA)
+def test_the_ext_support_is_the_oracle_gpd(name):
+    # gpd is the largest 1 <= i <= d with Ext^i(X, A) != 0, or 0, and
+    # Ext^{d+1}(X, A) vanishes; the two routes to Ext agree in degrees 1..d+1
+    a, prof, oracle = nakayama(name)
+    d, reg = prof.gorenstein_dim, regular_module(a)
+    for x in oracle.modules():
+        m = uniserial(a, *x)
+        exts = [ext_dim(m, reg, i) for i in range(1, d + 2)]
+        assert max((i for i, e in enumerate(exts[:d], 1) if e), default=0) == oracle.gpd(x), x
+        assert exts[d] == 0, x
+        assert exts == [ext_dim_injective(m, reg, i) for i in range(1, d + 2)], x
+
+
+@pytest.mark.parametrize("name", ["k32", "k223", "k54"])
 def test_gpd_transfers_to_the_dual_numbers_at_gorenstein_dimension_two_and_three(name):
     a, _prof, oracle = nakayama(name)
     ext = RingExtension(a, *truncated_extension(a, 2))
     assert is_frobenius_extension(ext).verdict == "yes"
+    # the global Gorenstein dimension on both sides, the appendix's statement
+    d = oracle.gorenstein_dimension()
+    assert global_gdim_transfer(ext) == (d, d, True)
     xs = oracle.modules()
     report = verify_gpd_transfer(ext, [induce(ext, uniserial(a, *x)) for x in xs], BOUND)
     # the induced indecomposables, then the induced simples (vertex order),

@@ -57,6 +57,8 @@ from gorhom.frobenius import (
     restriction_bimodule,
 )
 from gorhom.homology import (
+    ext_dim,
+    ext_dim_injective,
     gorenstein_profile,
     homology_dims,
     resolve,
@@ -75,6 +77,7 @@ from gorhom.modrep import (
     dual_hom,
     dual_module,
     hom_actions,
+    hom_delta,
     hom_space,
     is_isomorphic,
     quotient_module,
@@ -709,6 +712,12 @@ def test_yoneda_hom_bases_equal_the_kron_kernel(name, op):
         assert list(hom_space(t, n)) == kron_basis, (t._summands, n)
 
 
+def yoneda_maps(n, emb, w) -> list:
+    """modrep._yoneda's stacked maps, one matrix each."""
+    stack = modrep._yoneda(n, emb, w)
+    return [stack.select_rows(range(t, t + n.dim)) for t in range(0, stack.rows, n.dim)]
+
+
 def whole_sum_yoneda_matrices(m, n) -> list:
     """Hom(m, n) out of a recorded sum m of structural projectives, the
     Yoneda maps of every summand canonicalized together by one reversed
@@ -722,7 +731,7 @@ def whole_sum_yoneda_matrices(m, n) -> list:
     for i in m._summands:
         after = m.dim - before - embeddings[i].cols
         rows += [zero * after + vec(f).col(0)[::-1] + zero * before
-                 for f in modrep._yoneda(n, embeddings[i], column_space_basis(n.rho(idems[i])))]
+                 for f in yoneda_maps(n, embeddings[i], column_space_basis(n.rho(idems[i])))]
         before = m.dim - after
     red = rref(Mat.from_cols(field, rows, m.dim * n.dim).transpose())
     assert red.rank == len(rows)
@@ -770,6 +779,69 @@ def test_each_yoneda_block_is_built_once_per_target_and_idempotent(monkeypatch):
         monkeypatch.setattr(modrep, "_yoneda", yoneda)
     keys = [(id(n), id(emb)) for n, emb in calls]
     assert keys and len(set(keys)) == len(keys)
+
+
+def hom_basis_ext_dim(m, n, i) -> int:
+    """dim Ext^i(m, n) from hom_space's bases of the resolution's terms and
+    hom_delta over them: the route ext_dim took before it read the maps at
+    the generators of the terms."""
+    res = resolve(m, i + 1)
+    homs = [hom_space(res.term(k), n) for k in (i - 1, i)]
+    deltas = [hom_delta(h, res.map_from(k + 1)) for h, k in zip(homs, (i - 1, i))]
+    return homology_dims([len(h) for h in homs], deltas)[1]
+
+
+def _rebased(mods, rebase) -> list:
+    """Each of mods in a seeded random basis, where one changes it."""
+    out = []
+    for seed, m in enumerate(mods):
+        try:
+            out.append(rebase(m, seed)[0])
+        except AssertionError:
+            pass
+    return out
+
+
+def assert_ext_is_the_hom_basis_route(a, mods):
+    """ext_dim and ext_dim_injective in degrees 1 to 3 against the hom
+    basis route, into A, into the next module and into the dual of the
+    opposite's corpus module at the same place."""
+    duals = [dual_module(x) for x in module_corpus(a.opposite(), minimum=0)]
+    for k, m in enumerate(mods):
+        for n in (regular_module(a), mods[(k + 1) % len(mods)], duals[k % len(duals)]):
+            for i in (1, 2, 3):
+                want = hom_basis_ext_dim(m, n, i)
+                assert ext_dim(m, n, i) == want == ext_dim_injective(m, n, i), (m, n, i)
+
+
+@pytest.mark.parametrize("op", [False, True])
+@pytest.mark.parametrize("name", [x for x in TRUSTED_ALGEBRAS if x != "opposite f7s3"])
+def test_ext_in_yoneda_coordinates_is_the_hom_basis_route(name, op, in_new_basis):
+    # every corpus module, in a random basis and in random sums; f7s3 has no
+    # primitive idempotents, so no cover
+    a = _trusted_algebra(name)
+    a = a.opposite() if op else a
+    mods = module_corpus(a, minimum=0)
+    mods += _rebased(mods, in_new_basis) + _rebased_sums(mods, in_new_basis)
+    assert_ext_is_the_hom_basis_route(a, mods)
+
+
+def test_ext_over_a_copy_with_reversed_idempotents_is_the_hom_basis_route():
+    # the terms' summands name their own algebra's idempotents, and Ext
+    # between modules over two equal algebra objects reads those: its memos
+    # are keyed by that object, since equal algebras may order them apart
+    a = corpus_algebra("a2")
+    doc = algebra_to_json(a)
+    doc["idempotents"] = doc["idempotents"][::-1]
+    b = algebra_from_json(doc)
+    assert b == a and b.idempotents == a.idempotents[::-1]
+    mods = module_corpus(a, minimum=0)
+    copies = [Module(b, m.action) for m in mods]
+    for side in (mods, copies):
+        assert_ext_is_the_hom_basis_route(a, side)
+        assert_ext_is_the_hom_basis_route(b, side)
+    for m, n in iter_product(mods + copies, repeat=2):
+        assert [ext_dim(m, n, i) for i in (1, 2)] == [hom_basis_ext_dim(m, n, i) for i in (1, 2)]
 
 
 @pytest.mark.parametrize("name, op", ALGEBRAS)
@@ -857,7 +929,7 @@ def top_module_cover(m):
         gens = [(e_m * solve(pi_top.matrix, Mat.col_vector(a.field, img.col(c))).particular).col(0)
                 for c in range(img.cols)]
         summands += [rep] * img.cols
-        blocks += modrep._yoneda(m, structural.embeddings[rep], Mat.from_cols(a.field, gens, m.dim))
+        blocks += yoneda_maps(m, structural.embeddings[rep], Mat.from_cols(a.field, gens, m.dim))
     cols = [col for block in blocks for col in zip(*block.data)]
     return direct_sum([structural.projectives[i] for i in summands]), Mat.from_cols(a.field, cols)
 
