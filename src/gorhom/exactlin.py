@@ -263,7 +263,8 @@ class Mat(Record):
     # -- arithmetic ----------------------------------------------------------
 
     def _entrywise(self, op, other: "Mat") -> "Mat":
-        self._same_shape(other)
+        if self.rows != other.rows or self.cols != other.cols:
+            raise InputShapeError(f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
         p = self.field.characteristic
         rows = tuple([tuple([x % p for x in map(op, r, s)] if p else list(map(op, r, s)))
                       for r, s in zip(self.data, other.data)])
@@ -337,10 +338,6 @@ class Mat(Record):
 
     def select_rows(self, idx: Iterable[int]) -> "Mat":
         return Mat._from_canonical(self.field, tuple([self.data[i] for i in idx]), self.cols)
-
-    def _same_shape(self, other: "Mat"):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise InputShapeError(f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
 
     # -- derived queries -------------------------------------------------------
 

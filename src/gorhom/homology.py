@@ -110,12 +110,8 @@ def homology_dims(dims: Sequence[int], mats: Sequence[Mat]) -> List[int]:
     complex whose map mats[i] joins spot i and spot i+1, pointing either
     way; maps past the end of mats count as rank 0.  Each rank is computed
     once.  A spot is exact exactly when its entry is 0."""
-    ranks = [len(pivot_columns(m)) for m in mats]
-
-    def rank(i: int) -> int:
-        return ranks[i] if 0 <= i < len(ranks) else 0
-
-    return [d - rank(i - 1) - rank(i) for i, d in enumerate(dims)]
+    ranks = [0] + [len(pivot_columns(m)) for m in mats] + [0] * len(dims)
+    return [d - ranks[i] - ranks[i + 1] for i, d in enumerate(dims)]
 
 
 def syzygy(m: Module) -> Tuple[Module, ModHom]:
@@ -628,16 +624,13 @@ class QuasiBicomplex(NamedTuple):
     components: Dict[Tuple[int, int], Module]
     maps: Dict[int, Dict[Tuple[int, int], Mat]]
 
-    def map_at(self, l: int, i: int, j: int) -> Optional[Mat]:
-        return self.maps.get(l, {}).get((i, j))
-
     def composite_sum(self, l: int, i: int, j: int, degrees: range) -> Optional[Mat]:
         """sum of d_a ∘ d_{l-a} out of P^{i,j} over a in degrees, or None
         when no composite is defined there."""
         acc = None
         for a_deg in degrees:
-            first = self.map_at(l - a_deg, i, j)
-            second = self.map_at(a_deg, i + l - a_deg, j - (l - a_deg) + 1)
+            first = self.maps.get(l - a_deg, {}).get((i, j))
+            second = self.maps.get(a_deg, {}).get((i + l - a_deg, j - (l - a_deg) + 1))
             if first is not None and second is not None:
                 acc = second * first if acc is None else acc + second * first
         return acc

@@ -170,9 +170,6 @@ class ModHom(Record):
     def is_iso(self) -> bool:
         return self.source.dim == self.target.dim and self.matrix.is_invertible()
 
-    def is_zero(self) -> bool:
-        return self.matrix.is_zero()
-
 
 def zero_module(a: Algebra) -> Module:
     """The zero module, built once per algebra."""
@@ -325,12 +322,14 @@ def factor_through(src: Module, tgt: Module, g: Mat, rhs: Mat) -> Optional[Mat]:
     One solve over hom_space's basis h_t: hom_delta(basis, g,
     post=True)·c = vec(rhs) and f = sum c_t·h_t.  f is a combination of
     solutions of the intertwining system, so it intertwines, and g·f = rhs
-    is asserted exactly.
+    is asserted exactly.  The system is memoized on src for tgt under
+    ("post", g.data): a homotopy asks for it again with each right side.
     """
     basis = hom_space(src, tgt)
     if not basis:
         return Mat.zeros(src.algebra.field, tgt.dim, src.dim) if rhs.is_zero() else None
-    coeffs = solve(hom_delta(basis, g, post=True), vec(rhs)).particular
+    system = memo(src, ("post", g.data), tgt, lambda: hom_delta(basis, g, post=True))
+    coeffs = solve(system, vec(rhs)).particular
     if coeffs is None:
         return None
     f = _combine(basis, coeffs.col(0))
@@ -384,21 +383,31 @@ def submodule(m: Module, basis: Mat) -> Tuple[Module, ModHom]:
     the structure constants of the X_i (and X(1) = I), while the solved
     equations are the inclusion's intertwining equations.  They are one
     solve, B·X = [rho(e_0)·B | ...], with zero kernel exactly when B is
-    independent, and X_i is the i-th block of X.
+    independent, and X_i is the i-th block of X.  No columns give
+    zero_module and zero_hom, with no solve.  In a recorded sum of
+    structural projectives, which lives as long as its algebra, the
+    submodule is memoized on m under ("submodule", basis.data): its actions
+    are a function of m's and of the basis.
     """
-    k = basis.cols
+    k, n = basis.cols, m.algebra.dim
     if basis.rows != m.dim:
         raise InputShapeError("submodule basis lives in the wrong space")
-    n = m.algebra.dim
-    images = block_matrix(m.algebra.field, [m.dim], [k] * n,
-                          {(0, i): act * basis for i, act in enumerate(m.action)})
-    res = solve(basis, images)
-    if res.kernel.cols:
-        raise InputShapeError("submodule basis columns are dependent")
-    if res.particular is None:
-        raise PropertyViolation("span is not action-stable")
-    acts = [res.particular.select_cols(range(i * k, (i + 1) * k)) for i in range(n)]
-    sub = Module(m.algebra, acts, _skip_validation=True)
+    if not k:
+        return zero_module(m.algebra), zero_hom(zero_module(m.algebra), m)
+
+    def actions() -> List[Mat]:
+        images = block_matrix(m.algebra.field, [m.dim], [k] * n,
+                              {(0, i): act * basis for i, act in enumerate(m.action)})
+        res = solve(basis, images)
+        if res.kernel.cols:
+            raise InputShapeError("submodule basis columns are dependent")
+        if res.particular is None:
+            raise PropertyViolation("span is not action-stable")
+        return [res.particular.select_cols(range(i * k, (i + 1) * k)) for i in range(n)]
+
+    sub = (Module(m.algebra, actions(), _skip_validation=True) if m._summands is None else
+           memo(m, ("submodule", basis.data), None,
+                lambda: Module(m.algebra, actions(), _skip_validation=True)))
     return sub, ModHom._trusted(sub, m, basis)
 
 
@@ -424,18 +433,23 @@ def direct_sum(mods: Sequence[Module]) -> Module:
     """Block-diagonal direct sum; summand b holds the coordinates after
     those of the summands before it.  A sum of one module is that module,
     with no block built: its one block is its own action, so interning the
-    sum would return it, and its record cannot change."""
+    sum would return it, and its record cannot change.  A sum of recorded
+    sums over one algebra object is built once per summand tuple, memoized
+    on that algebra under ("sum", summands), so it lives as long as the
+    algebra: the tuple names the blocks, so it determines the sum."""
     if not mods:
         raise InputShapeError("direct sum of nothing; use zero_module")
     if len(mods) == 1:
         return mods[0]
-    a = mods[0].algebra
-    dims = [m.dim for m in mods]
-    acts = [block_matrix(a.field, dims, dims, {(b, b): m.action[i] for b, m in enumerate(mods)})
-            for i in range(a.dim)]
-    out = Module(a, acts, _skip_validation=True)
-    if out._summands is None and all(m._summands is not None and m.algebra is a for m in mods):
-        out._summands = sum((m._summands for m in mods), ())
+    a, dims = mods[0].algebra, [m.dim for m in mods]
+    acts = (block_matrix(a.field, dims, dims, {(b, b): m.action[i] for b, m in enumerate(mods)})
+            for i in range(a.dim))  # built only by the Module that takes them
+    if not all(m._summands is not None and m.algebra is a for m in mods):
+        return Module(a, acts, _skip_validation=True)
+    summands = sum((m._summands for m in mods), ())
+    out = memo(a, ("sum", summands), None, lambda: Module(a, acts, _skip_validation=True))
+    if out._summands is None:
+        out._summands = summands
     return out
 
 
@@ -652,8 +666,6 @@ def stable_hom_dim(m: Module, n: Module) -> int:
     projective cover of n, so the factoring subspace is the image of
     composition with the cover map.
     """
-    if m.algebra != n.algebra:
-        raise AlgebraMismatch("stable hom requires one algebra")
     homs = hom_space(m, n)
     if not homs:
         return 0

@@ -169,9 +169,8 @@ def check_adjunction_diagnostics(bound: int = 20, seed: int = 0) -> CheckResult:
             details.append(f"{name}: coinduction triangles failed: {exc}")
     # the product pair, including the non-faithful projection
     f2 = corpus.corpus_algebra("f2")
-    a2 = corpus.corpus_algebra("a2")
-    pr, inc = product_pairs(f2, a2)
-    bad = corpus.bad_module_for_counterexample()
+    bad = corpus.bad_module_for_counterexample()  # over a2, the other factor
+    pr, inc = product_pairs(f2, bad.algebra)
     bad_prod = Module(pr.algebra_a,
                       [Mat.zeros(f2.field, bad.dim, bad.dim)] + list(bad.action))
     prod_modules = list(structural_modules(pr.algebra_a).projectives) + [bad_prod]
@@ -226,9 +225,8 @@ def check_frobenius_certification(bound: int = 20, seed: int = 0) -> CheckResult
 def check_counterexample(bound: int = 20, seed: int = 0) -> CheckResult:
     """Faithfulness is necessary: the product projection kills a non-GP object."""
     f2 = corpus.corpus_algebra("f2")
-    a2 = corpus.corpus_algebra("a2")
-    bad = corpus.bad_module_for_counterexample()
-    report = counterexample_product(f2, a2, bad, bound=bound)
+    bad = corpus.bad_module_for_counterexample()  # over a2, the other factor
+    report = counterexample_product(f2, bad.algebra, bad, bound=bound)
     details = list(report.notes)
     details.append(f"pair verified: {report.pair_verified}; "
                    f"projected GP: {report.projected_is_gp}; "

@@ -1,3 +1,4 @@
+import gc
 import re
 from itertools import count
 from itertools import product as iter_product
@@ -207,6 +208,28 @@ def test_totalizing_fresh_modules_retains_no_memory(a2, retained_bytes, in_new_b
         return totalize_quasi_bicomplex(in_new_basis(reg, next(seeds))[0], prof).b0_pd
 
     assert retained_bytes(totalize_fresh, 20) < 100
+
+
+def test_rows_outlive_the_fresh_modules_that_asked_for_them(monkeypatch, in_new_basis):
+    # a new algebra object, so that every row is cold; each module is A in a
+    # basis of its own and dies before the next is built, and the injective
+    # sums of their coresolutions, with their rows, live on the algebra.  The
+    # count keeps the tags only: a kept holder would outlive its module
+    a = path_algebra(Quiver(2, arrows=((0, 1, "a"),)), F2)
+    prof, reg = gorenstein_profile(a), regular_module(a)
+    built, counts, memo = [], [], homology.memo
+
+    def counting(holder, tag, other, build):
+        if isinstance(tag, tuple) and tag[0] == "injective_sum":
+            return memo(holder, tag, other, lambda: built.append(tag) or build())
+        return memo(holder, tag, other, build)
+
+    monkeypatch.setattr(homology, "memo", counting)
+    for seed in range(1, 6):
+        totalize_quasi_bicomplex(in_new_basis(reg, seed)[0], prof)
+        gc.collect()
+        counts.append(len(built))
+    assert counts == [2] * 5
 
 
 def test_each_injective_sum_row_is_built_once(monkeypatch):

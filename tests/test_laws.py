@@ -20,9 +20,12 @@ tensor algebras and the tensor modules of bimodules (built unchecked from
 checked parts), and the radical series walked through submodules (now
 read in the module's coordinates), and the multiplication matrices built
 product by product (now read off the structure table as the regular
-modules of an algebra and of its opposite).
+modules of an algebra and of its opposite).  The memos keyed by content,
+of sums of projectives, their submodules and the systems of a homotopy,
+are checked against what is built once they are deleted.
 """
 
+import gc
 import random
 from itertools import product as iter_product
 
@@ -850,7 +853,7 @@ def test_zero_maps_intertwine_on_every_basis_element(name, op):
     mods = module_corpus(_algebra(name, op), minimum=0)
     for m, n in iter_product(mods, mods):
         z = zero_hom(m, n)
-        assert z.is_zero() and (z.matrix.rows, z.matrix.cols) == (n.dim, m.dim)
+        assert z.matrix.is_zero() and (z.matrix.rows, z.matrix.cols) == (n.dim, m.dim)
         assert full_basis_intertwines(m, n, z.matrix), (m, n)
 
 
@@ -1011,3 +1014,68 @@ def test_the_radical_series_in_place_is_the_submodule_walk(name, op):
         assert modrep._radical_series_dims(m) == submodule_walk_dims(m), m
         assert radical_submodule_basis(m) == chained_radical_basis(m), m
         assert socle_basis(m) == chained_socle_basis(m), m
+
+
+# --- memo entries keyed by content ---------------------------------------------------
+
+
+def _memo_kind(key):
+    """The first word of a memo key's tag: the key is the tag itself, or
+    (tag, id(other)) for an entry with an `other`."""
+    tag = key[0] if isinstance(key, tuple) and isinstance(key[0], tuple) else key
+    return tag[0] if isinstance(tag, tuple) else tag
+
+
+def drop_memo_entries(kinds) -> int:
+    """Delete every memo entry whose tag starts with one of kinds from every
+    live module and algebra; the number deleted."""
+    dropped = 0
+    for holder in gc.get_objects():
+        if isinstance(holder, (Module, Algebra)):
+            for key in [k for k in holder._cache if _memo_kind(k) in kinds]:
+                del holder._cache[key]
+                dropped += 1
+    return dropped
+
+
+def memo_law_results(m, prof) -> tuple:
+    """m's cover, its resolution to d + 1, its totalization, and the hom
+    bases into m and A out of every term of them, built now."""
+    p, cov = cover_envelope(m)
+    res = resolve(m, prof.gorenstein_dim + 1)
+    tot = totalize_quasi_bicomplex(m, prof)
+    qb, w = tot.quasi_bicomplex, tot.witness
+    terms = [p, *res.terms, *qb.components.values(), *tot.total.components.values()]
+    return ((p, cov.matrix), (res.terms, res.maps, res.augmentation),
+            (qb.components, qb.maps, tot.total.components,
+             {s: f.matrix for s, f in tot.total.differentials.items()},
+             (w.left, w.middle, w.incl.matrix, w.proj.matrix)),
+            [hom_space(t, n) for t in terms for n in (m, regular_module(m.algebra))])
+
+
+def same_results(x, y) -> bool:
+    """x and y hold the same module objects and byte-equal matrices, in the
+    same places."""
+    if isinstance(x, Module):
+        return x is y
+    if isinstance(x, dict):
+        return list(x) == list(y) and all(same_results(x[k], y[k]) for k in x)
+    if isinstance(x, (tuple, list)):
+        return len(x) == len(y) and all(map(same_results, x, y))
+    return x.__class__ is y.__class__ and x == y
+
+
+@pytest.mark.parametrize("name, op", ALGEBRAS)
+def test_deleting_sum_submodule_and_homotopy_entries_changes_no_result(name, op, in_new_basis):
+    # the sums of projectives (on their algebra), their submodules and the
+    # post-composition systems of factor_through are memoized by content:
+    # deleted from every holder, they are built again to the same values
+    a = _algebra(name, op)
+    prof, kinds = gorenstein_profile(a), ("sum", "submodule", "post")
+    mods = module_corpus(a)
+    mods += _rebased(mods, in_new_basis)
+    first = [memo_law_results(m, prof) for m in mods]
+    assert drop_memo_entries(kinds)
+    again = [memo_law_results(m, prof) for m in mods]
+    assert all(same_results(x, y) for x, y in zip(first, again)), name
+    assert drop_memo_entries(kinds)

@@ -14,6 +14,8 @@ import gorhom
 from gorhom import homology, modrep
 from gorhom.algebra import (
     Quiver,
+    algebra_from_json,
+    algebra_to_json,
     cyclic_group_table,
     field_algebra,
     group_algebra,
@@ -694,3 +696,38 @@ def test_projectives_of_one_content_keep_the_first_record(op):
     assert s.projectives[0] is s.projectives[1] and s.projectives[1]._summands == (0,)
     for p, n in iter_product(s.projectives, module_corpus(a, minimum=0)):
         assert list(hom_space(p, n)) == full_basis_hom_matrices(p, n, a.generators())
+
+
+def test_a_second_sum_of_the_same_projectives_builds_no_block(monkeypatch):
+    # a new algebra object, so that no sum was built on it before this test;
+    # the sum is kept on its algebra under its summand tuple
+    a = algebra_from_json(algebra_to_json(corpus_algebra("a3")))
+    ps = structural_modules(a).projectives
+    first, head = direct_sum([ps[0], ps[2], ps[0]]), direct_sum([ps[0], ps[2]])
+    blocks = _counting(monkeypatch, modrep, "block_matrix")
+    assert direct_sum([ps[0], ps[2], ps[0]]) is first and first._summands == (0, 2, 0)
+    assert direct_sum([head, ps[0]]) is first and direct_sum([ps[0], ps[2]]) is head
+    assert blocks == []
+
+
+def test_a_second_factorization_through_one_map_builds_no_system(monkeypatch):
+    # lifts of every map A -> S1 + S2 through the cover of S1 + S2: the
+    # system of the cover map is built for the first right side only
+    a = algebra_from_json(algebra_to_json(corpus_algebra("a2")))
+    reg, top = regular_module(a), direct_sum(list(structural_modules(a).simples))
+    p, cov = cover_envelope(top)
+    homs = hom_space(reg, top)
+    deltas = _counting(monkeypatch, modrep, "hom_delta")
+    for rhs in [*homs, homs[0] + homs[1], Mat.zeros(a.field, top.dim, reg.dim)]:
+        f = factor_through(reg, p, cov.matrix, rhs)
+        assert cov.matrix * f == rhs
+    assert len(homs) == 2 and len(deltas) == 1
+
+
+def test_an_empty_basis_is_the_zero_submodule_with_no_solve(monkeypatch):
+    a = corpus_algebra("a2")
+    for m in module_corpus(a, minimum=0):
+        solves = _counting(monkeypatch, modrep, "solve")
+        sub, incl = submodule(m, Mat.zeros(a.field, m.dim, 0))
+        assert sub is zero_module(a) and (incl.source, incl.target) == (sub, m)
+        assert incl.matrix == Mat.zeros(a.field, m.dim, 0) and solves == []
